@@ -6,15 +6,12 @@
 package h2scope_test
 
 import (
-	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"h2scope"
 	"h2scope/internal/conformance"
-	"h2scope/internal/frame"
-	"h2scope/internal/h2load"
 	"h2scope/internal/hpack"
 	"h2scope/internal/netsim"
 	"h2scope/internal/priority"
@@ -187,48 +184,6 @@ func BenchmarkFigure6RTTComparison(b *testing.B) {
 
 // --- substrate microbenchmarks ---
 
-func benchHeaderFields() []hpack.HeaderField {
-	return []hpack.HeaderField{
-		{Name: ":status", Value: "200"},
-		{Name: "server", Value: "nginx/1.9.15"},
-		{Name: "date", Value: "Tue, 05 Jul 2016 10:00:00 GMT"},
-		{Name: "content-type", Value: "text/html; charset=utf-8"},
-		{Name: "content-length", Value: "8192"},
-		{Name: "etag", Value: "\"57838f70-264\""},
-		{Name: "vary", Value: "accept-encoding"},
-	}
-}
-
-// BenchmarkHPACKEncode measures header-block encoding with full indexing.
-func BenchmarkHPACKEncode(b *testing.B) {
-	enc := hpack.NewEncoder(hpack.PolicyIndexAll)
-	fields := benchHeaderFields()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = enc.EncodeBlock(fields)
-	}
-}
-
-// BenchmarkHPACKDecode measures header-block decoding.
-func BenchmarkHPACKDecode(b *testing.B) {
-	enc := hpack.NewEncoder(hpack.PolicyIndexAll)
-	fields := benchHeaderFields()
-	block := enc.EncodeBlock(fields)
-	dec := hpack.NewDecoder(hpack.DefaultDynamicTableSize)
-	if _, err := dec.DecodeFull(block); err != nil {
-		b.Fatal(err)
-	}
-	steady := enc.EncodeBlock(fields)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dec.DecodeFull(steady); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHuffmanRoundTrip measures Huffman coding of a typical value.
 func BenchmarkHuffmanRoundTrip(b *testing.B) {
 	enc := hpack.NewEncoder(hpack.PolicyNoDynamicInsert)
@@ -239,25 +194,6 @@ func BenchmarkHuffmanRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		block := enc.EncodeBlock(fields)
 		if _, err := dec.DecodeFull(block); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// discardWriter satisfies io.Writer without retaining data.
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// BenchmarkFramerWriteData measures DATA frame serialization.
-func BenchmarkFramerWriteData(b *testing.B) {
-	fr := frame.NewFramer(discardWriter{}, nil)
-	payload := make([]byte, 16384)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fr.WriteData(1, false, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,25 +220,6 @@ func BenchmarkPriorityTreeReprioritize(b *testing.B) {
 		}
 		if err := tree.Update(id, priority.Param{StreamDep: dep, Exclusive: i%2 == 0, Weight: 15}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchedulerPick measures weighted stream selection.
-func BenchmarkSchedulerPick(b *testing.B) {
-	tree := priority.NewTree()
-	for id := uint32(1); id <= 32; id += 2 {
-		if err := tree.Add(id, priority.Param{StreamDep: 0, Weight: uint8(id * 7)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sched := priority.NewScheduler(tree)
-	ready := func(uint32) bool { return true }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := sched.Pick(ready); !ok {
-			b.Fatal("no pick")
 		}
 	}
 }
@@ -470,91 +387,4 @@ func BenchmarkPopulationScan(b *testing.B) {
 		}
 	}
 	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "sites/s")
-}
-
-// BenchmarkHuffmanDecode measures Huffman decoding of a typical header
-// value through the public decoder.
-func BenchmarkHuffmanDecode(b *testing.B) {
-	enc := hpack.NewEncoder(hpack.PolicyNoDynamicInsert)
-	block := enc.EncodeBlock([]hpack.HeaderField{
-		{Name: "x-url", Value: "https://www.example.com/assets/app.min.js?v=20160705"},
-	})
-	dec := hpack.NewDecoder(hpack.DefaultDynamicTableSize)
-	b.SetBytes(int64(len(block)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dec.DecodeFull(block); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkH2LoadThroughput measures server throughput under multiplexed
-// load: 4 connections x 8 concurrent streams.
-func BenchmarkH2LoadThroughput(b *testing.B) {
-	srv := h2scope.NewServer(h2scope.H2OProfile(), h2scope.DefaultSite("load.example"))
-	l := netsim.NewListener("h2load-bench")
-	go func() {
-		_ = srv.Serve(l)
-	}()
-	defer srv.Close()
-	dial := func() (net.Conn, error) { return l.Dial() }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := h2load.Run(dial, h2load.Options{
-			Connections:    4,
-			StreamsPerConn: 8,
-			Requests:       500,
-			Authority:      "load.example",
-			Path:           "/about.html",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Errors > 0 {
-			b.Fatalf("%d errors", res.Errors)
-		}
-		b.ReportMetric(res.RequestsPerSecond(), "req/s")
-		logOnce(b, i, "h2load: %s", res)
-	}
-}
-
-// BenchmarkServeThroughput saturates the sharded server data plane over
-// loopback: many connections striped across driver threads, deep stream
-// batches, and the zero-alloc serve path on the far side. The sub-benchmarks
-// sweep the shard count so the per-shard scaling trajectory lands in the CI
-// bench artifacts alongside the absolute req/s figure.
-func BenchmarkServeThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			srv := h2scope.NewServer(h2scope.NghttpdProfile(), h2scope.DefaultSite("serve.example"))
-			srv.Shards = shards
-			l := netsim.NewListener(fmt.Sprintf("serve-bench-%d", shards))
-			go func() {
-				_ = srv.Serve(l)
-			}()
-			defer srv.Close()
-			dial := func() (net.Conn, error) { return l.Dial() }
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := h2load.Run(dial, h2load.Options{
-					Connections:    2 * shards,
-					Threads:        shards,
-					StreamsPerConn: 64,
-					Requests:       20000,
-					Authority:      "serve.example",
-					Path:           "/about.html",
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errors > 0 {
-					b.Fatalf("%d errors", res.Errors)
-				}
-				b.ReportMetric(res.RequestsPerSecond(), "req/s")
-				logOnce(b, i, "serve: %s", res)
-			}
-		})
-	}
 }

@@ -125,40 +125,3 @@ func TestRunInstrumented(t *testing.T) {
 		t.Errorf("latency histogram count = %d, want %d", latencyCount, res.Requests+res.Errors)
 	}
 }
-
-// BenchmarkLoadThroughput measures end-to-end request throughput over the
-// in-process network: batched request submission (OpenStreams) plus write
-// coalescing on both sides makes this the macro-benchmark for the frame and
-// HPACK hot paths working together.
-func BenchmarkLoadThroughput(b *testing.B) {
-	srv := server.New(server.NghttpdProfile(), server.DefaultSite("load.example"))
-	l := netsim.NewListener("h2load-bench")
-	go func() {
-		_ = srv.Serve(l)
-	}()
-	defer srv.Close()
-	dial := func() (net.Conn, error) { return l.Dial() }
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		res, err := h2load.Run(dial, h2load.Options{
-			Connections:    2,
-			StreamsPerConn: 8,
-			Requests:       64,
-			Authority:      "load.example",
-			Path:           "/static/style.css",
-			Timeout:        10 * time.Second,
-		})
-		if err != nil {
-			b.Fatalf("Run: %v", err)
-		}
-		if res.Errors > 0 {
-			b.Fatalf("%d failed requests", res.Errors)
-		}
-		total += res.Requests
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "req/s")
-}

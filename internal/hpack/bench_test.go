@@ -1,6 +1,7 @@
 package hpack
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -172,6 +173,55 @@ func TestHotPathAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("steady-state literal DecodeAppend: %.1f allocs/op, want 0", allocs)
+		}
+	})
+
+	t.Run("insert-evict-churn", func(t *testing.T) {
+		// The small_get tail-path shape: every response carries a fresh
+		// content-length and etag, so every block inserts two literals
+		// into a full table and evicts to make room. 256 values cycle,
+		// several times what the 4 KiB table holds, so each comes back
+		// as a miss; the decoder's intern cache holds all of them, which
+		// leaves ring, index and scratch reuse as what is measured.
+		const pool = 256
+		var lengths, etags [pool]string
+		for i := range lengths {
+			lengths[i] = strconv.Itoa(1000 + 37*i)
+			etags[i] = "\"5f2b8c-" + strconv.Itoa(100000+i) + "-h2scope\""
+		}
+		fields := append([]HeaderField(nil), benchFields...)
+		enc := NewEncoder(PolicyIndexAll)
+		dec := NewDecoder(DefaultDynamicTableSize)
+		var block []byte
+		var decoded []HeaderField
+		var err error
+		i := 0
+		round := func() {
+			fields[2].Value = lengths[i%pool]
+			fields[5].Value = etags[i%pool]
+			i++
+			block = enc.AppendBlock(block[:0], fields)
+			if decoded, err = dec.DecodeAppend(decoded[:0], block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i < 4*pool {
+			round()
+		}
+		inserted := enc.dt.inserted
+		allocs := testing.AllocsPerRun(2000, round)
+		if allocs != 0 {
+			t.Errorf("AppendBlock+DecodeAppend under insert+evict churn: %.1f allocs/op, want 0", allocs)
+		}
+		// AllocsPerRun calls round once more than it counts, to warm up.
+		// The repeating fields age out of the table too and come back, so
+		// two per block is the floor.
+		if got := enc.dt.inserted - inserted; got < 2*2001 {
+			t.Errorf("%d insertions over 2001 blocks, want at least two per block", got)
+		}
+		if n := enc.DynamicTableLen(); n >= pool/2 || n != dec.DynamicTableLen() {
+			t.Errorf("encoder table holds %d entries, decoder %d: want equal and full well below the %d-value cycle",
+				n, dec.DynamicTableLen(), pool)
 		}
 	})
 

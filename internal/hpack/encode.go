@@ -44,7 +44,7 @@ type Encoder struct {
 // NewEncoder returns an encoder with the default 4,096-byte dynamic table.
 func NewEncoder(policy IndexingPolicy) *Encoder {
 	return &Encoder{
-		dt:     newDynamicTable(DefaultDynamicTableSize),
+		dt:     newIndexedTable(DefaultDynamicTableSize),
 		policy: policy,
 	}
 }
@@ -130,20 +130,23 @@ func (e *Encoder) AppendBlock(dst []byte, fields []HeaderField) []byte {
 }
 
 func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
-	// Exact match: indexed representation.
-	if idx, ok := staticByPair[pair{hf.Name, hf.Value}]; ok && !hf.Sensitive {
-		return appendVarInt(dst, 7, 0x80, idx)
+	// Exact match: indexed representation, static table first.
+	run, static := staticNames[hf.Name]
+	if static && !hf.Sensitive {
+		for idx := run.first; idx <= run.last; idx++ {
+			if staticTable[idx-1].Value == hf.Value {
+				return appendVarInt(dst, 7, 0x80, idx)
+			}
+		}
 	}
-	dynIdx, nameOnly, dynFound := e.dt.search(hf)
+	// A static name index is preferred for stability, so the dynamic table
+	// is asked for a name-only match just when there is none.
+	dynIdx, nameOnly, dynFound := e.dt.search(hf, !static)
 	if dynFound && !nameOnly && !hf.Sensitive {
 		return appendVarInt(dst, 7, 0x80, dynIdx)
 	}
-
-	// Pick the best name index, static preferred for stability.
-	var nameIdx uint64
-	if idx, ok := staticByName[hf.Name]; ok {
-		nameIdx = idx
-	} else if dynFound {
+	nameIdx := run.first
+	if !static && dynFound {
 		nameIdx = dynIdx
 	}
 
@@ -154,7 +157,7 @@ func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
 	case e.shouldIndex(hf) && hf.Size() <= e.dt.maxSize:
 		// Literal with incremental indexing (section 6.2.1).
 		dst = appendVarInt(dst, 6, 0x40, nameIdx)
-		e.dt.add(hf)
+		e.dt.addIndexed(hf, !static)
 	default:
 		// Literal without indexing (section 6.2.2).
 		dst = appendVarInt(dst, 4, 0x00, nameIdx)

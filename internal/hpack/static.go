@@ -69,33 +69,28 @@ var staticTable = [...]HeaderField{
 // staticTableLen is the number of entries in the static table (61).
 const staticTableLen = len(staticTable)
 
-// pair keys the exact-match lookup maps.
+// pair keys the encoder's exact-match index.
 type pair struct{ name, value string }
 
-var (
-	// staticByPair maps name/value to the 1-based static index of an exact match.
-	staticByPair = buildStaticByPair()
-	// staticByName maps a name to the 1-based static index of its first entry.
-	staticByName = buildStaticByName()
-)
+// staticRun is the span of 1-based static indices sharing one name; the
+// table keeps equal names adjacent, and first is the name's wire index.
+type staticRun struct{ first, last uint64 }
 
-func buildStaticByPair() map[pair]uint64 {
-	m := make(map[pair]uint64, staticTableLen)
-	for i, hf := range staticTable {
-		p := pair{hf.Name, hf.Value}
-		if _, ok := m[p]; !ok {
-			m[p] = uint64(i + 1)
-		}
-	}
-	return m
-}
+// staticNames maps a name to its run of static entries. One hash of the name
+// answers both static questions: the name index is run.first, and an exact
+// match can only be one of the run's (at most seven) entries.
+var staticNames = buildStaticNames()
 
-func buildStaticByName() map[string]uint64 {
-	m := make(map[string]uint64, staticTableLen)
+func buildStaticNames() map[string]staticRun {
+	m := make(map[string]staticRun, staticTableLen)
 	for i, hf := range staticTable {
-		if _, ok := m[hf.Name]; !ok {
-			m[hf.Name] = uint64(i + 1)
+		idx := uint64(i + 1)
+		run, ok := m[hf.Name]
+		if !ok {
+			run.first = idx
 		}
+		run.last = idx
+		m[hf.Name] = run
 	}
 	return m
 }

@@ -39,6 +39,10 @@ type node struct {
 	weight   uint8
 	parent   *node
 	children []*node
+	// credit is the stream's smooth weighted round-robin balance. It lives
+	// on the node so a pick touches no map, and it dies with the node:
+	// Remove zeroes it, so a recycled node or a re-added ID starts level.
+	credit int64
 }
 
 func (n *node) removeChild(c *node) {
@@ -64,8 +68,12 @@ func (n *node) isDescendantOf(anc *node) bool {
 // Tree is not safe for concurrent use; the owning connection serializes
 // access.
 type Tree struct {
-	root  *node
-	nodes map[uint32]*node
+	root *node
+	// byID holds every non-root node in ascending stream-ID order. It is
+	// the tree's only index: lookups binary-search it, and the scheduler
+	// walks it, so the eligible set comes out sorted without a sort.
+	// Client stream IDs only grow, so the usual insert is an append.
+	byID []*node
 	// free recycles removed nodes so the steady-state open/close churn of
 	// request streams does not allocate: Remove pushes, get pops. Child
 	// slices are truncated, not released, so their capacity amortizes too.
@@ -74,20 +82,43 @@ type Tree struct {
 
 // NewTree returns an empty dependency tree.
 func NewTree() *Tree {
-	root := &node{id: 0}
-	return &Tree{
-		root:  root,
-		nodes: map[uint32]*node{0: root},
-	}
+	return &Tree{root: &node{id: 0}}
 }
 
 // Len returns the number of streams in the tree, excluding the root.
-func (t *Tree) Len() int { return len(t.nodes) - 1 }
+func (t *Tree) Len() int { return len(t.byID) }
 
 // Contains reports whether stream id is in the tree.
-func (t *Tree) Contains(id uint32) bool {
-	_, ok := t.nodes[id]
-	return ok
+func (t *Tree) Contains(id uint32) bool { return t.find(id) != nil }
+
+// search returns the position of stream id in byID — or, when it is not
+// there, the position it would be inserted at — and whether it is there.
+func (t *Tree) search(id uint32) (int, bool) {
+	lo, hi := 0, len(t.byID)
+	if hi > 0 && t.byID[hi-1].id < id {
+		return hi, false
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.byID[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(t.byID) && t.byID[lo].id == id
+}
+
+// find returns the node for id (the root for 0), or nil when the stream is
+// not in the tree.
+func (t *Tree) find(id uint32) *node {
+	if id == 0 {
+		return t.root
+	}
+	if i, ok := t.search(id); ok {
+		return t.byID[i]
+	}
+	return nil
 }
 
 // get returns the node for id, creating an idle placeholder under the root
@@ -95,8 +126,12 @@ func (t *Tree) Contains(id uint32) bool {
 // streams in any state). Removed nodes are recycled before new ones are
 // allocated, keeping the per-request open/close cycle allocation-free.
 func (t *Tree) get(id uint32) *node {
-	if n, ok := t.nodes[id]; ok {
-		return n
+	if id == 0 {
+		return t.root
+	}
+	i, ok := t.search(id)
+	if ok {
+		return t.byID[i]
 	}
 	var n *node
 	if len(t.free) > 0 {
@@ -107,7 +142,9 @@ func (t *Tree) get(id uint32) *node {
 		n = &node{id: id, weight: DefaultWeight, parent: t.root}
 	}
 	t.root.children = append(t.root.children, n)
-	t.nodes[id] = n
+	t.byID = append(t.byID, nil)
+	copy(t.byID[i+1:], t.byID[i:])
+	t.byID[i] = n
 	return n
 }
 
@@ -163,35 +200,40 @@ func (t *Tree) reparent(n *node, p Param) {
 //
 //h2:hotpath — every request stream passes through Remove on close.
 func (t *Tree) Remove(id uint32) {
-	n, ok := t.nodes[id]
-	if !ok || id == 0 {
+	i, ok := t.search(id)
+	if !ok {
 		return
 	}
+	n := t.byID[i]
 	n.parent.removeChild(n)
 	for _, c := range n.children {
 		c.parent = n.parent
 		n.parent.children = append(n.parent.children, c)
 	}
-	delete(t.nodes, id)
+	last := len(t.byID) - 1
+	copy(t.byID[i:], t.byID[i+1:])
+	t.byID[last] = nil
+	t.byID = t.byID[:last]
 	n.parent = nil
 	n.children = n.children[:0]
+	n.credit = 0
 	t.free = append(t.free, n)
 }
 
 // Parent returns the parent stream of id (0 for root-attached streams) and
 // whether the stream exists.
 func (t *Tree) Parent(id uint32) (uint32, bool) {
-	n, ok := t.nodes[id]
-	if !ok || n.parent == nil {
-		return 0, ok
+	n := t.find(id)
+	if n == nil || n.parent == nil {
+		return 0, n != nil
 	}
 	return n.parent.id, true
 }
 
 // Weight returns the wire-format weight of stream id.
 func (t *Tree) Weight(id uint32) (uint8, bool) {
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.find(id)
+	if n == nil {
 		return 0, false
 	}
 	return n.weight, true
@@ -199,8 +241,8 @@ func (t *Tree) Weight(id uint32) (uint8, bool) {
 
 // Children returns the stream IDs directly dependent on id, sorted.
 func (t *Tree) Children(id uint32) []uint32 {
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.find(id)
+	if n == nil {
 		return nil
 	}
 	out := make([]uint32, 0, len(n.children))
@@ -213,8 +255,8 @@ func (t *Tree) Children(id uint32) []uint32 {
 
 // Depth returns the number of edges between id and the root.
 func (t *Tree) Depth(id uint32) (int, bool) {
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.find(id)
+	if n == nil {
 		return 0, false
 	}
 	d := 0
@@ -238,49 +280,41 @@ func (t *Tree) Eligible(ready func(uint32) bool) []uint32 {
 //
 //h2:hotpath
 func (t *Tree) AppendEligible(dst []uint32, ready func(uint32) bool) []uint32 {
-	for id, n := range t.nodes {
-		if id == 0 || !ready(id) {
-			continue
-		}
-		blocked := false
-		for p := n.parent; p != nil && p.id != 0; p = p.parent {
-			if ready(p.id) {
-				blocked = true
-				break
-			}
-		}
-		if !blocked {
-			dst = append(dst, id)
+	for _, n := range t.byID {
+		if t.eligible(n, ready) {
+			dst = append(dst, n.id)
 		}
 	}
-	sortIDs(dst)
 	return dst
 }
 
-// sortIDs insertion-sorts a small ID slice in place. Eligible sets are tiny
-// (bounded by concurrent ready streams), and unlike sort.Slice this keeps
-// the comparison closure off the heap.
-func sortIDs(a []uint32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+// eligible reports whether n is ready and no proper ancestor below the root
+// is.
+func (t *Tree) eligible(n *node, ready func(uint32) bool) bool {
+	if !ready(n.id) {
+		return false
+	}
+	for p := n.parent; p != t.root; p = p.parent {
+		if ready(p.id) {
+			return false
 		}
 	}
+	return true
 }
 
 // Validate checks structural invariants (used by property tests): every
 // non-root node has a parent, parent/child links are symmetric, and the
 // graph is acyclic.
 func (t *Tree) Validate() error {
-	for id, n := range t.nodes {
-		if id == 0 {
-			if n.parent != nil {
-				return errors.New("priority: root has a parent")
-			}
-			continue
+	if t.root.parent != nil {
+		return errors.New("priority: root has a parent")
+	}
+	for i, n := range t.byID {
+		if n.id == 0 || i > 0 && t.byID[i-1].id >= n.id {
+			return fmt.Errorf("priority: stream %d out of ID order at position %d", n.id, i)
 		}
 		if n.parent == nil {
-			return fmt.Errorf("priority: stream %d has no parent", id)
+			return fmt.Errorf("priority: stream %d has no parent", n.id)
 		}
 		found := false
 		for _, c := range n.parent.children {
@@ -290,13 +324,13 @@ func (t *Tree) Validate() error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("priority: stream %d missing from parent %d child list", id, n.parent.id)
+			return fmt.Errorf("priority: stream %d missing from parent %d child list", n.id, n.parent.id)
 		}
-		// Cycle check: walking up must reach the root within len(nodes) hops.
+		// Cycle check: walking up must reach the root within Len()+1 hops.
 		hops := 0
 		for p := n; p != nil; p = p.parent {
-			if hops > len(t.nodes) {
-				return fmt.Errorf("priority: cycle reachable from stream %d", id)
+			if hops > len(t.byID)+1 {
+				return fmt.Errorf("priority: cycle reachable from stream %d", n.id)
 			}
 			hops++
 		}
@@ -305,22 +339,19 @@ func (t *Tree) Validate() error {
 }
 
 // Scheduler orders transmission among ready streams using the dependency
-// tree and smooth weighted round-robin among eligible siblings.
+// tree and smooth weighted round-robin among eligible siblings. Its state is
+// the credit on the tree's nodes, so a stream's credit goes when Tree.Remove
+// takes the node.
 type Scheduler struct {
-	tree   *Tree
-	credit map[uint32]int64
-	// elig is the retained scratch for the per-pick eligible set, so a pick
-	// in steady state performs no heap allocation.
-	elig []uint32
+	tree *Tree
+	// eligible is the size of the eligible set the last Pick saw.
+	eligible int
 }
 
 // NewScheduler returns a scheduler over tree. The tree may keep changing;
 // the scheduler reads it on every pick.
 func NewScheduler(tree *Tree) *Scheduler {
-	return &Scheduler{
-		tree:   tree,
-		credit: make(map[uint32]int64),
-	}
+	return &Scheduler{tree: tree}
 }
 
 // Pick selects the next stream to transmit a quantum for, among streams for
@@ -329,44 +360,47 @@ func NewScheduler(tree *Tree) *Scheduler {
 // Selection is smooth weighted round-robin over the eligible set: each
 // eligible stream earns credit equal to its effective weight, the stream
 // with the highest credit wins (ties break toward the lowest stream ID),
-// and the winner is charged the total weight of the round.
+// and the winner is charged the total weight of the round. A lone eligible
+// stream is charged what it just earned, so its credit does not move.
 //
 //h2:hotpath — runs once per egress quantum under load.
 func (s *Scheduler) Pick(ready func(uint32) bool) (uint32, bool) {
-	s.elig = s.tree.AppendEligible(s.elig[:0], ready)
-	elig := s.elig
-	if len(elig) == 0 {
-		return 0, false
-	}
-	if len(elig) == 1 {
-		return elig[0], true
-	}
-	var total int64
-	for _, id := range elig {
-		w, _ := s.tree.Weight(id)
-		eff := int64(w) + 1
-		s.credit[id] += eff
+	var (
+		best  *node
+		total int64
+	)
+	s.eligible = 0
+	for _, n := range s.tree.byID {
+		if !s.tree.eligible(n, ready) {
+			continue
+		}
+		s.eligible++
+		eff := int64(n.weight) + 1
+		n.credit += eff
 		total += eff
-	}
-	best := elig[0]
-	for _, id := range elig[1:] {
-		if s.credit[id] > s.credit[best] {
-			best = id
+		if best == nil || n.credit > best.credit {
+			best = n
 		}
 	}
-	s.credit[best] -= total
-	return best, true
+	if best == nil {
+		return 0, false
+	}
+	best.credit -= total
+	return best.id, true
 }
 
-// Ready returns the size of the eligible set without advancing scheduler
-// state — the instrumentation hook behind the egress ready-stream histogram.
-func (s *Scheduler) Ready(ready func(uint32) bool) int {
-	s.elig = s.tree.AppendEligible(s.elig[:0], ready)
-	return len(s.elig)
-}
+// Eligible returns the size of the eligible set the last Pick chose from —
+// what the egress ready-stream histogram records, at no second tree walk.
+func (s *Scheduler) Eligible() int { return s.eligible }
 
-// Forget clears accumulated credit for a closed stream.
-func (s *Scheduler) Forget(id uint32) { delete(s.credit, id) }
+// Forget clears the credit of a stream that stays in the tree. Tree.Remove
+// already drops a stream's credit with its node, so a closed stream needs no
+// Forget.
+func (s *Scheduler) Forget(id uint32) {
+	if n := s.tree.find(id); n != nil {
+		n.credit = 0
+	}
+}
 
 // String renders the tree as an indented outline, children sorted by ID —
 // a debugging aid for Algorithm 1's reprioritization steps.

@@ -420,8 +420,8 @@ func TestEligibleInvariantUnderRandomTrees(t *testing.T) {
 }
 
 // TestPickZeroAlloc pins the steady-state scheduler pick at zero heap
-// allocations: after the scratch eligible slice and credit map warm up, a
-// full smooth-WRR round over several ready streams must not allocate.
+// allocations: a full smooth-WRR round over several ready streams must not
+// allocate.
 func TestPickZeroAlloc(t *testing.T) {
 	tr := NewTree()
 	for _, id := range []uint32{1, 3, 5, 7} {
@@ -431,10 +431,6 @@ func TestPickZeroAlloc(t *testing.T) {
 	}
 	s := NewScheduler(tr)
 	ready := func(uint32) bool { return true }
-	// Warm the scratch slice and credit map.
-	for i := 0; i < 8; i++ {
-		s.Pick(ready)
-	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, ok := s.Pick(ready); !ok {
 			t.Fatal("no stream picked")
@@ -452,7 +448,7 @@ func TestPickZeroAlloc(t *testing.T) {
 func TestAddRemoveZeroAllocSteadyState(t *testing.T) {
 	tr := NewTree()
 	id := uint32(1)
-	// Warm the freelist and map buckets with a burst of concurrent streams.
+	// Warm the freelist and the ID-ordered slice with a burst of concurrent streams.
 	for i := 0; i < 32; i++ {
 		if err := tr.Add(id, Param{Weight: DefaultWeight}); err != nil {
 			t.Fatal(err)
@@ -477,6 +473,47 @@ func TestAddRemoveZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestBatchCycleZeroAlloc pins the shape a closed-loop client gives the
+// scheduler — 32 streams enter the tree together, every Pick sends one
+// stream's only quantum, the stream is removed — at zero allocations per
+// batch once the node freelist and the ID-ordered slice have grown to 32,
+// with stream IDs that keep increasing as a connection's do.
+func TestBatchCycleZeroAlloc(t *testing.T) {
+	const batch = 32
+	tr := NewTree()
+	s := NewScheduler(tr)
+	// pending[slot] is the ready stream whose ID maps to slot, 0 for none.
+	var pending [batch]uint32
+	ready := func(id uint32) bool { return pending[id/2%batch] == id }
+	next := uint32(1)
+	cycle := func() {
+		for i := 0; i < batch; i++ {
+			if err := tr.Add(next, Param{Weight: DefaultWeight}); err != nil {
+				t.Fatal(err)
+			}
+			pending[next/2%batch] = next
+			next += 2
+		}
+		picks := 0
+		for {
+			id, ok := s.Pick(ready)
+			if !ok {
+				break
+			}
+			picks++
+			pending[id/2%batch] = 0
+			tr.Remove(id)
+		}
+		if picks != batch || tr.Len() != 0 {
+			t.Fatalf("batch drained in %d picks leaving %d streams, want %d and 0", picks, tr.Len(), batch)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("Add → Pick → Remove over %d streams allocates %.1f times per batch, want 0", batch, allocs)
+	}
+}
+
 // TestNodeRecycling checks that a removed stream's node is reused for the
 // next added stream and carries no stale state across the recycle.
 func TestNodeRecycling(t *testing.T) {
@@ -487,14 +524,14 @@ func TestNodeRecycling(t *testing.T) {
 	if err := tr.Add(3, Param{StreamDep: 1, Weight: 100}); err != nil {
 		t.Fatal(err)
 	}
-	old := tr.nodes[3]
+	old := tr.find(3)
 	tr.Remove(3)
 	tr.Remove(1)
 	if err := tr.Add(5, Param{}); err != nil {
 		t.Fatal(err)
 	}
-	n := tr.nodes[5]
-	if n != old && n != tr.nodes[0] {
+	n := tr.find(5)
+	if n != old && n != tr.root {
 		// Either recycled node is acceptable; just require recycling happened.
 		if len(tr.free) == 2 {
 			t.Fatal("freelist untouched: Add did not recycle a node")
@@ -506,5 +543,25 @@ func TestNodeRecycling(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkSchedulerPick measures one smooth-WRR pick over 16 ready root
+// streams of differing weight.
+func BenchmarkSchedulerPick(b *testing.B) {
+	tree := NewTree()
+	for id := uint32(1); id <= 32; id += 2 {
+		if err := tree.Add(id, Param{Weight: uint8(id * 7)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sched := NewScheduler(tree)
+	ready := func(uint32) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := sched.Pick(ready); !ok {
+			b.Fatal("no pick")
+		}
 	}
 }

@@ -121,13 +121,23 @@ func (c *conn) readyFirst(id uint32) bool {
 
 func (c *conn) flushData() error {
 	p := &c.srv.profile
-	c.noteEgressReady()
+	// The ready-stream histogram takes one sample per pass. Where the pass
+	// opens with a scheduler pick, that pick has counted the eligible set;
+	// any other pass counts it up front.
+	fromPick := p.Scheduling == SchedPriority && c.sendWindow.Available() > 0
+	if !fromPick {
+		c.noteEgressReady(false)
+	}
 	for guard := 0; guard < 1<<20; guard++ {
 		if c.sendWindow.Available() <= 0 {
 			c.noteConnStall()
 			return c.maybeZeroData()
 		}
 		st := c.pickStream(p.Scheduling)
+		if fromPick {
+			c.noteEgressReady(true)
+			fromPick = false
+		}
 		if st == nil {
 			c.noteStreamStalls()
 			return c.maybeZeroData()

@@ -1,0 +1,141 @@
+package server
+
+import (
+	"net"
+	"testing"
+	"time"
+
+	"h2scope/internal/frame"
+	"h2scope/internal/h2load"
+	"h2scope/internal/hpack"
+	"h2scope/internal/metrics"
+	"h2scope/internal/netsim"
+)
+
+// TestShutdownUnderMultiplexedLoad shuts the server down while four
+// connections keep 32 streams each in flight. Shutdown announces GOAWAY from
+// its own goroutine, so whatever it reads of a connection must not be the
+// serve goroutine's alone: under -race this fails if the last-stream-id is
+// taken from c.streams, which the serve goroutine is inserting into and
+// deleting from the whole time.
+func TestShutdownUnderMultiplexedLoad(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv := New(NghttpdProfile(), DefaultSite("load.example"))
+	srv.Metrics = NewMetrics(reg)
+	l := netsim.NewListener("shutdown-load")
+	go func() {
+		_ = srv.Serve(l)
+	}()
+
+	loadDone := make(chan struct{})
+	go func() {
+		defer close(loadDone)
+		// The quota is out of reach on purpose: GOAWAY and the closed
+		// listener end the run, and how many requests got through is not
+		// what is being tested.
+		_, _ = h2load.Run(func() (net.Conn, error) { return l.Dial() }, h2load.Options{
+			Connections:    4,
+			StreamsPerConn: 32,
+			Requests:       1 << 30,
+			Authority:      "load.example",
+			Path:           "/about.html",
+			Timeout:        2 * time.Second,
+		})
+	}()
+	waitFor(t, 10*time.Second, func() bool {
+		return snapshotValue(reg, "h2_server_streams_opened_total") > 2000
+	}, "the load to ramp up")
+
+	srv.Shutdown(200 * time.Millisecond)
+	select {
+	case <-loadDone:
+	case <-time.After(15 * time.Second):
+		t.Fatal("load generator still running after Shutdown returned")
+	}
+}
+
+// TestGoAwayCarriesHighestStreamActedOn checks the GOAWAY last-stream-id
+// (RFC 7540 section 6.8) after streams 1, 3 and 5 have been answered in
+// full and closed: it names stream 5, the highest stream the server acted
+// on, not the highest one still open (none, so 0).
+func TestGoAwayCarriesHighestStreamActedOn(t *testing.T) {
+	cases := []struct {
+		name string
+		code frame.ErrCode
+		// provoke makes the server send GOAWAY on the connection.
+		provoke func(t *testing.T, srv *Server, fr *frame.Framer)
+	}{
+		{"shutdown", frame.ErrCodeNo, func(t *testing.T, srv *Server, fr *frame.Framer) {
+			go srv.Shutdown(5 * time.Second)
+		}},
+		{"connection error", frame.ErrCodeProtocol, func(t *testing.T, srv *Server, fr *frame.Framer) {
+			// An even client stream ID is a connection error.
+			if err := fr.WriteHeaders(frame.HeadersParams{StreamID: 2, EndStream: true, EndHeaders: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(NghttpdProfile(), DefaultSite("testbed.example"))
+			l := netsim.NewListener("goaway-last-stream")
+			go func() {
+				_ = srv.Serve(l)
+			}()
+			t.Cleanup(srv.Close)
+			nc, err := l.Dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = nc.Close() })
+
+			fr := frame.NewFramer(nc, nc)
+			if err := fr.WriteRawBytes([]byte(frame.ClientPreface)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fr.WriteSettings(); err != nil {
+				t.Fatal(err)
+			}
+			enc := hpack.NewEncoder(hpack.PolicyNoDynamicInsert)
+			for _, id := range []uint32{1, 3, 5} {
+				if err := fr.WriteRawBytes(encodeRequest(t, enc, id, "/about.html")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for ended := 0; ended < 3; {
+				f, err := fr.ReadFrame()
+				if err != nil {
+					t.Fatalf("reading responses: %v", err)
+				}
+				if d, ok := f.(*frame.DataFrame); ok && d.StreamEnded() {
+					ended++
+				}
+			}
+
+			tc.provoke(t, srv, fr)
+			for {
+				f, err := fr.ReadFrame()
+				if err != nil {
+					t.Fatalf("connection ended before GOAWAY: %v", err)
+				}
+				ga, ok := f.(*frame.GoAwayFrame)
+				if !ok {
+					continue
+				}
+				if ga.Code != tc.code {
+					t.Errorf("GOAWAY code = %v, want %v", ga.Code, tc.code)
+				}
+				if ga.LastStreamID != 5 {
+					t.Errorf("GOAWAY last-stream-id = %d, want 5", ga.LastStreamID)
+				}
+				return
+			}
+		})
+	}
+}

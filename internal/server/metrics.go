@@ -156,13 +156,19 @@ func (c *conn) noteDequeued(st *stream) {
 }
 
 // noteEgressReady observes the size of the scheduler's eligible set for the
-// ready-stream histogram, once per egress pass.
-func (c *conn) noteEgressReady() {
+// ready-stream histogram, once per egress pass: the count the pass's opening
+// Pick left behind when picked is set, a walk of the tree otherwise.
+func (c *conn) noteEgressReady(picked bool) {
 	m := c.srv.Metrics
 	if m == nil {
 		return
 	}
-	m.egressReady.Observe(int64(c.sched.Ready(c.readyFn)))
+	n := c.sched.Eligible()
+	if !picked {
+		c.eligScratch = c.tree.AppendEligible(c.eligScratch[:0], c.readyFn)
+		n = len(c.eligScratch)
+	}
+	m.egressReady.Observe(int64(n))
 }
 
 // pendingBody reports whether any stream has announced response bytes it has

@@ -183,7 +183,7 @@ func (s *Server) Shutdown(grace time.Duration) {
 		// is safe alongside the connection's own goroutine. The explicit
 		// Flush pushes the GOAWAY past the coalescing buffer while the
 		// serve loop may be blocked in ReadFrame.
-		if c.fr.WriteGoAway(c.maxClientStream(), frame.ErrCodeNo, []byte("server shutting down")) == nil {
+		if c.fr.WriteGoAway(c.maxSeenClient.Load(), frame.ErrCodeNo, []byte("server shutting down")) == nil {
 			_ = c.fr.Flush()
 		}
 	}
@@ -373,6 +373,9 @@ type conn struct {
 	// orderScratch is the iteration copy for passes that close streams
 	// mid-loop.
 	orderScratch []*stream
+	// eligScratch backs the eligible-set count of egress passes that do not
+	// open with a scheduler pick (see noteEgressReady).
+	eligScratch []uint32
 	// streamPool is the freelist of recycled stream objects, linked through
 	// stream.poolNext.
 	streamPool *stream
@@ -414,10 +417,11 @@ type conn struct {
 	// Detector mitigation state, written by the detector goroutine and read
 	// by the serve goroutine, hence atomic. readDelay (ns) throttles the
 	// read loop between frames; streamCap, when nonzero, overrides the
-	// profile's concurrent-stream limit downward; maxSeenClient mirrors the
-	// highest client stream ID for cross-goroutine GOAWAY (maxClientStream
-	// walks c.streams, which only the serve goroutine may touch); killed
-	// makes the GOAWAY+close mitigation idempotent.
+	// profile's concurrent-stream limit downward; maxSeenClient is the
+	// highest client stream ID acted on, the GOAWAY last-stream-id (RFC 7540
+	// section 6.8) for the serve, shutdown and detector goroutines alike
+	// (c.streams is the serve goroutine's alone); killed makes the
+	// GOAWAY+close mitigation idempotent.
 	readDelay     atomic.Int64
 	streamCap     atomic.Int64
 	maxSeenClient atomic.Uint32
@@ -588,20 +592,10 @@ func (c *conn) goAway(code frame.ErrCode, debug string) error {
 	if debug != "" {
 		debugData = []byte(debug)
 	}
-	if err := c.fr.WriteGoAway(c.maxClientStream(), code, debugData); err != nil {
+	if err := c.fr.WriteGoAway(c.maxSeenClient.Load(), code, debugData); err != nil {
 		return err
 	}
 	return c.fr.Flush()
-}
-
-func (c *conn) maxClientStream() uint32 {
-	var maxID uint32
-	for id := range c.streams {
-		if id%2 == 1 && id > maxID {
-			maxID = id
-		}
-	}
-	return maxID
 }
 
 func (c *conn) handleFrame(f frame.Frame) error {
@@ -848,7 +842,6 @@ func (c *conn) closeStream(id uint32) {
 		m.streamDuration.Observe(int64(time.Since(st.openedAt)))
 	}
 	c.tree.Remove(id)
-	c.sched.Forget(id)
 	if st.pushed {
 		c.pushOpen--
 	} else {

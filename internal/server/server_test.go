@@ -445,7 +445,12 @@ func TestMaxConcurrentStreamsEnforcement(t *testing.T) {
 	p1 := server.NginxProfile()
 	p1.MaxConcurrentStreams = 1
 	t.Run("one", func(t *testing.T) {
-		c := start(t, p1)(h2conn.DefaultOptions())
+		// No window replenishment: the 96 KiB object outgrows the 65,535-octet
+		// initial window, so the first stream is still open however late the
+		// second request arrives.
+		opts := h2conn.DefaultOptions()
+		opts.AutoStreamWindow, opts.AutoConnWindow = 0, 0
+		c := start(t, p1)(opts)
 		if _, err := c.WaitSettings(testTimeout); err != nil {
 			t.Fatal(err)
 		}
