@@ -148,7 +148,7 @@ func BenchmarkAblationHPACKPolicies(b *testing.B) {
 func BenchmarkAblationMaxFrameSize(b *testing.B) {
 	for _, size := range []uint32{16_384, 65_536, 1_048_576} {
 		size := size
-		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("max_frame=%d", size), func(b *testing.B) {
 			l := startBenchServer(b, h2scope.NginxProfile())
 			opts := h2conn.DefaultOptions()
 			opts.EventLogLimit = 4096

@@ -63,17 +63,22 @@ func TestParseWithoutBenchmem(t *testing.T) {
 }
 
 func TestParseCapturesCustomMetrics(t *testing.T) {
-	line := "BenchmarkServeThroughput/shards=4-8 1 40922709 ns/op 491954 req/s\n"
+	// A key=value sub-benchmark with a custom unit, as the root package's
+	// BenchmarkAblationMaxFrameSize prints it.
+	line := "BenchmarkAblationMaxFrameSize/max_frame=16384-2 \t 200\t 343103 ns/op\t 286.51 MB/s\t 7.000 frames/op\n"
 	doc, err := Parse(strings.NewReader(line))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := doc.Benchmarks[0]
-	if b.Extra == nil || b.Extra["req/s"] != 491954 {
-		t.Errorf("Extra = %v, want req/s 491954", b.Extra)
+	if want := "BenchmarkAblationMaxFrameSize/max_frame=16384-2"; b.Name != want {
+		t.Errorf("name = %q, want %q", b.Name, want)
 	}
-	if b.NsPerOp != 40922709 {
-		t.Errorf("ns/op = %g, want 40922709", b.NsPerOp)
+	if b.Extra == nil || b.Extra["frames/op"] != 7 {
+		t.Errorf("Extra = %v, want frames/op 7", b.Extra)
+	}
+	if b.NsPerOp != 343103 {
+		t.Errorf("ns/op = %g, want 343103", b.NsPerOp)
 	}
 }
 

@@ -55,7 +55,6 @@ type options struct {
 	conns       int
 	threads     int
 	streams     int
-	shards      int
 	timeout     time.Duration
 	outPath     string
 	debugAddr   string
@@ -79,7 +78,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.conns, "conns", 2, "number of connections")
 	fs.IntVar(&o.threads, "threads", 0, "driver goroutines the connections are striped across (0 = one per connection)")
 	fs.IntVar(&o.streams, "streams", 8, "concurrent streams per connection (batch size)")
-	fs.IntVar(&o.shards, "shards", 0, "serve shards for the in-process -profile server (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-batch drain timeout")
 	fs.StringVar(&o.outPath, "out", "", "append the machine-readable run summary (one JSON line) to this file; \"-\" streams it to stdout and moves the report to stderr")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /metrics.json, expvar, and pprof on this address (\":0\" picks a port) while the run is in flight")
@@ -114,12 +112,6 @@ func (o *options) validate() error {
 	}
 	if o.streams < 1 {
 		return fmt.Errorf("-streams must be >= 1; got %d", o.streams)
-	}
-	if o.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0; got %d", o.shards)
-	}
-	if o.shards > 0 && o.profileName == "" {
-		return fmt.Errorf("-shards needs the in-process -profile server")
 	}
 	if o.timeout <= 0 {
 		return fmt.Errorf("-timeout must be positive; got %v", o.timeout)
@@ -162,7 +154,6 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 			return fmt.Errorf("unknown profile %q", o.profileName)
 		}
 		srv := h2scope.NewServer(profile, h2scope.DefaultSite(o.authority))
-		srv.Shards = o.shards
 		l := netsim.NewListener("h2load")
 		go func() {
 			_ = srv.Serve(l)

@@ -6,14 +6,24 @@
 //
 //	h2server -profile nginx -addr 127.0.0.1:8443 -tls
 //	h2server -profile apache -addr 127.0.0.1:8080
+//
+// SIGINT or SIGTERM shuts the server down gracefully: every connection is
+// sent GOAWAY(NO_ERROR), stragglers are closed after shutdownGrace, and the
+// flight recorder's manifest is written before the process exits.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
+	"time"
 
 	"h2scope"
 	"h2scope/internal/metrics"
@@ -23,8 +33,18 @@ import (
 	"h2scope/internal/trace"
 )
 
+// shutdownGrace is how long connections get to wind down after GOAWAY
+// before a stop signal closes them.
+const shutdownGrace = 5 * time.Second
+
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "h2server:", err)
 		os.Exit(1)
 	}
@@ -39,20 +59,24 @@ func profileByName(name string) (h2scope.Profile, error) {
 	return h2scope.Profile{}, fmt.Errorf("unknown profile %q (want nginx, litespeed, h2o, nghttpd, tengine, or apache)", name)
 }
 
-func run() error {
+// run serves until ctx is cancelled, then shuts down gracefully and returns
+// nil so the deferred closes (flight recorder manifest, debug endpoint) run.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("h2server", flag.ContinueOnError)
 	var (
-		profileName = flag.String("profile", "nginx", "server profile: nginx, litespeed, h2o, nghttpd, tengine, apache")
-		profilePath = flag.String("profile-file", "", "load a custom behavior profile from a JSON file (overrides -profile)")
-		dumpProfile = flag.Bool("dump-profile", false, "print the selected profile as JSON and exit")
-		addr        = flag.String("addr", "127.0.0.1:8443", "listen address")
-		domain      = flag.String("domain", "testbed.example", "site domain (:authority)")
-		useTLS      = flag.Bool("tls", false, "serve HTTP/2 over TLS with a self-signed certificate and ALPN")
-		debugAddr   = flag.String("debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) alongside the server")
-		detector    = flag.Bool("detector", false, "arm the real-time attack detector with the profile's thresholds (detections surface on -debug-addr metrics)")
-		shards      = flag.Int("shards", 0, "accept/serve shards with independent conn tables (0 = GOMAXPROCS)")
-		flightRec   = flag.String("flightrec", "", "directory for anomaly flight-recorder dumps (detector hits, p99 blowouts) with bounded JSONL forensics")
+		profileName = fs.String("profile", "nginx", "server profile: nginx, litespeed, h2o, nghttpd, tengine, apache")
+		profilePath = fs.String("profile-file", "", "load a custom behavior profile from a JSON file (overrides -profile)")
+		dumpProfile = fs.Bool("dump-profile", false, "print the selected profile as JSON and exit")
+		addr        = fs.String("addr", "127.0.0.1:8443", "listen address")
+		domain      = fs.String("domain", "testbed.example", "site domain (:authority)")
+		useTLS      = fs.Bool("tls", false, "serve HTTP/2 over TLS with a self-signed certificate and ALPN")
+		debugAddr   = fs.String("debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) alongside the server")
+		detector    = fs.Bool("detector", false, "arm the real-time attack detector with the profile's thresholds (detections surface on -debug-addr metrics)")
+		flightRec   = fs.String("flightrec", "", "directory for anomaly flight-recorder dumps (detector hits, p99 blowouts) with bounded JSONL forensics")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	profile, err := profileByName(*profileName)
 	if err != nil {
@@ -72,14 +96,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 		return nil
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0; got %d", *shards)
-	}
 	srv := h2scope.NewServer(profile, h2scope.DefaultSite(*domain))
-	srv.Shards = *shards
 	var reg *metrics.Registry
 	if *debugAddr != "" || *detector || *flightRec != "" {
 		reg = metrics.NewRegistry()
@@ -112,10 +132,10 @@ func run() error {
 				case derr != nil:
 					fmt.Fprintln(os.Stderr, "h2server: flight dump failed:", derr)
 				case path != "":
-					fmt.Printf("anomaly %q -> %s\n", a.Reason, path)
+					fmt.Fprintf(stdout, "anomaly %q -> %s\n", a.Reason, path)
 				}
 			}
-			fmt.Printf("flight recorder armed: %s\n", *flightRec)
+			fmt.Fprintf(stdout, "flight recorder armed: %s\n", *flightRec)
 		}
 		monitor = obs.NewMonitor(mcfg)
 		stopWatch := monitor.Watch(srv.Trace, *domain, 0)
@@ -133,7 +153,7 @@ func run() error {
 		dash := obs.NewDashboard("h2server "+profile.Family, monitor, recorder, reg)
 		ds.Handle("/dashboard", dash)
 		ds.Handle("/dashboard.json", dash)
-		fmt.Printf("debug endpoint: http://%s/metrics (dashboard at /dashboard)\n", ds.Addr())
+		fmt.Fprintf(stdout, "debug endpoint: http://%s/metrics (dashboard at /dashboard)\n", ds.Addr())
 	}
 	if *detector {
 		dcfg := server.DetectorConfig{}
@@ -145,12 +165,12 @@ func run() error {
 				case derr != nil:
 					fmt.Fprintln(os.Stderr, "h2server: flight dump failed:", derr)
 				case path != "":
-					fmt.Printf("anomaly %q -> %s\n", a.Reason, path)
+					fmt.Fprintf(stdout, "anomaly %q -> %s\n", a.Reason, path)
 				}
 			}
 		}
 		srv.StartDetector(dcfg, reg)
-		fmt.Printf("attack detector armed (profile %s thresholds)\n", profile.Family)
+		fmt.Fprintf(stdout, "attack detector armed (profile %s thresholds)\n", profile.Family)
 	}
 
 	l, err := net.Listen("tcp", *addr)
@@ -165,10 +185,20 @@ func run() error {
 		// The fingerprinting listener peeks each ClientHello before the
 		// handshake, so /fp can echo JA3/JA4 alongside the h2 fingerprint.
 		l = tlsutil.NewFingerprintListener(l, tlsutil.ServerConfig(cert, profile.SupportsALPN))
-		fmt.Printf("serving %s (profile %s) on https://%s (ALPN %v)\n",
-			*domain, profile.Family, *addr, profile.SupportsALPN)
+		fmt.Fprintf(stdout, "serving %s (profile %s) on https://%s (ALPN %v)\n",
+			*domain, profile.Family, l.Addr(), profile.SupportsALPN)
 	} else {
-		fmt.Printf("serving %s (profile %s) on h2c-prior-knowledge %s\n", *domain, profile.Family, *addr)
+		fmt.Fprintf(stdout, "serving %s (profile %s) on h2c-prior-knowledge %s\n", *domain, profile.Family, l.Addr())
 	}
-	return srv.Serve(l)
+
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+		fmt.Fprintf(stdout, "shutting down (grace %v)\n", shutdownGrace)
+		srv.Shutdown(shutdownGrace)
+		return nil
+	}
 }

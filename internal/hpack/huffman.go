@@ -212,8 +212,8 @@ func buildHuffmanTable() {
 }
 
 // decodeHuffman decodes a Huffman-coded string, appending the octets to dst.
-// It is the table-driven hot path; decodeHuffmanTree is the reference tree
-// walker the fuzz target cross-checks against.
+// It is the table-driven hot path; the tests cross-check it against a
+// bit-by-bit walk of the code tree (decodeHuffmanTree, reference_test.go).
 func decodeHuffman(dst, src []byte) ([]byte, error) {
 	tbl := huffTable
 	var s uint32
@@ -230,58 +230,6 @@ func decodeHuffman(dst, src []byte) ([]byte, error) {
 	}
 	if !huffAccept[s] {
 		return dst, errInvalidHuffman
-	}
-	return dst, nil
-}
-
-// decodeHuffmanTree decodes by walking the node tree bit by bit. Kept as the
-// independent reference implementation for FuzzHuffmanRoundTrip and the
-// decode-throughput benchmark baseline.
-func decodeHuffmanTree(dst, src []byte) ([]byte, error) {
-	n := huffmanRoot
-	onesRun := 0 // consecutive 1-bits since the last emitted symbol
-	for _, octet := range src {
-		for bit := 7; bit >= 0; bit-- {
-			b := (octet >> uint(bit)) & 1
-			if b == 1 {
-				onesRun++
-			} else {
-				onesRun = 0
-			}
-			n = n.children[b]
-			if n == nil {
-				return dst, errInvalidHuffman
-			}
-			if n.leaf {
-				dst = append(dst, n.sym)
-				n = huffmanRoot
-				onesRun = 0
-			}
-		}
-	}
-	// Whatever remains must be a prefix of EOS: strictly fewer than 8 bits,
-	// all ones. A longer or non-ones remainder is a coding error.
-	if n != huffmanRoot {
-		if onesRun == 0 || onesRun > 7 {
-			return dst, errInvalidHuffman
-		}
-		// Verify the pending path is all ones by checking that continuing
-		// with 1-bits still descends (EOS is the all-ones path); onesRun
-		// counting above already guarantees the consumed tail bits were 1s,
-		// but the path could have re-entered after a symbol — ensure the
-		// pending depth equals the ones run.
-		depth := 0
-		probe := huffmanRoot
-		for probe != n && depth < 8 {
-			probe = probe.children[1]
-			if probe == nil {
-				return dst, errInvalidHuffman
-			}
-			depth++
-		}
-		if probe != n {
-			return dst, errInvalidHuffman
-		}
 	}
 	return dst, nil
 }

@@ -323,13 +323,3 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 	}
 	return ""
 }
-
-// calleePkgPath returns the package path of the function a call statically
-// invokes ("" for builtins, conversions, and function values).
-func calleePkgPath(info *types.Info, call *ast.CallExpr) string {
-	f := calleeFunc(info, call)
-	if f == nil || f.Pkg() == nil {
-		return ""
-	}
-	return f.Pkg().Path()
-}

@@ -54,8 +54,8 @@ func NewHistogram(unit int64, buckets int) *Histogram {
 func (h *Histogram) Unit() int64 { return h.unit }
 
 // BucketOf returns the bucket index value v falls into for the given unit
-// and bucket count; it is the shared bucketing rule every consumer (scan's
-// latencyBucket view included) delegates to.
+// and bucket count; it is the shared bucketing rule every consumer delegates
+// to.
 func BucketOf(v, unit int64, buckets int) int {
 	if v < 0 {
 		v = 0

@@ -58,10 +58,11 @@ type PhaseStat struct {
 func (p PhaseStat) P50() string { return fmtDur(time.Duration(p.P50Ns)) }
 func (p PhaseStat) P99() string { return fmtDur(time.Duration(p.P99Ns)) }
 
-// ShardStat is one serve shard's dashboard row.
-type ShardStat struct {
-	Shard int   `json:"shard"`
-	Conns int64 `json:"conns"`
+// ConnStat is the serving side's connection line: connections being served
+// now and accepted since start.
+type ConnStat struct {
+	Active   int64 `json:"active"`
+	Accepted int64 `json:"accepted"`
 }
 
 // EgressStat summarizes the priority-aware egress scheduler: the live
@@ -88,7 +89,7 @@ type DashState struct {
 	RingDropped      int64            `json:"ringDropped"`
 	SubDropped       map[string]int64 `json:"subDropped,omitempty"`
 	SubPending       map[string]int64 `json:"subPending,omitempty"`
-	Shards           []ShardStat      `json:"shards,omitempty"`
+	Conns            *ConnStat        `json:"conns,omitempty"`
 	Egress           *EgressStat      `json:"egress,omitempty"`
 	DetectorHits     map[string]int64 `json:"detectorHits,omitempty"`
 	Mitigations      map[string]int64 `json:"mitigations,omitempty"`
@@ -168,6 +169,16 @@ func (d *Dashboard) state() *DashState {
 			st.RingEmitted += m.Value
 		case m.Name == "h2_trace_dropped_total":
 			st.RingDropped += m.Value
+		case m.Name == "h2_server_active_conns":
+			if st.Conns == nil {
+				st.Conns = &ConnStat{}
+			}
+			st.Conns.Active += m.Value
+		case m.Name == "h2_server_conns_accepted_total":
+			if st.Conns == nil {
+				st.Conns = &ConnStat{}
+			}
+			st.Conns.Accepted += m.Value
 		case m.Name == "h2_egress_queue_depth":
 			if st.Egress == nil {
 				st.Egress = &EgressStat{}
@@ -183,13 +194,7 @@ func (d *Dashboard) state() *DashState {
 				st.Egress.ReadyP99 = clampQuantile(m.Histogram, 0.99)
 			}
 		default:
-			if v, ok := labelValue(m.Name, "h2_shard_conns", "shard"); ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					n = -1
-				}
-				st.Shards = append(st.Shards, ShardStat{Shard: n, Conns: m.Value})
-			} else if v, ok := labelValue(m.Name, "h2_scan_outcomes_total", "outcome"); ok {
+			if v, ok := labelValue(m.Name, "h2_scan_outcomes_total", "outcome"); ok {
 				st.Outcomes[v] += m.Value
 			} else if v, ok := labelValue(m.Name, "h2_scan_failures_total", "kind"); ok {
 				st.FailureKinds[v] += m.Value
@@ -211,10 +216,6 @@ func (d *Dashboard) state() *DashState {
 			}
 		}
 	}
-	// Shard rows sort numerically; the snapshot's lexical order would put
-	// shard 10 before shard 2.
-	sort.Slice(st.Shards, func(i, j int) bool { return st.Shards[i].Shard < st.Shards[j].Shard })
-
 	// Causal order beats alphabetical for the phase table.
 	orderOf := map[string]int{}
 	for i, p := range Phases() {
@@ -315,10 +316,8 @@ th { color: #9aa5b1; font-weight: normal; border-bottom: 1px solid #2a3138; }
 <table><tr><th>phase</th><th>count</th><th>p50</th><th>p99</th></tr>
 {{range .Phases}}<tr><td>{{.Phase}}</td><td>{{.Count}}</td><td>{{.P50}}</td><td>{{.P99}}</td></tr>
 {{end}}</table>{{end}}
-{{if .Shards}}<h2>serve shards</h2>
-<table><tr><th>shard</th><th>conns</th></tr>
-{{range .Shards}}<tr><td>{{.Shard}}</td><td>{{.Conns}}</td></tr>
-{{end}}</table>{{end}}
+{{if .Conns}}<h2>connections</h2>
+<table><tr><td>live</td><td>{{.Conns.Active}}</td><td>accepted</td><td>{{.Conns.Accepted}}</td></tr></table>{{end}}
 {{if .Egress}}<h2>egress scheduler</h2>
 <table>
 <tr><td>queued frames</td><td>{{.Egress.QueueDepth}}</td></tr>

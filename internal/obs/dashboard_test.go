@@ -49,8 +49,8 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	reg.Counter(metrics.Label("h2_attacks_detected_total", "kind", "rapid-reset"), "").Add(3)
 	reg.Counter(metrics.Label("h2_mitigations_total", "action", "goaway"), "").Add(1)
 	reg.GaugeFunc(metrics.Label("h2_trace_sub_dropped_total", "sub", "obs"), "", func() int64 { return 7 })
-	reg.Gauge(metrics.Label("h2_shard_conns", "shard", "10"), "").Add(3)
-	reg.Gauge(metrics.Label("h2_shard_conns", "shard", "2"), "").Add(5)
+	reg.Gauge("h2_server_active_conns", "").Add(5)
+	reg.Counter("h2_server_conns_accepted_total", "").Add(8)
 	reg.Gauge("h2_egress_queue_depth", "").Add(9)
 	ready := reg.Histogram("h2_egress_ready_streams", "", 1, metrics.DefaultBuckets)
 	for i := 0; i < 8; i++ {
@@ -101,11 +101,18 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	if len(st.Exemplars) == 0 {
 		t.Error("no exemplars in state")
 	}
-	// Data-plane rows: shards sort numerically (2 before 10) and the egress
-	// scheduler summary folds in both the gauge and the histogram.
-	if len(st.Shards) != 2 || st.Shards[0] != (ShardStat{Shard: 2, Conns: 5}) ||
-		st.Shards[1] != (ShardStat{Shard: 10, Conns: 3}) {
-		t.Errorf("shard rows = %+v, want shard 2 (5 conns) then shard 10 (3 conns)", st.Shards)
+	// Data-plane rows: one connections line from the server's own gauges
+	// (there is one connection table, so no per-shard breakdown), and the
+	// egress scheduler summary folds in both the gauge and the histogram.
+	if st.Conns == nil || *st.Conns != (ConnStat{Active: 5, Accepted: 8}) {
+		t.Errorf("connections line = %+v, want 5 live of 8 accepted", st.Conns)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(rr.Body.Bytes(), &raw); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if _, ok := raw["shards"]; ok {
+		t.Error(`/dashboard.json still carries a "shards" key`)
 	}
 	if st.Egress == nil {
 		t.Fatal("no egress summary in state")
@@ -122,10 +129,13 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	d.ServeHTTP(rr, httptest.NewRequest("GET", "/dashboard", nil))
 	html := rr.Body.String()
 	for _, want := range []string{"test run", "phase latency", "rapid-reset", "flight dumps", "dial",
-		"serve shards", "egress scheduler", "queued frames"} {
+		"connections", "<td>live</td><td>5</td><td>accepted</td><td>8</td>", "egress scheduler", "queued frames"} {
 		if !strings.Contains(html, want) {
 			t.Errorf("HTML missing %q", want)
 		}
+	}
+	if strings.Contains(html, "shard") {
+		t.Error("HTML still renders a shard table")
 	}
 }
 

@@ -86,12 +86,6 @@ func registryCounters(r *metrics.Registry) *counters {
 	return c
 }
 
-// latencyBucket maps a duration to its histogram bucket; it delegates to the
-// shared bucketing rule in internal/metrics.
-func latencyBucket(d time.Duration) int {
-	return metrics.BucketOf(int64(d), int64(time.Millisecond), latencyBuckets)
-}
-
 // observeLatency records one completed target's elapsed time.
 func (c *counters) observeLatency(d time.Duration) {
 	for s := c; s != nil; s = s.mirror {

@@ -5,7 +5,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"h2scope/internal/metrics"
 )
+
+// latencyBucket maps a duration to the bucket of the scan latency histogram
+// (unit 1 ms) through the shared rule in internal/metrics.
+func latencyBucket(d time.Duration) int {
+	return metrics.BucketOf(int64(d), int64(time.Millisecond), latencyBuckets)
+}
 
 func TestLatencyBucket(t *testing.T) {
 	cases := []struct {

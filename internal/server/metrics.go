@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -83,13 +82,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		egressReady: r.Histogram("h2_egress_ready_streams",
 			"eligible ready streams per egress scheduling pass", 1, metrics.DefaultBuckets),
 	}
-}
-
-// shardConns mints the per-shard connection gauge h2_shard_conns{shard=N}.
-// The registry dedupes by name, so repeated calls return the same gauge.
-func (m *Metrics) shardConns(shard int) *metrics.Gauge {
-	return m.reg.Gauge(metrics.Label("h2_shard_conns", "shard", strconv.Itoa(shard)),
-		"connections currently assigned to this accept/serve shard")
 }
 
 // fingerprintSeen counts one sealed client fingerprint under its JA4 and

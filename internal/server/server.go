@@ -71,20 +71,16 @@ type Server struct {
 	// tlsutil.HelloCapture fallback path. Set it before serving.
 	HelloSource func(net.Conn) *fingerprint.ClientHello
 
-	// Shards selects the number of accept/serve shards — independent conn
-	// tables, each with its own lock and per-listener accept goroutine —
-	// that the connection-tracking plane is split across. Zero means
-	// GOMAXPROCS (capped at 16). Set it before serving.
-	Shards int
-
+	// mu guards the connection lifecycle: the listeners, the table of live
+	// connections and the closed flag. A connection's waitgroup slot is
+	// taken in the critical section that inserts it into the table, so once
+	// stop has marked the server closed no wg.Add can race the wg.Wait of
+	// Close or Shutdown and no connection can slip past their sweep.
 	mu     sync.Mutex
 	lis    []net.Listener
+	conns  map[*conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-
-	shardOnce sync.Once
-	shards    []*serverShard
-	nextShard atomic.Uint32
 
 	// det is the attack detector, when StartDetector attached one.
 	det *Detector
@@ -98,6 +94,7 @@ func New(p Profile, site *Site) *Server {
 		profile: p,
 		site:    site,
 		routes:  buildRoutes(&p, site),
+		conns:   make(map[*conn]struct{}),
 	}
 }
 
@@ -113,45 +110,85 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
+// errClosed is returned by Serve and ServeConn once Close or Shutdown ran.
+var errClosed = errors.New("server: closed")
+
 // Serve accepts connections from l until the listener fails or Close is
-// called. One accept goroutine runs per shard, each feeding its own conn
-// table, so accepted connections stripe across shards and connection
-// registration never contends on a global lock.
+// called, serving each on its own goroutine. A server may Serve several
+// listeners; one goroutine per listener blocks in Accept.
 func (s *Server) Serve(l net.Listener) error {
-	s.shardInit()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return errors.New("server: closed")
+		return errClosed
 	}
 	s.lis = append(s.lis, l)
 	s.mu.Unlock()
 
-	errc := make(chan error, len(s.shards))
-	for _, sh := range s.shards[1:] {
-		go func(sh *serverShard) { errc <- s.acceptLoop(l, sh) }(sh)
-	}
-	first := s.acceptLoop(l, s.shards[0])
-	for range s.shards[1:] {
-		if err := <-errc; err != nil && first == nil {
-			first = err
+	for {
+		nc, err := l.Accept()
+		if err != nil {
+			s.mu.Lock()
+			closed := s.closed
+			s.mu.Unlock()
+			if closed {
+				return nil
+			}
+			return fmt.Errorf("server: accept: %w", err)
 		}
+		go func() {
+			if err := s.ServeConn(nc); err != nil && !errors.Is(err, io.EOF) {
+				s.logf("conn %v: %v", nc.RemoteAddr(), err)
+			}
+		}()
 	}
-	return first
 }
 
-// Close stops all listeners and waits for in-flight connections.
-func (s *Server) Close() {
-	s.shardInit()
+// stop closes the listeners, marks the server closed and returns the live
+// connections. After it returns no track can succeed, so the table only
+// shrinks and wg.Wait cannot be raced by a late wg.Add.
+func (s *Server) stop() []*conn {
 	s.mu.Lock()
 	s.closed = true
 	lis := s.lis
 	s.lis = nil
+	conns := make([]*conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
 	s.mu.Unlock()
 	for _, l := range lis {
 		_ = l.Close()
 	}
-	s.closeShards()
+	return conns
+}
+
+// track enters c into the connection table and takes its waitgroup slot.
+// It reports false once the server closed: a connection accepted just
+// before Close/Shutdown is either in the table their sweep reads or is
+// turned away here.
+func (s *Server) track(c *conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[c] = struct{}{}
+	s.wg.Add(1)
+	return true
+}
+
+func (s *Server) untrack(c *conn) {
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	s.wg.Done()
+}
+
+// Close stops all listeners and waits for in-flight connections, whether
+// Serve accepted them or ServeConn was handed them.
+func (s *Server) Close() {
+	s.stop()
 	s.wg.Wait()
 	s.detector().Stop()
 }
@@ -168,16 +205,7 @@ func (s *Server) detector() *Detector {
 // connections that have not wound down after the grace period are closed
 // forcibly. Shutdown blocks until all connections ended.
 func (s *Server) Shutdown(grace time.Duration) {
-	s.shardInit()
-	s.mu.Lock()
-	s.closed = true
-	lis := s.lis
-	s.lis = nil
-	s.mu.Unlock()
-	for _, l := range lis {
-		_ = l.Close()
-	}
-	conns := s.closeShards()
+	conns := s.stop()
 	for _, c := range conns {
 		// The framer serializes writes, so announcing shutdown from here
 		// is safe alongside the connection's own goroutine. The explicit
@@ -202,15 +230,9 @@ func (s *Server) Shutdown(grace time.Duration) {
 	}
 }
 
-// ServeConn serves one already-established connection (TCP, TLS, or an
-// in-process pipe) and blocks until it ends. The connection is assigned to
-// a shard round-robin.
-func (s *Server) ServeConn(nc net.Conn) error {
-	s.shardInit()
-	return s.serveConnOn(nc, s.pickShard())
-}
-
-// newConn builds the per-connection state for nc.
+// newConn builds the per-connection state for nc, framer hooks included: a
+// conn is complete before the table makes it visible to Shutdown, whose
+// GOAWAY goes through the same framer from another goroutine.
 func newConn(s *Server, nc net.Conn) *conn {
 	br := bufio.NewReaderSize(nc, 8<<10)
 	c := &conn{
@@ -236,15 +258,6 @@ func newConn(s *Server, nc net.Conn) *conn {
 	// path cannot afford.
 	c.readyFn = c.ready
 	c.readyFirstFn = c.readyFirst
-	return c
-}
-
-// serveConnOn serves nc on shard sh.
-func (s *Server) serveConnOn(nc net.Conn, sh *serverShard) error {
-	defer func() {
-		_ = nc.Close()
-	}()
-	c := newConn(s, nc)
 	c.fpInit(nc)
 	// Bound decoded header blocks (the HPACK-bomb guard): the advertised
 	// SETTINGS_MAX_HEADER_LIST_SIZE when the profile has one, a defensive
@@ -255,34 +268,49 @@ func (s *Server) serveConnOn(nc net.Conn, sh *serverShard) error {
 		c.dec.SetMaxHeaderListSize(defaultMaxHeaderListBytes)
 	}
 	if s.Metrics != nil {
-		// Install the framer hook before serve() starts reading; the framer
-		// is single-threaded at this point.
 		c.fr.SetMetrics(s.Metrics.framer)
+	}
+	if s.Trace != nil {
+		id := s.Trace.ConnID()
+		c.traceID = id
+		c.fr.SetTrace(func(sent bool, hdr frame.Header) {
+			s.Trace.Frame(id, sent, hdr)
+		})
+		c.traceErr = func(detail string) { s.Trace.Error(id, detail) }
+	}
+	return c
+}
+
+// ServeConn serves one already-established connection (TCP, TLS, or an
+// in-process pipe) and blocks until it ends. Close and Shutdown wait for it
+// like for any connection Serve accepted.
+func (s *Server) ServeConn(nc net.Conn) error {
+	c := newConn(s, nc)
+	if !s.track(c) {
+		_ = nc.Close()
+		return errClosed
+	}
+	// Deferred first so it runs last: the waitgroup slot is given back only
+	// after the socket is closed and the gauges and trace are settled.
+	defer s.untrack(c)
+	defer func() {
+		_ = nc.Close()
+	}()
+	if s.Metrics != nil {
 		s.Metrics.connsAccepted.Inc()
 		s.Metrics.activeConns.Add(1)
 		defer c.settleOnClose()
 	}
 	if s.Trace != nil {
-		id := s.Trace.ConnID()
-		// The hook must be in place before serve() starts reading; the
-		// framer is single-threaded at this point.
-		c.fr.SetTrace(func(sent bool, hdr frame.Header) {
-			s.Trace.Frame(id, sent, hdr)
-		})
-		c.traceErr = func(detail string) { s.Trace.Error(id, detail) }
-		s.Trace.ConnOpen(id, nc.RemoteAddr().String())
-		defer func() { s.Trace.ConnClose(id, "") }()
+		s.Trace.ConnOpen(c.traceID, nc.RemoteAddr().String())
+		defer func() { s.Trace.ConnClose(c.traceID, "") }()
 		if d := s.detector(); d != nil {
 			// Register for mitigation under the same trace conn ID the
 			// detector sees in the event stream.
-			d.register(id, c)
-			defer d.unregister(id)
+			d.register(c.traceID, c)
+			defer d.unregister(c.traceID)
 		}
 	}
-	if !sh.track(c) {
-		return errors.New("server: closed")
-	}
-	defer sh.untrack(c)
 	return c.serve()
 }
 
@@ -410,6 +438,8 @@ type conn struct {
 	// continued.
 	contStream uint32
 
+	// traceID is the connection's ID on the trace bus; zero without Trace.
+	traceID uint64
 	// traceErr, when non-nil, records a connection error on the trace bus
 	// (the detector corroborates HPACK-bomb scoring with it).
 	traceErr func(detail string)
