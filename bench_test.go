@@ -12,9 +12,7 @@ import (
 
 	"h2scope"
 	"h2scope/internal/conformance"
-	"h2scope/internal/hpack"
 	"h2scope/internal/netsim"
-	"h2scope/internal/priority"
 	"h2scope/internal/stats"
 )
 
@@ -183,117 +181,6 @@ func BenchmarkFigure6RTTComparison(b *testing.B) {
 }
 
 // --- substrate microbenchmarks ---
-
-// BenchmarkHuffmanRoundTrip measures Huffman coding of a typical value.
-func BenchmarkHuffmanRoundTrip(b *testing.B) {
-	enc := hpack.NewEncoder(hpack.PolicyNoDynamicInsert)
-	fields := []hpack.HeaderField{{Name: "x-request-id", Value: "d41d8cd98f00b204e9800998ecf8427e"}}
-	dec := hpack.NewDecoder(hpack.DefaultDynamicTableSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		block := enc.EncodeBlock(fields)
-		if _, err := dec.DecodeFull(block); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPriorityTreeReprioritize measures dependency-tree updates with
-// the exclusive flag — the operation the paper's Discussion flags as an
-// algorithmic-complexity attack surface.
-func BenchmarkPriorityTreeReprioritize(b *testing.B) {
-	tree := priority.NewTree()
-	const n = 64
-	for id := uint32(1); id <= 2*n; id += 2 {
-		if err := tree.Add(id, priority.Param{StreamDep: 0, Weight: 15}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := uint32(2*(i%n) + 1)
-		dep := uint32(2*((i+7)%n) + 1)
-		if dep == id {
-			dep = 0
-		}
-		if err := tree.Update(id, priority.Param{StreamDep: dep, Exclusive: i%2 == 0, Weight: 15}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServerGET measures end-to-end request/response throughput of
-// the server engine over an in-process connection.
-func BenchmarkServerGET(b *testing.B) {
-	srv := h2scope.NewServer(h2scope.H2OProfile(), h2scope.DefaultSite("bench.example"))
-	l := netsim.NewListener("bench")
-	go func() {
-		_ = srv.Serve(l)
-	}()
-	defer srv.Close()
-	nc, err := l.Dial()
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := h2scope.DefaultClientOptions()
-	opts.EventLogLimit = 4096
-	c, err := h2scope.DialClient(nc, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		_ = c.Close()
-	}()
-	req := h2scope.Request{Authority: "bench.example", Path: "/about.html"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := c.FetchBody(req, 10*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.Status() != "200" {
-			b.Fatalf("status %s", resp.Status())
-		}
-	}
-}
-
-// BenchmarkServerLargeTransfer measures bulk DATA throughput.
-func BenchmarkServerLargeTransfer(b *testing.B) {
-	srv := h2scope.NewServer(h2scope.NginxProfile(), h2scope.DefaultSite("bench.example"))
-	l := netsim.NewListener("bench-large")
-	go func() {
-		_ = srv.Serve(l)
-	}()
-	defer srv.Close()
-	nc, err := l.Dial()
-	if err != nil {
-		b.Fatal(err)
-	}
-	lopts := h2scope.DefaultClientOptions()
-	lopts.EventLogLimit = 4096
-	c, err := h2scope.DialClient(nc, lopts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		_ = c.Close()
-	}()
-	req := h2scope.Request{Authority: "bench.example", Path: "/large/1"}
-	b.SetBytes(96 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := c.FetchBody(req, 10*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(resp.Body) != 96*1024 {
-			b.Fatalf("body %d", len(resp.Body))
-		}
-	}
-}
 
 // BenchmarkPopulationGenerate measures full-scale population synthesis.
 func BenchmarkPopulationGenerate(b *testing.B) {

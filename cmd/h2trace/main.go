@@ -1,19 +1,14 @@
 // Command h2trace renders exported frame-level traces (the JSONL files a
-// scan writes with -trace) as human-readable per-stream timelines.
+// scan writes with -trace) as human-readable per-connection breakdowns.
 //
-// Single-file mode renders one trace in full: connection summaries,
-// per-stream spans with probe-phase annotations and first/last-byte
-// latencies, and (with -events) the raw event log.
+// Single-file mode renders one trace in full: a header line, then for each
+// connection its totals, its dial → TLS → preface → settle → close phase
+// chain, and one line per stream with its probe-phase annotation, frame and
+// byte tallies and first/last-byte latencies (the same fold the census
+// monitor and flight recorder use), and (with -events) the raw event log.
 //
 //	h2trace traces/site-000001.example.jsonl
 //	h2trace -events traces/site-000001.example.jsonl
-//
-// -spans reconstructs the observability layer's causal spans instead: one
-// dial → TLS → preface → settle → close chain per connection, with
-// per-stream first/last-byte latencies (the same derivation the census
-// monitor and flight recorder use):
-//
-//	h2trace -spans traces/site-000001.example.jsonl
 //
 // -merge summarizes many traces (files and/or directories of *.jsonl) as
 // one table, one row per trace:
@@ -43,9 +38,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	merge := fs.Bool("merge", false, "summarize many traces as one table")
 	events := fs.Bool("events", false, "also dump the raw event log (single-trace mode)")
-	spans := fs.Bool("spans", false, "render reconstructed causal spans (dial/tls/preface/settle/close and per-stream byte latencies) instead of the timeline")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: h2trace [-events|-spans] <trace.jsonl>\n")
+		fmt.Fprintf(stderr, "usage: h2trace [-events] <trace.jsonl>\n")
 		fmt.Fprintf(stderr, "       h2trace -merge <trace.jsonl|dir> ...\n\n")
 		fs.PrintDefaults()
 	}
@@ -85,11 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "h2trace: %v\n", err)
 		return 1
 	}
-	if *spans {
-		obs.RenderConns(stdout, d.Target, obs.BuildConns(d.Events))
-		return 0
+	fmt.Fprint(stdout, trace.RenderHeader(d))
+	obs.RenderConns(stdout, obs.BuildConns(d.Events))
+	if *events {
+		fmt.Fprintf(stdout, "\n%s", trace.RenderEvents(d))
 	}
-	fmt.Fprint(stdout, trace.Render(d, trace.RenderOptions{Events: *events}))
 	return 0
 }
 

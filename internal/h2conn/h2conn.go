@@ -96,7 +96,7 @@ type Options struct {
 	// Zero applies DefaultEventLogLimit so an idle-but-chatty peer can
 	// never grow the log without bound; probes produce a few hundred
 	// events per connection and fit comfortably. Long-lived connections
-	// issuing thousands of requests (h2load, benchmarks) set a small
+	// issuing thousands of requests (load helpers, benchmarks) set a small
 	// explicit limit to keep per-request scan cost constant; a negative
 	// value disables the cap entirely.
 	EventLogLimit int
@@ -688,7 +688,7 @@ func (c *Conn) writeRequestLocked(id uint32, req Request, endStream bool) error 
 
 // OpenStreams opens one stream per request, writing all HEADERS frames
 // back-to-back and flushing them to the wire in a single write — the
-// request-storm pattern h2load uses to mimic nghttp2's batched submission.
+// request-storm pattern of nghttp2's batched submission.
 // It returns the stream ID assigned to each request; on a write error the
 // IDs opened so far are returned with the error.
 func (c *Conn) OpenStreams(reqs []Request) ([]uint32, error) {

@@ -5,9 +5,9 @@ import "testing"
 // BenchmarkLintRepo measures a full 9-analyzer sweep over every package in
 // the module — the exact work `go run ./cmd/h2lint ./...` performs minus
 // process startup. Loading and type-checking happen once outside the timed
-// loop so the number tracks analysis cost, not parser throughput; CI archives
-// it to BENCH_lint.json so the trajectory shows when a new analyzer (or a
-// call-graph regression) makes the sweep noticeably slower.
+// loop so the number tracks analysis cost, not parser throughput: it shows
+// when a new analyzer (or a call-graph regression) makes the sweep
+// noticeably slower.
 func BenchmarkLintRepo(b *testing.B) {
 	l, err := sharedLoader()
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package metrics is the reproduction's unified measurement substrate: a
 // dependency-free, allocation-conscious registry of counters, gauges, and
 // log-linear histograms that every hot layer (framing, connections, the
-// testbed server, the scan engine, the load generator) emits into.
+// testbed server, the scan engine) emits into.
 //
 // The paper's value is in measurement — multiplexing timings, flow-control
 // stalls, HPACK ratios, PING RTTs — yet a harness that cannot observe

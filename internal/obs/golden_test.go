@@ -13,8 +13,11 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestGoldenSpanReconstruction pins the full span derivation against a
-// recorded trace fixture: any change to the builder's causal rules shows up
-// as a golden diff, reviewed rather than silently absorbed.
+// recorded trace fixture — a client conn, a settings-only retry, a
+// server-direction conn, and a conn whose stream 3 has a PRIORITY 20 ms
+// ahead of its HEADERS next to a PRIORITY-only stream 5: any change to the
+// builder's causal rules shows up as a golden diff, reviewed rather than
+// silently absorbed.
 func TestGoldenSpanReconstruction(t *testing.T) {
 	f, err := os.Open(filepath.Join("testdata", "span_fixture.jsonl"))
 	if err != nil {
@@ -27,7 +30,7 @@ func TestGoldenSpanReconstruction(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	RenderConns(&sb, d.Target, BuildConns(d.Events))
+	RenderConns(&sb, BuildConns(d.Events))
 	got := sb.String()
 
 	goldenPath := filepath.Join("testdata", "span_fixture.golden")

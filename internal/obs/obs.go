@@ -10,8 +10,9 @@
 // counters cannot answer "for this slow target, was it the dial, the TLS
 // handshake, the SETTINGS settle, or server think-time?". The span builder
 // here answers exactly that, from the same event stream every other
-// consumer (JSONL export, h2trace rendering, the attack detector) reads,
-// so the CLI and live paths cannot drift.
+// consumer (JSONL export, the attack detector) reads. It is the only fold
+// of that stream: h2trace, the flight recorder, the monitor and the
+// dashboard all read its records, so the CLI and live paths cannot drift.
 //
 // Three artifacts ride on the builder: per-phase latency histograms with
 // slow-sample exemplars (monitor.go), a bounded anomaly flight recorder
@@ -60,19 +61,55 @@ func Phases() []string {
 	return []string{PhaseDial, PhaseTLS, PhasePreface, PhaseSettle, PhaseFirstByte, PhaseLastByte, PhaseClose}
 }
 
+// Tallies counts frames and DATA payload bytes in each direction, for one
+// stream or for a whole connection (stream 0 included).
+type Tallies struct {
+	FramesSent int   `json:"framesSent,omitempty"`
+	FramesRecv int   `json:"framesRecv,omitempty"`
+	BytesSent  int64 `json:"bytesSent,omitempty"`
+	BytesRecv  int64 `json:"bytesRecv,omitempty"`
+}
+
+// add counts one frame event.
+func (t *Tallies) add(sent bool, ev trace.Event) {
+	if sent {
+		t.FramesSent++
+	} else {
+		t.FramesRecv++
+	}
+	if ev.FrameType == frame.TypeData {
+		if sent {
+			t.BytesSent += int64(ev.Length)
+		} else {
+			t.BytesRecv += int64(ev.Length)
+		}
+	}
+}
+
 // StreamPhases is the per-stream slice of a connection's causal span.
 type StreamPhases struct {
 	// StreamID identifies the stream.
 	StreamID uint32 `json:"stream"`
+	// Phase is the probe phase active when the stream's first frame fired.
+	Phase string `json:"phase,omitempty"`
 	// Request is when the stream's first HEADERS fired (the request going
-	// out on a client trace, coming in on a server trace).
-	Request time.Time `json:"request"`
+	// out on a client trace, coming in on a server trace). It is zero for a
+	// stream with no HEADERS in the window — a PRIORITY-only node of the
+	// paper's Section III-C tree, or DATA whose HEADERS fell out of the
+	// ring — and such a stream carries tallies but no latency.
+	Request time.Time `json:"request,omitzero"`
 	// FirstByte is the request→first-response-byte latency (0 if no
 	// response-direction HEADERS/DATA was seen).
 	FirstByte time.Duration `json:"firstByteNs"`
 	// LastByte is the request→last-response-DATA latency (0 if no
 	// response-direction DATA was seen).
 	LastByte time.Duration `json:"lastByteNs"`
+	// Tallies covers every frame on the stream, before the request too.
+	Tallies
+	// EndStream reports END_STREAM on a response-direction frame; Reset
+	// reports a RST_STREAM in either direction.
+	EndStream bool `json:"endStream,omitempty"`
+	Reset     bool `json:"reset,omitempty"`
 }
 
 // ConnPhases is one connection's reconstructed causal span: lifecycle
@@ -96,6 +133,10 @@ type ConnPhases struct {
 	Preface time.Duration `json:"prefaceNs,omitempty"`
 	Settle  time.Duration `json:"settleNs,omitempty"`
 	Close   time.Duration `json:"closeNs,omitempty"`
+	// Tallies covers every frame on the connection; Errors counts error
+	// events attributed to it.
+	Tallies
+	Errors int `json:"errors,omitempty"`
 	// Streams holds the per-stream spans, ordered by stream ID.
 	Streams []StreamPhases `json:"streams,omitempty"`
 }
@@ -264,6 +305,11 @@ func (b *Builder) Feed(ev trace.Event) {
 			}
 		}
 
+	case trace.KindError:
+		if ev.Conn != 0 {
+			b.conn(ev.Conn, ev.At).c.Errors++
+		}
+
 	case trace.KindFrameSent, trace.KindFrameRecv:
 		cs := b.conn(ev.Conn, ev.At)
 		if cs.firstFrame.IsZero() {
@@ -271,6 +317,7 @@ func (b *Builder) Feed(ev trace.Event) {
 		}
 		cs.lastFrame = ev.At
 		sent := ev.Kind == trace.KindFrameSent
+		cs.c.add(sent, ev)
 		switch ev.FrameType {
 		case frame.TypeSettings:
 			if !ev.Flags.Has(frame.FlagAck) {
@@ -313,23 +360,31 @@ func (cs *connState) setRegion(name string, d time.Duration) {
 func (b *Builder) feedStream(cs *connState, ev trace.Event, sent bool) {
 	ss := cs.streams[ev.StreamID]
 	if ss == nil {
-		// A stream span begins at its first HEADERS — the request. Frames
-		// on streams whose HEADERS predates the ring window are skipped:
-		// without the request landmark the latencies would be fiction.
-		if ev.FrameType != frame.TypeHeaders {
-			return
-		}
-		ss = &streamState{
-			s:        StreamPhases{StreamID: ev.StreamID, Request: ev.At},
-			respRecv: sent,
-		}
+		ss = &streamState{s: StreamPhases{StreamID: ev.StreamID, Phase: ev.Phase}}
 		cs.streams[ev.StreamID] = ss
 		cs.streamOrder = append(cs.streamOrder, ev.StreamID)
+	}
+	ss.s.add(sent, ev)
+	if ev.FrameType == frame.TypeRSTStream {
+		ss.s.Reset = true
+	}
+	// The stream's clock starts at its first HEADERS — the request. Until
+	// then (and for good, when the HEADERS predates the ring window or the
+	// stream is a PRIORITY-only tree node) frames are tallied only: without
+	// the request landmark the latencies would be fiction.
+	if ss.s.Request.IsZero() {
+		if ev.FrameType == frame.TypeHeaders {
+			ss.s.Request = ev.At
+			ss.respRecv = sent
+		}
 		return
 	}
 	// Response direction is the opposite of the request HEADERS' direction.
 	if sent == ss.respRecv {
 		return
+	}
+	if ev.StreamEnded() {
+		ss.s.EndStream = true
 	}
 	switch ev.FrameType {
 	case frame.TypeHeaders, frame.TypeData:
@@ -403,8 +458,7 @@ func (b *Builder) Finish() []ConnPhases {
 
 // BuildConns folds a complete event stream (a Snapshot, or trace.Read
 // output) into per-connection phase spans — the batch entry point shared by
-// h2trace -spans, the flight recorder's dump summaries, and the census
-// monitor.
+// h2trace, the flight recorder's dump summaries, and the census monitor.
 func BuildConns(events []trace.Event) []ConnPhases {
 	b := NewBuilder()
 	for _, ev := range events {
@@ -439,27 +493,44 @@ func yesNo(b bool) string {
 	return "no"
 }
 
-// RenderConns writes the human-readable phase-span breakdown for a trace —
-// the h2trace -spans view and the flight recorder's summary section share
-// this renderer, so the forensic dump and the CLI cannot disagree.
-func RenderConns(w io.Writer, target string, conns []ConnPhases) {
-	label := target
-	if label == "" {
-		label = "(unnamed)"
-	}
-	fmt.Fprintf(w, "causal spans for %s: %d connection(s)\n", label, len(conns))
+// RenderConns writes the human-readable per-connection breakdown of a
+// trace — the body of the h2trace view: one line per connection (lifecycle,
+// frames and DATA bytes sent/recv), its phase chain, and one line per stream
+// with the probe phase it opened under, its request offset from the
+// connection's first event, sent/recv tallies and first/last-byte latencies
+// ("-" where the stream has no request landmark).
+func RenderConns(w io.Writer, conns []ConnPhases) {
 	for i := range conns {
 		c := &conns[i]
 		fmt.Fprintf(w, "conn %d  open=%s close=%s", c.Conn, yesNo(c.Opened), yesNo(c.Closed))
 		if c.Detail != "" {
 			fmt.Fprintf(w, "  %s", c.Detail)
 		}
-		fmt.Fprintf(w, "  total=%s\n", fmtDur(c.Duration()))
-		fmt.Fprintf(w, "  dial=%s tls=%s preface=%s settle=%s close=%s\n",
+		fmt.Fprintf(w, "  total=%s  frames=%d/%d data=%d/%dB",
+			fmtDur(c.Duration()), c.FramesSent, c.FramesRecv, c.BytesSent, c.BytesRecv)
+		if c.Errors > 0 {
+			fmt.Fprintf(w, " errors=%d", c.Errors)
+		}
+		fmt.Fprintf(w, "\n  dial=%s tls=%s preface=%s settle=%s close=%s\n",
 			fmtDur(c.Dial), fmtDur(c.TLS), fmtDur(c.Preface), fmtDur(c.Settle), fmtDur(c.Close))
 		for _, s := range c.Streams {
-			fmt.Fprintf(w, "  stream %d: first-byte=%s last-byte=%s\n",
-				s.StreamID, fmtDur(s.FirstByte), fmtDur(s.LastByte))
+			phase, at := "-", "-"
+			if s.Phase != "" {
+				phase = "[" + s.Phase + "]"
+			}
+			if !s.Request.IsZero() {
+				at = "+" + fmtDur(s.Request.Sub(c.First))
+			}
+			fmt.Fprintf(w, "  stream %-4d %-22s %-10s frames=%d/%d data=%d/%dB first-byte=%s last-byte=%s",
+				s.StreamID, phase, at, s.FramesSent, s.FramesRecv, s.BytesSent, s.BytesRecv,
+				fmtDur(s.FirstByte), fmtDur(s.LastByte))
+			switch {
+			case s.Reset:
+				fmt.Fprintf(w, " RESET")
+			case s.EndStream:
+				fmt.Fprintf(w, " END_STREAM")
+			}
+			fmt.Fprintf(w, "\n")
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // BenchmarkSpanOverhead runs the same measured scan with the observability
 // plane off and on; the delta is the span-building tax — per-target tracing,
-// causal span reconstruction, and phase-histogram feeds (target: under 5%,
-// gated in CI via cmd/benchjson).
+// causal span reconstruction, and phase-histogram feeds (target: under 5%;
+// reported, not gated).
 func BenchmarkSpanOverhead(b *testing.B) {
 	pop := population.Generate(population.EpochJan2017, 0.002, 7)
 	run := func(b *testing.B, observed bool) {

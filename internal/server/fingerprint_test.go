@@ -234,7 +234,7 @@ func TestDetectionCarriesFingerprint(t *testing.T) {
 
 // BenchmarkFingerprintOverhead compares request latency with the
 // fingerprint plane off and on; the delta is the fingerprint tax
-// (target: under 5%, gated in CI via cmd/benchjson).
+// (target: under 5%; reported, not gated).
 func BenchmarkFingerprintOverhead(b *testing.B) {
 	run := func(b *testing.B, enabled bool) {
 		srv := New(ApacheProfile(), DefaultSite("bench.example"))

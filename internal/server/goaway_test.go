@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"h2scope/internal/frame"
-	"h2scope/internal/h2load"
 	"h2scope/internal/hpack"
 	"h2scope/internal/metrics"
 	"h2scope/internal/netsim"
@@ -33,13 +32,13 @@ func TestShutdownUnderMultiplexedLoad(t *testing.T) {
 		// The quota is out of reach on purpose: GOAWAY and the closed
 		// listener end the run, and how many requests got through is not
 		// what is being tested.
-		_, _ = h2load.Run(func() (net.Conn, error) { return l.Dial() }, h2load.Options{
-			Connections:    4,
-			StreamsPerConn: 32,
-			Requests:       1 << 30,
-			Authority:      "load.example",
-			Path:           "/about.html",
-			Timeout:        2 * time.Second,
+		_, _, _ = runLoad(func() (net.Conn, error) { return l.Dial() }, loadSpec{
+			conns:     4,
+			streams:   32,
+			requests:  1 << 30,
+			authority: "load.example",
+			path:      "/about.html",
+			timeout:   2 * time.Second,
 		})
 	}()
 	waitFor(t, 10*time.Second, func() bool {

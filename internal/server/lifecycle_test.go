@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"h2scope/internal/frame"
-	"h2scope/internal/h2load"
 	"h2scope/internal/metrics"
 	"h2scope/internal/netsim"
 )
@@ -189,19 +188,19 @@ func TestServeRaceHammer(t *testing.T) {
 		}()
 	}
 
-	res, err := h2load.Run(func() (net.Conn, error) { return l.Dial() }, h2load.Options{
-		Connections:    8,
-		Threads:        4,
-		StreamsPerConn: 4,
-		Requests:       400,
-		Authority:      "race.example",
-		Path:           "/about.html",
+	ok, failed, err := runLoad(func() (net.Conn, error) { return l.Dial() }, loadSpec{
+		conns:     8,
+		streams:   4,
+		requests:  400,
+		authority: "race.example",
+		path:      "/about.html",
+		timeout:   10 * time.Second,
 	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("runLoad: %v", err)
 	}
-	if res.Requests != 400 || res.Errors != 0 {
-		t.Fatalf("requests=%d errors=%d, want 400/0", res.Requests, res.Errors)
+	if ok != 400 || failed != 0 {
+		t.Fatalf("requests=%d errors=%d, want 400/0", ok, failed)
 	}
 
 	srv.Shutdown(2 * time.Second)

@@ -5,18 +5,13 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"h2scope/internal/frame"
 )
 
-// RenderOptions tunes Render output.
-type RenderOptions struct {
-	// Events additionally dumps the raw event lines after the span views.
-	Events bool
-}
-
-// Render formats a trace as a human-readable report: header summary, then a
-// per-connection section with per-stream timelines annotated with probe
-// phases, then (optionally) the raw event log.
-func Render(d *Data, opts RenderOptions) string {
+// RenderHeader formats a trace's one-line summary: target, event count,
+// and how many events the ring emitted and dropped beyond those kept.
+func RenderHeader(d *Data) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace")
 	if d.Target != "" {
@@ -30,54 +25,18 @@ func Render(d *Data, opts RenderOptions) string {
 		fmt.Fprintf(&b, ", %d dropped", d.Dropped)
 	}
 	fmt.Fprintf(&b, "\n")
-
-	for _, c := range BuildSpans(d.Events) {
-		fmt.Fprintf(&b, "\nconn %d", c.Conn)
-		if c.Detail != "" {
-			fmt.Fprintf(&b, " (%s)", c.Detail)
-		}
-		fmt.Fprintf(&b, ": %v, %d frames sent / %d recv, %dB sent / %dB recv",
-			c.Duration().Round(time.Microsecond), c.FramesSent, c.FramesRecv, c.BytesSent, c.BytesRecv)
-		if c.Errors > 0 {
-			fmt.Fprintf(&b, ", %d errors", c.Errors)
-		}
-		fmt.Fprintf(&b, "\n")
-		for _, s := range c.Streams {
-			rel := s.First.Sub(d.Start)
-			fmt.Fprintf(&b, "  stream %-4d %s+%-10v %v  %d/%d frames  %d/%dB",
-				s.StreamID, phaseTag(s.Phase), rel.Round(time.Microsecond),
-				s.Duration().Round(time.Microsecond),
-				s.FramesSent, s.FramesRecv, s.BytesSent, s.BytesRecv)
-			if fb := s.FirstByteLatency(); fb > 0 {
-				fmt.Fprintf(&b, "  first-byte %v", fb.Round(time.Microsecond))
-			}
-			if lb := s.LastByteLatency(); lb > 0 {
-				fmt.Fprintf(&b, "  last-byte %v", lb.Round(time.Microsecond))
-			}
-			switch {
-			case s.Reset:
-				fmt.Fprintf(&b, "  RESET")
-			case s.EndStream:
-				fmt.Fprintf(&b, "  END_STREAM")
-			}
-			fmt.Fprintf(&b, "\n")
-		}
-	}
-
-	if opts.Events {
-		fmt.Fprintf(&b, "\nevents:\n")
-		for _, ev := range d.Events {
-			b.WriteString(formatEvent(d.Start, ev))
-		}
-	}
 	return b.String()
 }
 
-func phaseTag(phase string) string {
-	if phase == "" {
-		return fmt.Sprintf("%-22s", "-")
+// RenderEvents formats the raw event log, one relative-timestamped line per
+// event — the h2trace -events dump.
+func RenderEvents(d *Data) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "events:\n")
+	for _, ev := range d.Events {
+		b.WriteString(formatEvent(d.Start, ev))
 	}
-	return fmt.Sprintf("%-22s", "["+phase+"]")
+	return b.String()
 }
 
 // formatEvent renders one raw event line, relative-timestamped from start.
@@ -131,23 +90,42 @@ type MergeRow struct {
 }
 
 // Summarize folds one trace into a MergeRow. name labels the row (typically
-// the source file name); the trace's own target is kept alongside.
+// the source file name); the trace's own target is kept alongside. Streams
+// counts distinct non-zero stream IDs per connection: frames on the
+// connection control stream count toward the frame totals only.
 func Summarize(name string, d *Data) MergeRow {
 	row := MergeRow{Name: name, Target: d.Target, Events: len(d.Events), Dropped: d.Dropped}
-	seen := map[string]bool{}
+	phases := map[string]bool{}
+	conns := map[uint64]bool{}
+	streams := map[[2]uint64]bool{}
 	for _, ev := range d.Events {
-		if ev.Kind == KindPhaseStart && !seen[ev.Phase] {
-			seen[ev.Phase] = true
-			row.Phases = append(row.Phases, ev.Phase)
+		switch ev.Kind {
+		case KindPhaseStart:
+			if !phases[ev.Phase] {
+				phases[ev.Phase] = true
+				row.Phases = append(row.Phases, ev.Phase)
+			}
+		case KindConnOpen, KindConnClose, KindError:
+			if ev.Conn != 0 {
+				conns[ev.Conn] = true
+			}
+		case KindFrameSent, KindFrameRecv:
+			conns[ev.Conn] = true
+			if ev.StreamID != 0 {
+				streams[[2]uint64{ev.Conn, uint64(ev.StreamID)}] = true
+			}
+			if ev.Kind == KindFrameSent {
+				row.FramesSent++
+			} else {
+				row.FramesRecv++
+				if ev.FrameType == frame.TypeData {
+					row.BytesRecv += int64(ev.Length)
+				}
+			}
 		}
 	}
-	for _, c := range BuildSpans(d.Events) {
-		row.Conns++
-		row.Streams += len(c.Streams)
-		row.FramesSent += c.FramesSent
-		row.FramesRecv += c.FramesRecv
-		row.BytesRecv += c.BytesRecv
-	}
+	row.Conns = len(conns)
+	row.Streams = len(streams)
 	return row
 }
 

@@ -13,10 +13,11 @@
 // across slots, and never waits behind a whole-ring reader; when the ring
 // wraps, the overwritten events are counted, not silently lost.
 //
-// Derived views (per-connection and per-stream spans, see span.go), JSONL
-// export (export.go), and the human-readable timeline renderer behind the
-// h2trace CLI (render.go) all consume the same event stream, so there is
-// one event path from the wire to every consumer.
+// JSONL export (export.go), live subscriptions (subscribe.go), the raw event
+// and -merge renderers behind the h2trace CLI (render.go) and the one fold
+// into per-connection and per-stream spans (internal/obs) all consume the
+// same event stream, so there is one event path from the wire to every
+// consumer.
 package trace
 
 import (

@@ -243,67 +243,6 @@ func TestConcurrentEmitSnapshot(t *testing.T) {
 	}
 }
 
-func TestBuildSpans(t *testing.T) {
-	tr := New(256)
-	conn := tr.ConnID()
-	tr.ConnOpen(conn, "testbed.example")
-	end := tr.Phase("multiplexing")
-	// Two interleaved request/response streams.
-	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndStream | frame.FlagEndHeaders})
-	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 3, Flags: frame.FlagEndStream | frame.FlagEndHeaders})
-	tr.Frame(conn, false, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndHeaders, Length: 20})
-	tr.Frame(conn, false, frame.Header{Type: frame.TypeHeaders, StreamID: 3, Flags: frame.FlagEndHeaders, Length: 20})
-	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 1, Length: 100})
-	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 3, Length: 200})
-	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 1, Length: 50, Flags: frame.FlagEndStream})
-	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 3, Length: 50, Flags: frame.FlagEndStream})
-	end()
-	tr.ConnClose(conn, "")
-
-	spans := BuildSpans(tr.Snapshot())
-	if len(spans) != 1 {
-		t.Fatalf("got %d conn spans, want 1", len(spans))
-	}
-	c := spans[0]
-	if !c.Opened || !c.Closed {
-		t.Fatalf("conn span lifecycle: opened=%v closed=%v", c.Opened, c.Closed)
-	}
-	if c.Detail != "testbed.example" {
-		t.Fatalf("conn detail = %q", c.Detail)
-	}
-	if c.FramesSent != 2 || c.FramesRecv != 6 {
-		t.Fatalf("conn frames = %d sent / %d recv, want 2/6", c.FramesSent, c.FramesRecv)
-	}
-	if c.BytesRecv != 400 {
-		t.Fatalf("conn BytesRecv = %d, want 400", c.BytesRecv)
-	}
-	if len(c.Streams) != 2 {
-		t.Fatalf("got %d stream spans, want 2", len(c.Streams))
-	}
-	for i, wantID := range []uint32{1, 3} {
-		s := c.Streams[i]
-		if s.StreamID != wantID {
-			t.Fatalf("stream %d has ID %d, want %d", i, s.StreamID, wantID)
-		}
-		if s.Phase != "multiplexing" {
-			t.Fatalf("stream %d phase = %q, want multiplexing", s.StreamID, s.Phase)
-		}
-		if !s.EndStream {
-			t.Fatalf("stream %d missing END_STREAM", s.StreamID)
-		}
-		if s.FirstHeaders.IsZero() || s.FirstData.IsZero() || s.LastData.IsZero() {
-			t.Fatalf("stream %d missing latency landmarks: %+v", s.StreamID, s)
-		}
-		if s.FirstByteLatency() <= 0 || s.LastByteLatency() < s.FirstByteLatency() {
-			t.Fatalf("stream %d latency ordering: first=%v last=%v",
-				s.StreamID, s.FirstByteLatency(), s.LastByteLatency())
-		}
-	}
-	if c.Streams[0].BytesRecv != 150 || c.Streams[1].BytesRecv != 250 {
-		t.Fatalf("stream bytes = %d/%d, want 150/250", c.Streams[0].BytesRecv, c.Streams[1].BytesRecv)
-	}
-}
-
 func TestExportRoundTrip(t *testing.T) {
 	tr := New(64)
 	conn := tr.ConnID()
@@ -378,18 +317,23 @@ func TestRenderShowsPhasesAndStreams(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	out := Render(d, RenderOptions{Events: true})
+	if got, want := RenderHeader(d), "trace render.example: 6 events\n"; got != want {
+		t.Errorf("RenderHeader = %q, want %q", got, want)
+	}
+	d.Emitted, d.Dropped = 9, 3
+	if got, want := RenderHeader(d), "trace render.example: 6 events (9 emitted), 3 dropped\n"; got != want {
+		t.Errorf("RenderHeader after a ring wrap = %q, want %q", got, want)
+	}
+	out := RenderEvents(d)
 	for _, want := range []string{
-		"trace render.example",
-		"conn 1 (render.example)",
-		"stream 1",
-		"[multiplexing]",
-		"phase-start multiplexing",
-		"DATA",
-		"END_STREAM",
+		"conn-open     render.example",
+		"== phase-start multiplexing ==",
+		"-> HEADERS       stream=1 ",
+		"<- DATA          stream=1    len=64     flags=0x01 [multiplexing]",
+		"conn-close",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Render output missing %q:\n%s", want, out)
+			t.Errorf("RenderEvents output missing %q:\n%s", want, out)
 		}
 	}
 
@@ -398,6 +342,36 @@ func TestRenderShowsPhasesAndStreams(t *testing.T) {
 		if !strings.Contains(merge, want) {
 			t.Errorf("RenderMerge output missing %q:\n%s", want, merge)
 		}
+	}
+}
+
+// TestSummarizeCountsRequestStreams pins the -merge row for one connection
+// that exchanges SETTINGS and serves one request: the connection control
+// stream carries frames but is not a stream.
+func TestSummarizeCountsRequestStreams(t *testing.T) {
+	tr := New(64)
+	conn := tr.ConnID()
+	tr.ConnOpen(conn, "merge.example")
+	end := tr.Phase("settings")
+	tr.Frame(conn, true, frame.Header{Type: frame.TypeSettings})
+	tr.Frame(conn, false, frame.Header{Type: frame.TypeSettings, Length: 12})
+	tr.Frame(conn, true, frame.Header{Type: frame.TypeSettings, Flags: frame.FlagAck})
+	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndStream | frame.FlagEndHeaders})
+	tr.Frame(conn, false, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndHeaders, Length: 20})
+	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 1, Length: 64, Flags: frame.FlagEndStream})
+	end()
+	tr.ConnClose(conn, "")
+
+	row := Summarize("merge.example.jsonl", &Data{Target: "merge.example", Events: tr.Snapshot()})
+	if row.Conns != 1 || row.Streams != 1 {
+		t.Errorf("conns %d, streams %d; want 1 and 1", row.Conns, row.Streams)
+	}
+	if row.FramesSent != 3 || row.FramesRecv != 3 || row.BytesRecv != 64 {
+		t.Errorf("frames %d sent / %d recv, %dB recv; want 3/3 and 64 (stream 0 frames counted)",
+			row.FramesSent, row.FramesRecv, row.BytesRecv)
+	}
+	if len(row.Phases) != 1 || row.Phases[0] != "settings" {
+		t.Errorf("phases = %v, want [settings]", row.Phases)
 	}
 }
 
