@@ -205,16 +205,7 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 			if !o.useTLS {
 				return nc, nil
 			}
-			proto, tc, terr := tlsutil.NegotiateALPN(nc, o.authority)
-			if terr != nil {
-				_ = nc.Close()
-				return nil, terr
-			}
-			if proto != tlsutil.ProtoH2 {
-				_ = tc.Close()
-				return nil, fmt.Errorf("server negotiated %q, not h2", proto)
-			}
-			return tc, nil
+			return tlsutil.UpgradeH2(nc, o.authority)
 		}
 	}
 

@@ -228,7 +228,7 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(human, h2scope.AnalyzeScanRecords(records))
+		analyze(human, records)
 		return nil
 	}
 
@@ -245,30 +245,7 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 	for _, epoch := range epochs {
 		census := h2scope.NewCensus(epoch, o.scale, o.seed)
 		fmt.Fprintf(human, "==== %s (scale %.3g, seed %d) ====\n\n", epoch, o.scale, o.seed)
-		fmt.Fprintln(human, "-- Adoption (Section V-B) --")
-		fmt.Fprintln(human, census.Adoption())
-		fmt.Fprintln(human, "-- Table IV: servers used by more than 1,000 sites --")
-		fmt.Fprintln(human, census.TableIV(int(1000*o.scale)))
-		fmt.Fprintln(human, "-- Table V: SETTINGS_INITIAL_WINDOW_SIZE --")
-		fmt.Fprintln(human, census.TableV())
-		fmt.Fprintln(human, "-- Table VI: SETTINGS_MAX_FRAME_SIZE --")
-		fmt.Fprintln(human, census.TableVI())
-		fmt.Fprintln(human, "-- Table VII: SETTINGS_MAX_HEADER_LIST_SIZE --")
-		fmt.Fprintln(human, census.TableVII())
-		fmt.Fprintln(human, "-- Figure 2: SETTINGS_MAX_CONCURRENT_STREAMS CDF --")
-		fmt.Fprintln(human, census.Figure2Rendered())
-		fmt.Fprintln(human, "-- Section V-D: flow control --")
-		fmt.Fprintln(human, census.SectionVD())
-		fmt.Fprintln(human, "-- Section V-E: priority --")
-		fmt.Fprintln(human, census.SectionVE())
-		fmt.Fprintln(human, "-- Section V-F: server push --")
-		fmt.Fprintln(human, census.SectionVF())
-		fig := "Figure 4"
-		if epoch == h2scope.EpochJan2017 {
-			fig = "Figure 5"
-		}
-		fmt.Fprintf(human, "-- %s: HPACK compression ratio by family (CDF quantiles) --\n", fig)
-		fmt.Fprintln(human, census.Figures4And5Rendered())
+		fmt.Fprint(human, census.Render(int(1000*o.scale)))
 
 		if o.sample > 0 {
 			if err := runScan(o, stdout, human, stderr, epoch, census, reg, monitor); err != nil {
@@ -277,6 +254,58 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	return nil
+}
+
+// The marker lines around a measured census, so the block a scan printed and
+// the block -analyze prints for the file it wrote can be cut out and diffed.
+const (
+	measuredBegin = "---- begin measured census ----"
+	measuredEnd   = "---- end measured census ----"
+)
+
+// printMeasured prints a measured tally, live or re-read, as the census
+// tables. Table IV lists names with at least 2% of the working sites, about
+// the share the paper's 1,000-site floor is of its working set.
+func printMeasured(w io.Writer, label string, t *h2scope.CensusTally) {
+	fmt.Fprintln(w, measuredBegin)
+	fmt.Fprint(w, (&h2scope.Census{Tally: t, Label: label}).Render(max(1, t.GotHeaders/50)))
+	fmt.Fprintln(w, measuredEnd)
+}
+
+// analyze re-reads a records file: one measured census per epoch label in
+// file order (-out appends, so a file may hold several scans), each followed
+// by the engine stats of the scans that wrote it.
+func analyze(w io.Writer, records []h2scope.ScanRecord) {
+	type stored struct {
+		tally    *h2scope.CensusTally
+		trailers []*h2scope.ScanStats
+	}
+	var labels []string
+	byLabel := make(map[string]*stored)
+	for i := range records {
+		rec := &records[i]
+		e := byLabel[rec.Epoch]
+		if e == nil {
+			e = &stored{tally: h2scope.NewCensusTally()}
+			byLabel[rec.Epoch] = e
+			labels = append(labels, rec.Epoch)
+		}
+		if rec.IsStatsTrailer() {
+			e.trailers = append(e.trailers, rec.Stats)
+		} else {
+			e.tally.Add(rec)
+		}
+	}
+	for _, label := range labels {
+		e := byLabel[label]
+		fmt.Fprintf(w, "==== %s: %d stored site records, %d stats trailer(s) ====\n",
+			label, e.tally.Scanned, len(e.trailers))
+		printMeasured(w, label, e.tally)
+		for _, s := range e.trailers {
+			fmt.Fprintln(w, s.String())
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // runScan performs the measured scan of one epoch through the scan engine
@@ -309,7 +338,7 @@ func runScan(o *options, stdout, human, stderr io.Writer, epoch h2scope.Epoch, c
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(human, h2scope.RenderScan(sum))
+	printMeasured(human, epoch.String(), &sum.Tally)
 	fmt.Fprintln(human, sum.Stats.String())
 	if monitor != nil {
 		fmt.Fprintln(human, "-- Phase latency (p50/p99) --")

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -101,11 +103,81 @@ func TestRunAnalyzeRoundTrip(t *testing.T) {
 		t.Fatalf("run(-analyze): %v", err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "offline analysis of 5 stored records") {
+	if !strings.Contains(got, "==== 1st Exp. (Jul 2016): 5 stored site records, 1 stats trailer(s) ====") {
 		t.Errorf("analysis output missing record count:\n%s", got)
 	}
 	if !strings.Contains(got, "scan: 5 done (ok 5") {
 		t.Errorf("analysis output missing stats trailer line:\n%s", got)
+	}
+}
+
+// measuredBlock cuts the measured-census block, markers included, out of a
+// run's human output; it fails the test unless there is exactly one.
+func measuredBlock(t *testing.T, out string) string {
+	t.Helper()
+	if n := strings.Count(out, measuredBegin); n != 1 {
+		t.Fatalf("output has %d measured-census blocks, want 1:\n%s", n, out)
+	}
+	_, rest, _ := strings.Cut(out, measuredBegin)
+	body, _, ok := strings.Cut(rest, measuredEnd)
+	if !ok {
+		t.Fatalf("measured-census block has no end marker:\n%s", out)
+	}
+	return body
+}
+
+// TestAnalyzeReprintsMeasuredCensus is offline ≡ live at the CLI: the census
+// block -sample N -out f prints and the block -analyze f prints for the file
+// it wrote are the same bytes, in the tables the ground truth prints in.
+func TestAnalyzeReprintsMeasuredCensus(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "records.jsonl")
+	runOut := func(args ...string) string {
+		t.Helper()
+		opts, err := parseFlags(args, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr strings.Builder
+		if err := run(opts, &stdout, &stderr); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		return stdout.String()
+	}
+	live := measuredBlock(t, runOut("-epoch", "2", "-scale", "0.01", "-seed", "7", "-sample", "12", "-out", path))
+	offline := measuredBlock(t, runOut("-analyze", path))
+	if live != offline {
+		t.Errorf("-analyze printed a different measured census.\nlive:\n%s\noffline:\n%s", live, offline)
+	}
+	for _, want := range []string{"-- Adoption (Section V-B) --", "-- Table IV: ", "-- Table V: SETTINGS_INITIAL_WINDOW_SIZE --",
+		"-- Table VII: ", "-- Figure 2: ", "-- Section V-D: flow control --", "-- Section V-E: priority --",
+		"-- Section V-F: server push --", "-- Figures 4/5: ", "-- Coverage --"} {
+		if !strings.Contains(live, want) {
+			t.Errorf("measured census missing %q:\n%s", want, live)
+		}
+	}
+
+	// A file written before records carried a family still analyzes, with
+	// its ratios as one series.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := regexp.MustCompile(`"family":"[^"]*",`).ReplaceAll(data, nil)
+	if bytes.Equal(old, data) {
+		t.Fatal("records carry no family field to strip")
+	}
+	oldPath := filepath.Join(t.TempDir(), "old.jsonl")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy := measuredBlock(t, runOut("-analyze", oldPath))
+	_, fig, _ := strings.Cut(legacy, "-- Figures 4/5: ")
+	if !strings.Contains(fig, "CDF   all") || !strings.Contains(fig, "0.50  ") {
+		t.Errorf("family-less file printed no HPACK ratio CDF:\n%s", legacy)
+	}
+	cutFig := func(s string) string { before, _, _ := strings.Cut(s, "-- Figures 4/5: "); return before }
+	if cutFig(legacy) != cutFig(live) {
+		t.Errorf("family-less file changed tables other than Figs. 4/5:\n%s", legacy)
 	}
 }
 
@@ -452,8 +524,15 @@ func TestRunRobustnessScan(t *testing.T) {
 	}
 
 	// The offline analyzer must re-derive the robustness column.
-	analysis := h2scope.AnalyzeScanRecords(records).String()
-	if !strings.Contains(analysis, "robustness: 2 sites scored") {
-		t.Errorf("offline analysis missing robustness line:\n%s", analysis)
+	opts, err = parseFlags([]string{"-analyze", path}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var analysis strings.Builder
+	if err := run(opts, &analysis, io.Discard); err != nil {
+		t.Fatalf("run(-analyze): %v", err)
+	}
+	if !strings.Contains(analysis.String(), "robustness: 2 sites scored") {
+		t.Errorf("offline analysis missing robustness line:\n%s", analysis.String())
 	}
 }

@@ -83,16 +83,7 @@ func run() error {
 			if !*useTLS {
 				return nc, nil
 			}
-			proto, tc, err := tlsutil.NegotiateALPN(nc, *authority)
-			if err != nil {
-				_ = nc.Close()
-				return nil, err
-			}
-			if proto != tlsutil.ProtoH2 {
-				_ = tc.Close()
-				return nil, fmt.Errorf("server negotiated %q, not h2", proto)
-			}
-			return tc, nil
+			return tlsutil.UpgradeH2(nc, *authority)
 		})
 		if *useTLS {
 			// The record-layer checks write their own ClientHello, so

@@ -18,7 +18,6 @@
 package main
 
 import (
-	"crypto/tls"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -151,17 +150,12 @@ func liveEcho(o *options, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("dial %s: %w", o.target, err)
 	}
-	defer nc.Close()
 	if !o.plain {
-		tc := tls.Client(nc, tlsutil.ClientConfig(sni, "h2"))
-		if err := tc.Handshake(); err != nil {
-			return fmt.Errorf("TLS handshake with %s: %w", o.target, err)
+		if nc, err = tlsutil.UpgradeH2(nc, sni, tlsutil.ProtoH2); err != nil {
+			return fmt.Errorf("TLS to %s: %w", o.target, err)
 		}
-		if proto := tc.ConnectionState().NegotiatedProtocol; proto != "h2" {
-			return fmt.Errorf("%s negotiated %q, not h2", o.target, proto)
-		}
-		nc = tc
 	}
+	defer nc.Close()
 	opts := h2conn.DefaultOptions()
 	opts.Impersonate = profile
 	c, err := h2conn.Dial(nc, opts)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -35,35 +34,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "h2scope:", err)
 		os.Exit(1)
 	}
-}
-
-// traceFileName maps a target (host:port) onto a safe trace file name.
-func traceFileName(key string) string {
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, key)
-	if safe == "" {
-		safe = "trace"
-	}
-	return safe + ".jsonl"
-}
-
-func writeTraceFile(path, target string, tr *trace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.Write(f, target, tr); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func run() error {
@@ -107,18 +77,8 @@ func run() error {
 		if !*useTLS {
 			return nc, nil
 		}
-		endTLS := activeTracer.Region(0, "tls")
-		proto, tc, err := tlsutil.NegotiateALPN(nc, *authority)
-		endTLS()
-		if err != nil {
-			_ = nc.Close()
-			return nil, err
-		}
-		if proto != tlsutil.ProtoH2 {
-			_ = tc.Close()
-			return nil, fmt.Errorf("server negotiated %q, not h2", proto)
-		}
-		return tc, nil
+		defer activeTracer.Region(0, "tls")()
+		return tlsutil.UpgradeH2(nc, *authority)
 	})
 
 	cfg := h2scope.DefaultProbeConfig(*authority)
@@ -144,8 +104,8 @@ func run() error {
 		}
 		scanOpts.NewTracer = func(scan.Target) *trace.Tracer { return trace.New(0) }
 		scanOpts.OnTrace = func(t scan.Target, tr *trace.Tracer) {
-			path := filepath.Join(*traceDir, traceFileName(t.Key))
-			if werr := writeTraceFile(path, t.Key, tr); werr != nil {
+			path, werr := trace.WriteFile(*traceDir, t.Key, tr)
+			if werr != nil {
 				fmt.Fprintln(os.Stderr, "h2scope: trace export:", werr)
 				return
 			}

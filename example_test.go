@@ -58,10 +58,9 @@ func ExampleProbe() {
 // counts from the synthetic Jan 2017 universe.
 func ExampleGeneratePopulation() {
 	pop := h2scope.GeneratePopulation(h2scope.EpochJan2017, 1.0, 42)
-	npn, alpn, working := pop.AdoptionCounts()
-	fmt.Println(npn, alpn, working)
-	last, first, both := pop.PriorityCounts()
-	fmt.Println(last, first, both)
+	t := pop.Tally()
+	fmt.Println(t.NPN, t.ALPN, t.GotHeaders)
+	fmt.Println(t.PriorityLast, t.PriorityFirst, t.PriorityBoth)
 	// Output:
 	// 78714 70859 64299
 	// 2187 117 111

@@ -46,7 +46,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(h2scope.RenderScan(sum))
+	measured := &h2scope.Census{Tally: &sum.Tally, Label: "measured"}
+	fmt.Println(measured.Adoption())
+	fmt.Println(measured.SectionVE())
 
 	matches := 0
 	for _, res := range sum.Results {

@@ -6,16 +6,17 @@ import (
 	"math/rand"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"h2scope/internal/core"
 	"h2scope/internal/netsim"
 	"h2scope/internal/pageload"
-	"h2scope/internal/population"
 	"h2scope/internal/rtt"
 	"h2scope/internal/scan"
 	"h2scope/internal/stats"
+	"h2scope/internal/store"
 )
 
 // This file provides one runner per table and figure of the paper's
@@ -135,68 +136,127 @@ func (r *TestbedResult) String() string {
 	return stats.FormatTable(headers, rows)
 }
 
-// --- The population census: Tables IV-VII, Figs. 2/4/5, Sections V-B/D/E/F ---
+// --- The census: Tables IV-VII, Figs. 2/4/5, Sections V-B/D/E/F ---
 
-// Census wraps a generated population with the paper's table renderings.
+// Census renders one census tally as the paper's Section V tables. The
+// generator's ground truth (NewCensus), a measured scan (&sum.Tally) and a
+// re-read of stored records all print through it, in the same shape.
 type Census struct {
-	// Pop is the synthesized universe.
+	// Pop is the synthesized universe of a ground-truth census; nil for a
+	// census of measurements.
 	Pop *Population
+	// Tally holds the buckets every table is rendered from.
+	Tally *CensusTally
+	// Label heads the count column (the epoch).
+	Label string
 }
 
-// NewCensus generates the population of an epoch and wraps it.
+// NewCensus generates the population of an epoch and wraps its ground truth.
 func NewCensus(epoch Epoch, scale float64, seed int64) *Census {
-	return &Census{Pop: GeneratePopulation(epoch, scale, seed)}
+	pop := GeneratePopulation(epoch, scale, seed)
+	return &Census{Pop: pop, Tally: pop.Tally(), Label: epoch.String()}
+}
+
+// Render prints every table of the census under the headings h2census uses,
+// in the paper's order, and closes with the Coverage block when the tally
+// has one. minServerSites is Table IV's row threshold (the paper's 1,000).
+func (c *Census) Render(minServerSites int) string {
+	var b strings.Builder
+	for _, sec := range []struct{ title, body string }{
+		{"Adoption (Section V-B)", c.Adoption()},
+		{fmt.Sprintf("Table IV: servers used by at least %d sites", minServerSites), c.TableIV(minServerSites)},
+		{"Table V: SETTINGS_INITIAL_WINDOW_SIZE", c.TableV()},
+		{"Table VI: SETTINGS_MAX_FRAME_SIZE", c.TableVI()},
+		{"Table VII: SETTINGS_MAX_HEADER_LIST_SIZE", c.TableVII()},
+		{"Figure 2: SETTINGS_MAX_CONCURRENT_STREAMS CDF", c.Figure2Rendered()},
+		{"Section V-D: flow control", c.SectionVD()},
+		{"Section V-E: priority", c.SectionVE()},
+		{"Section V-F: server push", c.SectionVF()},
+		{"Figures 4/5: HPACK compression ratio by family (CDF quantiles)", c.Figures4And5Rendered()},
+		{"Coverage", c.Tally.Coverage()},
+	} {
+		if sec.body != "" {
+			fmt.Fprintf(&b, "-- %s --\n%s\n", sec.title, sec.body)
+		}
+	}
+	return b.String()
 }
 
 // Adoption renders the Section V-B.1 counts.
 func (c *Census) Adoption() string {
-	npn, alpn, working := c.Pop.AdoptionCounts()
+	t := c.Tally
 	return stats.FormatTable(
-		[]string{"Metric", c.Pop.Epoch.String()},
+		[]string{"Metric", c.Label},
 		[][]string{
-			{"Sites negotiating via NPN", fmt.Sprint(npn)},
-			{"Sites negotiating via ALPN", fmt.Sprint(alpn)},
-			{"Sites returning HEADERS", fmt.Sprint(working)},
-			{"Distinct server kinds", fmt.Sprint(c.Pop.ServerKinds())},
+			{"Sites negotiating via NPN", fmt.Sprint(t.NPN)},
+			{"Sites negotiating via ALPN", fmt.Sprint(t.ALPN)},
+			{"Sites returning HEADERS", fmt.Sprint(t.GotHeaders)},
+			{"Distinct server kinds", fmt.Sprint(len(t.ServerNames))},
 		})
 }
 
 // TableIV renders the server-name distribution for names with at least
-// minCount sites (the paper uses 1,000).
+// minCount sites (the paper uses 1,000), by descending count.
 func (c *Census) TableIV(minCount int) string {
-	rows := make([][]string, 0, 8)
-	for _, nc := range c.Pop.ServerNameCounts(minCount) {
-		rows = append(rows, []string{nc.Name, fmt.Sprint(nc.Count)})
+	counts := c.Tally.ServerNames
+	names := make([]string, 0, 8)
+	for name, n := range counts {
+		if n >= minCount {
+			names = append(names, name)
+		}
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if counts[names[i]] != counts[names[j]] {
+			return counts[names[i]] > counts[names[j]]
+		}
+		return names[i] < names[j]
+	})
+	rows := make([][]string, len(names))
+	for i, name := range names {
+		rows[i] = []string{name, fmt.Sprint(counts[name])}
 	}
 	return stats.FormatTable([]string{"Server name", "Num. of sites"}, rows)
 }
 
 // TableV renders the SETTINGS_INITIAL_WINDOW_SIZE distribution.
 func (c *Census) TableV() string {
-	return renderDist("SETTINGS_INITIAL_WINDOW_SIZE", c.Pop.InitialWindowTable())
+	return renderDist("SETTINGS_INITIAL_WINDOW_SIZE", c.Tally.InitialWindow)
 }
 
 // TableVI renders the SETTINGS_MAX_FRAME_SIZE distribution.
 func (c *Census) TableVI() string {
-	return renderDist("Maximum Frame Size", c.Pop.MaxFrameTable())
+	return renderDist("Maximum Frame Size", c.Tally.MaxFrame)
 }
 
 // TableVII renders the SETTINGS_MAX_HEADER_LIST_SIZE distribution.
 func (c *Census) TableVII() string {
-	return renderDist("Maximum Header List Size", c.Pop.MaxHeaderListTable())
+	return renderDist("Maximum Header List Size", c.Tally.MaxHeaderList)
 }
 
-func renderDist(title string, rows []population.DistRow) string {
-	out := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, []string{r.Label, fmt.Sprint(r.Count)})
+// renderDist renders one settings table: NULL first, then unlimited, then
+// the advertised values ascending.
+func renderDist(title string, dist map[string]int) string {
+	rank := func(label string) uint64 {
+		switch label {
+		case store.LabelNull:
+			return 0
+		case store.LabelUnlimited:
+			return 1
+		}
+		v, _ := strconv.ParseUint(label, 10, 32)
+		return v + 2
 	}
-	return stats.FormatTable([]string{title, "Sites"}, out)
+	rows := make([][]string, 0, len(dist))
+	for label, n := range dist {
+		rows = append(rows, []string{label, fmt.Sprint(n)})
+	}
+	sort.Slice(rows, func(i, j int) bool { return rank(rows[i][0]) < rank(rows[j][0]) })
+	return stats.FormatTable([]string{title, "Sites"}, rows)
 }
 
 // Figure2 returns the SETTINGS_MAX_CONCURRENT_STREAMS CDF.
 func (c *Census) Figure2() *stats.CDF {
-	return stats.NewCDF(c.Pop.MaxConcurrentSamples())
+	return stats.NewCDF(c.Tally.MaxConcurrent)
 }
 
 // Figure2Rendered renders the Fig. 2 CDF as quantile rows.
@@ -210,46 +270,44 @@ func (c *Census) Figure2Rendered() string {
 
 // SectionVD renders the flow-control measurement counts.
 func (c *Census) SectionVD() string {
-	oneByte, zeroLen, silent := c.Pop.TinyWindowCounts()
-	zs, zc := c.Pop.ZeroWUStreamCounts(), c.Pop.ZeroWUConnCounts()
-	ls, lc := c.Pop.LargeWUStreamCounts(), c.Pop.LargeWUConnCounts()
+	t := c.Tally
 	return stats.FormatTable(
 		[]string{"Flow-control measurement", "Sites"},
 		[][]string{
-			{"1-byte window: 1-byte DATA frames", fmt.Sprint(oneByte)},
-			{"1-byte window: zero-length DATA frames", fmt.Sprint(zeroLen)},
-			{"1-byte window: no response", fmt.Sprint(silent)},
-			{"zero window: HEADERS still returned", fmt.Sprint(c.Pop.ZeroWindowHeadersCount())},
-			{"zero WINDOW_UPDATE (stream): RST_STREAM", fmt.Sprint(zs.RSTStream)},
-			{"zero WINDOW_UPDATE (stream): GOAWAY", fmt.Sprint(zs.GoAway)},
-			{"zero WINDOW_UPDATE (stream): with debug data", fmt.Sprint(zs.Debug)},
-			{"zero WINDOW_UPDATE (stream): ignored", fmt.Sprint(zs.Ignore)},
-			{"zero WINDOW_UPDATE (conn): GOAWAY", fmt.Sprint(zc.GoAway)},
-			{"large WINDOW_UPDATE (stream): RST_STREAM", fmt.Sprint(ls.RSTStream)},
-			{"large WINDOW_UPDATE (stream): no RST_STREAM", fmt.Sprint(ls.Ignore)},
-			{"large WINDOW_UPDATE (conn): GOAWAY", fmt.Sprint(lc.GoAway)},
+			{"1-byte window: 1-byte DATA frames", fmt.Sprint(t.TinyWindow[core.TinyWindowOneByte])},
+			{"1-byte window: zero-length DATA frames", fmt.Sprint(t.TinyWindow[core.TinyWindowZeroLen])},
+			{"1-byte window: no response", fmt.Sprint(t.TinyWindow[core.TinyWindowNothing])},
+			{"zero window: HEADERS still returned", fmt.Sprint(t.ZeroWindowHeadersOK)},
+			{"zero WINDOW_UPDATE (stream): RST_STREAM", fmt.Sprint(t.ZeroWUStream[ObserveRSTStream])},
+			{"zero WINDOW_UPDATE (stream): GOAWAY", fmt.Sprint(t.ZeroWUStream[ObserveGoAway])},
+			{"zero WINDOW_UPDATE (stream): ignored", fmt.Sprint(t.ZeroWUStream[ObserveIgnore])},
+			{"zero WINDOW_UPDATE (conn): GOAWAY", fmt.Sprint(t.ZeroWUConn[ObserveGoAway])},
+			{"zero WINDOW_UPDATE (conn): GOAWAY with debug data", fmt.Sprint(t.ZeroWUConnDebug)},
+			{"large WINDOW_UPDATE (stream): RST_STREAM", fmt.Sprint(t.LargeWUStream[ObserveRSTStream])},
+			{"large WINDOW_UPDATE (stream): no RST_STREAM", fmt.Sprint(t.LargeWUStream[ObserveIgnore])},
+			{"large WINDOW_UPDATE (conn): GOAWAY", fmt.Sprint(t.LargeWUConn[ObserveGoAway])},
 		})
 }
 
 // SectionVE renders the priority measurement counts.
 func (c *Census) SectionVE() string {
-	last, first, both := c.Pop.PriorityCounts()
-	sd := c.Pop.SelfDepCounts()
+	t := c.Tally
 	return stats.FormatTable(
 		[]string{"Priority measurement", "Sites"},
 		[][]string{
-			{"last-DATA order obeys dependency tree", fmt.Sprint(last)},
-			{"first-DATA order obeys dependency tree", fmt.Sprint(first)},
-			{"both orders obey dependency tree", fmt.Sprint(both)},
-			{"self-dependency: RST_STREAM", fmt.Sprint(sd.RSTStream)},
-			{"self-dependency: GOAWAY", fmt.Sprint(sd.GoAway)},
-			{"self-dependency: ignored", fmt.Sprint(sd.Ignore)},
+			{"last-DATA order obeys dependency tree", fmt.Sprint(t.PriorityLast)},
+			{"first-DATA order obeys dependency tree", fmt.Sprint(t.PriorityFirst)},
+			{"both orders obey dependency tree", fmt.Sprint(t.PriorityBoth)},
+			{"self-dependency: RST_STREAM", fmt.Sprint(t.SelfDep[ObserveRSTStream])},
+			{"self-dependency: GOAWAY", fmt.Sprint(t.SelfDep[ObserveGoAway])},
+			{"self-dependency: ignored", fmt.Sprint(t.SelfDep[ObserveIgnore])},
 		})
 }
 
 // SectionVF renders the push-capable sites.
 func (c *Census) SectionVF() string {
-	sites := c.Pop.PushSites()
+	sites := append([]string(nil), c.Tally.PushDomains...)
+	sort.Strings(sites)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sites sending PUSH_PROMISE: %d\n", len(sites))
 	for _, d := range sites {
@@ -258,28 +316,18 @@ func (c *Census) SectionVF() string {
 	return b.String()
 }
 
-// Figures4And5 returns per-family HPACK compression-ratio CDFs for the top
-// five families of the paper's Figs. 4 and 5.
-func (c *Census) Figures4And5() map[string]*stats.CDF {
-	out := make(map[string]*stats.CDF)
-	for family, ratios := range c.Pop.HPACKRatioByFamily() {
-		out[family] = stats.NewCDF(ratios)
-	}
-	return out
-}
+// fig45Families are the five families plotted in Figs. 4 and 5; records
+// stored without a family plot as one store.AllFamilies series.
+var fig45Families = []string{"GSE", "nginx", "tengine", "litespeed", "ideaweb", store.AllFamilies}
 
-// Fig45Families are the five families plotted in Figs. 4 and 5.
-var fig45Families = []string{"GSE", "nginx", "tengine", "litespeed", "ideaweb"}
-
-// Figures4And5Rendered renders the per-family ratio CDFs.
+// Figures4And5Rendered renders the per-family HPACK compression-ratio CDFs.
 func (c *Census) Figures4And5Rendered() string {
-	cdfs := c.Figures4And5()
 	names := make([]string, 0, len(fig45Families))
 	series := make([]*stats.CDF, 0, len(fig45Families))
 	for _, f := range fig45Families {
-		if cdf, ok := cdfs[f]; ok {
+		if ratios, ok := c.Tally.HPACKRatios[f]; ok {
 			names = append(names, f)
-			series = append(series, cdf)
+			series = append(series, stats.NewCDF(ratios))
 		}
 	}
 	return stats.AsciiCDF(names, series,
@@ -330,11 +378,12 @@ func RunPushPageLoad(epoch Epoch, visits int, timeScale float64, seed int64) (*P
 	pop := GeneratePopulation(epoch, 1.0, seed)
 	res := &PushPLTResult{Visits: visits}
 	resources := []string{"/static/style.css", "/static/app.js", "/static/logo.png", "/static/hero.jpg"}
-	for _, domain := range pop.PushSites() {
-		spec, ok := pop.SiteByDomain(domain)
-		if !ok {
+	for i := range pop.Sites {
+		spec := &pop.Sites[i]
+		if !spec.Push {
 			continue
 		}
+		domain := spec.Domain
 		srv := spec.NewServer()
 		l := netsim.NewListener(domain)
 		go func() {
@@ -418,53 +467,4 @@ func RenderRTTComparison(cmp *RTTComparison) string {
 	}
 	return stats.AsciiCDF(names, series,
 		[]float64{0.1, 0.25, 0.5, 0.75, 0.9}, "%.1fms")
-}
-
-// --- Measured-scan rendering (Section IV's thread-pooled scanner) ---
-
-// RenderScan summarizes a measured population scan.
-func RenderScan(sum *ScanSummary) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Measured scan of %d sites (NPN %d, ALPN %d, HEADERS %d)\n",
-		sum.Scanned, sum.NPN, sum.ALPN, sum.GotHeaders)
-	if sum.Failed > 0 || sum.Canceled > 0 {
-		fmt.Fprintf(&b, "coverage: %d complete / %d failed / %d canceled",
-			sum.Scanned-sum.Failed-sum.Canceled, sum.Failed, sum.Canceled)
-		if len(sum.FailureKinds) > 0 {
-			fmt.Fprintf(&b, " (by kind: %v)", sum.FailureKinds)
-		}
-		b.WriteString("\n")
-	}
-	fmt.Fprintf(&b, "1-byte window: %d one-byte / %d zero-length / %d silent\n",
-		sum.TinyOneByte, sum.TinyZeroLen, sum.TinySilent)
-	fmt.Fprintf(&b, "zero window: HEADERS from %d sites\n", sum.ZeroWindowHeadersOK)
-	fmt.Fprintf(&b, "zero WINDOW_UPDATE (stream): RST %d / GOAWAY %d / ignore %d\n",
-		sum.ZeroWUStream[ObserveRSTStream], sum.ZeroWUStream[ObserveGoAway], sum.ZeroWUStream[ObserveIgnore])
-	fmt.Fprintf(&b, "large WINDOW_UPDATE (conn): GOAWAY %d / ignore %d\n",
-		sum.LargeWUConn[ObserveGoAway], sum.LargeWUConn[ObserveIgnore])
-	fmt.Fprintf(&b, "priority: last-rule %d / first-rule %d / both %d\n",
-		sum.PriorityLast, sum.PriorityFirst, sum.PriorityBoth)
-	fmt.Fprintf(&b, "self-dependency: RST %d / GOAWAY %d / ignore %d\n",
-		sum.SelfDep[ObserveRSTStream], sum.SelfDep[ObserveGoAway], sum.SelfDep[ObserveIgnore])
-	fmt.Fprintf(&b, "push sites: %d\n", sum.PushSites)
-	if n := len(sum.RobustnessScores); n > 0 {
-		total := 0.0
-		for _, v := range sum.RobustnessScores {
-			total += v
-		}
-		fmt.Fprintf(&b, "robustness: %d sites scored, mean %.2f\n", n, total/float64(n))
-		keys := make([]string, 0, len(sum.RobustnessVerdicts))
-		for k := range sum.RobustnessVerdicts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "  %s: %d\n", k, sum.RobustnessVerdicts[k])
-		}
-	}
-	if sum.FingerprintSites > 0 {
-		fmt.Fprintf(&b, "fingerprint sweep: %d sites / %d echoed /fp / %d served by client\n",
-			sum.FingerprintSites, sum.FingerprintEcho, sum.FingerprintDiffers)
-	}
-	return b.String()
 }

@@ -70,8 +70,14 @@ type (
 	Population = population.Population
 	// SiteSpec is one synthesized site.
 	SiteSpec = population.SiteSpec
-	// ScanSummary aggregates measured probe results over a scanned sample.
+	// ScanSummary is a measured scan: its CensusTally, the engine's
+	// counters and the raw per-site results.
 	ScanSummary = population.ScanSummary
+	// CensusTally is the one census aggregate — the Section V buckets —
+	// that the generator's ground truth (Population.Tally), a live scan
+	// (ScanSummary embeds it) and a re-read of stored records
+	// (CensusTally.Add per ScanRecord) all fill, and Census renders.
+	CensusTally = store.Tally
 
 	// ScanStats is the scan engine's counter snapshot (attempted,
 	// succeeded, failed-by-kind, retries, latency histogram summary).
@@ -224,29 +230,8 @@ type ScanRecord = store.Record
 // their classified error kind and attempt count).
 func WriteScanRecords(w io.Writer, epoch Epoch, scannedAt time.Time, sum *ScanSummary) error {
 	sw := store.NewWriter(w)
-	for _, res := range sum.Results {
-		serverName := ""
-		if res.Report != nil && res.Report.Settings != nil {
-			serverName = res.Report.Settings.ServerHeader
-		}
-		rec := &store.Record{
-			Domain:      res.Spec.Domain,
-			Epoch:       epoch.String(),
-			ServerName:  serverName,
-			ScannedAt:   scannedAt,
-			Report:      res.Report,
-			Outcome:     res.Outcome.String(),
-			ErrorKind:   res.Kind.String(),
-			Error:       res.Err,
-			Attempts:    res.Attempts,
-			TraceFile:   res.TraceFile,
-			Robustness:  res.Robustness,
-			Fingerprint: res.Fingerprint,
-		}
-		if res.Outcome == scan.OutcomeSuccess {
-			rec.ErrorKind = ""
-		}
-		if err := sw.Append(rec); err != nil {
+	for i := range sum.Results {
+		if err := sw.Append(sum.Results[i].Record(epoch, scannedAt)); err != nil {
 			return err
 		}
 	}
@@ -357,13 +342,6 @@ func ReadScanRecords(r io.Reader) ([]ScanRecord, error) {
 	return store.Read(r)
 }
 
-// SummarizeScanRecords aggregates persisted records offline.
-func SummarizeScanRecords(records []ScanRecord) *store.Summary {
-	return store.Summarize(records)
-}
-
-// AnalyzeScanRecords re-derives the census aggregates from persisted
-// records — the offline counterpart of a live scan summary.
-func AnalyzeScanRecords(records []ScanRecord) *store.Analysis {
-	return store.Analyze(records)
-}
+// NewCensusTally returns an empty tally; Add each ScanRecord read back from
+// a stored scan and render it with a Census.
+func NewCensusTally() *CensusTally { return store.NewTally() }

@@ -3,6 +3,7 @@ package h2scope_test
 import (
 	"bytes"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +89,7 @@ func TestCensusRenderings(t *testing.T) {
 		"VE":       census.SectionVE(),
 		"VF":       census.SectionVF(),
 		"fig45":    census.Figures4And5Rendered(),
+		"all":      census.Render(10),
 	} {
 		if len(strings.TrimSpace(out)) == 0 {
 			t.Errorf("%s rendering empty", name)
@@ -204,8 +206,13 @@ func TestScanPopulationFacade(t *testing.T) {
 	if sum.Scanned != 10 {
 		t.Fatalf("Scanned = %d", sum.Scanned)
 	}
-	if out := h2scope.RenderScan(sum); !strings.Contains(out, "Measured scan of 10 sites") {
-		t.Errorf("RenderScan output:\n%s", out)
+	// A measured tally prints through the renderer the ground truth uses.
+	out := (&h2scope.Census{Tally: &sum.Tally, Label: "measured"}).Render(1)
+	for _, want := range []string{"-- Adoption (Section V-B) --", "Sites returning HEADERS     10",
+		"-- Table V: SETTINGS_INITIAL_WINDOW_SIZE --", "-- Section V-E: priority --", "-- Figures 4/5: "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("measured census missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -231,13 +238,16 @@ func TestScanRecordPersistenceRoundTrip(t *testing.T) {
 		if rec.Report == nil || rec.Report.Settings == nil {
 			t.Errorf("%s: report lost", rec.Domain)
 		}
-		if rec.ServerName == "" {
-			t.Errorf("%s: server name missing", rec.Domain)
+		if rec.ServerName == "" || rec.Family == "" {
+			t.Errorf("%s: server name %q, family %q", rec.Domain, rec.ServerName, rec.Family)
 		}
 	}
-	offline := h2scope.SummarizeScanRecords(records)
-	if offline.Records != 6 {
-		t.Errorf("offline summary records = %d", offline.Records)
+	offline := h2scope.NewCensusTally()
+	for i := range records {
+		offline.Add(&records[i])
+	}
+	if !reflect.DeepEqual(offline, &sum.Tally) {
+		t.Errorf("tally re-read from the stored records:\n%+v\nlive tally:\n%+v", offline, &sum.Tally)
 	}
 }
 

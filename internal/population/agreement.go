@@ -2,6 +2,7 @@ package population
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"h2scope/internal/core"
@@ -109,7 +110,7 @@ func (a *Agreement) String() string {
 	for dim := range a.Dimensions {
 		dims = append(dims, dim)
 	}
-	sortStrings(dims)
+	sort.Strings(dims)
 	for _, dim := range dims {
 		fmt.Fprintf(&b, "  %-22s %.3f\n", dim, a.Dimensions[dim])
 	}
@@ -117,12 +118,4 @@ func (a *Agreement) String() string {
 		fmt.Fprintf(&b, "  mismatches: %s\n", strings.Join(a.Mismatches, "; "))
 	}
 	return b.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

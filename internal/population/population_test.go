@@ -11,11 +11,18 @@ import (
 	"h2scope/internal/fingerprint"
 	"h2scope/internal/population"
 	"h2scope/internal/server"
+	"h2scope/internal/store"
 )
 
 func fullPop(t *testing.T, e population.Epoch) *population.Population {
 	t.Helper()
 	return population.Generate(e, 1.0, 2016)
+}
+
+// tinyWindowCounts returns the Section V-D.1 buckets in the paper's order.
+func tinyWindowCounts(t *store.Tally) (oneByte, zeroLen, silent int) {
+	return t.TinyWindow[core.TinyWindowOneByte], t.TinyWindow[core.TinyWindowZeroLen],
+		t.TinyWindow[core.TinyWindowNothing]
 }
 
 func TestAdoptionCountsMatchPaper(t *testing.T) {
@@ -29,7 +36,8 @@ func TestAdoptionCountsMatchPaper(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.epoch.String(), func(t *testing.T) {
 			pop := fullPop(t, tt.epoch)
-			npn, alpn, working := pop.AdoptionCounts()
+			tally := pop.Tally()
+			npn, alpn, working := tally.NPN, tally.ALPN, tally.GotHeaders
 			if npn != tt.npn || alpn != tt.alpn || working != tt.working {
 				t.Errorf("adoption = %d/%d/%d, want %d/%d/%d",
 					npn, alpn, working, tt.npn, tt.alpn, tt.working)
@@ -43,10 +51,7 @@ func TestAdoptionCountsMatchPaper(t *testing.T) {
 
 func TestTableIVServerCounts(t *testing.T) {
 	pop := fullPop(t, population.EpochJul2016)
-	counts := map[string]int{}
-	for _, nc := range pop.ServerNameCounts(1) {
-		counts[nc.Name] = nc.Count
-	}
+	counts := pop.Tally().ServerNames
 	want := map[string]int{
 		"LiteSpeed":           12_637,
 		"nginx":               11_293,
@@ -60,15 +65,12 @@ func TestTableIVServerCounts(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, counts[name], n)
 		}
 	}
-	if kinds := pop.ServerKinds(); kinds != 223 {
-		t.Errorf("ServerKinds = %d, want 223", kinds)
+	if kinds := len(counts); kinds != 223 {
+		t.Errorf("server kinds = %d, want 223", kinds)
 	}
 
 	pop2 := fullPop(t, population.EpochJan2017)
-	counts2 := map[string]int{}
-	for _, nc := range pop2.ServerNameCounts(1) {
-		counts2[nc.Name] = nc.Count
-	}
+	counts2 := pop2.Tally().ServerNames
 	want2 := map[string]int{
 		"nginx":           27_394,
 		"LiteSpeed":       13_626,
@@ -81,18 +83,17 @@ func TestTableIVServerCounts(t *testing.T) {
 			t.Errorf("exp2 %s = %d, want %d", name, counts2[name], n)
 		}
 	}
-	if kinds := pop2.ServerKinds(); kinds != 345 {
-		t.Errorf("exp2 ServerKinds = %d, want 345", kinds)
+	if kinds := len(counts2); kinds != 345 {
+		t.Errorf("exp2 server kinds = %d, want 345", kinds)
 	}
 }
 
 func TestTableVInitialWindowDistribution(t *testing.T) {
 	pop := fullPop(t, population.EpochJul2016)
-	rows := map[string]int{}
+	rows := pop.Tally().InitialWindow
 	total := 0
-	for _, r := range pop.InitialWindowTable() {
-		rows[r.Label] = r.Count
-		total += r.Count
+	for _, n := range rows {
+		total += n
 	}
 	want := map[string]int{
 		"NULL":       1_050,
@@ -117,10 +118,8 @@ func TestTableVInitialWindowDistribution(t *testing.T) {
 
 func TestTableVIAndVIIDistributions(t *testing.T) {
 	pop := fullPop(t, population.EpochJan2017)
-	frameRows := map[string]int{}
-	for _, r := range pop.MaxFrameTable() {
-		frameRows[r.Label] = r.Count
-	}
+	tally := pop.Tally()
+	frameRows := tally.MaxFrame
 	wantFrame := map[string]int{
 		"NULL":     1_015,
 		"16384":    25_987,
@@ -131,10 +130,7 @@ func TestTableVIAndVIIDistributions(t *testing.T) {
 		t.Errorf("Table VI rows = %v, want %v", frameRows, wantFrame)
 	}
 
-	hlRows := map[string]int{}
-	for _, r := range pop.MaxHeaderListTable() {
-		hlRows[r.Label] = r.Count
-	}
+	hlRows := tally.MaxHeaderList
 	wantHL := map[string]int{
 		"NULL":      1_015,
 		"unlimited": 52_311,
@@ -166,72 +162,80 @@ func TestNullSettingsConsistentAcrossTables(t *testing.T) {
 
 func TestSectionVDCounts(t *testing.T) {
 	pop := fullPop(t, population.EpochJan2017)
-	oneByte, zeroLen, silent := pop.TinyWindowCounts()
+	tally := pop.Tally()
+	oneByte, zeroLen, silent := tinyWindowCounts(tally)
 	if oneByte != 44_204 || zeroLen != 8_056 || silent != 12_039 {
 		t.Errorf("tiny window = %d/%d/%d, want 44204/8056/12039", oneByte, zeroLen, silent)
 	}
-	// Most silent sites are LiteSpeed (paper: 10,472 of 12,039).
-	litespeedSilent := 0
+	// Most silent sites are LiteSpeed (paper: 10,472 of 12,039). The paper's
+	// 42 debug-carrying GOAWAYs are generated on the stream-level GOAWAY
+	// sites; the tally counts the ones a probe can see (ZeroWUConnDebug, on
+	// the connection-level GOAWAY), so the 42 is counted from the specs.
+	litespeedSilent, streamDebug := 0, 0
 	for i := range pop.Sites {
 		if pop.Sites[i].TinyWindow == server.TinyWindowSilent && pop.Sites[i].Family == "litespeed" {
 			litespeedSilent++
+		}
+		if pop.Sites[i].ZeroWUStream == server.ReactGoAway && pop.Sites[i].ZeroWUDebug {
+			streamDebug++
 		}
 	}
 	if litespeedSilent < 9_000 {
 		t.Errorf("LiteSpeed silent sites = %d, want ~10,472", litespeedSilent)
 	}
-	if got := pop.ZeroWindowHeadersCount(); got != 23_834 {
+	if got := tally.ZeroWindowHeadersOK; got != 23_834 {
 		t.Errorf("zero-window HEADERS = %d, want 23834", got)
 	}
-	zs := pop.ZeroWUStreamCounts()
-	if zs.RSTStream != 26_156 {
-		t.Errorf("zero WU stream RST = %d, want 26156", zs.RSTStream)
+	zs := tally.ZeroWUStream
+	if zs[core.ObserveRSTStream] != 26_156 {
+		t.Errorf("zero WU stream RST = %d, want 26156", zs[core.ObserveRSTStream])
 	}
-	if zs.GoAway != 162 || zs.Debug != 42 {
-		t.Errorf("zero WU stream GOAWAY/debug = %d/%d, want 162/42", zs.GoAway, zs.Debug)
+	if zs[core.ObserveGoAway] != 162 || streamDebug != 42 {
+		t.Errorf("zero WU stream GOAWAY/debug = %d/%d, want 162/42", zs[core.ObserveGoAway], streamDebug)
 	}
-	ls := pop.LargeWUStreamCounts()
-	if ls.RSTStream != 44_057 {
-		t.Errorf("large WU stream RST = %d, want 44057", ls.RSTStream)
+	if got := tally.ZeroWUConnDebug; got < 35 || got > 42 {
+		t.Errorf("zero WU conn GOAWAY with debug = %d, want most of the 42", got)
 	}
-	if ls.Ignore != 20_242 {
-		t.Errorf("large WU stream ignore = %d, want 20242", ls.Ignore)
+	ls := tally.LargeWUStream
+	if ls[core.ObserveRSTStream] != 44_057 {
+		t.Errorf("large WU stream RST = %d, want 44057", ls[core.ObserveRSTStream])
 	}
-	lc := pop.LargeWUConnCounts()
-	if lc.GoAway != 62_668 {
-		t.Errorf("large WU conn GOAWAY = %d, want 62668", lc.GoAway)
+	if ls[core.ObserveIgnore] != 20_242 {
+		t.Errorf("large WU stream ignore = %d, want 20242", ls[core.ObserveIgnore])
+	}
+	if got := tally.LargeWUConn[core.ObserveGoAway]; got != 62_668 {
+		t.Errorf("large WU conn GOAWAY = %d, want 62668", got)
 	}
 }
 
 func TestSectionVECounts(t *testing.T) {
-	pop := fullPop(t, population.EpochJul2016)
-	last, first, both := pop.PriorityCounts()
+	tally := fullPop(t, population.EpochJul2016).Tally()
+	last, first, both := tally.PriorityLast, tally.PriorityFirst, tally.PriorityBoth
 	if last != 1_147 || first != 46 || both != 38 {
 		t.Errorf("priority = last %d / first %d / both %d, want 1147/46/38", last, first, both)
 	}
-	sd := pop.SelfDepCounts()
-	if sd.RSTStream != 18_237 {
-		t.Errorf("self-dep RST = %d, want 18237", sd.RSTStream)
+	if got := tally.SelfDep[core.ObserveRSTStream]; got != 18_237 {
+		t.Errorf("self-dep RST = %d, want 18237", got)
 	}
 
-	pop2 := fullPop(t, population.EpochJan2017)
-	last, first, both = pop2.PriorityCounts()
+	tally2 := fullPop(t, population.EpochJan2017).Tally()
+	last, first, both = tally2.PriorityLast, tally2.PriorityFirst, tally2.PriorityBoth
 	if last != 2_187 || first != 117 || both != 111 {
 		t.Errorf("exp2 priority = %d/%d/%d, want 2187/117/111", last, first, both)
 	}
-	if sd := pop2.SelfDepCounts(); sd.RSTStream != 53_379 {
-		t.Errorf("exp2 self-dep RST = %d, want 53379", sd.RSTStream)
+	if got := tally2.SelfDep[core.ObserveRSTStream]; got != 53_379 {
+		t.Errorf("exp2 self-dep RST = %d, want 53379", got)
 	}
 }
 
 func TestPushSites(t *testing.T) {
 	pop := fullPop(t, population.EpochJul2016)
-	push := pop.PushSites()
+	push := pop.Tally().PushDomains
 	if len(push) != 6 {
 		t.Fatalf("push sites = %d, want 6", len(push))
 	}
 	pop2 := fullPop(t, population.EpochJan2017)
-	if got := len(pop2.PushSites()); got != 15 {
+	if got := len(pop2.Tally().PushDomains); got != 15 {
 		t.Fatalf("exp2 push sites = %d, want 15", got)
 	}
 	// The paper's Fig. 3 names the push sites; nghttp2.org is among them.
@@ -248,7 +252,7 @@ func TestPushSites(t *testing.T) {
 
 func TestHPACKRatioShapes(t *testing.T) {
 	pop := fullPop(t, population.EpochJul2016)
-	ratios := pop.HPACKRatioByFamily()
+	ratios := pop.Tally().HPACKRatios
 	// GSE: all below 0.3 ("all of which are less than 0.3").
 	for _, r := range ratios["GSE"] {
 		if r >= 0.3 {
@@ -296,7 +300,7 @@ func TestScaledGeneration(t *testing.T) {
 	if got, want := len(pop.Sites), 4_439; got != want {
 		t.Errorf("scaled working sites = %d, want %d", got, want)
 	}
-	oneByte, zeroLen, silent := pop.TinyWindowCounts()
+	oneByte, zeroLen, silent := tinyWindowCounts(pop.Tally())
 	if got := oneByte + zeroLen + silent; got != len(pop.Sites) {
 		t.Errorf("tiny window buckets sum to %d, want %d", got, len(pop.Sites))
 	}
@@ -371,6 +375,57 @@ func TestScanMeasurementsMatchGroundTruth(t *testing.T) {
 				spec.Domain, r.Priority.LastRuleOK, wantLast, spec.Scheduling)
 		}
 	}
+
+	// The same statement over the whole census aggregate: the ground truth
+	// counted over the sampled specs is the measured tally, field by field,
+	// on every field the spec determines — Tables IV-VII, Fig. 2, V-D, V-E
+	// and V-F — and on the coverage fields, empty on both sides of a clean
+	// scan. The excluded fields are the ones the two feeders fill from
+	// different sources.
+	excluded := map[string]string{
+		"NPN":            "ground truth is the epoch's negotiation total, which includes sites that never return HEADERS; checked against the specs below",
+		"ALPN":           "as NPN",
+		"HPACKRatios":    "target ratio vs measured ratio; series sizes checked below, values by TestScanHPACKRatiosTrackTargets",
+		"PingRTTsMillis": "measured only",
+	}
+	sampled := &population.Population{Epoch: pop.Epoch, Scale: pop.Scale}
+	npn, alpn := 0, 0
+	for _, res := range sum.Results {
+		sampled.Sites = append(sampled.Sites, *res.Spec)
+		if res.Spec.NPN {
+			npn++
+		}
+		if res.Spec.ALPN {
+			alpn++
+		}
+	}
+	truth := sampled.Tally()
+	got, want := reflect.ValueOf(sum.Tally), reflect.ValueOf(*truth)
+	compared := 0
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if _, skip := excluded[name]; skip {
+			continue
+		}
+		compared++
+		if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
+			t.Errorf("tally field %s: measured %v, ground truth %v", name, got.Field(i), want.Field(i))
+		}
+	}
+	if compared < 19 {
+		t.Errorf("compared %d tally fields, want the 19 spec-determined ones at least", compared)
+	}
+	if sum.NPN != npn || sum.ALPN != alpn {
+		t.Errorf("measured NPN/ALPN = %d/%d, sampled specs say %d/%d", sum.NPN, sum.ALPN, npn, alpn)
+	}
+	for family, ratios := range truth.HPACKRatios {
+		if len(sum.HPACKRatios[family]) != len(ratios) {
+			t.Errorf("HPACK ratio series %s: %d measured, %d sites", family, len(sum.HPACKRatios[family]), len(ratios))
+		}
+	}
+	if len(sum.PingRTTsMillis) != sum.Scanned {
+		t.Errorf("PING RTT samples = %d, want one per site", len(sum.PingRTTsMillis))
+	}
 }
 
 func TestScanHPACKRatiosTrackTargets(t *testing.T) {
@@ -397,7 +452,7 @@ func TestScanHPACKRatiosTrackTargets(t *testing.T) {
 
 func TestFigure2DistributionProperties(t *testing.T) {
 	pop := fullPop(t, population.EpochJul2016)
-	samples := pop.MaxConcurrentSamples()
+	samples := pop.Tally().MaxConcurrent
 	if len(samples) != 44_390-1_050 {
 		t.Fatalf("samples = %d, want working minus NULL", len(samples))
 	}
@@ -470,7 +525,8 @@ func TestProfileMappingConsistency(t *testing.T) {
 
 func TestScaledPriorityAndPushCounts(t *testing.T) {
 	pop := population.Generate(population.EpochJan2017, 0.1, 29)
-	last, first, both := pop.PriorityCounts()
+	tally := pop.Tally()
+	last, first, both := tally.PriorityLast, tally.PriorityFirst, tally.PriorityBoth
 	if last < 180 || last > 260 {
 		t.Errorf("scaled last-rule count = %d, want ~219", last)
 	}
@@ -480,7 +536,7 @@ func TestScaledPriorityAndPushCounts(t *testing.T) {
 	if first < both {
 		t.Errorf("first-rule %d < both %d", first, both)
 	}
-	if got := len(pop.PushSites()); got < 1 || got > 3 {
+	if got := len(tally.PushDomains); got < 1 || got > 3 {
 		t.Errorf("scaled push sites = %d, want 1-2", got)
 	}
 }

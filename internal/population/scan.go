@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"h2scope/internal/attack"
@@ -19,6 +17,7 @@ import (
 	"h2scope/internal/netsim"
 	"h2scope/internal/obs"
 	"h2scope/internal/scan"
+	"h2scope/internal/store"
 	"h2scope/internal/trace"
 )
 
@@ -82,80 +81,40 @@ type SiteResult struct {
 	Fingerprint *fingerprint.CensusResult
 }
 
-// ScanSummary aggregates measured probe results over a scanned sample, in
-// the same buckets the paper reports. Every count here comes from frames
-// observed on the wire, not from the generator's ground truth.
+// Record is the site's persisted form: what -out writes, and what the census
+// tally folds, so a stored scan re-reads into the aggregate the live scan had.
+func (r *SiteResult) Record(epoch Epoch, at time.Time) *store.Record {
+	rec := &store.Record{
+		Domain:      r.Spec.Domain,
+		Epoch:       epoch.String(),
+		Family:      r.Spec.Family,
+		ScannedAt:   at,
+		Report:      r.Report,
+		Outcome:     r.Outcome.String(),
+		Error:       r.Err,
+		Attempts:    r.Attempts,
+		TraceFile:   r.TraceFile,
+		Robustness:  r.Robustness,
+		Fingerprint: r.Fingerprint,
+	}
+	if r.Report != nil && r.Report.Settings != nil {
+		rec.ServerName = r.Report.Settings.ServerHeader
+	}
+	if r.Outcome != scan.OutcomeSuccess {
+		rec.ErrorKind = r.Kind.String()
+	}
+	return rec
+}
+
+// ScanSummary is a measured scan: the census tally over the scanned sample —
+// every count from frames observed on the wire, not from the generator's
+// ground truth — plus the engine's counters and the raw per-site results.
 type ScanSummary struct {
-	// Scanned is the number of sites probed.
-	Scanned int
-	// NPN and ALPN count sites negotiating each mechanism.
-	NPN, ALPN int
-	// GotHeaders counts working sites (returned HEADERS).
-	GotHeaders int
-	// ServerNames histograms the measured "server" header.
-	ServerNames map[string]int
-	// TinyOneByte / TinyZeroLen / TinySilent are Section V-D.1 buckets.
-	TinyOneByte, TinyZeroLen, TinySilent int
-	// ZeroWindowHeadersOK counts HEADERS received under a zero window.
-	ZeroWindowHeadersOK int
-	// ZeroWUStream / ZeroWUConn / LargeWUStream / LargeWUConn bucket the
-	// WINDOW_UPDATE reactions.
-	ZeroWUStream, ZeroWUConn, LargeWUStream, LargeWUConn map[core.Observation]int
-	// ZeroWUConnDebug counts GOAWAYs carrying debug text.
-	ZeroWUConnDebug int
-	// PriorityLast / PriorityFirst / PriorityBoth are Section V-E.1 rule
-	// compliance counts.
-	PriorityLast, PriorityFirst, PriorityBoth int
-	// SelfDep buckets the self-dependency reactions.
-	SelfDep map[core.Observation]int
-	// PushSites counts sites that sent PUSH_PROMISE.
-	PushSites int
-	// HPACKRatios collects measured compression ratios per family.
-	HPACKRatios map[string][]float64
-	// MaxConcurrent collects measured SETTINGS_MAX_CONCURRENT_STREAMS.
-	MaxConcurrent []float64
-	// InitialWindow histograms measured SETTINGS_INITIAL_WINDOW_SIZE
-	// ("NULL" for sites that advertise nothing).
-	InitialWindow map[string]int
-	// MaxFrame and MaxHeaderList histogram the other settings tables.
-	MaxFrame, MaxHeaderList map[string]int
-	// RobustnessScores collects per-site robustness scores in [0,1] and
-	// RobustnessVerdicts histograms scenario outcomes across sites (keyed
-	// "<kind>/<verdict>"), when the scan ran the adversarial battery.
-	RobustnessScores   []float64
-	RobustnessVerdicts map[string]int
-	// FingerprintSites counts sites the impersonation sweep observed,
-	// FingerprintEcho those whose /fp endpoint echoed a fingerprint back,
-	// and FingerprintDiffers those that served different responses (or
-	// SETTINGS) depending on the impersonated client.
-	FingerprintSites, FingerprintEcho, FingerprintDiffers int
-	// Failed and Canceled count sites whose probe did not complete; they are
-	// included in Scanned so aggregate tables report coverage honestly.
-	Failed, Canceled int
-	// FailureKinds histograms failed sites by classified error kind.
-	FailureKinds map[string]int
+	store.Tally
 	// Stats is the scan engine's final counter snapshot.
 	Stats scan.Stats
 	// Results holds the raw per-site reports.
 	Results []SiteResult
-}
-
-func newScanSummary() *ScanSummary {
-	return &ScanSummary{
-		ServerNames:   make(map[string]int),
-		ZeroWUStream:  make(map[core.Observation]int),
-		ZeroWUConn:    make(map[core.Observation]int),
-		LargeWUStream: make(map[core.Observation]int),
-		LargeWUConn:   make(map[core.Observation]int),
-		SelfDep:       make(map[core.Observation]int),
-		HPACKRatios:   make(map[string][]float64),
-		InitialWindow: make(map[string]int),
-		MaxFrame:      make(map[string]int),
-		MaxHeaderList: make(map[string]int),
-		FailureKinds:  make(map[string]int),
-
-		RobustnessVerdicts: make(map[string]int),
-	}
 }
 
 // ScanOptions configures a measured scan.
@@ -291,8 +250,8 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 		traceFiles = make(map[string]string)
 		scanOpts.NewTracer = func(scan.Target) *trace.Tracer { return trace.New(0) }
 		scanOpts.OnTrace = func(t scan.Target, tr *trace.Tracer) {
-			path := filepath.Join(opts.TraceDir, traceFileName(t.Key))
-			if err := writeTraceFile(path, t.Key, tr); err != nil {
+			path, err := trace.WriteFile(opts.TraceDir, t.Key, tr)
+			if err != nil {
 				if opts.Progress != nil {
 					fmt.Fprintf(opts.Progress, "trace export %s: %v\n", t.Key, err)
 				}
@@ -338,46 +297,23 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 		return nil, err
 	}
 
-	summary := newScanSummary()
-	summary.Stats = res.Stats
-	for _, rec := range res.Records {
-		summary.add(rec)
-	}
-	if traceFiles != nil {
-		for i := range summary.Results {
-			summary.Results[i].TraceFile = traceFiles[summary.Results[i].Spec.Domain]
+	summary := &ScanSummary{Tally: *store.NewTally(), Stats: res.Stats, Results: make([]SiteResult, len(res.Records))}
+	for i, rec := range res.Records {
+		site := &summary.Results[i]
+		*site = SiteResult{
+			Spec:      rec.Target.Meta.(*SiteSpec),
+			Outcome:   rec.Outcome,
+			Kind:      rec.Kind,
+			Err:       rec.Err,
+			Attempts:  rec.Attempts,
+			TraceFile: traceFiles[rec.Target.Key],
 		}
+		if v, ok := rec.Value.(*siteValue); ok {
+			site.Report, site.Robustness, site.Fingerprint = v.report, v.robust, v.fp
+		}
+		summary.Add(site.Record(pop.Epoch, time.Time{}))
 	}
 	return summary, nil
-}
-
-// traceFileName maps a target key onto a safe file name.
-func traceFileName(key string) string {
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, key)
-	if safe == "" {
-		safe = "trace"
-	}
-	return safe + ".jsonl"
-}
-
-func writeTraceFile(path, target string, tr *trace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.Write(f, target, tr); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // siteValue is what one site's probe hands the scan engine: the battery
@@ -428,135 +364,4 @@ func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn
 		v.fp = fingerprintSweep(l.Dial, spec.Domain, opts.Timeout)
 	}
 	return v, err
-}
-
-func (s *ScanSummary) add(rec scan.Record) {
-	spec := rec.Target.Meta.(*SiteSpec)
-	var r *core.Report
-	var robust *attack.Score
-	var fp *fingerprint.CensusResult
-	if rec.Value != nil {
-		v := rec.Value.(*siteValue)
-		r, robust, fp = v.report, v.robust, v.fp
-	}
-	s.Scanned++
-	s.Results = append(s.Results, SiteResult{
-		Spec:        spec,
-		Report:      r,
-		Outcome:     rec.Outcome,
-		Kind:        rec.Kind,
-		Err:         rec.Err,
-		Attempts:    rec.Attempts,
-		Robustness:  robust,
-		Fingerprint: fp,
-	})
-	if robust != nil {
-		s.RobustnessScores = append(s.RobustnessScores, robust.Value)
-		for kind, verdict := range robust.Verdicts {
-			s.RobustnessVerdicts[fmt.Sprintf("%s/%s", kind, verdict)]++
-		}
-	}
-	if fp != nil {
-		s.FingerprintSites++
-		if fp.EchoOK {
-			s.FingerprintEcho++
-		}
-		if fp.Differs {
-			s.FingerprintDiffers++
-		}
-	}
-	switch rec.Outcome {
-	case scan.OutcomeFailed:
-		s.Failed++
-		s.FailureKinds[rec.Kind.String()]++
-	case scan.OutcomeCanceled:
-		s.Canceled++
-	}
-	if r == nil {
-		return
-	}
-	if r.NPN != nil && *r.NPN {
-		s.NPN++
-	}
-	if r.ALPN != nil && *r.ALPN {
-		s.ALPN++
-	}
-	if r.Settings != nil && r.Settings.GotHeaders {
-		s.GotHeaders++
-		s.ServerNames[r.Settings.ServerHeader]++
-		s.addSettings(r)
-	}
-	if r.FlowData != nil {
-		switch r.FlowData.Class {
-		case core.TinyWindowOneByte:
-			s.TinyOneByte++
-		case core.TinyWindowZeroLen:
-			s.TinyZeroLen++
-		case core.TinyWindowNothing:
-			s.TinySilent++
-		}
-	}
-	if r.ZeroWindowHeaders != nil && r.ZeroWindowHeaders.GotHeaders {
-		s.ZeroWindowHeadersOK++
-	}
-	if r.ZeroWU != nil {
-		s.ZeroWUStream[r.ZeroWU.Stream]++
-		s.ZeroWUConn[r.ZeroWU.Conn]++
-		if r.ZeroWU.ConnDebugData != "" {
-			s.ZeroWUConnDebug++
-		}
-	}
-	if r.LargeWU != nil {
-		s.LargeWUStream[r.LargeWU.Stream]++
-		s.LargeWUConn[r.LargeWU.Conn]++
-	}
-	if r.Priority != nil {
-		if r.Priority.LastRuleOK {
-			s.PriorityLast++
-		}
-		if r.Priority.FirstRuleOK {
-			s.PriorityFirst++
-		}
-		if r.Priority.Pass {
-			s.PriorityBoth++
-		}
-	}
-	if r.SelfDep != nil {
-		s.SelfDep[r.SelfDep.Reaction]++
-	}
-	if r.Push != nil && r.Push.Supported {
-		s.PushSites++
-	}
-	if r.HPACK != nil && r.HPACK.Ratio <= 1.0 {
-		// The paper filters r > 1 (sites inserting fresh cookies).
-		s.HPACKRatios[spec.Family] = append(s.HPACKRatios[spec.Family], r.HPACK.Ratio)
-	}
-}
-
-func (s *ScanSummary) addSettings(r *core.Report) {
-	set := r.Settings
-	if len(set.Settings) == 0 {
-		s.InitialWindow["NULL"]++
-		s.MaxFrame["NULL"]++
-		s.MaxHeaderList["NULL"]++
-		return
-	}
-	if v, ok := set.Value(3); ok { // SETTINGS_MAX_CONCURRENT_STREAMS
-		s.MaxConcurrent = append(s.MaxConcurrent, float64(v))
-	}
-	if v, ok := set.Value(4); ok { // SETTINGS_INITIAL_WINDOW_SIZE
-		s.InitialWindow[fmt.Sprintf("%d", v)]++
-	} else {
-		s.InitialWindow["65535"]++ // default when unadvertised
-	}
-	if v, ok := set.Value(5); ok { // SETTINGS_MAX_FRAME_SIZE
-		s.MaxFrame[fmt.Sprintf("%d", v)]++
-	} else {
-		s.MaxFrame["16384"]++
-	}
-	if v, ok := set.Value(6); ok { // SETTINGS_MAX_HEADER_LIST_SIZE
-		s.MaxHeaderList[fmt.Sprintf("%d", v)]++
-	} else {
-		s.MaxHeaderList["unlimited"]++
-	}
 }

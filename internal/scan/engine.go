@@ -192,7 +192,7 @@ func Run(ctx context.Context, targets []Target, probe ProbeFunc, opts Options) (
 	}
 	records := make([]Record, len(targets))
 
-	progressDone := e.startProgress(ctx)
+	stopProgress := e.startProgress(ctx)
 
 	workers := opts.Parallelism
 	if workers > len(targets) {
@@ -219,7 +219,7 @@ feed:
 	}
 	close(idxCh)
 	wg.Wait()
-	close(progressDone)
+	stopProgress()
 
 	// Targets the feeder never handed out (canceled runs) still get records
 	// so coverage accounting stays honest.
@@ -240,12 +240,13 @@ feed:
 	return &Result{Records: records, Stats: e.counters.Snapshot()}, nil
 }
 
-// startProgress launches the periodic reporter; the returned channel stops it.
-func (e *engine) startProgress(ctx context.Context) chan struct{} {
-	done := make(chan struct{})
+// startProgress launches the periodic reporter. The returned func stops it
+// and waits for it: once Run returns, opts.Progress is the caller's alone.
+func (e *engine) startProgress(ctx context.Context) (stop func()) {
 	if e.opts.Progress == nil {
-		return done
+		return func() {}
 	}
+	done, exited := make(chan struct{}), make(chan struct{})
 	line := func() string {
 		s := e.counters.Snapshot().String()
 		if e.opts.ProgressExtra != nil {
@@ -256,6 +257,7 @@ func (e *engine) startProgress(ctx context.Context) chan struct{} {
 		return s
 	}
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(e.opts.ProgressInterval)
 		defer t.Stop()
 		for {
@@ -276,7 +278,10 @@ func (e *engine) startProgress(ctx context.Context) chan struct{} {
 			}
 		}
 	}()
-	return done
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
 // finalize applies a record (and its tracer's counters, if any) to the

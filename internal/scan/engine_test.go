@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -405,6 +406,40 @@ func TestProgressExtraColumns(t *testing.T) {
 	mu.Unlock()
 	if !strings.Contains(out, "dial=1.0ms/2.0ms") {
 		t.Errorf("progress output missing extra columns: %q", out)
+	}
+}
+
+// TestRunJoinsProgressReporter: once Run returns, the Progress writer is the
+// caller's alone. The writer is slow and unsynchronised, so a reporter still
+// inside Write when Run returns shows up both as a late write here and as a
+// data race on buf under -race.
+func TestRunJoinsProgressReporter(t *testing.T) {
+	var buf strings.Builder
+	var returned, late atomic.Bool
+	w := writerFunc(func(p []byte) (int, error) {
+		time.Sleep(2 * time.Millisecond)
+		if returned.Load() {
+			late.Store(true)
+		}
+		return buf.Write(p)
+	})
+	_, err := Run(context.Background(), []Target{{Key: "a"}, {Key: "b"}},
+		func(context.Context, Target) (any, error) {
+			time.Sleep(5 * time.Millisecond)
+			return nil, nil
+		},
+		Options{Parallelism: 1, Progress: w, ProgressInterval: time.Millisecond})
+	returned.Store(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("caller's line\n")
+	time.Sleep(10 * time.Millisecond)
+	if late.Load() {
+		t.Error("progress reporter wrote after Run returned")
+	}
+	if !strings.HasSuffix(buf.String(), "caller's line\n") {
+		t.Errorf("caller's write is not last:\n%s", buf.String())
 	}
 }
 

@@ -139,7 +139,7 @@ func (c *conn) respondFingerprint(st *stream) {
 		body = []byte("{}")
 	}
 	body = append(body, '\n')
-	st.respHeaders = c.responseHeaders("200", "application/json", len(body), nil)
+	st.respHeaders = buildResponseFields(c.srv.profile.Name, "200", "application/json", len(body), nil)
 	st.body = body
 	st.eager = true
 	c.noteQueued(st)

@@ -49,9 +49,8 @@ type routeTable struct {
 }
 
 // buildRoutes compiles the site's document tree against the profile's
-// response identity. Resources added to the site afterwards fall back to
-// the dynamic (allocating) respond path; Site documents itself as immutable
-// once serving starts, so in practice the table is complete.
+// response identity. Site is immutable once serving starts, so the table is
+// complete: a path absent from it is a 404.
 func buildRoutes(p *Profile, site *Site) *routeTable {
 	paths := site.Paths()
 	rt := &routeTable{entries: make([]routeEntry, 0, len(paths))}
@@ -119,8 +118,6 @@ func (rt *routeTable) lookup(path string) *routeEntry {
 // buildResponseFields constructs a realistic response header list. Values
 // are deterministic so repeated identical requests produce byte-identical
 // header blocks — the precondition of the paper's HPACK ratio experiment.
-// It is the build-time twin of (*conn).responseHeaders and must stay
-// byte-identical with it.
 func buildResponseFields(serverName, status, contentType string, bodyLen int, extra []hpack.HeaderField) []hpack.HeaderField {
 	fields := []hpack.HeaderField{
 		{Name: ":status", Value: status},

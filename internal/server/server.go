@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -886,8 +885,8 @@ func (c *conn) closeStream(id uint32) {
 }
 
 // respond generates the response for a request stream and queues any pushes.
-// The compiled route table serves the steady state; /fp and resources added
-// after New fall back to the dynamic path.
+// Everything but /fp comes from the compiled route table; a path absent from
+// it is a 404.
 func (c *conn) respond(st *stream) {
 	if st.responded {
 		return
@@ -899,15 +898,6 @@ func (c *conn) respond(st *stream) {
 	}
 	if path == fingerprintPath {
 		c.respondFingerprint(st)
-		return
-	}
-	if res, ok := c.srv.site.Lookup(path); ok {
-		// Resource added to the site after route compilation: build the
-		// response headers dynamically.
-		st.respHeaders = c.responseHeaders("200", res.ContentType, len(res.Body), res.ExtraHeaders)
-		st.body = res.Body
-		st.eager = true
-		c.noteQueued(st)
 		return
 	}
 	e := &c.srv.routes.notFound
@@ -964,24 +954,6 @@ func (c *conn) queuePushes(parent *stream, e *routeEntry) {
 		ps.eager = true
 		c.noteQueued(ps)
 	}
-}
-
-// responseHeaders builds a realistic response header list. Values are
-// deterministic so repeated identical requests produce byte-identical
-// header blocks — the precondition of the paper's HPACK ratio experiment.
-func (c *conn) responseHeaders(status, contentType string, bodyLen int, extra []hpack.HeaderField) []hpack.HeaderField {
-	fields := []hpack.HeaderField{
-		{Name: ":status", Value: status},
-		{Name: "server", Value: c.srv.profile.Name},
-		{Name: "date", Value: fixedDate},
-		{Name: "content-type", Value: contentType},
-		{Name: "content-length", Value: strconv.Itoa(bodyLen)},
-		{Name: "last-modified", Value: fixedDate},
-		{Name: "etag", Value: fmt.Sprintf("%q", strconv.FormatInt(int64(bodyLen)*2654435761, 36))},
-		{Name: "accept-ranges", Value: "bytes"},
-		{Name: "vary", Value: "accept-encoding"},
-	}
-	return append(fields, extra...)
 }
 
 func (c *conn) handleData(f *frame.DataFrame) error {

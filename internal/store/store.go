@@ -1,8 +1,9 @@
 // Package store persists scan results. The paper's H2Scope "stores the
 // request and the response into a database for further study" (Section
 // IV-B); the reproduction's equivalent is an append-only JSON-lines store
-// of per-site probe reports, which downstream analysis (or a re-run of the
-// census tables) can read back without re-scanning.
+// of per-site probe reports, plus the one census aggregate (Tally) that a
+// live scan, a re-read of a stored scan and the generator's ground truth all
+// fill.
 package store
 
 import (
@@ -27,8 +28,11 @@ type Record struct {
 	// Epoch labels the measurement campaign (e.g. "1st Exp. (Jul 2016)").
 	Epoch string `json:"epoch,omitempty"`
 	// ServerName is the observed "server" header, duplicated out of the
-	// report for cheap aggregation.
+	// report for grep and jq.
 	ServerName string `json:"serverName,omitempty"`
+	// Family is the site's server family, the series key of Figs. 4 and 5.
+	// Files written before the field existed load with it empty.
+	Family string `json:"family,omitempty"`
 	// ScannedAt is when the probe battery ran.
 	ScannedAt time.Time `json:"scannedAt"`
 	// Report is the full H2Scope battery result; nil when the probe failed
@@ -111,46 +115,4 @@ func Read(r io.Reader) ([]Record, error) {
 		}
 		out = append(out, rec)
 	}
-}
-
-// Summarize aggregates stored records into the paper-style buckets; it is
-// the offline counterpart of a live scan summary.
-type Summary struct {
-	Records     int
-	ServerNames map[string]int
-	// PriorityPass counts reports whose Algorithm 1 verdict is "pass".
-	PriorityPass int
-	// PushSupported counts reports that saw PUSH_PROMISE.
-	PushSupported int
-	// HPACKSupportStar counts "support*" header-compression verdicts.
-	HPACKSupportStar int
-}
-
-// Summarize scans the records once.
-func Summarize(records []Record) *Summary {
-	s := &Summary{ServerNames: make(map[string]int)}
-	for i := range records {
-		rec := &records[i]
-		if rec.IsStatsTrailer() {
-			continue
-		}
-		s.Records++
-		if rec.ServerName != "" {
-			s.ServerNames[rec.ServerName]++
-		}
-		r := rec.Report
-		if r == nil {
-			continue
-		}
-		if r.PriorityVerdict() == "pass" {
-			s.PriorityPass++
-		}
-		if r.PushVerdict() == "yes" {
-			s.PushSupported++
-		}
-		if r.HeaderCompressionVerdict() == "support*" {
-			s.HPACKSupportStar++
-		}
-	}
-	return s
 }

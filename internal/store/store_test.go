@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -34,6 +35,15 @@ func liveReport(t *testing.T, p server.Profile) *core.Report {
 		t.Fatalf("probe: %v", err)
 	}
 	return r
+}
+
+// tallyOf folds records the way h2census -analyze does.
+func tallyOf(records []store.Record) *store.Tally {
+	t := store.NewTally()
+	for i := range records {
+		t.Add(&records[i])
+	}
+	return t
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -111,57 +121,25 @@ func TestReadMalformed(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	reports := []*core.Report{
-		liveReport(t, server.NginxProfile()),
-		liveReport(t, server.ApacheProfile()),
-	}
-	records := []store.Record{
-		{Domain: "a", ServerName: "nginx/1.9.15", Report: reports[0]},
-		{Domain: "b", ServerName: "Apache/2.4.23", Report: reports[1]},
-		{Domain: "c", ServerName: "nginx/1.9.15"}, // report lost
-	}
-	s := store.Summarize(records)
-	if s.Records != 3 {
-		t.Errorf("Records = %d", s.Records)
-	}
-	if s.ServerNames["nginx/1.9.15"] != 2 {
-		t.Errorf("nginx count = %d, want 2", s.ServerNames["nginx/1.9.15"])
-	}
-	if s.PriorityPass != 1 {
-		t.Errorf("PriorityPass = %d, want 1 (apache only)", s.PriorityPass)
-	}
-	if s.PushSupported != 1 {
-		t.Errorf("PushSupported = %d, want 1", s.PushSupported)
-	}
-	if s.HPACKSupportStar != 1 {
-		t.Errorf("HPACKSupportStar = %d, want 1 (nginx)", s.HPACKSupportStar)
-	}
-}
-
+// TestAnalyzeStoredScan is offline ≡ live: scan a sample, persist every site
+// through SiteResult.Record, read the file back and fold it with the same
+// Add the live scan used. The whole tally must come back, not a few buckets.
 func TestAnalyzeStoredScan(t *testing.T) {
-	// End-to-end: scan a population sample, persist it, read it back, and
-	// re-derive the census aggregates offline.
 	pop := population.Generate(population.EpochJul2016, 0.002, 19)
-	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 20, Parallelism: 8, Seed: 3})
+	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 30, Parallelism: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	w := store.NewWriter(&buf)
-	for _, res := range sum.Results {
-		name := ""
-		if res.Report != nil && res.Report.Settings != nil {
-			name = res.Report.Settings.ServerHeader
-		}
-		if err := w.Append(&store.Record{
-			Domain:     res.Spec.Domain,
-			ServerName: name,
-			ScannedAt:  time.Unix(0, 0),
-			Report:     res.Report,
-		}); err != nil {
+	for i := range sum.Results {
+		if err := w.Append(sum.Results[i].Record(pop.Epoch, time.Unix(0, 0))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A stats trailer in the stream is not a site.
+	if err := w.Append(&store.Record{Epoch: pop.Epoch.String(), Stats: &sum.Stats}); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -170,40 +148,44 @@ func TestAnalyzeStoredScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := store.Analyze(records)
-	if a.Records != 20 {
-		t.Fatalf("Records = %d, want 20", a.Records)
+	offline := tallyOf(records)
+	if offline.Scanned != 30 || offline.GotHeaders != 30 {
+		t.Fatalf("offline tally = %d scanned / %d working, want 30 / 30", offline.Scanned, offline.GotHeaders)
 	}
-	// Offline aggregates must equal the live scan's.
-	if got := a.TinyWindow[core.TinyWindowOneByte]; got != sum.TinyOneByte {
-		t.Errorf("one-byte = %d, live %d", got, sum.TinyOneByte)
+	if !reflect.DeepEqual(offline, &sum.Tally) {
+		t.Errorf("offline tally:\n%+v\nlive tally:\n%+v", offline, &sum.Tally)
 	}
-	if got := a.TinyWindow[core.TinyWindowNothing]; got != sum.TinySilent {
-		t.Errorf("silent = %d, live %d", got, sum.TinySilent)
+	if len(offline.ServerNames) == 0 || len(offline.HPACKRatios) == 0 || len(offline.PingRTTsMillis) != 30 {
+		t.Errorf("missing server names, HPACK ratios or PING samples: %+v", offline)
 	}
-	if a.ZeroWindowHeadersOK != sum.ZeroWindowHeadersOK {
-		t.Errorf("zero-window headers = %d, live %d", a.ZeroWindowHeadersOK, sum.ZeroWindowHeadersOK)
+	if _, unfiled := offline.HPACKRatios[store.AllFamilies]; unfiled {
+		t.Errorf("records written with a family were filed under %q", store.AllFamilies)
 	}
-	if a.PriorityLast != sum.PriorityLast || a.PriorityBoth != sum.PriorityBoth {
-		t.Errorf("priority = %d/%d, live %d/%d", a.PriorityLast, a.PriorityBoth, sum.PriorityLast, sum.PriorityBoth)
+}
+
+// TestTallyFilesFamilylessRecordsUnderAll: files written before Record had a
+// family still produce one ratio series, and incomplete probes are counted
+// and named in the Coverage text.
+func TestTallyFilesFamilylessRecordsUnderAll(t *testing.T) {
+	report := liveReport(t, server.ApacheProfile())
+	tally := store.NewTally()
+	tally.Add(&store.Record{Domain: "a", Report: report, Outcome: "ok"})
+	tally.Add(&store.Record{Domain: "b", Outcome: "failed", ErrorKind: "dial"})
+	tally.Add(&store.Record{Domain: "c", Outcome: "canceled"})
+	if got := tally.HPACKRatios[store.AllFamilies]; len(got) != 1 || len(tally.HPACKRatios) != 1 {
+		t.Errorf("HPACKRatios = %v, want one sample under %q", tally.HPACKRatios, store.AllFamilies)
 	}
-	if a.PushSites != sum.PushSites {
-		t.Errorf("push = %d, live %d", a.PushSites, sum.PushSites)
+	if tally.Scanned != 3 || tally.GotHeaders != 1 || tally.PriorityBoth != 1 || len(tally.PushDomains) != 1 {
+		t.Errorf("tally = %+v, want 3 scanned, 1 working (apache: priority pass, push)", tally)
 	}
-	if len(a.HPACKRatios) == 0 || len(a.PingRTTsMillis) == 0 {
-		t.Error("missing HPACK or PING samples")
-	}
-	if tops := a.TopServers(1); len(tops) == 0 {
-		t.Error("no server rows")
-	}
-	if out := a.String(); !strings.Contains(out, "offline analysis of 20") {
-		t.Errorf("rendering:\n%s", out)
+	if out := tally.Coverage(); !strings.Contains(out, "probes: 1 complete / 1 failed / 1 canceled (failed by kind: map[dial:1])") {
+		t.Errorf("coverage text:\n%s", out)
 	}
 }
 
 // TestRobustnessRoundTripAndAnalyze pins the robustness column: a stored
-// Score survives the JSON round trip, Analyze folds it into the offline
-// aggregates, and the rendered report mentions it.
+// Score survives the JSON round trip, the tally folds it, and the Coverage
+// text mentions it.
 func TestRobustnessRoundTripAndAnalyze(t *testing.T) {
 	score := &attack.Score{
 		Verdicts: map[attack.Kind]attack.Verdict{
@@ -253,7 +235,7 @@ func TestRobustnessRoundTripAndAnalyze(t *testing.T) {
 		t.Errorf("plain record gained a robustness score: %+v", records[1].Robustness)
 	}
 
-	a := store.Analyze(records)
+	a := tallyOf(records)
 	if len(a.RobustnessScores) != 1 || a.RobustnessScores[0] != 0.75 {
 		t.Errorf("RobustnessScores = %v, want [0.75]", a.RobustnessScores)
 	}
@@ -261,14 +243,14 @@ func TestRobustnessRoundTripAndAnalyze(t *testing.T) {
 		a.RobustnessVerdicts["hpack-bomb/degraded"] != 1 {
 		t.Errorf("RobustnessVerdicts = %v", a.RobustnessVerdicts)
 	}
-	if out := a.String(); !strings.Contains(out, "robustness: 1 sites scored, mean 0.75") {
-		t.Errorf("analysis report missing robustness line:\n%s", out)
+	if out := a.Coverage(); !strings.Contains(out, "robustness: 1 sites scored, mean 0.75\n  hpack-bomb/degraded: 1\n  rapid-reset/survived: 1\n") {
+		t.Errorf("coverage text missing robustness lines:\n%s", out)
 	}
 }
 
 // TestFingerprintRoundTripAndAnalyze pins the fingerprint column: a stored
-// impersonation sweep survives the JSON round trip, Analyze folds it into
-// the offline aggregates, and the rendered report mentions it.
+// impersonation sweep survives the JSON round trip, the tally folds it, and
+// the Coverage text mentions it.
 func TestFingerprintRoundTripAndAnalyze(t *testing.T) {
 	sweep := &fingerprint.CensusResult{
 		Clients: []fingerprint.ClientObservation{
@@ -318,12 +300,12 @@ func TestFingerprintRoundTripAndAnalyze(t *testing.T) {
 		t.Errorf("plain record gained a sweep: %+v", records[1].Fingerprint)
 	}
 
-	a := store.Analyze(records)
+	a := tallyOf(records)
 	if a.FingerprintSites != 1 || a.FingerprintEcho != 1 || a.FingerprintDiffers != 1 {
-		t.Errorf("analysis = %d/%d/%d, want 1/1/1",
+		t.Errorf("tally = %d/%d/%d, want 1/1/1",
 			a.FingerprintSites, a.FingerprintEcho, a.FingerprintDiffers)
 	}
-	if out := a.String(); !strings.Contains(out, "fingerprint: 1 sites swept / 1 echoed /fp / 1 served by client") {
-		t.Errorf("rendering missing fingerprint line:\n%s", out)
+	if out := a.Coverage(); !strings.Contains(out, "fingerprint sweep: 1 sites / 1 echoed /fp / 1 served by client") {
+		t.Errorf("coverage text missing fingerprint line:\n%s", out)
 	}
 }

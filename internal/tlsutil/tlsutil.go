@@ -103,3 +103,19 @@ func NegotiateALPN(nc net.Conn, serverName string, protos ...string) (string, *t
 	}
 	return tc.ConnectionState().NegotiatedProtocol, tc, nil
 }
+
+// UpgradeH2 secures an established connection for HTTP/2: it runs the TLS
+// client handshake over nc and returns the secured connection if the server
+// selected h2 via ALPN. On any failure the connection is closed.
+func UpgradeH2(nc net.Conn, serverName string, protos ...string) (net.Conn, error) {
+	proto, tc, err := NegotiateALPN(nc, serverName, protos...)
+	if err != nil {
+		_ = nc.Close()
+		return nil, err
+	}
+	if proto != ProtoH2 {
+		_ = tc.Close()
+		return nil, fmt.Errorf("server negotiated %q, not h2", proto)
+	}
+	return tc, nil
+}

@@ -2,6 +2,8 @@ package tlsutil
 
 import (
 	"crypto/tls"
+	"net"
+	"strings"
 	"testing"
 
 	"h2scope/internal/netsim"
@@ -71,5 +73,40 @@ func TestSelfSignedCertCoversHostsAndIPs(t *testing.T) {
 	}
 	if len(cert.Certificate) != 1 {
 		t.Fatalf("certificate chain length %d, want 1", len(cert.Certificate))
+	}
+}
+
+// TestUpgradeH2 pins the one h2-over-TLS dial step the CLIs share: an h2
+// selection yields the secured connection, anything else is an error naming
+// the protocol and leaves the transport closed.
+func TestUpgradeH2(t *testing.T) {
+	cert, err := SelfSignedCert("testbed.example")
+	if err != nil {
+		t.Fatalf("SelfSignedCert: %v", err)
+	}
+	upgrade := func(protos ...string) (net.Conn, net.Conn, error) {
+		clientNC, serverNC := netsim.Pipe()
+		go func() {
+			sc := tls.Server(serverNC, ServerConfig(cert, true))
+			_ = sc.Handshake()
+		}()
+		c, err := UpgradeH2(clientNC, "testbed.example", protos...)
+		return c, clientNC, err
+	}
+	c, _, err := upgrade()
+	if err != nil {
+		t.Fatalf("UpgradeH2: %v", err)
+	}
+	if tc, ok := c.(*tls.Conn); !ok || tc.ConnectionState().NegotiatedProtocol != ProtoH2 {
+		t.Fatalf("UpgradeH2 returned %T, want a *tls.Conn on h2", c)
+	}
+	_ = c.Close()
+
+	c, raw, err := upgrade(ProtoHTTP11)
+	if err == nil || !strings.Contains(err.Error(), `negotiated "http/1.1", not h2`) {
+		t.Fatalf("UpgradeH2 offering only http/1.1 = %v, %v; want a not-h2 error", c, err)
+	}
+	if _, werr := raw.Write([]byte("x")); werr == nil {
+		t.Error("transport still open after a refused upgrade")
 	}
 }

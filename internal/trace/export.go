@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"h2scope/internal/frame"
@@ -87,6 +90,34 @@ func Write(w io.Writer, target string, t *Tracer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile exports the tracer's snapshot as <dir>/<target>.jsonl, with every
+// character of target outside [A-Za-z0-9._-] (the colon of host:port, say)
+// mapped to '_', and returns the path it wrote.
+func WriteFile(dir, target string, t *Tracer) (string, error) {
+	name := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '.', r == '-', r == '_':
+			return r
+		default:
+			return '_'
+		}
+	}, target)
+	if name == "" {
+		name = "trace"
+	}
+	path := filepath.Join(dir, name+".jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	if err := Write(f, target, t); err != nil {
+		_ = f.Close()
+		return "", err
+	}
+	return path, f.Close()
 }
 
 // Read parses a JSONL trace back into memory. Event At values are

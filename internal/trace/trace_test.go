@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -542,5 +544,38 @@ func TestSubscriptionExportMetrics(t *testing.T) {
 	sub.Drain(nil)
 	if got := value(pending); got != 0 {
 		t.Fatalf("after drain, %s = %d, want 0", pending, got)
+	}
+}
+
+// TestWriteFileSafeName: the one target-key → file mapping h2scope -trace and
+// the census share; the exported file reads back with its target intact.
+func TestWriteFileSafeName(t *testing.T) {
+	dir := t.TempDir()
+	tr := New(8)
+	tr.ConnOpen(tr.ConnID(), "x")
+	for target, want := range map[string]string{
+		"127.0.0.1:8099": "127.0.0.1_8099.jsonl",
+		"a/b c.example":  "a_b_c.example.jsonl",
+		"":               "trace.jsonl",
+	} {
+		path, err := WriteFile(dir, target, tr)
+		if err != nil {
+			t.Fatalf("WriteFile(%q): %v", target, err)
+		}
+		if path != filepath.Join(dir, want) {
+			t.Errorf("WriteFile(%q) wrote %s, want %s", target, path, want)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Read(f)
+		_ = f.Close()
+		if err != nil || d.Target != target || len(d.Events) != 1 {
+			t.Errorf("%s reads back as %+v, %v", path, d, err)
+		}
+	}
+	if _, err := WriteFile(filepath.Join(dir, "missing"), "t", tr); err == nil {
+		t.Error("WriteFile into a missing directory succeeded")
 	}
 }
