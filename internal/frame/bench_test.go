@@ -149,6 +149,40 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("steady-state coalesced burst allocates %.1f times per %d frames, want 0", n, frames)
 		}
 	})
+
+	// The reference path over a real socket: six 16 KiB quanta (one 96 KiB
+	// response) and one Flush, i.e. one writev, against a draining reader.
+	t.Run("WriteDataTCP", func(t *testing.T) {
+		client, server := tcpPair(t)
+		go func() {
+			buf := make([]byte, 256<<10)
+			for {
+				if _, err := client.Read(buf); err != nil {
+					return
+				}
+			}
+		}()
+		fr := NewFramer(server, nil)
+		fr.SetWriteBuffering(0)
+		payload := bytes.Repeat([]byte{'x'}, 16<<10)
+		burst := func() {
+			for j := 0; j < 6; j++ {
+				if err := fr.WriteData(1, false, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		burst() // size the reference scratch and the socket's iovec array once
+		if n := testing.AllocsPerRun(200, burst); n != 0 {
+			t.Errorf("steady-state vectored burst allocates %.1f times per 6 frames, want 0", n)
+		}
+		if len(fr.wbuf) != 0 || cap(fr.wbuf) >= len(payload) {
+			t.Errorf("write buffer holds %d of %d octets after vectored bursts: payloads were copied", len(fr.wbuf), cap(fr.wbuf))
+		}
+	})
 }
 
 // TestWriteCoalescing asserts the syscall-reduction claim directly: with

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"net"
 	"sync"
 )
 
@@ -22,9 +23,18 @@ var ErrFrameTooLarge = errors.New("frame: frame payload exceeds maximum read siz
 const maxRetainedReadBuf = 64 << 10
 
 // DefaultWriteBufferSize is the coalescing threshold installed by
-// SetWriteBuffering(0): once at least this many pending octets accumulate,
-// endWrite flushes even without an explicit Flush call.
+// SetWriteBuffering(0): once at least this many pending copied octets
+// accumulate, endWrite flushes even without an explicit Flush call.
 const DefaultWriteBufferSize = 16 << 10
+
+// refCutoff is the shortest DATA payload a coalescing framer on a
+// *net.TCPConn keeps by reference; anything shorter costs less as a memmove
+// than as an iovec. maxIovecs caps the vector one flush carries (about one
+// IOV_MAX batch), which bounds it against a peer advertising a 2 GiB window.
+const (
+	refCutoff = 8 << 10
+	maxIovecs = 1024
+)
 
 // Framer reads and writes HTTP/2 frames on an underlying byte stream.
 //
@@ -51,6 +61,17 @@ const DefaultWriteBufferSize = 16 << 10
 // threshold). In coalesced mode the caller owns the flush schedule and MUST
 // call Flush before blocking on a read, or the peer never sees the frames
 // it is expected to answer.
+//
+// # Write payload ownership
+//
+// A coalescing framer whose writer is a *net.TCPConn does not copy DATA
+// payloads of refCutoff octets or more: WriteData queues the frame header and
+// keeps the caller's slice, and Flush hands header runs and payloads to the
+// kernel as one vectored write. A payload passed to WriteData on a coalescing
+// framer must therefore stay unmodified until the next Flush returns. Every
+// other writer (TLS, pipes, wrapped conns) takes a Write per slice from
+// net.Buffers, so there payloads are copied as before; the bytes on the wire
+// are the same either way.
 type Framer struct {
 	r io.Reader
 
@@ -77,6 +98,15 @@ type Framer struct {
 	// batch size.
 	buffered       bool
 	flushThreshold int
+	// writev, set when a coalescing framer writes to a *net.TCPConn, sends
+	// pending frames as one vectored write. iov is that vector while any
+	// payload is pending by reference: runs of wbuf alternating with callers'
+	// payloads, wbuf[runStart:] not yet in it. iovw is the copy of iov's
+	// header that net.Buffers.WriteTo consumes — a field, so that taking its
+	// address does not allocate.
+	writev    func(*net.Buffers) (int64, error)
+	iov, iovw net.Buffers
+	runStart  int
 
 	// Strict, when set, makes ReadFrame reject frames that violate RFC 7540
 	// framing rules (wrong stream IDs, bad lengths) with ConnError instead
@@ -138,7 +168,8 @@ func (fr *Framer) SetTrace(fn func(sent bool, hdr Header)) {
 // SetWriteBuffering switches the framer to coalesced writes: frames
 // accumulate in an internal buffer and reach the underlying writer in a
 // single Write per Flush. threshold bounds the pending batch — once at
-// least that many octets are pending, endWrite flushes on its own;
+// least that many copied octets are pending, endWrite flushes on its own
+// (payloads kept by reference, see "Write payload ownership", do not count);
 // threshold <= 0 applies DefaultWriteBufferSize. Callers own the flush
 // schedule: always Flush before blocking on a read. Call it before the
 // framer is in use, alongside SetTrace/SetMetrics.
@@ -150,6 +181,9 @@ func (fr *Framer) SetWriteBuffering(threshold int) {
 	defer fr.wmu.Unlock()
 	fr.buffered = true
 	fr.flushThreshold = threshold
+	if tc, ok := fr.w.(*net.TCPConn); ok {
+		fr.writev = func(v *net.Buffers) (int64, error) { return v.WriteTo(tc) }
+	}
 }
 
 // Flush writes all pending coalesced frames to the underlying writer in one
@@ -165,13 +199,32 @@ func (fr *Framer) flushLocked() error {
 	if len(fr.wbuf) == 0 {
 		return nil
 	}
-	_, err := fr.w.Write(fr.wbuf)
+	var err error
+	if len(fr.iov) == 0 {
+		_, err = fr.w.Write(fr.wbuf)
+	} else {
+		err = fr.flushVectored()
+	}
 	fr.wbuf = fr.wbuf[:0]
 	fr.frameStart = 0
 	if err != nil {
 		return fmt.Errorf("frame: write: %w", err)
 	}
 	return nil
+}
+
+// flushVectored sends iov plus the tail of wbuf as one vectored write, then
+// drops every reference, sent or not.
+func (fr *Framer) flushVectored() error {
+	if fr.runStart < len(fr.wbuf) {
+		fr.iov = append(fr.iov, fr.wbuf[fr.runStart:])
+	}
+	fr.iovw = fr.iov
+	_, err := fr.writev(&fr.iovw)
+	clear(fr.iov) // iovw's unsent remainder too: it is a suffix of iov
+	fr.iov = fr.iov[:0]
+	fr.runStart = 0
+	return err
 }
 
 // WriteRawBytes appends b verbatim to the write path — in coalesced mode it
@@ -544,8 +597,13 @@ func (fr *Framer) startWrite(t Type, flags Flags, streamID uint32) {
 		byte(streamID>>24), byte(streamID>>16), byte(streamID>>8), byte(streamID))
 }
 
-func (fr *Framer) endWrite() error {
-	length := len(fr.wbuf) - fr.frameStart - HeaderLen
+func (fr *Framer) endWrite() error { return fr.endWriteRef(nil) }
+
+// endWriteRef completes the frame under construction, whose payload is what
+// wbuf holds past the frame header followed by ref, kept by reference until
+// the next flush.
+func (fr *Framer) endWriteRef(ref []byte) error {
+	length := len(fr.wbuf) - fr.frameStart - HeaderLen + len(ref)
 	if length >= 1<<24 {
 		// Drop the malformed frame from the buffer so coalesced peers never
 		// see it.
@@ -557,7 +615,14 @@ func (fr *Framer) endWrite() error {
 	frameHdr[1] = byte(length >> 8)
 	frameHdr[2] = byte(length)
 	hdr := parseHeader(frameHdr[:HeaderLen])
-	if !fr.buffered || len(fr.wbuf) >= fr.flushThreshold {
+	if len(ref) > 0 {
+		// The copied octets since the last reference, this frame's header
+		// among them, then the payload. Should a later append move wbuf, the
+		// run still reads these octets from the array it was cut from.
+		fr.iov = append(fr.iov, fr.wbuf[fr.runStart:], ref)
+		fr.runStart = len(fr.wbuf)
+	}
+	if !fr.buffered || len(fr.wbuf) >= fr.flushThreshold || len(fr.iov) >= maxIovecs {
 		if err := fr.flushLocked(); err != nil {
 			return err
 		}
@@ -576,7 +641,9 @@ func (fr *Framer) writeUint32(v uint32) {
 }
 
 // WriteData writes a DATA frame. Padding is not applied (pad == nil path is
-// the only one the reproduction needs on the write side).
+// the only one the reproduction needs on the write side). On a coalescing
+// framer data must stay unmodified until the next Flush returns (see "Write
+// payload ownership").
 func (fr *Framer) WriteData(streamID uint32, endStream bool, data []byte) error {
 	fr.wmu.Lock()
 	defer fr.wmu.Unlock()
@@ -585,6 +652,9 @@ func (fr *Framer) WriteData(streamID uint32, endStream bool, data []byte) error 
 		flags |= FlagEndStream
 	}
 	fr.startWrite(TypeData, flags, streamID)
+	if fr.writev != nil && len(data) >= refCutoff {
+		return fr.endWriteRef(data)
+	}
 	fr.wbuf = append(fr.wbuf, data...)
 	return fr.endWrite()
 }

@@ -70,7 +70,7 @@ func (replayAddr) Network() string { return "replay" }
 func (replayAddr) String() string  { return "replay" }
 
 // clientFrames builds raw client-side frame bytes with an independent framer.
-func clientFrames(t *testing.T, build func(fr *frame.Framer)) []byte {
+func clientFrames(t testing.TB, build func(fr *frame.Framer)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fr := frame.NewFramer(&buf, nil)
@@ -84,7 +84,7 @@ func clientFrames(t *testing.T, build func(fr *frame.Framer)) []byte {
 // encodeRequest builds one HEADERS frame (END_STREAM|END_HEADERS) for a GET.
 // The encoder never touches the dynamic table, so every replayed block is
 // decodable independently.
-func encodeRequest(t *testing.T, enc *hpack.Encoder, streamID uint32, path string) []byte {
+func encodeRequest(t testing.TB, enc *hpack.Encoder, streamID uint32, path string) []byte {
 	t.Helper()
 	fields := []hpack.HeaderField{
 		{Name: ":method", Value: "GET"},
@@ -107,7 +107,7 @@ func encodeRequest(t *testing.T, enc *hpack.Encoder, streamID uint32, path strin
 }
 
 // stepOK drives one serve-loop step and fails the test on error or stop.
-func stepOK(t *testing.T, c *conn) {
+func stepOK(t testing.TB, c *conn) {
 	t.Helper()
 	stop, err := c.step()
 	if err != nil {
@@ -204,6 +204,19 @@ func TestServerHotPathAllocs(t *testing.T) {
 	if nc.writtenBytes <= written {
 		t.Fatal("no response bytes written during measured runs")
 	}
+
+	// The same gate on the framer's reference path, which only a real
+	// *net.TCPConn selects: one 96 KiB GET in, HEADERS + six 16 KiB DATA
+	// frames out in one vectored write.
+	t.Run("tcp", func(t *testing.T) {
+		rig := newEgressRig(t, 1, false)
+		for w := 0; w < warmup; w++ {
+			rig.round(t)
+		}
+		if allocs := testing.AllocsPerRun(runs, func() { rig.round(t) }); allocs != 0 {
+			t.Fatalf("request/response round over loopback TCP allocates %.2f times per op, want 0", allocs)
+		}
+	})
 }
 
 // TestServeStepCoalescesBatchedInput checks the flush-deferral read path: a

@@ -216,10 +216,11 @@ func TestDetectionCarriesFingerprint(t *testing.T) {
 	if _, err := c.FetchBody(h2conn.Request{Authority: "fp.example", Path: "/about.html"}, 5*time.Second); err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
-	// Settings flood: well past 5/s.
+	// Settings flood: well past 5/s. A write that fails means the mitigation
+	// has already closed the connection; the detection below is the verdict.
 	for i := 0; i < 50; i++ {
 		if err := c.WriteSettings(); err != nil {
-			t.Fatalf("settings flood: %v", err)
+			break
 		}
 	}
 	select {

@@ -441,3 +441,117 @@ func TestOneAcceptGoroutinePerListener(t *testing.T) {
 		t.Errorf("%d goroutines were in Accept at once, want 1", most)
 	}
 }
+
+// writeSignal reports the first Write on a server-side conn.
+type writeSignal struct {
+	net.Conn
+	once    sync.Once
+	writing chan struct{}
+}
+
+func (c *writeSignal) Write(p []byte) (int, error) {
+	c.once.Do(func() { close(c.writing) })
+	return c.Conn.Write(p)
+}
+
+// stalledWriter serves one connection whose peer sends the preface and then
+// never reads: over the synchronous net.Pipe the serve goroutine parks in
+// the Write of its SETTINGS, holding the framer's write lock. It returns once
+// that Write has begun.
+func stalledWriter(t *testing.T, srv *Server) (peer net.Conn, served <-chan struct{}) {
+	t.Helper()
+	clientNC, serverNC := net.Pipe()
+	t.Cleanup(func() { _ = clientNC.Close() })
+	sig := &writeSignal{Conn: serverNC, writing: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.ServeConn(sig)
+	}()
+	if _, err := clientNC.Write([]byte(frame.ClientPreface)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sig.writing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never wrote its SETTINGS")
+	}
+	return clientNC, done
+}
+
+// TestShutdownBoundedWithStalledWriter: a peer that stopped reading costs
+// Shutdown its grace and no more, and does not keep a healthy neighbour from
+// its GOAWAY(NO_ERROR). Before, Shutdown took the stalled connection's write
+// lock ahead of arming the grace timer and never returned.
+func TestShutdownBoundedWithStalledWriter(t *testing.T) {
+	srv := New(NghttpdProfile(), DefaultSite("stall.example"))
+	_, stalledServed := stalledWriter(t, srv)
+	healthy, healthyServed := serveConnClient(t, srv)
+	defer func() { _ = healthy.nc.Close() }()
+	waitFor(t, 5*time.Second, func() bool { return tableSize(srv) == 2 }, "both connections to be tracked")
+
+	const grace = 300 * time.Millisecond
+	shutdownDone := make(chan struct{})
+	go func() {
+		defer close(shutdownDone)
+		srv.Shutdown(grace)
+	}()
+	gotGoAway := make(chan error, 1)
+	go func() {
+		code, err := awaitGoAway(healthy)
+		if err == nil && code != frame.ErrCodeNo {
+			err = errors.New("GOAWAY code " + code.String())
+		}
+		gotGoAway <- err
+	}()
+	select {
+	case <-shutdownDone:
+	case <-time.After(grace + time.Second):
+		t.Fatalf("Shutdown(%v) still blocked %v later behind the stalled writer", grace, grace+time.Second)
+	}
+	if err := <-gotGoAway; err != nil {
+		t.Errorf("healthy connection got no GOAWAY(NO_ERROR): %v", err)
+	}
+	for name, served := range map[string]<-chan struct{}{"stalled": stalledServed, "healthy": healthyServed} {
+		select {
+		case <-served:
+		default:
+			t.Errorf("ServeConn of the %s connection still running after Shutdown returned", name)
+		}
+	}
+}
+
+// TestMitigateGoAwayBoundedWithStalledWriter: the detector's GOAWAY+close
+// must not be wedged by the connection it is killing.
+func TestMitigateGoAwayBoundedWithStalledWriter(t *testing.T) {
+	srv := New(NghttpdProfile(), DefaultSite("stall.example"))
+	// Registered ahead of stalledWriter's own cleanup so the peer hangs up
+	// first: a failing run reports and ends, where a deferred Close would
+	// wait on the stalled connection forever.
+	t.Cleanup(srv.Close)
+	peer, served := stalledWriter(t, srv)
+	var c *conn
+	srv.mu.Lock()
+	for c = range srv.conns {
+	}
+	srv.mu.Unlock()
+
+	mitigated := make(chan struct{})
+	go func() {
+		defer close(mitigated)
+		c.mitigateGoAway()
+	}()
+	select {
+	case <-mitigated:
+	case <-time.After(mitigateWriteTimeout + time.Second):
+		t.Fatal("mitigateGoAway still blocked behind the stalled writer")
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn still running after the mitigation closed the socket")
+	}
+	if _, err := peer.Read(make([]byte, 1)); err == nil {
+		t.Error("socket still open to the peer after mitigateGoAway")
+	}
+}

@@ -205,18 +205,21 @@ func (s *Server) detector() *Detector {
 // forcibly. Shutdown blocks until all connections ended.
 func (s *Server) Shutdown(grace time.Duration) {
 	conns := s.stop()
+	deadline := time.Now().Add(grace)
+	// One goroutine per connection: a peer that stopped reading delays only
+	// its own GOAWAY, not its neighbours' and not the grace clock.
+	var announced sync.WaitGroup
 	for _, c := range conns {
-		// The framer serializes writes, so announcing shutdown from here
-		// is safe alongside the connection's own goroutine. The explicit
-		// Flush pushes the GOAWAY past the coalescing buffer while the
-		// serve loop may be blocked in ReadFrame.
-		if c.fr.WriteGoAway(c.maxSeenClient.Load(), frame.ErrCodeNo, []byte("server shutting down")) == nil {
-			_ = c.fr.Flush()
-		}
+		announced.Add(1)
+		go func(c *conn) {
+			defer announced.Done()
+			c.announceGoAway(deadline, frame.ErrCodeNo, "server shutting down")
+		}(c)
 	}
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		announced.Wait()
 		close(done)
 	}()
 	select {
@@ -473,18 +476,33 @@ func (c *conn) mitigateRateLimit(d time.Duration) { c.readDelay.Store(int64(d)) 
 // any goroutine.
 func (c *conn) mitigateStreamCap(n int64) { c.streamCap.Store(n) }
 
-// mitigateGoAway sends GOAWAY(ENHANCE_YOUR_CALM) and closes the socket.
-// The framer serializes writes (see Shutdown), so emitting from the
-// detector goroutine is safe alongside the serve loop; closing the socket
-// then unblocks a serve loop parked in ReadFrame.
+// mitigateWriteTimeout bounds the detector's GOAWAY on a connection whose
+// peer has stopped reading.
+const mitigateWriteTimeout = 500 * time.Millisecond
+
+// mitigateGoAway sends GOAWAY(ENHANCE_YOUR_CALM) and closes the socket,
+// which unblocks a serve loop parked in ReadFrame.
 func (c *conn) mitigateGoAway() {
 	if c.killed.Swap(true) {
 		return
 	}
-	if c.fr.WriteGoAway(c.maxSeenClient.Load(), frame.ErrCodeEnhanceYourCalm, []byte("attack mitigated")) == nil {
+	c.announceGoAway(time.Now().Add(mitigateWriteTimeout), frame.ErrCodeEnhanceYourCalm, "attack mitigated")
+	_ = c.nc.Close()
+}
+
+// announceGoAway sends GOAWAY from a goroutine other than the connection's
+// own (Shutdown, the detector); the framer serializes writes, so that is
+// safe alongside the serve loop, and the explicit Flush pushes the frame
+// past the coalescing buffer while the serve loop may be blocked in
+// ReadFrame. The serve goroutine may instead be parked in Write on a peer
+// that stopped reading, holding the framer's write lock: the write deadline,
+// set before the lock is asked for, fails that Write, which frees the lock,
+// and bounds this GOAWAY by the same clock.
+func (c *conn) announceGoAway(deadline time.Time, code frame.ErrCode, debug string) {
+	_ = c.nc.SetWriteDeadline(deadline)
+	if c.fr.WriteGoAway(c.maxSeenClient.Load(), code, []byte(debug)) == nil {
 		_ = c.fr.Flush()
 	}
-	_ = c.nc.Close()
 }
 
 // newServerFramer builds the per-connection framer with write coalescing
