@@ -9,24 +9,15 @@
 // has an enable/disable flag (-uncheckederr=false, ...); -json switches to
 // machine output. Exit status: 0 clean, 1 diagnostics reported, 2 usage or
 // load error.
-//
-// For incremental adoption, -baseline file suppresses the findings recorded
-// in the file and -write-baseline records the current findings there. Each
-// baseline line is "file: analyzer: message" — deliberately line-number-free
-// so unrelated edits above a grandfathered finding do not invalidate it.
-// Fixing code is always preferred; the baseline exists so a new analyzer can
-// land gating CI on the same day without waiting for every legacy finding.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"h2scope/internal/lint"
 )
@@ -40,8 +31,6 @@ func run(args []string, out io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	dir := fs.String("C", ".", "analyze the module containing this `directory`")
-	baselinePath := fs.String("baseline", "", "suppress findings recorded in this `file` (lines of \"file: analyzer: message\")")
-	writeBaseline := fs.Bool("write-baseline", false, "record the current findings to the -baseline file and exit 0")
 	enabled := make(map[string]*bool)
 	for _, a := range lint.All() {
 		enabled[a.Name] = fs.Bool(a.Name, true, a.Doc)
@@ -88,34 +77,6 @@ func run(args []string, out io.Writer) int {
 		}
 	}
 
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "h2lint: -write-baseline requires -baseline file")
-			return 2
-		}
-		if err := saveBaseline(*baselinePath, diags); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Fprintf(out, "h2lint: wrote %d baseline entries to %s\n", len(diags), *baselinePath)
-		return 0
-	}
-	if *baselinePath != "" {
-		baseline, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		kept := diags[:0]
-		for _, d := range diags {
-			if baseline[baselineKey(d)] {
-				continue
-			}
-			kept = append(kept, d)
-		}
-		diags = kept
-	}
-
 	if *jsonOut {
 		type jsonDiag struct {
 			Analyzer string `json:"analyzer"`
@@ -153,53 +114,4 @@ func run(args []string, out io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// baselineKey renders one diagnostic in the baseline's line-number-free
-// format, so grandfathered findings survive unrelated edits to the file.
-func baselineKey(d lint.Diagnostic) string {
-	return fmt.Sprintf("%s: %s: %s", d.Pos.Filename, d.Analyzer, d.Message)
-}
-
-// loadBaseline reads a baseline file into a set of keys. Blank lines and
-// #-comments are skipped.
-func loadBaseline(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("h2lint: baseline: %w", err)
-	}
-	defer f.Close()
-	out := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		out[line] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("h2lint: baseline: %w", err)
-	}
-	return out, nil
-}
-
-// saveBaseline records diags (already sorted by Run) as baseline lines.
-func saveBaseline(path string, diags []lint.Diagnostic) error {
-	var b strings.Builder
-	b.WriteString("# h2lint baseline: grandfathered findings, one \"file: analyzer: message\" per line.\n")
-	b.WriteString("# Regenerate with: go run ./cmd/h2lint -baseline " + path + " -write-baseline ./...\n")
-	seen := make(map[string]bool)
-	for _, d := range diags {
-		key := baselineKey(d)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		b.WriteString(key + "\n")
-	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return fmt.Errorf("h2lint: baseline: %w", err)
-	}
-	return nil
 }

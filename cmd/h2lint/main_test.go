@@ -3,13 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-const fixture = "internal/lint/testdata/src/tracephase/a"
+const fixture = "internal/lint/testdata/src/retain/a"
 
 func TestListPrintsCatalog(t *testing.T) {
 	var out bytes.Buffer
@@ -17,52 +15,13 @@ func TestListPrintsCatalog(t *testing.T) {
 		t.Fatalf("run(-list) = %d, want 0", code)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 9 {
-		t.Fatalf("catalog has %d analyzers, want 9:\n%s", len(lines), out.String())
+	if len(lines) != 4 {
+		t.Fatalf("catalog has %d analyzers, want 4:\n%s", len(lines), out.String())
 	}
-	for _, want := range []string{"uncheckederr", "rfcconst", "connclose", "deadline", "tracephase", "bufflush", "retain", "hotalloc", "goroleak"} {
+	for _, want := range []string{"uncheckederr", "connclose", "retain", "hotalloc"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("catalog is missing %s", want)
 		}
-	}
-}
-
-// TestBaselineRoundTrip writes the positive fixture's findings to a baseline
-// and verifies a rerun against that baseline is clean, while an empty
-// baseline still fails.
-func TestBaselineRoundTrip(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.txt")
-	var out bytes.Buffer
-	if code := run([]string{"-baseline", base, "-write-baseline", fixture}, &out); code != 0 {
-		t.Fatalf("run(-write-baseline) = %d, want 0\n%s", code, out.String())
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-	if !strings.Contains(string(data), "tracephase") {
-		t.Fatalf("baseline has no tracephase entries:\n%s", data)
-	}
-
-	out.Reset()
-	if code := run([]string{"-baseline", base, fixture}, &out); code != 0 {
-		t.Errorf("run with full baseline = %d, want 0\n%s", code, out.String())
-	}
-
-	empty := filepath.Join(t.TempDir(), "empty.txt")
-	if err := os.WriteFile(empty, []byte("# nothing grandfathered\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := run([]string{"-baseline", empty, fixture}, &out); code != 1 {
-		t.Errorf("run with empty baseline = %d, want 1\n%s", code, out.String())
-	}
-}
-
-func TestWriteBaselineRequiresPath(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-write-baseline", fixture}, &out); code != 2 {
-		t.Errorf("run(-write-baseline) without -baseline = %d, want 2", code)
 	}
 }
 
@@ -85,8 +44,8 @@ func TestFindingsExitOneWithJSON(t *testing.T) {
 		t.Fatal("no findings on a positive fixture")
 	}
 	for _, r := range rows {
-		if r.Analyzer != "tracephase" {
-			t.Errorf("analyzer = %q, want tracephase", r.Analyzer)
+		if r.Analyzer != "retain" {
+			t.Errorf("analyzer = %q, want retain", r.Analyzer)
 		}
 		if want := fixture + "/a.go"; r.File != want {
 			t.Errorf("file = %q, want module-relative %q", r.File, want)
@@ -102,8 +61,8 @@ func TestFindingsExitOneWithJSON(t *testing.T) {
 
 func TestDisabledAnalyzerExitsZero(t *testing.T) {
 	var out bytes.Buffer
-	if code := run([]string{"-tracephase=false", fixture}, &out); code != 0 {
-		t.Fatalf("run with -tracephase=false = %d, want 0\n%s", code, out.String())
+	if code := run([]string{"-retain=false", fixture}, &out); code != 0 {
+		t.Fatalf("run with -retain=false = %d, want 0\n%s", code, out.String())
 	}
 }
 

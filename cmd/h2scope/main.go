@@ -77,8 +77,10 @@ func run() error {
 		if !*useTLS {
 			return nc, nil
 		}
-		defer activeTracer.Region(0, "tls")()
-		return tlsutil.UpgradeH2(nc, *authority)
+		endTLS := activeTracer.Region(0, "tls")
+		tc, err := tlsutil.UpgradeH2(nc, *authority)
+		endTLS()
+		return tc, err
 	})
 
 	cfg := h2scope.DefaultProbeConfig(*authority)

@@ -102,10 +102,10 @@ func TestAttackBatterySmoke(t *testing.T) {
 	}
 }
 
-// TestAttackRunLeavesNoGoroutines pins the goroleak sweep's verdict on the
-// attack runner empirically: after a scenario completes, every worker
-// goroutine and every server-side connection goroutine it provoked must be
-// gone, leaving only the target's accept loop from before the baseline.
+// TestAttackRunLeavesNoGoroutines is the attack runner's goroutine-leak
+// guard: after a scenario completes, every worker goroutine and every
+// server-side connection goroutine it provoked must be gone, leaving only
+// the target's accept loop from before the baseline.
 func TestAttackRunLeavesNoGoroutines(t *testing.T) {
 	tg := startTarget(t, server.ApacheProfile(), nil, nil)
 	r := tg.runner()

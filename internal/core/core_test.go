@@ -11,6 +11,7 @@ import (
 	"h2scope/internal/http1"
 	"h2scope/internal/netsim"
 	"h2scope/internal/server"
+	"h2scope/internal/trace"
 )
 
 // newProber starts a profile server over an in-memory listener and returns
@@ -362,6 +363,7 @@ func TestProbeH2CUpgrade(t *testing.T) {
 	}
 	cfg := core.DefaultConfig("h2c.example")
 	cfg.QuietWindow = 10 * time.Millisecond
+	cfg.Tracer = trace.New(0)
 
 	l := start(withH2C)
 	p := core.NewProber(core.DialerFunc(func() (net.Conn, error) { return l.Dial() }), cfg)
@@ -381,6 +383,10 @@ func TestProbeH2CUpgrade(t *testing.T) {
 	}
 	if res2.UpgradeAccepted {
 		t.Errorf("without h2c: %+v, want refused", res2)
+	}
+	// Neither leg is traced, so the trace is the two probes' phase brackets.
+	if evs := cfg.Tracer.Snapshot(); len(evs) != 4 || evs[2].Kind != trace.KindPhaseStart || evs[3].Kind != trace.KindPhaseEnd {
+		t.Errorf("trace of two h2c probes = %v, want two start/end pairs", evs)
 	}
 }
 
@@ -540,15 +546,29 @@ func TestProbeAppliesContextDeadlineToTransport(t *testing.T) {
 	want := time.Now().Add(time.Minute)
 	ctx, cancel := context.WithDeadline(context.Background(), want)
 	defer cancel()
+	applied := func() (n int) {
+		for _, d := range rec.recorded() {
+			if d.Equal(want) {
+				n++
+			}
+		}
+		return n
+	}
 	if _, err := prober.ProbeSettings(ctx); err != nil {
 		t.Fatalf("ProbeSettings: %v", err)
 	}
-	for _, d := range rec.recorded() {
-		if d.Equal(want) {
-			return
-		}
+	viaConnect := applied()
+	if viaConnect == 0 {
+		t.Fatalf("context deadline %v never applied to the transport (saw %v)", want, rec.recorded())
 	}
-	t.Fatalf("context deadline %v never applied to the transport (saw %v)", want, rec.recorded())
+	// The h2c probe dials for itself, past Prober.connect; an h2-only
+	// target refuses the upgrade, which is a result and not an error.
+	if _, err := prober.ProbeH2CUpgrade(ctx); err != nil {
+		t.Fatalf("ProbeH2CUpgrade: %v", err)
+	}
+	if applied() == viaConnect {
+		t.Fatalf("ProbeH2CUpgrade never applied the context deadline %v (saw %v)", want, rec.recorded())
+	}
 }
 
 func TestProbeCanceledContextFailsWithoutDialing(t *testing.T) {

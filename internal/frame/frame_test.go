@@ -3,7 +3,11 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -409,6 +413,62 @@ func TestDataRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWireConstantsMatchRFC7540 spells the wire vocabulary out a second
+// time, as literals from RFC 7540 sections 6, 6.5.2 and 7: every constant
+// frame.go declares with one of the four enum types must be a name listed
+// here with exactly this value, and every name here must be declared. A
+// wrong value misclassifies server reactions while every test that shares
+// the constant still passes, so nothing else in the suite can catch it.
+func TestWireConstantsMatchRFC7540(t *testing.T) {
+	want := map[string]uint64{
+		"TypeData": 0x0, "TypeHeaders": 0x1, "TypePriority": 0x2, "TypeRSTStream": 0x3,
+		"TypeSettings": 0x4, "TypePushPromise": 0x5, "TypePing": 0x6, "TypeGoAway": 0x7,
+		"TypeWindowUpdate": 0x8, "TypeContinuation": 0x9,
+		"FlagEndStream": 0x1, "FlagAck": 0x1, "FlagEndHeaders": 0x4, "FlagPadded": 0x8, "FlagPriority": 0x20,
+		"SettingHeaderTableSize": 0x1, "SettingEnablePush": 0x2, "SettingMaxConcurrentStreams": 0x3,
+		"SettingInitialWindowSize": 0x4, "SettingMaxFrameSize": 0x5, "SettingMaxHeaderListSize": 0x6,
+		"ErrCodeNo": 0x0, "ErrCodeProtocol": 0x1, "ErrCodeInternal": 0x2, "ErrCodeFlowControl": 0x3,
+		"ErrCodeSettingsTimeout": 0x4, "ErrCodeStreamClosed": 0x5, "ErrCodeFrameSize": 0x6,
+		"ErrCodeRefusedStream": 0x7, "ErrCodeCancel": 0x8, "ErrCodeCompression": 0x9, "ErrCodeConnect": 0xa,
+		"ErrCodeEnhanceYourCalm": 0xb, "ErrCodeInadequateSecurity": 0xc, "ErrCodeHTTP11Required": 0xd,
+	}
+	enums := map[string]bool{"Type": true, "Flags": true, "SettingID": true, "ErrCode": true}
+	file, err := parser.ParseFile(token.NewFileSet(), "frame.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || !enums[id.Name] || len(vs.Names) != 1 || len(vs.Values) != 1 {
+				continue
+			}
+			name := vs.Names[0].Name
+			lit, _ := vs.Values[0].(*ast.BasicLit)
+			if w, known := want[name]; !known {
+				t.Errorf("%s is not a name RFC 7540 defines", name)
+			} else if lit == nil {
+				t.Errorf("%s is not declared as a literal", name)
+			} else if got, err := strconv.ParseUint(lit.Value, 0, 64); err != nil || got != w {
+				t.Errorf("%s = %s, RFC 7540 defines %#x", name, lit.Value, w)
+			}
+			delete(want, name)
+		}
+	}
+	for name := range want {
+		t.Errorf("RFC 7540 constant %s is not declared", name)
+	}
+	if HeaderLen != 9 || DefaultMaxFrameSize != 16384 || MaxAllowedFrameSize != 16777215 ||
+		DefaultInitialWindowSize != 65535 || MaxWindowSize != 2147483647 || MaxStreamID != 2147483647 ||
+		DefaultHeaderTableSize != 4096 || ClientPreface != "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n" {
+		t.Error("a size, window or preface constant differs from RFC 7540 sections 3.5, 4.1, 4.2, 6.5.2, 6.9.1")
 	}
 }
 

@@ -1,6 +1,7 @@
 package h2conn_test
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"strings"
@@ -54,6 +55,28 @@ func dialFake(t *testing.T, opts h2conn.Options) (*h2conn.Conn, *fakeServer) {
 		t.Fatalf("preface = %q", buf)
 	}
 	return c, fs
+}
+
+// dialServer serves site from a real testbed server (H2O profile) over an
+// in-memory listener and returns a connection to it.
+func dialServer(t *testing.T, site *server.Site, opts h2conn.Options) *h2conn.Conn {
+	t.Helper()
+	srv := server.New(server.H2OProfile(), site)
+	l := netsim.NewListener(site.Domain)
+	go func() {
+		_ = srv.Serve(l)
+	}()
+	t.Cleanup(srv.Close)
+	nc, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := h2conn.Dial(nc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c
 }
 
 // expectFrame reads frames until one of the wanted type arrives. The frame
@@ -286,19 +309,22 @@ func TestWaitForConnClosed(t *testing.T) {
 	}
 }
 
+// TestGoAwayEventCarriesDebugData reads the GOAWAY event only after a later,
+// equally long frame has been read over the same framer buffer: the debug
+// data must be the event's own copy. (The retain analyzer does not track the
+// variable dispatch's type switch binds, so this test and the next two are
+// what pin the copies.)
 func TestGoAwayEventCarriesDebugData(t *testing.T) {
 	c, fs := dialFake(t, h2conn.Options{})
 	fs.expectFrame(frame.TypeSettings)
 	if err := fs.fr.WriteGoAway(7, frame.ErrCodeProtocol, []byte("zero increment")); err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.fr.WriteData(1, false, bytes.Repeat([]byte{'#'}, 8+len("zero increment"))); err != nil {
+		t.Fatal(err)
+	}
 	events, err := c.WaitFor(2*time.Second, func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeGoAway {
-				return true
-			}
-		}
-		return false
+		return len(evs) > 0 && evs[len(evs)-1].Type == frame.TypeData
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,6 +339,48 @@ func TestGoAwayEventCarriesDebugData(t *testing.T) {
 		}
 	}
 	t.Fatal("no GOAWAY event recorded")
+}
+
+// TestSettingsEventSurvivesLaterSettings: the framer parses every SETTINGS
+// frame into one scratch slice, so the first event must hold its own copy.
+func TestSettingsEventSurvivesLaterSettings(t *testing.T) {
+	c, fs := dialFake(t, h2conn.Options{})
+	fs.expectFrame(frame.TypeSettings)
+	first := frame.Setting{ID: frame.SettingMaxConcurrentStreams, Val: 100}
+	for _, s := range []frame.Setting{first, {ID: frame.SettingInitialWindowSize, Val: 1}} {
+		if err := fs.fr.WriteSettings(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, err := c.WaitFor(2*time.Second, func(evs []h2conn.Event) bool { return len(evs) == 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := events[0].Settings; len(got) != 1 || got[0] != first {
+		t.Errorf("first SETTINGS event reads %v after the second arrived, want [%v]", got, first)
+	}
+}
+
+// TestFetchBodyAcrossRecycledReads fetches a 96 KiB object whose DATA frames
+// all differ (period-26 filler against a 16 KiB frame size) and compares it
+// byte for byte: FetchBody assembles the body after the last frame has been
+// read, so an Event.Data aliasing the framer's buffer would repeat the last
+// frame's bytes.
+func TestFetchBodyAcrossRecycledReads(t *testing.T) {
+	site := server.DefaultSite("alias.example")
+	c := dialServer(t, site, h2conn.DefaultOptions())
+	resp, err := c.FetchBody(h2conn.Request{Authority: "alias.example", Path: "/large/1"}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := site.Lookup("/large/1")
+	if len(resp.DataFrameSizes) < 3 {
+		t.Fatalf("body arrived in %d DATA frame(s), want >= 3", len(resp.DataFrameSizes))
+	}
+	if !bytes.Equal(resp.Body, want.Body) {
+		t.Errorf("fetched body (%d bytes in frames %v) differs from the served object (%d bytes)",
+			len(resp.Body), resp.DataFrameSizes, len(want.Body))
+	}
 }
 
 func TestAutoWindowUpdateRefillsAfterData(t *testing.T) {
@@ -510,23 +578,9 @@ func TestLongLivedConnectionSurvivesManyRequests(t *testing.T) {
 	// overflow the server's connection window after ~2,000 requests and
 	// draw GOAWAY(FLOW_CONTROL_ERROR). Replenish-consumed semantics must
 	// keep one connection serviceable indefinitely.
-	srv := server.New(server.H2OProfile(), server.DefaultSite("long.example"))
-	l := netsim.NewListener("long-lived")
-	go func() {
-		_ = srv.Serve(l)
-	}()
-	t.Cleanup(srv.Close)
-	nc, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := h2conn.DefaultOptions()
 	opts.EventLogLimit = 512
-	c, err := h2conn.Dial(nc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
+	c := dialServer(t, server.DefaultSite("long.example"), opts)
 	n := 3000
 	if testing.Short() {
 		n = 300

@@ -1,11 +1,10 @@
 package lint
 
-// This file is the package's dataflow layer: the shared machinery the
-// retain, hotalloc, and goroleak analyzers are built on. The syntax/type
-// passes (uncheckederr, rfcconst, ...) only need to look at one expression
-// at a time; these three need to know how values *move* — which locals alias
-// a recycled payload, which functions a hot entry point can reach, which
-// statements sit on a cold early-exit path. Everything here is
+// This file is the package's dataflow layer: the shared machinery the retain
+// and hotalloc analyzers are built on. uncheckederr only needs to look at one
+// expression at a time; these two need to know how values *move* — which
+// locals alias a recycled payload, which functions a hot entry point can
+// reach, which statements sit on a cold early-exit path. Everything here is
 // intra-procedural plus a conservative same-package call graph: no SSA, no
 // x/tools, just ordered walks over the type-checked AST the loader already
 // produces.

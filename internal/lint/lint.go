@@ -3,9 +3,10 @@
 // go/types — no golang.org/x/tools dependency.
 //
 // The scanner's value rests on protocol-level correctness: a probe that
-// leaks a connection, drops a Framer error, or ships a frame constant that
-// disagrees with RFC 7540 silently corrupts a measurement study. The
-// analyzers in this package mechanically enforce those invariants; the
+// leaks a connection, drops a Framer error, keeps a recycled frame payload,
+// or allocates on the gated hot path silently corrupts or slows a
+// measurement study, and no test in the tree fails when it happens. The
+// analyzers in this package enforce exactly those four code shapes; the
 // cmd/h2lint driver runs them over the module and CI fails on any finding.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis at a
@@ -120,18 +121,16 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	return diags
 }
 
-// All returns the full battery of H2Scope analyzers in a stable order.
+// All returns the full battery of H2Scope analyzers in a stable order. Each
+// is here because a defect seeded into the real packages was reported by it
+// and by nothing else (DESIGN.md §8.5 has the seeds, including the ones each
+// analyzer is known to miss).
 func All() []*Analyzer {
 	return []*Analyzer{
 		UncheckedErrAnalyzer,
-		RFCConstAnalyzer,
 		ConnCloseAnalyzer,
-		DeadlineAnalyzer,
-		TracePhaseAnalyzer,
-		BufflushAnalyzer,
 		RetainAnalyzer,
 		HotAllocAnalyzer,
-		GoroLeakAnalyzer,
 	}
 }
 

@@ -22,6 +22,7 @@ func bad(nc net.Conn, fr *frame.Framer, hc *h2conn.Conn) {
 	nc.SetReadDeadline(time.Time{}) // want `\(net\.Conn\)\.SetReadDeadline: error return is silently discarded`
 	fr.WriteSettings()              // want `\(\*frame\.Framer\)\.WriteSettings: error return is silently discarded`
 	fr.ReadFrame()                  // want `\(\*frame\.Framer\)\.ReadFrame: error return is silently discarded`
+	fr.Flush()                      // want `\(\*frame\.Framer\)\.Flush: error return is silently discarded`
 	hc.WriteGoAway()                // want `\(\*h2conn\.Conn\)\.WriteGoAway: error return is silently discarded`
 	go fr.WritePing(false)          // want `go \(\*frame\.Framer\)\.WritePing: error return is silently discarded`
 	defer hc.WriteGoAway()          // want `defer \(\*h2conn\.Conn\)\.WriteGoAway: error return is silently discarded`

@@ -11,6 +11,9 @@ func (f *Framer) WriteSettings() error { return nil }
 // WritePing mimics a frame write.
 func (f *Framer) WritePing(ack bool) error { return nil }
 
+// Flush mimics pushing coalesced writes to the socket.
+func (f *Framer) Flush() error { return nil }
+
 // ReadFrame mimics a frame read.
 func (f *Framer) ReadFrame() (any, error) { return nil, nil }
 

@@ -160,11 +160,6 @@ func isDeadlineSetter(f *types.Func) bool {
 		types.Identical(sig.Results().At(0).Type(), types.Universe.Lookup("error").Type())
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	return namedTypeIs(t, "context", "Context")
-}
-
 // isErrorType reports whether t is the built-in error type.
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())

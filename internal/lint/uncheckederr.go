@@ -7,8 +7,8 @@ import (
 )
 
 // UncheckedErrAnalyzer flags silently discarded error returns from the I/O
-// surfaces a probe's verdict depends on: frame.Framer read/write methods,
-// h2conn.Conn frame senders, net.Conn deadline setters, and
+// surfaces a probe's verdict depends on: frame.Framer read, write and flush
+// methods, h2conn.Conn frame senders, net.Conn deadline setters, and
 // http.ResponseWriter bodies (the metrics exposition endpoint). A dropped
 // Framer error turns "the server rejected our provocation" into "the server
 // ignored it" — a corrupted measurement, not a crash — and a dropped
@@ -28,7 +28,7 @@ import (
 // where an error is genuinely uninteresting (best-effort ACKs, teardown).
 var UncheckedErrAnalyzer = &Analyzer{
 	Name: "uncheckederr",
-	Doc:  "flags ignored error returns from Framer read/write, h2conn.Conn senders, deadline setters, store/metrics writers, and discarded trace subscriptions",
+	Doc:  "flags ignored error returns from Framer read/write/flush, h2conn.Conn senders, deadline setters, store/metrics writers, and discarded trace subscriptions",
 	Run:  runUncheckedErr,
 }
 
@@ -85,7 +85,9 @@ func errCriticalCall(info *types.Info, call *ast.CallExpr, f *types.Func) string
 	}
 	switch {
 	case namedTypeIs(recv, "internal/frame", "Framer"):
-		if strings.HasPrefix(f.Name(), "Write") || f.Name() == "ReadFrame" {
+		// Flush included: on a coalescing framer the Write* calls only
+		// append, and Flush is where the socket error surfaces.
+		if strings.HasPrefix(f.Name(), "Write") || f.Name() == "ReadFrame" || f.Name() == "Flush" {
 			return "(*frame.Framer)." + f.Name()
 		}
 	case isH2Conn(recv):

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-
-	"h2scope/internal/stats"
 )
 
 // DefaultBuckets is the histogram resolution used when NewHistogram is
@@ -112,8 +110,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a point-in-time copy of a Histogram, mergeable and
-// serializable (the census trailer embeds these).
+// HistogramSnapshot is a point-in-time, serializable copy of a Histogram
+// (the census trailer embeds these).
 type HistogramSnapshot struct {
 	// Unit is the bucketing divisor (bucket i spans [2^(i-1), 2^i) units).
 	Unit int64 `json:"unit"`
@@ -140,7 +138,7 @@ func (s *HistogramSnapshot) Mean() int64 {
 // rank falls in, in raw value units. This reproduces internal/scan's
 // original bucketQuantile exactly: bucket 0 answers half a unit, bucket i
 // answers sqrt(2^(i-1) * 2^i) units. Callers wanting quantiles that never
-// contradict Min/Max clamp the result into that range, as scan does.
+// contradict Min/Max use QuantileClamped.
 func (s *HistogramSnapshot) Quantile(q float64) int64 {
 	var total int64
 	for _, n := range s.Buckets {
@@ -178,71 +176,9 @@ func (s *HistogramSnapshot) Quantile(q float64) int64 {
 	return last
 }
 
-// Merge folds o into s (bucket layouts must agree; extra trailing buckets
-// in o are folded into s's last bucket). Mergeable snapshots are what let
-// per-run scan stats and process-cumulative exposition coexist.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	if o.Count == 0 {
-		return
-	}
-	if s.Count == 0 {
-		s.Min, s.Max = o.Min, o.Max
-	} else {
-		if o.Min < s.Min {
-			s.Min = o.Min
-		}
-		if o.Max > s.Max {
-			s.Max = o.Max
-		}
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i, n := range o.Buckets {
-		if i < len(s.Buckets) {
-			s.Buckets[i] += n
-		} else if len(s.Buckets) > 0 {
-			s.Buckets[len(s.Buckets)-1] += n
-		}
-	}
-}
-
-// CDF renders the histogram as an empirical CDF over bucket midpoints,
-// weighted by bucket counts (capped at maxSamples points, proportionally
-// thinned), for the internal/stats plotting and table machinery. It is a
-// rendering aid — quantile math goes through Quantile, which preserves the
-// original scan semantics exactly.
-func (s *HistogramSnapshot) CDF(maxSamples int) *stats.CDF {
-	if maxSamples <= 0 {
-		maxSamples = 1024
-	}
-	var total int64
-	for _, n := range s.Buckets {
-		total += n
-	}
-	if total == 0 {
-		return stats.NewCDF(nil)
-	}
-	unit := float64(s.Unit)
-	if unit <= 0 {
-		unit = 1
-	}
-	samples := make([]float64, 0, maxSamples)
-	for i, n := range s.Buckets {
-		if n == 0 {
-			continue
-		}
-		mid := unit / 2
-		if i > 0 {
-			mid = math.Sqrt(math.Pow(2, float64(i-1))*math.Pow(2, float64(i))) * unit
-		}
-		// Proportional thinning keeps relative bucket weights intact.
-		k := int((int64(maxSamples)*n + total - 1) / total)
-		if k < 1 {
-			k = 1
-		}
-		for j := 0; j < k; j++ {
-			samples = append(samples, mid)
-		}
-	}
-	return stats.NewCDF(samples)
+// QuantileClamped is Quantile clamped into the exact observed [Min, Max]:
+// a bucket midpoint can land outside that range, and a summary whose p50
+// sits below its min contradicts itself.
+func (s *HistogramSnapshot) QuantileClamped(q float64) int64 {
+	return min(max(s.Quantile(q), s.Min), s.Max)
 }

@@ -16,9 +16,9 @@
 //  1. The hot path (Counter.Inc, Histogram.Observe) is a handful of atomic
 //     operations and never allocates — instrumenting the per-frame path
 //     must not perturb the throughput it measures.
-//  2. Snapshots are mergeable values, so per-run and process-cumulative
-//     views coexist (the scan engine keeps exact per-run stats while
-//     mirroring into a process-wide registry for the debug endpoint).
+//  2. Snapshots are plain values, so per-run and process-cumulative views
+//     coexist (the scan engine keeps exact per-run stats while mirroring
+//     into a process-wide registry for the debug endpoint).
 //  3. No dependencies beyond the standard library and internal/stats.
 package metrics
 
@@ -28,7 +28,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing int64. The zero value is unusable;
@@ -237,16 +236,6 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 }
 
 // --- runtime sampling ---
-
-// Quantile is a convenience for duration-valued histogram snapshots: it
-// returns the q-quantile as a time.Duration (histograms storing byte sizes
-// should use HistogramSnapshot.Quantile directly).
-func Quantile(s *HistogramSnapshot, q float64) time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.Quantile(q))
-}
 
 // clampFloat converts a float64 reading (e.g. a ratio scaled by 1000) into
 // an int64 gauge value without overflow surprises.

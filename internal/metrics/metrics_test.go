@@ -223,61 +223,28 @@ func TestQuantileMatchesOldBucketQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(1, 8)
-	b := NewHistogram(1, 8)
-	for _, v := range []int64{1, 2, 3} {
-		a.Observe(v)
-	}
-	for _, v := range []int64{10, 200} {
-		b.Observe(v)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 5 || sa.Sum != 216 || sa.Min != 1 || sa.Max != 200 {
-		t.Fatalf("merged = count %d sum %d min %d max %d, want 5/216/1/200", sa.Count, sa.Sum, sa.Min, sa.Max)
-	}
-	// Merging into an empty snapshot adopts the other's extremes.
-	empty := NewHistogram(1, 8).Snapshot()
-	empty.Merge(sb)
-	if empty.Min != 10 || empty.Max != 200 {
-		t.Fatalf("merge into empty: min %d max %d, want 10/200", empty.Min, empty.Max)
-	}
-	// Extra trailing buckets fold into the last.
-	wide := NewHistogram(1, 16)
-	wide.Observe(1 << 14)
-	narrow := NewHistogram(1, 4).Snapshot()
-	narrow.Merge(wide.Snapshot())
-	if narrow.Buckets[3] != 1 {
-		t.Fatalf("overflow bucket fold: %v", narrow.Buckets)
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram(int64(time.Millisecond), DefaultBuckets)
-	for i := 0; i < 100; i++ {
-		h.Observe(int64(time.Duration(i) * time.Millisecond))
-	}
-	s := h.Snapshot()
-	cdf := s.CDF(64)
-	if cdf.Mean() <= 0 {
-		t.Fatalf("CDF mean = %v, want > 0", cdf.Mean())
-	}
-	es := NewHistogram(1, 4).Snapshot()
-	if empty := es.CDF(0); empty.Mean() != 0 {
-		t.Fatal("empty CDF should be zero-valued")
-	}
-}
-
-func TestQuantileConvenience(t *testing.T) {
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("Quantile(nil) should be 0")
-	}
+// TestQuantileClamped: a lone observation sits in a bucket whose geometric
+// midpoint differs from it; the clamped quantile answers the observation.
+func TestQuantileClamped(t *testing.T) {
 	h := NewHistogram(int64(time.Millisecond), DefaultBuckets)
 	h.Observe(int64(5 * time.Millisecond))
 	s := h.Snapshot()
-	if d := Quantile(&s, 0.5); d <= 0 {
-		t.Fatalf("Quantile = %v, want > 0", d)
+	if raw := s.Quantile(0.5); raw == s.Min {
+		t.Fatalf("fixture is useless: raw quantile %d already equals the observation", raw)
+	}
+	if got := s.QuantileClamped(0.5); got != int64(5*time.Millisecond) {
+		t.Errorf("QuantileClamped(0.5) = %d, want the only observation %d", got, int64(5*time.Millisecond))
+	}
+	h.Observe(int64(6 * time.Millisecond))
+	s = h.Snapshot()
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := s.QuantileClamped(q); got < s.Min || got > s.Max {
+			t.Errorf("QuantileClamped(%v) = %d outside [%d, %d]", q, got, s.Min, s.Max)
+		}
+	}
+	var empty HistogramSnapshot
+	if got := empty.QuantileClamped(0.5); got != 0 {
+		t.Errorf("empty QuantileClamped = %d, want 0", got)
 	}
 }
 

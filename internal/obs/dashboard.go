@@ -130,19 +130,6 @@ func labelValue(name, base, key string) (string, bool) {
 	return "", false
 }
 
-// clampQuantile answers a histogram quantile clamped into the exact
-// observed range, as the scan engine's Stats rendering does.
-func clampQuantile(h *metrics.HistogramSnapshot, q float64) int64 {
-	v := h.Quantile(q)
-	if v < h.Min {
-		v = h.Min
-	}
-	if v > h.Max {
-		v = h.Max
-	}
-	return v
-}
-
 // state carves the current DashState out of the registries.
 func (d *Dashboard) state() *DashState {
 	now := time.Now()
@@ -190,8 +177,8 @@ func (d *Dashboard) state() *DashState {
 			}
 			st.Egress.Passes += m.Histogram.Count
 			if m.Histogram.Count > 0 {
-				st.Egress.ReadyP50 = clampQuantile(m.Histogram, 0.50)
-				st.Egress.ReadyP99 = clampQuantile(m.Histogram, 0.99)
+				st.Egress.ReadyP50 = m.Histogram.QuantileClamped(0.50)
+				st.Egress.ReadyP99 = m.Histogram.QuantileClamped(0.99)
 			}
 		default:
 			if v, ok := labelValue(m.Name, "h2_scan_outcomes_total", "outcome"); ok {
@@ -209,8 +196,8 @@ func (d *Dashboard) state() *DashState {
 			} else if v, ok := labelValue(m.Name, PhaseMetricName, "phase"); ok && m.Histogram != nil {
 				ps := PhaseStat{Phase: v, Count: m.Histogram.Count}
 				if ps.Count > 0 {
-					ps.P50Ns = clampQuantile(m.Histogram, 0.50)
-					ps.P99Ns = clampQuantile(m.Histogram, 0.99)
+					ps.P50Ns = m.Histogram.QuantileClamped(0.50)
+					ps.P99Ns = m.Histogram.QuantileClamped(0.99)
 				}
 				st.Phases = append(st.Phases, ps)
 			}

@@ -307,16 +307,7 @@ func (m *Monitor) PhaseQuantiles(phase string) (p50, p99 time.Duration, count in
 	if s == nil || s.Count == 0 {
 		return 0, 0, 0
 	}
-	clamp := func(v int64) time.Duration {
-		if v < s.Min {
-			v = s.Min
-		}
-		if v > s.Max {
-			v = s.Max
-		}
-		return time.Duration(v)
-	}
-	return clamp(s.Quantile(0.50)), clamp(s.Quantile(0.99)), s.Count
+	return time.Duration(s.QuantileClamped(0.50)), time.Duration(s.QuantileClamped(0.99)), s.Count
 }
 
 // Exemplars returns the retained slow-sample references, slowest first.

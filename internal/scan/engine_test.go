@@ -18,10 +18,10 @@ import (
 // engine requested from the fake clock.
 var noJitter = Backoff{Base: 100 * time.Millisecond, Factor: 2, Max: 5 * time.Second, Jitter: -1}
 
-// TestRunLeavesNoGoroutines pins the goroleak sweep's verdict on the scan
-// engine empirically: after a canceled run over stalling probes — the worst
-// case for the worker pool, the progress reporter, and the per-attempt
-// watchdog goroutines — the goroutine count must return to its baseline.
+// TestRunLeavesNoGoroutines is the scan engine's goroutine-leak guard: after
+// a canceled run over stalling probes — the worst case for the worker pool,
+// the progress reporter, and the per-attempt watchdog goroutines — the
+// goroutine count must return to its baseline.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 

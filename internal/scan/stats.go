@@ -206,32 +206,21 @@ func (c *counters) Snapshot() Stats {
 }
 
 // latencyStatsOf condenses a histogram snapshot into the persisted summary.
-// Bucket midpoints can land outside the observed range; every quantile is
-// clamped into [Min, Max] so the summary never contradicts itself.
+// Quantiles are clamped into [Min, Max] so the summary never contradicts
+// itself.
 func latencyStatsOf(h metrics.HistogramSnapshot) LatencyStats {
 	if h.Count == 0 {
 		return LatencyStats{}
 	}
-	ls := LatencyStats{
+	return LatencyStats{
 		Count: h.Count,
 		Min:   time.Duration(h.Min),
 		Mean:  time.Duration(h.Mean()),
+		P50:   time.Duration(h.QuantileClamped(0.50)),
+		P90:   time.Duration(h.QuantileClamped(0.90)),
+		P99:   time.Duration(h.QuantileClamped(0.99)),
 		Max:   time.Duration(h.Max),
 	}
-	for _, q := range []struct {
-		dst *time.Duration
-		q   float64
-	}{{&ls.P50, 0.50}, {&ls.P90, 0.90}, {&ls.P99, 0.99}} {
-		v := time.Duration(h.Quantile(q.q))
-		if v < ls.Min {
-			v = ls.Min
-		}
-		if v > ls.Max {
-			v = ls.Max
-		}
-		*q.dst = v
-	}
-	return ls
 }
 
 // Consistent reports whether the outcome partition adds up; it holds

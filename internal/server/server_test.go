@@ -613,6 +613,21 @@ func TestPingAck(t *testing.T) {
 	}
 }
 
+// TestStreamErrorResetReachesTheWire: a frame-level stream error (a 4-octet
+// PRIORITY payload, RFC 7540 section 6.3) is answered with RST_STREAM at
+// once. The serve loop's next act is a blocking read, so a reset left in the
+// write buffer would wait for whatever the client happens to send next.
+func TestStreamErrorResetReachesTheWire(t *testing.T) {
+	c := start(t, server.NginxProfile())(h2conn.DefaultOptions())
+	if _, err := c.WaitSettings(testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteRawFrame(frame.TypePriority, 0, 5, []byte{0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	checkReaction(t, c, frame.TypeRSTStream, 5)
+}
+
 func TestHPACKRatioDiffersByPolicy(t *testing.T) {
 	// Section III-E / Figs. 4-5: repeated identical requests yield
 	// shrinking response header blocks on indexing servers and constant
