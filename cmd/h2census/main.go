@@ -16,10 +16,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"h2scope"
@@ -31,7 +35,9 @@ func main() {
 		os.Exit(2)
 	}
 	if err == nil {
-		err = run(opts, os.Stdout, os.Stderr)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err = run(ctx, opts, os.Stdout, os.Stderr)
+		stop()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "h2census:", err)
@@ -152,10 +158,15 @@ func (o *options) validate() error {
 	return nil
 }
 
+// errInterrupted ends a census whose context was cancelled (SIGINT/SIGTERM).
+var errInterrupted = errors.New("interrupted")
+
 // run drives the census. stdout carries the deliverable: human-readable
 // tables normally, or the machine-clean JSONL record stream under -out -
 // (all tables and notices shift to stderr so piped output stays parseable).
-func run(o *options, stdout, stderr io.Writer) (err error) {
+// Cancelling ctx ends the scan in flight, which still reports and persists
+// what it measured, then returns errInterrupted past the deferred closes.
+func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) {
 	human := stdout
 	if o.machineStdout() {
 		human = stderr
@@ -248,9 +259,12 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 		fmt.Fprint(human, census.Render(int(1000*o.scale)))
 
 		if o.sample > 0 {
-			if err := runScan(o, stdout, human, stderr, epoch, census, reg, monitor); err != nil {
+			if err := runScan(ctx, o, stdout, human, stderr, epoch, census, reg, monitor); err != nil {
 				return err
 			}
+		}
+		if ctx.Err() != nil {
+			return errInterrupted
 		}
 	}
 	return nil
@@ -312,7 +326,7 @@ func analyze(w io.Writer, records []h2scope.ScanRecord) {
 // and reports its stats, optionally persisting records plus a stats trailer.
 // Human-readable tables and notices go to human; with -out - the record
 // stream goes to stdout (and human is stderr, keeping stdout machine-clean).
-func runScan(o *options, stdout, human, stderr io.Writer, epoch h2scope.Epoch, census *h2scope.Census, reg *h2scope.MetricsRegistry, monitor *h2scope.ObsMonitor) (err error) {
+func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, epoch h2scope.Epoch, census *h2scope.Census, reg *h2scope.MetricsRegistry, monitor *h2scope.ObsMonitor) (err error) {
 	fmt.Fprintf(human, "-- Measured scan (%d sites, %d workers, %d retries, timeout %v) --\n",
 		o.sample, o.parallel, o.retries, o.timeout)
 	scanOpts := h2scope.ScanOptions{
@@ -326,6 +340,7 @@ func runScan(o *options, stdout, human, stderr io.Writer, epoch h2scope.Epoch, c
 		Robustness:  o.robustness,
 		Fingerprint: o.fingerprint,
 		Observer:    monitor,
+		Context:     ctx,
 	}
 	if o.progress > 0 {
 		scanOpts.Progress = stderr

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -99,7 +100,7 @@ func TestRunAnalyzeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder
-	if err := run(opts, &out, &errOut); err != nil {
+	if err := run(context.Background(), opts, &out, &errOut); err != nil {
 		t.Fatalf("run(-analyze): %v", err)
 	}
 	got := out.String()
@@ -138,7 +139,7 @@ func TestAnalyzeReprintsMeasuredCensus(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stdout, stderr strings.Builder
-		if err := run(opts, &stdout, &stderr); err != nil {
+		if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 			t.Fatalf("run(%v): %v", args, err)
 		}
 		return stdout.String()
@@ -193,7 +194,7 @@ func TestMachineCleanStdout(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr strings.Builder
-	if err := run(opts, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run(-out -): %v", err)
 	}
 
@@ -278,7 +279,7 @@ func TestDebugEndpointsLiveDuringScan(t *testing.T) {
 	}
 
 	var stdout, stderr strings.Builder
-	if err := run(opts, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if fetchErr != nil {
@@ -360,7 +361,7 @@ func TestDashboardLiveDuringScan(t *testing.T) {
 	}
 
 	var stdout, stderr strings.Builder
-	if err := run(opts, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if fetchErr != nil {
@@ -411,7 +412,7 @@ func TestMachineCleanStdoutWithObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr strings.Builder
-	if err := run(opts, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
@@ -449,7 +450,7 @@ func TestStatsTrailerEmbedsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr strings.Builder
-	if err := run(opts, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	records, err := h2scope.ReadScanRecords(strings.NewReader(stdout.String()))
@@ -487,7 +488,7 @@ func TestRunRobustnessScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr strings.Builder
-	if err := run(opts, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run(-robustness): %v", err)
 	}
 	if !strings.Contains(stdout.String(), "robustness: 2 sites scored") {
@@ -529,10 +530,79 @@ func TestRunRobustnessScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var analysis strings.Builder
-	if err := run(opts, &analysis, io.Discard); err != nil {
+	if err := run(context.Background(), opts, &analysis, io.Discard); err != nil {
 		t.Fatalf("run(-analyze): %v", err)
 	}
 	if !strings.Contains(analysis.String(), "robustness: 2 sites scored") {
 		t.Errorf("offline analysis missing robustness line:\n%s", analysis.String())
+	}
+}
+
+// TestInterruptedCensusKeepsWhatItMeasured cancels the census the way
+// SIGINT does, from inside the scan after the third site: the run still
+// prints the measured block, writes every record it has plus a stats trailer
+// that counts the canceled sites, closes the flight recorder, and reports the
+// interruption as an error. -analyze of the partial file reprints the block.
+func TestInterruptedCensusKeepsWhatItMeasured(t *testing.T) {
+	dir := t.TempDir()
+	path, frDir := filepath.Join(dir, "records.jsonl"), filepath.Join(dir, "fr")
+	opts, err := parseFlags([]string{"-scale", "0.01", "-seed", "7", "-sample", "40", "-parallel", "2",
+		"-flightrec", frDir, "-out", path}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := 0
+	opts.onScanRecord = func() {
+		if seen++; seen == 3 {
+			cancel()
+		}
+	}
+	var stdout, stderr strings.Builder
+	err = run(ctx, opts, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("run = %v, want an error saying interrupted", err)
+	}
+	// Both epochs were asked for; the interrupt ends the run after the first.
+	live := measuredBlock(t, stdout.String())
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("interrupted run left no records file: %v", err)
+	}
+	records, err := h2scope.ReadScanRecords(f)
+	_ = f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sites, trailers int
+	for i := range records {
+		if !records[i].IsStatsTrailer() {
+			sites++
+			continue
+		}
+		trailers++
+		if st := records[i].Stats; st.Canceled == 0 || st.Succeeded < 3 || st.Attempted != 40 {
+			t.Errorf("stats trailer = %+v, want all 40 done, at least 3 ok and some canceled", st)
+		}
+	}
+	if sites != 40 || trailers != 1 {
+		t.Errorf("file holds %d site records and %d trailers, want 40 and 1", sites, trailers)
+	}
+	if _, err := os.Stat(filepath.Join(frDir, "manifest.json")); err != nil {
+		t.Errorf("flight recorder not closed: %v", err)
+	}
+
+	aopts, err := parseFlags([]string{"-analyze", path}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offline strings.Builder
+	if err := run(context.Background(), aopts, &offline, io.Discard); err != nil {
+		t.Fatalf("run(-analyze): %v", err)
+	}
+	if got := measuredBlock(t, offline.String()); got != live {
+		t.Errorf("-analyze of the partial file printed a different measured census.\nlive:\n%s\noffline:\n%s", live, got)
 	}
 }

@@ -209,12 +209,15 @@ type Runner struct {
 	// ProbeTimeout bounds each health probe (default 2s); a post-attack
 	// probe that cannot complete within it marks the server hung.
 	ProbeTimeout time.Duration
-	// DegradedFactor and DegradedFloor set the degradation bar: the
-	// post-attack probe may take up to max(Factor×baseline, Floor) before
-	// the verdict drops to degraded. Defaults 5× and 250ms.
-	DegradedFactor float64
-	DegradedFloor  time.Duration
 }
+
+// The degradation bar: the post-attack probe may take up to
+// max(degradedFactor × baseline, degradedFloor) before the verdict drops to
+// degraded.
+const (
+	degradedFactor = 5
+	degradedFloor  = 250 * time.Millisecond
+)
 
 func (r *Runner) probeTimeout() time.Duration {
 	if r.ProbeTimeout > 0 {
@@ -361,10 +364,7 @@ func (r *Runner) verdict(authority string, base time.Duration, killed int) (Verd
 			return VerdictHung, 0, retryErr.Error()
 		}
 	}
-	bar := time.Duration(r.degradedFactor() * float64(base))
-	if floor := r.degradedFloor(); bar < floor {
-		bar = floor
-	}
+	bar := max(degradedFactor*base, degradedFloor)
 	if lat > bar {
 		return VerdictDegraded, lat, fmt.Sprintf("probe %v over bar %v", lat, bar)
 	}
@@ -372,20 +372,6 @@ func (r *Runner) verdict(authority string, base time.Duration, killed int) (Verd
 		return VerdictKilledAttacker, lat, ""
 	}
 	return VerdictSurvived, lat, ""
-}
-
-func (r *Runner) degradedFactor() float64 {
-	if r.DegradedFactor > 0 {
-		return r.DegradedFactor
-	}
-	return 5
-}
-
-func (r *Runner) degradedFloor() time.Duration {
-	if r.DegradedFloor > 0 {
-		return r.DegradedFloor
-	}
-	return 250 * time.Millisecond
 }
 
 // RunAll executes the whole catalog with shared params, in catalog order.

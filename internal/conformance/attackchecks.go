@@ -70,7 +70,7 @@ func checkRapidResetGoAwayOrSurvive(env *Env) (Verdict, string) {
 	if _, err := c.WaitSettings(env.Timeout); err != nil {
 		return Skip, err.Error()
 	}
-	req := h2conn.Request{Authority: env.Authority, Path: env.SmallPath}
+	req := h2conn.Request{Authority: env.Authority, Path: smallPath}
 	for i := 0; i < 100; i++ {
 		id, err := c.OpenStream(req)
 		if err != nil {
@@ -171,7 +171,7 @@ func checkSlowDripIsolation(env *Env) (Verdict, string) {
 	if _, err := c.WaitSettings(env.Timeout); err != nil {
 		return Skip, err.Error()
 	}
-	id, err := c.OpenStreamBody(h2conn.Request{Method: "POST", Authority: env.Authority, Path: env.SmallPath})
+	id, err := c.OpenStreamBody(h2conn.Request{Method: "POST", Authority: env.Authority, Path: smallPath})
 	if err != nil {
 		return Skip, err.Error()
 	}
@@ -201,7 +201,7 @@ func checkZeroWindowResponsive(env *Env) (Verdict, string) {
 	}
 	// The response to this can never be delivered: the stream window is zero
 	// and we never open it.
-	if _, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: env.LargePath}); err != nil {
+	if _, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: largePath}); err != nil {
 		return Skip, err.Error()
 	}
 	if _, err := c.Ping([8]byte{'z', 'w', 'p', 'r', 'o', 'b', 'e', '!'}, env.Timeout); err != nil {

@@ -75,18 +75,23 @@ type Check struct {
 	Run func(env *Env) (Verdict, string)
 }
 
+// smallPath and largePath are resources every target is assumed to serve
+// (server.DefaultSite does); reactionWindow bounds ignore-detection: a
+// reaction that has not come by then counts as ignored.
+const (
+	smallPath      = "/about.html"
+	largePath      = "/large/1"
+	reactionWindow = 150 * time.Millisecond
+)
+
 // Env gives checks connection-level access to the target.
 type Env struct {
 	// Dialer opens transport connections.
 	Dialer core.Dialer
 	// Authority is the :authority for requests.
 	Authority string
-	// SmallPath and LargePath are resources known to exist on the target.
-	SmallPath string
-	LargePath string
-	// Timeout bounds waits; ReactionWindow bounds ignore-detection.
-	Timeout        time.Duration
-	ReactionWindow time.Duration
+	// Timeout bounds waits.
+	Timeout time.Duration
 	// TLSDialer opens raw transport connections to the target's TLS
 	// port, for checks that speak the record layer themselves; nil when
 	// the target has no TLS endpoint (those checks then Skip).
@@ -116,14 +121,14 @@ func (e *Env) connect(opts h2conn.Options) (*h2conn.Conn, error) {
 // fetchOK fetches SmallPath and reports whether a 200 arrived — the
 // liveness primitive most checks end with.
 func (e *Env) fetchOK(c *h2conn.Conn) bool {
-	resp, err := c.FetchBody(h2conn.Request{Authority: e.Authority, Path: e.SmallPath}, e.Timeout)
+	resp, err := c.FetchBody(h2conn.Request{Authority: e.Authority, Path: smallPath}, e.Timeout)
 	return err == nil && resp.Status() == "200"
 }
 
 // waitGoAway reports whether a GOAWAY (optionally with a required error
 // code) arrives within the reaction window.
 func (e *Env) waitGoAway(c *h2conn.Conn, code frame.ErrCode, any bool) (bool, frame.ErrCode) {
-	events, _ := c.WaitFor(e.ReactionWindow, func(evs []h2conn.Event) bool {
+	events, _ := c.WaitFor(reactionWindow, func(evs []h2conn.Event) bool {
 		for _, ev := range evs {
 			if ev.Type == frame.TypeGoAway {
 				return true
@@ -319,15 +324,6 @@ func RunSuite(env *Env) []Result {
 	if env.Timeout == 0 {
 		env.Timeout = 5 * time.Second
 	}
-	if env.ReactionWindow == 0 {
-		env.ReactionWindow = 150 * time.Millisecond
-	}
-	if env.SmallPath == "" {
-		env.SmallPath = "/about.html"
-	}
-	if env.LargePath == "" {
-		env.LargePath = "/large/1"
-	}
 	checks := Suite()
 	out := make([]Result, 0, len(checks))
 	for _, ch := range checks {
@@ -467,7 +463,7 @@ func checkPingAckPayload(env *Env) (Verdict, string) {
 	}
 	defer closeConn(c)
 	payload := [8]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}
-	rtt, err := c.Ping(payload, env.ReactionWindow)
+	rtt, err := c.Ping(payload, reactionWindow)
 	if err != nil {
 		return Fail, "no matching PING ACK"
 	}
@@ -479,7 +475,7 @@ func checkPingAckPayload(env *Env) (Verdict, string) {
 
 func checkWindowOverflowConn(env *Env) (Verdict, string) {
 	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeFlowControl, "window overflow accepted", func(c *h2conn.Conn) error {
-		if _, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: env.SmallPath}); err != nil {
+		if _, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: smallPath}); err != nil {
 			return err
 		}
 		if err := c.WriteWindowUpdate(0, frame.MaxWindowSize); err != nil {
@@ -500,11 +496,11 @@ func checkDataRespectsWindow(env *Env) (Verdict, string) {
 		return Skip, err.Error()
 	}
 	defer closeConn(c)
-	id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: env.LargePath})
+	id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: largePath})
 	if err != nil {
 		return Skip, err.Error()
 	}
-	events, _ := c.WaitFor(env.ReactionWindow, func(evs []h2conn.Event) bool {
+	events, _ := c.WaitFor(reactionWindow, func(evs []h2conn.Event) bool {
 		total := 0
 		for _, e := range evs {
 			if e.Type == frame.TypeData && e.StreamID == id {
@@ -537,7 +533,7 @@ func checkInterleavedContinuation(env *Env) (Verdict, string) {
 
 func checkEvenStreamID(env *Env) (Verdict, string) {
 	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "even client stream ID accepted", func(c *h2conn.Conn) error {
-		return c.OpenStreamID(2, h2conn.Request{Authority: env.Authority, Path: env.SmallPath})
+		return c.OpenStreamID(2, h2conn.Request{Authority: env.Authority, Path: smallPath})
 	})
 }
 
@@ -589,7 +585,7 @@ func checkDataFrameSizeLimit(env *Env) (Verdict, string) {
 		return Skip, err.Error()
 	}
 	defer closeConn(c)
-	resp, err := c.FetchBody(h2conn.Request{Authority: env.Authority, Path: env.LargePath}, env.Timeout)
+	resp, err := c.FetchBody(h2conn.Request{Authority: env.Authority, Path: largePath}, env.Timeout)
 	if err != nil {
 		return Skip, err.Error()
 	}
@@ -662,7 +658,7 @@ func checkUndefinedFlagsIgnored(env *Env) (Verdict, string) {
 
 func checkDataPaddingExceedsPayload(env *Env) (Verdict, string) {
 	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "oversized DATA padding tolerated", func(c *h2conn.Conn) error {
-		id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: env.SmallPath})
+		id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: smallPath})
 		if err != nil {
 			return err
 		}
@@ -675,7 +671,7 @@ func checkRSTStreamBadLength(env *Env) (Verdict, string) {
 	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeFrameSize, "3-byte RST_STREAM tolerated", func(c *h2conn.Conn) error {
 		// The stream must be nonzero or the stream-0 protocol check fires
 		// instead of the length check; use a stream the server has seen.
-		id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: env.SmallPath})
+		id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: smallPath})
 		if err != nil {
 			return err
 		}

@@ -32,12 +32,11 @@ func newEnv(t *testing.T, p server.Profile) *conformance.Env {
 	}()
 	t.Cleanup(srv.Close)
 	return &conformance.Env{
-		Dialer:         core.DialerFunc(func() (net.Conn, error) { return l.Dial() }),
-		Authority:      "conf.example",
-		Timeout:        5 * time.Second,
-		ReactionWindow: 100 * time.Millisecond,
-		TLSDialer:      core.DialerFunc(func() (net.Conn, error) { return tl.Dial() }),
-		TLSServerName:  "conf.example",
+		Dialer:        core.DialerFunc(func() (net.Conn, error) { return l.Dial() }),
+		Authority:     "conf.example",
+		Timeout:       5 * time.Second,
+		TLSDialer:     core.DialerFunc(func() (net.Conn, error) { return tl.Dial() }),
+		TLSServerName: "conf.example",
 	}
 }
 

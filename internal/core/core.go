@@ -93,11 +93,6 @@ type Config struct {
 	SmallPath string
 	// PagePaths are the pages browsed by the server-push probe.
 	PagePaths []string
-	// HPACKRequests is H, the number of identical requests in the header
-	// compression probe.
-	HPACKRequests int
-	// PingSamples is the number of PING RTT samples to collect.
-	PingSamples int
 	// Tracer, when non-nil, records every probe connection's frames plus
 	// probe-phase annotations, so a trace shows which probe step each
 	// frame belongs to. Nil disables tracing with no overhead.
@@ -120,10 +115,8 @@ func DefaultConfig(authority string) Config {
 			"/large/1", "/large/2", "/large/3",
 			"/large/4", "/large/5", "/large/6",
 		},
-		SmallPath:     "/about.html",
-		PagePaths:     []string{"/", "/about.html"},
-		HPACKRequests: 8,
-		PingSamples:   3,
+		SmallPath: "/about.html",
+		PagePaths: []string{"/", "/about.html"},
 	}
 }
 

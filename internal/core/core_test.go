@@ -354,7 +354,13 @@ func TestProbeH2CUpgrade(t *testing.T) {
 	start := func(h *http1.Handler) *netsim.Listener {
 		l := netsim.NewListener("h2c-probe")
 		go func() {
-			_ = h.Serve(l)
+			for {
+				nc, err := l.Accept()
+				if err != nil {
+					return
+				}
+				go func() { _ = h.ServeConn(nc) }()
+			}
 		}()
 		t.Cleanup(func() {
 			_ = l.Close()
@@ -465,9 +471,6 @@ func TestTableIIIRowHandlesPartialReport(t *testing.T) {
 	if r.PriorityVerdict() != "fail" || r.PushVerdict() != "no" ||
 		r.HeaderCompressionVerdict() != "unknown" || r.PingVerdict() != "no support" {
 		t.Error("nil-safe verdicts wrong")
-	}
-	if r.MinPingRTT() != 0 {
-		t.Error("MinPingRTT on empty report != 0")
 	}
 }
 

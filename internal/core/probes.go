@@ -437,14 +437,17 @@ type HPACKResult struct {
 	Ratio float64
 }
 
+// hpackRequests is H, the number of identical requests in the header
+// compression probe; pingSamples is how many PING RTTs ProbePing collects.
+const (
+	hpackRequests = 8
+	pingSamples   = 3
+)
+
 // ProbeHPACK sends H identical requests and computes the compression ratio
 // over the response header block sizes.
 func (p *Prober) ProbeHPACK(ctx context.Context) (*HPACKResult, error) {
 	defer p.phase("hpack")()
-	h := p.cfg.HPACKRequests
-	if h < 2 {
-		h = 8
-	}
 	c, err := p.connect(ctx, h2conn.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -462,9 +465,9 @@ func (p *Prober) ProbeHPACK(ctx context.Context) (*HPACKResult, error) {
 			{Name: "accept-language", Value: "en-US,en;q=0.9"},
 		},
 	}
-	res := &HPACKResult{Requests: h}
+	res := &HPACKResult{Requests: hpackRequests}
 	total := 0
-	for i := 0; i < h; i++ {
+	for i := 0; i < hpackRequests; i++ {
 		resp, err := c.FetchBody(req, p.cfg.Timeout)
 		if err != nil {
 			return nil, fmt.Errorf("core: hpack request %d: %w", i+1, err)
@@ -475,7 +478,7 @@ func (p *Prober) ProbeHPACK(ctx context.Context) (*HPACKResult, error) {
 		res.BlockSizes = append(res.BlockSizes, resp.HeaderBlockLen)
 		total += resp.HeaderBlockLen
 	}
-	res.Ratio = float64(total) / (float64(res.BlockSizes[0]) * float64(h))
+	res.Ratio = float64(total) / (float64(res.BlockSizes[0]) * hpackRequests)
 	return res, nil
 }
 
@@ -501,10 +504,6 @@ func (r *PingResult) Min() time.Duration {
 // ProbePing sends PING frames and measures RTTs.
 func (p *Prober) ProbePing(ctx context.Context) (*PingResult, error) {
 	defer p.phase("ping")()
-	n := p.cfg.PingSamples
-	if n < 1 {
-		n = 3
-	}
 	c, err := p.connect(ctx, h2conn.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -514,7 +513,7 @@ func (p *Prober) ProbePing(ctx context.Context) (*PingResult, error) {
 		return nil, err
 	}
 	res := &PingResult{}
-	for i := 0; i < n; i++ {
+	for i := 0; i < pingSamples; i++ {
 		var payload [8]byte
 		payload[0] = byte(i + 1)
 		payload[7] = 0x5c

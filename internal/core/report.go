@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 )
 
 // Report is the full H2Scope battery result for one target — one column of
@@ -222,14 +221,6 @@ func (r *Report) TableIIIRow() []string {
 		r.HeaderCompressionVerdict(),
 		r.PingVerdict(),
 	}
-}
-
-// MinPingRTT returns the smallest HTTP/2 PING RTT, or 0 if unavailable.
-func (r *Report) MinPingRTT() time.Duration {
-	if r.Ping == nil {
-		return 0
-	}
-	return r.Ping.Min()
 }
 
 // MarshalJSON renders the observation as its Table III string.

@@ -22,20 +22,12 @@ type ExtensionID uint16
 // TLS extension type codes the parser gives dedicated treatment, per the
 // IANA ExtensionType registry.
 const (
-	ExtServerName           ExtensionID = 0
-	ExtSupportedGroups      ExtensionID = 10
-	ExtECPointFormats       ExtensionID = 11
-	ExtSignatureAlgorithms  ExtensionID = 13
-	ExtALPN                 ExtensionID = 16
-	ExtSCT                  ExtensionID = 18
-	ExtPadding              ExtensionID = 21
-	ExtExtendedMasterSecret ExtensionID = 23
-	ExtSessionTicket        ExtensionID = 35
-	ExtPreSharedKey         ExtensionID = 41
-	ExtSupportedVersions    ExtensionID = 43
-	ExtPSKKeyExchangeModes  ExtensionID = 45
-	ExtKeyShare             ExtensionID = 51
-	ExtRenegotiationInfo    ExtensionID = 0xff01
+	ExtServerName          ExtensionID = 0
+	ExtSupportedGroups     ExtensionID = 10
+	ExtECPointFormats      ExtensionID = 11
+	ExtSignatureAlgorithms ExtensionID = 13
+	ExtALPN                ExtensionID = 16
+	ExtSupportedVersions   ExtensionID = 43
 )
 
 // ClientHello is the parsed, order-preserving view of one TLS ClientHello.
@@ -356,16 +348,6 @@ func parseVersions(data []byte) []uint16 {
 		out = append(out, binary.BigEndian.Uint16(list[i:]))
 	}
 	return out
-}
-
-// SupportsH2 reports whether the hello offered "h2" via ALPN.
-func (h *ClientHello) SupportsH2() bool {
-	for _, p := range h.ALPN {
-		if p == "h2" {
-			return true
-		}
-	}
-	return false
 }
 
 // String summarizes the hello for logs.

@@ -32,7 +32,6 @@ func FuzzClientHelloParse(f *testing.F) {
 		_ = hello.JA3Hash()
 		_ = hello.JA4()
 		_ = hello.String()
-		_ = hello.SupportsH2()
 		// Parsing is deterministic.
 		again, err := ParseClientHello(data)
 		if err != nil {

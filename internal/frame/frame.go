@@ -188,15 +188,6 @@ func (h Header) String() string {
 	return fmt.Sprintf("[%v flags=0x%x stream=%d len=%d]", h.Type, uint8(h.Flags), h.StreamID, h.Length)
 }
 
-func (h Header) encodeTo(buf []byte) {
-	buf[0] = byte(h.Length >> 16)
-	buf[1] = byte(h.Length >> 8)
-	buf[2] = byte(h.Length)
-	buf[3] = byte(h.Type)
-	buf[4] = byte(h.Flags)
-	binary.BigEndian.PutUint32(buf[5:9], h.StreamID&MaxStreamID)
-}
-
 func parseHeader(buf []byte) Header {
 	return Header{
 		Length:   uint32(buf[0])<<16 | uint32(buf[1])<<8 | uint32(buf[2]),

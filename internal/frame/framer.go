@@ -81,8 +81,9 @@ type Framer struct {
 	// scratch holds the recycled typed frames ReadFrame hands out; owned by
 	// the reading goroutine, overwritten on every ReadFrame.
 	scratch frameScratch
-	// maxReadSize limits accepted payload sizes; guarded by wmu because the
-	// read loop and the settings writer may race on it.
+	// maxReadSize limits accepted payload sizes. Like trace and metrics it is
+	// set before the framer is in use and only read after, so ReadFrame
+	// takes no lock for it.
 	maxReadSize uint32
 
 	wmu sync.Mutex
@@ -107,12 +108,6 @@ type Framer struct {
 	writev    func(*net.Buffers) (int64, error)
 	iov, iovw net.Buffers
 	runStart  int
-
-	// Strict, when set, makes ReadFrame reject frames that violate RFC 7540
-	// framing rules (wrong stream IDs, bad lengths) with ConnError instead
-	// of surfacing them. Probing clients keep it on; lenient test harnesses
-	// may turn it off.
-	Strict bool
 
 	// trace, when set, observes every frame header crossing the framer in
 	// either direction. It is the single instrumentation point shared by the
@@ -148,7 +143,6 @@ func NewFramer(w io.Writer, r io.Reader) *Framer {
 		r:           r,
 		w:           w,
 		maxReadSize: MaxAllowedFrameSize,
-		Strict:      true,
 	}
 }
 
@@ -243,23 +237,13 @@ func (fr *Framer) WriteRawBytes(b []byte) error {
 	return nil
 }
 
-// SetMaxReadFrameSize caps the payload size ReadFrame will accept.
+// SetMaxReadFrameSize caps the payload size ReadFrame will accept at n,
+// clamped to the range RFC 7540 section 4.2 allows for
+// SETTINGS_MAX_FRAME_SIZE; a longer frame fails with ErrFrameTooLarge before
+// any of its payload is buffered. A receiver passes the value it advertises.
+// Call it before the framer is in use, alongside SetTrace/SetMetrics.
 func (fr *Framer) SetMaxReadFrameSize(n uint32) {
-	fr.wmu.Lock()
-	defer fr.wmu.Unlock()
-	if n < DefaultMaxFrameSize {
-		n = DefaultMaxFrameSize
-	}
-	if n > MaxAllowedFrameSize {
-		n = MaxAllowedFrameSize
-	}
-	fr.maxReadSize = n
-}
-
-func (fr *Framer) maxRead() uint32 {
-	fr.wmu.Lock()
-	defer fr.wmu.Unlock()
-	return fr.maxReadSize
+	fr.maxReadSize = min(max(n, DefaultMaxFrameSize), MaxAllowedFrameSize)
 }
 
 // readPayloadBuf returns a length-n buffer for the next payload. Frames up
@@ -293,7 +277,7 @@ func (fr *Framer) ReadFrame() (Frame, error) {
 		return nil, err
 	}
 	hdr := parseHeader(fr.readHdr[:])
-	if hdr.Length > fr.maxRead() {
+	if hdr.Length > fr.maxReadSize {
 		if fr.metrics != nil {
 			fr.metrics.readErrors.Inc()
 		}
@@ -313,10 +297,6 @@ func (fr *Framer) ReadFrame() (Frame, error) {
 		fr.metrics.observe(false, hdr)
 	}
 	f, err := fr.parsePayload(hdr, payload)
-	if err != nil && !fr.Strict {
-		fr.scratch.unknown = UnknownFrame{hdr: hdr, Payload: payload}
-		return &fr.scratch.unknown, nil
-	}
 	if err != nil && fr.metrics != nil {
 		fr.metrics.readErrors.Inc()
 	}

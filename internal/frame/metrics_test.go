@@ -96,7 +96,7 @@ func TestFramerMetricsReadErrors(t *testing.T) {
 		t.Fatalf("after short payload: errors = %d, want 2", got)
 	}
 
-	// Strict-mode protocol violation: DATA on stream 0.
+	// Protocol violation: DATA on stream 0.
 	wire.Reset()
 	w := NewFramer(&wire, nil)
 	if err := w.WriteData(0, false, []byte("x")); err != nil {
@@ -105,21 +105,10 @@ func TestFramerMetricsReadErrors(t *testing.T) {
 	rd = NewFramer(io.Discard, bytes.NewReader(wire.Bytes()))
 	rd.SetMetrics(m)
 	if _, err := rd.ReadFrame(); err == nil {
-		t.Fatal("strict framer should reject DATA on stream 0")
+		t.Fatal("framer should reject DATA on stream 0")
 	}
 	if got := counterValue(t, r, errsName); got != 3 {
 		t.Fatalf("after protocol violation: errors = %d, want 3", got)
-	}
-
-	// The same violation in lenient mode is not an error.
-	rd = NewFramer(io.Discard, bytes.NewReader(wire.Bytes()))
-	rd.Strict = false
-	rd.SetMetrics(m)
-	if _, err := rd.ReadFrame(); err != nil {
-		t.Fatalf("lenient ReadFrame: %v", err)
-	}
-	if got := counterValue(t, r, errsName); got != 3 {
-		t.Fatalf("lenient mode bumped errors: %d, want 3", got)
 	}
 }
 

@@ -69,56 +69,3 @@ func TestDialPreambleSingleWrite(t *testing.T) {
 		t.Fatalf("first frame after preface = %+v", f)
 	}
 }
-
-// TestOpenStreamsBatchSingleWrite proves a batch of requests coalesces all
-// its HEADERS frames into one write — the nghttp2-style burst the load
-// generator relies on.
-func TestOpenStreamsBatchSingleWrite(t *testing.T) {
-	clientNC, serverNC := netsim.Pipe()
-	cc := &countingConn{Conn: clientNC}
-	c, err := h2conn.Dial(cc, h2conn.DefaultOptions())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(func() {
-		_ = c.Close()
-		_ = serverNC.Close()
-	})
-
-	const batch = 5
-	reqs := make([]h2conn.Request, batch)
-	for i := range reqs {
-		reqs[i] = h2conn.Request{Authority: "coalesce.example", Path: "/"}
-	}
-	before := cc.count()
-	ids, err := c.OpenStreams(reqs)
-	if err != nil {
-		t.Fatalf("OpenStreams: %v", err)
-	}
-	if len(ids) != batch {
-		t.Fatalf("opened %d streams, want %d", len(ids), batch)
-	}
-	if got := cc.count() - before; got != 1 {
-		t.Errorf("batch of %d HEADERS used %d writes, want 1", batch, got)
-	}
-
-	// The peer decodes exactly batch HEADERS frames from the single write.
-	buf := make([]byte, len(frame.ClientPreface))
-	if _, err := io.ReadFull(serverNC, buf); err != nil {
-		t.Fatalf("reading preface: %v", err)
-	}
-	fr := frame.NewFramer(serverNC, serverNC)
-	seen := 0
-	for seen < batch {
-		f, err := fr.ReadFrame()
-		if err != nil {
-			t.Fatalf("reading frames: %v", err)
-		}
-		if h, ok := f.(*frame.HeadersFrame); ok {
-			if want := ids[seen]; h.Header().StreamID != want {
-				t.Fatalf("HEADERS %d on stream %d, want %d", seen, h.Header().StreamID, want)
-			}
-			seen++
-		}
-	}
-}

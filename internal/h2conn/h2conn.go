@@ -78,8 +78,9 @@ type Options struct {
 	// Settings is the client SETTINGS frame payload. Nil sends an empty
 	// SETTINGS frame (still required by RFC 7540 section 3.5).
 	Settings []frame.Setting
-	// AutoPingAck answers server PINGs; on by default in NewOptions-less
-	// zero value it is false, so set it for long-lived connections.
+	// AutoPingAck answers server PINGs. The zero value leaves them to the
+	// caller (probes that time or withhold the ACK); DefaultOptions turns
+	// it on, as any long-lived connection should.
 	AutoPingAck bool
 	// AutoSettingsAck acknowledges server SETTINGS frames.
 	AutoSettingsAck bool
@@ -92,13 +93,13 @@ type Options struct {
 	// AutoConnWindow is the connection-level analogue of AutoStreamWindow.
 	AutoConnWindow uint32
 	// EventLogLimit bounds the retained event log: once it grows past the
-	// limit, the oldest half is discarded (Seq numbers stay absolute).
-	// Zero applies DefaultEventLogLimit so an idle-but-chatty peer can
-	// never grow the log without bound; probes produce a few hundred
-	// events per connection and fit comfortably. Long-lived connections
-	// issuing thousands of requests (load helpers, benchmarks) set a small
-	// explicit limit to keep per-request scan cost constant; a negative
-	// value disables the cap entirely.
+	// limit, the oldest half is discarded (Seq numbers stay absolute). Zero
+	// applies DefaultEventLogLimit, so an idle-but-chatty peer can never
+	// grow the log without bound; probes produce a few hundred events per
+	// connection and fit comfortably. No program sets it: the benchmarks
+	// that put tens of thousands of requests on one connection do, because
+	// every wait rescans the log (BenchmarkFingerprintOverhead reads 82 µs
+	// per request at 512 and 2.7 ms at the default).
 	EventLogLimit int
 	// Tracer, when non-nil, receives frame-level trace events for this
 	// connection (both directions) plus its open/close lifecycle. The
@@ -131,14 +132,10 @@ type Options struct {
 const DefaultEventLogLimit = 32768
 
 func (o Options) eventLogLimit() int {
-	switch {
-	case o.EventLogLimit > 0:
+	if o.EventLogLimit > 0 {
 		return o.EventLogLimit
-	case o.EventLogLimit < 0:
-		return 0 // unbounded, caller opted out explicitly
-	default:
-		return DefaultEventLogLimit
 	}
+	return DefaultEventLogLimit
 }
 
 // DefaultOptions returns the options a well-behaved client would use:
@@ -212,7 +209,10 @@ func (c *Conn) countClosed() {
 // arrive asynchronously; use WaitSettings.
 func Dial(nc net.Conn, opts Options) (*Conn, error) {
 	c := &Conn{
-		nc:           nc,
+		nc: nc,
+		// No SetMaxReadFrameSize, on purpose: a measurement client reads
+		// whatever a server sends, up to the protocol's 16 MiB, and reports
+		// it; holding peers to an advertised limit is the server's job.
 		fr:           frame.NewFramer(nc, nc),
 		opts:         opts,
 		enc:          hpack.NewEncoder(hpack.PolicyIndexAll),
@@ -241,9 +241,8 @@ func Dial(nc net.Conn, opts Options) (*Conn, error) {
 		c.tracer.ConnOpen(c.traceConn, nc.RemoteAddr().String())
 	}
 	// Coalesced writes: every sender below flushes explicitly after its
-	// burst, so multi-frame sequences (preface+SETTINGS here, batched
-	// HEADERS in OpenStreams, WINDOW_UPDATE pairs in dispatch) reach the
-	// wire in single writes.
+	// burst, so multi-frame sequences (preface+SETTINGS here, WINDOW_UPDATE
+	// pairs in dispatch) reach the wire in single writes.
 	c.fr.SetWriteBuffering(0)
 	// The read loop must be running before any writes: over synchronous
 	// in-process pipes, concurrent client and server writes deadlock unless
@@ -432,7 +431,7 @@ func (c *Conn) dispatch(f frame.Frame) {
 	ev.Seq = c.nextSeq
 	c.nextSeq++
 	c.events = append(c.events, ev)
-	if limit := c.opts.eventLogLimit(); limit > 0 && len(c.events) > limit {
+	if limit := c.opts.eventLogLimit(); len(c.events) > limit {
 		keep := limit / 2
 		c.events = append(c.events[:0:0], c.events[len(c.events)-keep:]...)
 	}
@@ -684,29 +683,6 @@ func (c *Conn) writeRequestLocked(id uint32, req Request, endStream bool) error 
 		c.opts.Metrics.streamsOpened.Inc()
 	}
 	return nil
-}
-
-// OpenStreams opens one stream per request, writing all HEADERS frames
-// back-to-back and flushing them to the wire in a single write — the
-// request-storm pattern of nghttp2's batched submission.
-// It returns the stream ID assigned to each request; on a write error the
-// IDs opened so far are returned with the error.
-func (c *Conn) OpenStreams(reqs []Request) ([]uint32, error) {
-	ids := make([]uint32, 0, len(reqs))
-	c.encMu.Lock()
-	for _, req := range reqs {
-		id := c.NextStreamID()
-		if err := c.writeRequestLocked(id, req, true); err != nil {
-			c.encMu.Unlock()
-			return ids, err
-		}
-		ids = append(ids, id)
-	}
-	c.encMu.Unlock()
-	if err := c.fr.Flush(); err != nil {
-		return ids, fmt.Errorf("h2conn: open streams: %w", err)
-	}
-	return ids, nil
 }
 
 // flushAfter completes a single-frame send on the coalescing framer: the

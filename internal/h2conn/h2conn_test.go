@@ -184,7 +184,7 @@ func TestEventLogAndHeaderDecoding(t *testing.T) {
 	}
 	fs.expectFrame(frame.TypeHeaders)
 
-	block := fs.enc.EncodeBlock([]hpack.HeaderField{
+	block := fs.enc.AppendBlock(nil, []hpack.HeaderField{
 		{Name: ":status", Value: "200"},
 		{Name: "server", Value: "fake/1"},
 	})
@@ -231,7 +231,7 @@ func TestContinuationReassembly(t *testing.T) {
 	}
 	fs.expectFrame(frame.TypeHeaders)
 
-	block := fs.enc.EncodeBlock([]hpack.HeaderField{
+	block := fs.enc.AppendBlock(nil, []hpack.HeaderField{
 		{Name: ":status", Value: "200"},
 		{Name: "x-long", Value: "a-header-value-split-across-frames"},
 	})
@@ -462,7 +462,7 @@ func TestPushPromiseWithContinuation(t *testing.T) {
 	}
 	fs.expectFrame(frame.TypeHeaders)
 
-	block := fs.enc.EncodeBlock([]hpack.HeaderField{
+	block := fs.enc.AppendBlock(nil, []hpack.HeaderField{
 		{Name: ":method", Value: "GET"},
 		{Name: ":path", Value: "/pushed-resource-with-a-long-path.css"},
 	})

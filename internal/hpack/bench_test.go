@@ -157,7 +157,7 @@ func TestHotPathAllocs(t *testing.T) {
 		// decode without allocating.
 		enc := NewEncoder(PolicyNoDynamicInsert)
 		dec := NewDecoder(DefaultDynamicTableSize)
-		block := enc.EncodeBlock(benchFields)
+		block := enc.AppendBlock(nil, benchFields)
 		var fields []HeaderField
 		var err error
 		for i := 0; i < 3; i++ {
@@ -219,9 +219,9 @@ func TestHotPathAllocs(t *testing.T) {
 		if got := enc.dt.inserted - inserted; got < 2*2001 {
 			t.Errorf("%d insertions over 2001 blocks, want at least two per block", got)
 		}
-		if n := enc.DynamicTableLen(); n >= pool/2 || n != dec.DynamicTableLen() {
+		if n := enc.dt.n; n >= pool/2 || n != dec.dt.n {
 			t.Errorf("encoder table holds %d entries, decoder %d: want equal and full well below the %d-value cycle",
-				n, dec.DynamicTableLen(), pool)
+				n, dec.dt.n, pool)
 		}
 	})
 

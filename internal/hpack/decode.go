@@ -14,9 +14,6 @@ type Decoder struct {
 	// allowedMaxSize caps dynamic-table size updates; it tracks the local
 	// SETTINGS_HEADER_TABLE_SIZE value.
 	allowedMaxSize uint32
-	// maxStringLen bounds individual decoded string literals; 0 means no
-	// bound beyond sanity.
-	maxStringLen int
 	// maxHeaderListSize bounds the cumulative RFC 7541 section 4.1 size
 	// (name + value + 32 per field) of one decoded block; 0 means
 	// unbounded. This is the HPACK-bomb defense: a few-KiB block of
@@ -80,9 +77,6 @@ func (d *Decoder) intern(b []byte) string {
 	return s
 }
 
-// SetMaxStringLength bounds the length of any single decoded string.
-func (d *Decoder) SetMaxStringLength(n int) { d.maxStringLen = n }
-
 // SetMaxHeaderListSize bounds the decoded (not encoded) size of one header
 // block, measured as RFC 7541 section 4.1 defines (name + value + 32 octets
 // per field). Decoding a block that expands past the bound fails with
@@ -99,10 +93,6 @@ func (d *Decoder) SetAllowedMaxDynamicTableSize(n uint32) {
 		d.dt.setMaxSize(n)
 	}
 }
-
-// DynamicTableLen returns the number of entries currently in the decoder's
-// dynamic table.
-func (d *Decoder) DynamicTableLen() int { return d.dt.length() }
 
 // DecodeFull decodes one complete header block into a fresh slice.
 func (d *Decoder) DecodeFull(block []byte) ([]HeaderField, error) {
@@ -212,9 +202,6 @@ func (d *Decoder) readString(buf []byte) (string, []byte, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	if d.maxStringLen > 0 && n > uint64(d.maxStringLen) {
-		return "", nil, DecodingError{ErrStringLength}
-	}
 	if n > uint64(len(rest)) {
 		return "", nil, DecodingError{errors.New("string literal exceeds block")}
 	}
@@ -226,9 +213,6 @@ func (d *Decoder) readString(buf []byte) (string, []byte, error) {
 	d.huf, err = decodeHuffman(d.huf[:0], raw)
 	if err != nil {
 		return "", nil, DecodingError{err}
-	}
-	if d.maxStringLen > 0 && len(d.huf) > d.maxStringLen {
-		return "", nil, DecodingError{ErrStringLength}
 	}
 	return d.intern(d.huf), rest, nil
 }

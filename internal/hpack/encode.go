@@ -105,15 +105,6 @@ func (e *Encoder) SetMaxDynamicTableSize(n uint32) {
 	e.pendingUpdate = true
 }
 
-// DynamicTableLen returns the number of entries currently in the encoder's
-// dynamic table. Probes use it to verify indexing behavior.
-func (e *Encoder) DynamicTableLen() int { return e.dt.length() }
-
-// EncodeBlock encodes fields as one header block and returns a fresh slice.
-func (e *Encoder) EncodeBlock(fields []HeaderField) []byte {
-	return e.AppendBlock(nil, fields)
-}
-
 // AppendBlock encodes fields as one header block, appending the octets to
 // dst and returning the extended slice. Passing a scratch slice with
 // retained capacity (buf[:0]) makes steady-state encoding allocation-free

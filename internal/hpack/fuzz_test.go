@@ -37,27 +37,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add(fuzzSeed("418c f1e3 c2e5 f23a 6ba0 ab90 f4")) // truncated Huffman string
 	f.Add([]byte{})
 
-	const (
-		tableSize = 4096
-		maxString = 16 << 10
-	)
+	const tableSize = 4096
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(tableSize)
-		dec.SetMaxStringLength(maxString)
 		fields, err := dec.DecodeFull(data)
 		_ = err // any error is acceptable; panics and bound violations are not
-		for i, hf := range fields {
-			if len(hf.Name) > maxString || len(hf.Value) > maxString {
-				t.Fatalf("field %d exceeds max string length: name %d bytes, value %d bytes",
-					i, len(hf.Name), len(hf.Value))
-			}
-		}
 		if len(fields) > len(data) {
 			t.Fatalf("decoded %d fields from %d input bytes", len(fields), len(data))
 		}
 		// Every dynamic-table entry costs its 32-byte RFC 7541 overhead, so
 		// a 4096-byte table can never hold more than 128 entries.
-		if n := dec.DynamicTableLen(); n > tableSize/32 {
+		if n := dec.dt.n; n > tableSize/32 {
 			t.Fatalf("dynamic table holds %d entries, max possible is %d", n, tableSize/32)
 		}
 	})

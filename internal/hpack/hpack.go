@@ -54,10 +54,6 @@ func (e DecodingError) Error() string { return fmt.Sprintf("hpack: decoding erro
 // Unwrap supports errors.Is/As.
 func (e DecodingError) Unwrap() error { return e.Err }
 
-// ErrStringLength is returned when a string literal exceeds the decoder's
-// configured limit.
-var ErrStringLength = errors.New("hpack: string literal too long")
-
 // ErrHeaderListSize is returned when a decoded header block expands past
 // the decoder's SetMaxHeaderListSize bound (the HPACK-bomb guard).
 var ErrHeaderListSize = errors.New("hpack: decoded header list too large")

@@ -149,12 +149,12 @@ func TestDynamicTableAddEvict(t *testing.T) {
 	c := HeaderField{Name: "eeee", Value: "ffff"} // size 40
 	dt.add(a)
 	dt.add(b)
-	if dt.length() != 2 || dt.size != 80 {
-		t.Fatalf("len=%d size=%d, want 2/80", dt.length(), dt.size)
+	if dt.n != 2 || dt.size != 80 {
+		t.Fatalf("len=%d size=%d, want 2/80", dt.n, dt.size)
 	}
 	dt.add(c) // evicts a
-	if dt.length() != 2 {
-		t.Fatalf("len=%d after eviction, want 2", dt.length())
+	if dt.n != 2 {
+		t.Fatalf("len=%d after eviction, want 2", dt.n)
 	}
 	if hf, ok := dt.at(1); !ok || hf != c {
 		t.Errorf("at(1) = %+v, want newest %+v", hf, c)
@@ -171,8 +171,8 @@ func TestDynamicTableOversizeEntryClearsTable(t *testing.T) {
 	dt := newDynamicTable(50)
 	dt.add(HeaderField{Name: "a", Value: "b"})
 	dt.add(HeaderField{Name: strings.Repeat("x", 100), Value: "y"})
-	if dt.length() != 0 || dt.size != 0 {
-		t.Errorf("len=%d size=%d after oversize add, want 0/0", dt.length(), dt.size)
+	if dt.n != 0 || dt.size != 0 {
+		t.Errorf("len=%d size=%d after oversize add, want 0/0", dt.n, dt.size)
 	}
 }
 
@@ -182,8 +182,8 @@ func TestDynamicTableSetMaxSizeEvicts(t *testing.T) {
 		dt.add(HeaderField{Name: "name", Value: "valu"}) // 40 each
 	}
 	dt.setMaxSize(80)
-	if dt.length() != 2 {
-		t.Errorf("len=%d after shrink, want 2", dt.length())
+	if dt.n != 2 {
+		t.Errorf("len=%d after shrink, want 2", dt.n)
 	}
 }
 
@@ -223,28 +223,28 @@ func requestFields(scheme, path, authority string, extra ...HeaderField) []Heade
 func TestEncoderRFCC4RequestSeries(t *testing.T) {
 	enc := NewEncoder(PolicyIndexAll)
 
-	got1 := enc.EncodeBlock(requestFields("http", "/", "www.example.com"))
+	got1 := enc.AppendBlock(nil, requestFields("http", "/", "www.example.com"))
 	want1 := mustHex(t, "8286 8441 8cf1 e3c2 e5f2 3a6b a0ab 90f4 ff")
 	if !bytes.Equal(got1, want1) {
 		t.Fatalf("first request = %x, want %x", got1, want1)
 	}
 
-	got2 := enc.EncodeBlock(requestFields("http", "/", "www.example.com",
+	got2 := enc.AppendBlock(nil, requestFields("http", "/", "www.example.com",
 		HeaderField{Name: "cache-control", Value: "no-cache"}))
 	want2 := mustHex(t, "8286 84be 5886 a8eb 1064 9cbf")
 	if !bytes.Equal(got2, want2) {
 		t.Fatalf("second request = %x, want %x", got2, want2)
 	}
 
-	got3 := enc.EncodeBlock(requestFields("https", "/index.html", "www.example.com",
+	got3 := enc.AppendBlock(nil, requestFields("https", "/index.html", "www.example.com",
 		HeaderField{Name: "custom-key", Value: "custom-value"}))
 	want3 := mustHex(t, "8287 85bf 4088 25a8 49e9 5ba9 7d7f 8925 a849 e95b b8e8 b4bf")
 	if !bytes.Equal(got3, want3) {
 		t.Fatalf("third request = %x, want %x", got3, want3)
 	}
 
-	if enc.DynamicTableLen() != 3 {
-		t.Errorf("encoder dynamic table has %d entries, want 3", enc.DynamicTableLen())
+	if enc.dt.n != 3 {
+		t.Errorf("encoder dynamic table has %d entries, want 3", enc.dt.n)
 	}
 }
 
@@ -281,8 +281,8 @@ func TestDecoderRFCC3PlainRequestSeries(t *testing.T) {
 	if !reflect.DeepEqual(fields, want) {
 		t.Errorf("C.3.3 = %+v, want %+v", fields, want)
 	}
-	if dec.DynamicTableLen() != 3 {
-		t.Errorf("decoder dynamic table has %d entries, want 3", dec.DynamicTableLen())
+	if dec.dt.n != 3 {
+		t.Errorf("decoder dynamic table has %d entries, want 3", dec.dt.n)
 	}
 }
 
@@ -304,8 +304,8 @@ func TestDecoderRFCC6ResponseSeriesWithEviction(t *testing.T) {
 	if !reflect.DeepEqual(f1, want1) {
 		t.Errorf("C.6.1 = %+v, want %+v", f1, want1)
 	}
-	if dec.DynamicTableLen() != 4 {
-		t.Fatalf("after C.6.1 table has %d entries, want 4", dec.DynamicTableLen())
+	if dec.dt.n != 4 {
+		t.Fatalf("after C.6.1 table has %d entries, want 4", dec.dt.n)
 	}
 
 	// C.6.2: ":status: 307" evicts the oldest entry.
@@ -316,8 +316,8 @@ func TestDecoderRFCC6ResponseSeriesWithEviction(t *testing.T) {
 	if f2[0].Value != "307" {
 		t.Errorf("C.6.2 status = %q, want 307", f2[0].Value)
 	}
-	if dec.DynamicTableLen() != 4 {
-		t.Errorf("after C.6.2 table has %d entries, want 4", dec.DynamicTableLen())
+	if dec.dt.n != 4 {
+		t.Errorf("after C.6.2 table has %d entries, want 4", dec.dt.n)
 	}
 }
 
@@ -331,7 +331,7 @@ func TestEncodeDecodeRoundTripWithSensitive(t *testing.T) {
 		{Name: "x-custom", Value: "v1"},
 	}
 	for round := 0; round < 3; round++ {
-		block := enc.EncodeBlock(fields)
+		block := enc.AppendBlock(nil, fields)
 		got, err := dec.DecodeFull(block)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -341,7 +341,7 @@ func TestEncodeDecodeRoundTripWithSensitive(t *testing.T) {
 		}
 	}
 	// Sensitive field must never enter either dynamic table.
-	for i := 0; i < enc.DynamicTableLen(); i++ {
+	for i := 0; i < enc.dt.n; i++ {
 		if hf, ok := enc.dt.at(uint64(i + 1)); ok && hf.Name == "authorization" {
 			t.Error("sensitive field stored in encoder dynamic table")
 		}
@@ -361,18 +361,18 @@ func TestPolicyNoDynamicInsertYieldsConstantBlockSize(t *testing.T) {
 	}
 
 	noIdx := NewEncoder(PolicyNoDynamicInsert)
-	first := len(noIdx.EncodeBlock(response))
-	second := len(noIdx.EncodeBlock(response))
+	first := len(noIdx.AppendBlock(nil, response))
+	second := len(noIdx.AppendBlock(nil, response))
 	if first != second {
 		t.Errorf("PolicyNoDynamicInsert sizes differ: %d then %d", first, second)
 	}
-	if noIdx.DynamicTableLen() != 0 {
-		t.Errorf("PolicyNoDynamicInsert inserted %d entries", noIdx.DynamicTableLen())
+	if noIdx.dt.n != 0 {
+		t.Errorf("PolicyNoDynamicInsert inserted %d entries", noIdx.dt.n)
 	}
 
 	idx := NewEncoder(PolicyIndexAll)
-	firstIdx := len(idx.EncodeBlock(response))
-	secondIdx := len(idx.EncodeBlock(response))
+	firstIdx := len(idx.AppendBlock(nil, response))
+	secondIdx := len(idx.AppendBlock(nil, response))
 	if secondIdx >= firstIdx/2 {
 		t.Errorf("PolicyIndexAll second block %d not much smaller than first %d", secondIdx, firstIdx)
 	}
@@ -404,20 +404,10 @@ func TestDecoderRejectsOversizeTableUpdate(t *testing.T) {
 	}
 }
 
-func TestDecoderMaxStringLength(t *testing.T) {
-	dec := NewDecoder(DefaultDynamicTableSize)
-	dec.SetMaxStringLength(4)
-	enc := NewEncoder(PolicyIndexAll)
-	block := enc.EncodeBlock([]HeaderField{{Name: "n", Value: "longer-than-four"}})
-	if _, err := dec.DecodeFull(block); err == nil {
-		t.Error("oversize string accepted")
-	}
-}
-
 func TestEncoderTableSizeUpdateEmitted(t *testing.T) {
 	enc := NewEncoder(PolicyIndexAll)
 	enc.SetMaxDynamicTableSize(0)
-	block := enc.EncodeBlock([]HeaderField{{Name: ":method", Value: "GET"}})
+	block := enc.AppendBlock(nil, []HeaderField{{Name: ":method", Value: "GET"}})
 	if len(block) == 0 || block[0] != 0x20 {
 		t.Fatalf("block = %x, want leading size-update 0x20", block)
 	}
@@ -445,7 +435,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			fields = append(fields, HeaderField{Name: string(names[i]), Value: string(values[i])})
 		}
-		block := enc.EncodeBlock(fields)
+		block := enc.AppendBlock(nil, fields)
 		got, err := dec.DecodeFull(block)
 		if err != nil {
 			return false
@@ -476,14 +466,14 @@ func TestHeaderFieldSizeAndString(t *testing.T) {
 
 func TestSensitiveFieldUsesNeverIndexedRepresentation(t *testing.T) {
 	enc := NewEncoder(PolicyIndexAll)
-	block := enc.EncodeBlock([]HeaderField{
+	block := enc.AppendBlock(nil, []HeaderField{
 		{Name: "authorization", Value: "secret", Sensitive: true},
 	})
 	// RFC 7541 section 6.2.3: never-indexed literals start with 0001xxxx.
 	if len(block) == 0 || block[0]&0xf0 != 0x10 {
 		t.Fatalf("block starts with 0x%02x, want never-indexed prefix 0x1x", block[0])
 	}
-	if enc.DynamicTableLen() != 0 {
+	if enc.dt.n != 0 {
 		t.Error("sensitive field entered the dynamic table")
 	}
 	// The flag survives a decode.
@@ -495,7 +485,7 @@ func TestSensitiveFieldUsesNeverIndexedRepresentation(t *testing.T) {
 	if len(fields) != 1 || !fields[0].Sensitive {
 		t.Errorf("decoded = %+v, want sensitive", fields)
 	}
-	if dec.DynamicTableLen() != 0 {
+	if dec.dt.n != 0 {
 		t.Error("decoder indexed a never-indexed field")
 	}
 }
@@ -505,11 +495,11 @@ func TestLiteralNameFromDynamicTable(t *testing.T) {
 	// reference the name by dynamic index, and the decoder must resolve it.
 	enc := NewEncoder(PolicyIndexAll)
 	dec := NewDecoder(DefaultDynamicTableSize)
-	b1 := enc.EncodeBlock([]HeaderField{{Name: "x-trace-id", Value: "one"}})
+	b1 := enc.AppendBlock(nil, []HeaderField{{Name: "x-trace-id", Value: "one"}})
 	if _, err := dec.DecodeFull(b1); err != nil {
 		t.Fatal(err)
 	}
-	b2 := enc.EncodeBlock([]HeaderField{{Name: "x-trace-id", Value: "two"}})
+	b2 := enc.AppendBlock(nil, []HeaderField{{Name: "x-trace-id", Value: "two"}})
 	if len(b2) >= len(b1) {
 		t.Errorf("second block (%d bytes) not smaller than first (%d): name not reused", len(b2), len(b1))
 	}
@@ -528,21 +518,21 @@ func TestPartialEncoderFractionBoundsAndDeterminism(t *testing.T) {
 		{Name: "charlie", Value: "3"}, {Name: "delta", Value: "4"},
 	}
 	zero := NewPartialEncoder(-1, 0) // clamps to 0: nothing indexed
-	zero.EncodeBlock(fields)
-	if zero.DynamicTableLen() != 0 {
-		t.Errorf("fraction<=0 indexed %d entries", zero.DynamicTableLen())
+	zero.AppendBlock(nil, fields)
+	if zero.dt.n != 0 {
+		t.Errorf("fraction<=0 indexed %d entries", zero.dt.n)
 	}
 	full := NewPartialEncoder(2, 0) // clamps to 1: everything indexed
-	full.EncodeBlock(fields)
-	if full.DynamicTableLen() != len(fields) {
-		t.Errorf("fraction>=1 indexed %d entries, want %d", full.DynamicTableLen(), len(fields))
+	full.AppendBlock(nil, fields)
+	if full.dt.n != len(fields) {
+		t.Errorf("fraction>=1 indexed %d entries, want %d", full.dt.n, len(fields))
 	}
 	// Same salt → same subset; different salt → (very likely) different.
 	a := NewPartialEncoder(0.5, 42)
 	b := NewPartialEncoder(0.5, 42)
-	a.EncodeBlock(fields)
-	b.EncodeBlock(fields)
-	if a.DynamicTableLen() != b.DynamicTableLen() {
+	a.AppendBlock(nil, fields)
+	b.AppendBlock(nil, fields)
+	if a.dt.n != b.dt.n {
 		t.Error("same salt produced different indexing")
 	}
 }
@@ -558,7 +548,7 @@ func TestPartialEncoderDecodableByStandardDecoder(t *testing.T) {
 		{Name: "x-custom-b", Value: "bbbb"},
 	}
 	for round := 0; round < 4; round++ {
-		block := enc.EncodeBlock(fields)
+		block := enc.AppendBlock(nil, fields)
 		got, err := dec.DecodeFull(block)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -576,14 +566,14 @@ func TestEvictionUnderTableSizeChurn(t *testing.T) {
 		{Name: "x-first", Value: strings.Repeat("v", 100)},
 		{Name: "x-second", Value: strings.Repeat("w", 100)},
 	}
-	if _, err := dec.DecodeFull(enc.EncodeBlock(fields)); err != nil {
+	if _, err := dec.DecodeFull(enc.AppendBlock(nil, fields)); err != nil {
 		t.Fatal(err)
 	}
 	// Shrink hard, then grow back; decodes must keep succeeding and tables
 	// must stay in sync.
 	for _, size := range []uint32{64, 0, 4096} {
 		enc.SetMaxDynamicTableSize(size)
-		block := enc.EncodeBlock(fields)
+		block := enc.AppendBlock(nil, fields)
 		got, err := dec.DecodeFull(block)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
@@ -591,8 +581,8 @@ func TestEvictionUnderTableSizeChurn(t *testing.T) {
 		if !reflect.DeepEqual(got, fields) {
 			t.Fatalf("size %d: got %+v", size, got)
 		}
-		if enc.DynamicTableLen() != dec.DynamicTableLen() {
-			t.Fatalf("size %d: table divergence enc=%d dec=%d", size, enc.DynamicTableLen(), dec.DynamicTableLen())
+		if enc.dt.n != dec.dt.n {
+			t.Fatalf("size %d: table divergence enc=%d dec=%d", size, enc.dt.n, dec.dt.n)
 		}
 	}
 }
@@ -602,7 +592,7 @@ func TestHuffmanChosenOnlyWhenShorter(t *testing.T) {
 	// fall back to the raw literal form.
 	enc := NewEncoder(PolicyNoDynamicInsert)
 	rare := "\x00\x01\x02\x03\x04"
-	block := enc.EncodeBlock([]HeaderField{{Name: "x", Value: rare}})
+	block := enc.AppendBlock(nil, []HeaderField{{Name: "x", Value: rare}})
 	dec := NewDecoder(DefaultDynamicTableSize)
 	fields, err := dec.DecodeFull(block)
 	if err != nil {

@@ -168,12 +168,12 @@ func (p *encoderPair) setMaxDynamicTableSize(n uint32) {
 // back and agrees on the table.
 func (p *encoderPair) encode(t *testing.T, fields []HeaderField) []byte {
 	t.Helper()
-	got := p.enc.EncodeBlock(fields)
+	got := p.enc.AppendBlock(nil, fields)
 	want := p.ref.appendBlock(nil, fields)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("block differs from the reference encoder\nfields %q\n got % x\nwant % x", fields, got, want)
 	}
-	if n := p.enc.DynamicTableLen(); n != len(p.ref.dt.ents) || p.enc.dt.size != p.ref.dt.size {
+	if n := p.enc.dt.n; n != len(p.ref.dt.ents) || p.enc.dt.size != p.ref.dt.size {
 		t.Fatalf("table holds %d entries / %d octets, reference %d / %d", n, p.enc.dt.size, len(p.ref.dt.ents), p.ref.dt.size)
 	}
 	if len(p.enc.dt.byPair) > p.enc.dt.n || len(p.enc.dt.byName) > p.enc.dt.n {
@@ -192,7 +192,7 @@ func (p *encoderPair) encode(t *testing.T, fields []HeaderField) []byte {
 			t.Fatalf("field %d: sent %v, decoded %v", i, fields[i], decoded[i])
 		}
 	}
-	if dl := p.dec.DynamicTableLen(); dl != len(p.ref.dt.ents) {
+	if dl := p.dec.dt.n; dl != len(p.ref.dt.ents) {
 		t.Fatalf("decoder table holds %d entries, reference %d", dl, len(p.ref.dt.ents))
 	}
 	for i := 1; i <= len(p.ref.dt.ents); i++ {

@@ -107,9 +107,6 @@ func (dt *dynamicTable) grow() {
 	dt.ring, dt.head = ring, 0
 }
 
-// length returns the number of dynamic entries.
-func (dt *dynamicTable) length() int { return dt.n }
-
 // at returns the entry with 1-based dynamic index i (1 = newest).
 func (dt *dynamicTable) at(i uint64) (HeaderField, bool) {
 	if i == 0 || i > uint64(dt.n) {

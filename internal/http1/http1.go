@@ -40,22 +40,6 @@ type Handler struct {
 	H2C *server.Server
 }
 
-// Serve accepts and serves connections until the listener closes.
-func (h *Handler) Serve(l net.Listener) error {
-	for {
-		nc, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("http1: accept: %w", err)
-		}
-		go func() {
-			_ = h.ServeConn(nc)
-		}()
-	}
-}
-
 // ServeConn serves one connection, honoring keep-alive.
 func (h *Handler) ServeConn(nc net.Conn) error {
 	defer func() {

@@ -17,7 +17,13 @@ func startHTTP1(t *testing.T, h *http1.Handler) *netsim.Listener {
 	t.Helper()
 	l := netsim.NewListener("http1")
 	go func() {
-		_ = h.Serve(l)
+		for {
+			nc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _ = h.ServeConn(nc) }()
+		}
 	}()
 	t.Cleanup(func() {
 		_ = l.Close()

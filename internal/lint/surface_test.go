@@ -1,0 +1,120 @@
+package lint
+
+import (
+	"go/ast"
+	"go/types"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// unsetByPrograms lists the settable values no program sets and that stay
+// anyway, each with the test or benchmark that needs it: the seam it is there
+// for (DESIGN.md §8.6). Like //h2lint:ignore, an entry without its reason is
+// not accepted, and neither is one whose reason has since been deleted.
+var unsetByPrograms = map[string]string{
+	"internal/h2conn.Options.EventLogLimit":     "BenchmarkFingerprintOverhead",
+	"internal/obs.FlightRecorderConfig.Clock":   "TestFlightRecorderRateLimitAndCap",
+	"internal/scan.Options.Backoff":             "TestRetryScheduleDeterministic",
+	"internal/scan.Options.Clock":               "TestRetryScheduleDeterministic",
+	"internal/server.DetectorConfig.Thresholds": "TestDetectorFlagsEveryScenario",
+	"internal/server.Server.DisableFingerprint": "BenchmarkFingerprintOverhead",
+}
+
+// TestSurfaceFollowsUse holds the option surface to its use: every exported
+// field of an ...Options, ...Config, Server or Framer type is written, and
+// every exported SetX method called, in non-test code. A writer is an
+// assignment outside the declaring package or a composite literal anywhere
+// (DefaultOptions, DefaultConfig pass programs' values on that way); an
+// assignment inside the declaring package is a defaulting branch and is not.
+func TestSurfaceFollowsUse(t *testing.T) {
+	l, pkgs := repoPackages(t)
+	used := make(map[types.Object]bool)
+	for _, p := range pkgs {
+		// mark notes the field or method e names as written or called here.
+		mark := func(e ast.Expr, anywhere bool) {
+			id, _ := e.(*ast.Ident)
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				id = sel.Sel
+			}
+			if id == nil {
+				return
+			}
+			obj := p.Info.Uses[id]
+			if v, ok := obj.(*types.Var); ok && v.IsField() && (anywhere || v.Pkg() != p.Types) {
+				used[v.Origin()] = true
+			}
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != p.Types {
+				used[fn.Origin()] = true
+			}
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					mark(n.Key, true)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						mark(lhs, false)
+					}
+				case *ast.CallExpr:
+					mark(n.Fun, false)
+				}
+				return true
+			})
+		}
+	}
+	optionType := regexp.MustCompile(`(Options|Config)$|^(Server|Framer)$`)
+	setter := regexp.MustCompile(`^Set[A-Z]`)
+	unset := make(map[string]bool)
+	for _, p := range pkgs {
+		rel := strings.TrimPrefix(p.Path, l.ModulePath+"/")
+		if strings.HasPrefix(rel, "bench/") {
+			continue // the benchmark's packages are not this rule's to edit
+		}
+		for _, name := range p.Types.Scope().Names() {
+			tn, ok := p.Types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok && optionType.MatchString(name) {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !used[f] {
+						unset[rel+"."+name+"."+f.Name()] = true
+					}
+				}
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				// SetDeadline and its kin are net.Conn's, called through it.
+				if m := named.Method(i); setter.MatchString(m.Name()) && !strings.HasSuffix(m.Name(), "Deadline") && !used[m] {
+					unset[rel+"."+name+"."+m.Name()] = true
+				}
+			}
+		}
+	}
+
+	tests := make(map[string]bool)
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
+	_ = filepath.WalkDir(l.ModuleRoot, func(path string, _ os.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, "_test.go") {
+			src, _ := os.ReadFile(path)
+			for _, m := range testFunc.FindAllSubmatch(src, -1) {
+				tests[string(m[1])] = true
+			}
+		}
+		return nil
+	})
+	for name := range unset {
+		if unsetByPrograms[name] == "" {
+			t.Errorf("%s: no program sets or calls it; make it a constant, or list it in unsetByPrograms with the test that needs it", name)
+		}
+	}
+	for name, why := range unsetByPrograms {
+		if !unset[name] || !tests[why] {
+			t.Errorf("unsetByPrograms[%q] is stale: a program sets it now, it is gone, or no _test.go file declares %s", name, why)
+		}
+	}
+}

@@ -193,10 +193,6 @@ func (ds *DebugServer) Handle(pattern string, h http.Handler) {
 	ds.mux.Handle(pattern, h)
 }
 
-// Sampler returns the runtime sampler feeding Go heap/GC/goroutine gauges
-// into the first registry, or nil when the server has none.
-func (ds *DebugServer) Sampler() *Sampler { return ds.sampler }
-
 // Close stops the sampler and the HTTP server.
 func (ds *DebugServer) Close() error {
 	ds.sampler.Stop()

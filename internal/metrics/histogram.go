@@ -48,9 +48,6 @@ func NewHistogram(unit int64, buckets int) *Histogram {
 	return h
 }
 
-// Unit returns the bucketing divisor.
-func (h *Histogram) Unit() int64 { return h.unit }
-
 // BucketOf returns the bucket index value v falls into for the given unit
 // and bucket count; it is the shared bucketing rule every consumer delegates
 // to.

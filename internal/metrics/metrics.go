@@ -112,6 +112,10 @@ type metric struct {
 // Counter("h2_frames_read_total{type=\"DATA\"}", ...) gets the first
 // caller's counter. Lookup takes the registry lock; callers cache the
 // returned instrument and pay only atomics afterwards.
+//
+// A nil *Registry is the "nobody is watching" registry: Counter, Gauge and
+// Histogram hand out working unregistered instruments and GaugeFunc does
+// nothing, so a layer with an optional registry has one construction path.
 type Registry struct {
 	mu     sync.Mutex
 	byName map[string]*metric
@@ -154,6 +158,9 @@ func (r *Registry) lookup(name, help string, kind metricKind, mk func() *metric)
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
+	if r == nil {
+		return NewCounter()
+	}
 	return r.lookup(name, help, kindCounter, func() *metric {
 		return &metric{counter: NewCounter()}
 	}).counter
@@ -161,6 +168,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
+	if r == nil {
+		return NewGauge()
+	}
 	return r.lookup(name, help, kindGauge, func() *metric {
 		return &metric{gauge: NewGauge()}
 	}).gauge
@@ -171,6 +181,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // name replaces the function, so a reconnecting producer can re-point the
 // gauge at its live state.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
+	if r == nil {
+		return
+	}
 	m := r.lookup(name, help, kindGaugeFunc, func() *metric { return &metric{} })
 	r.mu.Lock()
 	m.gaugeFn = fn
@@ -181,6 +194,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 // given unit and bucket count (see NewHistogram). Unit and bucket count are
 // fixed by the first caller.
 func (r *Registry) Histogram(name, help string, unit int64, buckets int) *Histogram {
+	if r == nil {
+		return NewHistogram(unit, buckets)
+	}
 	return r.lookup(name, help, kindHistogram, func() *metric {
 		return &metric{histogram: NewHistogram(unit, buckets)}
 	}).histogram

@@ -65,6 +65,26 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestNilRegistryHandsOutUnregisteredInstruments: a layer with an optional
+// registry builds its instruments one way; with nobody watching they still
+// count, each call getting an instrument of its own.
+func TestNilRegistryHandsOutUnregisteredInstruments(t *testing.T) {
+	var r *Registry
+	a, b := r.Counter("x_total", ""), r.Counter("x_total", "")
+	a.Inc()
+	if a.Value() != 1 || b.Value() != 0 {
+		t.Errorf("counters = %d, %d; want 1 and an independent 0", a.Value(), b.Value())
+	}
+	g := r.Gauge("g", "")
+	g.Add(3)
+	h := r.Histogram("h", "", 1, 8)
+	h.Observe(5)
+	if g.Value() != 3 || h.Snapshot().Count != 1 {
+		t.Errorf("gauge = %d, histogram count = %d", g.Value(), h.Snapshot().Count)
+	}
+	r.GaugeFunc("f", "", func() int64 { return 1 }) // must not panic
+}
+
 func TestRegistryKindClashPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("clash", "")

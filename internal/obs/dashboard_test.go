@@ -36,7 +36,7 @@ func TestLabelValue(t *testing.T) {
 func TestDashboardStateAndJSON(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := NewMonitor(MonitorConfig{Registry: reg})
-	rec, err := NewFlightRecorder(FlightRecorderConfig{Dir: t.TempDir(), MinInterval: -1, Registry: reg})
+	rec, err := NewFlightRecorder(FlightRecorderConfig{Dir: t.TempDir(), Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,8 @@ import (
 func TestDetectorTriggersFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	const tail = 128
-	rec, err := obs.NewFlightRecorder(obs.FlightRecorderConfig{
-		Dir: dir, Tail: tail, MinInterval: -1, Registry: reg,
-	})
+	const tail = 256 // the recorder's bound on one dump's events
+	rec, err := obs.NewFlightRecorder(obs.FlightRecorderConfig{Dir: dir, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +34,11 @@ func TestDetectorTriggersFlightDump(t *testing.T) {
 	srv := server.New(server.ApacheProfile(), server.DefaultSite("attack.example"))
 	srv.Trace = trace.New(1 << 14)
 	cfg := server.DetectorConfig{
-		Window:  500 * time.Millisecond,
-		Buckets: 5,
 		Thresholds: server.Thresholds{
-			HeaderRate: 50, ResetRate: 20, MinResets: 5, ResetRatio: 0.3,
-			SettingsRate: 20, ContinuationRate: 10,
+			HeaderRate: 25, ResetRate: 10, MinResets: 5, ResetRatio: 0.3,
+			SettingsRate: 10, ContinuationRate: 5,
 			AsymmetryMinBytes: 8 << 10, AsymmetryFactor: 4,
-			TinyDataRate: 5, TinyDataBytes: 16,
+			TinyDataRate: 2.5, TinyDataBytes: 16,
 			StarvationTime: 250 * time.Millisecond,
 		},
 		OnDetect: func(det server.Detection) {

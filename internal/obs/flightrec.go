@@ -14,42 +14,27 @@ import (
 	"h2scope/internal/trace"
 )
 
+// The recorder's bounds: one dump retains the last flightTail events, one
+// recorder writes at most flightMaxDumps dumps over its lifetime, and a
+// trigger arriving sooner than flightMinInterval after the previous dump is
+// suppressed (and counted).
+const (
+	flightTail        = 256
+	flightMaxDumps    = 32
+	flightMinInterval = time.Second
+)
+
 // FlightRecorderConfig configures a FlightRecorder. Only Dir is required.
 type FlightRecorderConfig struct {
 	// Dir is the directory anomaly dumps are written into (created if
 	// needed).
 	Dir string
-	// Tail bounds how many trailing events one dump retains (default 256).
-	Tail int
-	// MaxDumps bounds how many dumps one recorder writes over its lifetime;
-	// further triggers are counted as suppressed (default 32).
-	MaxDumps int
-	// MinInterval rate-limits dumps: triggers arriving sooner than this
-	// after the previous dump are suppressed (default 1s; negative
-	// disables the rate limit).
-	MinInterval time.Duration
 	// Registry, when set, exports h2_flightrec_dumps_total and
 	// h2_flightrec_suppressed_total counters there.
 	Registry *metrics.Registry
-	// Clock overrides the rate-limit clock (tests; default time.Now).
+	// Clock overrides the rate-limit clock (default time.Now). No program
+	// sets it: the rate-limit and cap tests step it.
 	Clock func() time.Time
-}
-
-func (c *FlightRecorderConfig) withDefaults() FlightRecorderConfig {
-	out := *c
-	if out.Tail <= 0 {
-		out.Tail = 256
-	}
-	if out.MaxDumps <= 0 {
-		out.MaxDumps = 32
-	}
-	if out.MinInterval == 0 {
-		out.MinInterval = time.Second
-	}
-	if out.Clock == nil {
-		out.Clock = time.Now
-	}
-	return out
 }
 
 // dumpRef is one dump's manifest entry.
@@ -62,7 +47,7 @@ type dumpRef struct {
 }
 
 // FlightRecorder turns anomalies into bounded JSONL forensic dumps: the
-// last Tail trace events plus the reconstructed span summary, one file per
+// last flightTail trace events plus the reconstructed span summary, one file per
 // trigger, rate-limited and capped so a 12-hour census that goes sideways
 // leaves evidence without filling the disk. All methods are safe for
 // concurrent use.
@@ -82,24 +67,22 @@ type FlightRecorder struct {
 // NewFlightRecorder builds a recorder writing into cfg.Dir, creating the
 // directory if needed.
 func NewFlightRecorder(cfg FlightRecorderConfig) (*FlightRecorder, error) {
-	c := cfg.withDefaults()
-	if c.Dir == "" {
+	if cfg.Dir == "" {
 		return nil, fmt.Errorf("obs: flight recorder needs a directory")
 	}
-	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: flight recorder dir: %w", err)
 	}
-	r := &FlightRecorder{cfg: c}
-	if c.Registry != nil {
-		r.dumpsC = c.Registry.Counter("h2_flightrec_dumps_total",
-			"anomaly dumps the flight recorder wrote")
-		r.suppressedC = c.Registry.Counter("h2_flightrec_suppressed_total",
-			"anomaly triggers suppressed by the flight recorder's rate limit or dump cap")
-	} else {
-		r.dumpsC = metrics.NewCounter()
-		r.suppressedC = metrics.NewCounter()
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
-	return r, nil
+	return &FlightRecorder{
+		cfg: cfg,
+		dumpsC: cfg.Registry.Counter("h2_flightrec_dumps_total",
+			"anomaly dumps the flight recorder wrote"),
+		suppressedC: cfg.Registry.Counter("h2_flightrec_suppressed_total",
+			"anomaly triggers suppressed by the flight recorder's rate limit or dump cap"),
+	}, nil
 }
 
 // Dumps returns how many dumps were written.
@@ -157,7 +140,7 @@ func safeFileFragment(s string) string {
 }
 
 // Dump writes one anomaly dump: a header line, one span-summary line per
-// reconstructed connection, then the last Tail events, all JSONL. It
+// reconstructed connection, then the last flightTail events, all JSONL. It
 // returns the written file's path, or "" when the trigger was suppressed
 // (rate limit, dump cap, or recorder already closed) — suppression is not
 // an error. The error return reports I/O failures and must not be
@@ -170,8 +153,8 @@ func (r *FlightRecorder) Dump(a Anomaly, events []trace.Event) (string, error) {
 	}
 
 	r.mu.Lock()
-	if r.closed || r.seq >= r.cfg.MaxDumps ||
-		(r.cfg.MinInterval > 0 && !r.lastDump.IsZero() && now.Sub(r.lastDump) < r.cfg.MinInterval) {
+	if r.closed || r.seq >= flightMaxDumps ||
+		(!r.lastDump.IsZero() && now.Sub(r.lastDump) < flightMinInterval) {
 		r.mu.Unlock()
 		r.suppressedC.Inc()
 		return "", nil
@@ -186,8 +169,8 @@ func (r *FlightRecorder) Dump(a Anomaly, events []trace.Event) (string, error) {
 	conns := BuildConns(events)
 	tail := events
 	truncated := false
-	if len(tail) > r.cfg.Tail {
-		tail = tail[len(tail)-r.cfg.Tail:]
+	if len(tail) > flightTail {
+		tail = tail[len(tail)-flightTail:]
 		truncated = true
 	}
 
@@ -276,7 +259,7 @@ func (r *FlightRecorder) Close() error {
 		Suppressed int64     `json:"suppressed"`
 		Tail       int       `json:"tail"`
 		MaxDumps   int       `json:"maxDumps"`
-	}{"h2scope-manifest", r.cfg.Clock(), refs, r.Suppressed(), r.cfg.Tail, r.cfg.MaxDumps}
+	}{"h2scope-manifest", r.cfg.Clock(), refs, r.Suppressed(), flightTail, flightMaxDumps}
 	data, err := json.MarshalIndent(manifest, "", "  ")
 	if err != nil {
 		return fmt.Errorf("obs: flight manifest: %w", err)

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"h2scope/internal/frame"
+	"h2scope/internal/trace"
 )
 
 // fakeClock is a settable clock for rate-limit tests.
@@ -29,9 +32,15 @@ func newTestRecorder(t *testing.T, cfg FlightRecorderConfig) (*FlightRecorder, s
 
 func TestFlightRecorderDumpContents(t *testing.T) {
 	clk := &fakeClock{now: testBase}
-	r, _ := newTestRecorder(t, FlightRecorderConfig{Tail: 4, Clock: clk.Now})
+	r, _ := newTestRecorder(t, FlightRecorderConfig{Clock: clk.Now})
 
+	// One connection whose stream outgrows the tail by a run of PINGs.
 	events := clientEvents()
+	last := len(events) - 1
+	for i := 0; i < flightTail; i++ {
+		events = append(events[:last], trace.Event{Kind: trace.KindFrameRecv, Conn: 1, FrameType: frame.TypePing, At: at(45)}, events[last])
+		last++
+	}
 	path, err := r.Dump(Anomaly{Reason: "p99-blowout:dial", Target: "site-000001.example", Phase: PhaseDial}, events)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +75,7 @@ func TestFlightRecorderDumpContents(t *testing.T) {
 			if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 				t.Fatal(err)
 			}
-			if hdr.Reason != "p99-blowout:dial" || hdr.Events != 4 || !hdr.Truncated {
+			if hdr.Reason != "p99-blowout:dial" || hdr.Events != flightTail || !hdr.Truncated {
 				t.Errorf("header = %+v", hdr)
 			}
 		case line["span"] != nil:
@@ -81,9 +90,10 @@ func TestFlightRecorderDumpContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One header, a span line per reconstructed connection (the summary
-	// covers the FULL stream, not just the tail), and exactly Tail events.
-	if headers != 1 || spans != 1 || dumped != 4 {
-		t.Errorf("headers=%d spans=%d events=%d, want 1/1/4", headers, spans, dumped)
+	// covers the FULL stream, not just the tail), and exactly flightTail
+	// events.
+	if headers != 1 || spans != 1 || dumped != flightTail {
+		t.Errorf("headers=%d spans=%d events=%d, want 1/1/%d", headers, spans, dumped, flightTail)
 	}
 	if r.Dumps() != 1 || r.Suppressed() != 0 {
 		t.Errorf("dumps=%d suppressed=%d", r.Dumps(), r.Suppressed())
@@ -92,7 +102,7 @@ func TestFlightRecorderDumpContents(t *testing.T) {
 
 func TestFlightRecorderRateLimitAndCap(t *testing.T) {
 	clk := &fakeClock{now: testBase}
-	r, _ := newTestRecorder(t, FlightRecorderConfig{MaxDumps: 2, MinInterval: time.Second, Clock: clk.Now})
+	r, _ := newTestRecorder(t, FlightRecorderConfig{Clock: clk.Now})
 
 	dump := func() string {
 		t.Helper()
@@ -106,34 +116,37 @@ func TestFlightRecorderRateLimitAndCap(t *testing.T) {
 		t.Fatal("first dump suppressed")
 	}
 	if dump() != "" {
-		t.Error("dump inside MinInterval not suppressed")
+		t.Error("dump inside the minimum interval not suppressed")
 	}
-	clk.Advance(2 * time.Second)
-	if dump() == "" {
-		t.Fatal("dump after interval suppressed")
+	for i := 1; i < flightMaxDumps; i++ {
+		clk.Advance(2 * flightMinInterval)
+		if dump() == "" {
+			t.Fatalf("dump %d, after the interval, suppressed", i+1)
+		}
 	}
-	clk.Advance(2 * time.Second)
+	clk.Advance(2 * flightMinInterval)
 	if dump() != "" {
-		t.Error("dump beyond MaxDumps not suppressed")
+		t.Error("dump beyond the cap not suppressed")
 	}
-	if r.Dumps() != 2 || r.Suppressed() != 2 {
-		t.Errorf("dumps=%d suppressed=%d, want 2/2", r.Dumps(), r.Suppressed())
+	if r.Dumps() != flightMaxDumps || r.Suppressed() != 2 {
+		t.Errorf("dumps=%d suppressed=%d, want %d/2", r.Dumps(), r.Suppressed(), flightMaxDumps)
 	}
 }
 
 func TestFlightRecorderCloseWritesManifest(t *testing.T) {
 	clk := &fakeClock{now: testBase}
-	r, dir := newTestRecorder(t, FlightRecorderConfig{MinInterval: -1, MaxDumps: 2, Clock: clk.Now})
+	r, dir := newTestRecorder(t, FlightRecorderConfig{Clock: clk.Now})
 	if _, err := r.Dump(Anomaly{Reason: "detector:rapid-reset", Target: "t1"}, clientEvents()); err != nil {
 		t.Fatal(err)
 	}
+	clk.Advance(2 * flightMinInterval)
 	if _, err := r.Dump(Anomaly{Reason: "detector:settings-flood", Target: "t2"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Third trigger hits the cap: counted as suppressed, shows up in the
+	// Third trigger comes too soon: counted as suppressed, shows up in the
 	// manifest below.
 	if path, err := r.Dump(Anomaly{Reason: "detector:ping-flood"}, nil); err != nil || path != "" {
-		t.Fatalf("capped dump: path=%q err=%v", path, err)
+		t.Fatalf("rate-limited dump: path=%q err=%v", path, err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

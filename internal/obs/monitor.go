@@ -60,52 +60,29 @@ type Exemplar struct {
 	At time.Time `json:"at"`
 }
 
+// Anomaly triggers and exemplar retention. A phase observation above
+// blowoutFactor × that phase's running p99 is a blowout, once the phase has
+// blowoutMinSamples observations; one failure kind filling errorSpikeThreshold
+// of the last errorSpikeWindow target outcomes is a spike; each phase keeps
+// references to its exemplarsPerPhase slowest samples.
+const (
+	blowoutFactor       = 8
+	blowoutMinSamples   = 32
+	errorSpikeWindow    = 64
+	errorSpikeThreshold = 8
+	exemplarsPerPhase   = 4
+)
+
 // MonitorConfig configures a Monitor. The zero value works: histograms stay
-// unregistered, blowout and spike detection run with defaults, anomalies go
-// nowhere.
+// unregistered and anomalies go nowhere.
 type MonitorConfig struct {
 	// Registry, when set, registers the phase histograms
 	// (h2_phase_duration_seconds{phase=...}) and the monitor's counters
 	// (h2_obs_targets_total, h2_obs_anomalies_total) there.
 	Registry *metrics.Registry
-	// BlowoutFactor triggers an anomaly when a phase observation exceeds
-	// factor × that phase's running p99 (default 8; negative disables).
-	BlowoutFactor float64
-	// BlowoutMinSamples is how many observations a phase needs before
-	// blowout detection arms (default 32).
-	BlowoutMinSamples int
-	// ErrorSpikeWindow is the sliding window of recent target outcomes
-	// consulted for spike detection (default 64).
-	ErrorSpikeWindow int
-	// ErrorSpikeThreshold triggers an anomaly when one failure kind
-	// accounts for at least this many outcomes in the window (default 8).
-	ErrorSpikeThreshold int
-	// ExemplarsPerPhase bounds the slowest-sample references kept per phase
-	// (default 4).
-	ExemplarsPerPhase int
 	// OnAnomaly, when set, receives each anomaly synchronously — the
 	// flight-recorder wiring point. It must not call back into the Monitor.
 	OnAnomaly func(Anomaly)
-}
-
-func (c *MonitorConfig) withDefaults() MonitorConfig {
-	out := *c
-	if out.BlowoutFactor == 0 {
-		out.BlowoutFactor = 8
-	}
-	if out.BlowoutMinSamples <= 0 {
-		out.BlowoutMinSamples = 32
-	}
-	if out.ErrorSpikeWindow <= 0 {
-		out.ErrorSpikeWindow = 64
-	}
-	if out.ErrorSpikeThreshold <= 0 {
-		out.ErrorSpikeThreshold = 8
-	}
-	if out.ExemplarsPerPhase <= 0 {
-		out.ExemplarsPerPhase = 4
-	}
-	return out
 }
 
 // Monitor consumes reconstructed spans, feeds the per-phase latency
@@ -129,45 +106,30 @@ type Monitor struct {
 // cfg.Registry when one is given.
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	m := &Monitor{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		hists:     make(map[string]*metrics.Histogram, len(Phases())),
 		exemplars: make(map[string][]Exemplar),
+		outcomes:  make([]string, errorSpikeWindow),
 	}
-	m.outcomes = make([]string, m.cfg.ErrorSpikeWindow)
-	unit := int64(time.Millisecond)
 	for _, p := range Phases() {
-		if m.cfg.Registry != nil {
-			m.hists[p] = m.cfg.Registry.Histogram(
-				metrics.Label(PhaseMetricName, "phase", p),
-				"per-phase causal span latency (nanosecond values bucketed per millisecond)",
-				unit, 0)
-		} else {
-			m.hists[p] = metrics.NewHistogram(unit, 0)
-		}
+		m.hists[p] = cfg.Registry.Histogram(
+			metrics.Label(PhaseMetricName, "phase", p),
+			"per-phase causal span latency (nanosecond values bucketed per millisecond)",
+			int64(time.Millisecond), 0)
 	}
-	if m.cfg.Registry != nil {
-		m.targets = m.cfg.Registry.Counter("h2_obs_targets_total",
-			"targets whose spans the observability monitor folded in")
-		m.anomalies = m.cfg.Registry.Counter("h2_obs_anomalies_total",
-			"anomalies the observability monitor raised (blowouts and error spikes)")
-	} else {
-		m.targets = metrics.NewCounter()
-		m.anomalies = metrics.NewCounter()
-	}
+	m.targets = cfg.Registry.Counter("h2_obs_targets_total",
+		"targets whose spans the observability monitor folded in")
+	m.anomalies = cfg.Registry.Counter("h2_obs_anomalies_total",
+		"anomalies the observability monitor raised (blowouts and error spikes)")
 	return m
 }
 
 // raise counts and delivers one anomaly.
 func (m *Monitor) raise(a Anomaly) {
 	m.anomalies.Inc()
-	if m.cfg.Registry != nil {
-		reason := a.Reason
-		if i := strings.IndexByte(reason, ':'); i > 0 {
-			reason = reason[:i]
-		}
-		m.cfg.Registry.Counter(metrics.Label("h2_obs_anomaly_reasons_total", "reason", reason),
-			"anomalies by trigger class").Inc()
-	}
+	reason, _, _ := strings.Cut(a.Reason, ":")
+	m.cfg.Registry.Counter(metrics.Label("h2_obs_anomaly_reasons_total", "reason", reason),
+		"anomalies by trigger class").Inc()
 	if m.cfg.OnAnomaly != nil {
 		m.cfg.OnAnomaly(a)
 	}
@@ -187,24 +149,19 @@ func (m *Monitor) observePhase(phase, target, traceFile string, conn uint64, d t
 	// Blowout check against the histogram state *before* this observation,
 	// so one catastrophic sample cannot hide itself by dragging p99 up.
 	var blowout bool
-	if m.cfg.BlowoutFactor > 0 {
-		snap := h.Snapshot()
-		if snap.Count >= int64(m.cfg.BlowoutMinSamples) {
-			p99 := snap.Quantile(0.99)
-			if p99 > 0 && float64(d.Nanoseconds()) > m.cfg.BlowoutFactor*float64(p99) {
-				blowout = true
-			}
-		}
+	if snap := h.Snapshot(); snap.Count >= blowoutMinSamples {
+		p99 := snap.Quantile(0.99)
+		blowout = p99 > 0 && d.Nanoseconds() > blowoutFactor*p99
 	}
 	h.Observe(d.Nanoseconds())
 
 	m.mu.Lock()
 	exs := m.exemplars[phase]
-	if len(exs) < m.cfg.ExemplarsPerPhase || d > exs[len(exs)-1].Duration {
+	if len(exs) < exemplarsPerPhase || d > exs[len(exs)-1].Duration {
 		exs = append(exs, Exemplar{Phase: phase, Target: target, Conn: conn, TraceFile: traceFile, Duration: d, At: at})
 		sort.Slice(exs, func(i, j int) bool { return exs[i].Duration > exs[j].Duration })
-		if len(exs) > m.cfg.ExemplarsPerPhase {
-			exs = exs[:m.cfg.ExemplarsPerPhase]
+		if len(exs) > exemplarsPerPhase {
+			exs = exs[:exemplarsPerPhase]
 		}
 		m.exemplars[phase] = exs
 	}
@@ -252,7 +209,7 @@ func (m *Monitor) ObserveTarget(target, traceFile string, events []trace.Event) 
 
 // RecordOutcome feeds one target's scan disposition into spike detection:
 // kind is the classified failure kind, empty for success. When one kind
-// fills ErrorSpikeThreshold slots of the window, an error-spike anomaly is
+// fills errorSpikeThreshold slots of the window, an error-spike anomaly is
 // raised and the window resets (re-arming the detector).
 func (m *Monitor) RecordOutcome(target, kind string) {
 	var spike bool
@@ -269,7 +226,7 @@ func (m *Monitor) RecordOutcome(target, kind string) {
 				n++
 			}
 		}
-		if n >= m.cfg.ErrorSpikeThreshold {
+		if n >= errorSpikeThreshold {
 			spike = true
 			for i := range m.outcomes {
 				m.outcomes[i] = ""
@@ -358,9 +315,7 @@ func (m *Monitor) Watch(tr *trace.Tracer, target string, buffer int) (stop func(
 	if sub == nil {
 		return func() {}
 	}
-	if m.cfg.Registry != nil {
-		sub.ExportMetrics(m.cfg.Registry, "obs")
-	}
+	sub.ExportMetrics(m.cfg.Registry, "obs")
 	b := NewBuilder()
 	b.OnConn = func(c ConnPhases) { m.ObserveConn(target, "", c) }
 

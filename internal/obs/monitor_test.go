@@ -50,13 +50,9 @@ func TestMonitorObserveTargetFeedsHistograms(t *testing.T) {
 
 func TestMonitorBlowoutAnomaly(t *testing.T) {
 	var got []Anomaly
-	m := NewMonitor(MonitorConfig{
-		BlowoutFactor:     2,
-		BlowoutMinSamples: 4,
-		OnAnomaly:         func(a Anomaly) { got = append(got, a) },
-	})
+	m := NewMonitor(MonitorConfig{OnAnomaly: func(a Anomaly) { got = append(got, a) }})
 	normal := ConnPhases{Conn: 1, Dial: time.Millisecond, Last: testBase}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < blowoutMinSamples; i++ {
 		m.ObserveConn("steady.example", "", normal)
 	}
 	if len(got) != 0 {
@@ -78,14 +74,11 @@ func TestMonitorBlowoutAnomaly(t *testing.T) {
 
 func TestMonitorErrorSpike(t *testing.T) {
 	var got []Anomaly
-	m := NewMonitor(MonitorConfig{
-		ErrorSpikeWindow:    8,
-		ErrorSpikeThreshold: 3,
-		OnAnomaly:           func(a Anomaly) { got = append(got, a) },
-	})
-	m.RecordOutcome("a", "tls")
-	m.RecordOutcome("b", "")
-	m.RecordOutcome("c", "tls")
+	m := NewMonitor(MonitorConfig{OnAnomaly: func(a Anomaly) { got = append(got, a) }})
+	for i := 1; i < errorSpikeThreshold; i++ {
+		m.RecordOutcome("a", "tls")
+		m.RecordOutcome("b", "")
+	}
 	if len(got) != 0 {
 		t.Fatalf("premature spike: %+v", got)
 	}
@@ -164,16 +157,12 @@ func TestMonitorWatchNilTracer(t *testing.T) {
 // -race this is the span layer's thread-safety proof.
 func TestMonitorConcurrentHammer(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec, err := NewFlightRecorder(FlightRecorderConfig{Dir: t.TempDir(), MinInterval: -1, MaxDumps: 1 << 20, Registry: reg})
+	rec, err := NewFlightRecorder(FlightRecorderConfig{Dir: t.TempDir(), Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := NewMonitor(MonitorConfig{
-		Registry:            reg,
-		BlowoutFactor:       2,
-		BlowoutMinSamples:   4,
-		ErrorSpikeWindow:    8,
-		ErrorSpikeThreshold: 4,
+		Registry: reg,
 		OnAnomaly: func(a Anomaly) {
 			if _, err := rec.Dump(a, a.Events); err != nil {
 				t.Errorf("dump: %v", err)

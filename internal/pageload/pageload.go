@@ -36,87 +36,11 @@ type Config struct {
 // Load performs one page load over nc and returns the PLT: the time from
 // connection establishment until the page and all subresources completed.
 func Load(nc net.Conn, cfg Config) (time.Duration, error) {
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 15 * time.Second
-	}
-	start := time.Now()
-	opts := h2conn.DefaultOptions()
-	pushVal := uint32(0)
-	if cfg.EnablePush {
-		pushVal = 1
-	}
-	// Browsers advertise large windows at connection setup so transfers
-	// are not gated on WINDOW_UPDATE round trips; do the same, otherwise
-	// flow-control stalls dominate PLT in both configurations.
-	opts.Settings = []frame.Setting{
-		{ID: frame.SettingEnablePush, Val: pushVal},
-		{ID: frame.SettingInitialWindowSize, Val: 8 << 20},
-	}
-	c, err := h2conn.Dial(nc, opts)
+	st, err := LoadWithStats(nc, cfg, nil)
 	if err != nil {
 		return 0, err
 	}
-	defer func() {
-		_ = c.Close()
-	}()
-	if err := c.WriteWindowUpdate(0, 64<<20); err != nil {
-		return 0, err
-	}
-
-	// Fetch the page.
-	pageResp, err := c.FetchBody(h2conn.Request{Authority: cfg.Authority, Path: cfg.Page}, cfg.Timeout)
-	if err != nil {
-		return 0, fmt.Errorf("pageload: page fetch: %w", err)
-	}
-	if pageResp.Status() != "200" {
-		return 0, fmt.Errorf("pageload: page status %s", pageResp.Status())
-	}
-
-	// Once the page arrived the browser knows the subresources. Resources
-	// already promised by the server need no request; the rest are fetched
-	// in parallel.
-	promised := promisedPaths(c)
-	var openIDs []uint32
-	for _, res := range cfg.Resources {
-		if promised[res] {
-			continue
-		}
-		id, err := c.OpenStream(h2conn.Request{Authority: cfg.Authority, Path: res})
-		if err != nil {
-			return 0, err
-		}
-		openIDs = append(openIDs, id)
-	}
-
-	// Wait for every requested stream and every promised push stream to
-	// complete.
-	_, err = c.WaitFor(cfg.Timeout, func(evs []h2conn.Event) bool {
-		done := make(map[uint32]bool)
-		promisedIDs := make([]uint32, 0, 4)
-		for _, e := range evs {
-			if e.Type == frame.TypePushPromise {
-				promisedIDs = append(promisedIDs, e.PromiseID)
-			}
-			if e.StreamEnded() || e.Type == frame.TypeRSTStream {
-				done[e.StreamID] = true
-			}
-		}
-		for _, id := range openIDs {
-			if !done[id] {
-				return false
-			}
-		}
-		for _, id := range promisedIDs {
-			if !done[id] {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return 0, fmt.Errorf("pageload: waiting for resources: %w", err)
-	}
-	return time.Since(start), nil
+	return st.PLT, nil
 }
 
 func promisedPaths(c *h2conn.Conn) map[string]bool {
@@ -208,10 +132,10 @@ type Stats struct {
 	WastedPushBytes int
 }
 
-// LoadWithStats performs one page load like Load but also accounts for
-// transfer volume. cfg.Cached lists subresources the client already holds:
-// it will not request them, but a pushing server still transmits them —
-// the waste the paper's Discussion section warns about.
+// LoadWithStats performs one page load and accounts for its transfer volume.
+// cached lists subresources the client already holds: it will not request
+// them, but a pushing server still transmits them — the waste the paper's
+// Discussion section warns about.
 func LoadWithStats(nc net.Conn, cfg Config, cached []string) (*Stats, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 15 * time.Second
@@ -226,6 +150,9 @@ func LoadWithStats(nc net.Conn, cfg Config, cached []string) (*Stats, error) {
 	if cfg.EnablePush {
 		pushVal = 1
 	}
+	// Browsers advertise large windows at connection setup so transfers
+	// are not gated on WINDOW_UPDATE round trips; do the same, otherwise
+	// flow-control stalls dominate PLT in both configurations.
 	opts.Settings = []frame.Setting{
 		{ID: frame.SettingEnablePush, Val: pushVal},
 		{ID: frame.SettingInitialWindowSize, Val: 8 << 20},
@@ -248,6 +175,9 @@ func LoadWithStats(nc net.Conn, cfg Config, cached []string) (*Stats, error) {
 		return nil, fmt.Errorf("pageload: page status %s", pageResp.Status())
 	}
 
+	// Once the page arrived the browser knows the subresources. Resources
+	// already promised by the server, or cached, need no request; the rest
+	// are fetched in parallel.
 	promised := promisedPaths(c)
 	var openIDs []uint32
 	for _, res := range cfg.Resources {
@@ -260,6 +190,8 @@ func LoadWithStats(nc net.Conn, cfg Config, cached []string) (*Stats, error) {
 		}
 		openIDs = append(openIDs, id)
 	}
+	// Wait for every requested stream and every promised push stream to
+	// complete.
 	events, err := c.WaitFor(cfg.Timeout, func(evs []h2conn.Event) bool {
 		done := make(map[uint32]bool)
 		var promisedIDs []uint32

@@ -580,11 +580,10 @@ func TestAgreementPerfectOnCleanScan(t *testing.T) {
 func TestScanRobustnessScoresSample(t *testing.T) {
 	pop := population.Generate(population.EpochJan2017, 0.002, 17)
 	sum, err := population.Scan(pop, population.ScanOptions{
-		SampleSize:         4,
-		Parallelism:        4,
-		Seed:               9,
-		Robustness:         true,
-		RobustnessDuration: 40 * time.Millisecond,
+		SampleSize:  4,
+		Parallelism: 4,
+		Seed:        9,
+		Robustness:  true,
 	})
 	if err != nil {
 		t.Fatalf("Scan: %v", err)

@@ -128,9 +128,6 @@ type ScanOptions struct {
 	Seed int64
 	// Timeout bounds each protocol wait inside a probe.
 	Timeout time.Duration
-	// HostBudget is the hard per-attempt deadline for one site's whole
-	// battery; 0 derives it from Timeout (one Timeout per battery probe).
-	HostBudget time.Duration
 	// Retries caps per-site retries of transiently classified failures.
 	Retries int
 	// Context cancels the scan; partial results are still returned.
@@ -155,10 +152,9 @@ type ScanOptions struct {
 	// Robustness additionally runs the internal/attack scenario battery
 	// against each materialized site after its probe battery, folding each
 	// site's robustness score into the summary (and the records). Every
-	// scenario runs for RobustnessDuration (default 150ms) — short bursts
-	// sized for census-scale sweeps, not load tests.
-	Robustness         bool
-	RobustnessDuration time.Duration
+	// scenario runs for robustnessDuration — short bursts sized for
+	// census-scale sweeps, not load tests.
+	Robustness bool
 	// Fingerprint additionally re-dials each site once per builtin client
 	// profile (curl, chrome, firefox, go), each connection wearing that
 	// client's HTTP/2 fingerprint, and records whether the site's
@@ -174,8 +170,12 @@ type ScanOptions struct {
 }
 
 // batteryProbes is how many connection-scoped probes one battery runs; the
-// default per-host budget allows one full Timeout for each.
-const batteryProbes = 12
+// per-host budget allows one full Timeout for each. robustnessDuration is how
+// long each adversarial scenario runs under ScanOptions.Robustness.
+const (
+	batteryProbes      = 12
+	robustnessDuration = 150 * time.Millisecond
+)
 
 // Scan materializes a sample of the population as live servers, runs the
 // full H2Scope battery against each through the scan engine, and aggregates
@@ -189,20 +189,16 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 	if opts.Timeout == 0 {
 		opts.Timeout = 5 * time.Second
 	}
-	if opts.RobustnessDuration <= 0 {
-		opts.RobustnessDuration = 150 * time.Millisecond
+	// The hard per-attempt deadline for one site's whole battery.
+	hostBudget := batteryProbes * opts.Timeout
+	if opts.Robustness {
+		// The adversarial battery runs after the probe battery: six
+		// scenarios plus health probes, each bounded by Timeout.
+		hostBudget += 6*robustnessDuration + 2*opts.Timeout
 	}
-	if opts.HostBudget <= 0 {
-		opts.HostBudget = batteryProbes * opts.Timeout
-		if opts.Robustness {
-			// The adversarial battery runs after the probe battery: six
-			// scenarios plus health probes, each bounded by Timeout.
-			opts.HostBudget += 6*opts.RobustnessDuration + 2*opts.Timeout
-		}
-		if opts.Fingerprint {
-			// Four impersonated dials of two fetches each.
-			opts.HostBudget += 2 * opts.Timeout
-		}
+	if opts.Fingerprint {
+		// Four impersonated dials of two fetches each.
+		hostBudget += 2 * opts.Timeout
 	}
 	idx := rand.New(rand.NewSource(opts.Seed)).Perm(len(pop.Sites))
 	if opts.SampleSize > 0 && opts.SampleSize < len(idx) {
@@ -232,7 +228,7 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 	}
 	scanOpts := scan.Options{
 		Parallelism:      opts.Parallelism,
-		Timeout:          opts.HostBudget,
+		Timeout:          hostBudget,
 		Retries:          opts.Retries,
 		Seed:             opts.Seed,
 		Progress:         opts.Progress,
@@ -356,7 +352,7 @@ func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn
 			ProbePath:    "/",
 			ProbeTimeout: opts.Timeout,
 		}
-		outs := runner.RunAll(attack.Params{Path: "/", Duration: opts.RobustnessDuration})
+		outs := runner.RunAll(attack.Params{Path: "/", Duration: robustnessDuration})
 		score := attack.ScoreOutcomes(outs)
 		v.robust = &score
 	}

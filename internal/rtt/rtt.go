@@ -95,9 +95,10 @@ type Options struct {
 	TimeScale float64
 	// Parallelism bounds concurrent hosts.
 	Parallelism int
-	// Timeout bounds each individual measurement.
-	Timeout time.Duration
 }
+
+// measureTimeout bounds each individual measurement.
+const measureTimeout = 30 * time.Second
 
 // Compare measures every target with all four methods.
 func Compare(targets []Target, opts Options) (*Comparison, error) {
@@ -109,9 +110,6 @@ func Compare(targets []Target, opts Options) (*Comparison, error) {
 	}
 	if opts.Parallelism < 1 {
 		opts.Parallelism = 8
-	}
-	if opts.Timeout == 0 {
-		opts.Timeout = 30 * time.Second
 	}
 	cmp := &Comparison{TimeScale: opts.TimeScale}
 	var (
@@ -184,7 +182,7 @@ func measureTarget(t *Target, opts Options) ([]Sample, error) {
 		add(MethodTCP, tcp)
 
 		// HTTP/2 PING over a live connection.
-		h2rtt, err := h2PingOnce(path, h2srv, opts.Timeout, byte(i))
+		h2rtt, err := h2PingOnce(path, h2srv, measureTimeout, byte(i))
 		if err != nil {
 			return nil, fmt.Errorf("h2-ping: %w", err)
 		}

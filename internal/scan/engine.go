@@ -186,9 +186,9 @@ func Run(ctx context.Context, targets []Target, probe ProbeFunc, opts Options) (
 		ctx = context.Background()
 	}
 
-	e := &engine{probe: probe, opts: opts, counters: newCounters()}
+	e := &engine{probe: probe, opts: opts, counters: newCounters(nil)}
 	if opts.Metrics != nil {
-		e.counters.mirror = registryCounters(opts.Metrics)
+		e.counters.mirror = newCounters(opts.Metrics)
 	}
 	records := make([]Record, len(targets))
 

@@ -20,13 +20,20 @@ func registryValue(t *testing.T, r *metrics.Registry, name string) int64 {
 	return 0
 }
 
-// TestRunMirrorsIntoRegistry proves the dual-write design: each run's Stats
-// are exact and private, while a shared registry accumulates across runs for
-// the live debug endpoint.
+// TestRunMirrorsIntoRegistry is what the dual write buys (ROADMAP 5b): two
+// runs share one registry back to back, each run's Stats report its own
+// counts and its own latency Min/Max, and h2_scan_* accumulates across both —
+// the names bench/h2bench/scan.go reads as deltas. One registry-backed set
+// cannot pass it: counts could be taken as deltas between two snapshots, but
+// a histogram's running Min/Max cannot be un-merged (tried: run 2 reads
+// latency Count 6 and run 1's Min).
 func TestRunMirrorsIntoRegistry(t *testing.T) {
 	r := metrics.NewRegistry()
 	targets := []Target{{Key: "a"}, {Key: "b"}, {Key: "c"}}
+	const slow = 20 * time.Millisecond
+	var delay time.Duration
 	probe := func(ctx context.Context, tg Target) (any, error) {
+		time.Sleep(delay)
 		if tg.Key == "c" {
 			return nil, errors.New("tls: handshake failure")
 		}
@@ -48,9 +55,19 @@ func TestRunMirrorsIntoRegistry(t *testing.T) {
 		t.Fatalf("ok outcomes = %d, want 2", got)
 	}
 
+	delay = slow
 	res2, err := Run(context.Background(), targets, probe, opts)
 	if err != nil {
 		t.Fatalf("Run 2: %v", err)
+	}
+	if l1, l2 := res1.Stats.Latency, res2.Stats.Latency; l1.Max >= slow || l2.Min < slow || l1.Count != 3 || l2.Count != 3 {
+		t.Fatalf("each run must report its own latency range: run 1 %+v, run 2 %+v", l1, l2)
+	}
+	for _, m := range r.Snapshot() {
+		if h := m.Histogram; m.Name == "h2_scan_target_latency_ns" &&
+			(h.Min != int64(res1.Stats.Latency.Min) || h.Max != int64(res2.Stats.Latency.Max)) {
+			t.Fatalf("registry latency range [%d, %d] does not span both runs", h.Min, h.Max)
+		}
 	}
 	// Per-run stats reset; the registry accumulates.
 	if res2.Stats.Attempted != 3 {

@@ -15,10 +15,11 @@ const latencyBuckets = metrics.DefaultBuckets
 
 // counters is the engine's live, lock-free instrumentation — a thin view
 // over internal/metrics instruments. Each run owns a private, unregistered
-// set (the authoritative source for its Stats snapshot, so sequential runs
-// never bleed into each other), plus an optional mirror of registered
-// instruments when Options.Metrics is set, feeding the process-cumulative
-// debug endpoint. Bumps go through the methods below, which write both sets.
+// set (the authoritative source for its Stats snapshot: its own counts and
+// its own latency range, which no delta of a shared histogram can give back),
+// plus a mirror registered in Options.Metrics when that is set, feeding the
+// process-cumulative debug endpoint. Bumps go through the methods below,
+// which write both sets.
 type counters struct {
 	attempted *metrics.Counter
 	succeeded *metrics.Counter
@@ -39,29 +40,11 @@ type counters struct {
 	mirror *counters
 }
 
-func newCounters() *counters {
-	c := &counters{
-		attempted:    metrics.NewCounter(),
-		succeeded:    metrics.NewCounter(),
-		failed:       metrics.NewCounter(),
-		canceled:     metrics.NewCounter(),
-		retries:      metrics.NewCounter(),
-		attempts:     metrics.NewCounter(),
-		inFlight:     metrics.NewGauge(),
-		traceEvents:  metrics.NewCounter(),
-		traceDropped: metrics.NewCounter(),
-		latency:      metrics.NewHistogram(int64(time.Millisecond), latencyBuckets),
-	}
-	for k := range c.failedByKind {
-		c.failedByKind[k] = metrics.NewCounter()
-	}
-	return c
-}
-
-// registryCounters builds the registered twin in r. Names are stable API
-// (the README's metric catalog documents them); registries get-or-create, so
+// newCounters builds one instrument set in r; a nil r hands out unregistered
+// instruments, which is a run's private set. Names are stable API (the
+// README's metric catalog documents them); registries get-or-create, so
 // successive runs mirroring into one registry accumulate.
-func registryCounters(r *metrics.Registry) *counters {
+func newCounters(r *metrics.Registry) *counters {
 	c := &counters{
 		attempted: r.Counter("h2_scan_targets_total", "targets finalized (all outcomes)"),
 		succeeded: r.Counter(metrics.Label("h2_scan_outcomes_total", "outcome", "ok"), "targets by final outcome"),

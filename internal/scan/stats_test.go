@@ -35,7 +35,7 @@ func TestLatencyBucket(t *testing.T) {
 }
 
 func TestLatencySnapshot(t *testing.T) {
-	c := newCounters()
+	c := newCounters(nil)
 	for i := 0; i < 100; i++ {
 		c.observeLatency(3 * time.Millisecond)
 	}
@@ -54,13 +54,13 @@ func TestLatencySnapshot(t *testing.T) {
 }
 
 func TestLatencySnapshotEmpty(t *testing.T) {
-	if ls := newCounters().Snapshot().Latency; ls != (LatencyStats{}) {
+	if ls := newCounters(nil).Snapshot().Latency; ls != (LatencyStats{}) {
 		t.Errorf("empty latency summary = %+v, want zero value", ls)
 	}
 }
 
 func TestLatencyQuantilesOrdered(t *testing.T) {
-	c := newCounters()
+	c := newCounters(nil)
 	for _, d := range []time.Duration{
 		time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
 		20 * time.Millisecond, 100 * time.Millisecond, 2 * time.Second,

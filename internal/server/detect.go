@@ -147,25 +147,23 @@ func ThresholdsForProfile(p Profile) Thresholds {
 	return t
 }
 
-// DetectorConfig tunes the sliding window and the mitigation matrix.
+// The sliding window: rates are computed over the last detectorWindow with
+// detectorWindow/detectorBuckets eviction granularity, and idle connections
+// are re-scored every sweepInterval (the starvation signal advances with wall
+// time, not events).
+const (
+	detectorWindow  = time.Second
+	detectorBuckets = 8
+	sweepInterval   = detectorWindow / detectorBuckets
+)
+
+// DetectorConfig tunes the detector.
 type DetectorConfig struct {
-	// Window is the sliding-window span (default 1s) and Buckets its
-	// subdivision (default 8): rates are computed over the last Window
-	// seconds with Window/Buckets eviction granularity.
-	Window  time.Duration
-	Buckets int
-	// SweepInterval is how often idle connections are re-scored (the
-	// starvation signal advances with wall time, not events); default
-	// Window/Buckets.
-	SweepInterval time.Duration
-	// SubscriptionBuffer bounds the trace subscription queue (default
-	// trace.DefaultSubscriptionBuffer).
-	SubscriptionBuffer int
 	// Thresholds overrides ThresholdsForProfile when non-zero (a zero
-	// Thresholds struct selects the profile defaults).
+	// Thresholds struct selects the profile defaults). No program sets it:
+	// the detector tests score one signal at a time, and cross sub-second
+	// test attacks, with it.
 	Thresholds Thresholds
-	// Actions overrides entries of DefaultMitigations.
-	Actions map[AttackKind]MitigationAction
 	// OnDetect, when non-nil, observes every detection (after metrics and
 	// mitigation bookkeeping). Called from the detector goroutine.
 	OnDetect func(Detection)
@@ -235,26 +233,13 @@ type Detector struct {
 // starts its consumer goroutine. It must be called before serving: it
 // installs a trace bus (reusing s.Trace when already set) and registers
 // every subsequent connection for mitigation. Thresholds default to
-// ThresholdsForProfile(s.Profile()). reg, when non-nil, receives
+// ThresholdsForProfile of the server's profile. reg, when non-nil, receives
 // h2_attacks_detected_total{kind} and h2_mitigations_total{action}
 // counters. The detector stops when the server closes (or via Stop).
 func (s *Server) StartDetector(cfg DetectorConfig, reg *metrics.Registry) *Detector {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
-	}
-	if cfg.Buckets <= 0 {
-		cfg.Buckets = 8
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.Window / time.Duration(cfg.Buckets)
-	}
 	th := cfg.Thresholds
 	if th == (Thresholds{}) {
 		th = ThresholdsForProfile(s.profile)
-	}
-	actions := DefaultMitigations()
-	for k, a := range cfg.Actions {
-		actions[k] = a
 	}
 	if s.Trace == nil {
 		s.Trace = trace.New(0)
@@ -262,8 +247,8 @@ func (s *Server) StartDetector(cfg DetectorConfig, reg *metrics.Registry) *Detec
 	d := &Detector{
 		cfg:       cfg,
 		th:        th,
-		actions:   actions,
-		sub:       s.Trace.Subscribe(cfg.SubscriptionBuffer),
+		actions:   DefaultMitigations(),
+		sub:       s.Trace.Subscribe(0),
 		now:       time.Now,
 		states:    make(map[uint64]*connStats),
 		targets:   make(map[uint64]*conn),
@@ -273,30 +258,21 @@ func (s *Server) StartDetector(cfg DetectorConfig, reg *metrics.Registry) *Detec
 		done:      make(chan struct{}),
 	}
 	for _, k := range AttackKinds() {
-		d.detected[k] = d.counter(reg, metrics.Label("h2_attacks_detected_total", "kind", string(k)),
+		d.detected[k] = reg.Counter(metrics.Label("h2_attacks_detected_total", "kind", string(k)),
 			"connections flagged by the attack detector")
 	}
 	for _, a := range []MitigationAction{ActionNone, ActionRateLimit, ActionStreamCap, ActionGoAway} {
-		d.mitigated[a] = d.counter(reg, metrics.Label("h2_mitigations_total", "action", string(a)),
+		d.mitigated[a] = reg.Counter(metrics.Label("h2_mitigations_total", "action", string(a)),
 			"mitigations applied to flagged connections")
 	}
-	if reg != nil {
-		// Queue health alongside the ring gauges: a climbing sub-drop count
-		// means the detector is lagging the bus and may miss attack frames.
-		d.sub.ExportMetrics(reg, "detector")
-	}
+	// Queue health alongside the ring gauges: a climbing sub-drop count
+	// means the detector is lagging the bus and may miss attack frames.
+	d.sub.ExportMetrics(reg, "detector")
 	s.mu.Lock()
 	s.det = d
 	s.mu.Unlock()
 	go d.loop()
 	return d
-}
-
-func (d *Detector) counter(reg *metrics.Registry, name, help string) *metrics.Counter {
-	if reg == nil {
-		return metrics.NewCounter()
-	}
-	return reg.Counter(name, help)
 }
 
 // Stop ends the detector goroutine and detaches it from the trace bus. Safe
@@ -323,18 +299,6 @@ func (d *Detector) Detections() []Detection {
 	return append([]Detection(nil), d.detections...)
 }
 
-// DetectedTotal returns the running count for one kind (whether or not a
-// metrics registry was supplied).
-func (d *Detector) DetectedTotal(kind AttackKind) int64 {
-	if d == nil {
-		return 0
-	}
-	if c, ok := d.detected[kind]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
 // register attaches a live connection for mitigation, keyed by its trace
 // connection ID.
 func (d *Detector) register(id uint64, c *conn) {
@@ -355,7 +319,7 @@ func (d *Detector) unregister(id uint64) {
 // starvation advances with wall time.
 func (d *Detector) loop() {
 	defer close(d.done)
-	ticker := time.NewTicker(d.cfg.SweepInterval)
+	ticker := time.NewTicker(sweepInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -401,7 +365,7 @@ func (d *Detector) observeLocked(ev *trace.Event) {
 func (d *Detector) stateLocked(id uint64, at time.Time) *connStats {
 	st, ok := d.states[id]
 	if !ok {
-		st = newConnStats(d.cfg.Window, d.cfg.Buckets, d.th.TinyDataBytes, at)
+		st = newConnStats(detectorWindow, detectorBuckets, d.th.TinyDataBytes, at)
 		d.states[id] = st
 	}
 	return st
@@ -448,7 +412,7 @@ func (d *Detector) scoreLocked(id uint64, st *connStats, now time.Time) {
 	} else {
 		switch action {
 		case ActionRateLimit:
-			c.mitigateRateLimit(d.cfg.SweepInterval)
+			c.mitigateRateLimit(sweepInterval)
 		case ActionStreamCap:
 			c.mitigateStreamCap(2)
 		case ActionGoAway:

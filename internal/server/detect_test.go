@@ -253,9 +253,6 @@ func TestDetectorNilSafe(t *testing.T) {
 	if got := d.Detections(); got != nil {
 		t.Errorf("nil Detections = %v", got)
 	}
-	if got := d.DetectedTotal(AttackRapidReset); got != 0 {
-		t.Errorf("nil DetectedTotal = %d", got)
-	}
 }
 
 // TestDetectorStopConcurrent pins the Stop race fixed in the lint sweep: the
@@ -438,7 +435,6 @@ func TestConnStatsEquivalenceExhaustive(t *testing.T) {
 // (no trace subscription, no loop, no mitigation targets).
 func newBareDetector(th Thresholds) *Detector {
 	d := &Detector{
-		cfg:       DetectorConfig{Window: 200 * time.Millisecond, Buckets: 4, SweepInterval: 50 * time.Millisecond},
 		th:        th,
 		actions:   DefaultMitigations(),
 		states:    make(map[uint64]*connStats),
@@ -510,14 +506,14 @@ func FuzzDetector(f *testing.F) {
 				t.Errorf("conn %d: negative score %v", id, score)
 			}
 			t0 := st.totals(now)
-			t1 := st.totals(now.Add(d.cfg.Window / 2))
-			t2 := st.totals(now.Add(2 * d.cfg.Window))
+			t1 := st.totals(now.Add(detectorWindow / 2))
+			t2 := st.totals(now.Add(2 * detectorWindow))
 			assertNoBucketGrowth(t, t0, t1)
 			assertNoBucketGrowth(t, t1, t2)
 			if t2 != (statBucket{}) {
 				t.Errorf("conn %d: totals survived a full window of silence: %+v", id, t2)
 			}
-			if score, _ := st.score(now.Add(2*d.cfg.Window), &d.th); score < 0 {
+			if score, _ := st.score(now.Add(2*detectorWindow), &d.th); score < 0 {
 				t.Errorf("conn %d: negative score after eviction: %v", id, score)
 			}
 		}

@@ -21,8 +21,8 @@ import (
 const fingerprintPath = "/fp"
 
 // fpInit arms the fingerprint plane for one connection. The TLS hello
-// accessor comes from the conn itself when the listener stack used
-// tlsutil.NewFingerprintListener, or from Server.HelloSource otherwise.
+// accessor comes from the conn itself, when the listener stack used
+// tlsutil.NewFingerprintListener.
 func (c *conn) fpInit(nc net.Conn) {
 	if c.srv.DisableFingerprint {
 		return
@@ -30,8 +30,6 @@ func (c *conn) fpInit(nc net.Conn) {
 	c.fpa = &fingerprint.H2Assembler{}
 	if hc, ok := nc.(tlsutil.HelloConn); ok {
 		c.helloFn = hc.ClientHello
-	} else if src := c.srv.HelloSource; src != nil {
-		c.helloFn = func() *fingerprint.ClientHello { return src(nc) }
 	}
 }
 

@@ -36,9 +36,6 @@ func runLoad(dial func() (net.Conn, error), spec loadSpec) (ok, failed int64, er
 		}
 	}()
 	opts := h2conn.DefaultOptions()
-	// A bounded log keeps the per-batch scan constant over a long run; it
-	// must hold one batch's frames with room to spare.
-	opts.EventLogLimit = 16 * spec.streams
 	for i := 0; i < spec.conns; i++ {
 		nc, err := dial()
 		if err != nil {
@@ -82,14 +79,17 @@ func runLoad(dial func() (net.Conn, error), spec loadSpec) (ok, failed int64, er
 	return okN.Load(), failedN.Load(), nil
 }
 
-// loadBatch opens one stream per request in a single write, waits until
-// each has ended (or the connection has: GOAWAY, close, timeout) and counts
-// the complete 200 responses. alive is false once the connection can take
-// no further batch.
+// loadBatch opens one stream per request, waits until each has ended (or the
+// connection has: GOAWAY, close, timeout) and counts the complete 200
+// responses. alive is false once the connection can take no further batch.
 func loadBatch(c *h2conn.Conn, reqs []h2conn.Request, timeout time.Duration) (good int64, alive bool) {
-	ids, err := c.OpenStreams(reqs)
-	if err != nil {
-		return 0, false
+	ids := make([]uint32, len(reqs))
+	for i, req := range reqs {
+		id, err := c.OpenStream(req)
+		if err != nil {
+			return 0, false
+		}
+		ids[i] = id
 	}
 	goAway := false
 	events, err := c.WaitFor(timeout, func(evs []h2conn.Event) bool {

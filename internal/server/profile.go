@@ -203,9 +203,6 @@ type Profile struct {
 
 	// AnswerPing controls PING ACK generation (all testbed servers comply).
 	AnswerPing bool
-	// PingDelay models server-side processing latency added to PING
-	// responses; zero for all real profiles.
-	PingDelay int
 
 	// --- Fingerprinting (beyond the paper: passive client census) ---
 

@@ -131,7 +131,7 @@ func TestEvenStreamIDFromClientDrawsGoAway(t *testing.T) {
 	l := startRaw(t, server.NginxProfile())
 	fr, _ := rawConn(t, l)
 	enc := hpack.NewEncoder(hpack.PolicyIndexAll)
-	block := enc.EncodeBlock([]hpack.HeaderField{
+	block := enc.AppendBlock(nil, []hpack.HeaderField{
 		{Name: ":method", Value: "GET"},
 		{Name: ":scheme", Value: "https"},
 		{Name: ":authority", Value: "raw.example"},
@@ -152,7 +152,7 @@ func TestRequestHeadersAcrossContinuation(t *testing.T) {
 	l := startRaw(t, server.NginxProfile())
 	fr, _ := rawConn(t, l)
 	enc := hpack.NewEncoder(hpack.PolicyIndexAll)
-	block := enc.EncodeBlock([]hpack.HeaderField{
+	block := enc.AppendBlock(nil, []hpack.HeaderField{
 		{Name: ":method", Value: "GET"},
 		{Name: ":scheme", Value: "https"},
 		{Name: ":authority", Value: "raw.example"},
@@ -189,7 +189,7 @@ func TestInterleavedFrameDuringContinuationDrawsGoAway(t *testing.T) {
 	l := startRaw(t, server.NginxProfile())
 	fr, _ := rawConn(t, l)
 	enc := hpack.NewEncoder(hpack.PolicyIndexAll)
-	block := enc.EncodeBlock([]hpack.HeaderField{{Name: ":method", Value: "GET"}})
+	block := enc.AppendBlock(nil, []hpack.HeaderField{{Name: ":method", Value: "GET"}})
 	if err := fr.WriteHeaders(frame.HeadersParams{
 		StreamID: 1, Fragment: block, EndStream: true, EndHeaders: false,
 	}); err != nil {
@@ -210,7 +210,7 @@ func TestClientDataOverflowingConnWindowDrawsFlowControlError(t *testing.T) {
 	l := startRaw(t, server.ApacheProfile())
 	fr, _ := rawConn(t, l)
 	enc := hpack.NewEncoder(hpack.PolicyIndexAll)
-	block := enc.EncodeBlock([]hpack.HeaderField{
+	block := enc.AppendBlock(nil, []hpack.HeaderField{
 		{Name: ":method", Value: "POST"},
 		{Name: ":scheme", Value: "https"},
 		{Name: ":authority", Value: "raw.example"},
@@ -331,7 +331,7 @@ func TestHeaderTableSizeShrinkEmitsTableSizeUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := hpack.NewEncoder(hpack.PolicyIndexAll)
-	block := enc.EncodeBlock([]hpack.HeaderField{
+	block := enc.AppendBlock(nil, []hpack.HeaderField{
 		{Name: ":method", Value: "GET"},
 		{Name: ":scheme", Value: "https"},
 		{Name: ":authority", Value: "raw.example"},
@@ -590,7 +590,7 @@ func nextData(t *testing.T, ch <-chan frame.Frame, timeout time.Duration) *frame
 func writeGet(t *testing.T, fr *frame.Framer, streamID uint32, path string) {
 	t.Helper()
 	enc := hpack.NewEncoder(hpack.PolicyIndexAll)
-	block := enc.EncodeBlock([]hpack.HeaderField{
+	block := enc.AppendBlock(nil, []hpack.HeaderField{
 		{Name: ":method", Value: "GET"},
 		{Name: ":scheme", Value: "https"},
 		{Name: ":authority", Value: "raw.example"},

@@ -44,16 +44,11 @@ const defaultMaxHeaderListBytes = 256 << 10
 // a Profile.
 type Server struct {
 	profile Profile
-	site    *Site
 	routes  *routeTable
-
-	// Logf, when non-nil, receives debug lines.
-	Logf func(format string, args ...any)
 
 	// Trace, when non-nil, receives frame-level trace events for every
 	// connection the server handles (a fresh trace connection ID per
-	// accepted conn). Set it before serving; like Logf it is not guarded
-	// by a lock.
+	// accepted conn). Set it before serving; it is not guarded by a lock.
 	Trace *trace.Tracer
 
 	// Metrics, when non-nil, receives instrument bumps from every
@@ -62,13 +57,10 @@ type Server struct {
 	Metrics *Metrics
 
 	// DisableFingerprint turns off the passive client-fingerprinting
-	// plane: no behavioral assembly, no metrics, and an empty /fp echo.
+	// plane: no behavioral assembly, no metrics, and an empty /fp echo. No
+	// program sets it; it is the off side of BenchmarkFingerprintOverhead,
+	// the measurement that justifies leaving the plane always on.
 	DisableFingerprint bool
-
-	// HelloSource, when non-nil, resolves the TLS ClientHello for a served
-	// conn that does not itself implement tlsutil.HelloConn — the
-	// tlsutil.HelloCapture fallback path. Set it before serving.
-	HelloSource func(net.Conn) *fingerprint.ClientHello
 
 	// mu guards the connection lifecycle: the listeners, the table of live
 	// connections and the closed flag. A connection's waitgroup slot is
@@ -91,21 +83,8 @@ type Server struct {
 func New(p Profile, site *Site) *Server {
 	return &Server{
 		profile: p,
-		site:    site,
 		routes:  buildRoutes(&p, site),
 		conns:   make(map[*conn]struct{}),
-	}
-}
-
-// Profile returns the server's behavior profile.
-func (s *Server) Profile() Profile { return s.profile }
-
-// Site returns the server's document tree.
-func (s *Server) Site() *Site { return s.site }
-
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
 	}
 }
 
@@ -135,11 +114,10 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return fmt.Errorf("server: accept: %w", err)
 		}
-		go func() {
-			if err := s.ServeConn(nc); err != nil && !errors.Is(err, io.EOF) {
-				s.logf("conn %v: %v", nc.RemoteAddr(), err)
-			}
-		}()
+		// How a connection ended is between it and its peer (a connection
+		// error goes out as GOAWAY and onto the trace bus); the accept loop
+		// has no use for it.
+		go func() { _ = s.ServeConn(nc) }()
 	}
 }
 
@@ -268,6 +246,13 @@ func newConn(s *Server, nc net.Conn) *conn {
 		c.dec.SetMaxHeaderListSize(limit)
 	} else {
 		c.dec.SetMaxHeaderListSize(defaultMaxHeaderListBytes)
+	}
+	// Hold the peer to the SETTINGS_MAX_FRAME_SIZE the profile advertises
+	// (the RFC default when it sends none).
+	if s.profile.OmitSettings {
+		c.fr.SetMaxReadFrameSize(frame.DefaultMaxFrameSize)
+	} else {
+		c.fr.SetMaxReadFrameSize(s.profile.MaxFrameSize)
 	}
 	if s.Metrics != nil {
 		c.fr.SetMetrics(s.Metrics.framer)
@@ -573,6 +558,12 @@ func (c *conn) step() (stop bool, _ error) {
 				_ = c.fr.Flush()
 			}
 			return false, nil
+		}
+		if errors.Is(err, frame.ErrFrameTooLarge) {
+			// RFC 7540 section 4.2; the payload is still on the wire, so
+			// there is no reading past it.
+			_ = c.goAway(frame.ErrCodeFrameSize, "frame exceeds SETTINGS_MAX_FRAME_SIZE")
+			return true, nil
 		}
 		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 			return true, nil

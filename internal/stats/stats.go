@@ -25,19 +25,6 @@ func NewCDF(samples []float64) *CDF {
 // Len returns the sample count.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	// Include equal samples.
-	for i < len(c.sorted) && c.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
@@ -54,26 +41,6 @@ func (c *CDF) Quantile(q float64) float64 {
 		idx = len(c.sorted) - 1
 	}
 	return c.sorted[idx]
-}
-
-// Point is one (x, P(X<=x)) pair of a rendered CDF series.
-type Point struct {
-	X float64
-	P float64
-}
-
-// Points samples the CDF at n evenly spaced probability levels, producing a
-// plottable series equivalent to the paper's figure curves.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 || n < 2 {
-		return nil
-	}
-	out := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out = append(out, Point{X: c.Quantile(q), P: q})
-	}
-	return out
 }
 
 // Mean returns the sample mean.
@@ -119,33 +86,6 @@ func FormatTable(headers []string, rows [][]string) string {
 	writeRow(sep)
 	for _, row := range rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// Histogram renders an ASCII bar chart of labeled counts, largest bar
-// scaled to width.
-func Histogram(labels []string, counts []int, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	maxCount := 0
-	maxLabel := 0
-	for i, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * width / maxCount
-		}
-		fmt.Fprintf(&b, "%-*s | %-*s %d\n", maxLabel, labels[i], width, strings.Repeat("#", bar), c)
 	}
 	return b.String()
 }

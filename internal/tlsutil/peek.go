@@ -10,19 +10,14 @@ import (
 	"h2scope/internal/fingerprint"
 )
 
-// This file gives the testbed server sight of the ClientHello, two ways:
-//
-//   - the pre-parse path: a buffered net.Conn wrapper reads the raw TLS
-//     record(s) of the ClientHello before crypto/tls does, parses them
-//     with internal/fingerprint, then replays every byte so the
-//     handshake proceeds untouched (NewFingerprintListener);
-//   - the capture path: a tls.Config.GetConfigForClient hook that
-//     records crypto/tls's own parse of the hello, for deployments that
-//     wrap listeners in ways that bypass the raw pre-parse (HelloCapture).
-//
-// Both paths produce the same JA3 (proven by a regression test); the
-// pre-parse additionally sees GREASE values and exact extension bytes,
-// which JA4 wants and ClientHelloInfo partially normalizes away.
+// This file gives the testbed server sight of the ClientHello: a buffered
+// net.Conn wrapper reads the raw TLS record(s) of the ClientHello before
+// crypto/tls does, parses them with internal/fingerprint, then replays every
+// byte so the handshake proceeds untouched (NewFingerprintListener). A
+// regression test holds its JA3 to the one crypto/tls's own parse of the same
+// hello yields; the pre-parse additionally sees GREASE values and exact
+// extension bytes, which JA4 wants and ClientHelloInfo partially normalizes
+// away.
 
 // peek limits: a ClientHello larger than this is not a browser, and not
 // worth buffering.
@@ -155,90 +150,6 @@ func (l *fingerprintListener) Accept() (net.Conn, error) {
 	}
 	wrapped, hello := PeekClientHello(nc)
 	return &Conn{Conn: tls.Server(wrapped, l.cfg), hello: hello}, nil
-}
-
-// HelloCapture records crypto/tls's parse of each connection's
-// ClientHello via GetConfigForClient — the fallback fingerprint source
-// when a deployment's listener stack bypasses the raw pre-parse.
-type HelloCapture struct {
-	mu sync.Mutex
-	m  map[net.Conn]*fingerprint.ClientHello
-}
-
-// NewHelloCapture clones cfg with the capture hook installed and returns
-// the capture alongside it. Any existing GetConfigForClient is chained.
-func NewHelloCapture(cfg *tls.Config) (*tls.Config, *HelloCapture) {
-	hc := &HelloCapture{m: make(map[net.Conn]*fingerprint.ClientHello)}
-	out := cfg.Clone()
-	prev := out.GetConfigForClient
-	out.GetConfigForClient = func(chi *tls.ClientHelloInfo) (*tls.Config, error) {
-		hc.mu.Lock()
-		hc.m[chi.Conn] = HelloFromInfo(chi)
-		hc.mu.Unlock()
-		if prev != nil {
-			return prev(chi)
-		}
-		return nil, nil
-	}
-	return out, hc
-}
-
-// Hello returns the captured hello for the raw conn underlying a TLS
-// server connection, nil if the handshake has not reached the hello yet.
-func (hc *HelloCapture) Hello(nc net.Conn) *fingerprint.ClientHello {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	return hc.m[nc]
-}
-
-// Forget drops the capture for nc; call when the connection closes to
-// keep the map bounded.
-func (hc *HelloCapture) Forget(nc net.Conn) {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	delete(hc.m, nc)
-}
-
-// HelloFromInfo reconstructs a fingerprint.ClientHello from crypto/tls's
-// ClientHelloInfo. The legacy_version field is not surfaced by
-// crypto/tls; it is recovered as TLS 1.2 whenever the client negotiates
-// TLS 1.2 or newer — exactly what RFC 8446 requires clients to send —
-// so JA3 output matches the raw pre-parse for all modern hellos.
-func HelloFromInfo(chi *tls.ClientHelloInfo) *fingerprint.ClientHello {
-	hello := &fingerprint.ClientHello{
-		Version:      0x0303,
-		ServerName:   chi.ServerName,
-		CipherSuites: append([]uint16(nil), chi.CipherSuites...),
-		Extensions:   append([]uint16(nil), chi.Extensions...),
-		PointFormats: append([]uint8(nil), chi.SupportedPoints...),
-		ALPN:         append([]string(nil), chi.SupportedProtos...),
-	}
-	// crypto/tls synthesizes SupportedVersions from the legacy version
-	// when the extension is absent; only a hello that really carried
-	// extension 43 gets one here, and only then is the legacy version
-	// pinned to TLS 1.2 (RFC 8446 legacy_version) rather than the max.
-	hasVersionsExt := false
-	for _, e := range chi.Extensions {
-		if fingerprint.ExtensionID(e) == fingerprint.ExtSupportedVersions {
-			hasVersionsExt = true
-		}
-	}
-	if hasVersionsExt {
-		hello.SupportedVersions = append([]uint16(nil), chi.SupportedVersions...)
-	} else {
-		for _, v := range chi.SupportedVersions {
-			if v > hello.Version || len(chi.SupportedVersions) == 1 {
-				hello.Version = v
-			}
-		}
-	}
-	for _, c := range chi.SupportedCurves {
-		hello.Groups = append(hello.Groups, uint16(c))
-	}
-	for _, s := range chi.SignatureSchemes {
-		hello.SignatureAlgorithms = append(hello.SignatureAlgorithms, uint16(s))
-	}
-	return hello
 }
 
 // String renders the conn's fingerprint summary for logs.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/tls"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,10 +24,9 @@ func testCert(t *testing.T) tls.Certificate {
 	return cert
 }
 
-// TestPreParseAndCaptureYieldIdenticalJA3 is the regression test for the
-// two observation paths: the raw record pre-parse and the
-// GetConfigForClient capture must fingerprint the same live Go
-// ClientHello to the same JA3 (and JA4).
+// TestPreParseAndCaptureYieldIdenticalJA3 holds the raw record pre-parse to
+// an oracle: crypto/tls's own parse of the same live Go ClientHello, seen
+// through GetConfigForClient, must fingerprint to the same JA3 (and JA4).
 func TestPreParseAndCaptureYieldIdenticalJA3(t *testing.T) {
 	cert := testCert(t)
 	clientCfg := ClientConfig("testbed.example")
@@ -49,8 +49,14 @@ func TestPreParseAndCaptureYieldIdenticalJA3(t *testing.T) {
 		t.Fatal("pre-parse path recovered no ClientHello")
 	}
 
-	// Path B: GetConfigForClient capture on an unwrapped tls.Server.
-	capCfg, capture := NewHelloCapture(ServerConfig(cert, true))
+	// Path B: crypto/tls's own parse, taken from GetConfigForClient on an
+	// unwrapped tls.Server.
+	var captured *fingerprint.ClientHello
+	capCfg := ServerConfig(cert, true)
+	capCfg.GetConfigForClient = func(chi *tls.ClientHelloInfo) (*tls.Config, error) {
+		captured = HelloFromInfo(chi)
+		return nil, nil
+	}
 	clientB, serverB := netsim.Pipe()
 	doneB := make(chan error, 1)
 	go func() {
@@ -62,7 +68,6 @@ func TestPreParseAndCaptureYieldIdenticalJA3(t *testing.T) {
 	if err := <-doneB; err != nil {
 		t.Fatalf("server B handshake: %v", err)
 	}
-	captured := capture.Hello(serverB)
 	if captured == nil {
 		t.Fatal("capture path recovered no ClientHello")
 	}
@@ -79,14 +84,51 @@ func TestPreParseAndCaptureYieldIdenticalJA3(t *testing.T) {
 	if preParsed.ServerName != "testbed.example" {
 		t.Errorf("pre-parsed SNI = %q, want testbed.example", preParsed.ServerName)
 	}
-	if !preParsed.SupportsH2() {
+	if !slices.Contains(preParsed.ALPN, "h2") {
 		t.Error("pre-parsed hello does not offer h2")
 	}
+}
 
-	capture.Forget(serverB)
-	if capture.Hello(serverB) != nil {
-		t.Error("Forget did not drop the capture")
+// HelloFromInfo reconstructs a fingerprint.ClientHello from crypto/tls's
+// ClientHelloInfo. The legacy_version field is not surfaced by
+// crypto/tls; it is recovered as TLS 1.2 whenever the client negotiates
+// TLS 1.2 or newer — exactly what RFC 8446 requires clients to send —
+// so JA3 output matches the raw pre-parse for all modern hellos.
+func HelloFromInfo(chi *tls.ClientHelloInfo) *fingerprint.ClientHello {
+	hello := &fingerprint.ClientHello{
+		Version:      0x0303,
+		ServerName:   chi.ServerName,
+		CipherSuites: append([]uint16(nil), chi.CipherSuites...),
+		Extensions:   append([]uint16(nil), chi.Extensions...),
+		PointFormats: append([]uint8(nil), chi.SupportedPoints...),
+		ALPN:         append([]string(nil), chi.SupportedProtos...),
 	}
+	// crypto/tls synthesizes SupportedVersions from the legacy version
+	// when the extension is absent; only a hello that really carried
+	// extension 43 gets one here, and only then is the legacy version
+	// pinned to TLS 1.2 (RFC 8446 legacy_version) rather than the max.
+	hasVersionsExt := false
+	for _, e := range chi.Extensions {
+		if fingerprint.ExtensionID(e) == fingerprint.ExtSupportedVersions {
+			hasVersionsExt = true
+		}
+	}
+	if hasVersionsExt {
+		hello.SupportedVersions = append([]uint16(nil), chi.SupportedVersions...)
+	} else {
+		for _, v := range chi.SupportedVersions {
+			if v > hello.Version || len(chi.SupportedVersions) == 1 {
+				hello.Version = v
+			}
+		}
+	}
+	for _, c := range chi.SupportedCurves {
+		hello.Groups = append(hello.Groups, uint16(c))
+	}
+	for _, s := range chi.SignatureSchemes {
+		hello.SignatureAlgorithms = append(hello.SignatureAlgorithms, uint16(s))
+	}
+	return hello
 }
 
 // TestFingerprintListenerServesHelloConn checks the listener wrapper
@@ -143,7 +185,7 @@ func TestFingerprintListenerServesHelloConn(t *testing.T) {
 	if gotHello == nil {
 		t.Fatal("accepted conn carried no ClientHello")
 	}
-	if gotHello.ServerName != "testbed.example" || !gotHello.SupportsH2() {
+	if gotHello.ServerName != "testbed.example" || !slices.Contains(gotHello.ALPN, "h2") {
 		t.Errorf("hello = %v, want SNI testbed.example offering h2", gotHello)
 	}
 }
