@@ -68,12 +68,10 @@ func BenchmarkAblationSchedulingModes(b *testing.B) {
 					parent = id
 					ids = append(ids, id)
 				}
-				if _, err := c.WaitFor(30*time.Second, func(evs []h2conn.Event) bool {
-					done := 0
-					for _, e := range evs {
-						if e.Type == frame.TypeData && e.StreamEnded() {
-							done++
-						}
+				done := 0
+				if _, err := c.Wait(0, 30*time.Second, func(e h2conn.Event) bool {
+					if e.Type == frame.TypeData && e.StreamEnded() {
+						done++
 					}
 					return done >= len(ids)
 				}); err != nil {
@@ -151,7 +149,6 @@ func BenchmarkAblationMaxFrameSize(b *testing.B) {
 		b.Run(fmt.Sprintf("max_frame=%d", size), func(b *testing.B) {
 			l := startBenchServer(b, h2scope.NginxProfile())
 			opts := h2conn.DefaultOptions()
-			opts.EventLogLimit = 4096
 			opts.Settings = []frame.Setting{{ID: frame.SettingMaxFrameSize, Val: size}}
 			nc, err := l.Dial()
 			if err != nil {
@@ -210,11 +207,8 @@ func BenchmarkDoSTinyWindowPinning(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		events := c.WaitQuiet(5*time.Millisecond, time.Second)
 		received := 0
-		for _, e := range events {
-			received += len(e.Data)
-		}
+		c.WaitQuiet(0, 5*time.Millisecond, time.Second, func(e h2conn.Event) { received += len(e.Data) })
 		pinned += int64(streams*96*1024 - received)
 		_ = c.Close()
 	}
@@ -297,18 +291,10 @@ func BenchmarkAblationFlowControlHeaders(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				events, _ := c.WaitFor(60*time.Millisecond, func(evs []h2conn.Event) bool {
-					for _, e := range evs {
-						if e.Type == frame.TypeHeaders && e.StreamID == id {
-							return true
-						}
-					}
-					return false
-				})
-				for _, e := range events {
-					if e.Type == frame.TypeHeaders && e.StreamID == id {
-						got++
-					}
+				if _, err := c.Wait(0, 60*time.Millisecond, func(e h2conn.Event) bool {
+					return e.Type == frame.TypeHeaders && e.StreamID == id
+				}); err == nil {
+					got++
 				}
 				_ = c.Close()
 			}

@@ -20,6 +20,7 @@ import (
 
 	"h2scope"
 	"h2scope/internal/frame"
+	"h2scope/internal/h2conn"
 	"h2scope/internal/netsim"
 )
 
@@ -74,11 +75,8 @@ func tinyWindowPin(l *netsim.Listener) error {
 			return err
 		}
 	}
-	events := c.WaitQuiet(50*time.Millisecond, 2*time.Second)
 	received := 0
-	for _, e := range events {
-		received += len(e.Data)
-	}
+	c.WaitQuiet(0, 50*time.Millisecond, 2*time.Second, func(e h2conn.Event) { received += len(e.Data) })
 	pinned := streams*objectSize - received
 	fmt.Println("-- DoS angle 1: 1-byte window, large objects --")
 	fmt.Printf("requested %d objects (%d KiB total), received %d bytes of DATA\n",

@@ -55,7 +55,8 @@ func run() error {
 	if err := c.WriteWindowUpdate(id, 0); err != nil {
 		return err
 	}
-	events := c.WaitQuiet(30*time.Millisecond, 2*time.Second)
+	var events []h2conn.Event
+	c.WaitQuiet(0, 30*time.Millisecond, 2*time.Second, func(e h2conn.Event) { events = append(events, e) })
 
 	fmt.Println("frame transcript (server → client):")
 	fmt.Print(h2conn.FormatEvents(events))

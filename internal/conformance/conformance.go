@@ -128,20 +128,11 @@ func (e *Env) fetchOK(c *h2conn.Conn) bool {
 // waitGoAway reports whether a GOAWAY (optionally with a required error
 // code) arrives within the reaction window.
 func (e *Env) waitGoAway(c *h2conn.Conn, code frame.ErrCode, any bool) (bool, frame.ErrCode) {
-	events, _ := c.WaitFor(reactionWindow, func(evs []h2conn.Event) bool {
-		for _, ev := range evs {
-			if ev.Type == frame.TypeGoAway {
-				return true
-			}
-		}
-		return false
-	})
-	for _, ev := range events {
-		if ev.Type == frame.TypeGoAway {
-			return any || ev.ErrCode == code, ev.ErrCode
-		}
+	ev, err := c.Wait(0, reactionWindow, func(ev h2conn.Event) bool { return ev.Type == frame.TypeGoAway })
+	if err != nil {
+		return false, 0
 	}
-	return false, 0
+	return any || ev.ErrCode == code, ev.ErrCode
 }
 
 // expectGoAway is the skeleton the negative checks share: connect with opts,
@@ -382,11 +373,10 @@ func checkSettingsFirst(env *Env) (Verdict, string) {
 		return Skip, err.Error()
 	}
 	defer closeConn(c)
-	events, err := c.WaitFor(env.Timeout, func(evs []h2conn.Event) bool { return len(evs) > 0 })
-	if err != nil || len(events) == 0 {
+	first, err := c.Wait(0, env.Timeout, func(h2conn.Event) bool { return true })
+	if err != nil {
 		return Fail, "no frames from server"
 	}
-	first := events[0]
 	if first.Type != frame.TypeSettings || first.IsAck() {
 		return Fail, fmt.Sprintf("first frame was %v", first.Type)
 	}
@@ -421,16 +411,9 @@ func checkSettingsAcked(env *Env) (Verdict, string) {
 		return Skip, err.Error()
 	}
 	defer closeConn(c)
-	events, err := c.WaitFor(env.Timeout, func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeSettings && e.IsAck() {
-				return true
-			}
-		}
-		return false
-	})
-	_ = events
-	if err != nil {
+	if _, err := c.Wait(0, env.Timeout, func(e h2conn.Event) bool {
+		return e.Type == frame.TypeSettings && e.IsAck()
+	}); err != nil {
 		return Fail, "no SETTINGS ACK"
 	}
 	return Pass, ""
@@ -500,21 +483,13 @@ func checkDataRespectsWindow(env *Env) (Verdict, string) {
 	if err != nil {
 		return Skip, err.Error()
 	}
-	events, _ := c.WaitFor(reactionWindow, func(evs []h2conn.Event) bool {
-		total := 0
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamID == id {
-				total += len(e.Data)
-			}
-		}
-		return total > 100
-	})
 	total := 0
-	for _, e := range events {
+	_, _ = c.Wait(0, reactionWindow, func(e h2conn.Event) bool {
 		if e.Type == frame.TypeData && e.StreamID == id {
 			total += len(e.Data)
 		}
-	}
+		return total > 100
+	})
 	if total > 100 {
 		return Fail, fmt.Sprintf("server sent %d bytes against a 100-byte window", total)
 	}
@@ -599,20 +574,8 @@ func checkDataFrameSizeLimit(env *Env) (Verdict, string) {
 
 // awaitPingAck reports whether a PING ACK arrives within the timeout.
 func awaitPingAck(env *Env, c *h2conn.Conn) bool {
-	events, _ := c.WaitFor(env.Timeout, func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypePing && e.IsAck() {
-				return true
-			}
-		}
-		return false
-	})
-	for _, e := range events {
-		if e.Type == frame.TypePing && e.IsAck() {
-			return true
-		}
-	}
-	return false
+	_, err := c.Wait(0, env.Timeout, func(e h2conn.Event) bool { return e.Type == frame.TypePing && e.IsAck() })
+	return err == nil
 }
 
 func checkReservedBitIgnored(env *Env) (Verdict, string) {

@@ -1,13 +1,11 @@
 package conformance_test
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"h2scope/internal/conformance"
-	"h2scope/internal/core"
 	"h2scope/internal/netsim"
 	"h2scope/internal/server"
 	"h2scope/internal/tlsutil"
@@ -31,11 +29,23 @@ func newEnv(t *testing.T, p server.Profile) *conformance.Env {
 		_ = srv.Serve(tlsutil.NewFingerprintListener(tl, tlsutil.ServerConfig(cert, true)))
 	}()
 	t.Cleanup(srv.Close)
+	// Every test that runs checks through here ends on the leak check: most
+	// of the suite provokes a GOAWAY and a server-side close, and those
+	// transports must be closed like any other.
+	dialer := &netsim.CountingDialer{DialFunc: l.Dial}
+	tlsDialer := &netsim.CountingDialer{DialFunc: tl.Dial}
+	t.Cleanup(func() {
+		for _, d := range []*netsim.CountingDialer{dialer, tlsDialer} {
+			if opened, closed := d.Counts(); opened != closed {
+				t.Errorf("checks opened %d connections and closed %d", opened, closed)
+			}
+		}
+	})
 	return &conformance.Env{
-		Dialer:        core.DialerFunc(func() (net.Conn, error) { return l.Dial() }),
+		Dialer:        dialer,
 		Authority:     "conf.example",
 		Timeout:       5 * time.Second,
-		TLSDialer:     core.DialerFunc(func() (net.Conn, error) { return tl.Dial() }),
+		TLSDialer:     tlsDialer,
 		TLSServerName: "conf.example",
 	}
 }

@@ -194,42 +194,98 @@ func (p *Prober) reactionWindow() time.Duration {
 	return w
 }
 
-// classifyReaction inspects events after a provocation and maps them to an
-// Observation. streamID scopes RST_STREAM matching; GOAWAY always counts.
-func classifyReaction(c *h2conn.Conn, streamID uint32, window time.Duration) Observation {
-	events, err := c.WaitFor(window, func(evs []h2conn.Event) bool {
-		return reactionIn(evs, streamID) != 0
+// classifyReaction listens one window for the first error frame in the log
+// after a provocation and maps it to an Observation, returning the frame
+// with it. streamID scopes RST_STREAM matching; GOAWAY always counts.
+func classifyReaction(c *h2conn.Conn, streamID uint32, window time.Duration) (Observation, h2conn.Event) {
+	ev, err := c.Wait(0, window, func(e h2conn.Event) bool {
+		return e.Type == frame.TypeGoAway ||
+			e.Type == frame.TypeRSTStream && (streamID == 0 || e.StreamID == streamID)
 	})
-	if o := reactionIn(events, streamID); o != 0 {
-		return o
-	}
-	if errors.Is(err, h2conn.ErrConnClosed) {
+	switch {
+	case err == nil && ev.Type == frame.TypeGoAway:
+		return ObserveGoAway, ev
+	case err == nil:
+		return ObserveRSTStream, ev
+	case errors.Is(err, h2conn.ErrConnClosed):
 		// Connection died without an error frame.
-		return ObserveNoResponse
+		return ObserveNoResponse, ev
+	default:
+		return ObserveIgnore, ev
 	}
-	return ObserveIgnore
 }
 
-func reactionIn(events []h2conn.Event, streamID uint32) Observation {
-	for _, e := range events {
-		switch e.Type {
-		case frame.TypeGoAway:
-			return ObserveGoAway
-		case frame.TypeRSTStream:
-			if streamID == 0 || e.StreamID == streamID {
-				return ObserveRSTStream
+// streamsAllowed reads SETTINGS_MAX_CONCURRENT_STREAMS from the server's
+// SETTINGS frame and reports how many of the want streams a probe may open
+// at once: all of them when the server names no limit.
+func streamsAllowed(settings h2conn.Event, want int) int {
+	allowed := want
+	for _, s := range settings.Settings {
+		if s.ID == frame.SettingMaxConcurrentStreams {
+			allowed = int(min(uint64(s.Val), uint64(want)))
+		}
+	}
+	return allowed
+}
+
+// errNotMeasurable is a probe's answer for a server that allows fewer
+// concurrent streams than the probe's method needs: the streams past the
+// limit are refused, and a verdict read from refusals would be about the
+// limit, not the feature. The battery records it as a step error and the
+// report carries no verdict for that probe.
+func errNotMeasurable(probe string, allowed, need int) error {
+	return fmt.Errorf("core: %s not measurable: server allows %d concurrent stream(s), the probe needs %d", probe, allowed, need)
+}
+
+// streamSpan is where one stream's DATA frames fell in the connection's
+// receive order.
+type streamSpan struct {
+	id uint32
+	// first and last are the Seq of the stream's first and last DATA frame
+	// (-1 before any).
+	first, last int
+	ended       bool
+}
+
+// streamOrder folds the spans of a fixed set of streams as the events pass;
+// the ordering probes read DATA positions from it rather than assembling
+// bodies they never look at.
+type streamOrder struct {
+	spans []streamSpan // in the order the IDs were given
+	open  int          // streams of the set that have not ended yet
+}
+
+func newStreamOrder(ids []uint32) *streamOrder {
+	o := &streamOrder{spans: make([]streamSpan, len(ids)), open: len(ids)}
+	for i, id := range ids {
+		o.spans[i] = streamSpan{id: id, first: -1, last: -1}
+	}
+	return o
+}
+
+// add folds one event and reports whether every stream of the set has now
+// ended: by END_STREAM on DATA or HEADERS, or by RST_STREAM.
+func (o *streamOrder) add(e h2conn.Event) bool {
+	for i := range o.spans {
+		sp := &o.spans[i]
+		if sp.id != e.StreamID {
+			continue
+		}
+		if e.Type == frame.TypeData {
+			if sp.first < 0 {
+				sp.first = e.Seq
 			}
+			sp.last = e.Seq
+		}
+		ends := e.Type == frame.TypeRSTStream ||
+			(e.Type == frame.TypeData || e.Type == frame.TypeHeaders) && e.StreamEnded()
+		if ends && !sp.ended {
+			sp.ended = true
+			o.open--
 		}
 	}
-	return 0
+	return o.open == 0
 }
 
-// GoAwayDebug returns the debug data of the first GOAWAY in the log.
-func goAwayDebug(events []h2conn.Event) string {
-	for _, e := range events {
-		if e.Type == frame.TypeGoAway {
-			return string(e.DebugData)
-		}
-	}
-	return ""
-}
+// ended counts the streams of the set that have ended.
+func (o *streamOrder) ended() int { return len(o.spans) - o.open }

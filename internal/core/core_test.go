@@ -27,7 +27,16 @@ func newProber(t *testing.T, p server.Profile) *core.Prober {
 	cfg := core.DefaultConfig("testbed.example")
 	cfg.Timeout = 5 * time.Second
 	cfg.QuietWindow = 20 * time.Millisecond
-	return core.NewProber(core.DialerFunc(func() (net.Conn, error) { return l.Dial() }), cfg)
+	// Every test that probes through here ends on the leak check: the
+	// transports of connections the server hung up on (the GOAWAY
+	// reactions) must be closed like any other.
+	dialer := &netsim.CountingDialer{DialFunc: l.Dial}
+	t.Cleanup(func() {
+		if opened, closed := dialer.Counts(); opened != closed {
+			t.Errorf("probes opened %d connections and closed %d", opened, closed)
+		}
+	})
+	return core.NewProber(dialer, cfg)
 }
 
 // tableIIIExpectation is one column of the paper's Table III.

@@ -53,23 +53,16 @@ func (p *Prober) probeSettingsAckAndUnknowns(ctx context.Context, res *Extension
 	if _, err := c.WaitSettings(p.cfg.Timeout); err != nil {
 		return err
 	}
-	// SETTINGS ACK for our (unknown-carrying) SETTINGS frame.
-	events, _ := c.WaitFor(p.reactionWindow(), func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeSettings && e.IsAck() {
-				return true
-			}
-		}
-		return false
+	// SETTINGS ACK for our (unknown-carrying) SETTINGS frame; a GOAWAY
+	// ahead of it means the unknown setting killed the connection, and both
+	// checks fail.
+	ev, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+		return e.Type == frame.TypeGoAway || e.Type == frame.TypeSettings && e.IsAck()
 	})
-	for _, e := range events {
-		if e.Type == frame.TypeSettings && e.IsAck() {
-			res.SettingsAcked = true
-		}
-		if e.Type == frame.TypeGoAway {
-			return nil // unknown setting killed the connection: both fail
-		}
+	if err == nil && ev.Type == frame.TypeGoAway {
+		return nil
 	}
+	res.SettingsAcked = err == nil
 	res.UnknownSettingIgnored = res.SettingsAcked
 
 	// An unknown frame type must be ignored; the connection must still
@@ -103,14 +96,12 @@ func (p *Prober) probePingPriority(ctx context.Context, res *ExtensionsResult) e
 	if err != nil {
 		return err
 	}
+	lastData := func(e h2conn.Event) bool {
+		return e.Type == frame.TypeData && e.StreamID == id && e.StreamEnded()
+	}
 	// Wait for the first DATA so the transfer is in flight (and stalled).
-	if _, err := c.WaitFor(p.cfg.Timeout, func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamID == id {
-				return true
-			}
-		}
-		return false
+	if _, err := c.Wait(0, p.cfg.Timeout, func(e h2conn.Event) bool {
+		return e.Type == frame.TypeData && e.StreamID == id
 	}); err != nil {
 		return err
 	}
@@ -118,22 +109,12 @@ func (p *Prober) probePingPriority(ctx context.Context, res *ExtensionsResult) e
 	if err := c.WritePing(data); err != nil {
 		return err
 	}
-	ackEvents, err := c.WaitFor(p.reactionWindow(), func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypePing && e.IsAck() && e.PingData == data {
-				return true
-			}
-		}
-		return false
-	})
-	if err != nil {
-		return nil // no ACK while stalled: not prioritized
-	}
 	transferDone := false
-	for _, e := range ackEvents {
-		if e.Type == frame.TypeData && e.StreamID == id && e.StreamEnded() {
-			transferDone = true
-		}
+	if _, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+		transferDone = transferDone || lastData(e)
+		return e.Type == frame.TypePing && e.IsAck() && e.PingData == data
+	}); err != nil {
+		return nil // no ACK while stalled: not prioritized
 	}
 	// Unblock and drain the rest of the transfer.
 	if err := c.WriteWindowUpdate(0, frame.MaxWindowSize); err != nil {
@@ -142,14 +123,7 @@ func (p *Prober) probePingPriority(ctx context.Context, res *ExtensionsResult) e
 	if err := c.WriteWindowUpdate(id, 1<<20); err != nil {
 		return err
 	}
-	_, _ = c.WaitFor(p.cfg.Timeout, func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamID == id && e.StreamEnded() {
-				return true
-			}
-		}
-		return false
-	})
+	_, _ = c.Wait(0, p.cfg.Timeout, lastData)
 	res.PingAckPrioritized = !transferDone
 	return nil
 }

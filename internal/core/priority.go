@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"h2scope/internal/frame"
 	"h2scope/internal/h2conn"
@@ -58,32 +59,49 @@ func (p *Prober) ProbePriority(ctx context.Context) (*PriorityResult, error) {
 		return nil, err
 	}
 	defer closeConn(c)
-	if _, err := c.WaitSettings(p.cfg.Timeout); err != nil {
+	settings, err := c.WaitSettings(p.cfg.Timeout)
+	if err != nil {
 		return nil, err
+	}
+	// The six test streams must all be open at once: a server that allows
+	// fewer refuses the rest, and the order of what is left says nothing
+	// about its scheduler.
+	if n := streamsAllowed(settings, len(streamLabels)); n < len(streamLabels) {
+		return nil, errNotMeasurable("priority", n, len(streamLabels))
 	}
 
 	res := &PriorityResult{}
 
 	// --- Step 1: deplete the connection window. ---
-	drainTarget := frame.DefaultInitialWindowSize // 65,535 octets
-	var drainIDs []uint32
-	for attempt := 0; attempt < 6 && dataTotal(c.Events(), drainIDs) < drainTarget; attempt++ {
+	// One cursor runs through the drain: every DATA octet received counts
+	// against the 65,535-octet connection window, and each wait resumes
+	// behind the last event the one before was shown.
+	const drainTarget = frame.DefaultInitialWindowSize
+	var (
+		drainIDs []uint32
+		drained  int
+		next     int
+	)
+	for attempt := 0; attempt < 6 && drained < drainTarget; attempt++ {
 		id, err := c.OpenStream(h2conn.Request{Authority: p.cfg.Authority, Path: p.cfg.DrainPath})
 		if err != nil {
 			return nil, err
 		}
 		drainIDs = append(drainIDs, id)
 		res.DrainStreams++
-		_, _ = c.WaitFor(p.cfg.Timeout, func(evs []h2conn.Event) bool {
-			if dataTotal(evs, drainIDs) >= drainTarget {
-				return true
+		_, _ = c.Wait(next, p.cfg.Timeout, func(e h2conn.Event) bool {
+			next = e.Seq + 1
+			if e.Type == frame.TypeData {
+				drained += len(e.Data)
 			}
-			// The stream ended early (small object or RST): move on.
-			return streamDone(evs, id)
+			// Depleted, or the stream ended early (small object or RST):
+			// move on.
+			return drained >= drainTarget ||
+				e.StreamID == id && (e.StreamEnded() || e.Type == frame.TypeRSTStream)
 		})
 	}
-	if got := dataTotal(c.Events(), drainIDs); got < drainTarget {
-		return nil, fmt.Errorf("core: could not deplete connection window: drained %d of %d octets", got, drainTarget)
+	if drained < drainTarget {
+		return nil, fmt.Errorf("core: could not deplete connection window: drained %d of %d octets", drained, drainTarget)
 	}
 	// Reset the drain streams so they cannot interfere (Algorithm 1 line 21).
 	for _, id := range drainIDs {
@@ -128,32 +146,29 @@ func (p *Prober) ProbePriority(ctx context.Context) (*PriorityResult, error) {
 
 	// While the connection window is still depleted, note whether HEADERS
 	// arrive for the blocked test streams (Section V-D observation).
-	blockedEvents := c.WaitQuiet(p.cfg.QuietWindow, p.reactionWindow())
+	testIDs := make([]uint32, 0, len(streamLabels))
 	for _, label := range streamLabels {
-		if h2conn.AssembleResponse(blockedEvents, ids[label]).HeadersSeq >= 0 {
+		testIDs = append(testIDs, ids[label])
+	}
+	c.WaitQuiet(next, p.cfg.QuietWindow, p.reactionWindow(), func(e h2conn.Event) {
+		if e.Type == frame.TypeHeaders && slices.Contains(testIDs, e.StreamID) {
 			res.HeadersWhileBlocked = true
 		}
-	}
+	})
 
 	// --- Step 3: reopen the connection window and observe the order. ---
 	if err := c.WriteWindowUpdate(0, frame.MaxWindowSize); err != nil {
 		return nil, err
 	}
-	testIDs := make([]uint32, 0, len(streamLabels))
-	for _, label := range streamLabels {
-		testIDs = append(testIDs, ids[label])
-	}
-	events, _ := c.WaitFor(p.cfg.Timeout, func(evs []h2conn.Event) bool {
-		return completedStreams(evs, testIDs) == len(testIDs)
-	})
-	res.Completed = completedStreams(events, testIDs)
+	order := newStreamOrder(testIDs)
+	_, _ = c.Wait(0, p.cfg.Timeout, order.add)
+	res.Completed = order.ended()
 
 	first := make(map[string]int, len(streamLabels))
 	last := make(map[string]int, len(streamLabels))
-	for _, label := range streamLabels {
-		r := h2conn.AssembleResponse(events, ids[label])
-		first[label] = r.FirstDataSeq
-		last[label] = r.LastDataSeq
+	for i, label := range streamLabels {
+		first[label] = order.spans[i].first
+		last[label] = order.spans[i].last
 	}
 	res.LastRuleOK = priorityOrderOK(last)
 	res.FirstRuleOK = priorityOrderOK(first)
@@ -193,36 +208,4 @@ func priorityOrderOK(pos map[string]int) bool {
 		}
 	}
 	return pos["C"] < pos["E"]
-}
-
-// dataTotal sums DATA payload bytes across the given streams (all streams
-// when ids is empty).
-func dataTotal(events []h2conn.Event, ids []uint32) int {
-	want := make(map[uint32]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	total := 0
-	for _, e := range events {
-		if e.Type != frame.TypeData {
-			continue
-		}
-		if len(ids) > 0 && !want[e.StreamID] {
-			continue
-		}
-		total += len(e.Data)
-	}
-	return total
-}
-
-func streamDone(events []h2conn.Event, id uint32) bool {
-	for _, e := range events {
-		if e.StreamID != id {
-			continue
-		}
-		if e.StreamEnded() || e.Type == frame.TypeRSTStream {
-			return true
-		}
-	}
-	return false
 }

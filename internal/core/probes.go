@@ -93,10 +93,8 @@ func (p *Prober) ProbeMultiplexing(ctx context.Context, n int) (*MultiplexResult
 	// Section III-A.1: N must stay below the server's advertised
 	// SETTINGS_MAX_CONCURRENT_STREAMS, or refused streams would masquerade
 	// as missing multiplexing.
-	for _, s := range ev.Settings {
-		if s.ID == frame.SettingMaxConcurrentStreams && s.Val >= 2 && int(s.Val) < n {
-			n = int(s.Val)
-		}
+	if n = streamsAllowed(ev, n); n < 2 {
+		return nil, errNotMeasurable("multiplexing", n, 2)
 	}
 	ids := make([]uint32, 0, n)
 	for i := 0; i < n; i++ {
@@ -106,54 +104,26 @@ func (p *Prober) ProbeMultiplexing(ctx context.Context, n int) (*MultiplexResult
 		}
 		ids = append(ids, id)
 	}
-	events, _ := c.WaitFor(p.cfg.Timeout, func(evs []h2conn.Event) bool {
-		return completedStreams(evs, ids) == len(ids)
-	})
-	res := &MultiplexResult{Streams: n, Completed: completedStreams(events, ids)}
+	order := newStreamOrder(ids)
+	_, _ = c.Wait(0, p.cfg.Timeout, order.add)
+	res := &MultiplexResult{Streams: n, Completed: order.ended()}
 	// Strictly sequential responses satisfy: sorted by first DATA, each
 	// stream's last DATA precedes the next stream's first. Any violation
 	// is interleaving.
-	resps := make([]*h2conn.Response, 0, len(ids))
-	for _, id := range ids {
-		r := h2conn.AssembleResponse(events, id)
-		if r.FirstDataSeq >= 0 {
-			resps = append(resps, r)
-		}
-	}
-	for i := 0; i < len(resps); i++ {
-		for j := i + 1; j < len(resps); j++ {
-			a, b := resps[i], resps[j]
-			if a.FirstDataSeq > b.FirstDataSeq {
+	for i, a := range order.spans {
+		for _, b := range order.spans[i+1:] {
+			if a.first < 0 || b.first < 0 {
+				continue
+			}
+			if a.first > b.first {
 				a, b = b, a
 			}
-			if b.FirstDataSeq < a.LastDataSeq {
+			if b.first < a.last {
 				res.Interleaved = true
 			}
 		}
 	}
 	return res, nil
-}
-
-func completedStreams(events []h2conn.Event, ids []uint32) int {
-	done := make(map[uint32]bool)
-	for _, e := range events {
-		if e.Type == frame.TypeData && e.StreamEnded() {
-			done[e.StreamID] = true
-		}
-		if e.Type == frame.TypeHeaders && e.StreamEnded() {
-			done[e.StreamID] = true
-		}
-		if e.Type == frame.TypeRSTStream {
-			done[e.StreamID] = true
-		}
-	}
-	n := 0
-	for _, id := range ids {
-		if done[id] {
-			n++
-		}
-	}
-	return n
 }
 
 // TinyWindowClass classifies a server's response under a 1-byte stream
@@ -217,25 +187,22 @@ func (p *Prober) ProbeFlowControlData(ctx context.Context, windowSize uint32) (*
 	if err != nil {
 		return nil, err
 	}
-	events, _ := c.WaitFor(p.reactionWindow(), func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamID == id {
-				return true
-			}
+	res := &FlowDataResult{WindowSize: windowSize, FirstDataLen: -1}
+	data, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+		if e.StreamID == id && e.Type == frame.TypeHeaders {
+			res.GotHeaders = true
 		}
-		return false
+		return e.StreamID == id && e.Type == frame.TypeData
 	})
-	resp := h2conn.AssembleResponse(events, id)
-	res := &FlowDataResult{WindowSize: windowSize, FirstDataLen: -1, GotHeaders: resp.HeadersSeq >= 0}
 	switch {
-	case len(resp.DataFrameSizes) == 0:
+	case err != nil:
 		res.Class = TinyWindowNothing
-	case resp.DataFrameSizes[0] == 0:
+	case len(data.Data) == 0:
 		res.Class = TinyWindowZeroLen
 		res.FirstDataLen = 0
 	default:
 		res.Class = TinyWindowOneByte
-		res.FirstDataLen = resp.DataFrameSizes[0]
+		res.FirstDataLen = len(data.Data)
 	}
 	return res, nil
 }
@@ -246,8 +213,6 @@ type ZeroWindowHeadersResult struct {
 	// GotHeaders reports whether the server returned HEADERS despite the
 	// zero DATA window — the RFC-compliant behavior.
 	GotHeaders bool
-	// GotData reports whether the server (incorrectly) sent nonempty DATA.
-	GotData bool
 }
 
 // ProbeZeroWindowHeaders sets SETTINGS_INITIAL_WINDOW_SIZE to 0 and checks
@@ -271,29 +236,10 @@ func (p *Prober) ProbeZeroWindowHeaders(ctx context.Context) (*ZeroWindowHeaders
 	if err != nil {
 		return nil, err
 	}
-	events, _ := c.WaitFor(p.reactionWindow(), func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeHeaders && e.StreamID == id {
-				return true
-			}
-		}
-		return false
+	_, err = c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+		return e.StreamID == id && e.Type == frame.TypeHeaders
 	})
-	res := &ZeroWindowHeadersResult{}
-	for _, e := range events {
-		if e.StreamID != id {
-			continue
-		}
-		switch e.Type {
-		case frame.TypeHeaders:
-			res.GotHeaders = true
-		case frame.TypeData:
-			if len(e.Data) > 0 {
-				res.GotData = true
-			}
-		}
-	}
-	return res, nil
+	return &ZeroWindowHeadersResult{GotHeaders: err == nil}, nil
 }
 
 // WindowUpdateResult reports the zero / large WINDOW_UPDATE probes
@@ -349,19 +295,14 @@ func (p *Prober) probeWindowUpdate(ctx context.Context, provoke func(*h2conn.Con
 		return nil, err
 	}
 	// Let the response start so the provocation hits a live stream.
-	_, _ = c.WaitFor(p.reactionWindow(), func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.StreamID == id && (e.Type == frame.TypeHeaders || e.Type == frame.TypeData) {
-				return true
-			}
-		}
-		return false
+	_, _ = c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+		return e.StreamID == id && (e.Type == frame.TypeHeaders || e.Type == frame.TypeData)
 	})
 	if err := provoke(c, id); err != nil {
 		closeConn(c)
 		return nil, err
 	}
-	res.Stream = classifyReaction(c, id, p.reactionWindow())
+	res.Stream, _ = classifyReaction(c, id, p.reactionWindow())
 	closeConn(c)
 
 	// Connection level, on a fresh connection.
@@ -379,8 +320,9 @@ func (p *Prober) probeWindowUpdate(ctx context.Context, provoke func(*h2conn.Con
 	if err := provoke(c, 0); err != nil {
 		return nil, err
 	}
-	res.Conn = classifyReaction(c, 0, p.reactionWindow())
-	res.ConnDebugData = goAwayDebug(c.Events())
+	var reaction h2conn.Event
+	res.Conn, reaction = classifyReaction(c, 0, p.reactionWindow())
+	res.ConnDebugData = string(reaction.DebugData)
 	return res, nil
 }
 
@@ -412,10 +354,9 @@ func (p *Prober) ProbeServerPush(ctx context.Context) (*PushResult, error) {
 			continue
 		}
 	}
-	events := c.WaitQuiet(p.cfg.QuietWindow, p.cfg.Timeout)
-	for _, e := range events {
+	c.WaitQuiet(0, p.cfg.QuietWindow, p.cfg.Timeout, func(e h2conn.Event) {
 		if e.Type != frame.TypePushPromise {
-			continue
+			return
 		}
 		res.Supported = true
 		for _, hf := range e.Headers {
@@ -423,7 +364,7 @@ func (p *Prober) ProbeServerPush(ctx context.Context) (*PushResult, error) {
 				res.PromisedPaths = append(res.PromisedPaths, hf.Value)
 			}
 		}
-	}
+	})
 	return res, nil
 }
 
@@ -550,7 +491,8 @@ func (p *Prober) ProbeSelfDependency(ctx context.Context) (*SelfDependencyResult
 	if err := c.WritePriority(id, frame.PriorityParam{StreamDep: id, Weight: 15}); err != nil {
 		return nil, err
 	}
-	return &SelfDependencyResult{Reaction: classifyReaction(c, id, p.reactionWindow())}, nil
+	reaction, _ := classifyReaction(c, id, p.reactionWindow())
+	return &SelfDependencyResult{Reaction: reaction}, nil
 }
 
 func closeConn(c *h2conn.Conn) {

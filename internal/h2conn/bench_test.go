@@ -36,10 +36,6 @@ func benchEchoServer(b *testing.B, nc *netsim.Conn) {
 // benchPingLoop measures full client frame round trips (one write and one
 // dispatched read per op) with the given options.
 func benchPingLoop(b *testing.B, opts h2conn.Options) {
-	// Cap the event log well below b.N: an unbounded log makes every Ping
-	// predicate rescan all prior events, and that quadratic term would
-	// drown the frame I/O being measured.
-	opts.EventLogLimit = 16
 	clientNC, serverNC := netsim.Pipe()
 	go benchEchoServer(b, serverNC)
 	c, err := h2conn.Dial(clientNC, opts)

@@ -4,10 +4,11 @@
 // Unlike a general-purpose HTTP/2 client, this connection exposes raw frame
 // control — custom SETTINGS, zero or overflowing WINDOW_UPDATEs,
 // self-dependent PRIORITY frames — and records every received frame in an
-// ordered event log that probes query with wait predicates. The paper's
-// methodology (Section III) is entirely about sending frame sequences a
-// normal client never would and classifying the server's frame-level
-// reaction, so the event log is the central artifact.
+// ordered event log that probes read through Wait: a match function shown
+// each event once, in arrival order. The paper's methodology (Section III)
+// is entirely about sending frame sequences a normal client never would and
+// classifying the server's frame-level reaction, so the event log is the
+// central artifact.
 package h2conn
 
 import (
@@ -23,12 +24,11 @@ import (
 	"h2scope/internal/trace"
 )
 
-// ErrTimeout is returned by wait helpers when the predicate does not become
-// true in time.
+// ErrTimeout is returned by the waits when no event matched in time.
 var ErrTimeout = errors.New("h2conn: wait timed out")
 
-// ErrConnClosed is returned when the connection ends before a wait
-// predicate is satisfied.
+// ErrConnClosed is returned by the waits when the connection ended before
+// an event matched.
 var ErrConnClosed = errors.New("h2conn: connection closed")
 
 // Event is one received frame, decoded and copied out of the framer's
@@ -92,15 +92,6 @@ type Options struct {
 	AutoStreamWindow uint32
 	// AutoConnWindow is the connection-level analogue of AutoStreamWindow.
 	AutoConnWindow uint32
-	// EventLogLimit bounds the retained event log: once it grows past the
-	// limit, the oldest half is discarded (Seq numbers stay absolute). Zero
-	// applies DefaultEventLogLimit, so an idle-but-chatty peer can never
-	// grow the log without bound; probes produce a few hundred events per
-	// connection and fit comfortably. No program sets it: the benchmarks
-	// that put tens of thousands of requests on one connection do, because
-	// every wait rescans the log (BenchmarkFingerprintOverhead reads 82 µs
-	// per request at 512 and 2.7 ms at the default).
-	EventLogLimit int
 	// Tracer, when non-nil, receives frame-level trace events for this
 	// connection (both directions) plus its open/close lifecycle. The
 	// decoded Event log above is unaffected; the tracer is the cross-layer
@@ -127,16 +118,11 @@ type Options struct {
 	Impersonate *fingerprint.ClientProfile
 }
 
-// DefaultEventLogLimit is the event-log cap applied when
-// Options.EventLogLimit is zero.
-const DefaultEventLogLimit = 32768
-
-func (o Options) eventLogLimit() int {
-	if o.EventLogLimit > 0 {
-		return o.EventLogLimit
-	}
-	return DefaultEventLogLimit
-}
+// eventLogCap bounds the retained event log: once it grows past the cap the
+// older half is discarded (Seq numbers stay absolute), so a chatty peer can
+// never grow it without bound. Probes produce a few hundred events per
+// connection.
+const eventLogCap = 32768
 
 // DefaultOptions returns the options a well-behaved client would use:
 // automatic SETTINGS/PING acknowledgment plus consumed-octet window
@@ -167,13 +153,20 @@ type Conn struct {
 	enc    *hpack.Encoder
 	encBuf []byte
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	events       []Event
-	nextSeq      int
-	readErr      error
-	closed       bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	events  []Event
+	nextSeq int
+	readErr error
+	// readEnded is set when the read loop returns — the peer closed, a read
+	// failed, or Close ran — and no further event can arrive.
+	readEnded    bool
 	nextStreamID uint32
+
+	// closeOnce closes the transport exactly once, whichever side hung up
+	// first; closeErr is what that close returned.
+	closeOnce sync.Once
+	closeErr  error
 
 	// dec decodes response header blocks; touched only by the read loop.
 	dec *hpack.Decoder
@@ -300,20 +293,16 @@ func Dial(nc net.Conn, opts Options) (*Conn, error) {
 // prefaceBytes avoids a per-Dial string-to-bytes conversion of the preface.
 var prefaceBytes = []byte(frame.ClientPreface)
 
-// Close tears down the connection. It is safe to call multiple times.
+// Close tears down the connection: it closes the transport — also when the
+// peer hung up first and the read loop has long ended — and waits for the
+// read loop to return. It is safe to call multiple times.
 func (c *Conn) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.countClosed()
-	err := c.nc.Close()
+	c.closeOnce.Do(func() {
+		c.countClosed()
+		c.closeErr = c.nc.Close()
+	})
 	<-c.readDone
-	return err
+	return c.closeErr
 }
 
 // ReadErr returns the terminal read-loop error, if the connection ended.
@@ -332,7 +321,7 @@ func (c *Conn) readLoop() {
 			if c.readErr == nil {
 				c.readErr = err
 			}
-			c.closed = true
+			c.readEnded = true
 			c.cond.Broadcast()
 			c.mu.Unlock()
 			c.countClosed()
@@ -431,9 +420,9 @@ func (c *Conn) dispatch(f frame.Frame) {
 	ev.Seq = c.nextSeq
 	c.nextSeq++
 	c.events = append(c.events, ev)
-	if limit := c.opts.eventLogLimit(); len(c.events) > limit {
-		keep := limit / 2
-		c.events = append(c.events[:0:0], c.events[len(c.events)-keep:]...)
+	if len(c.events) > eventLogCap {
+		// Into a fresh array: a Wait may be reading the old one unlocked.
+		c.events = append(c.events[:0:0], c.events[len(c.events)-eventLogCap/2:]...)
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
@@ -467,28 +456,42 @@ func (c *Conn) dispatch(f frame.Frame) {
 }
 
 func (c *Conn) decodeBlock(block []byte) []hpack.HeaderField {
-	fields, err := c.dec.DecodeFull(block)
-	if err != nil {
-		// Record what decoded; probes treat decode failures as anomalies
-		// but the log must keep the frame.
-		return fields
-	}
+	// On a decode error record what decoded: probes treat decode failures
+	// as anomalies but the log must keep the frame.
+	fields, _ := c.dec.DecodeFull(block)
 	return fields
 }
 
-// Events returns a snapshot of all events received so far.
+// Events returns a snapshot of the retained event log: the end-of-probe
+// copy transcripts are printed from. Waiting goes through Wait, which
+// copies nothing.
 func (c *Conn) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Event(nil), c.events...)
 }
 
-// WaitFor blocks until pred returns true over the event log, the connection
-// closes, or the timeout elapses, and returns the event snapshot.
+// Mark returns the Seq the next received event will carry. A caller that
+// sends and then waits for the answer reads the mark before sending and
+// waits from it, so the wait sees only what arrived since.
+func (c *Conn) Mark() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nextSeq
+}
+
+// Wait shows match every event whose Seq is at least from — each exactly
+// once, in Seq order, as it arrives — and returns the first one match
+// accepts. From 0 reads the whole log; a position the log no longer retains
+// resumes at the oldest retained event.
 //
-// On connection close the snapshot is still returned with ErrConnClosed,
-// because several probes (GOAWAY reactions) expect the connection to die.
-func (c *Conn) WaitFor(timeout time.Duration, pred func([]Event) bool) ([]Event, error) {
+// When the connection ends or the timeout elapses first, Wait returns
+// ErrConnClosed or ErrTimeout, but only after match has seen every event
+// received until then: what match folded from the events it was shown is
+// complete either way, which matters because several probes (the GOAWAY
+// reactions) expect the connection to die. match runs on the caller's
+// goroutine with no lock held.
+func (c *Conn) Wait(from int, timeout time.Duration, match func(Event) bool) (Event, error) {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		c.mu.Lock()
@@ -498,65 +501,53 @@ func (c *Conn) WaitFor(timeout time.Duration, pred func([]Event) bool) ([]Event,
 	defer timer.Stop()
 
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for {
-		if pred(c.events) {
-			return append([]Event(nil), c.events...), nil
+		if from < c.nextSeq {
+			// A logged event never changes and a trim moves the kept half to
+			// a fresh array, so the batch is read with the lock released.
+			batch := c.events[max(from-(c.nextSeq-len(c.events)), 0):]
+			from = c.nextSeq
+			c.mu.Unlock()
+			for i := range batch {
+				if match(batch[i]) {
+					return batch[i], nil
+				}
+			}
+			c.mu.Lock()
+			continue
 		}
-		if c.closed {
-			return append([]Event(nil), c.events...), ErrConnClosed
-		}
-		if !time.Now().Before(deadline) {
-			return append([]Event(nil), c.events...), ErrTimeout
+		switch {
+		case c.readEnded:
+			c.mu.Unlock()
+			return Event{}, ErrConnClosed
+		case !time.Now().Before(deadline):
+			c.mu.Unlock()
+			return Event{}, ErrTimeout
 		}
 		c.cond.Wait()
 	}
 }
 
-// WaitQuiet waits until no new event has arrived for the given idle window
-// (or the connection closed), then returns the snapshot. Probes use it to
-// let a response ordering settle.
-func (c *Conn) WaitQuiet(idle, maxWait time.Duration) []Event {
+// WaitQuiet shows visit every event from position from on and returns once
+// no event has arrived for the idle window, the connection has ended, or
+// maxWait has elapsed. Probes use it to let a response ordering settle.
+func (c *Conn) WaitQuiet(from int, idle, maxWait time.Duration, visit func(Event)) {
 	deadline := time.Now().Add(maxWait)
-	last := -1
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		n := len(c.events)
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			break
+	for {
+		ev, err := c.Wait(from, min(idle, time.Until(deadline)), func(Event) bool { return true })
+		if err != nil {
+			return
 		}
-		if n == last {
-			break
-		}
-		last = n
-		time.Sleep(idle)
+		visit(ev)
+		from = ev.Seq + 1
 	}
-	return c.Events()
 }
 
 // WaitSettings waits for the server's (non-ACK) SETTINGS frame.
 func (c *Conn) WaitSettings(timeout time.Duration) (Event, error) {
-	events, err := c.WaitFor(timeout, func(evs []Event) bool {
-		return findSettings(evs) >= 0
+	return c.Wait(0, timeout, func(e Event) bool {
+		return e.Type == frame.TypeSettings && !e.IsAck()
 	})
-	if i := findSettings(events); i >= 0 {
-		return events[i], nil
-	}
-	if err == nil {
-		err = ErrTimeout
-	}
-	return Event{}, err
-}
-
-func findSettings(evs []Event) int {
-	for i, e := range evs {
-		if e.Type == frame.TypeSettings && !e.IsAck() {
-			return i
-		}
-	}
-	return -1
 }
 
 // --- senders ---
@@ -750,27 +741,18 @@ func (c *Conn) WriteUnknownFrame(t frame.Type, flags frame.Flags, payload []byte
 
 // Ping sends a PING and waits for the matching ACK, returning the RTT.
 func (c *Conn) Ping(data [8]byte, timeout time.Duration) (time.Duration, error) {
+	from := c.Mark()
 	start := time.Now()
 	if err := c.flushAfter(c.fr.WritePing(false, data)); err != nil {
 		return 0, fmt.Errorf("h2conn: ping: %w", err)
 	}
-	events, err := c.WaitFor(timeout, func(evs []Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypePing && e.IsAck() && e.PingData == data {
-				return true
-			}
-		}
-		return false
+	ack, err := c.Wait(from, timeout, func(e Event) bool {
+		return e.Type == frame.TypePing && e.IsAck() && e.PingData == data
 	})
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range events {
-		if e.Type == frame.TypePing && e.IsAck() && e.PingData == data {
-			return e.At.Sub(start), nil
-		}
-	}
-	return 0, ErrTimeout
+	return ack.At.Sub(start), nil
 }
 
 // --- response assembly ---
@@ -819,69 +801,61 @@ func (r *Response) Header(name string) string {
 	return ""
 }
 
-// AssembleResponse builds the Response view of streamID from an event
-// snapshot.
-func AssembleResponse(events []Event, streamID uint32) *Response {
-	r := &Response{
-		StreamID:     streamID,
-		FirstDataSeq: -1,
-		LastDataSeq:  -1,
-		HeadersSeq:   -1,
-	}
-	for _, e := range events {
-		if e.StreamID != streamID {
-			continue
-		}
-		switch e.Type {
-		case frame.TypeHeaders:
-			if r.HeadersSeq < 0 {
-				r.HeadersSeq = e.Seq
-				r.Headers = e.Headers
-				r.HeaderBlockLen = e.HeaderBlockLen
-			}
-			if e.StreamEnded() {
-				r.EndStream = true
-			}
-		case frame.TypeData:
-			if r.FirstDataSeq < 0 {
-				r.FirstDataSeq = e.Seq
-			}
-			r.LastDataSeq = e.Seq
-			r.Body = append(r.Body, e.Data...)
-			r.DataFrameSizes = append(r.DataFrameSizes, len(e.Data))
-			if e.StreamEnded() {
-				r.EndStream = true
-			}
-		case frame.TypeRSTStream:
-			code := e.ErrCode
-			r.Reset = &code
-		}
-	}
-	return r
+// NewResponse returns the empty Response view of streamID, to be filled by
+// Add as the connection's events pass.
+func NewResponse(streamID uint32) *Response {
+	return &Response{StreamID: streamID, FirstDataSeq: -1, LastDataSeq: -1, HeadersSeq: -1}
 }
 
-// FetchBody opens a stream for req and waits for the complete response.
-// It requires auto window updates (DefaultOptions) for bodies larger than
-// the initial windows.
+// Add folds one event of the connection into the view; events of other
+// streams are skipped, so a wait's match function can pass it everything.
+func (r *Response) Add(e Event) {
+	if e.StreamID != r.StreamID {
+		return
+	}
+	switch e.Type {
+	case frame.TypeHeaders:
+		if r.HeadersSeq < 0 {
+			r.HeadersSeq = e.Seq
+			r.Headers = e.Headers
+			r.HeaderBlockLen = e.HeaderBlockLen
+		}
+		if e.StreamEnded() {
+			r.EndStream = true
+		}
+	case frame.TypeData:
+		if r.FirstDataSeq < 0 {
+			r.FirstDataSeq = e.Seq
+		}
+		r.LastDataSeq = e.Seq
+		r.Body = append(r.Body, e.Data...)
+		r.DataFrameSizes = append(r.DataFrameSizes, len(e.Data))
+		if e.StreamEnded() {
+			r.EndStream = true
+		}
+	case frame.TypeRSTStream:
+		code := e.ErrCode
+		r.Reset = &code
+	}
+}
+
+// Done reports whether the stream has ended or been reset.
+func (r *Response) Done() bool { return r.EndStream || r.Reset != nil }
+
+// FetchBody opens a stream for req and waits for the complete response; on
+// a timeout or a closed connection it returns what had arrived with the
+// error. It requires auto window updates (DefaultOptions) for bodies larger
+// than the initial windows.
 func (c *Conn) FetchBody(req Request, timeout time.Duration) (*Response, error) {
+	from := c.Mark()
 	id, err := c.OpenStream(req)
 	if err != nil {
 		return nil, err
 	}
-	events, err := c.WaitFor(timeout, func(evs []Event) bool {
-		for _, e := range evs {
-			if e.StreamID != id {
-				continue
-			}
-			if e.StreamEnded() || e.Type == frame.TypeRSTStream {
-				return true
-			}
-		}
-		return false
+	resp := NewResponse(id)
+	_, err = c.Wait(from, timeout, func(e Event) bool {
+		resp.Add(e)
+		return resp.Done()
 	})
-	resp := AssembleResponse(events, id)
-	if err != nil && !resp.EndStream && resp.Reset == nil {
-		return resp, err
-	}
-	return resp, nil
+	return resp, err
 }

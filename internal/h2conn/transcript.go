@@ -18,8 +18,8 @@ import (
 // function is a thin adapter that maps each decoded event onto a trace
 // event and contributes only the payload detail the decoded log carries
 // (header fields, settings values, error codes) that raw frame headers do
-// not. The log itself is bounded by Options.EventLogLimit, so a transcript
-// never grows without bound either.
+// not. The log itself is bounded (eventLogCap), so a transcript never grows
+// without bound either.
 func FormatEvents(events []Event) string {
 	if len(events) == 0 {
 		return "(no frames)\n"

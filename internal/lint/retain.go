@@ -148,6 +148,18 @@ func (w *retainWalker) walk(node ast.Node) {
 			}
 		case *ast.GoStmt:
 			w.goStmt(s)
+		case *ast.TypeSwitchStmt:
+			// switch v := f.(type): every clause binds an implicit v of its
+			// own, and each one aliases what f does.
+			if as, ok := s.Assign.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
+				if src := w.taintOf(as.Rhs[0]); src != nil {
+					for _, clause := range s.Body.List {
+						if v, ok := w.info.Implicits[clause].(*types.Var); ok {
+							w.taints[v] = src
+						}
+					}
+				}
+			}
 		case *ast.RangeStmt:
 			// range over a tainted slice taints the element variable.
 			if src := w.taintOf(s.X); src != nil && s.Value != nil {

@@ -15,7 +15,6 @@ import (
 // for (DESIGN.md §8.6). Like //h2lint:ignore, an entry without its reason is
 // not accepted, and neither is one whose reason has since been deleted.
 var unsetByPrograms = map[string]string{
-	"internal/h2conn.Options.EventLogLimit":     "BenchmarkFingerprintOverhead",
 	"internal/obs.FlightRecorderConfig.Clock":   "TestFlightRecorderRateLimitAndCap",
 	"internal/scan.Options.Backoff":             "TestRetryScheduleDeterministic",
 	"internal/scan.Options.Clock":               "TestRetryScheduleDeterministic",
@@ -115,6 +114,32 @@ func TestSurfaceFollowsUse(t *testing.T) {
 	for name, why := range unsetByPrograms {
 		if !unset[name] || !tests[why] {
 			t.Errorf("unsetByPrograms[%q] is stale: a program sets it now, it is gone, or no _test.go file declares %s", name, why)
+		}
+	}
+}
+
+// TestWorkflowNamesAreQuoted: the standard library has no YAML parser, and the
+// way this repository's workflow has failed to load is a plain `name:` scalar
+// holding ": " (a nested mapping to a YAML reader) or " #" (a comment).
+func TestWorkflowNamesAreQuoted(t *testing.T) {
+	l, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	files, _ := filepath.Glob(filepath.Join(l.ModuleRoot, ".github", "workflows", "*.yml"))
+	if len(files) == 0 {
+		t.Fatal("no workflow under .github/workflows")
+	}
+	name := regexp.MustCompile(`^\s*(?:- )?name:\s+([^"'].*)$`)
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if m := name.FindStringSubmatch(line); m != nil && (strings.Contains(m[1], ": ") || strings.Contains(m[1], " #")) {
+				t.Errorf("%s:%d: unquoted name %q does not parse as a YAML scalar; quote it", filepath.Base(file), i+1, m[1])
+			}
 		}
 	}
 }

@@ -48,6 +48,17 @@ func badLoopCarried(fr *frame.Framer) {
 	}
 }
 
+// badTypeSwitch plants the escape through the variable a type switch binds,
+// the shape h2conn's dispatch has: each clause's f aliases the parameter.
+func badTypeSwitch(f frame.Frame, s *sink) {
+	switch f := f.(type) {
+	case *frame.DataFrame:
+		s.payload = f.Data // want `stored in a struct field`
+	case *frame.HeadersFrame:
+		s.payload = append([]byte(nil), f.Fragment...) // the copy is clean in a clause too
+	}
+}
+
 // goodCopies shows the sanctioned escapes: deep copies detach from the
 // recycled buffer before they land anywhere durable.
 func goodCopies(fr *frame.Framer, s *sink, out chan<- []byte) {

@@ -43,21 +43,6 @@ func Load(nc net.Conn, cfg Config) (time.Duration, error) {
 	return st.PLT, nil
 }
 
-func promisedPaths(c *h2conn.Conn) map[string]bool {
-	out := make(map[string]bool)
-	for _, e := range c.Events() {
-		if e.Type != frame.TypePushPromise {
-			continue
-		}
-		for _, hf := range e.Headers {
-			if hf.Name == ":path" {
-				out[hf.Value] = true
-			}
-		}
-	}
-	return out
-}
-
 // Dialer opens a fresh transport connection per visit.
 type Dialer func() (net.Conn, error)
 
@@ -167,19 +152,59 @@ func LoadWithStats(nc net.Conn, cfg Config, cached []string) (*Stats, error) {
 	if err := c.WriteWindowUpdate(0, 64<<20); err != nil {
 		return nil, err
 	}
-	pageResp, err := c.FetchBody(h2conn.Request{Authority: cfg.Authority, Path: cfg.Page}, cfg.Timeout)
+	// One fold over the connection's events does the visit's accounting:
+	// which paths the server promised, which streams are still owed, and
+	// the DATA octets by origin. It reports whether everything owed so far
+	// has ended.
+	stats := &Stats{}
+	pushPath := make(map[uint32]string)
+	promised := make(map[string]bool)
+	owed := make(map[uint32]bool)
+	visit := func(e h2conn.Event) bool {
+		switch {
+		case e.Type == frame.TypePushPromise:
+			owed[e.PromiseID] = true
+			for _, hf := range e.Headers {
+				if hf.Name == ":path" {
+					pushPath[e.PromiseID] = hf.Value
+					promised[hf.Value] = true
+				}
+			}
+		case e.Type == frame.TypeData:
+			stats.BodyBytes += len(e.Data)
+			if path, pushed := pushPath[e.StreamID]; pushed {
+				stats.PushedBytes += len(e.Data)
+				if isCached[path] {
+					stats.WastedPushBytes += len(e.Data)
+				}
+			}
+		}
+		if e.StreamEnded() || e.Type == frame.TypeRSTStream {
+			delete(owed, e.StreamID)
+		}
+		return len(owed) == 0
+	}
+
+	page := h2conn.NewResponse(c.NextStreamID())
+	owed[page.StreamID] = true
+	if err := c.OpenStreamID(page.StreamID, h2conn.Request{Authority: cfg.Authority, Path: cfg.Page}); err != nil {
+		return nil, err
+	}
+	pageEnd, err := c.Wait(0, cfg.Timeout, func(e h2conn.Event) bool {
+		page.Add(e)
+		visit(e)
+		return page.Done()
+	})
 	if err != nil {
 		return nil, fmt.Errorf("pageload: page fetch: %w", err)
 	}
-	if pageResp.Status() != "200" {
-		return nil, fmt.Errorf("pageload: page status %s", pageResp.Status())
+	if page.Status() != "200" {
+		return nil, fmt.Errorf("pageload: page status %s", page.Status())
 	}
 
 	// Once the page arrived the browser knows the subresources. Resources
 	// already promised by the server, or cached, need no request; the rest
 	// are fetched in parallel.
-	promised := promisedPaths(c)
-	var openIDs []uint32
 	for _, res := range cfg.Resources {
 		if promised[res] || isCached[res] {
 			continue
@@ -188,54 +213,15 @@ func LoadWithStats(nc net.Conn, cfg Config, cached []string) (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		openIDs = append(openIDs, id)
+		owed[id] = true
 	}
 	// Wait for every requested stream and every promised push stream to
 	// complete.
-	events, err := c.WaitFor(cfg.Timeout, func(evs []h2conn.Event) bool {
-		done := make(map[uint32]bool)
-		var promisedIDs []uint32
-		for _, e := range evs {
-			if e.Type == frame.TypePushPromise {
-				promisedIDs = append(promisedIDs, e.PromiseID)
-			}
-			if e.StreamEnded() || e.Type == frame.TypeRSTStream {
-				done[e.StreamID] = true
-			}
-		}
-		for _, id := range append(openIDs, promisedIDs...) {
-			if !done[id] {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pageload: waiting for resources: %w", err)
-	}
-
-	stats := &Stats{PLT: time.Since(start)}
-	pushPath := make(map[uint32]string)
-	for _, e := range events {
-		if e.Type == frame.TypePushPromise {
-			for _, hf := range e.Headers {
-				if hf.Name == ":path" {
-					pushPath[e.PromiseID] = hf.Value
-				}
-			}
+	if len(owed) > 0 {
+		if _, err := c.Wait(pageEnd.Seq+1, cfg.Timeout, visit); err != nil {
+			return nil, fmt.Errorf("pageload: waiting for resources: %w", err)
 		}
 	}
-	for _, e := range events {
-		if e.Type != frame.TypeData {
-			continue
-		}
-		stats.BodyBytes += len(e.Data)
-		if path, pushed := pushPath[e.StreamID]; pushed {
-			stats.PushedBytes += len(e.Data)
-			if isCached[path] {
-				stats.WastedPushBytes += len(e.Data)
-			}
-		}
-	}
+	stats.PLT = time.Since(start)
 	return stats, nil
 }

@@ -468,11 +468,27 @@ func assignWindowUpdateReactions(sites []SiteSpec, d *epochData, scale float64, 
 	}
 }
 
+// algorithm1Streams is how many streams the paper's Algorithm 1 holds open at
+// once: the six of the RFC 7540 section 5.3.3 example tree.
+const algorithm1Streams = 6
+
 func assignScheduling(sites []SiteSpec, d *epochData, scale float64, rng *rand.Rand) {
 	both := int(math.Round(float64(d.priorityBoth) * scale))
 	lastOnly := int(math.Round(float64(d.priorityLastOnly) * scale))
 	firstOnly := int(math.Round(float64(d.priorityFirstOnly) * scale))
-	perm := rng.Perm(len(sites))
+	// A site the paper counted under one of the three priority modes is one
+	// Algorithm 1 could run against, so the modes are dealt only to sites
+	// that allow its six streams: the shuffle is stable-partitioned, those
+	// sites first. The counts per mode do not change.
+	var perm, refusing []int
+	for _, i := range rng.Perm(len(sites)) {
+		if s := &sites[i]; s.OmitSettings || s.MaxConcurrent >= algorithm1Streams {
+			perm = append(perm, i)
+		} else {
+			refusing = append(refusing, i)
+		}
+	}
+	perm = append(perm, refusing...)
 	for i, pi := range perm {
 		s := &sites[pi]
 		switch {

@@ -3,6 +3,7 @@ package population_test
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -720,5 +721,106 @@ func TestScanWithoutFingerprintLeavesSweepNil(t *testing.T) {
 	if sum.FingerprintSites != 0 || sum.FingerprintEcho != 0 || sum.FingerprintDiffers != 0 {
 		t.Errorf("fingerprint aggregates populated without the option: %d/%d/%d",
 			sum.FingerprintSites, sum.FingerprintEcho, sum.FingerprintDiffers)
+	}
+}
+
+// TestPriorityModesOnlyWhereAlgorithm1CanRun is the generator's side of the
+// seed-23 fix: over census seeds 1-50 and both epochs no site that allows
+// fewer than Algorithm 1's six concurrent streams is dealt a priority mode,
+// and the number of sites per mode is what the scaled Section V-E counts say.
+func TestPriorityModesOnlyWhereAlgorithm1CanRun(t *testing.T) {
+	const scale = 0.01
+	for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
+		want := population.Generate(epoch, scale, 1).Tally()
+		for seed := int64(1); seed <= 50; seed++ {
+			pop := population.Generate(epoch, scale, seed)
+			for _, s := range pop.Sites {
+				if !s.OmitSettings && s.MaxConcurrent < 6 && s.Scheduling != server.SchedRoundRobin {
+					t.Errorf("%v seed %d: %s allows %d streams and schedules %v", epoch, seed, s.Domain, s.MaxConcurrent, s.Scheduling)
+				}
+			}
+			got := pop.Tally()
+			if got.PriorityLast != want.PriorityLast || got.PriorityFirst != want.PriorityFirst || got.PriorityBoth != want.PriorityBoth {
+				t.Errorf("%v seed %d: priority last/first/both = %d/%d/%d, seed 1 has %d/%d/%d", epoch, seed,
+					got.PriorityLast, got.PriorityFirst, got.PriorityBoth, want.PriorityLast, want.PriorityFirst, want.PriorityBoth)
+			}
+		}
+	}
+}
+
+// scanSites scans the given sites as a population of their own.
+func scanSites(t *testing.T, sites []population.SiteSpec) *population.ScanSummary {
+	t.Helper()
+	pop := &population.Population{Epoch: population.EpochJan2017, Scale: 1, Sites: sites}
+	sum, err := population.Scan(pop, population.ScanOptions{Parallelism: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Stats.Succeeded != int64(len(sites)) {
+		t.Fatalf("scan stats: %s, want %d sites succeeded", sum.Stats, len(sites))
+	}
+	return sum
+}
+
+// TestSitesRefusingSixStreamsScanClean scans the sites that had probe_scan
+// read `correct:false` on seed 23 (site-000182, priority-last-rule) and would
+// have on seeds 36, 39, 44 and 49: the ones advertising
+// SETTINGS_MAX_CONCURRENT_STREAMS = 1. Neither ordering probe can be run
+// against them, so their reports carry no multiplexing or priority verdict,
+// and everything else agrees with the ground truth.
+func TestSitesRefusingSixStreamsScanClean(t *testing.T) {
+	var sites []population.SiteSpec
+	for _, seed := range []int64{23, 36, 39, 44, 49} {
+		for _, s := range population.Generate(population.EpochJan2017, 0.01, seed).Sites {
+			if !s.OmitSettings && s.MaxConcurrent < 6 {
+				sites = append(sites, s)
+			}
+		}
+	}
+	if len(sites) < 5 {
+		t.Fatalf("%d sites with a limit below six over the five seeds, want at least one each", len(sites))
+	}
+	sum := scanSites(t, sites)
+	if agr := population.ComputeAgreement(sum); !agr.Perfect() || agr.Sites != len(sites) {
+		t.Errorf("agreement over %d sites:\n%s", len(sites), agr)
+	}
+	for _, res := range sum.Results {
+		if res.Report.Multiplex != nil || res.Report.Priority != nil {
+			t.Errorf("%s (limit %d): multiplexing %+v, priority %+v, want no verdict",
+				res.Spec.Domain, res.Spec.MaxConcurrent, res.Report.Multiplex, res.Report.Priority)
+		}
+	}
+}
+
+// TestPriorityNotMeasurableBelowSixStreams is the probe's side: a hand-built
+// site that obeys priorities but allows one stream at a time. Five of
+// Algorithm 1's six requests are refused there; the probe must say so rather
+// than report a server that fails priority, the site still counts as scanned,
+// and neither the agreement nor the tally reads a verdict that was never
+// measured.
+func TestPriorityNotMeasurableBelowSixStreams(t *testing.T) {
+	site := population.Generate(population.EpochJan2017, 0.001, 1).Sites[0]
+	site.OmitSettings, site.MaxConcurrent, site.Scheduling = false, 1, server.SchedPriority
+	sum := scanSites(t, []population.SiteSpec{site})
+	r := sum.Results[0].Report
+	if r.Multiplex != nil || r.Priority != nil {
+		t.Errorf("multiplexing %+v, priority %+v, want no verdict", r.Multiplex, r.Priority)
+	}
+	notMeasurable := 0
+	for _, e := range r.Errors {
+		if strings.Contains(e, "not measurable") {
+			notMeasurable++
+		}
+	}
+	if notMeasurable != 2 || len(r.Errors) != 2 {
+		t.Errorf("report errors = %q, want the multiplexing and the priority probe not measurable", r.Errors)
+	}
+	if agr := population.ComputeAgreement(sum); !agr.Perfect() {
+		t.Errorf("agreement:\n%s", agr)
+	} else if _, ok := agr.Dimensions["priority-last-rule"]; ok {
+		t.Error("agreement scored a priority verdict that was not measured")
+	}
+	if sum.PriorityLast != 0 || sum.PriorityFirst != 0 || sum.PriorityBoth != 0 {
+		t.Errorf("tally counts priority %d/%d/%d for a site that was not measured", sum.PriorityLast, sum.PriorityFirst, sum.PriorityBoth)
 	}
 }

@@ -25,7 +25,7 @@ import (
 // negotiation queries (Section IV-A) from the site's metadata — the
 // stand-in for the TLS ALPN/NPN exchange against live Internet hosts.
 type siteDialer struct {
-	l    *netsim.Listener
+	dial func() (net.Conn, error)
 	spec *SiteSpec
 }
 
@@ -35,7 +35,7 @@ var (
 )
 
 // Dial implements core.Dialer.
-func (d *siteDialer) Dial() (net.Conn, error) { return d.l.Dial() }
+func (d *siteDialer) Dial() (net.Conn, error) { return d.dial() }
 
 // NegotiateALPN implements core.Negotiator.
 func (d *siteDialer) NegotiateALPN(protos []string) (string, error) {
@@ -167,6 +167,11 @@ type ScanOptions struct {
 	// site even without TraceDir (the tracer then lives only long enough to
 	// build spans); with TraceDir, exemplars reference the exported file.
 	Observer *obs.Monitor
+
+	// wrapDial, which only this package's tests can set, wraps the dial
+	// function every connection to a site goes through (probe battery,
+	// adversarial battery, impersonation sweep): the counting dialer's way in.
+	wrapDial func(dial func() (net.Conn, error)) func() (net.Conn, error)
 }
 
 // batteryProbes is how many connection-scoped probes one battery runs; the
@@ -342,12 +347,16 @@ func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn
 	// a nil result simply leaves tracing off.
 	cfg.Tracer = trace.FromContext(ctx)
 	cfg.Metrics = m
-	prober := core.NewProber(&siteDialer{l: l, spec: spec}, cfg)
+	dial := l.Dial
+	if opts.wrapDial != nil {
+		dial = opts.wrapDial(dial)
+	}
+	prober := core.NewProber(&siteDialer{dial: dial, spec: spec}, cfg)
 	report, err := prober.RunContext(ctx)
 	v := &siteValue{report: report}
 	if opts.Robustness && ctx.Err() == nil {
 		runner := &attack.Runner{
-			Dial:         func() (net.Conn, error) { return l.Dial() },
+			Dial:         dial,
 			Authority:    spec.Domain,
 			ProbePath:    "/",
 			ProbeTimeout: opts.Timeout,
@@ -357,7 +366,7 @@ func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn
 		v.robust = &score
 	}
 	if opts.Fingerprint && ctx.Err() == nil {
-		v.fp = fingerprintSweep(l.Dial, spec.Domain, opts.Timeout)
+		v.fp = fingerprintSweep(dial, spec.Domain, opts.Timeout)
 	}
 	return v, err
 }

@@ -553,7 +553,6 @@ func BenchmarkDetectorOverhead(b *testing.B) {
 			b.Fatalf("dial: %v", err)
 		}
 		opts := h2conn.DefaultOptions()
-		opts.EventLogLimit = 512
 		c, err := h2conn.Dial(nc, opts)
 		if err != nil {
 			b.Fatalf("h2 dial: %v", err)

@@ -248,7 +248,6 @@ func BenchmarkFingerprintOverhead(b *testing.B) {
 			b.Fatalf("dial: %v", err)
 		}
 		opts := h2conn.DefaultOptions()
-		opts.EventLogLimit = 512
 		if enabled {
 			opts.Impersonate = fingerprint.ChromeProfile()
 		}

@@ -83,32 +83,31 @@ func runLoad(dial func() (net.Conn, error), spec loadSpec) (ok, failed int64, er
 // connection has: GOAWAY, close, timeout) and counts the complete 200
 // responses. alive is false once the connection can take no further batch.
 func loadBatch(c *h2conn.Conn, reqs []h2conn.Request, timeout time.Duration) (good int64, alive bool) {
-	ids := make([]uint32, len(reqs))
-	for i, req := range reqs {
+	from := c.Mark()
+	resps := make(map[uint32]*h2conn.Response, len(reqs))
+	for _, req := range reqs {
 		id, err := c.OpenStream(req)
 		if err != nil {
 			return 0, false
 		}
-		ids[i] = id
+		resps[id] = h2conn.NewResponse(id)
 	}
-	goAway := false
-	events, err := c.WaitFor(timeout, func(evs []h2conn.Event) bool {
-		done := 0
-		for _, e := range evs {
-			switch {
-			case e.Type == frame.TypeGoAway:
-				goAway = true
-				return true
-			case e.StreamID < ids[0], e.StreamID%2 == 0:
-				// an earlier batch, the control stream, or a pushed stream
-			case e.Type == frame.TypeRSTStream, e.StreamEnded() && (e.Type == frame.TypeHeaders || e.Type == frame.TypeData):
-				done++
+	goAway, pending := false, len(resps)
+	_, err := c.Wait(from, timeout, func(e h2conn.Event) bool {
+		if e.Type == frame.TypeGoAway {
+			goAway = true
+			return true
+		}
+		// Anything else is the control stream or a pushed stream.
+		if r := resps[e.StreamID]; r != nil && !r.Done() {
+			if r.Add(e); r.Done() {
+				pending--
 			}
 		}
-		return done == len(ids)
+		return pending == 0
 	})
-	for _, id := range ids {
-		if r := h2conn.AssembleResponse(events, id); r.Status() == "200" && r.EndStream && r.Reset == nil {
+	for _, r := range resps {
+		if r.Status() == "200" && r.EndStream && r.Reset == nil {
 			good++
 		}
 	}

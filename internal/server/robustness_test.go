@@ -422,26 +422,15 @@ func TestGracefulShutdownSendsGoAwayNoError(t *testing.T) {
 		srv.Shutdown(2 * time.Second)
 		close(done)
 	}()
-	events, err := c.WaitFor(5*time.Second, func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeGoAway {
-				return true
-			}
-		}
-		return false
-	})
+	goAway, err := c.Wait(0, 5*time.Second, func(e h2conn.Event) bool { return e.Type == frame.TypeGoAway })
 	if err != nil {
 		t.Fatalf("no GOAWAY during shutdown: %v", err)
 	}
-	for _, e := range events {
-		if e.Type == frame.TypeGoAway {
-			if e.ErrCode != frame.ErrCodeNo {
-				t.Errorf("GOAWAY code = %v, want NO_ERROR", e.ErrCode)
-			}
-			if len(e.DebugData) == 0 {
-				t.Error("GOAWAY missing shutdown notice")
-			}
-		}
+	if goAway.ErrCode != frame.ErrCodeNo {
+		t.Errorf("GOAWAY code = %v, want NO_ERROR", goAway.ErrCode)
+	}
+	if len(goAway.DebugData) == 0 {
+		t.Error("GOAWAY missing shutdown notice")
 	}
 	_ = c.Close()
 	select {

@@ -40,6 +40,27 @@ func start(t *testing.T, p server.Profile) func(opts h2conn.Options) *h2conn.Con
 	}
 }
 
+// awaitResponses folds the connection's events into one Response per stream
+// and returns them, in the order given, once every stream has ended.
+func awaitResponses(t *testing.T, c *h2conn.Conn, ids ...uint32) []*h2conn.Response {
+	t.Helper()
+	resps := make([]*h2conn.Response, len(ids))
+	for i, id := range ids {
+		resps[i] = h2conn.NewResponse(id)
+	}
+	if _, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
+		done := true
+		for _, r := range resps {
+			r.Add(e)
+			done = done && r.Done()
+		}
+		return done
+	}); err != nil {
+		t.Fatalf("waiting for streams %v to end: %v", ids, err)
+	}
+	return resps
+}
+
 func TestBasicGETAllProfiles(t *testing.T) {
 	for _, p := range server.TestbedProfiles() {
 		p := p
@@ -102,29 +123,22 @@ func TestNginxAdvertisesZeroWindowThenBoost(t *testing.T) {
 	// Table V observation: Nginx advertises SETTINGS_INITIAL_WINDOW_SIZE 0
 	// and immediately reopens windows with WINDOW_UPDATE frames.
 	c := start(t, server.NginxProfile())(h2conn.DefaultOptions())
-	events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-		var sawSettings, sawBoost bool
-		for _, e := range evs {
-			if e.Type == frame.TypeSettings && !e.IsAck() {
-				sawSettings = true
-			}
-			if e.Type == frame.TypeWindowUpdate && e.StreamID == 0 {
-				sawBoost = true
-			}
-		}
-		return sawSettings && sawBoost
-	})
-	if err != nil {
-		t.Fatalf("WaitFor: %v (events: %d)", err, len(events))
-	}
-	for _, e := range events {
+	var sawSettings, sawBoost bool
+	if _, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
 		if e.Type == frame.TypeSettings && !e.IsAck() {
+			sawSettings = true
 			for _, s := range e.Settings {
 				if s.ID == frame.SettingInitialWindowSize && s.Val != 0 {
 					t.Errorf("INITIAL_WINDOW_SIZE = %d, want 0", s.Val)
 				}
 			}
 		}
+		if e.Type == frame.TypeWindowUpdate && e.StreamID == 0 {
+			sawBoost = true
+		}
+		return sawSettings && sawBoost
+	}); err != nil {
+		t.Fatalf("Wait: %v (settings %v, boost %v)", err, sawSettings, sawBoost)
 	}
 }
 
@@ -147,20 +161,8 @@ func TestMultiplexingInterleavesLargeObjects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-				done := 0
-				for _, e := range evs {
-					if e.Type == frame.TypeData && e.StreamEnded() {
-						done++
-					}
-				}
-				return done >= 2
-			})
-			if err != nil {
-				t.Fatalf("WaitFor: %v", err)
-			}
-			r1 := h2conn.AssembleResponse(events, id1)
-			r2 := h2conn.AssembleResponse(events, id2)
+			resps := awaitResponses(t, c, id1, id2)
+			r1, r2 := resps[0], resps[1]
 			if len(r1.Body) != 96*1024 || len(r2.Body) != 96*1024 {
 				t.Fatalf("body lengths %d/%d, want 98304", len(r1.Body), len(r2.Body))
 			}
@@ -190,20 +192,14 @@ func TestFlowControlOneByteWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamID == id {
-				return true
-			}
-		}
-		return false
+	data, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
+		return e.Type == frame.TypeData && e.StreamID == id
 	})
 	if err != nil {
-		t.Fatalf("WaitFor DATA: %v", err)
+		t.Fatalf("waiting for DATA: %v", err)
 	}
-	resp := h2conn.AssembleResponse(events, id)
-	if len(resp.DataFrameSizes) == 0 || resp.DataFrameSizes[0] != 1 {
-		t.Fatalf("first DATA frame sizes = %v, want leading 1", resp.DataFrameSizes)
+	if len(data.Data) != 1 {
+		t.Fatalf("first DATA frame carries %d bytes, want 1", len(data.Data))
 	}
 }
 
@@ -223,21 +219,17 @@ func TestZeroInitialWindowHeadersBehavior(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-			for _, e := range evs {
-				if e.Type == frame.TypeHeaders && e.StreamID == id {
-					return true
-				}
+		gotHeaders := false
+		c.WaitQuiet(0, 50*time.Millisecond, time.Second, func(e h2conn.Event) {
+			if e.Type == frame.TypeHeaders && e.StreamID == id {
+				gotHeaders = true
 			}
-			return false
-		})
-		if err != nil {
-			t.Fatalf("no HEADERS at zero window: %v", err)
-		}
-		for _, e := range events {
 			if e.Type == frame.TypeData && e.StreamID == id && len(e.Data) > 0 {
 				t.Error("server sent DATA despite zero window")
 			}
+		})
+		if !gotHeaders {
+			t.Fatal("no HEADERS at zero window")
 		}
 	})
 	t.Run("litespeed withholds headers", func(t *testing.T) {
@@ -249,12 +241,11 @@ func TestZeroInitialWindowHeadersBehavior(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events := c.WaitQuiet(50*time.Millisecond, time.Second)
-		for _, e := range events {
+		c.WaitQuiet(0, 50*time.Millisecond, time.Second, func(e h2conn.Event) {
 			if e.Type == frame.TypeHeaders && e.StreamID == id {
 				t.Error("LiteSpeed profile sent HEADERS under zero window")
 			}
-		}
+		})
 	})
 }
 
@@ -310,21 +301,15 @@ func TestZeroWindowUpdateReactions(t *testing.T) {
 func checkReaction(t *testing.T, c *h2conn.Conn, want frame.Type, streamID uint32) {
 	t.Helper()
 	if want == 0 {
-		events := c.WaitQuiet(50*time.Millisecond, time.Second)
-		for _, e := range events {
+		c.WaitQuiet(0, 50*time.Millisecond, time.Second, func(e h2conn.Event) {
 			if e.Type == frame.TypeRSTStream || e.Type == frame.TypeGoAway {
 				t.Errorf("expected silence, saw %v", e.Type)
 			}
-		}
+		})
 		return
 	}
-	_, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-		for _, e := range evs {
-			if e.Type == want && (want == frame.TypeGoAway || e.StreamID == streamID) {
-				return true
-			}
-		}
-		return false
+	_, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
+		return e.Type == want && (want == frame.TypeGoAway || e.StreamID == streamID)
 	})
 	if err != nil {
 		t.Fatalf("waiting for %v: %v (events: %+v)", want, err, summarize(c.Events()))
@@ -425,20 +410,14 @@ func TestMaxConcurrentStreamsEnforcement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-			for _, e := range evs {
-				if e.Type == frame.TypeRSTStream && e.StreamID == id {
-					return true
-				}
-			}
-			return false
+		rst, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
+			return e.Type == frame.TypeRSTStream && e.StreamID == id
 		})
 		if err != nil {
 			t.Fatalf("no RST_STREAM: %v", err)
 		}
-		resp := h2conn.AssembleResponse(events, id)
-		if resp.Reset == nil || *resp.Reset != frame.ErrCodeRefusedStream {
-			t.Errorf("reset = %v, want REFUSED_STREAM", resp.Reset)
+		if rst.ErrCode != frame.ErrCodeRefusedStream {
+			t.Errorf("reset = %v, want REFUSED_STREAM", rst.ErrCode)
 		}
 	})
 
@@ -464,20 +443,14 @@ func TestMaxConcurrentStreamsEnforcement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-			for _, e := range evs {
-				if e.Type == frame.TypeRSTStream && e.StreamID == id2 {
-					return true
-				}
-			}
-			return false
+		rst, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
+			return e.Type == frame.TypeRSTStream && e.StreamID == id2
 		})
 		if err != nil {
 			t.Fatalf("no RST_STREAM on second stream: %v", err)
 		}
-		r2 := h2conn.AssembleResponse(events, id2)
-		if r2.Reset == nil || *r2.Reset != frame.ErrCodeRefusedStream {
-			t.Errorf("second stream reset = %v, want REFUSED_STREAM", r2.Reset)
+		if rst.ErrCode != frame.ErrCodeRefusedStream {
+			t.Errorf("second stream reset = %v, want REFUSED_STREAM", rst.ErrCode)
 		}
 		_ = id1
 	})
@@ -524,40 +497,33 @@ func TestServerPush(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !tt.wantPush {
-				events := c.WaitQuiet(50*time.Millisecond, time.Second)
-				for _, e := range events {
+				c.WaitQuiet(0, 50*time.Millisecond, time.Second, func(e h2conn.Event) {
 					if e.Type == frame.TypePushPromise {
 						t.Error("non-push profile sent PUSH_PROMISE")
 					}
-				}
+				})
 				return
 			}
-			events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-				promises, done := 0, 0
-				for _, e := range evs {
-					if e.Type == frame.TypePushPromise {
-						promises++
-					}
-					if e.Type == frame.TypeData && e.StreamEnded() && e.StreamID%2 == 0 {
+			// Pushed responses arrive on the promised even streams, with
+			// bodies.
+			pushed := make(map[uint32]*h2conn.Response)
+			if _, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
+				if e.Type == frame.TypePushPromise {
+					pushed[e.PromiseID] = h2conn.NewResponse(e.PromiseID)
+				}
+				done := 0
+				for _, r := range pushed {
+					if r.Add(e); r.EndStream {
 						done++
 					}
 				}
-				return promises >= 2 && done >= 2
-			})
-			if err != nil {
-				t.Fatalf("push incomplete: %v (%v)", err, summarize(events))
+				return done >= 2
+			}); err != nil {
+				t.Fatalf("push incomplete: %v (%v)", err, summarize(c.Events()))
 			}
-			// Pushed responses arrive on even streams with correct bodies.
-			var promised []uint32
-			for _, e := range events {
-				if e.Type == frame.TypePushPromise {
-					promised = append(promised, e.PromiseID)
-				}
-			}
-			for _, pid := range promised {
-				resp := h2conn.AssembleResponse(events, pid)
-				if len(resp.Body) == 0 {
-					t.Errorf("pushed stream %d has empty body", pid)
+			for pid, resp := range pushed {
+				if pid%2 != 0 || len(resp.Body) == 0 {
+					t.Errorf("pushed stream %d has %d body bytes", pid, len(resp.Body))
 				}
 			}
 		})
@@ -686,20 +652,8 @@ func TestPrioritySchedulingOrdersResponses(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-		done := 0
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamEnded() {
-				done++
-			}
-		}
-		return done >= 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := h2conn.AssembleResponse(events, parent)
-	rc := h2conn.AssembleResponse(events, child)
+	resps := awaitResponses(t, c, parent, child)
+	rp, rc := resps[0], resps[1]
 	if rp.LastDataSeq > rc.FirstDataSeq {
 		t.Errorf("parent finished at %d after child started at %d; priority ignored",
 			rp.LastDataSeq, rc.FirstDataSeq)
@@ -722,20 +676,8 @@ func TestRoundRobinIgnoresPriority(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-		done := 0
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamEnded() {
-				done++
-			}
-		}
-		return done >= 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := h2conn.AssembleResponse(events, parent)
-	rc := h2conn.AssembleResponse(events, child)
+	resps := awaitResponses(t, c, parent, child)
+	rp, rc := resps[0], resps[1]
 	// Round-robin: the child's DATA starts before the parent finishes.
 	if rc.FirstDataSeq > rp.LastDataSeq {
 		t.Errorf("child started at %d after parent finished at %d; looks priority-scheduled",
@@ -811,17 +753,19 @@ func TestPushedStreamsRespectFlowControl(t *testing.T) {
 	if _, err := c.OpenStream(h2conn.Request{Authority: "pushfc.example", Path: "/"}); err != nil {
 		t.Fatal(err)
 	}
-	events := c.WaitQuiet(50*time.Millisecond, 2*time.Second)
-	var promised []uint32
-	for _, e := range events {
+	var promised []*h2conn.Response
+	c.WaitQuiet(0, 50*time.Millisecond, 2*time.Second, func(e h2conn.Event) {
 		if e.Type == frame.TypePushPromise {
-			promised = append(promised, e.PromiseID)
+			promised = append(promised, h2conn.NewResponse(e.PromiseID))
 		}
-	}
+		for _, r := range promised {
+			r.Add(e)
+		}
+	})
 	if len(promised) != 1 {
-		t.Fatalf("promises = %v, want 1", promised)
+		t.Fatalf("%d promises, want 1", len(promised))
 	}
-	pushResp := h2conn.AssembleResponse(events, promised[0])
+	pushResp := promised[0]
 	if len(pushResp.Body) > 16 {
 		t.Errorf("pushed stream sent %d bytes against a 16-byte window", len(pushResp.Body))
 	}
@@ -860,20 +804,8 @@ func TestPushedStreamDependsOnRequestStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-		done := 0
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamEnded() {
-				done++
-			}
-		}
-		return done >= 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := h2conn.AssembleResponse(events, id)
-	pushed := h2conn.AssembleResponse(events, 2)
+	resps := awaitResponses(t, c, id, 2)
+	page, pushed := resps[0], resps[1]
 	if page.LastDataSeq > pushed.FirstDataSeq {
 		t.Errorf("pushed stream started (seq %d) before page finished (seq %d)",
 			pushed.FirstDataSeq, page.LastDataSeq)
@@ -895,23 +827,10 @@ func TestSequentialModeServesInArrivalOrder(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-		done := 0
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamEnded() {
-				done++
-			}
-		}
-		return done >= 3
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	prevLast := -1
-	for _, id := range ids {
-		r := h2conn.AssembleResponse(events, id)
+	for _, r := range awaitResponses(t, c, ids...) {
 		if r.FirstDataSeq < prevLast {
-			t.Errorf("stream %d started at %d before predecessor finished at %d", id, r.FirstDataSeq, prevLast)
+			t.Errorf("stream %d started at %d before predecessor finished at %d", r.StreamID, r.FirstDataSeq, prevLast)
 		}
 		prevLast = r.LastDataSeq
 	}
@@ -939,24 +858,12 @@ func TestWeightedFairShareBetweenSiblings(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	events, err := c.WaitFor(testTimeout, func(evs []h2conn.Event) bool {
-		done := 0
-		for _, e := range evs {
-			if e.Type == frame.TypeData && e.StreamEnded() {
-				done++
-			}
-		}
-		return done >= 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Count bytes delivered to each stream until the heavy one finishes
 	// (after that the light stream has the link to itself).
 	heavyBytes, lightBytes := 0, 0
-	for _, e := range events {
+	if _, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
 		if e.Type != frame.TypeData {
-			continue
+			return false
 		}
 		switch e.StreamID {
 		case heavy:
@@ -964,9 +871,9 @@ func TestWeightedFairShareBetweenSiblings(t *testing.T) {
 		case light:
 			lightBytes += len(e.Data)
 		}
-		if e.StreamID == heavy && e.StreamEnded() {
-			break
-		}
+		return e.StreamID == heavy && e.StreamEnded()
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if lightBytes == 0 {
 		t.Fatal("light stream starved entirely: weighted sharing absent")
