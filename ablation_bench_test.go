@@ -8,17 +8,18 @@ import (
 	"testing"
 	"time"
 
-	"h2scope"
 	"h2scope/internal/frame"
 	"h2scope/internal/h2conn"
 	"h2scope/internal/netsim"
 	"h2scope/internal/pageload"
+	"h2scope/internal/population"
+	"h2scope/internal/server"
 )
 
 // startBenchServer launches a profile server and returns its listener.
-func startBenchServer(b *testing.B, p h2scope.Profile) *netsim.Listener {
+func startBenchServer(b *testing.B, p server.Profile) *netsim.Listener {
 	b.Helper()
-	srv := h2scope.NewServer(p, h2scope.DefaultSite("ablation.example"))
+	srv := server.New(p, server.DefaultSite("ablation.example"))
 	l := netsim.NewListener(p.Family + "-ablation")
 	go func() {
 		_ = srv.Serve(l)
@@ -30,16 +31,16 @@ func startBenchServer(b *testing.B, p h2scope.Profile) *netsim.Listener {
 // BenchmarkAblationSchedulingModes transfers six prioritized streams under
 // each scheduling mode: priority scheduling changes ordering, not cost.
 func BenchmarkAblationSchedulingModes(b *testing.B) {
-	modes := []h2scope.SchedulingMode{
-		h2scope.SchedRoundRobin,
-		h2scope.SchedPriority,
-		h2scope.SchedPriorityLastOnly,
-		h2scope.SchedPriorityFirstOnly,
+	modes := []server.SchedulingMode{
+		server.SchedRoundRobin,
+		server.SchedPriority,
+		server.SchedPriorityLastOnly,
+		server.SchedPriorityFirstOnly,
 	}
 	for _, mode := range modes {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
-			p := h2scope.H2OProfile()
+			p := server.H2OProfile()
 			p.Scheduling = mode
 			l := startBenchServer(b, p)
 			b.SetBytes(6 * 96 * 1024)
@@ -89,13 +90,13 @@ func BenchmarkAblationSchedulingModes(b *testing.B) {
 func BenchmarkAblationHPACKPolicies(b *testing.B) {
 	policies := []struct {
 		name string
-		prep func() h2scope.Profile
+		prep func() server.Profile
 	}{
-		{"index-all", func() h2scope.Profile { return h2scope.H2OProfile() }},
-		{"no-dynamic-insert", func() h2scope.Profile { return h2scope.NginxProfile() }},
-		{"partial-0.5", func() h2scope.Profile {
-			p := h2scope.H2OProfile()
-			pop := h2scope.GeneratePopulation(h2scope.EpochJul2016, 0.001, 1)
+		{"index-all", func() server.Profile { return server.H2OProfile() }},
+		{"no-dynamic-insert", func() server.Profile { return server.NginxProfile() }},
+		{"partial-0.5", func() server.Profile {
+			p := server.H2OProfile()
+			pop := population.Generate(population.EpochJul2016, 0.001, 1)
 			// Borrow a mid-ratio site's profile for a calibrated partial policy.
 			for i := range pop.Sites {
 				if r := pop.Sites[i].HPACKRatio; r > 0.4 && r < 0.7 {
@@ -147,7 +148,7 @@ func BenchmarkAblationMaxFrameSize(b *testing.B) {
 	for _, size := range []uint32{16_384, 65_536, 1_048_576} {
 		size := size
 		b.Run(fmt.Sprintf("max_frame=%d", size), func(b *testing.B) {
-			l := startBenchServer(b, h2scope.NginxProfile())
+			l := startBenchServer(b, server.NginxProfile())
 			opts := h2conn.DefaultOptions()
 			opts.Settings = []frame.Setting{{ID: frame.SettingMaxFrameSize, Val: size}}
 			nc, err := l.Dial()
@@ -182,7 +183,7 @@ func BenchmarkAblationMaxFrameSize(b *testing.B) {
 // the Discussion section: bytes a server must keep queued per connection
 // when the client pins the stream window to one byte.
 func BenchmarkDoSTinyWindowPinning(b *testing.B) {
-	l := startBenchServer(b, h2scope.ApacheProfile())
+	l := startBenchServer(b, server.ApacheProfile())
 	const streams = 8
 	b.ResetTimer()
 	var pinned int64
@@ -219,7 +220,7 @@ func BenchmarkDoSTinyWindowPinning(b *testing.B) {
 // processing throughput, the algorithmic-complexity surface the paper's
 // Discussion flags.
 func BenchmarkDoSReprioritizationChurn(b *testing.B) {
-	l := startBenchServer(b, h2scope.ApacheProfile())
+	l := startBenchServer(b, server.ApacheProfile())
 	nc, err := l.Dial()
 	if err != nil {
 		b.Fatal(err)
@@ -269,7 +270,7 @@ func BenchmarkAblationFlowControlHeaders(b *testing.B) {
 			name = "flow-control-on-headers"
 		}
 		b.Run(name, func(b *testing.B) {
-			p := h2scope.ApacheProfile()
+			p := server.ApacheProfile()
 			p.FlowControlHeaders = fch
 			l := startBenchServer(b, p)
 			b.ResetTimer()
@@ -307,8 +308,8 @@ func BenchmarkAblationFlowControlHeaders(b *testing.B) {
 // bandwidth waste: a fully warm client cache still receives every pushed
 // byte.
 func BenchmarkDoSPushWasteWarmCache(b *testing.B) {
-	site := h2scope.DefaultSite("waste.example")
-	srv := h2scope.NewServer(h2scope.H2OProfile(), site)
+	site := server.DefaultSite("waste.example")
+	srv := server.New(server.H2OProfile(), site)
 	l := netsim.NewListener("push-waste")
 	go func() {
 		_ = srv.Serve(l)

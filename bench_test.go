@@ -12,7 +12,10 @@ import (
 
 	"h2scope"
 	"h2scope/internal/conformance"
+	"h2scope/internal/core"
 	"h2scope/internal/netsim"
+	"h2scope/internal/population"
+	"h2scope/internal/server"
 	"h2scope/internal/stats"
 )
 
@@ -42,7 +45,7 @@ func BenchmarkTable3ConformanceMatrix(b *testing.B) {
 // for both experiments.
 func BenchmarkSection5BAdoption(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			logOnce(b, i, "Adoption, %s:\n%s", epoch, census.Adoption())
 		}
@@ -53,7 +56,7 @@ func BenchmarkSection5BAdoption(b *testing.B) {
 // than 1,000 sites) for both experiments.
 func BenchmarkTable4ServerAdoption(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			logOnce(b, i, "Table IV, %s:\n%s", epoch, census.TableIV(1000))
 		}
@@ -63,7 +66,7 @@ func BenchmarkTable4ServerAdoption(b *testing.B) {
 // BenchmarkTable5InitialWindowSize regenerates Table V.
 func BenchmarkTable5InitialWindowSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			logOnce(b, i, "Table V, %s:\n%s", epoch, census.TableV())
 		}
@@ -73,7 +76,7 @@ func BenchmarkTable5InitialWindowSize(b *testing.B) {
 // BenchmarkTable6MaxFrameSize regenerates Table VI.
 func BenchmarkTable6MaxFrameSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			logOnce(b, i, "Table VI, %s:\n%s", epoch, census.TableVI())
 		}
@@ -83,7 +86,7 @@ func BenchmarkTable6MaxFrameSize(b *testing.B) {
 // BenchmarkTable7MaxHeaderListSize regenerates Table VII.
 func BenchmarkTable7MaxHeaderListSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			logOnce(b, i, "Table VII, %s:\n%s", epoch, census.TableVII())
 		}
@@ -94,7 +97,7 @@ func BenchmarkTable7MaxHeaderListSize(b *testing.B) {
 // SETTINGS_MAX_CONCURRENT_STREAMS.
 func BenchmarkFigure2MaxConcurrentStreams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			cdf := census.Figure2()
 			logOnce(b, i, "Figure 2, %s (median %.0f):\n%s",
@@ -107,10 +110,10 @@ func BenchmarkFigure2MaxConcurrentStreams(b *testing.B) {
 // counts, then verifies a measured sample agrees with the generator.
 func BenchmarkSection5DFlowControl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		census := h2scope.NewCensus(h2scope.EpochJan2017, 1.0, 42)
-		logOnce(b, i, "Section V-D, %s:\n%s", h2scope.EpochJan2017, census.SectionVD())
+		census := h2scope.NewCensus(population.EpochJan2017, 1.0, 42)
+		logOnce(b, i, "Section V-D, %s:\n%s", population.EpochJan2017, census.SectionVD())
 		if i == 0 {
-			sum, err := h2scope.ScanPopulation(census.Pop, h2scope.ScanOptions{
+			sum, err := population.Scan(census.Pop, population.ScanOptions{
 				SampleSize: 24, Parallelism: 8, Seed: 7,
 			})
 			if err != nil {
@@ -125,7 +128,7 @@ func BenchmarkSection5DFlowControl(b *testing.B) {
 // BenchmarkSection5EPriority regenerates the Section V-E priority counts.
 func BenchmarkSection5EPriority(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			logOnce(b, i, "Section V-E, %s:\n%s", epoch, census.SectionVE())
 		}
@@ -135,7 +138,7 @@ func BenchmarkSection5EPriority(b *testing.B) {
 // BenchmarkSection5FServerPush regenerates the Section V-F push census.
 func BenchmarkSection5FServerPush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			logOnce(b, i, "Section V-F, %s:\n%s", epoch, census.SectionVF())
 		}
@@ -146,7 +149,7 @@ func BenchmarkSection5FServerPush(b *testing.B) {
 // without server push on the push-capable sites.
 func BenchmarkFigure3PushPageLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := h2scope.RunPushPageLoad(h2scope.EpochJul2016, 2, 0.2, 3)
+		res, err := h2scope.RunPushPageLoad(population.EpochJul2016, 2, 0.2, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,10 +161,10 @@ func BenchmarkFigure3PushPageLoad(b *testing.B) {
 // compression-ratio CDFs for both experiments.
 func BenchmarkFigure4And5HPACKRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, epoch := range []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017} {
+		for _, epoch := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
 			census := h2scope.NewCensus(epoch, 1.0, 42)
 			fig := "Figure 4"
-			if epoch == h2scope.EpochJan2017 {
+			if epoch == population.EpochJan2017 {
 				fig = "Figure 5"
 			}
 			logOnce(b, i, "%s, %s:\n%s", fig, epoch, census.Figures4And5Rendered())
@@ -173,7 +176,7 @@ func BenchmarkFigure4And5HPACKRatio(b *testing.B) {
 // ICMP, TCP handshake, and HTTP/1.1 request timing.
 func BenchmarkFigure6RTTComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cmp, err := h2scope.RunRTTComparison(h2scope.EpochJan2017, 2, 2, 0.25, 9)
+		cmp, err := h2scope.RunRTTComparison(population.EpochJan2017, 2, 2, 0.25, 9)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +190,7 @@ func BenchmarkFigure6RTTComparison(b *testing.B) {
 func BenchmarkPopulationGenerate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pop := h2scope.GeneratePopulation(h2scope.EpochJan2017, 1.0, int64(i))
+		pop := population.Generate(population.EpochJan2017, 1.0, int64(i))
 		if len(pop.Sites) != 64_299 {
 			b.Fatalf("sites = %d", len(pop.Sites))
 		}
@@ -197,18 +200,18 @@ func BenchmarkPopulationGenerate(b *testing.B) {
 // BenchmarkProbeBattery measures one full H2Scope battery against a single
 // live server — the per-site cost of the paper's 1M-site scan.
 func BenchmarkProbeBattery(b *testing.B) {
-	srv := h2scope.NewServer(h2scope.ApacheProfile(), h2scope.DefaultSite("probe.example"))
+	srv := server.New(server.ApacheProfile(), server.DefaultSite("probe.example"))
 	l := netsim.NewListener("probe-bench")
 	go func() {
 		_ = srv.Serve(l)
 	}()
 	defer srv.Close()
-	cfg := h2scope.DefaultProbeConfig("probe.example")
+	cfg := core.DefaultConfig("probe.example")
 	cfg.QuietWindow = 5 * time.Millisecond
-	dialer := h2scope.DialerFunc(func() (net.Conn, error) { return l.Dial() })
+	dialer := core.DialerFunc(func() (net.Conn, error) { return l.Dial() })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		report, err := h2scope.Probe(dialer, cfg)
+		report, err := core.NewProber(dialer, cfg).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,14 +240,14 @@ func BenchmarkCDF(b *testing.B) {
 // BenchmarkConformanceSuite measures the full 17-check RFC 7540 suite
 // against a live server — the per-target cost of an h2spec-style scan.
 func BenchmarkConformanceSuite(b *testing.B) {
-	srv := h2scope.NewServer(h2scope.ApacheProfile(), h2scope.DefaultSite("conform.example"))
+	srv := server.New(server.ApacheProfile(), server.DefaultSite("conform.example"))
 	l := netsim.NewListener("conform-bench")
 	go func() {
 		_ = srv.Serve(l)
 	}()
 	defer srv.Close()
 	env := &conformance.Env{
-		Dialer:    h2scope.DialerFunc(func() (net.Conn, error) { return l.Dial() }),
+		Dialer:    core.DialerFunc(func() (net.Conn, error) { return l.Dial() }),
 		Authority: "conform.example",
 	}
 	b.ResetTimer()
@@ -260,10 +263,10 @@ func BenchmarkConformanceSuite(b *testing.B) {
 // BenchmarkPopulationScan measures the thread-pooled scanner's throughput
 // (Section IV-B): sites fully probed per second.
 func BenchmarkPopulationScan(b *testing.B) {
-	pop := h2scope.GeneratePopulation(h2scope.EpochJan2017, 0.003, 11)
+	pop := population.Generate(population.EpochJan2017, 0.003, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := h2scope.ScanPopulation(pop, h2scope.ScanOptions{
+		sum, err := population.Scan(pop, population.ScanOptions{
 			SampleSize: 16, Parallelism: 8, Seed: int64(i),
 		})
 		if err != nil {

@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"h2scope"
 	"h2scope/internal/attack"
 	"h2scope/internal/metrics"
 	"h2scope/internal/netsim"
@@ -176,17 +175,11 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 	)
 	switch {
 	case o.profile != "":
-		var profile h2scope.Profile
-		found := false
-		for _, p := range h2scope.TestbedProfiles() {
-			if strings.EqualFold(p.Family, o.profile) {
-				profile, found = p, true
-			}
+		profile, perr := server.ProfileByName(o.profile)
+		if perr != nil {
+			return perr
 		}
-		if !found {
-			return fmt.Errorf("unknown profile %q", o.profile)
-		}
-		srv := h2scope.NewServer(profile, h2scope.DefaultSite(o.authority))
+		srv := server.New(profile, server.DefaultSite(o.authority))
 		if o.detector {
 			det = srv.StartDetector(server.DetectorConfig{}, reg)
 		}

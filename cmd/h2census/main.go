@@ -27,6 +27,11 @@ import (
 	"time"
 
 	"h2scope"
+	"h2scope/internal/metrics"
+	"h2scope/internal/obs"
+	"h2scope/internal/population"
+	"h2scope/internal/scan"
+	"h2scope/internal/store"
 )
 
 func main() {
@@ -174,20 +179,20 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 	// One registry for the whole invocation: scans mirror their engine
 	// counters and every probe connection into it, and -debug-addr serves
 	// it live while the census runs.
-	var reg *h2scope.MetricsRegistry
+	var reg *metrics.Registry
 	if o.sample > 0 || o.debugAddr != "" {
-		reg = h2scope.NewMetricsRegistry()
+		reg = metrics.NewRegistry()
 	}
 	// The observability layer rides every measured scan: the monitor folds
 	// causal spans out of each target's trace and feeds the phase histograms;
 	// the flight recorder (opt-in via -flightrec) dumps bounded forensics
 	// when the monitor raises an anomaly.
-	var monitor *h2scope.ObsMonitor
-	var recorder *h2scope.FlightRecorder
+	var monitor *obs.Monitor
+	var recorder *obs.FlightRecorder
 	if o.sample > 0 {
-		mcfg := h2scope.ObsMonitorConfig{Registry: reg}
+		mcfg := obs.MonitorConfig{Registry: reg}
 		if o.flightRec != "" {
-			recorder, err = h2scope.NewFlightRecorder(h2scope.FlightRecorderConfig{Dir: o.flightRec, Registry: reg})
+			recorder, err = obs.NewFlightRecorder(obs.FlightRecorderConfig{Dir: o.flightRec, Registry: reg})
 			if err != nil {
 				return err
 			}
@@ -196,7 +201,7 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 					err = cerr
 				}
 			}()
-			mcfg.OnAnomaly = func(a h2scope.ObsAnomaly) {
+			mcfg.OnAnomaly = func(a obs.Anomaly) {
 				path, derr := recorder.Dump(a, a.Events)
 				switch {
 				case derr != nil:
@@ -206,10 +211,10 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 				}
 			}
 		}
-		monitor = h2scope.NewObsMonitor(mcfg)
+		monitor = obs.NewMonitor(mcfg)
 	}
 	if o.debugAddr != "" {
-		ds, err := h2scope.StartDebugServer(o.debugAddr, reg)
+		ds, err := metrics.StartDebug(o.debugAddr, reg)
 		if err != nil {
 			return err
 		}
@@ -217,7 +222,7 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 			_ = ds.Close()
 		}()
 		if monitor != nil {
-			dash := h2scope.NewObsDashboard("h2census", monitor, recorder, reg)
+			dash := obs.NewDashboard("h2census", monitor, recorder, reg)
 			ds.Handle("/dashboard", dash)
 			ds.Handle("/dashboard.json", dash)
 			fmt.Fprintf(human, "dashboard: http://%s/dashboard\n", ds.Addr())
@@ -235,7 +240,7 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 		defer func() {
 			_ = f.Close()
 		}()
-		records, err := h2scope.ReadScanRecords(f)
+		records, err := store.Read(f)
 		if err != nil {
 			return err
 		}
@@ -243,14 +248,14 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 		return nil
 	}
 
-	var epochs []h2scope.Epoch
+	var epochs []population.Epoch
 	switch o.epoch {
 	case 0:
-		epochs = []h2scope.Epoch{h2scope.EpochJul2016, h2scope.EpochJan2017}
+		epochs = []population.Epoch{population.EpochJul2016, population.EpochJan2017}
 	case 1:
-		epochs = []h2scope.Epoch{h2scope.EpochJul2016}
+		epochs = []population.Epoch{population.EpochJul2016}
 	case 2:
-		epochs = []h2scope.Epoch{h2scope.EpochJan2017}
+		epochs = []population.Epoch{population.EpochJan2017}
 	}
 
 	for _, epoch := range epochs {
@@ -280,7 +285,7 @@ const (
 // printMeasured prints a measured tally, live or re-read, as the census
 // tables. Table IV lists names with at least 2% of the working sites, about
 // the share the paper's 1,000-site floor is of its working set.
-func printMeasured(w io.Writer, label string, t *h2scope.CensusTally) {
+func printMeasured(w io.Writer, label string, t *store.Tally) {
 	fmt.Fprintln(w, measuredBegin)
 	fmt.Fprint(w, (&h2scope.Census{Tally: t, Label: label}).Render(max(1, t.GotHeaders/50)))
 	fmt.Fprintln(w, measuredEnd)
@@ -289,10 +294,10 @@ func printMeasured(w io.Writer, label string, t *h2scope.CensusTally) {
 // analyze re-reads a records file: one measured census per epoch label in
 // file order (-out appends, so a file may hold several scans), each followed
 // by the engine stats of the scans that wrote it.
-func analyze(w io.Writer, records []h2scope.ScanRecord) {
+func analyze(w io.Writer, records []store.Record) {
 	type stored struct {
-		tally    *h2scope.CensusTally
-		trailers []*h2scope.ScanStats
+		tally    *store.Tally
+		trailers []*scan.Stats
 	}
 	var labels []string
 	byLabel := make(map[string]*stored)
@@ -300,7 +305,7 @@ func analyze(w io.Writer, records []h2scope.ScanRecord) {
 		rec := &records[i]
 		e := byLabel[rec.Epoch]
 		if e == nil {
-			e = &stored{tally: h2scope.NewCensusTally()}
+			e = &stored{tally: store.NewTally()}
 			byLabel[rec.Epoch] = e
 			labels = append(labels, rec.Epoch)
 		}
@@ -326,10 +331,10 @@ func analyze(w io.Writer, records []h2scope.ScanRecord) {
 // and reports its stats, optionally persisting records plus a stats trailer.
 // Human-readable tables and notices go to human; with -out - the record
 // stream goes to stdout (and human is stderr, keeping stdout machine-clean).
-func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, epoch h2scope.Epoch, census *h2scope.Census, reg *h2scope.MetricsRegistry, monitor *h2scope.ObsMonitor) (err error) {
+func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, epoch population.Epoch, census *h2scope.Census, reg *metrics.Registry, monitor *obs.Monitor) (err error) {
 	fmt.Fprintf(human, "-- Measured scan (%d sites, %d workers, %d retries, timeout %v) --\n",
 		o.sample, o.parallel, o.retries, o.timeout)
-	scanOpts := h2scope.ScanOptions{
+	scanOpts := population.ScanOptions{
 		SampleSize:  o.sample,
 		Parallelism: o.parallel,
 		Seed:        o.seed,
@@ -347,9 +352,9 @@ func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, e
 		scanOpts.ProgressInterval = o.progress
 	}
 	if o.onScanRecord != nil {
-		scanOpts.OnRecord = func(h2scope.ScanEngineRecord) { o.onScanRecord() }
+		scanOpts.OnRecord = func(scan.Record) { o.onScanRecord() }
 	}
-	sum, err := h2scope.ScanPopulation(census.Pop, scanOpts)
+	sum, err := population.Scan(census.Pop, scanOpts)
 	if err != nil {
 		return err
 	}
@@ -357,7 +362,7 @@ func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, e
 	fmt.Fprintln(human, sum.Stats.String())
 	if monitor != nil {
 		fmt.Fprintln(human, "-- Phase latency (p50/p99) --")
-		for _, phase := range h2scope.ObsPhases() {
+		for _, phase := range obs.Phases() {
 			p50, p99, n := monitor.PhaseQuantiles(phase)
 			if n == 0 {
 				continue
@@ -366,11 +371,11 @@ func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, e
 		}
 		fmt.Fprintln(human)
 	}
-	var snaps []h2scope.MetricSnapshot
+	var snaps []metrics.MetricSnapshot
 	if reg != nil {
 		snaps = reg.Snapshot()
 		fmt.Fprintln(human, "-- Metrics snapshot --")
-		fmt.Fprintln(human, h2scope.RenderMetricsTable(snaps))
+		fmt.Fprintln(human, metrics.RenderTable(snaps))
 	}
 	if o.outPath == "" {
 		return nil
@@ -390,14 +395,26 @@ func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, e
 		}()
 		w = f
 	}
-	now := time.Now()
-	err = h2scope.WriteScanRecords(w, epoch, now, sum)
-	if err == nil {
-		err = h2scope.AppendScanStats(w, epoch, now, sum.Stats, snaps)
-	}
-	if err != nil {
+	if err := writeScan(w, epoch, time.Now(), sum, snaps); err != nil {
 		return err
 	}
 	fmt.Fprintf(human, "wrote %d records (+1 stats trailer) to %s\n", len(sum.Results), o.outPath)
-	return err
+	return nil
+}
+
+// writeScan persists a measured scan to w as JSON lines: one record per
+// site, each with its engine outcome (a failed probe keeps its classified
+// error kind and attempt count), then the stats trailer — the engine's final
+// counters and the metrics snapshot — that -analyze reports separately.
+func writeScan(w io.Writer, epoch population.Epoch, at time.Time, sum *population.ScanSummary, snaps []metrics.MetricSnapshot) error {
+	sw := store.NewWriter(w)
+	for i := range sum.Results {
+		if err := sw.Append(sum.Results[i].Record(epoch, at)); err != nil {
+			return err
+		}
+	}
+	if err := sw.Append(&store.Record{Epoch: epoch.String(), ScannedAt: at, Stats: &sum.Stats, Metrics: snaps}); err != nil {
+		return err
+	}
+	return sw.Flush()
 }

@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"h2scope"
+	"h2scope/internal/metrics"
+	"h2scope/internal/population"
+	"h2scope/internal/store"
 )
 
 func TestParseFlagsValidation(t *testing.T) {
@@ -72,8 +74,8 @@ func TestParseFlagsValidation(t *testing.T) {
 // population, persist records plus the stats trailer, then re-analyze the
 // file through run().
 func TestRunAnalyzeRoundTrip(t *testing.T) {
-	pop := h2scope.GeneratePopulation(h2scope.EpochJul2016, 0.002, 7)
-	sum, err := h2scope.ScanPopulation(pop, h2scope.ScanOptions{
+	pop := population.Generate(population.EpochJul2016, 0.002, 7)
+	sum, err := population.Scan(pop, population.ScanOptions{
 		SampleSize: 5, Parallelism: 4, Seed: 7,
 	})
 	if err != nil {
@@ -85,10 +87,7 @@ func TestRunAnalyzeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	when := time.Date(2016, 7, 5, 0, 0, 0, 0, time.UTC)
-	if err := h2scope.WriteScanRecords(f, h2scope.EpochJul2016, when, sum); err != nil {
-		t.Fatal(err)
-	}
-	if err := h2scope.AppendScanStats(f, h2scope.EpochJul2016, when, sum.Stats, nil); err != nil {
+	if err := writeScan(f, population.EpochJul2016, when, sum, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -198,7 +197,7 @@ func TestMachineCleanStdout(t *testing.T) {
 		t.Fatalf("run(-out -): %v", err)
 	}
 
-	records, err := h2scope.ReadScanRecords(strings.NewReader(stdout.String()))
+	records, err := store.Read(strings.NewReader(stdout.String()))
 	if err != nil {
 		t.Fatalf("stdout is not a clean record stream: %v\nstdout:\n%s", err, stdout.String())
 	}
@@ -295,7 +294,7 @@ func TestDebugEndpointsLiveDuringScan(t *testing.T) {
 		t.Errorf("/metrics missing histogram TYPE line:\n%.400s", fetched["/metrics"])
 	}
 	var snapDoc struct {
-		Metrics []h2scope.MetricSnapshot `json:"metrics"`
+		Metrics []metrics.MetricSnapshot `json:"metrics"`
 	}
 	if err := json.Unmarshal([]byte(fetched["/metrics.json"]), &snapDoc); err != nil {
 		t.Fatalf("/metrics.json is not a snapshot document: %v", err)
@@ -416,7 +415,7 @@ func TestMachineCleanStdoutWithObservability(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	records, err := h2scope.ReadScanRecords(strings.NewReader(stdout.String()))
+	records, err := store.Read(strings.NewReader(stdout.String()))
 	if err != nil {
 		t.Fatalf("stdout is not a clean record stream: %v\nstdout:\n%s", err, stdout.String())
 	}
@@ -453,7 +452,7 @@ func TestStatsTrailerEmbedsMetrics(t *testing.T) {
 	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	records, err := h2scope.ReadScanRecords(strings.NewReader(stdout.String()))
+	records, err := store.Read(strings.NewReader(stdout.String()))
 	if err != nil {
 		t.Fatalf("reading stdout records: %v", err)
 	}
@@ -502,7 +501,7 @@ func TestRunRobustnessScan(t *testing.T) {
 	defer func() {
 		_ = f.Close()
 	}()
-	records, err := h2scope.ReadScanRecords(f)
+	records, err := store.Read(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +570,7 @@ func TestInterruptedCensusKeepsWhatItMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatalf("interrupted run left no records file: %v", err)
 	}
-	records, err := h2scope.ReadScanRecords(f)
+	records, err := store.Read(f)
 	_ = f.Close()
 	if err != nil {
 		t.Fatal(err)

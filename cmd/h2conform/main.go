@@ -11,52 +11,58 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
-	"strings"
 	"time"
 
-	"h2scope"
 	"h2scope/internal/conformance"
 	"h2scope/internal/core"
 	"h2scope/internal/netsim"
+	"h2scope/internal/server"
 	"h2scope/internal/tlsutil"
 )
 
+// errChecksFailed is run's result when the suite ran and some check failed;
+// the results are already on stdout.
+var errChecksFailed = errors.New("checks failed")
+
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errChecksFailed) || errors.Is(err, flag.ErrHelp) {
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "h2conform:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("h2conform", flag.ContinueOnError)
 	var (
-		target      = flag.String("target", "", "host:port of the HTTP/2 server")
-		profileName = flag.String("profile", "", "check a built-in profile in-process instead of a remote target")
-		authority   = flag.String("authority", "testbed.example", ":authority for requests")
-		useTLS      = flag.Bool("tls", false, "connect with TLS and negotiate h2 via ALPN")
-		timeout     = flag.Duration("timeout", 5*time.Second, "per-check timeout")
-		adaptive    = flag.Bool("adaptive", false, "the target intentionally re-tunes SETTINGS per client fingerprint; exempt it from the stability check")
+		target      = fs.String("target", "", "host:port of the HTTP/2 server")
+		profileName = fs.String("profile", "", "check a built-in profile in-process instead of a remote target")
+		authority   = fs.String("authority", "testbed.example", ":authority for requests")
+		useTLS      = fs.Bool("tls", false, "connect with TLS and negotiate h2 via ALPN")
+		timeout     = fs.Duration("timeout", 5*time.Second, "per-check timeout")
+		adaptive    = fs.Bool("adaptive", false, "the target intentionally re-tunes SETTINGS per client fingerprint; exempt it from the stability check")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	env := &conformance.Env{Authority: *authority, Timeout: *timeout, FingerprintAdaptive: *adaptive}
 	switch {
 	case *profileName != "":
-		var profile h2scope.Profile
-		found := false
-		for _, p := range h2scope.TestbedProfiles() {
-			if strings.EqualFold(p.Family, *profileName) {
-				profile, found = p, true
-			}
+		profile, err := server.ProfileByName(*profileName)
+		if err != nil {
+			return err
 		}
-		if !found {
-			return fmt.Errorf("unknown profile %q", *profileName)
-		}
-		srv := h2scope.NewServer(profile, h2scope.DefaultSite(*authority))
+		srv := server.New(profile, server.DefaultSite(*authority))
 		l := netsim.NewListener("conform")
 		go func() {
 			_ = srv.Serve(l)
@@ -94,16 +100,16 @@ func run() error {
 			env.TLSServerName = *authority
 		}
 	default:
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("need -target or -profile")
 	}
 
 	results := conformance.RunSuite(env)
-	fmt.Print(conformance.Render(results))
-	fmt.Println()
-	fmt.Println(conformance.Summary(results))
+	fmt.Fprint(stdout, conformance.Render(results))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, conformance.Summary(results))
 	if len(conformance.Failures(results)) > 0 {
-		os.Exit(2)
+		return errChecksFailed
 	}
 	return nil
 }

@@ -10,38 +10,48 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"h2scope"
+	"h2scope/internal/population"
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "h2push:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("h2push", flag.ContinueOnError)
 	var (
-		epochFlag = flag.Int("epoch", 1, "experiment epoch: 1 (Jul 2016) or 2 (Jan 2017)")
-		visits    = flag.Int("visits", 30, "visits per site per configuration")
-		timeScale = flag.Float64("scale", 1.0, "wall-clock compression factor (results unscaled)")
-		seed      = flag.Int64("seed", 3, "population seed")
+		epochFlag = fs.Int("epoch", 1, "experiment epoch: 1 (Jul 2016) or 2 (Jan 2017)")
+		visits    = fs.Int("visits", 30, "visits per site per configuration")
+		timeScale = fs.Float64("scale", 1.0, "wall-clock compression factor (results unscaled)")
+		seed      = fs.Int64("seed", 3, "population seed")
 	)
-	flag.Parse()
-
-	epoch := h2scope.EpochJul2016
-	if *epochFlag == 2 {
-		epoch = h2scope.EpochJan2017
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	fmt.Printf("Figure 3: page-load time with server push enabled/disabled (%s, %d visits)\n\n", epoch, *visits)
+
+	epoch := population.EpochJul2016
+	if *epochFlag == 2 {
+		epoch = population.EpochJan2017
+	}
+	fmt.Fprintf(stdout, "Figure 3: page-load time with server push enabled/disabled (%s, %d visits)\n\n", epoch, *visits)
 	res, err := h2scope.RunPushPageLoad(epoch, *visits, *timeScale, *seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	return nil
 }

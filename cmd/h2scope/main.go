@@ -14,14 +14,15 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
 	"time"
 
-	"h2scope"
 	"h2scope/internal/core"
 	"h2scope/internal/scan"
 	"h2scope/internal/stats"
@@ -30,31 +31,40 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "h2scope:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run probes the target and prints the report to stdout; notices and probe
+// diagnostics go to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("h2scope", flag.ContinueOnError)
 	var (
-		target    = flag.String("target", "", "host:port of the HTTP/2 server (required)")
-		authority = flag.String("authority", "testbed.example", ":authority for requests")
-		useTLS    = flag.Bool("tls", false, "connect with TLS and negotiate h2 via ALPN")
-		timeout   = flag.Duration("timeout", 5*time.Second, "per-probe timeout")
-		retries   = flag.Int("retries", 0, "retry the battery this many times on transient (dial/timeout) failures")
-		quiet     = flag.Duration("quiet", 40*time.Millisecond, "idle window before concluding a server ignored a probe")
-		drainPath = flag.String("drain", "/drain/64k", "object of >= 65,535 bytes for the priority probe's window drain")
-		largeList = flag.String("large", "/large/1,/large/2,/large/3,/large/4,/large/5,/large/6", "comma-separated large objects")
-		smallPath = flag.String("small", "/about.html", "small page for settings/HPACK/ping probes")
-		asJSON    = flag.Bool("json", false, "emit the report as JSON")
-		traceDir  = flag.String("trace", "", "directory to write a frame-level trace (JSONL, view with h2trace)")
-		exts      = flag.Bool("extensions", false, "also run the beyond-paper extension probes")
-		h2c       = flag.Bool("h2c-upgrade", false, "probe the cleartext Upgrade: h2c path (plain TCP targets only)")
+		target    = fs.String("target", "", "host:port of the HTTP/2 server (required)")
+		authority = fs.String("authority", "testbed.example", ":authority for requests")
+		useTLS    = fs.Bool("tls", false, "connect with TLS and negotiate h2 via ALPN")
+		timeout   = fs.Duration("timeout", 5*time.Second, "per-probe timeout")
+		retries   = fs.Int("retries", 0, "retry the battery this many times on transient (dial/timeout) failures")
+		quiet     = fs.Duration("quiet", 40*time.Millisecond, "idle window before concluding a server ignored a probe")
+		drainPath = fs.String("drain", "/drain/64k", "object of >= 65,535 bytes for the priority probe's window drain")
+		largeList = fs.String("large", "/large/1,/large/2,/large/3,/large/4,/large/5,/large/6", "comma-separated large objects")
+		smallPath = fs.String("small", "/about.html", "small page for settings/HPACK/ping probes")
+		asJSON    = fs.Bool("json", false, "emit the report as JSON")
+		traceDir  = fs.String("trace", "", "directory to write a frame-level trace (JSONL, view with h2trace)")
+		exts      = fs.Bool("extensions", false, "also run the beyond-paper extension probes")
+		h2c       = fs.Bool("h2c-upgrade", false, "probe the cleartext Upgrade: h2c path (plain TCP targets only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *target == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("missing -target")
 	}
 	if *retries < 0 {
@@ -69,7 +79,7 @@ func run() error {
 	// means "connection identity not assigned yet" — the span builder
 	// attributes the region to the next connection that opens.
 	var activeTracer *trace.Tracer
-	dialer := h2scope.DialerFunc(func() (net.Conn, error) {
+	dialer := core.DialerFunc(func() (net.Conn, error) {
 		nc, err := net.DialTimeout("tcp", *target, *timeout)
 		if err != nil {
 			return nil, err
@@ -83,7 +93,7 @@ func run() error {
 		return tc, err
 	})
 
-	cfg := h2scope.DefaultProbeConfig(*authority)
+	cfg := core.DefaultConfig(*authority)
 	cfg.Timeout = *timeout
 	cfg.QuietWindow = *quiet
 	cfg.DrainPath = *drainPath
@@ -120,7 +130,7 @@ func run() error {
 			probeCfg := cfg
 			probeCfg.Tracer = trace.FromContext(ctx)
 			activeTracer = probeCfg.Tracer
-			r, perr := h2scope.NewProber(dialer, probeCfg).RunContext(ctx)
+			r, perr := core.NewProber(dialer, probeCfg).RunContext(ctx)
 			if r == nil {
 				return nil, perr
 			}
@@ -135,8 +145,8 @@ func run() error {
 		return fmt.Errorf("probe %s after %d attempt(s): %s failure: %s",
 			rec.Outcome, rec.Attempts, rec.Kind, rec.Err)
 	}
-	report := rec.Value.(*h2scope.Report)
-	prober := h2scope.NewProber(dialer, cfg)
+	report := rec.Value.(*core.Report)
+	prober := core.NewProber(dialer, cfg)
 	var extResult *core.ExtensionsResult
 	if *exts {
 		if extResult, err = prober.ProbeExtensions(context.Background()); err != nil {
@@ -152,53 +162,52 @@ func run() error {
 
 	if *asJSON {
 		out := struct {
-			Report     *h2scope.Report        `json:"report"`
+			Report     *core.Report           `json:"report"`
 			Extensions *core.ExtensionsResult `json:"extensions,omitempty"`
 			H2C        *core.H2CResult        `json:"h2cUpgrade,omitempty"`
 		}{report, extResult, h2cResult}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
 
 	rows := make([][]string, 0, 16)
-	names := h2scope.TableIIIChecks()
 	for i, cell := range report.TableIIIRow() {
-		rows = append(rows, []string{names[i], cell})
+		rows = append(rows, []string{core.TableIIIRowNames[i], cell})
 	}
-	fmt.Printf("H2Scope report for %s (%s)\n\n", *target, *authority)
-	fmt.Print(stats.FormatTable([]string{"Check", "Result"}, rows))
+	fmt.Fprintf(stdout, "H2Scope report for %s (%s)\n\n", *target, *authority)
+	fmt.Fprint(stdout, stats.FormatTable([]string{"Check", "Result"}, rows))
 
-	fmt.Println("\nDetails:")
+	fmt.Fprintln(stdout, "\nDetails:")
 	if report.Settings != nil {
-		fmt.Printf("  server header: %q\n", report.Settings.ServerHeader)
-		fmt.Printf("  SETTINGS: %v\n", report.Settings.Settings)
+		fmt.Fprintf(stdout, "  server header: %q\n", report.Settings.ServerHeader)
+		fmt.Fprintf(stdout, "  SETTINGS: %v\n", report.Settings.Settings)
 	}
 	if report.HPACK != nil {
-		fmt.Printf("  HPACK ratio r = %.3f over %d requests (block sizes %v)\n",
+		fmt.Fprintf(stdout, "  HPACK ratio r = %.3f over %d requests (block sizes %v)\n",
 			report.HPACK.Ratio, report.HPACK.Requests, report.HPACK.BlockSizes)
 	}
 	if report.Priority != nil {
-		fmt.Printf("  priority: drain streams %d, last-rule %v, first-rule %v, headers-while-blocked %v\n",
+		fmt.Fprintf(stdout, "  priority: drain streams %d, last-rule %v, first-rule %v, headers-while-blocked %v\n",
 			report.Priority.DrainStreams, report.Priority.LastRuleOK,
 			report.Priority.FirstRuleOK, report.Priority.HeadersWhileBlocked)
 	}
 	if report.Ping != nil && len(report.Ping.RTTs) > 0 {
-		fmt.Printf("  h2 PING RTTs: %v\n", report.Ping.RTTs)
+		fmt.Fprintf(stdout, "  h2 PING RTTs: %v\n", report.Ping.RTTs)
 	}
 	if report.Push != nil && len(report.Push.PromisedPaths) > 0 {
-		fmt.Printf("  pushed: %v\n", report.Push.PromisedPaths)
+		fmt.Fprintf(stdout, "  pushed: %v\n", report.Push.PromisedPaths)
 	}
 	for _, e := range report.Errors {
-		fmt.Printf("  probe error: %s\n", e)
+		fmt.Fprintf(stdout, "  probe error: %s\n", e)
 	}
 	if extResult != nil {
-		fmt.Printf("  extensions: settings-ack=%v unknown-frame-ignored=%v unknown-setting-ignored=%v ping-prioritized=%v\n",
+		fmt.Fprintf(stdout, "  extensions: settings-ack=%v unknown-frame-ignored=%v unknown-setting-ignored=%v ping-prioritized=%v\n",
 			extResult.SettingsAcked, extResult.UnknownFrameIgnored,
 			extResult.UnknownSettingIgnored, extResult.PingAckPrioritized)
 	}
 	if h2cResult != nil {
-		fmt.Printf("  h2c upgrade: accepted=%v h2-works=%v\n", h2cResult.UpgradeAccepted, h2cResult.H2Works)
+		fmt.Fprintf(stdout, "  h2c upgrade: accepted=%v h2-works=%v\n", h2cResult.UpgradeAccepted, h2cResult.H2Works)
 	}
 	return nil
 }

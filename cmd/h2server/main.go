@@ -21,11 +21,9 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"h2scope"
 	"h2scope/internal/metrics"
 	"h2scope/internal/obs"
 	"h2scope/internal/server"
@@ -50,15 +48,6 @@ func main() {
 	}
 }
 
-func profileByName(name string) (h2scope.Profile, error) {
-	for _, p := range h2scope.TestbedProfiles() {
-		if strings.EqualFold(p.Family, name) {
-			return p, nil
-		}
-	}
-	return h2scope.Profile{}, fmt.Errorf("unknown profile %q (want nginx, litespeed, h2o, nghttpd, tengine, or apache)", name)
-}
-
 // run serves until ctx is cancelled, then shuts down gracefully and returns
 // nil so the deferred closes (flight recorder manifest, debug endpoint) run.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
@@ -78,7 +67,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	profile, err := profileByName(*profileName)
+	profile, err := server.ProfileByName(*profileName)
 	if err != nil {
 		return err
 	}
@@ -99,7 +88,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, string(data))
 		return nil
 	}
-	srv := h2scope.NewServer(profile, h2scope.DefaultSite(*domain))
+	srv := server.New(profile, server.DefaultSite(*domain))
 	var reg *metrics.Registry
 	if *debugAddr != "" || *detector || *flightRec != "" {
 		reg = metrics.NewRegistry()

@@ -1,3 +1,15 @@
+// Package h2scope is a from-scratch reproduction of "Are HTTP/2 Servers
+// Ready Yet?" (Jiang, Luo, Miu, Hu, Rao — ICDCS 2017): the H2Scope probing
+// tool (internal/core), a complete HTTP/2 server with per-implementation
+// behavior profiles standing in for the paper's six-server testbed
+// (internal/server), and a synthetic Alexa top-1M population reproducing
+// both of the paper's measurement campaigns (internal/population).
+//
+// The root package is the paper's evaluation (Section V): one runner per
+// table and figure. Each returns structured results plus a String
+// rendering, and is what the cmd/ tools, the root benchmarks and
+// bench/h2bench invoke. Every other type, constant and constructor is named
+// by the internal package that declares it.
 package h2scope
 
 import (
@@ -13,15 +25,13 @@ import (
 	"h2scope/internal/core"
 	"h2scope/internal/netsim"
 	"h2scope/internal/pageload"
+	"h2scope/internal/population"
 	"h2scope/internal/rtt"
 	"h2scope/internal/scan"
+	"h2scope/internal/server"
 	"h2scope/internal/stats"
 	"h2scope/internal/store"
 )
-
-// This file provides one runner per table and figure of the paper's
-// evaluation (Section V). Each runner returns structured results plus a
-// String rendering, and is what cmd/ tools and the root benchmarks invoke.
 
 // --- Table III: the six-server testbed ---
 
@@ -34,16 +44,16 @@ type TestbedResult struct {
 	// Cells is indexed [check][family].
 	Cells [][]string
 	// Reports holds the raw per-server batteries.
-	Reports []*Report
+	Reports []*core.Report
 }
 
 // RunTestbed characterizes the six emulated servers with the full probe
 // battery, reproducing Table III.
 func RunTestbed() (*TestbedResult, error) {
-	profiles := TestbedProfiles()
+	profiles := server.TestbedProfiles()
 	res := &TestbedResult{
 		Checks:  core.TableIIIRowNames,
-		Reports: make([]*Report, len(profiles)),
+		Reports: make([]*core.Report, len(profiles)),
 	}
 	targets := make([]scan.Target, len(profiles))
 	for i, p := range profiles {
@@ -52,7 +62,7 @@ func RunTestbed() (*TestbedResult, error) {
 	}
 	engineRes, err := scan.Run(context.Background(), targets,
 		func(ctx context.Context, t scan.Target) (any, error) {
-			return probeProfile(ctx, t.Meta.(Profile))
+			return probeProfile(ctx, t.Meta.(server.Profile))
 		},
 		scan.Options{
 			Parallelism: len(profiles),
@@ -67,7 +77,7 @@ func RunTestbed() (*TestbedResult, error) {
 			return nil, fmt.Errorf("h2scope: testbed %s: %s failure after %d attempt(s): %s",
 				profiles[i].Family, rec.Kind, rec.Attempts, rec.Err)
 		}
-		res.Reports[i] = rec.Value.(*Report)
+		res.Reports[i] = rec.Value.(*core.Report)
 	}
 	res.Cells = make([][]string, len(res.Checks))
 	for r := range res.Checks {
@@ -85,21 +95,21 @@ func RunTestbed() (*TestbedResult, error) {
 // probeProfile runs the battery against one profile served in-process. The
 // testbed knows the profile's negotiation support directly, standing in for
 // the TLS ALPN/NPN handshakes of Section IV-A.
-func probeProfile(ctx context.Context, p Profile) (*Report, error) {
-	srv := NewServer(p, DefaultSite("testbed.example"))
+func probeProfile(ctx context.Context, p server.Profile) (*core.Report, error) {
+	srv := server.New(p, server.DefaultSite("testbed.example"))
 	l := netsim.NewListener(p.Family)
 	go func() {
 		_ = srv.Serve(l)
 	}()
 	defer srv.Close()
-	cfg := DefaultProbeConfig("testbed.example")
+	cfg := core.DefaultConfig("testbed.example")
 	cfg.QuietWindow = 20 * time.Millisecond
-	return NewProber(&testbedDialer{l: l, p: p}, cfg).RunContext(ctx)
+	return core.NewProber(&testbedDialer{l: l, p: p}, cfg).RunContext(ctx)
 }
 
 type testbedDialer struct {
 	l *netsim.Listener
-	p Profile
+	p server.Profile
 }
 
 var (
@@ -107,7 +117,7 @@ var (
 	_ core.Negotiator = (*testbedDialer)(nil)
 )
 
-// Dial implements Dialer.
+// Dial implements core.Dialer.
 func (d *testbedDialer) Dial() (net.Conn, error) { return d.l.Dial() }
 
 // NegotiateALPN implements core.Negotiator from the profile's metadata.
@@ -144,16 +154,16 @@ func (r *TestbedResult) String() string {
 type Census struct {
 	// Pop is the synthesized universe of a ground-truth census; nil for a
 	// census of measurements.
-	Pop *Population
+	Pop *population.Population
 	// Tally holds the buckets every table is rendered from.
-	Tally *CensusTally
+	Tally *store.Tally
 	// Label heads the count column (the epoch).
 	Label string
 }
 
 // NewCensus generates the population of an epoch and wraps its ground truth.
-func NewCensus(epoch Epoch, scale float64, seed int64) *Census {
-	pop := GeneratePopulation(epoch, scale, seed)
+func NewCensus(epoch population.Epoch, scale float64, seed int64) *Census {
+	pop := population.Generate(epoch, scale, seed)
 	return &Census{Pop: pop, Tally: pop.Tally(), Label: epoch.String()}
 }
 
@@ -278,14 +288,14 @@ func (c *Census) SectionVD() string {
 			{"1-byte window: zero-length DATA frames", fmt.Sprint(t.TinyWindow[core.TinyWindowZeroLen])},
 			{"1-byte window: no response", fmt.Sprint(t.TinyWindow[core.TinyWindowNothing])},
 			{"zero window: HEADERS still returned", fmt.Sprint(t.ZeroWindowHeadersOK)},
-			{"zero WINDOW_UPDATE (stream): RST_STREAM", fmt.Sprint(t.ZeroWUStream[ObserveRSTStream])},
-			{"zero WINDOW_UPDATE (stream): GOAWAY", fmt.Sprint(t.ZeroWUStream[ObserveGoAway])},
-			{"zero WINDOW_UPDATE (stream): ignored", fmt.Sprint(t.ZeroWUStream[ObserveIgnore])},
-			{"zero WINDOW_UPDATE (conn): GOAWAY", fmt.Sprint(t.ZeroWUConn[ObserveGoAway])},
+			{"zero WINDOW_UPDATE (stream): RST_STREAM", fmt.Sprint(t.ZeroWUStream[core.ObserveRSTStream])},
+			{"zero WINDOW_UPDATE (stream): GOAWAY", fmt.Sprint(t.ZeroWUStream[core.ObserveGoAway])},
+			{"zero WINDOW_UPDATE (stream): ignored", fmt.Sprint(t.ZeroWUStream[core.ObserveIgnore])},
+			{"zero WINDOW_UPDATE (conn): GOAWAY", fmt.Sprint(t.ZeroWUConn[core.ObserveGoAway])},
 			{"zero WINDOW_UPDATE (conn): GOAWAY with debug data", fmt.Sprint(t.ZeroWUConnDebug)},
-			{"large WINDOW_UPDATE (stream): RST_STREAM", fmt.Sprint(t.LargeWUStream[ObserveRSTStream])},
-			{"large WINDOW_UPDATE (stream): no RST_STREAM", fmt.Sprint(t.LargeWUStream[ObserveIgnore])},
-			{"large WINDOW_UPDATE (conn): GOAWAY", fmt.Sprint(t.LargeWUConn[ObserveGoAway])},
+			{"large WINDOW_UPDATE (stream): RST_STREAM", fmt.Sprint(t.LargeWUStream[core.ObserveRSTStream])},
+			{"large WINDOW_UPDATE (stream): no RST_STREAM", fmt.Sprint(t.LargeWUStream[core.ObserveIgnore])},
+			{"large WINDOW_UPDATE (conn): GOAWAY", fmt.Sprint(t.LargeWUConn[core.ObserveGoAway])},
 		})
 }
 
@@ -298,9 +308,9 @@ func (c *Census) SectionVE() string {
 			{"last-DATA order obeys dependency tree", fmt.Sprint(t.PriorityLast)},
 			{"first-DATA order obeys dependency tree", fmt.Sprint(t.PriorityFirst)},
 			{"both orders obey dependency tree", fmt.Sprint(t.PriorityBoth)},
-			{"self-dependency: RST_STREAM", fmt.Sprint(t.SelfDep[ObserveRSTStream])},
-			{"self-dependency: GOAWAY", fmt.Sprint(t.SelfDep[ObserveGoAway])},
-			{"self-dependency: ignored", fmt.Sprint(t.SelfDep[ObserveIgnore])},
+			{"self-dependency: RST_STREAM", fmt.Sprint(t.SelfDep[core.ObserveRSTStream])},
+			{"self-dependency: GOAWAY", fmt.Sprint(t.SelfDep[core.ObserveGoAway])},
+			{"self-dependency: ignored", fmt.Sprint(t.SelfDep[core.ObserveIgnore])},
 		})
 }
 
@@ -371,11 +381,11 @@ func (r *PushPLTResult) String() string {
 // visited `visits` times with push enabled and disabled, over each site's
 // latency-shaped path. timeScale shrinks real sleeping (measurements are
 // reported unscaled).
-func RunPushPageLoad(epoch Epoch, visits int, timeScale float64, seed int64) (*PushPLTResult, error) {
+func RunPushPageLoad(epoch population.Epoch, visits int, timeScale float64, seed int64) (*PushPLTResult, error) {
 	if timeScale <= 0 {
 		timeScale = 1
 	}
-	pop := GeneratePopulation(epoch, 1.0, seed)
+	pop := population.Generate(epoch, 1.0, seed)
 	res := &PushPLTResult{Visits: visits}
 	resources := []string{"/static/style.css", "/static/app.js", "/static/logo.png", "/static/hero.jpg"}
 	for i := range pop.Sites {
@@ -412,20 +422,14 @@ func unscale(d time.Duration, timeScale float64) time.Duration {
 
 // --- Figure 6: RTT comparison ---
 
-// RTTComparison re-exports the rtt result type.
-type RTTComparison = rtt.Comparison
-
-// RTTMethod re-exports the estimator identifier.
-type RTTMethod = rtt.Method
-
 // RunRTTComparison reproduces Fig. 6: `perFamily` sites are drawn from each
 // of the population's top server families (the paper randomly selects 10
 // per popular server) and measured with all four estimators.
-func RunRTTComparison(epoch Epoch, perFamily, samples int, timeScale float64, seed int64) (*RTTComparison, error) {
-	pop := GeneratePopulation(epoch, 0.05, seed)
+func RunRTTComparison(epoch population.Epoch, perFamily, samples int, timeScale float64, seed int64) (*rtt.Comparison, error) {
+	pop := population.Generate(epoch, 0.05, seed)
 	rng := rand.New(rand.NewSource(seed))
 	families := []string{"nginx", "litespeed", "GSE", "tengine", "ideaweb"}
-	byFamily := make(map[string][]*SiteSpec)
+	byFamily := make(map[string][]*population.SiteSpec)
 	for i := range pop.Sites {
 		s := &pop.Sites[i]
 		byFamily[s.Family] = append(byFamily[s.Family], s)
@@ -457,7 +461,7 @@ func RunRTTComparison(epoch Epoch, perFamily, samples int, timeScale float64, se
 }
 
 // RenderRTTComparison renders Fig. 6 as quantile rows per method.
-func RenderRTTComparison(cmp *RTTComparison) string {
+func RenderRTTComparison(cmp *rtt.Comparison) string {
 	byMethod := cmp.ByMethod()
 	names := make([]string, 0, 4)
 	series := make([]*stats.CDF, 0, 4)

@@ -232,6 +232,18 @@ func Suite() []Check {
 			Run:         checkEvenStreamID,
 		},
 		{
+			ID:          "5.1.1/stream-id-not-increasing",
+			Section:     "5.1.1",
+			Description: "a new stream whose ID is not above every ID already used is a connection error",
+			Run:         checkStreamIDNotIncreasing,
+		},
+		{
+			ID:          "8.1/head-no-body",
+			Section:     "8.1",
+			Description: "a HEAD response is a header block with END_STREAM and no DATA",
+			Run:         checkHeadNoBody,
+		},
+		{
 			ID:          "4.3/header-decode-failure",
 			Section:     "4.3",
 			Description: "an undecodable header block is a COMPRESSION_ERROR connection error",
@@ -510,6 +522,32 @@ func checkEvenStreamID(env *Env) (Verdict, string) {
 	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "even client stream ID accepted", func(c *h2conn.Conn) error {
 		return c.OpenStreamID(2, h2conn.Request{Authority: env.Authority, Path: smallPath})
 	})
+}
+
+func checkStreamIDNotIncreasing(env *Env) (Verdict, string) {
+	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "request on a stream ID below one already used accepted", func(c *h2conn.Conn) error {
+		req := h2conn.Request{Authority: env.Authority, Path: smallPath}
+		if err := c.OpenStreamID(5, req); err != nil {
+			return err
+		}
+		return c.OpenStreamID(3, req)
+	})
+}
+
+func checkHeadNoBody(env *Env) (Verdict, string) {
+	c, err := env.connect(h2conn.DefaultOptions())
+	if err != nil {
+		return Skip, err.Error()
+	}
+	defer closeConn(c)
+	resp, err := c.FetchBody(h2conn.Request{Method: "HEAD", Authority: env.Authority, Path: smallPath}, env.Timeout)
+	if err != nil {
+		return Fail, "HEAD: " + err.Error()
+	}
+	if resp.Status() != "200" || len(resp.DataFrameSizes) > 0 {
+		return Fail, fmt.Sprintf("HEAD drew status %q and %d DATA frames", resp.Status(), len(resp.DataFrameSizes))
+	}
+	return Pass, ""
 }
 
 func checkHeaderDecodeFailure(env *Env) (Verdict, string) {

@@ -420,31 +420,6 @@ func TestWaitSettings(t *testing.T) {
 	}
 }
 
-func TestFormatEventsTranscript(t *testing.T) {
-	c, fs := dialFake(t, h2conn.Options{})
-	fs.expectFrame(frame.TypeSettings)
-	if err := fs.fr.WriteSettings(frame.Setting{ID: frame.SettingMaxConcurrentStreams, Val: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.fr.WriteGoAway(3, frame.ErrCodeProtocol, []byte("bye")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(0, 2*time.Second, func(e h2conn.Event) bool {
-		return e.Type == frame.TypeGoAway
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out := h2conn.FormatEvents(c.Events())
-	for _, want := range []string{"SETTINGS", "SETTINGS_MAX_CONCURRENT_STREAMS=5", "GOAWAY", "PROTOCOL_ERROR", `debug="bye"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("transcript missing %q:\n%s", want, out)
-		}
-	}
-	if got := h2conn.FormatEvents(nil); got != "(no frames)\n" {
-		t.Errorf("empty transcript = %q", got)
-	}
-}
-
 func TestPushPromiseWithContinuation(t *testing.T) {
 	c, fs := dialFake(t, h2conn.Options{})
 	fs.expectFrame(frame.TypeSettings)

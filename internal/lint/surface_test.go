@@ -118,6 +118,71 @@ func TestSurfaceFollowsUse(t *testing.T) {
 	}
 }
 
+// TestRootDeclaresWhatItExports holds the root package to the paper's
+// experiments (DESIGN.md §8.8): an exported name there is declared there. A
+// type alias, a constant or variable whose value is another package's, or a
+// function whose whole body is one call into another package is a second
+// name for something a program can import under its first.
+func TestRootDeclaresWhatItExports(t *testing.T) {
+	l, pkgs := repoPackages(t)
+	for _, p := range pkgs {
+		if p.Path != l.ModulePath {
+			continue
+		}
+		// foreign reports whether e is pkg.Name or a call chain rooted at one.
+		var foreign func(e ast.Expr) bool
+		foreign = func(e ast.Expr) bool {
+			switch e := e.(type) {
+			case *ast.CallExpr:
+				return foreign(e.Fun)
+			case *ast.SelectorExpr:
+				if id, ok := e.X.(*ast.Ident); ok {
+					_, isPkg := p.Info.Uses[id].(*types.PkgName)
+					return isPkg
+				}
+				return foreign(e.X)
+			}
+			return false
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					if !fn.Name.IsExported() || fn.Recv != nil || len(fn.Body.List) != 1 {
+						continue
+					}
+					var e ast.Expr
+					switch s := fn.Body.List[0].(type) {
+					case *ast.ReturnStmt:
+						if len(s.Results) == 1 {
+							e = s.Results[0]
+						}
+					case *ast.ExprStmt:
+						e = s.X
+					}
+					if _, isCall := e.(*ast.CallExpr); isCall && foreign(e) {
+						t.Errorf("func %s only forwards to another package; call that one", fn.Name)
+					}
+					continue
+				}
+				for _, spec := range d.(*ast.GenDecl).Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() && spec.Assign.IsValid() {
+							t.Errorf("type %s is an alias; name the type by the package that declares it", spec.Name)
+						}
+					case *ast.ValueSpec:
+						for i, v := range spec.Values {
+							if spec.Names[i].IsExported() && foreign(v) {
+								t.Errorf("%s re-exports another package's value", spec.Names[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWorkflowNamesAreQuoted: the standard library has no YAML parser, and the
 // way this repository's workflow has failed to load is a plain `name:` scalar
 // holding ": " (a nested mapping to a YAML reader) or " #" (a comment).

@@ -56,7 +56,8 @@ func TestShutdownUnderMultiplexedLoad(t *testing.T) {
 // TestGoAwayCarriesHighestStreamActedOn checks the GOAWAY last-stream-id
 // (RFC 7540 section 6.8) after streams 1, 3 and 5 have been answered in
 // full and closed: it names stream 5, the highest stream the server acted
-// on, not the highest one still open (none, so 0).
+// on, not the highest one still open (none, so 0) — and a later request on one
+// of those IDs is a connection error, not a second response.
 func TestGoAwayCarriesHighestStreamActedOn(t *testing.T) {
 	cases := []struct {
 		name string
@@ -70,6 +71,29 @@ func TestGoAwayCarriesHighestStreamActedOn(t *testing.T) {
 		{"connection error", frame.ErrCodeProtocol, func(t *testing.T, srv *Server, fr *frame.Framer) {
 			// An even client stream ID is a connection error.
 			if err := fr.WriteHeaders(frame.HeadersParams{StreamID: 2, EndStream: true, EndHeaders: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"stream ID not increasing", frame.ErrCodeProtocol, func(t *testing.T, srv *Server, fr *frame.Framer) {
+			// RFC 7540 section 5.1.1. PRIORITY may name any stream, used or
+			// not, so the PING behind it is answered; a request on stream 3
+			// after stream 5 is not a request.
+			if err := fr.WritePriority(3, frame.PriorityParam{StreamDep: 9, Weight: 7}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fr.WritePing(false, [8]byte{5, 1, 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := fr.ReadFrame(); err != nil || f.Header().Type != frame.TypePing {
+				t.Fatalf("after PRIORITY on a closed stream: %v, %v; want the PING ACK", f, err)
+			}
+			if err := fr.WriteRawBytes(encodeRequest(t, hpack.NewEncoder(hpack.PolicyNoDynamicInsert), 3, "/about.html")); err != nil {
 				t.Fatal(err)
 			}
 			if err := fr.Flush(); err != nil {
@@ -136,5 +160,33 @@ func TestGoAwayCarriesHighestStreamActedOn(t *testing.T) {
 				return
 			}
 		})
+	}
+}
+
+// TestNoGoAwayBeforeServerPreface: SETTINGS is the first frame a server sends
+// (RFC 7540 section 3.5), so a connection that Shutdown finds still waiting
+// for the client preface is closed, not told GOAWAY. net/http's client logs a
+// protocol error for the GOAWAY the parent sent here (the interop test under
+// -race, where a spare TLS dial is still mid-handshake at shutdown).
+func TestNoGoAwayBeforeServerPreface(t *testing.T) {
+	srv := New(NghttpdProfile(), DefaultSite("early.example"))
+	clientNC, serverNC := netsim.Pipe()
+	defer func() { _ = clientNC.Close() }()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.ServeConn(serverNC)
+	}()
+	waitFor(t, 5*time.Second, func() bool { return tableSize(srv) == 1 }, "the connection to be tracked")
+
+	start := time.Now()
+	go srv.Shutdown(5 * time.Second)
+	_ = clientNC.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := clientNC.Read(make([]byte, 64)); n != 0 || err == nil {
+		t.Errorf("read %d octets (%v) from a server that has not seen the client preface, want a bare close", n, err)
+	}
+	<-served
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("connection closed after %v, want at once", took)
 	}
 }

@@ -14,6 +14,9 @@
 package server
 
 import (
+	"fmt"
+	"strings"
+
 	"h2scope/internal/frame"
 	"h2scope/internal/hpack"
 )
@@ -367,4 +370,15 @@ func TestbedProfiles() []Profile {
 		TengineProfile(),
 		ApacheProfile(),
 	}
+}
+
+// ProfileByName returns the testbed profile whose family is name, matched
+// case-insensitively.
+func ProfileByName(name string) (Profile, error) {
+	for _, p := range TestbedProfiles() {
+		if strings.EqualFold(p.Family, name) {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("unknown profile %q (want nginx, litespeed, h2o, nghttpd, tengine, or apache)", name)
 }

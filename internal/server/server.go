@@ -443,6 +443,10 @@ type conn struct {
 	streamCap     atomic.Int64
 	maxSeenClient atomic.Uint32
 	killed        atomic.Bool
+	// prefaced is set once the server preface is on the wire: SETTINGS is
+	// the first frame a server sends (RFC 7540 section 3.5), so a GOAWAY
+	// from another goroutine has to know whether it would overtake it.
+	prefaced atomic.Bool
 
 	// Fingerprint plane (see fingerprint.go). fpa and helloFn are touched
 	// only by the serve goroutine; fpAkamai publishes the sealed akamai
@@ -484,6 +488,12 @@ func (c *conn) mitigateGoAway() {
 // set before the lock is asked for, fails that Write, which frees the lock,
 // and bounds this GOAWAY by the same clock.
 func (c *conn) announceGoAway(deadline time.Time, code frame.ErrCode, debug string) {
+	if !c.prefaced.Load() {
+		// Still short of its SETTINGS, which no frame may precede, the
+		// connection has no stream to wind down: close it.
+		_ = c.nc.Close()
+		return
+	}
 	_ = c.nc.SetWriteDeadline(deadline)
 	if c.fr.WriteGoAway(c.maxSeenClient.Load(), code, []byte(debug)) == nil {
 		_ = c.fr.Flush()
@@ -528,6 +538,7 @@ func (c *conn) serve() error {
 	if err := c.fr.Flush(); err != nil {
 		return err
 	}
+	c.prefaced.Store(true)
 	for {
 		// Detector rate-limit mitigation: pace the read loop.
 		if d := c.readDelay.Load(); d > 0 {
@@ -716,10 +727,13 @@ func (c *conn) handleHeaders(f *frame.HeadersFrame) error {
 	if f.HasPriority() && f.Priority.StreamDep == id {
 		return c.reactSelfDependency(id)
 	}
-	if id > c.maxSeenClient.Load() {
-		c.maxSeenClient.Store(id)
-	}
 	if _, exists := c.streams[id]; !exists {
+		// RFC 7540 section 5.1.1: the ID of a new stream is above every ID
+		// the client has used; anything else is not a second request.
+		if id <= c.maxSeenClient.Load() {
+			return frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "stream ID not above the highest one used"}
+		}
+		c.maxSeenClient.Store(id)
 		if p.AdvertiseMaxStreams && uint32(c.clientOpen) >= p.MaxConcurrentStreams {
 			return c.fr.WriteRSTStream(id, frame.ErrCodeRefusedStream)
 		}
@@ -902,18 +916,23 @@ func (c *conn) respond(st *stream) {
 	}
 	st.responded = true
 	path := requestPath(st.reqHeaders)
-	if c.dispatchRequest(st, path) {
-		return
-	}
-	if path == fingerprintPath {
+	switch {
+	case c.dispatchRequest(st, path):
+	case path == fingerprintPath:
 		c.respondFingerprint(st)
-		return
+	default:
+		e := &c.srv.routes.notFound
+		st.respHeaders = e.fields
+		st.body = e.res.Body
+		st.eager = true
+		c.noteQueued(st)
 	}
-	e := &c.srv.routes.notFound
-	st.respHeaders = e.fields
-	st.body = e.res.Body
-	st.eager = true
-	c.noteQueued(st)
+	// A HEAD response is the header block the GET would draw, content-length
+	// included, and no DATA (RFC 7540 section 8.1, RFC 7231 section 4.3.2):
+	// with no body queued the HEADERS frame carries END_STREAM.
+	if requestMethod(st.reqHeaders) == "HEAD" {
+		st.body = nil
+	}
 }
 
 // dispatchRequest resolves path through the compiled route table and queues

@@ -58,16 +58,6 @@ func formatEvent(start time.Time, ev Event) string {
 	}
 }
 
-// FormatFrameLine renders one frame event as a single transcript line:
-// relative timestamp, sequence number, frame type, stream, length, and
-// free-form detail. It is the line format shared by h2trace raw dumps and
-// the h2conn transcript adapter, so there is one rendering path for both.
-func FormatFrameLine(start time.Time, ev Event, detail string) string {
-	return fmt.Sprintf("%8.3fms  #%-3d %-13s stream=%-4d len=%-6d %s\n",
-		float64(ev.At.Sub(start))/float64(time.Millisecond),
-		ev.Seq, ev.FrameType, ev.StreamID, ev.Length, detail)
-}
-
 func phaseSuffix(phase string) string {
 	if phase == "" {
 		return ""
