@@ -70,8 +70,8 @@ type options struct {
 
 	// debugStarted and onScanRecord are test seams: debugStarted receives
 	// the debug server's bound address once it is listening, onScanRecord
-	// fires (serialized) as each scanned site finalizes — while the scan is
-	// still in flight.
+	// fires (serialized) as each scanned site finalizes, after its record has
+	// been written — while the scan is still in flight.
 	debugStarted func(addr string)
 	onScanRecord func()
 }
@@ -95,7 +95,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.retries, "retries", 2, "per-site retry cap for transient (dial/timeout) failures")
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Second, "per-probe protocol wait; the per-site budget derives from it")
 	fs.DurationVar(&o.progress, "progress", 0, "if > 0, print scan progress to stderr at this interval")
-	fs.StringVar(&o.outPath, "out", "", "append per-site scan records (JSON lines) to this file; \"-\" streams records to stdout and moves tables to stderr")
+	fs.StringVar(&o.outPath, "out", "", "append per-site scan records (JSON lines) to this file, each written as its site finishes (completion order; a killed census leaves a file -analyze reads); \"-\" streams records to stdout and moves tables to stderr")
 	fs.StringVar(&o.traceDir, "trace", "", "directory to write per-site frame-level traces (JSONL, view with h2trace); needs -sample > 0")
 	fs.StringVar(&o.analyze, "analyze", "", "skip generation: analyze a previously written records file and exit")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) while the census runs")
@@ -240,12 +240,7 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 		defer func() {
 			_ = f.Close()
 		}()
-		records, err := store.Read(f)
-		if err != nil {
-			return err
-		}
-		analyze(human, records)
-		return nil
+		return analyze(human, f)
 	}
 
 	var epochs []population.Epoch
@@ -291,18 +286,18 @@ func printMeasured(w io.Writer, label string, t *store.Tally) {
 	fmt.Fprintln(w, measuredEnd)
 }
 
-// analyze re-reads a records file: one measured census per epoch label in
-// file order (-out appends, so a file may hold several scans), each followed
-// by the engine stats of the scans that wrote it.
-func analyze(w io.Writer, records []store.Record) {
+// analyze re-reads a records file, folding it record by record: one measured
+// census per epoch label in file order (-out appends, so a file may hold
+// several scans), each followed by the engine stats of the scans that wrote
+// it. A census that was killed left no trailer, and prints none.
+func analyze(w io.Writer, r io.Reader) error {
 	type stored struct {
 		tally    *store.Tally
 		trailers []*scan.Stats
 	}
 	var labels []string
 	byLabel := make(map[string]*stored)
-	for i := range records {
-		rec := &records[i]
+	err := store.Read(r, func(rec *store.Record) {
 		e := byLabel[rec.Epoch]
 		if e == nil {
 			e = &stored{tally: store.NewTally()}
@@ -314,6 +309,9 @@ func analyze(w io.Writer, records []store.Record) {
 		} else {
 			e.tally.Add(rec)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	for _, label := range labels {
 		e := byLabel[label]
@@ -325,15 +323,39 @@ func analyze(w io.Writer, records []store.Record) {
 		}
 		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // runScan performs the measured scan of one epoch through the scan engine
-// and reports its stats, optionally persisting records plus a stats trailer.
+// and reports its stats. Under -out every site's record is written as the
+// site finalizes, and the stats trailer — the engine's final counters and the
+// metrics snapshot, which -analyze reports separately — once the scan is over.
 // Human-readable tables and notices go to human; with -out - the record
 // stream goes to stdout (and human is stderr, keeping stdout machine-clean).
 func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, epoch population.Epoch, census *h2scope.Census, reg *metrics.Registry, monitor *obs.Monitor) (err error) {
 	fmt.Fprintf(human, "-- Measured scan (%d sites, %d workers, %d retries, timeout %v) --\n",
 		o.sample, o.parallel, o.retries, o.timeout)
+	var sw *store.Writer
+	switch {
+	case o.machineStdout():
+		sw = store.NewWriter(stdout)
+	case o.outPath != "":
+		f, ferr := os.OpenFile(o.outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if ferr != nil {
+			return ferr
+		}
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		sw = store.NewWriter(f)
+	}
+	// A record that cannot be written ends the scan: probing on would only
+	// measure sites whose results are lost.
+	ctx, stopScan := context.WithCancel(ctx)
+	defer stopScan()
+	var writeErr error
 	scanOpts := population.ScanOptions{
 		SampleSize:  o.sample,
 		Parallelism: o.parallel,
@@ -346,17 +368,27 @@ func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, e
 		Fingerprint: o.fingerprint,
 		Observer:    monitor,
 		Context:     ctx,
+		Sink: func(rec *store.Record) {
+			if sw != nil && writeErr == nil {
+				if writeErr = sw.Append(rec); writeErr != nil {
+					stopScan()
+				}
+			}
+			if o.onScanRecord != nil {
+				o.onScanRecord()
+			}
+		},
 	}
 	if o.progress > 0 {
 		scanOpts.Progress = stderr
 		scanOpts.ProgressInterval = o.progress
 	}
-	if o.onScanRecord != nil {
-		scanOpts.OnRecord = func(scan.Record) { o.onScanRecord() }
-	}
 	sum, err := population.Scan(census.Pop, scanOpts)
 	if err != nil {
 		return err
+	}
+	if writeErr != nil {
+		return writeErr
 	}
 	printMeasured(human, epoch.String(), &sum.Tally)
 	fmt.Fprintln(human, sum.Stats.String())
@@ -377,44 +409,13 @@ func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, e
 		fmt.Fprintln(human, "-- Metrics snapshot --")
 		fmt.Fprintln(human, metrics.RenderTable(snaps))
 	}
-	if o.outPath == "" {
+	if sw == nil {
 		return nil
 	}
-	var w io.Writer
-	if o.machineStdout() {
-		w = stdout
-	} else {
-		f, ferr := os.OpenFile(o.outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if ferr != nil {
-			return ferr
-		}
-		defer func() {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		w = f
-	}
-	if err := writeScan(w, epoch, time.Now(), sum, snaps); err != nil {
+	trailer := &store.Record{Epoch: epoch.String(), ScannedAt: time.Now(), Stats: &sum.Stats, Metrics: snaps}
+	if err := sw.Append(trailer); err != nil {
 		return err
 	}
-	fmt.Fprintf(human, "wrote %d records (+1 stats trailer) to %s\n", len(sum.Results), o.outPath)
+	fmt.Fprintf(human, "wrote %d records (+1 stats trailer) to %s\n", sum.Scanned, o.outPath)
 	return nil
-}
-
-// writeScan persists a measured scan to w as JSON lines: one record per
-// site, each with its engine outcome (a failed probe keeps its classified
-// error kind and attempt count), then the stats trailer — the engine's final
-// counters and the metrics snapshot — that -analyze reports separately.
-func writeScan(w io.Writer, epoch population.Epoch, at time.Time, sum *population.ScanSummary, snaps []metrics.MetricSnapshot) error {
-	sw := store.NewWriter(w)
-	for i := range sum.Results {
-		if err := sw.Append(sum.Results[i].Record(epoch, at)); err != nil {
-			return err
-		}
-	}
-	if err := sw.Append(&store.Record{Epoch: epoch.String(), ScannedAt: at, Stats: &sum.Stats, Metrics: snaps}); err != nil {
-		return err
-	}
-	return sw.Flush()
 }

@@ -70,39 +70,39 @@ func TestParseFlagsValidation(t *testing.T) {
 	}
 }
 
+// readRecords collects a record stream; store.Read itself keeps none.
+func readRecords(t *testing.T, r io.Reader) []store.Record {
+	t.Helper()
+	var records []store.Record
+	if err := store.Read(r, func(rec *store.Record) { records = append(records, *rec) }); err != nil {
+		t.Fatalf("not a clean record stream: %v", err)
+	}
+	return records
+}
+
+// runCensus drives run() with args and returns what it printed to stdout.
+func runCensus(t *testing.T, args ...string) string {
+	t.Helper()
+	opts, err := parseFlags(args, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	return stdout.String()
+}
+
 // TestRunAnalyzeRoundTrip drives the -analyze path end to end: scan a tiny
-// population, persist records plus the stats trailer, then re-analyze the
+// population, persisting records plus the stats trailer, then re-analyze the
 // file through run().
 func TestRunAnalyzeRoundTrip(t *testing.T) {
-	pop := population.Generate(population.EpochJul2016, 0.002, 7)
-	sum, err := population.Scan(pop, population.ScanOptions{
-		SampleSize: 5, Parallelism: 4, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "records.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	if live := runCensus(t, "-epoch", "1", "-scale", "0.002", "-seed", "7", "-sample", "5", "-parallel", "4", "-out", path); !strings.Contains(live, "wrote 5 records (+1 stats trailer) to "+path) {
+		t.Errorf("scan output does not say what it wrote:\n%s", live)
 	}
-	when := time.Date(2016, 7, 5, 0, 0, 0, 0, time.UTC)
-	if err := writeScan(f, population.EpochJul2016, when, sum, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	opts, err := parseFlags([]string{"-analyze", path}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut strings.Builder
-	if err := run(context.Background(), opts, &out, &errOut); err != nil {
-		t.Fatalf("run(-analyze): %v", err)
-	}
-	got := out.String()
+	got := runCensus(t, "-analyze", path)
 	if !strings.Contains(got, "==== 1st Exp. (Jul 2016): 5 stored site records, 1 stats trailer(s) ====") {
 		t.Errorf("analysis output missing record count:\n%s", got)
 	}
@@ -131,18 +131,7 @@ func measuredBlock(t *testing.T, out string) string {
 // it wrote are the same bytes, in the tables the ground truth prints in.
 func TestAnalyzeReprintsMeasuredCensus(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "records.jsonl")
-	runOut := func(args ...string) string {
-		t.Helper()
-		opts, err := parseFlags(args, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stdout, stderr strings.Builder
-		if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
-		}
-		return stdout.String()
-	}
+	runOut := func(args ...string) string { return runCensus(t, args...) }
 	live := measuredBlock(t, runOut("-epoch", "2", "-scale", "0.01", "-seed", "7", "-sample", "12", "-out", path))
 	offline := measuredBlock(t, runOut("-analyze", path))
 	if live != offline {
@@ -197,10 +186,7 @@ func TestMachineCleanStdout(t *testing.T) {
 		t.Fatalf("run(-out -): %v", err)
 	}
 
-	records, err := store.Read(strings.NewReader(stdout.String()))
-	if err != nil {
-		t.Fatalf("stdout is not a clean record stream: %v\nstdout:\n%s", err, stdout.String())
-	}
+	records := readRecords(t, strings.NewReader(stdout.String()))
 	if len(records) != 5 {
 		t.Fatalf("stdout carried %d records, want 4 sites + 1 stats trailer", len(records))
 	}
@@ -415,10 +401,7 @@ func TestMachineCleanStdoutWithObservability(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	records, err := store.Read(strings.NewReader(stdout.String()))
-	if err != nil {
-		t.Fatalf("stdout is not a clean record stream: %v\nstdout:\n%s", err, stdout.String())
-	}
+	records := readRecords(t, strings.NewReader(stdout.String()))
 	if len(records) != 5 {
 		t.Fatalf("stdout carried %d records, want 4 sites + 1 stats trailer", len(records))
 	}
@@ -452,10 +435,7 @@ func TestStatsTrailerEmbedsMetrics(t *testing.T) {
 	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	records, err := store.Read(strings.NewReader(stdout.String()))
-	if err != nil {
-		t.Fatalf("reading stdout records: %v", err)
-	}
+	records := readRecords(t, strings.NewReader(stdout.String()))
 	trailer := records[len(records)-1]
 	if !trailer.IsStatsTrailer() {
 		t.Fatal("last record is not the stats trailer")
@@ -501,10 +481,7 @@ func TestRunRobustnessScan(t *testing.T) {
 	defer func() {
 		_ = f.Close()
 	}()
-	records, err := store.Read(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readRecords(t, f)
 	scored := 0
 	for _, rec := range records {
 		if rec.IsStatsTrailer() {
@@ -570,11 +547,8 @@ func TestInterruptedCensusKeepsWhatItMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatalf("interrupted run left no records file: %v", err)
 	}
-	records, err := store.Read(f)
+	records := readRecords(t, f)
 	_ = f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sites, trailers int
 	for i := range records {
 		if !records[i].IsStatsTrailer() {
@@ -603,5 +577,66 @@ func TestInterruptedCensusKeepsWhatItMeasured(t *testing.T) {
 	}
 	if got := measuredBlock(t, offline.String()); got != live {
 		t.Errorf("-analyze of the partial file printed a different measured census.\nlive:\n%s\noffline:\n%s", live, got)
+	}
+}
+
+// TestRecordsReachTheFileAsSitesFinish: -out is written site by site, not
+// after the scan. From the per-record hook, which fires with the scan still
+// in flight, the file already holds every record delivered so far as whole
+// JSON lines; and a copy taken at that moment — what a SIGKILL would leave —
+// analyzes into a measured census of exactly those sites, with no trailer.
+func TestRecordsReachTheFileAsSitesFinish(t *testing.T) {
+	dir := t.TempDir()
+	path, killed := filepath.Join(dir, "records.jsonl"), filepath.Join(dir, "killed.jsonl")
+	opts, err := parseFlags([]string{"-epoch", "2", "-scale", "0.01", "-seed", "7", "-sample", "12", "-parallel", "2", "-out", path}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const killAfter = 5
+	delivered := 0
+	opts.onScanRecord = func() {
+		delivered++
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("after record %d: %v", delivered, err)
+			return
+		}
+		if !bytes.HasSuffix(data, []byte("\n")) {
+			t.Errorf("after record %d the file ends inside a line", delivered)
+		}
+		if got := len(readRecords(t, bytes.NewReader(data))); got < delivered {
+			t.Errorf("after record %d the file holds %d records", delivered, got)
+		}
+		if delivered == killAfter {
+			if err := os.WriteFile(killed, data, 0o644); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	var stdout, stderr strings.Builder
+	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if delivered != 12 {
+		t.Fatalf("the hook fired %d times, want 12", delivered)
+	}
+
+	data, err := os.ReadFile(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Count(data, []byte("\n"))
+	if lines < killAfter || lines >= 12 {
+		t.Fatalf("the copy holds %d lines, want at least %d and fewer than the whole scan", lines, killAfter)
+	}
+	out := runCensus(t, "-analyze", killed)
+	if want := fmt.Sprintf("==== %s: %d stored site records, 0 stats trailer(s) ====", population.EpochJan2017, lines); !strings.Contains(out, want) {
+		t.Errorf("-analyze of the copy does not start %q:\n%s", want, out)
+	}
+	if block := measuredBlock(t, out); !strings.Contains(block, fmt.Sprintf("Sites returning HEADERS     %d ", lines)) {
+		t.Errorf("measured census of the copy does not count its %d sites:\n%s", lines, block)
+	}
+	if strings.Contains(out, "scan: ") {
+		t.Errorf("-analyze printed a stats line for a file without a trailer:\n%s", out)
 	}
 }

@@ -15,10 +15,10 @@ func TestListPrintsCatalog(t *testing.T) {
 		t.Fatalf("run(-list) = %d, want 0", code)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("catalog has %d analyzers, want 4:\n%s", len(lines), out.String())
+	if len(lines) != 3 {
+		t.Fatalf("catalog has %d analyzers, want 3:\n%s", len(lines), out.String())
 	}
-	for _, want := range []string{"uncheckederr", "connclose", "retain", "hotalloc"} {
+	for _, want := range []string{"uncheckederr", "retain", "hotalloc"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("catalog is missing %s", want)
 		}

@@ -115,16 +115,10 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-trace: %w", err)
 		}
 		scanOpts.NewTracer = func(scan.Target) *trace.Tracer { return trace.New(0) }
-		scanOpts.OnTrace = func(t scan.Target, tr *trace.Tracer) {
-			path, werr := trace.WriteFile(*traceDir, t.Key, tr)
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "h2scope: trace export:", werr)
-				return
-			}
-			fmt.Fprintln(os.Stderr, "h2scope: trace written to", path)
-		}
 	}
-	res, err := scan.Run(context.Background(),
+	var rec scan.Record // the one target's
+	scanOpts.OnRecord = func(r scan.Record) { rec = r }
+	_, err := scan.Run(context.Background(),
 		[]scan.Target{{Key: *target}},
 		func(ctx context.Context, _ scan.Target) (any, error) {
 			probeCfg := cfg
@@ -140,7 +134,13 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rec := res.Records[0]
+	if rec.Trace != nil {
+		if path, werr := trace.WriteFile(*traceDir, *target, rec.Trace); werr != nil {
+			fmt.Fprintln(os.Stderr, "h2scope: trace export:", werr)
+		} else {
+			fmt.Fprintln(os.Stderr, "h2scope: trace written to", path)
+		}
+	}
 	if rec.Outcome != scan.OutcomeSuccess {
 		return fmt.Errorf("probe %s after %d attempt(s): %s failure: %s",
 			rec.Outcome, rec.Attempts, rec.Kind, rec.Err)

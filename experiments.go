@@ -58,26 +58,31 @@ func RunTestbed() (*TestbedResult, error) {
 	targets := make([]scan.Target, len(profiles))
 	for i, p := range profiles {
 		res.Families = append(res.Families, p.Family)
-		targets[i] = scan.Target{Key: p.Family, Meta: p}
+		targets[i] = scan.Target{Key: p.Family, Meta: i}
 	}
-	engineRes, err := scan.Run(context.Background(), targets,
+	var failed error
+	_, err := scan.Run(context.Background(), targets,
 		func(ctx context.Context, t scan.Target) (any, error) {
-			return probeProfile(ctx, t.Meta.(server.Profile))
+			return probeProfile(ctx, profiles[t.Meta.(int)])
 		},
 		scan.Options{
 			Parallelism: len(profiles),
 			Timeout:     time.Minute,
 			Retries:     1,
+			OnRecord: func(rec scan.Record) {
+				if rec.Outcome != scan.OutcomeSuccess {
+					failed = fmt.Errorf("h2scope: testbed %s: %s failure after %d attempt(s): %s",
+						rec.Target.Key, rec.Kind, rec.Attempts, rec.Err)
+					return
+				}
+				res.Reports[rec.Target.Meta.(int)] = rec.Value.(*core.Report)
+			},
 		})
+	if err == nil {
+		err = failed
+	}
 	if err != nil {
 		return nil, err
-	}
-	for i, rec := range engineRes.Records {
-		if rec.Outcome != scan.OutcomeSuccess {
-			return nil, fmt.Errorf("h2scope: testbed %s: %s failure after %d attempt(s): %s",
-				profiles[i].Family, rec.Kind, rec.Attempts, rec.Err)
-		}
-		res.Reports[i] = rec.Value.(*core.Report)
 	}
 	res.Cells = make([][]string, len(res.Checks))
 	for r := range res.Checks {
@@ -266,7 +271,7 @@ func renderDist(title string, dist map[string]int) string {
 
 // Figure2 returns the SETTINGS_MAX_CONCURRENT_STREAMS CDF.
 func (c *Census) Figure2() *stats.CDF {
-	return stats.NewCDF(c.Tally.MaxConcurrent)
+	return stats.NewCDFCounts(c.Tally.MaxConcurrent)
 }
 
 // Figure2Rendered renders the Fig. 2 CDF as quantile rows.
@@ -337,7 +342,7 @@ func (c *Census) Figures4And5Rendered() string {
 	for _, f := range fig45Families {
 		if ratios, ok := c.Tally.HPACKRatios[f]; ok {
 			names = append(names, f)
-			series = append(series, stats.NewCDF(ratios))
+			series = append(series, stats.NewCDFCounts(ratios))
 		}
 	}
 	return stats.AsciiCDF(names, series,

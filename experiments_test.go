@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"h2scope"
 	"h2scope/internal/population"
@@ -129,38 +128,32 @@ func TestRunRTTComparison(t *testing.T) {
 // held, and both print through Census as the ground truth does.
 func TestScanRecordPersistenceRoundTrip(t *testing.T) {
 	pop := population.Generate(population.EpochJul2016, 0.002, 6)
-	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 6, Parallelism: 4, Seed: 1})
+	var buf bytes.Buffer
+	sw := store.NewWriter(&buf)
+	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 6, Parallelism: 4, Seed: 1,
+		Sink: func(rec *store.Record) {
+			if err := sw.Append(rec); err != nil {
+				t.Errorf("Append: %v", err)
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	sw := store.NewWriter(&buf)
-	when := time.Date(2016, 7, 5, 0, 0, 0, 0, time.UTC)
-	for i := range sum.Results {
-		if err := sw.Append(sum.Results[i].Record(population.EpochJul2016, when)); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if err := sw.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	records, err := store.Read(&buf)
-	if err != nil {
-		t.Fatalf("store.Read: %v", err)
-	}
-	if len(records) != 6 {
-		t.Fatalf("records = %d, want 6", len(records))
-	}
 	offline := store.NewTally()
-	for i := range records {
-		rec := &records[i]
+	err = store.Read(&buf, func(rec *store.Record) {
 		if rec.Report == nil || rec.Report.Settings == nil {
 			t.Errorf("%s: report lost", rec.Domain)
 		}
-		if rec.ServerName == "" || rec.Family == "" {
-			t.Errorf("%s: server name %q, family %q", rec.Domain, rec.ServerName, rec.Family)
+		if rec.ServerName == "" || rec.Family == "" || rec.Epoch != pop.Epoch.String() || rec.ScannedAt.IsZero() {
+			t.Errorf("%s: server name %q, family %q, epoch %q, scanned at %v", rec.Domain, rec.ServerName, rec.Family, rec.Epoch, rec.ScannedAt)
 		}
 		offline.Add(rec)
+	})
+	if err != nil {
+		t.Fatalf("store.Read: %v", err)
+	}
+	if offline.Scanned != 6 {
+		t.Fatalf("records = %d, want 6", offline.Scanned)
 	}
 	if !reflect.DeepEqual(offline, &sum.Tally) {
 		t.Errorf("tally re-read from the stored records:\n%+v\nlive tally:\n%+v", offline, &sum.Tally)

@@ -28,7 +28,9 @@ func newEnv(t *testing.T, p server.Profile) *conformance.Env {
 	go func() {
 		_ = srv.Serve(tlsutil.NewFingerprintListener(tl, tlsutil.ServerConfig(cert, true)))
 	}()
-	t.Cleanup(srv.Close)
+	// Shutdown, not Close: Close waits for as long as a connection a check
+	// leaked stays open, and the leak check's message is lost to the timeout.
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
 	// Every test that runs checks through here ends on the leak check: most
 	// of the suite provokes a GOAWAY and a server-side close, and those
 	// transports must be closed like any other.

@@ -176,12 +176,7 @@ func (p *Prober) connect(ctx context.Context, opts h2conn.Options) (*h2conn.Conn
 			return nil, fmt.Errorf("core: set deadline: %w", err)
 		}
 	}
-	c, err := h2conn.Dial(nc, opts)
-	if err != nil {
-		_ = nc.Close()
-		return nil, err
-	}
-	return c, nil
+	return h2conn.Dial(nc, opts) // which closes nc when it fails
 }
 
 // reactionWindow is how long a probe listens for an error frame after a

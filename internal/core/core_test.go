@@ -23,7 +23,9 @@ func newProber(t *testing.T, p server.Profile) *core.Prober {
 	go func() {
 		_ = srv.Serve(l)
 	}()
-	t.Cleanup(srv.Close)
+	// Shutdown, not Close: Close waits for as long as a connection a probe
+	// leaked stays open, and the leak check's message is lost to the timeout.
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
 	cfg := core.DefaultConfig("testbed.example")
 	cfg.Timeout = 5 * time.Second
 	cfg.QuietWindow = 20 * time.Millisecond
@@ -540,7 +542,7 @@ func TestProbeAppliesContextDeadlineToTransport(t *testing.T) {
 	srv := server.New(server.NginxProfile(), server.DefaultSite("testbed.example"))
 	l := netsim.NewListener("deadline")
 	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
 
 	rec := &deadlineRecorder{}
 	cfg := core.DefaultConfig("testbed.example")

@@ -50,8 +50,7 @@ func (p *Prober) ProbeH2CUpgrade(ctx context.Context) (*H2CResult, error) {
 func (p *Prober) verifyH2(nc net.Conn) bool {
 	c, err := h2conn.Dial(nc, h2conn.DefaultOptions())
 	if err != nil {
-		_ = nc.Close()
-		return false
+		return false // h2conn.Dial closed nc
 	}
 	defer closeConn(c)
 	resp, err := c.FetchBody(h2conn.Request{

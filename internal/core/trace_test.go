@@ -21,7 +21,7 @@ func newTracedProber(t *testing.T, p server.Profile) (*core.Prober, *trace.Trace
 	go func() {
 		_ = srv.Serve(l)
 	}()
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
 	cfg := core.DefaultConfig("testbed.example")
 	cfg.Timeout = 5 * time.Second
 	cfg.QuietWindow = 20 * time.Millisecond

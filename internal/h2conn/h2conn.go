@@ -199,7 +199,8 @@ func (c *Conn) countClosed() {
 
 // Dial establishes an HTTP/2 connection over nc: it starts the read loop,
 // sends the client preface and SETTINGS, and returns. The server's SETTINGS
-// arrive asynchronously; use WaitSettings.
+// arrive asynchronously; use WaitSettings. The Conn owns nc from the call on:
+// Close closes it, and so does every failure return here.
 func Dial(nc net.Conn, opts Options) (*Conn, error) {
 	c := &Conn{
 		nc: nc,

@@ -99,10 +99,6 @@ func TestUncheckedErrGolden(t *testing.T) {
 	runGolden(t, UncheckedErrAnalyzer, "uncheckederr/a")
 }
 
-func TestConnCloseGolden(t *testing.T) {
-	runGolden(t, ConnCloseAnalyzer, "connclose/a")
-}
-
 func TestRetainGolden(t *testing.T) {
 	runGolden(t, RetainAnalyzer, "retain/a")
 }
@@ -166,12 +162,12 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry pins the catalog: four analyzers, each documented and
+// TestAnalyzerRegistry pins the catalog: three analyzers, each documented and
 // under a name of its own (the name selects the analyzer's h2lint flag).
 func TestAnalyzerRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 4 {
-		t.Fatalf("All() returned %d analyzers, want 4", len(all))
+	if len(all) != 3 {
+		t.Fatalf("All() returned %d analyzers, want 3", len(all))
 	}
 	names := make(map[string]bool)
 	for _, a := range all {

@@ -128,7 +128,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 func All() []*Analyzer {
 	return []*Analyzer{
 		UncheckedErrAnalyzer,
-		ConnCloseAnalyzer,
 		RetainAnalyzer,
 		HotAllocAnalyzer,
 	}

@@ -58,12 +58,11 @@ func goodHTTP(w http.ResponseWriter, body []byte) error {
 }
 
 func badPipeline(sw *store.Writer, ds *metrics.DebugServer, tr *trace.Tracer, rec *store.Record) {
-	sw.Append(rec)      // want `\(\*store\.Writer\)\.Append: error return is silently discarded`
-	sw.Flush()          // want `\(\*store\.Writer\)\.Flush: error return is silently discarded`
-	defer sw.Flush()    // want `defer \(\*store\.Writer\)\.Flush: error return is silently discarded`
-	ds.Close()          // want `\(\*metrics\.DebugServer\)\.Close: error return is silently discarded`
-	tr.Subscribe(16)    // want `\(\*trace\.Tracer\)\.Subscribe: the returned Subscription is discarded`
-	go tr.Subscribe(16) // want `go \(\*trace\.Tracer\)\.Subscribe: the returned Subscription is discarded`
+	sw.Append(rec)       // want `\(\*store\.Writer\)\.Append: error return is silently discarded`
+	defer sw.Append(rec) // want `defer \(\*store\.Writer\)\.Append: error return is silently discarded`
+	ds.Close()           // want `\(\*metrics\.DebugServer\)\.Close: error return is silently discarded`
+	tr.Subscribe(16)     // want `\(\*trace\.Tracer\)\.Subscribe: the returned Subscription is discarded`
+	go tr.Subscribe(16)  // want `go \(\*trace\.Tracer\)\.Subscribe: the returned Subscription is discarded`
 }
 
 func badFlightRec(fr *obs.FlightRecorder, a obs.Anomaly, evs []obs.Event) {
@@ -86,7 +85,7 @@ func goodPipeline(sw *store.Writer, ds *metrics.DebugServer, tr *trace.Tracer, r
 	if err := sw.Append(rec); err != nil {
 		return err
 	}
-	_ = sw.Flush() // explicit discard is acknowledged
+	_ = sw.Append(rec) // explicit discard is acknowledged
 	sub := tr.Subscribe(16)
 	defer sub.Close() // Subscription.Close returns no error: nothing to drop
 	_ = ds.Addr()     // not on the critical surface

@@ -10,6 +10,3 @@ type Writer struct{}
 
 // Append mimics a record write.
 func (w *Writer) Append(rec *Record) error { return nil }
-
-// Flush mimics draining buffered output.
-func (w *Writer) Flush() error { return nil }

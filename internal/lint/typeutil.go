@@ -160,11 +160,6 @@ func isDeadlineSetter(f *types.Func) bool {
 		types.Identical(sig.Results().At(0).Type(), types.Universe.Lookup("error").Type())
 }
 
-// isErrorType reports whether t is the built-in error type.
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
 // terminatesFlow reports whether stmt unconditionally ends the surrounding
 // flow of control: a return, a panic, or a call that never returns
 // (os.Exit, log.Fatal*, testing's Fatal*).

@@ -16,8 +16,8 @@ import (
 // were complete.
 //
 // The same treatment covers the results side of the measurement pipeline: a
-// dropped store.Writer.Append or Flush error loses census records after the
-// probe already paid for them, a dropped metrics.DebugServer.Close error
+// dropped store.Writer.Append error loses a census record after the probe
+// already paid for it, a dropped metrics.DebugServer.Close error
 // hides a wedged observability endpoint, and a trace.Tracer.Subscribe whose
 // *Subscription result is discarded leaks a live bus subscription that can
 // never be closed.
@@ -100,7 +100,7 @@ func errCriticalCall(info *types.Info, call *ast.CallExpr, f *types.Func) string
 			return "(http.ResponseWriter)." + f.Name()
 		}
 	case namedTypeIs(recv, "internal/store", "Writer"):
-		if f.Name() == "Append" || f.Name() == "Flush" {
+		if f.Name() == "Append" {
 			return "(*store.Writer)." + f.Name()
 		}
 	case namedTypeIs(recv, "internal/metrics", "DebugServer"):

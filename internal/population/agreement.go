@@ -21,58 +21,67 @@ type Agreement struct {
 	Dimensions map[string]float64
 	// Mismatches lists "domain: dimension" entries for disagreements.
 	Mismatches []string
+
+	// counts and matches are the per-dimension tallies Dimensions is the
+	// quotient of, kept so sites can be folded in one at a time.
+	counts, matches map[string]int
 }
 
-// ComputeAgreement compares each scanned site's report with its spec.
+// ComputeAgreement reports how the scan's sites, each compared with its spec
+// as it finalized, agreed with the ground truth.
 func ComputeAgreement(sum *ScanSummary) *Agreement {
-	agr := &Agreement{Dimensions: make(map[string]float64)}
-	counts := make(map[string]int)
-	matches := make(map[string]int)
-	record := func(domain, dim string, ok bool) {
-		counts[dim]++
-		if ok {
-			matches[dim]++
-		} else {
-			agr.Mismatches = append(agr.Mismatches, domain+": "+dim)
-		}
-	}
-	for _, res := range sum.Results {
-		spec, r := res.Spec, res.Report
-		if r == nil || r.Settings == nil {
-			continue
-		}
-		agr.Sites++
-		record(spec.Domain, "server-name", r.Settings.ServerHeader == spec.ServerName)
-		if r.FlowData != nil {
-			record(spec.Domain, "tiny-window", tinyClassOf(spec.TinyWindow) == r.FlowData.Class)
-		}
-		if r.ZeroWindowHeaders != nil {
-			record(spec.Domain, "zero-window-headers",
-				r.ZeroWindowHeaders.GotHeaders == !spec.FlowControlHeaders)
-		}
-		if r.ZeroWU != nil {
-			record(spec.Domain, "zero-wu-stream", observationOf(spec.ZeroWUStream) == r.ZeroWU.Stream)
-			record(spec.Domain, "zero-wu-conn", observationOf(spec.ZeroWUConn) == r.ZeroWU.Conn)
-		}
-		if r.LargeWU != nil {
-			record(spec.Domain, "large-wu-stream", observationOf(spec.LargeWUStream) == r.LargeWU.Stream)
-			record(spec.Domain, "large-wu-conn", observationOf(spec.LargeWUConn) == r.LargeWU.Conn)
-		}
-		if r.SelfDep != nil {
-			record(spec.Domain, "self-dependency", observationOf(spec.SelfDep) == r.SelfDep.Reaction)
-		}
-		if r.Push != nil {
-			record(spec.Domain, "server-push", r.Push.Supported == spec.Push)
-		}
-		if r.Priority != nil {
-			wantLast := spec.Scheduling == server.SchedPriority || spec.Scheduling == server.SchedPriorityLastOnly
-			record(spec.Domain, "priority-last-rule", r.Priority.LastRuleOK == wantLast)
-		}
-	}
-	for dim, n := range counts {
-		agr.Dimensions[dim] = float64(matches[dim]) / float64(n)
+	agr := &sum.agreement
+	agr.Dimensions = make(map[string]float64, len(agr.counts))
+	for dim, n := range agr.counts {
+		agr.Dimensions[dim] = float64(agr.matches[dim]) / float64(n)
 	}
 	return agr
+}
+
+// add compares one scanned site's report with its spec. A site without a
+// report, or whose report has no SETTINGS exchange, is not comparable.
+func (agr *Agreement) add(spec *SiteSpec, r *core.Report) {
+	if r == nil || r.Settings == nil {
+		return
+	}
+	if agr.counts == nil {
+		agr.counts, agr.matches = make(map[string]int), make(map[string]int)
+	}
+	record := func(dim string, ok bool) {
+		agr.counts[dim]++
+		if ok {
+			agr.matches[dim]++
+		} else {
+			agr.Mismatches = append(agr.Mismatches, spec.Domain+": "+dim)
+		}
+	}
+	agr.Sites++
+	record("server-name", r.Settings.ServerHeader == spec.ServerName)
+	if r.FlowData != nil {
+		record("tiny-window", tinyClassOf(spec.TinyWindow) == r.FlowData.Class)
+	}
+	if r.ZeroWindowHeaders != nil {
+		record("zero-window-headers",
+			r.ZeroWindowHeaders.GotHeaders == !spec.FlowControlHeaders)
+	}
+	if r.ZeroWU != nil {
+		record("zero-wu-stream", observationOf(spec.ZeroWUStream) == r.ZeroWU.Stream)
+		record("zero-wu-conn", observationOf(spec.ZeroWUConn) == r.ZeroWU.Conn)
+	}
+	if r.LargeWU != nil {
+		record("large-wu-stream", observationOf(spec.LargeWUStream) == r.LargeWU.Stream)
+		record("large-wu-conn", observationOf(spec.LargeWUConn) == r.LargeWU.Conn)
+	}
+	if r.SelfDep != nil {
+		record("self-dependency", observationOf(spec.SelfDep) == r.SelfDep.Reaction)
+	}
+	if r.Push != nil {
+		record("server-push", r.Push.Supported == spec.Push)
+	}
+	if r.Priority != nil {
+		wantLast := spec.Scheduling == server.SchedPriority || spec.Scheduling == server.SchedPriorityLastOnly
+		record("priority-last-rule", r.Priority.LastRuleOK == wantLast)
+	}
 }
 
 // tinyClassOf maps a behavior knob to the probe's observation class.

@@ -2,7 +2,10 @@ package population_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,12 +15,41 @@ import (
 	"h2scope/internal/fingerprint"
 	"h2scope/internal/population"
 	"h2scope/internal/server"
+	"h2scope/internal/stats"
 	"h2scope/internal/store"
 )
 
 func fullPop(t *testing.T, e population.Epoch) *population.Population {
 	t.Helper()
 	return population.Generate(e, 1.0, 2016)
+}
+
+// scannedSite is one site of a measured scan as these tests read it: the
+// record the scan handed its sink, beside the spec it answers.
+type scannedSite struct {
+	Spec *population.SiteSpec
+	*store.Record
+}
+
+// scanCollect is population.Scan keeping every site's record, in completion
+// order: the summary holds none, so a test that reads reports collects them
+// through the sink.
+func scanCollect(t *testing.T, pop *population.Population, opts population.ScanOptions) (*population.ScanSummary, []scannedSite) {
+	t.Helper()
+	specs := make(map[string]*population.SiteSpec, len(pop.Sites))
+	for i := range pop.Sites {
+		specs[pop.Sites[i].Domain] = &pop.Sites[i]
+	}
+	var sites []scannedSite
+	opts.Sink = func(rec *store.Record) { sites = append(sites, scannedSite{specs[rec.Domain], rec}) }
+	sum, err := population.Scan(pop, opts)
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if len(sites) != sum.Scanned {
+		t.Fatalf("the sink saw %d records of %d scanned sites", len(sites), sum.Scanned)
+	}
+	return sum, sites
 }
 
 // tinyWindowCounts returns the Section V-D.1 buckets in the paper's order.
@@ -253,7 +285,12 @@ func TestPushSites(t *testing.T) {
 
 func TestHPACKRatioShapes(t *testing.T) {
 	pop := fullPop(t, population.EpochJul2016)
-	ratios := pop.Tally().HPACKRatios
+	// The specs' own ratios: the tally counts them at the figure's 0.01, which
+	// would move a 0.2951 across the 0.3 the paper's statements are about.
+	ratios := make(map[string][]float64)
+	for _, s := range pop.Sites {
+		ratios[s.Family] = append(ratios[s.Family], s.HPACKRatio)
+	}
 	// GSE: all below 0.3 ("all of which are less than 0.3").
 	for _, r := range ratios["GSE"] {
 		if r >= 0.3 {
@@ -317,14 +354,11 @@ func TestScaledGeneration(t *testing.T) {
 // full scale.
 func TestScanMeasurementsMatchGroundTruth(t *testing.T) {
 	pop := population.Generate(population.EpochJan2017, 0.003, 11) // ~193 sites
-	sum, err := population.Scan(pop, population.ScanOptions{
+	sum, sites := scanCollect(t, pop, population.ScanOptions{
 		SampleSize:  40,
 		Parallelism: 8,
 		Seed:        5,
 	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
 	if sum.Scanned != 40 {
 		t.Fatalf("Scanned = %d, want 40", sum.Scanned)
 	}
@@ -338,7 +372,7 @@ func TestScanMeasurementsMatchGroundTruth(t *testing.T) {
 			return core.ObserveIgnore
 		}
 	}
-	for _, res := range sum.Results {
+	for _, res := range sites {
 		spec, r := res.Spec, res.Report
 		if r == nil || r.Settings == nil {
 			t.Errorf("%s: no report", spec.Domain)
@@ -391,7 +425,7 @@ func TestScanMeasurementsMatchGroundTruth(t *testing.T) {
 	}
 	sampled := &population.Population{Epoch: pop.Epoch, Scale: pop.Scale}
 	npn, alpn := 0, 0
-	for _, res := range sum.Results {
+	for _, res := range sites {
 		sampled.Sites = append(sampled.Sites, *res.Spec)
 		if res.Spec.NPN {
 			npn++
@@ -420,22 +454,19 @@ func TestScanMeasurementsMatchGroundTruth(t *testing.T) {
 		t.Errorf("measured NPN/ALPN = %d/%d, sampled specs say %d/%d", sum.NPN, sum.ALPN, npn, alpn)
 	}
 	for family, ratios := range truth.HPACKRatios {
-		if len(sum.HPACKRatios[family]) != len(ratios) {
-			t.Errorf("HPACK ratio series %s: %d measured, %d sites", family, len(sum.HPACKRatios[family]), len(ratios))
+		if got, want := stats.NewCDFCounts(sum.HPACKRatios[family]).Len(), stats.NewCDFCounts(ratios).Len(); got != want {
+			t.Errorf("HPACK ratio series %s: %d measured, %d sites", family, got, want)
 		}
 	}
-	if len(sum.PingRTTsMillis) != sum.Scanned {
-		t.Errorf("PING RTT samples = %d, want one per site", len(sum.PingRTTsMillis))
+	if got := stats.NewCDFCounts(sum.PingRTTsMillis).Len(); got != sum.Scanned {
+		t.Errorf("PING RTT samples = %d, want one per site", got)
 	}
 }
 
 func TestScanHPACKRatiosTrackTargets(t *testing.T) {
 	pop := population.Generate(population.EpochJul2016, 0.002, 13)
-	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 30, Parallelism: 8, Seed: 3})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	for _, res := range sum.Results {
+	_, sites := scanCollect(t, pop, population.ScanOptions{SampleSize: 30, Parallelism: 8, Seed: 3})
+	for _, res := range sites {
 		if res.Report == nil || res.Report.HPACK == nil {
 			continue
 		}
@@ -453,25 +484,25 @@ func TestScanHPACKRatiosTrackTargets(t *testing.T) {
 
 func TestFigure2DistributionProperties(t *testing.T) {
 	pop := fullPop(t, population.EpochJul2016)
-	samples := pop.Tally().MaxConcurrent
-	if len(samples) != 44_390-1_050 {
-		t.Fatalf("samples = %d, want working minus NULL", len(samples))
-	}
-	below100, at100or128 := 0, 0
-	for _, v := range samples {
+	total, below100, at100or128 := 0, 0, 0
+	for v, n := range pop.Tally().MaxConcurrent {
+		total += n
 		if v < 100 {
-			below100++
+			below100 += n
 		}
 		if v == 100 || v == 128 {
-			at100or128++
+			at100or128 += n
 		}
 	}
+	if total != 44_390-1_050 {
+		t.Fatalf("samples = %d, want working minus NULL", total)
+	}
 	// "the majority of web sites use a value larger than or equal to 100"
-	if frac := float64(below100) / float64(len(samples)); frac > 0.10 {
+	if frac := float64(below100) / float64(total); frac > 0.10 {
 		t.Errorf("P(X < 100) = %.3f, want small", frac)
 	}
 	// "100 and 128 are popular values"
-	if frac := float64(at100or128) / float64(len(samples)); frac < 0.5 {
+	if frac := float64(at100or128) / float64(total); frac < 0.5 {
 		t.Errorf("P(X in {100,128}) = %.3f, want majority", frac)
 	}
 }
@@ -580,19 +611,16 @@ func TestAgreementPerfectOnCleanScan(t *testing.T) {
 // fold every scenario verdict.
 func TestScanRobustnessScoresSample(t *testing.T) {
 	pop := population.Generate(population.EpochJan2017, 0.002, 17)
-	sum, err := population.Scan(pop, population.ScanOptions{
+	sum, sites := scanCollect(t, pop, population.ScanOptions{
 		SampleSize:  4,
 		Parallelism: 4,
 		Seed:        9,
 		Robustness:  true,
 	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
 	if sum.Scanned != 4 {
 		t.Fatalf("Scanned = %d, want 4", sum.Scanned)
 	}
-	for _, res := range sum.Results {
+	for _, res := range sites {
 		if res.Report == nil {
 			t.Errorf("%s: no report", res.Spec.Domain)
 			continue
@@ -612,8 +640,8 @@ func TestScanRobustnessScoresSample(t *testing.T) {
 			t.Errorf("%s: %d verdicts for %d scenarios", res.Spec.Domain, len(score.Verdicts), score.Total)
 		}
 	}
-	if got := len(sum.RobustnessScores); got != sum.Scanned {
-		t.Errorf("RobustnessScores has %d entries, want %d", got, sum.Scanned)
+	if sum.RobustnessSites != sum.Scanned || sum.RobustnessSum < 0 || sum.RobustnessSum > float64(sum.Scanned) {
+		t.Errorf("robustness scores add up to %v over %d sites, want %d sites scored in [0,1]", sum.RobustnessSum, sum.RobustnessSites, sum.Scanned)
 	}
 	verdictTotal := 0
 	for _, n := range sum.RobustnessVerdicts {
@@ -628,18 +656,15 @@ func TestScanRobustnessScoresSample(t *testing.T) {
 // scores, empty aggregates.
 func TestScanWithoutRobustnessLeavesScoresNil(t *testing.T) {
 	pop := population.Generate(population.EpochJul2016, 0.002, 17)
-	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 2, Parallelism: 2, Seed: 3})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	for _, res := range sum.Results {
+	sum, sites := scanCollect(t, pop, population.ScanOptions{SampleSize: 2, Parallelism: 2, Seed: 3})
+	for _, res := range sites {
 		if res.Robustness != nil {
 			t.Errorf("%s: unexpected robustness score without the option", res.Spec.Domain)
 		}
 	}
-	if len(sum.RobustnessScores) != 0 || len(sum.RobustnessVerdicts) != 0 {
-		t.Errorf("robustness aggregates populated without the option: %v %v",
-			sum.RobustnessScores, sum.RobustnessVerdicts)
+	if sum.RobustnessSites != 0 || len(sum.RobustnessVerdicts) != 0 {
+		t.Errorf("robustness aggregates populated without the option: %d sites, %v",
+			sum.RobustnessSites, sum.RobustnessVerdicts)
 	}
 }
 
@@ -650,20 +675,17 @@ func TestScanWithoutRobustnessLeavesScoresNil(t *testing.T) {
 // every client the same bytes — no site is flagged as fingerprint-serving.
 func TestScanFingerprintSweepsSample(t *testing.T) {
 	pop := population.Generate(population.EpochJan2017, 0.002, 17)
-	sum, err := population.Scan(pop, population.ScanOptions{
+	sum, sites := scanCollect(t, pop, population.ScanOptions{
 		SampleSize:  3,
 		Parallelism: 3,
 		Seed:        11,
 		Fingerprint: true,
 	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
 	if sum.Scanned != 3 {
 		t.Fatalf("Scanned = %d, want 3", sum.Scanned)
 	}
 	profiles := fingerprint.BuiltinProfiles()
-	for _, res := range sum.Results {
+	for _, res := range sites {
 		fp := res.Fingerprint
 		if fp == nil {
 			t.Errorf("%s: no fingerprint sweep despite Fingerprint option", res.Spec.Domain)
@@ -709,11 +731,8 @@ func TestScanFingerprintSweepsSample(t *testing.T) {
 // no census column.
 func TestScanWithoutFingerprintLeavesSweepNil(t *testing.T) {
 	pop := population.Generate(population.EpochJul2016, 0.002, 17)
-	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 2, Parallelism: 2, Seed: 3})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	for _, res := range sum.Results {
+	sum, sites := scanCollect(t, pop, population.ScanOptions{SampleSize: 2, Parallelism: 2, Seed: 3})
+	for _, res := range sites {
 		if res.Fingerprint != nil {
 			t.Errorf("%s: unexpected fingerprint sweep without the option", res.Spec.Domain)
 		}
@@ -749,17 +768,14 @@ func TestPriorityModesOnlyWhereAlgorithm1CanRun(t *testing.T) {
 }
 
 // scanSites scans the given sites as a population of their own.
-func scanSites(t *testing.T, sites []population.SiteSpec) *population.ScanSummary {
+func scanSites(t *testing.T, sites []population.SiteSpec) (*population.ScanSummary, []scannedSite) {
 	t.Helper()
 	pop := &population.Population{Epoch: population.EpochJan2017, Scale: 1, Sites: sites}
-	sum, err := population.Scan(pop, population.ScanOptions{Parallelism: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum, scanned := scanCollect(t, pop, population.ScanOptions{Parallelism: 4, Seed: 1})
 	if sum.Stats.Succeeded != int64(len(sites)) {
 		t.Fatalf("scan stats: %s, want %d sites succeeded", sum.Stats, len(sites))
 	}
-	return sum
+	return sum, scanned
 }
 
 // TestSitesRefusingSixStreamsScanClean scans the sites that had probe_scan
@@ -780,11 +796,11 @@ func TestSitesRefusingSixStreamsScanClean(t *testing.T) {
 	if len(sites) < 5 {
 		t.Fatalf("%d sites with a limit below six over the five seeds, want at least one each", len(sites))
 	}
-	sum := scanSites(t, sites)
+	sum, scanned := scanSites(t, sites)
 	if agr := population.ComputeAgreement(sum); !agr.Perfect() || agr.Sites != len(sites) {
 		t.Errorf("agreement over %d sites:\n%s", len(sites), agr)
 	}
-	for _, res := range sum.Results {
+	for _, res := range scanned {
 		if res.Report.Multiplex != nil || res.Report.Priority != nil {
 			t.Errorf("%s (limit %d): multiplexing %+v, priority %+v, want no verdict",
 				res.Spec.Domain, res.Spec.MaxConcurrent, res.Report.Multiplex, res.Report.Priority)
@@ -801,8 +817,8 @@ func TestSitesRefusingSixStreamsScanClean(t *testing.T) {
 func TestPriorityNotMeasurableBelowSixStreams(t *testing.T) {
 	site := population.Generate(population.EpochJan2017, 0.001, 1).Sites[0]
 	site.OmitSettings, site.MaxConcurrent, site.Scheduling = false, 1, server.SchedPriority
-	sum := scanSites(t, []population.SiteSpec{site})
-	r := sum.Results[0].Report
+	sum, scanned := scanSites(t, []population.SiteSpec{site})
+	r := scanned[0].Report
 	if r.Multiplex != nil || r.Priority != nil {
 		t.Errorf("multiplexing %+v, priority %+v, want no verdict", r.Multiplex, r.Priority)
 	}
@@ -822,5 +838,66 @@ func TestPriorityNotMeasurableBelowSixStreams(t *testing.T) {
 	}
 	if sum.PriorityLast != 0 || sum.PriorityFirst != 0 || sum.PriorityBoth != 0 {
 		t.Errorf("tally counts priority %d/%d/%d for a site that was not measured", sum.PriorityLast, sum.PriorityFirst, sum.PriorityBoth)
+	}
+}
+
+// TestScanKeepsNothingPerSite: a summary is counts, so what a finished scan
+// holds does not follow the sample. Scanning 50 and then 400 sites of one
+// population, the heap still reachable with the summary alive may differ by
+// 64 KiB — the count maps gain a key per distinct RTT microsecond and HPACK
+// hundredth — where a summary that kept every site's report differed by
+// 228 KB (2,059 and 827 bytes a site; DESIGN §8.9).
+func TestScanKeepsNothingPerSite(t *testing.T) {
+	pop := population.Generate(population.EpochJan2017, 0.01, 3)
+	retained := func(sample int) int64 {
+		heap := func() int64 {
+			runtime.GC()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return int64(ms.HeapAlloc)
+		}
+		before := heap()
+		sum, err := population.Scan(pop, population.ScanOptions{SampleSize: sample, Parallelism: 16, Seed: 3})
+		if err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		after := heap()
+		if sum.Scanned != sample || sum.Stats.Succeeded != int64(sample) {
+			t.Fatalf("scanned %d of %d sites: %s", sum.Scanned, sample, sum.Stats)
+		}
+		runtime.KeepAlive(sum)
+		return after - before
+	}
+	retained(8) // one-time allocations (pools, tables) land outside the comparison
+	small, large := retained(50), retained(400)
+	runtime.KeepAlive(pop) // or the last reading is short of the population itself
+	t.Logf("retained after 50 sites: %d B, after 400: %d B", small, large)
+	if diff := large - small; diff > 64<<10 {
+		t.Errorf("a 400-site scan retains %d B more than a 50-site one, want under 64 KiB", diff)
+	}
+}
+
+// TestTraceIsOnDiskBeforeItsRecord: under TraceDir a site's record names its
+// trace file, and by the time the sink sees the record the file is there — a
+// census killed right after writing the record has not written a dangling name.
+func TestTraceIsOnDiskBeforeItsRecord(t *testing.T) {
+	pop := population.Generate(population.EpochJan2017, 0.002, 5)
+	dir := filepath.Join(t.TempDir(), "traces")
+	seen := 0
+	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 3, Parallelism: 3, Seed: 5, TraceDir: dir,
+		Sink: func(rec *store.Record) {
+			seen++
+			if filepath.Dir(rec.TraceFile) != dir {
+				t.Errorf("%s: trace file %q, want one under %s", rec.Domain, rec.TraceFile, dir)
+			} else if fi, err := os.Stat(rec.TraceFile); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: record delivered ahead of its trace: %v", rec.Domain, err)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != 3 || sum.Stats.TraceEvents == 0 {
+		t.Errorf("sink saw %d records, stats count %d trace events, want 3 and some", seen, sum.Stats.TraceEvents)
 	}
 }

@@ -58,63 +58,17 @@ func (d *siteDialer) NegotiateNPN() ([]string, error) {
 	return []string{"h2", "spdy/3.1", "http/1.1"}, nil
 }
 
-// SiteResult pairs a probed site with its H2Scope report and how the scan
-// engine fared getting it. Failed probes keep their partial Report (possibly
-// nil) alongside the classified failure, so nothing vanishes from the
-// sample.
-type SiteResult struct {
-	Spec   *SiteSpec
-	Report *core.Report
-	// Outcome, Kind, Err, and Attempts mirror the engine's scan.Record.
-	Outcome  scan.Outcome
-	Kind     scan.ErrorKind
-	Err      string
-	Attempts int
-	// TraceFile is the exported frame-level trace for this site, when the
-	// scan ran with ScanOptions.TraceDir.
-	TraceFile string
-	// Robustness is the site's adversarial-battery score, when the scan ran
-	// with ScanOptions.Robustness; nil otherwise (and for failed probes).
-	Robustness *attack.Score
-	// Fingerprint is the impersonation sweep verdict, when the scan ran
-	// with ScanOptions.Fingerprint; nil otherwise (and for failed probes).
-	Fingerprint *fingerprint.CensusResult
-}
-
-// Record is the site's persisted form: what -out writes, and what the census
-// tally folds, so a stored scan re-reads into the aggregate the live scan had.
-func (r *SiteResult) Record(epoch Epoch, at time.Time) *store.Record {
-	rec := &store.Record{
-		Domain:      r.Spec.Domain,
-		Epoch:       epoch.String(),
-		Family:      r.Spec.Family,
-		ScannedAt:   at,
-		Report:      r.Report,
-		Outcome:     r.Outcome.String(),
-		Error:       r.Err,
-		Attempts:    r.Attempts,
-		TraceFile:   r.TraceFile,
-		Robustness:  r.Robustness,
-		Fingerprint: r.Fingerprint,
-	}
-	if r.Report != nil && r.Report.Settings != nil {
-		rec.ServerName = r.Report.Settings.ServerHeader
-	}
-	if r.Outcome != scan.OutcomeSuccess {
-		rec.ErrorKind = r.Kind.String()
-	}
-	return rec
-}
-
 // ScanSummary is a measured scan: the census tally over the scanned sample —
 // every count from frames observed on the wire, not from the generator's
-// ground truth — plus the engine's counters and the raw per-site results.
+// ground truth — the engine's counters, and the site-by-site comparison with
+// that ground truth (ComputeAgreement). It holds nothing per site: each site's
+// record is folded in as the site finalizes and handed to ScanOptions.Sink.
 type ScanSummary struct {
 	store.Tally
 	// Stats is the scan engine's final counter snapshot.
 	Stats scan.Stats
-	// Results holds the raw per-site reports.
-	Results []SiteResult
+
+	agreement Agreement
 }
 
 // ScanOptions configures a measured scan.
@@ -137,8 +91,13 @@ type ScanOptions struct {
 	Progress         io.Writer
 	ProgressInterval time.Duration
 	// OnRecord, when set, receives each site's finalized engine record as
-	// it completes (records are flushed in completion order).
+	// the site completes, in completion order.
 	OnRecord func(scan.Record)
+	// Sink, when set, receives each site's persisted form — spec, report,
+	// engine outcome, exported trace file — right after it is folded into the
+	// summary, in completion order; the summary keeps no record, so what the
+	// sink drops is gone. Calls are serialized with OnRecord.
+	Sink func(*store.Record)
 	// TraceDir, when set, gives every probed site a frame-level tracer and
 	// exports each site's trace as <TraceDir>/<domain>.jsonl when the site
 	// finalizes. The directory is created if needed; per-site tracer
@@ -184,9 +143,9 @@ const (
 
 // Scan materializes a sample of the population as live servers, runs the
 // full H2Scope battery against each through the scan engine, and aggregates
-// the measured results. Failed sites stay in the summary as typed partial
-// results; cancellation via opts.Context drains quickly and returns what
-// was measured.
+// the measured results as the sites finalize. Failed sites are counted in the
+// summary and reach the sink as typed partial records; cancellation via
+// opts.Context drains quickly and returns what was measured.
 func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 	if opts.Parallelism < 1 {
 		opts.Parallelism = 8
@@ -231,6 +190,7 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 		}
 		return v, err
 	}
+	summary := &ScanSummary{Tally: *store.NewTally()}
 	scanOpts := scan.Options{
 		Parallelism:      opts.Parallelism,
 		Timeout:          hostBudget,
@@ -238,81 +198,70 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 		Seed:             opts.Seed,
 		Progress:         opts.Progress,
 		ProgressInterval: opts.ProgressInterval,
-		OnRecord:         opts.OnRecord,
 		Metrics:          opts.Metrics,
 	}
-	// traceFiles maps domain → exported trace path. OnTrace calls are
-	// serialized by the engine and the map is only read after Run returns.
-	var traceFiles map[string]string
 	if opts.TraceDir != "" {
 		if err := os.MkdirAll(opts.TraceDir, 0o755); err != nil {
 			return nil, fmt.Errorf("population: trace dir: %w", err)
 		}
-		traceFiles = make(map[string]string)
+	}
+	if opts.TraceDir != "" || opts.Observer != nil {
 		scanOpts.NewTracer = func(scan.Target) *trace.Tracer { return trace.New(0) }
-		scanOpts.OnTrace = func(t scan.Target, tr *trace.Tracer) {
-			path, err := trace.WriteFile(opts.TraceDir, t.Key, tr)
-			if err != nil {
-				if opts.Progress != nil {
-					fmt.Fprintf(opts.Progress, "trace export %s: %v\n", t.Key, err)
-				}
-				return
-			}
-			traceFiles[t.Key] = path
-		}
 	}
 	if opts.Observer != nil {
-		if scanOpts.NewTracer == nil {
-			scanOpts.NewTracer = func(scan.Target) *trace.Tracer { return trace.New(0) }
-		}
 		// The -progress line grows live phase-latency columns.
 		scanOpts.ProgressExtra = opts.Observer.ProgressColumns
-		// Chain behind the TraceDir exporter so exemplars can reference the
-		// exported file path. OnTrace/OnRecord calls are serialized by the
-		// engine, so the observer sees a consistent stream.
-		prevTrace := scanOpts.OnTrace
-		scanOpts.OnTrace = func(t scan.Target, tr *trace.Tracer) {
-			if prevTrace != nil {
-				prevTrace(t, tr)
-			}
-			var path string
-			if traceFiles != nil {
-				path = traceFiles[t.Key]
-			}
-			opts.Observer.ObserveTarget(t.Key, path, tr.Snapshot())
-		}
-		prevRecord := scanOpts.OnRecord
-		scanOpts.OnRecord = func(rec scan.Record) {
-			if prevRecord != nil {
-				prevRecord(rec)
-			}
-			kind := ""
-			if rec.Outcome != scan.OutcomeSuccess {
-				kind = rec.Kind.String()
-			}
-			opts.Observer.RecordOutcome(rec.Target.Key, kind)
-		}
 	}
-	res, err := scan.Run(opts.Context, targets, probe, scanOpts)
-	if err != nil {
-		return nil, err
-	}
-
-	summary := &ScanSummary{Tally: *store.NewTally(), Stats: res.Stats, Results: make([]SiteResult, len(res.Records))}
-	for i, rec := range res.Records {
-		site := &summary.Results[i]
-		*site = SiteResult{
-			Spec:      rec.Target.Meta.(*SiteSpec),
-			Outcome:   rec.Outcome,
-			Kind:      rec.Kind,
-			Err:       rec.Err,
+	// The one place a site's result is built: the engine serializes these
+	// calls, so the summary needs no lock, and a traced site's trace is on
+	// disk before the record that names its file goes to the sink.
+	scanOpts.OnRecord = func(rec scan.Record) {
+		if opts.OnRecord != nil {
+			opts.OnRecord(rec)
+		}
+		spec := rec.Target.Meta.(*SiteSpec)
+		out := &store.Record{
+			Domain:    spec.Domain,
+			Epoch:     pop.Epoch.String(),
+			Family:    spec.Family,
+			ScannedAt: time.Now(),
+			Outcome:   rec.Outcome.String(),
+			Error:     rec.Err,
 			Attempts:  rec.Attempts,
-			TraceFile: traceFiles[rec.Target.Key],
+		}
+		if rec.Outcome != scan.OutcomeSuccess {
+			out.ErrorKind = rec.Kind.String()
 		}
 		if v, ok := rec.Value.(*siteValue); ok {
-			site.Report, site.Robustness, site.Fingerprint = v.report, v.robust, v.fp
+			out.Report, out.Robustness, out.Fingerprint = v.report, v.robust, v.fp
 		}
-		summary.Add(site.Record(pop.Epoch, time.Time{}))
+		if out.Report != nil && out.Report.Settings != nil {
+			out.ServerName = out.Report.Settings.ServerHeader
+		}
+		if rec.Trace != nil && opts.TraceDir != "" {
+			path, err := trace.WriteFile(opts.TraceDir, spec.Domain, rec.Trace)
+			if err == nil {
+				out.TraceFile = path
+			} else if opts.Progress != nil {
+				fmt.Fprintf(opts.Progress, "trace export %s: %v\n", spec.Domain, err)
+			}
+		}
+		if opts.Observer != nil {
+			// Exemplars reference the exported file, when there is one.
+			opts.Observer.RecordOutcome(spec.Domain, out.ErrorKind)
+			if rec.Trace != nil {
+				opts.Observer.ObserveTarget(spec.Domain, out.TraceFile, rec.Trace.Snapshot())
+			}
+		}
+		summary.Add(out)
+		summary.agreement.add(spec, out.Report)
+		if opts.Sink != nil {
+			opts.Sink(out)
+		}
+	}
+	var err error
+	if summary.Stats, err = scan.Run(opts.Context, targets, probe, scanOpts); err != nil {
+		return nil, err
 	}
 	return summary, nil
 }
@@ -335,7 +284,9 @@ func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn
 	go func() {
 		_ = srv.Serve(l)
 	}()
-	defer srv.Close()
+	// Shutdown, not Close: a connection the battery leaked costs its site a
+	// second here, not the rest of its budget, and the scan's leak check says so.
+	defer srv.Shutdown(time.Second)
 	defer func() {
 		_ = l.Close()
 	}()

@@ -26,7 +26,7 @@ func (p *Population) Tally() *store.Tally {
 			t.MaxFrame[store.LabelNull]++
 			t.MaxHeaderList[store.LabelNull]++
 		} else {
-			t.MaxConcurrent = append(t.MaxConcurrent, float64(s.MaxConcurrent))
+			t.MaxConcurrent[float64(s.MaxConcurrent)]++
 			t.InitialWindow[dec(s.InitialWindow)]++
 			t.MaxFrame[dec(s.MaxFrame)]++
 			if s.MaxHeaderList == 0 {
@@ -60,7 +60,7 @@ func (p *Population) Tally() *store.Tally {
 		if s.Push {
 			t.PushDomains = append(t.PushDomains, s.Domain)
 		}
-		t.HPACKRatios[s.Family] = append(t.HPACKRatios[s.Family], s.HPACKRatio)
+		t.AddHPACKRatio(s.Family, s.HPACKRatio)
 	}
 	return t
 }

@@ -6,7 +6,6 @@ package scan_test
 import (
 	"context"
 	"net"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -102,22 +101,19 @@ func TestScanMixedFleet(t *testing.T) {
 		targets[i] = scan.Target{Key: ft.name, Meta: ft}
 	}
 
-	res, err := scan.Run(context.Background(), targets, fleetProbe, scan.Options{
+	byName := make(map[string]scan.Record, len(fleet))
+	s, err := scan.Run(context.Background(), targets, fleetProbe, scan.Options{
 		Parallelism: len(fleet),
 		Timeout:     5 * time.Second, // generous per-attempt budget; probes time out internally
 		Retries:     1,
 		Backoff:     scan.Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: -1},
+		OnRecord:    func(rec scan.Record) { byName[rec.Target.Key] = rec },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != len(fleet) {
-		t.Fatalf("got %d records, want %d", len(res.Records), len(fleet))
-	}
-
-	byName := make(map[string]scan.Record, len(fleet))
-	for _, rec := range res.Records {
-		byName[rec.Target.Key] = rec
+	if len(byName) != len(fleet) {
+		t.Fatalf("got records for %d targets, want %d", len(byName), len(fleet))
 	}
 	for _, name := range []string{"healthy-nginx", "healthy-h2o"} {
 		rec := byName[name]
@@ -139,7 +135,6 @@ func TestScanMixedFleet(t *testing.T) {
 		t.Errorf("refusing: record = %+v, want dial failure after 2 attempts", rec)
 	}
 
-	s := res.Stats
 	if s.Attempted != 4 || s.Succeeded != 2 || s.Failed != 2 || s.Canceled != 0 {
 		t.Errorf("stats partition = %+v, want 4 = 2 ok + 2 failed", s)
 	}
@@ -171,18 +166,13 @@ func TestScanCancellationDrainsQuickly(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var (
-		mu      sync.Mutex
-		flushed []scan.Record
-	)
+	var flushed []scan.Record
 	start := time.Now()
-	res, err := scan.Run(ctx, targets, fleetProbe, scan.Options{
+	s, err := scan.Run(ctx, targets, fleetProbe, scan.Options{
 		Parallelism: 1,
 		Timeout:     10 * time.Second,
 		OnRecord: func(rec scan.Record) {
-			mu.Lock()
 			flushed = append(flushed, rec)
-			mu.Unlock()
 			cancel() // cancel as soon as the first record lands
 		},
 	})
@@ -192,23 +182,16 @@ func TestScanCancellationDrainsQuickly(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
 		t.Fatalf("canceled scan drained in %v, want well under one 10s attempt deadline", elapsed)
 	}
-	if len(res.Records) != n {
-		t.Fatalf("got %d records, want %d", len(res.Records), n)
+	if len(flushed) != n {
+		t.Fatalf("OnRecord flushed %d records, want all %d", len(flushed), n)
 	}
-	mu.Lock()
-	nflushed := len(flushed)
-	mu.Unlock()
-	if nflushed != n {
-		t.Errorf("OnRecord flushed %d records, want all %d", nflushed, n)
-	}
-	s := res.Stats
 	if s.Attempted != n || !s.Consistent() {
 		t.Errorf("stats = %+v, want %d attempted and a consistent partition", s, n)
 	}
 	if s.Canceled == 0 {
 		t.Errorf("stats = %+v, want at least one canceled target", s)
 	}
-	for i, rec := range res.Records {
+	for i, rec := range flushed {
 		if rec.Outcome == 0 {
 			t.Errorf("record %d was never finalized: %+v", i, rec)
 		}

@@ -10,6 +10,8 @@
 // are properties of the server) with jittered exponential backoff, and
 // degrades gracefully: a failed probe produces a typed partial Record
 // instead of vanishing, so downstream tables can report coverage honestly.
+// Every Record leaves through Options.OnRecord as its target finalizes and
+// the engine keeps none: what a run holds does not grow with its targets.
 // Atomic counters, a latency histogram, and an optional periodic progress
 // reporter expose the run's health while it is in flight.
 package scan
@@ -90,6 +92,9 @@ type Record struct {
 	// Value is the probe's result: the full result on success, possibly a
 	// partial one on failure, nil if nothing was salvaged.
 	Value any
+	// Trace is the target's frame-level tracer under Options.NewTracer, the
+	// receiver's to export; nil for targets a canceled run never fed.
+	Trace *trace.Tracer
 }
 
 // Options configures a Run.
@@ -110,8 +115,9 @@ type Options struct {
 	// Clock drives backoff sleeps and latency accounting (default
 	// SystemClock; tests inject FakeClock).
 	Clock Clock
-	// OnRecord, when set, receives every finalized Record as it completes —
-	// the flush hook for persisting partial results. Calls are serialized.
+	// OnRecord receives every finalized Record as its target completes, and
+	// the targets a canceled run never fed once the workers have drained. It
+	// is the only way a record leaves the engine. Calls are serialized.
 	OnRecord func(Record)
 	// Progress, when set, receives a one-line Stats rendering every
 	// ProgressInterval while the run is in flight.
@@ -126,28 +132,15 @@ type Options struct {
 	// NewTracer, when set, is called once per fed target to create its
 	// frame-level tracer. The tracer rides the attempt context
 	// (trace.FromContext) so the probe stack can emit into it, its
-	// emit/drop counters fold into the run's Stats, and it is handed to
-	// OnTrace when the target finalizes. Targets a canceled run never fed
-	// get no tracer. Nil disables tracing.
+	// emit/drop counters fold into the run's Stats, and it leaves with the
+	// target's Record (Record.Trace). Nil disables tracing.
 	NewTracer func(Target) *trace.Tracer
-	// OnTrace, when set, receives each traced target's tracer as its
-	// record finalizes — the flush hook for exporting traces. Calls are
-	// serialized with OnRecord (trace delivered after the record).
-	OnTrace func(Target, *trace.Tracer)
 	// Metrics, when set, mirrors every counter bump into registered
 	// instruments (h2_scan_*) in this registry, so a live -debug-addr
 	// endpoint sees the run's progress. The run's own Stats stay private
 	// and exact regardless; the registry view is process-cumulative across
 	// runs sharing it.
 	Metrics *metrics.Registry
-}
-
-// Result is a completed (or canceled) run.
-type Result struct {
-	// Records holds one entry per input target, in input order.
-	Records []Record
-	// Stats is the final counter snapshot; Stats.Consistent() holds.
-	Stats Stats
 }
 
 // engine carries one run's plumbing.
@@ -159,13 +152,14 @@ type engine struct {
 	recordMu sync.Mutex
 }
 
-// Run scans every target through probe under opts. It returns a Record per
-// target in input order. Context cancellation is not an error: the run
-// drains within one per-attempt deadline, unreached targets are finalized as
-// canceled, and the partial Result is returned with consistent Stats.
-func Run(ctx context.Context, targets []Target, probe ProbeFunc, opts Options) (*Result, error) {
+// Run scans every target through probe under opts, hands each target's Record
+// to opts.OnRecord and returns the final counters, for which
+// Stats.Consistent holds. Context cancellation is not an error: the run
+// drains within one per-attempt deadline and unreached targets are finalized
+// as canceled.
+func Run(ctx context.Context, targets []Target, probe ProbeFunc, opts Options) (Stats, error) {
 	if probe == nil {
-		return nil, fmt.Errorf("scan: nil probe")
+		return Stats{}, fmt.Errorf("scan: nil probe")
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 8
@@ -190,34 +184,33 @@ func Run(ctx context.Context, targets []Target, probe ProbeFunc, opts Options) (
 	if opts.Metrics != nil {
 		e.counters.mirror = newCounters(opts.Metrics)
 	}
-	records := make([]Record, len(targets))
-
 	stopProgress := e.startProgress(ctx)
 
 	workers := opts.Parallelism
 	if workers > len(targets) {
 		workers = len(targets)
 	}
-	idxCh := make(chan int)
+	work := make(chan Target)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idxCh {
-				records[i] = e.runTarget(ctx, targets[i])
+			for t := range work {
+				e.runTarget(ctx, t)
 			}
 		}()
 	}
+	fed := 0
 feed:
-	for i := range targets {
+	for ; fed < len(targets); fed++ {
 		select {
-		case idxCh <- i:
+		case work <- targets[fed]:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(idxCh)
+	close(work)
 	wg.Wait()
 	stopProgress()
 
@@ -227,17 +220,10 @@ feed:
 	if cause == nil {
 		cause = context.Canceled
 	}
-	for i := range records {
-		if records[i].Outcome == 0 {
-			records[i] = e.finalize(Record{
-				Target:  targets[i],
-				Outcome: OutcomeCanceled,
-				Kind:    KindCanceled,
-				Err:     cause.Error(),
-			}, nil)
-		}
+	for _, t := range targets[fed:] {
+		e.finalize(Record{Target: t, Outcome: OutcomeCanceled, Kind: KindCanceled, Err: cause.Error()})
 	}
-	return &Result{Records: records, Stats: e.counters.Snapshot()}, nil
+	return e.counters.Snapshot(), nil
 }
 
 // startProgress launches the periodic reporter. The returned func stops it
@@ -268,7 +254,7 @@ func (e *engine) startProgress(ctx context.Context) (stop func()) {
 				return
 			case <-ctx.Done():
 				// Keep reporting until the drain finishes; the final line is
-				// the caller's to print from Result.Stats.
+				// the caller's to print from the Stats Run returns.
 				select {
 				case <-done:
 					return
@@ -285,38 +271,31 @@ func (e *engine) startProgress(ctx context.Context) (stop func()) {
 }
 
 // finalize applies a record (and its tracer's counters, if any) to the
-// counters and flush hooks exactly once.
-func (e *engine) finalize(rec Record, tr *trace.Tracer) Record {
+// counters and hands it over, exactly once.
+func (e *engine) finalize(rec Record) {
 	c := e.counters
 	c.recordOutcome(rec)
 	c.observeLatency(rec.Elapsed)
-	if tr != nil {
-		c.addTrace(tr)
+	if rec.Trace != nil {
+		c.addTrace(rec.Trace)
 	}
-	if e.opts.OnRecord != nil || (e.opts.OnTrace != nil && tr != nil) {
+	if e.opts.OnRecord != nil {
 		e.recordMu.Lock()
-		if e.opts.OnRecord != nil {
-			e.opts.OnRecord(rec)
-		}
-		if e.opts.OnTrace != nil && tr != nil {
-			e.opts.OnTrace(rec.Target, tr)
-		}
+		e.opts.OnRecord(rec)
 		e.recordMu.Unlock()
 	}
-	return rec
 }
 
 // runTarget drives one target through its attempt/backoff loop.
-func (e *engine) runTarget(ctx context.Context, t Target) Record {
+func (e *engine) runTarget(ctx context.Context, t Target) {
 	rng := rand.New(rand.NewSource(e.opts.Seed ^ int64(hashKey(t.Key))))
 	clock := e.opts.Clock
 	start := clock.Now()
-	var tr *trace.Tracer
-	if e.opts.NewTracer != nil {
-		tr = e.opts.NewTracer(t)
-		ctx = trace.NewContext(ctx, tr)
-	}
 	rec := Record{Target: t}
+	if e.opts.NewTracer != nil {
+		rec.Trace = e.opts.NewTracer(t)
+		ctx = trace.NewContext(ctx, rec.Trace)
+	}
 	for retry := 0; ; retry++ {
 		if err := ctx.Err(); err != nil {
 			rec.Outcome, rec.Kind, rec.Err = OutcomeCanceled, KindCanceled, err.Error()
@@ -349,9 +328,9 @@ func (e *engine) runTarget(ctx context.Context, t Target) Record {
 	}
 	rec.Elapsed = clock.Now().Sub(start)
 	if rec.Err != "" {
-		tr.Error(0, rec.Err)
+		rec.Trace.Error(0, rec.Err)
 	}
-	return e.finalize(rec, tr)
+	e.finalize(rec)
 }
 
 // attempt runs one probe attempt under the per-attempt deadline. The probe

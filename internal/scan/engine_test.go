@@ -18,6 +18,12 @@ import (
 // engine requested from the fake clock.
 var noJitter = Backoff{Base: 100 * time.Millisecond, Factor: 2, Max: 5 * time.Second, Jitter: -1}
 
+// collect is the OnRecord that keeps what a test wants to look at: the engine
+// serializes the calls and Run returns after the last one.
+func collect(into *[]Record) func(Record) {
+	return func(rec Record) { *into = append(*into, rec) }
+}
+
 // TestRunLeavesNoGoroutines is the scan engine's goroutine-leak guard: after
 // a canceled run over stalling probes — the worst case for the worker pool,
 // the progress reporter, and the per-attempt watchdog goroutines — the
@@ -36,12 +42,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	time.AfterFunc(50*time.Millisecond, cancel)
-	res, err := Run(ctx, targets, probe, Options{Parallelism: 4, Timeout: 30 * time.Second})
-	if err != nil {
+	var recs []Record
+	if _, err := Run(ctx, targets, probe, Options{Parallelism: 4, Timeout: 30 * time.Second, OnRecord: collect(&recs)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != len(targets) {
-		t.Fatalf("got %d records, want %d", len(res.Records), len(targets))
+	if len(recs) != len(targets) {
+		t.Fatalf("got %d records, want %d", len(recs), len(targets))
 	}
 
 	waitForGoroutineBaseline(t, base)
@@ -72,43 +78,14 @@ func TestRunNilProbe(t *testing.T) {
 }
 
 func TestRunNoTargets(t *testing.T) {
-	res, err := Run(context.Background(), nil,
-		func(context.Context, Target) (any, error) { return nil, nil }, Options{})
+	var recs []Record
+	stats, err := Run(context.Background(), nil,
+		func(context.Context, Target) (any, error) { return nil, nil }, Options{OnRecord: collect(&recs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 0 || res.Stats.Attempted != 0 || !res.Stats.Consistent() {
-		t.Fatalf("empty run produced %+v", res)
-	}
-}
-
-func TestRunSuccessKeepsInputOrder(t *testing.T) {
-	const n = 20
-	targets := make([]Target, n)
-	for i := range targets {
-		targets[i] = Target{Key: fmt.Sprintf("site-%02d", i)}
-	}
-	res, err := Run(context.Background(), targets,
-		func(_ context.Context, tg Target) (any, error) { return tg.Key, nil },
-		Options{Parallelism: 4, Clock: NewFakeClock(time.Unix(0, 0))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != n {
-		t.Fatalf("got %d records, want %d", len(res.Records), n)
-	}
-	for i, rec := range res.Records {
-		if rec.Target.Key != targets[i].Key || rec.Value != targets[i].Key {
-			t.Errorf("record %d out of order: %+v", i, rec)
-		}
-		if rec.Outcome != OutcomeSuccess || rec.Attempts != 1 || rec.Err != "" {
-			t.Errorf("record %d not a clean success: %+v", i, rec)
-		}
-	}
-	s := res.Stats
-	if s.Attempted != n || s.Succeeded != n || s.Failed != 0 || s.Canceled != 0 ||
-		s.Retries != 0 || s.Attempts != n || s.InFlight != 0 || !s.Consistent() {
-		t.Errorf("stats inconsistent with %d clean successes: %+v", n, s)
+	if len(recs) != 0 || stats.Attempted != 0 || !stats.Consistent() {
+		t.Fatalf("empty run produced %d records, stats %+v", len(recs), stats)
 	}
 }
 
@@ -125,16 +102,18 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 		}
 		return "ok", nil
 	}
-	res, err := Run(context.Background(), []Target{{Key: "flaky"}}, probe, Options{
+	var recs []Record
+	stats, err := Run(context.Background(), []Target{{Key: "flaky"}}, probe, Options{
 		Parallelism: 1,
 		Retries:     5,
 		Backoff:     noJitter,
 		Clock:       fc,
+		OnRecord:    collect(&recs),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := res.Records[0]
+	rec := recs[0]
 	if rec.Outcome != OutcomeSuccess || rec.Attempts != 3 || rec.Value != "ok" {
 		t.Fatalf("record = %+v, want success after 3 attempts", rec)
 	}
@@ -148,8 +127,8 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 			t.Fatalf("sleep %d = %v, want %v", i, got[i], wantSleeps[i])
 		}
 	}
-	if res.Stats.Retries != 2 || res.Stats.Attempts != 3 {
-		t.Errorf("stats = %+v, want 2 retries over 3 attempts", res.Stats)
+	if stats.Retries != 2 || stats.Attempts != 3 {
+		t.Errorf("stats = %+v, want 2 retries over 3 attempts", stats)
 	}
 	// Elapsed is fake-clock time: exactly the backoff total.
 	if rec.Elapsed != 300*time.Millisecond {
@@ -166,23 +145,25 @@ func TestNonTransientNotRetried(t *testing.T) {
 		attempts++
 		return nil, frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "goaway"}
 	}
-	res, err := Run(context.Background(), []Target{{Key: "broken"}}, probe, Options{
-		Retries: 5,
-		Backoff: noJitter,
-		Clock:   fc,
+	var recs []Record
+	stats, err := Run(context.Background(), []Target{{Key: "broken"}}, probe, Options{
+		Retries:  5,
+		Backoff:  noJitter,
+		Clock:    fc,
+		OnRecord: collect(&recs),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := res.Records[0]
+	rec := recs[0]
 	if rec.Outcome != OutcomeFailed || rec.Kind != KindProtocol || rec.Attempts != 1 || attempts != 1 {
 		t.Fatalf("record = %+v after %d attempts, want one failed protocol attempt", rec, attempts)
 	}
 	if len(fc.Sleeps()) != 0 {
 		t.Errorf("engine backed off %v for a non-transient failure", fc.Sleeps())
 	}
-	if res.Stats.FailedByKind["protocol"] != 1 || res.Stats.Retries != 0 {
-		t.Errorf("stats = %+v, want one protocol failure and no retries", res.Stats)
+	if stats.FailedByKind["protocol"] != 1 || stats.Retries != 0 {
+		t.Errorf("stats = %+v, want one protocol failure and no retries", stats)
 	}
 }
 
@@ -191,23 +172,25 @@ func TestRetryCapExhausted(t *testing.T) {
 	probe := func(context.Context, Target) (any, error) {
 		return nil, WithKind(KindTimeout, errors.New("stalled"))
 	}
-	res, err := Run(context.Background(), []Target{{Key: "tarpit"}}, probe, Options{
-		Retries: 2,
-		Backoff: noJitter,
-		Clock:   fc,
+	var recs []Record
+	stats, err := Run(context.Background(), []Target{{Key: "tarpit"}}, probe, Options{
+		Retries:  2,
+		Backoff:  noJitter,
+		Clock:    fc,
+		OnRecord: collect(&recs),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := res.Records[0]
+	rec := recs[0]
 	if rec.Outcome != OutcomeFailed || rec.Kind != KindTimeout || rec.Attempts != 3 {
 		t.Fatalf("record = %+v, want failure after cap of 3 attempts", rec)
 	}
 	if n := len(fc.Sleeps()); n != 2 {
 		t.Fatalf("engine slept %d times, want 2", n)
 	}
-	if res.Stats.Retries != 2 || res.Stats.FailedByKind["timeout"] != 1 {
-		t.Errorf("stats = %+v, want 2 retries and one timeout failure", res.Stats)
+	if stats.Retries != 2 || stats.FailedByKind["timeout"] != 1 {
+		t.Errorf("stats = %+v, want 2 retries and one timeout failure", stats)
 	}
 }
 
@@ -217,13 +200,14 @@ func TestPartialValueKept(t *testing.T) {
 	probe := func(context.Context, Target) (any, error) {
 		return "half a report", WithKind(KindProtocol, errors.New("battery aborted"))
 	}
-	res, err := Run(context.Background(), []Target{{Key: "partial"}}, probe, Options{
-		Clock: NewFakeClock(time.Unix(0, 0)),
-	})
-	if err != nil {
+	var recs []Record
+	if _, err := Run(context.Background(), []Target{{Key: "partial"}}, probe, Options{
+		Clock:    NewFakeClock(time.Unix(0, 0)),
+		OnRecord: collect(&recs),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	rec := res.Records[0]
+	rec := recs[0]
 	if rec.Outcome != OutcomeFailed || rec.Value != "half a report" {
 		t.Fatalf("record = %+v, want failed record keeping its partial value", rec)
 	}
@@ -239,16 +223,17 @@ func TestAttemptDeadlineEnforced(t *testing.T) {
 		return nil, errors.New("too late")
 	}
 	start := time.Now()
-	res, err := Run(context.Background(), []Target{{Key: "wedge"}}, probe, Options{
-		Timeout: 50 * time.Millisecond,
-	})
-	if err != nil {
+	var recs []Record
+	if _, err := Run(context.Background(), []Target{{Key: "wedge"}}, probe, Options{
+		Timeout:  50 * time.Millisecond,
+		OnRecord: collect(&recs),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("Run took %v despite a 50ms attempt deadline", elapsed)
 	}
-	rec := res.Records[0]
+	rec := recs[0]
 	if rec.Outcome != OutcomeFailed || rec.Kind != KindTimeout {
 		t.Fatalf("record = %+v, want timeout failure", rec)
 	}
@@ -258,8 +243,8 @@ func TestAttemptDeadlineEnforced(t *testing.T) {
 }
 
 // TestCancellationFinalizesEveryTarget: a canceled run must return promptly
-// with one finalized record per input target — including targets the feeder
-// never handed out — and stats that still partition.
+// having delivered one finalized record per input target — including targets
+// the feeder never handed out — and stats that still partition.
 func TestCancellationFinalizesEveryTarget(t *testing.T) {
 	const n = 12
 	targets := make([]Target, n)
@@ -279,17 +264,17 @@ func TestCancellationFinalizesEveryTarget(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := Run(ctx, targets, probe, Options{Parallelism: 2, Timeout: 10 * time.Second})
+	var recs []Record
+	s, err := Run(ctx, targets, probe, Options{Parallelism: 2, Timeout: 10 * time.Second, OnRecord: collect(&recs)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("canceled run drained in %v, want well under one 10s attempt deadline", elapsed)
 	}
-	if len(res.Records) != n {
-		t.Fatalf("got %d records, want %d", len(res.Records), n)
-	}
-	for i, rec := range res.Records {
+	seen := make(map[string]int)
+	for i, rec := range recs {
+		seen[rec.Target.Key]++
 		if rec.Outcome != OutcomeCanceled || rec.Kind != KindCanceled {
 			t.Errorf("record %d = %+v, want canceled", i, rec)
 		}
@@ -297,22 +282,24 @@ func TestCancellationFinalizesEveryTarget(t *testing.T) {
 			t.Errorf("record %d has empty Err", i)
 		}
 	}
-	s := res.Stats
+	if len(recs) != n || len(seen) != n {
+		t.Fatalf("got %d records for %d distinct targets, want %d of each", len(recs), len(seen), n)
+	}
 	if s.Attempted != n || s.Canceled != n || s.Succeeded != 0 || s.Failed != 0 || !s.Consistent() {
 		t.Errorf("stats = %+v, want %d canceled and a consistent partition", s, n)
 	}
 }
 
-// TestOnRecordFlushesEveryRecord: the flush hook must see each finalized
-// record exactly once, cancellation included.
+// TestOnRecordFlushesEveryRecord: the hook must see each finalized record
+// exactly once, a clean success as exactly that, and a failure with its kind.
 func TestOnRecordFlushesEveryRecord(t *testing.T) {
 	const n = 10
 	targets := make([]Target, n)
 	for i := range targets {
 		targets[i] = Target{Key: fmt.Sprintf("t%d", i)}
 	}
-	var flushed []string // OnRecord calls are serialized by the engine
-	res, err := Run(context.Background(), targets,
+	var flushed []Record
+	stats, err := Run(context.Background(), targets,
 		func(_ context.Context, tg Target) (any, error) {
 			if tg.Key == "t3" {
 				return nil, WithKind(KindTLS, errors.New("bad cert"))
@@ -322,7 +309,7 @@ func TestOnRecordFlushesEveryRecord(t *testing.T) {
 		Options{
 			Parallelism: 4,
 			Clock:       NewFakeClock(time.Unix(0, 0)),
-			OnRecord:    func(rec Record) { flushed = append(flushed, rec.Target.Key) },
+			OnRecord:    collect(&flushed),
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -331,16 +318,24 @@ func TestOnRecordFlushesEveryRecord(t *testing.T) {
 		t.Fatalf("OnRecord saw %d records, want %d", len(flushed), n)
 	}
 	seen := make(map[string]int)
-	for _, k := range flushed {
-		seen[k]++
+	for _, rec := range flushed {
+		seen[rec.Target.Key]++
+		if rec.Target.Key == "t3" {
+			if rec.Outcome != OutcomeFailed || rec.Kind != KindTLS || rec.Value != nil {
+				t.Errorf("t3 = %+v, want a tls failure with no value", rec)
+			}
+		} else if rec.Outcome != OutcomeSuccess || rec.Attempts != 1 || rec.Err != "" || rec.Value != rec.Target.Key {
+			t.Errorf("record %s is not a clean success carrying its own value: %+v", rec.Target.Key, rec)
+		}
 	}
 	for _, tg := range targets {
 		if seen[tg.Key] != 1 {
 			t.Errorf("target %s flushed %d times, want exactly once", tg.Key, seen[tg.Key])
 		}
 	}
-	if res.Stats.Failed != 1 || res.Stats.FailedByKind["tls"] != 1 {
-		t.Errorf("stats = %+v, want exactly one tls failure", res.Stats)
+	if stats.Attempted != n || stats.Succeeded != n-1 || stats.Failed != 1 || stats.FailedByKind["tls"] != 1 ||
+		stats.Canceled != 0 || stats.Retries != 0 || stats.Attempts != n || stats.InFlight != 0 || !stats.Consistent() {
+		t.Errorf("stats = %+v, want %d clean successes and exactly one tls failure", stats, n-1)
 	}
 }
 
@@ -471,4 +466,38 @@ func TestFakeClock(t *testing.T) {
 	if got := fc.Sleeps(); len(got) != 1 {
 		t.Errorf("canceled Sleep was recorded: %v", got)
 	}
+}
+
+// TestRunRetainsNoRecords: what a run holds does not grow with its targets.
+// Every record leaves through OnRecord; a run that also kept them, at 104
+// bytes each, would hold ~20 MB here.
+func TestRunRetainsNoRecords(t *testing.T) {
+	const n = 200_000
+	targets := make([]Target, n)
+	for i := range targets {
+		targets[i] = Target{Key: "stub"}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	delivered := 0
+	stats, err := Run(context.Background(), targets,
+		func(context.Context, Target) (any, error) { return nil, nil },
+		Options{Parallelism: 4, OnRecord: func(Record) { delivered++ }})
+	after := heap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered != n || stats.Succeeded != n {
+		t.Fatalf("delivered %d records, %d succeeded, want %d", delivered, stats.Succeeded, n)
+	}
+	if grown := int64(after) - int64(before); grown > 1<<20 {
+		t.Errorf("heap grew by %d bytes over a %d-target run, want under 1 MiB", grown, n)
+	}
+	runtime.KeepAlive(targets)
 }

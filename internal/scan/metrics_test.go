@@ -41,12 +41,12 @@ func TestRunMirrorsIntoRegistry(t *testing.T) {
 	}
 	opts := Options{Parallelism: 2, Timeout: time.Second, Metrics: r}
 
-	res1, err := Run(context.Background(), targets, probe, opts)
+	stats1, err := Run(context.Background(), targets, probe, opts)
 	if err != nil {
 		t.Fatalf("Run 1: %v", err)
 	}
-	if res1.Stats.Attempted != 3 || res1.Stats.Succeeded != 2 || res1.Stats.Failed != 1 {
-		t.Fatalf("run 1 stats = %+v", res1.Stats)
+	if stats1.Attempted != 3 || stats1.Succeeded != 2 || stats1.Failed != 1 {
+		t.Fatalf("run 1 stats = %+v", stats1)
 	}
 	if got := registryValue(t, r, "h2_scan_targets_total"); got != 3 {
 		t.Fatalf("h2_scan_targets_total = %d after run 1, want 3", got)
@@ -56,22 +56,22 @@ func TestRunMirrorsIntoRegistry(t *testing.T) {
 	}
 
 	delay = slow
-	res2, err := Run(context.Background(), targets, probe, opts)
+	stats2, err := Run(context.Background(), targets, probe, opts)
 	if err != nil {
 		t.Fatalf("Run 2: %v", err)
 	}
-	if l1, l2 := res1.Stats.Latency, res2.Stats.Latency; l1.Max >= slow || l2.Min < slow || l1.Count != 3 || l2.Count != 3 {
+	if l1, l2 := stats1.Latency, stats2.Latency; l1.Max >= slow || l2.Min < slow || l1.Count != 3 || l2.Count != 3 {
 		t.Fatalf("each run must report its own latency range: run 1 %+v, run 2 %+v", l1, l2)
 	}
 	for _, m := range r.Snapshot() {
 		if h := m.Histogram; m.Name == "h2_scan_target_latency_ns" &&
-			(h.Min != int64(res1.Stats.Latency.Min) || h.Max != int64(res2.Stats.Latency.Max)) {
+			(h.Min != int64(stats1.Latency.Min) || h.Max != int64(stats2.Latency.Max)) {
 			t.Fatalf("registry latency range [%d, %d] does not span both runs", h.Min, h.Max)
 		}
 	}
 	// Per-run stats reset; the registry accumulates.
-	if res2.Stats.Attempted != 3 {
-		t.Fatalf("run 2 Attempted = %d, want 3 (per-run stats must not accumulate)", res2.Stats.Attempted)
+	if stats2.Attempted != 3 {
+		t.Fatalf("run 2 Attempted = %d, want 3 (per-run stats must not accumulate)", stats2.Attempted)
 	}
 	if got := registryValue(t, r, "h2_scan_targets_total"); got != 6 {
 		t.Fatalf("h2_scan_targets_total = %d after run 2, want 6", got)
@@ -93,13 +93,13 @@ func TestRunMirrorsIntoRegistry(t *testing.T) {
 // TestRunWithoutRegistry keeps the no-metrics path allocation of a mirror-free
 // counter set working (nil Options.Metrics is the default).
 func TestRunWithoutRegistry(t *testing.T) {
-	res, err := Run(context.Background(), []Target{{Key: "x"}},
+	stats, err := Run(context.Background(), []Target{{Key: "x"}},
 		func(ctx context.Context, tg Target) (any, error) { return nil, nil },
 		Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.Stats.Consistent() || res.Stats.Succeeded != 1 {
-		t.Fatalf("stats = %+v", res.Stats)
+	if !stats.Consistent() || stats.Succeeded != 1 {
+		t.Fatalf("stats = %+v", stats)
 	}
 }

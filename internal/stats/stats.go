@@ -10,49 +10,56 @@ import (
 	"strings"
 )
 
-// CDF is an empirical cumulative distribution over float64 samples.
+// CDF is an empirical cumulative distribution over float64 samples, held as
+// the distinct values and how many samples lie at or below each: its size
+// follows the values a sample takes, not how many samples there were.
 type CDF struct {
-	sorted []float64
+	values    []float64 // distinct, ascending
+	atOrBelow []int     // atOrBelow[i] samples are <= values[i]
 }
 
-// NewCDF builds a CDF from samples (copied and sorted).
+// NewCDF builds a CDF from samples.
 func NewCDF(samples []float64) *CDF {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
+	counts := make(map[float64]int)
+	for _, v := range samples {
+		counts[v]++
+	}
+	return NewCDFCounts(counts)
+}
+
+// NewCDFCounts builds the CDF of the sample that holds each key of counts as
+// many times as its count says.
+func NewCDFCounts(counts map[float64]int) *CDF {
+	c := &CDF{values: make([]float64, 0, len(counts)), atOrBelow: make([]int, 0, len(counts))}
+	for v := range counts {
+		c.values = append(c.values, v)
+	}
+	sort.Float64s(c.values)
+	n := 0
+	for _, v := range c.values {
+		n += counts[v]
+		c.atOrBelow = append(c.atOrBelow, n)
+	}
+	return c
 }
 
 // Len returns the sample count.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
+func (c *CDF) Len() int {
+	if len(c.atOrBelow) == 0 {
 		return 0
 	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(q * float64(len(c.sorted)))
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx]
+	return c.atOrBelow[len(c.atOrBelow)-1]
 }
 
-// Mean returns the sample mean.
-func (c *CDF) Mean() float64 {
-	if len(c.sorted) == 0 {
+// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank: the sample
+// at index int(q*Len) of the sorted sample.
+func (c *CDF) Quantile(q float64) float64 {
+	n := c.Len()
+	if n == 0 {
 		return 0
 	}
-	var sum float64
-	for _, v := range c.sorted {
-		sum += v
-	}
-	return sum / float64(len(c.sorted))
+	idx := min(max(int(q*float64(n)), 0), n-1)
+	return c.values[sort.SearchInts(c.atOrBelow, idx+1)]
 }
 
 // FormatTable renders a fixed-width text table.

@@ -13,8 +13,19 @@ func TestCDFBasics(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if got := c.Mean(); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
+	// The counts form is the same distribution: a value held twice is two
+	// samples, so the median moves with the counts, not with the keys.
+	sorted := []float64{1, 2, 2, 2, 2, 2, 9, 9}
+	byCount := NewCDFCounts(map[float64]int{1: 1, 2: 5, 9: 2})
+	bySample := NewCDF([]float64{9, 2, 2, 1, 2, 2, 9, 2})
+	if byCount.Len() != len(sorted) || bySample.Len() != len(sorted) {
+		t.Fatalf("Len = %d from counts, %d from samples, want %d", byCount.Len(), bySample.Len(), len(sorted))
+	}
+	for _, q := range []float64{0, 0.1, 0.125, 0.5, 0.74, 0.75, 0.9, 1} {
+		want := sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
+		if a, b := byCount.Quantile(q), bySample.Quantile(q); a != want || b != want {
+			t.Errorf("Quantile(%v): %v from counts, %v from samples, want %v", q, a, b, want)
+		}
 	}
 }
 
@@ -37,7 +48,7 @@ func TestQuantile(t *testing.T) {
 
 func TestEmptyCDF(t *testing.T) {
 	c := NewCDF(nil)
-	if c.Len() != 0 || c.Quantile(0.5) != 0 || c.Mean() != 0 {
+	if c.Len() != 0 || c.Quantile(0.5) != 0 {
 		t.Error("empty CDF not zero-valued")
 	}
 }

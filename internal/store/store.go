@@ -7,7 +7,7 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -67,52 +67,50 @@ type Record struct {
 // rather than a per-site result.
 func (r *Record) IsStatsTrailer() bool { return r.Stats != nil && r.Report == nil }
 
-// Writer appends records to an underlying stream as JSON lines. It is safe
-// for concurrent use (scanner workers share one Writer).
+// Writer appends records to an underlying stream as JSON lines, each in one
+// Write of its whole line: once Append returns the record is in the stream,
+// and a census killed between two sites leaves only whole records behind. It
+// is safe for concurrent use.
 type Writer struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	enc *json.Encoder
+	mu   sync.Mutex
+	w    io.Writer
+	line bytes.Buffer
+	enc  *json.Encoder // into line
 }
 
 // NewWriter returns a Writer appending to w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{w: bw, enc: json.NewEncoder(bw)}
+	sw := &Writer{w: w}
+	sw.enc = json.NewEncoder(&sw.line)
+	return sw
 }
 
 // Append writes one record.
 func (w *Writer) Append(rec *Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.line.Reset()
 	if err := w.enc.Encode(rec); err != nil {
 		return fmt.Errorf("store: encoding record for %s: %w", rec.Domain, err)
 	}
-	return nil
-}
-
-// Flush drains buffered output to the underlying writer.
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("store: flush: %w", err)
+	if _, err := w.w.Write(w.line.Bytes()); err != nil {
+		return fmt.Errorf("store: writing record for %s: %w", rec.Domain, err)
 	}
 	return nil
 }
 
-// Read decodes all records from a JSON-lines stream.
-func Read(r io.Reader) ([]Record, error) {
-	var out []Record
+// Read decodes a JSON-lines stream record by record, handing each to visit
+// in stream order and keeping none.
+func Read(r io.Reader, visit func(*Record)) error {
 	dec := json.NewDecoder(r)
-	for {
+	for n := 0; ; n++ {
 		var rec Record
 		if err := dec.Decode(&rec); err != nil {
 			if err == io.EOF {
-				return out, nil
+				return nil
 			}
-			return out, fmt.Errorf("store: decoding record %d: %w", len(out), err)
+			return fmt.Errorf("store: decoding record %d: %w", n, err)
 		}
-		out = append(out, rec)
+		visit(&rec)
 	}
 }

@@ -2,6 +2,8 @@ package store_test
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"h2scope/internal/netsim"
 	"h2scope/internal/population"
 	"h2scope/internal/server"
+	"h2scope/internal/stats"
 	"h2scope/internal/store"
 )
 
@@ -35,6 +38,16 @@ func liveReport(t *testing.T, p server.Profile) *core.Report {
 		t.Fatalf("probe: %v", err)
 	}
 	return r
+}
+
+// readAll collects a stream's records; store.Read itself keeps none.
+func readAll(t *testing.T, r io.Reader) []store.Record {
+	t.Helper()
+	var records []store.Record
+	if err := store.Read(r, func(rec *store.Record) { records = append(records, *rec) }); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	return records
 }
 
 // tallyOf folds records the way h2census -analyze does.
@@ -60,19 +73,13 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := w.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Observations serialize as their Table III strings.
 	if !strings.Contains(buf.String(), `"ignore"`) {
 		t.Errorf("serialized record missing observation string:\n%s", buf.String())
 	}
 
-	records, err := store.Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
+	records := readAll(t, &buf)
 	if len(records) != 1 {
 		t.Fatalf("records = %d, want 1", len(records))
 	}
@@ -103,51 +110,45 @@ func TestConcurrentAppends(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	records, err := store.Read(&buf)
-	if err != nil {
-		t.Fatalf("Read after concurrent appends: %v", err)
-	}
+	records := readAll(t, &buf)
 	if len(records) != 32 {
 		t.Fatalf("records = %d, want 32", len(records))
 	}
 }
 
 func TestReadMalformed(t *testing.T) {
-	if _, err := store.Read(strings.NewReader("{\"domain\":\"a\"}\nnot-json\n")); err == nil {
-		t.Fatal("malformed line accepted")
+	visited := 0
+	err := store.Read(strings.NewReader("{\"domain\":\"a\"}\nnot-json\n"), func(*store.Record) { visited++ })
+	if err == nil || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("malformed second line: err = %v, want it named as record 1", err)
+	}
+	if visited != 1 {
+		t.Errorf("visited %d records ahead of the malformed line, want 1", visited)
 	}
 }
 
-// TestAnalyzeStoredScan is offline ≡ live: scan a sample, persist every site
-// through SiteResult.Record, read the file back and fold it with the same
-// Add the live scan used. The whole tally must come back, not a few buckets.
+// TestAnalyzeStoredScan is offline ≡ live: scan a sample, persist every
+// site's record as the scan hands it over, read the file back and fold it
+// with the same Add the live scan used. The whole tally must come back, not
+// a few buckets.
 func TestAnalyzeStoredScan(t *testing.T) {
 	pop := population.Generate(population.EpochJul2016, 0.002, 19)
-	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 30, Parallelism: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	w := store.NewWriter(&buf)
-	for i := range sum.Results {
-		if err := w.Append(sum.Results[i].Record(pop.Epoch, time.Unix(0, 0))); err != nil {
-			t.Fatal(err)
-		}
+	sum, err := population.Scan(pop, population.ScanOptions{SampleSize: 30, Parallelism: 8, Seed: 3,
+		Sink: func(rec *store.Record) {
+			if err := w.Append(rec); err != nil {
+				t.Error(err)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// A stats trailer in the stream is not a site.
 	if err := w.Append(&store.Record{Epoch: pop.Epoch.String(), Stats: &sum.Stats}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	records, err := store.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readAll(t, &buf)
 	offline := tallyOf(records)
 	if offline.Scanned != 30 || offline.GotHeaders != 30 {
 		t.Fatalf("offline tally = %d scanned / %d working, want 30 / 30", offline.Scanned, offline.GotHeaders)
@@ -155,7 +156,7 @@ func TestAnalyzeStoredScan(t *testing.T) {
 	if !reflect.DeepEqual(offline, &sum.Tally) {
 		t.Errorf("offline tally:\n%+v\nlive tally:\n%+v", offline, &sum.Tally)
 	}
-	if len(offline.ServerNames) == 0 || len(offline.HPACKRatios) == 0 || len(offline.PingRTTsMillis) != 30 {
+	if len(offline.ServerNames) == 0 || len(offline.HPACKRatios) == 0 || stats.NewCDFCounts(offline.PingRTTsMillis).Len() != 30 {
 		t.Errorf("missing server names, HPACK ratios or PING samples: %+v", offline)
 	}
 	if _, unfiled := offline.HPACKRatios[store.AllFamilies]; unfiled {
@@ -172,7 +173,7 @@ func TestTallyFilesFamilylessRecordsUnderAll(t *testing.T) {
 	tally.Add(&store.Record{Domain: "a", Report: report, Outcome: "ok"})
 	tally.Add(&store.Record{Domain: "b", Outcome: "failed", ErrorKind: "dial"})
 	tally.Add(&store.Record{Domain: "c", Outcome: "canceled"})
-	if got := tally.HPACKRatios[store.AllFamilies]; len(got) != 1 || len(tally.HPACKRatios) != 1 {
+	if got := tally.HPACKRatios[store.AllFamilies]; stats.NewCDFCounts(got).Len() != 1 || len(tally.HPACKRatios) != 1 {
 		t.Errorf("HPACKRatios = %v, want one sample under %q", tally.HPACKRatios, store.AllFamilies)
 	}
 	if tally.Scanned != 3 || tally.GotHeaders != 1 || tally.PriorityBoth != 1 || len(tally.PushDomains) != 1 {
@@ -207,9 +208,6 @@ func TestRobustnessRoundTripAndAnalyze(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if !strings.Contains(buf.String(), `"robustness"`) {
 		t.Errorf("serialized record missing robustness field:\n%s", buf.String())
 	}
@@ -217,10 +215,7 @@ func TestRobustnessRoundTripAndAnalyze(t *testing.T) {
 		t.Errorf("robustness field not omitted when nil:\n%s", buf.String())
 	}
 
-	records, err := store.Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
+	records := readAll(t, &buf)
 	got := records[0].Robustness
 	if got == nil {
 		t.Fatal("robustness score lost in round trip")
@@ -236,8 +231,8 @@ func TestRobustnessRoundTripAndAnalyze(t *testing.T) {
 	}
 
 	a := tallyOf(records)
-	if len(a.RobustnessScores) != 1 || a.RobustnessScores[0] != 0.75 {
-		t.Errorf("RobustnessScores = %v, want [0.75]", a.RobustnessScores)
+	if a.RobustnessSites != 1 || a.RobustnessSum != 0.75 {
+		t.Errorf("robustness = %v over %d sites, want 0.75 over 1", a.RobustnessSum, a.RobustnessSites)
 	}
 	if a.RobustnessVerdicts["rapid-reset/survived"] != 1 ||
 		a.RobustnessVerdicts["hpack-bomb/degraded"] != 1 {
@@ -275,17 +270,11 @@ func TestFingerprintRoundTripAndAnalyze(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if strings.Count(buf.String(), `"fingerprint"`) != 1 {
 		t.Errorf("fingerprint field not serialized exactly once:\n%s", buf.String())
 	}
 
-	records, err := store.Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
+	records := readAll(t, &buf)
 	got := records[0].Fingerprint
 	if got == nil {
 		t.Fatal("fingerprint sweep lost in round trip")
@@ -307,5 +296,48 @@ func TestFingerprintRoundTripAndAnalyze(t *testing.T) {
 	}
 	if out := a.Coverage(); !strings.Contains(out, "fingerprint sweep: 1 sites / 1 echoed /fp / 1 served by client") {
 		t.Errorf("coverage text missing fingerprint line:\n%s", out)
+	}
+}
+
+// TestTallyKeepsNothingPerSite: the tally is counts. A slice field grows with
+// the sample, so none may come back; PushDomains is the one list the paper
+// prints, and it is as long as the paper's count of push sites.
+func TestTallyKeepsNothingPerSite(t *testing.T) {
+	typ := reflect.TypeOf(store.Tally{})
+	var sliceOf func(reflect.Type) bool
+	sliceOf = func(ft reflect.Type) bool {
+		switch ft.Kind() {
+		case reflect.Slice:
+			return true
+		case reflect.Map, reflect.Pointer, reflect.Array:
+			return sliceOf(ft.Elem())
+		}
+		return false
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); sliceOf(f.Type) && f.Name != "PushDomains" {
+			t.Errorf("Tally.%s is %v: a tally field that holds a slice grows with the sample; count by value instead", f.Name, f.Type)
+		}
+	}
+}
+
+// TestHPACKRatiosRoundLikeTheFigure: a ratio is counted at the 0.01 the figure
+// prints, rounded the way %.2f rounds, so the quantile printed from the counts
+// is the one printed from the raw sample — halfway cases included, where
+// math.Round(r*100)/100 and %.2f part ways (0.285 is 0.28499… in binary).
+func TestHPACKRatiosRoundLikeTheFigure(t *testing.T) {
+	raw := []float64{0.285, 0.125, 0.135, 0.005, 0.999, 0.2850000001, 1, 0.31, 0.3149999}
+	tally := store.NewTally()
+	for _, r := range raw {
+		tally.AddHPACKRatio("nginx", r)
+	}
+	counted, sampled := stats.NewCDFCounts(tally.HPACKRatios["nginx"]), stats.NewCDF(raw)
+	if counted.Len() != len(raw) {
+		t.Fatalf("counted %d ratios, want %d", counted.Len(), len(raw))
+	}
+	for q := 0.0; q <= 1; q += 0.05 {
+		if got, want := fmt.Sprintf("%.2f", counted.Quantile(q)), fmt.Sprintf("%.2f", sampled.Quantile(q)); got != want {
+			t.Errorf("quantile %.2f prints %s from the counts, %s from the sample", q, got, want)
+		}
 	}
 }

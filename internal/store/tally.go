@@ -24,11 +24,14 @@ const (
 const AllFamilies = "all"
 
 // Tally is the census aggregate: the buckets of the paper's Section V. It is
-// the only one. A live scan folds each site's Record into it as the site is
-// summarised, offline analysis folds the records it reads back with the same
+// the only one. A live scan folds each site's Record into it as the site
+// finalizes, offline analysis folds the records it reads back with the same
 // Add, and the generator counts its specs into the same fields
 // (population.Population.Tally) — so the three print through one renderer
-// (h2scope.Census) and can be compared field by field.
+// (h2scope.Census) and can be compared field by field. Every field but
+// PushDomains is a count: the tally's size follows the values sites take, not
+// how many sites there were. The distributions behind the figures are counts
+// by value, rendered through stats.NewCDFCounts.
 type Tally struct {
 	// Scanned counts sites, probed or not; GotHeaders those that returned
 	// HEADERS, the paper's criterion for a working HTTP/2 site.
@@ -40,9 +43,9 @@ type Tally struct {
 	// InitialWindow, MaxFrame and MaxHeaderList are Tables V-VII, keyed by
 	// the advertised value (or LabelNull / LabelUnlimited).
 	InitialWindow, MaxFrame, MaxHeaderList map[string]int
-	// MaxConcurrent holds each advertised SETTINGS_MAX_CONCURRENT_STREAMS
-	// (Fig. 2).
-	MaxConcurrent []float64
+	// MaxConcurrent counts sites by the SETTINGS_MAX_CONCURRENT_STREAMS they
+	// advertise (Fig. 2).
+	MaxConcurrent map[float64]int
 	// TinyWindow buckets the 1-byte-window probe (V-D.1).
 	TinyWindow map[core.TinyWindowClass]int
 	// ZeroWindowHeadersOK counts HEADERS returned under a zero window (V-D.2).
@@ -55,23 +58,30 @@ type Tally struct {
 	// SelfDep the self-dependency reactions (V-E.2).
 	PriorityLast, PriorityFirst, PriorityBoth int
 	SelfDep                                   map[core.Observation]int
-	// PushDomains lists the sites that sent PUSH_PROMISE (V-F).
+	// PushDomains lists the sites that sent PUSH_PROMISE (V-F). The paper
+	// names its push sites, so this is the one list; it is as long as the
+	// paper's count of them, not as the sample.
 	PushDomains []string
-	// HPACKRatios holds compression ratios r <= 1 per server family (Figs. 4
-	// and 5; the paper drops r > 1, sites inserting fresh cookies).
-	HPACKRatios map[string][]float64
+	// HPACKRatios counts compression ratios r <= 1 per server family, at the
+	// 0.01 Figs. 4 and 5 print (the paper drops r > 1, sites inserting fresh
+	// cookies).
+	HPACKRatios map[string]map[float64]int
 
 	// Coverage: what only a measured tally fills.
 
-	// PingRTTsMillis holds each site's minimum h2-PING RTT in milliseconds.
-	PingRTTsMillis []float64
+	// PingRTTsMillis counts sites by minimum h2-PING RTT in milliseconds, at
+	// the 1 µs the RTT is computed at: the map is bounded by the range RTTs
+	// span (a key per microsecond of it), not by the sample.
+	PingRTTsMillis map[float64]int
 	// Failed and Canceled count sites whose probe did not complete (they
 	// are part of Scanned); FailureKinds histograms the failed by kind.
 	Failed, Canceled int
 	FailureKinds     map[string]int
-	// RobustnessScores holds per-site adversarial-battery scores in [0,1];
-	// RobustnessVerdicts histograms scenario outcomes ("<kind>/<verdict>").
-	RobustnessScores   []float64
+	// RobustnessSum adds up the adversarial-battery scores in [0,1] of the
+	// RobustnessSites sites that have one; RobustnessVerdicts histograms
+	// scenario outcomes ("<kind>/<verdict>").
+	RobustnessSum      float64
+	RobustnessSites    int
 	RobustnessVerdicts map[string]int
 	// FingerprintSites counts sites the impersonation sweep observed,
 	// FingerprintEcho those whose /fp endpoint answered, FingerprintDiffers
@@ -87,13 +97,15 @@ func NewTally() *Tally {
 		InitialWindow:      make(map[string]int),
 		MaxFrame:           make(map[string]int),
 		MaxHeaderList:      make(map[string]int),
+		MaxConcurrent:      make(map[float64]int),
 		TinyWindow:         make(map[core.TinyWindowClass]int),
 		ZeroWUStream:       make(map[core.Observation]int),
 		ZeroWUConn:         make(map[core.Observation]int),
 		LargeWUStream:      make(map[core.Observation]int),
 		LargeWUConn:        make(map[core.Observation]int),
 		SelfDep:            make(map[core.Observation]int),
-		HPACKRatios:        make(map[string][]float64),
+		HPACKRatios:        make(map[string]map[float64]int),
+		PingRTTsMillis:     make(map[float64]int),
 		FailureKinds:       make(map[string]int),
 		RobustnessVerdicts: make(map[string]int),
 	}
@@ -106,7 +118,8 @@ func (t *Tally) Add(rec *Record) {
 	}
 	t.Scanned++
 	if rec.Robustness != nil {
-		t.RobustnessScores = append(t.RobustnessScores, rec.Robustness.Value)
+		t.RobustnessSum += rec.Robustness.Value
+		t.RobustnessSites++
 		for kind, verdict := range rec.Robustness.Verdicts {
 			t.RobustnessVerdicts[fmt.Sprintf("%s/%s", kind, verdict)]++
 		}
@@ -177,15 +190,28 @@ func (t *Tally) Add(rec *Record) {
 		t.PushDomains = append(t.PushDomains, rec.Domain)
 	}
 	if r.HPACK != nil && r.HPACK.Ratio <= 1.0 {
-		family := rec.Family
-		if family == "" {
-			family = AllFamilies
-		}
-		t.HPACKRatios[family] = append(t.HPACKRatios[family], r.HPACK.Ratio)
+		t.AddHPACKRatio(rec.Family, r.HPACK.Ratio)
 	}
 	if r.Ping != nil && r.Ping.Supported {
-		t.PingRTTsMillis = append(t.PingRTTsMillis, float64(r.Ping.Min().Microseconds())/1000)
+		t.PingRTTsMillis[float64(r.Ping.Min().Microseconds())/1000]++
 	}
+}
+
+// AddHPACKRatio counts one site's compression ratio in its family's series
+// (AllFamilies when it has none), rounded the way the figure's %.2f rounds
+// it: nearest-rank quantiles are order statistics and rounding is monotone,
+// so the figure prints what it would from the unrounded sample.
+func (t *Tally) AddHPACKRatio(family string, ratio float64) {
+	if family == "" {
+		family = AllFamilies
+	}
+	series := t.HPACKRatios[family]
+	if series == nil {
+		series = make(map[float64]int)
+		t.HPACKRatios[family] = series
+	}
+	rounded, _ := strconv.ParseFloat(strconv.FormatFloat(ratio, 'f', 2, 64), 64)
+	series[rounded]++
 }
 
 // addSettings files one working site's advertisement under Tables V-VII and
@@ -205,7 +231,7 @@ func (t *Tally) addSettings(set *core.SettingsResult) {
 		return unset
 	}
 	if v, ok := set.Value(frame.SettingMaxConcurrentStreams); ok {
-		t.MaxConcurrent = append(t.MaxConcurrent, float64(v))
+		t.MaxConcurrent[float64(v)]++
 	}
 	t.InitialWindow[label(frame.SettingInitialWindowSize, "65535")]++
 	t.MaxFrame[label(frame.SettingMaxFrameSize, "16384")]++
@@ -222,12 +248,12 @@ func (t *Tally) Coverage() string {
 			t.Scanned-t.Failed-t.Canceled, t.Failed, t.Canceled, t.FailureKinds)
 	}
 	if len(t.PingRTTsMillis) > 0 {
-		cdf := stats.NewCDF(t.PingRTTsMillis)
+		cdf := stats.NewCDFCounts(t.PingRTTsMillis)
 		fmt.Fprintf(&b, "h2 PING min RTT: %d sites, p50 %.3fms / p90 %.3fms\n",
 			cdf.Len(), cdf.Quantile(0.5), cdf.Quantile(0.9))
 	}
-	if n := len(t.RobustnessScores); n > 0 {
-		fmt.Fprintf(&b, "robustness: %d sites scored, mean %.2f\n", n, stats.NewCDF(t.RobustnessScores).Mean())
+	if n := t.RobustnessSites; n > 0 {
+		fmt.Fprintf(&b, "robustness: %d sites scored, mean %.2f\n", n, t.RobustnessSum/float64(n))
 		keys := make([]string, 0, len(t.RobustnessVerdicts))
 		for k := range t.RobustnessVerdicts {
 			keys = append(keys, k)
