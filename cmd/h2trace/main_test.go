@@ -19,6 +19,7 @@ func writeSampleTrace(t *testing.T, dir, name, target string) string {
 	conn := tr.ConnID()
 	tr.ConnOpen(conn, target)
 	end := tr.Phase("multiplexing")
+	tr.ConnPhase(conn, "multiplexing")
 	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndStream | frame.FlagEndHeaders})
 	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 3, Flags: frame.FlagEndStream | frame.FlagEndHeaders})
 	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 1, Length: 100})

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"h2scope/internal/frame"
@@ -137,10 +138,19 @@ func NewProber(dialer Dialer, cfg Config) *Prober {
 	return &Prober{dialer: dialer, cfg: cfg}
 }
 
-// phase marks a probe phase on the battery's tracer (a no-op without one)
-// and returns the closer; probes use `defer p.phase("name")()`.
-func (p *Prober) phase(name string) func() {
-	return p.cfg.Tracer.Phase(name)
+// phaseKey keys the name of the probe phase a context was derived for.
+type phaseKey struct{}
+
+// phase opens a named probe phase on the battery's tracer (a no-op without
+// one) and returns ctx carrying the name, so connect tags every connection
+// the probe opens with it, plus the phase's closer; probes use
+// `ctx, end := p.phase(ctx, "name"); defer end()`. The tag, not the time,
+// ties a frame to its probe: the battery's probes run at once.
+func (p *Prober) phase(ctx context.Context, name string) (context.Context, func()) {
+	if p.cfg.Tracer == nil {
+		return ctx, func() {}
+	}
+	return context.WithValue(ctx, phaseKey{}, name), p.cfg.Tracer.Phase(name)
 }
 
 // connect dials and establishes an HTTP/2 connection with the given client
@@ -163,6 +173,9 @@ func (p *Prober) connect(ctx context.Context, opts h2conn.Options) (*h2conn.Conn
 	// to the connection the frames will belong to.
 	if opts.Tracer != nil && opts.TraceConnID == 0 {
 		opts.TraceConnID = opts.Tracer.ConnID()
+		if name, ok := ctx.Value(phaseKey{}).(string); ok {
+			opts.Tracer.ConnPhase(opts.TraceConnID, name)
+		}
 	}
 	endDial := opts.Tracer.Region(opts.TraceConnID, "dial")
 	nc, err := p.dialer.Dial()
@@ -179,6 +192,21 @@ func (p *Prober) connect(ctx context.Context, opts h2conn.Options) (*h2conn.Conn
 	return h2conn.Dial(nc, opts) // which closes nc when it fails
 }
 
+// together runs fns at once and returns when every one has: the probes of a
+// battery each wait on their own connections, so their reaction windows
+// overlap instead of adding up.
+func together(fns ...func()) {
+	var wg sync.WaitGroup
+	wg.Add(len(fns))
+	for _, fn := range fns {
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
+	}
+	wg.Wait()
+}
+
 // reactionWindow is how long a probe listens for an error frame after a
 // provocation before concluding the server ignored it.
 func (p *Prober) reactionWindow() time.Duration {
@@ -189,11 +217,45 @@ func (p *Prober) reactionWindow() time.Duration {
 	return w
 }
 
-// classifyReaction listens one window for the first error frame in the log
-// after a provocation and maps it to an Observation, returning the frame
-// with it. streamID scopes RST_STREAM matching; GOAWAY always counts.
-func classifyReaction(c *h2conn.Conn, streamID uint32, window time.Duration) (Observation, h2conn.Event) {
-	ev, err := c.Wait(0, window, func(e h2conn.Event) bool {
+// fencePing is the payload of the PING a probe writes behind a provocation.
+var fencePing = [8]byte{'f', 'e', 'n', 'c', 'e'}
+
+// awaitReaction waits for the first event match accepts after a provocation.
+// The reaction window is a floor, not the verdict: a PING written behind the
+// provocation comes back only once the peer has read it, so "no reaction" is
+// concluded when the window has passed and that fence is back. A peer too
+// loaded to have read the provocation within the window — a census host
+// running many batteries at once — is waited for, up to Timeout for one that
+// never answers PING; a peer that answers the fence ahead of a reaction it
+// queued (RFC 7540 §6.7 lets it) is covered by the window.
+func (p *Prober) awaitReaction(c *h2conn.Conn, match func(h2conn.Event) bool) (h2conn.Event, error) {
+	fenced := c.WritePing(fencePing) == nil
+	isAck := func(e h2conn.Event) bool {
+		return e.Type == frame.TypePing && e.IsAck() && e.PingData == fencePing
+	}
+	acked, next := false, 0
+	ev, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+		acked, next = acked || isAck(e), e.Seq+1
+		return match(e)
+	})
+	if !errors.Is(err, h2conn.ErrTimeout) || !fenced || acked {
+		return ev, err
+	}
+	ev, err = c.Wait(next, p.cfg.Timeout, func(e h2conn.Event) bool {
+		acked = isAck(e)
+		return acked || match(e)
+	})
+	if acked {
+		return h2conn.Event{}, h2conn.ErrTimeout
+	}
+	return ev, err
+}
+
+// classifyReaction waits for the first error frame after a provocation and
+// maps it to an Observation, returning the frame with it. streamID scopes
+// RST_STREAM matching; GOAWAY always counts.
+func (p *Prober) classifyReaction(c *h2conn.Conn, streamID uint32) (Observation, h2conn.Event) {
+	ev, err := p.awaitReaction(c, func(e h2conn.Event) bool {
 		return e.Type == frame.TypeGoAway ||
 			e.Type == frame.TypeRSTStream && (streamID == 0 || e.StreamID == streamID)
 	})

@@ -114,55 +114,83 @@ func TestTableIIIMatrix(t *testing.T) {
 		exp := exp
 		t.Run(exp.profile.Family, func(t *testing.T) {
 			t.Parallel()
-			prober := newProber(t, exp.profile)
-			r, err := prober.Run()
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if len(r.Errors) > 0 {
-				t.Fatalf("probe errors: %v", r.Errors)
-			}
-			if !r.SupportsMultiplexing() {
-				t.Error("Request Multiplexing = no support, want support")
-			}
-			if !r.FlowControlOnData() {
-				t.Errorf("Flow Control on DATA = no (class %v), want yes", r.FlowData.Class)
-			}
-			if got := r.FlowControlOnHeaders(); got != exp.flowOnHeaders {
-				t.Errorf("Flow Control on HEADERS = %v, want %v", got, exp.flowOnHeaders)
-			}
-			if r.ZeroWU.Stream != exp.zeroWUStream {
-				t.Errorf("Zero WU stream = %v, want %v", r.ZeroWU.Stream, exp.zeroWUStream)
-			}
-			if r.ZeroWU.Conn != exp.zeroWUConn {
-				t.Errorf("Zero WU conn = %v, want %v", r.ZeroWU.Conn, exp.zeroWUConn)
-			}
-			if r.LargeWU.Conn != core.ObserveGoAway {
-				t.Errorf("Large WU conn = %v, want GOAWAY", r.LargeWU.Conn)
-			}
-			if r.LargeWU.Stream != core.ObserveRSTStream {
-				t.Errorf("Large WU stream = %v, want RST_STREAM", r.LargeWU.Stream)
-			}
-			if got := r.Push.Supported; got != exp.push {
-				t.Errorf("Server Push = %v, want %v", got, exp.push)
-			}
-			if got := r.Priority.Pass; got != exp.priorityPass {
-				t.Errorf("Priority (Algorithm 1) = %v, want %v (last=%v first=%v completed=%d)",
-					got, exp.priorityPass, r.Priority.LastRuleOK, r.Priority.FirstRuleOK, r.Priority.Completed)
-			}
-			if r.SelfDep.Reaction != exp.selfDep {
-				t.Errorf("Self-dependent stream = %v, want %v", r.SelfDep.Reaction, exp.selfDep)
-			}
-			if got := r.HeaderCompressionVerdict(); got != exp.headerCompression {
-				t.Errorf("Header Compression = %q (ratio %.3f), want %q", got, r.HPACK.Ratio, exp.headerCompression)
-			}
-			if !r.Ping.Supported {
-				t.Error("HTTP/2 PING = no support, want support")
-			}
-			if row := r.TableIIIRow(); len(row) != len(core.TableIIIRowNames) {
-				t.Errorf("TableIIIRow has %d cells, want %d", len(row), len(core.TableIIIRowNames))
-			}
+			r, err := newProber(t, exp.profile).Run()
+			checkTableIII(t, exp, r, err)
 		})
+	}
+}
+
+// TestTableIIIHoldsOverASlowPath re-measures Table III over a 150 ms round
+// trip, longer than the 100 ms reaction window: every reaction comes back
+// after the window, and only the PING fence behind each provocation keeps a
+// late RST_STREAM or GOAWAY — or a late HEADERS — from reading as ignored.
+func TestTableIIIHoldsOverASlowPath(t *testing.T) {
+	const owd = 75 * time.Millisecond
+	for _, exp := range tableIII() {
+		exp := exp
+		t.Run(exp.profile.Family, func(t *testing.T) {
+			t.Parallel()
+			srv := server.New(exp.profile, server.DefaultSite("testbed.example"))
+			l := netsim.NewListener("slow-" + exp.profile.Name)
+			go func() { _ = srv.Serve(l) }()
+			t.Cleanup(func() { srv.Shutdown(time.Second) })
+			cfg := core.DefaultConfig("testbed.example")
+			cfg.QuietWindow = 10 * time.Millisecond
+			p := core.NewProber(core.DialerFunc(func() (net.Conn, error) { return l.DialLatency(owd, owd) }), cfg)
+			r, err := p.Run()
+			checkTableIII(t, exp, r, err)
+		})
+	}
+}
+
+// checkTableIII asserts every cell of one measured Table III column.
+func checkTableIII(t *testing.T, exp tableIIIExpectation, r *core.Report, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(r.Errors) > 0 {
+		t.Fatalf("probe errors: %v", r.Errors)
+	}
+	if !r.SupportsMultiplexing() {
+		t.Error("Request Multiplexing = no support, want support")
+	}
+	if !r.FlowControlOnData() {
+		t.Errorf("Flow Control on DATA = no (class %v), want yes", r.FlowData.Class)
+	}
+	if got := r.FlowControlOnHeaders(); got != exp.flowOnHeaders {
+		t.Errorf("Flow Control on HEADERS = %v, want %v", got, exp.flowOnHeaders)
+	}
+	if r.ZeroWU.Stream != exp.zeroWUStream {
+		t.Errorf("Zero WU stream = %v, want %v", r.ZeroWU.Stream, exp.zeroWUStream)
+	}
+	if r.ZeroWU.Conn != exp.zeroWUConn {
+		t.Errorf("Zero WU conn = %v, want %v", r.ZeroWU.Conn, exp.zeroWUConn)
+	}
+	if r.LargeWU.Conn != core.ObserveGoAway {
+		t.Errorf("Large WU conn = %v, want GOAWAY", r.LargeWU.Conn)
+	}
+	if r.LargeWU.Stream != core.ObserveRSTStream {
+		t.Errorf("Large WU stream = %v, want RST_STREAM", r.LargeWU.Stream)
+	}
+	if got := r.Push.Supported; got != exp.push {
+		t.Errorf("Server Push = %v, want %v", got, exp.push)
+	}
+	if got := r.Priority.Pass; got != exp.priorityPass {
+		t.Errorf("Priority (Algorithm 1) = %v, want %v (last=%v first=%v completed=%d)",
+			got, exp.priorityPass, r.Priority.LastRuleOK, r.Priority.FirstRuleOK, r.Priority.Completed)
+	}
+	if r.SelfDep.Reaction != exp.selfDep {
+		t.Errorf("Self-dependent stream = %v, want %v", r.SelfDep.Reaction, exp.selfDep)
+	}
+	if got := r.HeaderCompressionVerdict(); got != exp.headerCompression {
+		t.Errorf("Header Compression = %q (ratio %.3f), want %q", got, r.HPACK.Ratio, exp.headerCompression)
+	}
+	if !r.Ping.Supported {
+		t.Error("HTTP/2 PING = no support, want support")
+	}
+	if row := r.TableIIIRow(); len(row) != len(core.TableIIIRowNames) {
+		t.Errorf("TableIIIRow has %d cells, want %d", len(row), len(core.TableIIIRowNames))
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+
 	"h2scope/internal/frame"
 	"h2scope/internal/h2conn"
 )
@@ -25,14 +27,18 @@ type ExtensionsResult struct {
 	PingAckPrioritized bool
 }
 
-// ProbeExtensions runs the beyond-paper conformance checks.
+// ProbeExtensions runs the beyond-paper conformance checks, each on its own
+// connection and both at once.
 func (p *Prober) ProbeExtensions(ctx context.Context) (*ExtensionsResult, error) {
-	defer p.phase("extensions")()
+	ctx, end := p.phase(ctx, "extensions")
+	defer end()
 	res := &ExtensionsResult{}
-	if err := p.probeSettingsAckAndUnknowns(ctx, res); err != nil {
-		return nil, err
-	}
-	if err := p.probePingPriority(ctx, res); err != nil {
+	var unknownsErr, pingErr error
+	together(
+		func() { unknownsErr = p.probeSettingsAckAndUnknowns(ctx, res) },
+		func() { pingErr = p.probePingPriority(ctx, res) },
+	)
+	if err := cmp.Or(unknownsErr, pingErr); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -23,7 +23,8 @@ type H2CResult struct {
 // ProbeH2CUpgrade performs the cleartext upgrade handshake against the
 // target and, if accepted, verifies HTTP/2 works on the connection.
 func (p *Prober) ProbeH2CUpgrade(ctx context.Context) (*H2CResult, error) {
-	defer p.phase("h2c-upgrade")()
+	ctx, end := p.phase(ctx, "h2c-upgrade")
+	defer end()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

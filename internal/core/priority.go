@@ -46,7 +46,8 @@ var streamLabels = [...]string{"A", "B", "C", "D", "E", "F"}
 //  4. reopen the connection window with WINDOW_UPDATE and infer priority
 //     support from the order of DATA frames (line 30).
 func (p *Prober) ProbePriority(ctx context.Context) (*PriorityResult, error) {
-	defer p.phase("priority")()
+	ctx, end := p.phase(ctx, "priority")
+	defer end()
 	opts := h2conn.Options{
 		Settings: []frame.Setting{
 			{ID: frame.SettingInitialWindowSize, Val: frame.MaxWindowSize},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strconv"
@@ -40,7 +41,8 @@ func (r *SettingsResult) Value(id frame.SettingID) (uint32, bool) {
 // ProbeSettings records the server's SETTINGS frame and fetches one small
 // page to learn the server header.
 func (p *Prober) ProbeSettings(ctx context.Context) (*SettingsResult, error) {
-	defer p.phase("settings")()
+	ctx, end := p.phase(ctx, "settings")
+	defer end()
 	c, err := p.connect(ctx, h2conn.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -74,7 +76,8 @@ type MultiplexResult struct {
 // ProbeMultiplexing issues N concurrent large downloads and checks whether
 // the response DATA frames interleave.
 func (p *Prober) ProbeMultiplexing(ctx context.Context, n int) (*MultiplexResult, error) {
-	defer p.phase("multiplexing")()
+	ctx, end := p.phase(ctx, "multiplexing")
+	defer end()
 	if n > len(p.cfg.LargePaths) {
 		n = len(p.cfg.LargePaths)
 	}
@@ -169,7 +172,8 @@ type FlowDataResult struct {
 // ProbeFlowControlData sets SETTINGS_INITIAL_WINDOW_SIZE to windowSize
 // (the paper uses 1) and classifies the response (Section III-B.1).
 func (p *Prober) ProbeFlowControlData(ctx context.Context, windowSize uint32) (*FlowDataResult, error) {
-	defer p.phase("flow-data")()
+	ctx, end := p.phase(ctx, "flow-data")
+	defer end()
 	opts := h2conn.Options{
 		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: windowSize}},
 		AutoSettingsAck: true,
@@ -188,7 +192,7 @@ func (p *Prober) ProbeFlowControlData(ctx context.Context, windowSize uint32) (*
 		return nil, err
 	}
 	res := &FlowDataResult{WindowSize: windowSize, FirstDataLen: -1}
-	data, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+	data, err := p.awaitReaction(c, func(e h2conn.Event) bool {
 		if e.StreamID == id && e.Type == frame.TypeHeaders {
 			res.GotHeaders = true
 		}
@@ -218,7 +222,8 @@ type ZeroWindowHeadersResult struct {
 // ProbeZeroWindowHeaders sets SETTINGS_INITIAL_WINDOW_SIZE to 0 and checks
 // whether HEADERS still arrive.
 func (p *Prober) ProbeZeroWindowHeaders(ctx context.Context) (*ZeroWindowHeadersResult, error) {
-	defer p.phase("zero-window-headers")()
+	ctx, end := p.phase(ctx, "zero-window-headers")
+	defer end()
 	opts := h2conn.Options{
 		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
 		AutoSettingsAck: true,
@@ -236,7 +241,7 @@ func (p *Prober) ProbeZeroWindowHeaders(ctx context.Context) (*ZeroWindowHeaders
 	if err != nil {
 		return nil, err
 	}
-	_, err = c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+	_, err = p.awaitReaction(c, func(e h2conn.Event) bool {
 		return e.StreamID == id && e.Type == frame.TypeHeaders
 	})
 	return &ZeroWindowHeadersResult{GotHeaders: err == nil}, nil
@@ -257,7 +262,8 @@ type WindowUpdateResult struct {
 // stream and connection levels (fresh connection each) and classifies the
 // reactions.
 func (p *Prober) ProbeZeroWindowUpdate(ctx context.Context) (*WindowUpdateResult, error) {
-	defer p.phase("zero-window-update")()
+	ctx, end := p.phase(ctx, "zero-window-update")
+	defer end()
 	return p.probeWindowUpdate(ctx, func(c *h2conn.Conn, streamID uint32) error {
 		return c.WriteWindowUpdate(streamID, 0)
 	})
@@ -266,7 +272,8 @@ func (p *Prober) ProbeZeroWindowUpdate(ctx context.Context) (*WindowUpdateResult
 // ProbeLargeWindowUpdate sends WINDOW_UPDATE frames whose sum exceeds
 // 2^31-1 at both levels and classifies the reactions.
 func (p *Prober) ProbeLargeWindowUpdate(ctx context.Context) (*WindowUpdateResult, error) {
-	defer p.phase("large-window-update")()
+	ctx, end := p.phase(ctx, "large-window-update")
+	defer end()
 	return p.probeWindowUpdate(ctx, func(c *h2conn.Conn, streamID uint32) error {
 		if err := c.WriteWindowUpdate(streamID, frame.MaxWindowSize); err != nil {
 			return err
@@ -275,55 +282,54 @@ func (p *Prober) ProbeLargeWindowUpdate(ctx context.Context) (*WindowUpdateResul
 	})
 }
 
+// probeWindowUpdate provokes the stream and the connection level, each on a
+// fresh connection and both at once.
 func (p *Prober) probeWindowUpdate(ctx context.Context, provoke func(*h2conn.Conn, uint32) error) (*WindowUpdateResult, error) {
 	res := &WindowUpdateResult{}
+	var (
+		reaction           h2conn.Event
+		streamErr, connErr error
+	)
+	together(
+		func() { res.Stream, _, streamErr = p.windowUpdateReaction(ctx, provoke, true) },
+		func() { res.Conn, reaction, connErr = p.windowUpdateReaction(ctx, provoke, false) },
+	)
+	if err := cmp.Or(streamErr, connErr); err != nil {
+		return nil, err
+	}
+	res.ConnDebugData = string(reaction.DebugData)
+	return res, nil
+}
 
-	// Stream level: the stream must be open and flow-blocked, so request a
-	// large object without automatic window refills.
-	opts := h2conn.Options{AutoSettingsAck: true, AutoPingAck: true}
-	c, err := p.connect(ctx, opts)
+// windowUpdateReaction opens a stream for a large object without automatic
+// window refills, provokes the stream (onStream) or the connection, and
+// classifies the reaction. At the stream level the stream must be open and
+// flow-blocked, so the provocation waits for the response to start.
+func (p *Prober) windowUpdateReaction(ctx context.Context, provoke func(*h2conn.Conn, uint32) error, onStream bool) (Observation, h2conn.Event, error) {
+	c, err := p.connect(ctx, h2conn.Options{AutoSettingsAck: true, AutoPingAck: true})
 	if err != nil {
-		return nil, err
-	}
-	if _, err := c.WaitSettings(p.cfg.Timeout); err != nil {
-		closeConn(c)
-		return nil, err
-	}
-	id, err := c.OpenStream(h2conn.Request{Authority: p.cfg.Authority, Path: p.cfg.LargePaths[0]})
-	if err != nil {
-		closeConn(c)
-		return nil, err
-	}
-	// Let the response start so the provocation hits a live stream.
-	_, _ = c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
-		return e.StreamID == id && (e.Type == frame.TypeHeaders || e.Type == frame.TypeData)
-	})
-	if err := provoke(c, id); err != nil {
-		closeConn(c)
-		return nil, err
-	}
-	res.Stream, _ = classifyReaction(c, id, p.reactionWindow())
-	closeConn(c)
-
-	// Connection level, on a fresh connection.
-	c, err = p.connect(ctx, opts)
-	if err != nil {
-		return nil, err
+		return 0, h2conn.Event{}, err
 	}
 	defer closeConn(c)
 	if _, err := c.WaitSettings(p.cfg.Timeout); err != nil {
-		return nil, err
+		return 0, h2conn.Event{}, err
 	}
-	if _, err := c.OpenStream(h2conn.Request{Authority: p.cfg.Authority, Path: p.cfg.LargePaths[0]}); err != nil {
-		return nil, err
+	id, err := c.OpenStream(h2conn.Request{Authority: p.cfg.Authority, Path: p.cfg.LargePaths[0]})
+	if err != nil {
+		return 0, h2conn.Event{}, err
 	}
-	if err := provoke(c, 0); err != nil {
-		return nil, err
+	var target uint32
+	if onStream {
+		target = id
+		_, _ = c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+			return e.StreamID == id && (e.Type == frame.TypeHeaders || e.Type == frame.TypeData)
+		})
 	}
-	var reaction h2conn.Event
-	res.Conn, reaction = classifyReaction(c, 0, p.reactionWindow())
-	res.ConnDebugData = string(reaction.DebugData)
-	return res, nil
+	if err := provoke(c, target); err != nil {
+		return 0, h2conn.Event{}, err
+	}
+	obs, reaction := p.classifyReaction(c, target)
+	return obs, reaction, nil
 }
 
 // PushResult reports the server-push probe (Sections III-D and V-F).
@@ -337,7 +343,8 @@ type PushResult struct {
 // ProbeServerPush enables push, browses the configured pages, and records
 // PUSH_PROMISE frames.
 func (p *Prober) ProbeServerPush(ctx context.Context) (*PushResult, error) {
-	defer p.phase("server-push")()
+	ctx, end := p.phase(ctx, "server-push")
+	defer end()
 	opts := h2conn.DefaultOptions()
 	opts.Settings = []frame.Setting{{ID: frame.SettingEnablePush, Val: 1}}
 	c, err := p.connect(ctx, opts)
@@ -388,7 +395,8 @@ const (
 // ProbeHPACK sends H identical requests and computes the compression ratio
 // over the response header block sizes.
 func (p *Prober) ProbeHPACK(ctx context.Context) (*HPACKResult, error) {
-	defer p.phase("hpack")()
+	ctx, end := p.phase(ctx, "hpack")
+	defer end()
 	c, err := p.connect(ctx, h2conn.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -444,7 +452,8 @@ func (r *PingResult) Min() time.Duration {
 
 // ProbePing sends PING frames and measures RTTs.
 func (p *Prober) ProbePing(ctx context.Context) (*PingResult, error) {
-	defer p.phase("ping")()
+	ctx, end := p.phase(ctx, "ping")
+	defer end()
 	c, err := p.connect(ctx, h2conn.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -478,7 +487,8 @@ type SelfDependencyResult struct {
 
 // ProbeSelfDependency sends PRIORITY making a stream depend on itself.
 func (p *Prober) ProbeSelfDependency(ctx context.Context) (*SelfDependencyResult, error) {
-	defer p.phase("self-dependency")()
+	ctx, end := p.phase(ctx, "self-dependency")
+	defer end()
 	c, err := p.connect(ctx, h2conn.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -491,7 +501,7 @@ func (p *Prober) ProbeSelfDependency(ctx context.Context) (*SelfDependencyResult
 	if err := c.WritePriority(id, frame.PriorityParam{StreamDep: id, Weight: 15}); err != nil {
 		return nil, err
 	}
-	reaction, _ := classifyReaction(c, id, p.reactionWindow())
+	reaction, _ := p.classifyReaction(c, id)
 	return &SelfDependencyResult{Reaction: reaction}, nil
 }
 

@@ -40,10 +40,17 @@ func (p *Prober) Run() (*Report, error) {
 	return p.RunContext(context.Background())
 }
 
-// RunContext executes the complete probe battery, checking ctx between
-// probes: a canceled scan stops after the probe in flight and returns the
-// partially filled report with ctx's error, so large-scale runs can be
-// killed mid-battery without losing what was already measured.
+// RunContext executes the complete probe battery. The settings probe runs
+// first — a target that cannot complete it is not probeable, and nothing
+// else is dialed — then every other probe runs at once, each on its own
+// connections, so the battery lasts as long as its slowest probe rather than
+// the sum of them: most of a probe is a reaction window spent waiting for a
+// frame that may never come. Step errors are listed in battery order
+// whatever order the probes finish in. A context canceled before the
+// battery fans out skips it; one canceled after lets the probes in flight
+// finish (a deadline it carries is on every transport), and either way the
+// partially filled report comes back with ctx's error, so large-scale runs
+// can be killed mid-battery without losing what was already measured.
 func (p *Prober) RunContext(ctx context.Context) (*Report, error) {
 	r := &Report{Authority: p.cfg.Authority}
 	if neg, ok := p.dialer.(Negotiator); ok {
@@ -69,14 +76,25 @@ func (p *Prober) RunContext(ctx context.Context) (*Report, error) {
 		{"hpack", func() (err error) { r.HPACK, err = p.ProbeHPACK(ctx); return }},
 		{"ping", func() (err error) { r.Ping, err = p.ProbePing(ctx); return }},
 	}
-	for _, step := range steps {
-		if cerr := ctx.Err(); cerr != nil {
-			r.fail("battery", cerr)
-			return r, cerr
+	if cerr := ctx.Err(); cerr != nil {
+		r.fail("battery", cerr)
+		return r, cerr
+	}
+	// Each step writes its own Report field and its own slot here.
+	errs := make([]error, len(steps))
+	runs := make([]func(), len(steps))
+	for i, step := range steps {
+		runs[i] = func() { errs[i] = step.run() }
+	}
+	together(runs...)
+	for i, err := range errs {
+		if err != nil {
+			r.fail(steps[i].name, err)
 		}
-		if err := step.run(); err != nil {
-			r.fail(step.name, err)
-		}
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		r.fail("battery", cerr)
+		return r, cerr
 	}
 	return r, nil
 }

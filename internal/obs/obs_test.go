@@ -161,6 +161,7 @@ func TestBuilderStreamTallies(t *testing.T) {
 	conn := tr.ConnID()
 	tr.ConnOpen(conn, "testbed.example")
 	end := tr.Phase("multiplexing")
+	tr.ConnPhase(conn, "multiplexing")
 	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndStream | frame.FlagEndHeaders})
 	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 3, Flags: frame.FlagEndStream | frame.FlagEndHeaders})
 	tr.Frame(conn, false, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndHeaders, Length: 20})

@@ -95,7 +95,8 @@ type Event struct {
 	// Conn distinguishes connections sharing one tracer (a probe battery
 	// opens a fresh connection per probe; a server traces many at once).
 	Conn uint64
-	// Phase is the probe phase active when the event was emitted.
+	// Phase is the probe phase the event's connection belongs to
+	// (Tracer.ConnPhase), or the name a phase or region marker opens/closes.
 	Phase string
 	// StreamID, FrameType, Flags, and Length mirror the frame header of
 	// frame events.
@@ -195,8 +196,11 @@ func (r *ring) snapshot() []Event {
 type Tracer struct {
 	start time.Time
 	ring  *ring
-	phase atomic.Pointer[string]
 	conns atomic.Uint64
+
+	// phases maps a connection ID to the probe phase that opened it
+	// (ConnPhase): written once per connection, read on each of its events.
+	phases sync.Map
 
 	// subs is the copy-on-write subscriber list; emit reads it with one
 	// atomic load, so a tracer with no subscribers pays a single pointer
@@ -252,9 +256,9 @@ func (t *Tracer) emit(ev Event) {
 		return
 	}
 	ev.At = time.Now()
-	if ev.Phase == "" {
-		if p := t.phase.Load(); p != nil {
-			ev.Phase = *p
+	if ev.Phase == "" && ev.Conn != 0 {
+		if name, ok := t.phases.Load(ev.Conn); ok {
+			ev.Phase = name.(string)
 		}
 	}
 	t.ring.emit(&ev)
@@ -305,26 +309,30 @@ func (t *Tracer) Error(conn uint64, detail string) {
 	t.emit(Event{Kind: KindError, Conn: conn, Detail: detail})
 }
 
-// Phase begins a named probe phase and returns the function that ends it.
-// Frame and lifecycle events emitted while a phase is active carry its name,
-// so a rendered trace shows which probe step each frame belongs to. Phases
-// are tracer-global (probes run sequentially within a battery); nesting
-// restores the enclosing phase on end.
+// Phase begins a named probe phase and returns the function that ends it:
+// a start/end marker pair on the bus. Phases may overlap — a battery runs
+// its probes at once — so a phase does not label frames by time; each
+// probe tags the connections it opens with ConnPhase.
 func (t *Tracer) Phase(name string) func() {
 	if t == nil {
 		return func() {}
 	}
-	prev := t.phase.Swap(&name)
 	t.emit(Event{Kind: KindPhaseStart, Phase: name})
-	return func() {
-		t.emit(Event{Kind: KindPhaseEnd, Phase: name})
-		t.phase.Store(prev)
+	return func() { t.emit(Event{Kind: KindPhaseEnd, Phase: name}) }
+}
+
+// ConnPhase tags every later event of connection conn with phase, so a
+// rendered trace shows which probe step each frame belongs to however the
+// probes' connections interleave.
+func (t *Tracer) ConnPhase(conn uint64, phase string) {
+	if t == nil {
+		return
 	}
+	t.phases.Store(conn, phase)
 }
 
 // Region begins a named connection-scoped span and returns the function
-// that ends it. Unlike Phase it does not touch the tracer-global phase
-// state, so concurrent connections can carry independent regions: the pair
+// that ends it. Concurrent connections carry independent regions: the pair
 // of KindPhaseStart/KindPhaseEnd events is stamped with conn and the span
 // builder (internal/obs) matches them by (conn, name). Conn 0 marks a
 // region that precedes connection identity — a TLS handshake performed

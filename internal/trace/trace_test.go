@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -109,26 +110,38 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 }
 
+// TestPhaseAnnotatesEvents pins that a frame carries the phase of its
+// connection, not of whichever phase was opened last: two overlapping
+// phases, each with its own connection, plus one connection never tagged.
 func TestPhaseAnnotatesEvents(t *testing.T) {
 	tr := New(64)
-	conn := tr.ConnID()
-	tr.Frame(conn, true, frame.Header{Type: frame.TypeSettings}) // before any phase
-	end := tr.Phase("multiplexing")
-	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1})
-	inner := tr.Phase("inner")
-	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 1})
-	inner()
-	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 3})
-	end()
-	tr.Frame(conn, true, frame.Header{Type: frame.TypeGoAway}) // after all phases
+	mux, ping, untagged := tr.ConnID(), tr.ConnID(), tr.ConnID()
+	tr.Frame(mux, true, frame.Header{Type: frame.TypeSettings}) // before its tag
+	endMux := tr.Phase("multiplexing")
+	tr.ConnPhase(mux, "multiplexing")
+	endPing := tr.Phase("ping")
+	tr.ConnPhase(ping, "ping")
+	tr.Frame(mux, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1})
+	tr.Frame(ping, true, frame.Header{Type: frame.TypePing})
+	tr.Frame(untagged, true, frame.Header{Type: frame.TypePing})
+	endMux()
+	tr.Frame(ping, false, frame.Header{Type: frame.TypePing, Flags: frame.FlagAck})
+	tr.Frame(mux, false, frame.Header{Type: frame.TypeData, StreamID: 1}) // a late frame keeps its tag
+	endPing()
 
-	var phases []string
+	var phases, markers []string
 	for _, ev := range tr.Snapshot() {
-		if ev.Kind.IsFrame() {
+		switch {
+		case ev.Kind.IsFrame():
 			phases = append(phases, ev.Phase)
+		case ev.Kind == KindPhaseStart || ev.Kind == KindPhaseEnd:
+			markers = append(markers, ev.Kind.String()+" "+ev.Phase)
 		}
 	}
-	want := []string{"", "multiplexing", "inner", "multiplexing", ""}
+	if want := []string{"phase-start multiplexing", "phase-start ping", "phase-end multiplexing", "phase-end ping"}; !slices.Equal(markers, want) {
+		t.Errorf("markers = %q, want %q", markers, want)
+	}
+	want := []string{"", "multiplexing", "ping", "", "ping", "multiplexing"}
 	if len(phases) != len(want) {
 		t.Fatalf("got %d frame events, want %d", len(phases), len(want))
 	}
@@ -157,8 +170,8 @@ func TestRegionEmitsConnScopedMarkers(t *testing.T) {
 	if stop.Kind != KindPhaseEnd || stop.Phase != "dial" || stop.Conn != conn {
 		t.Errorf("region end = %+v", stop)
 	}
-	// Unlike Phase, Region does not annotate interleaved frames: it marks a
-	// conn-scoped interval without touching the tracer-global phase label.
+	// A region does not annotate interleaved frames: it marks a conn-scoped
+	// interval, and only ConnPhase labels a connection's frames.
 	if frameEv.Phase != "" {
 		t.Errorf("frame inside region carries phase %q, want none", frameEv.Phase)
 	}
@@ -206,12 +219,13 @@ func TestConcurrentEmitSnapshot(t *testing.T) {
 			}
 		}(p)
 	}
-	// Phase churn races against producers too.
+	// Phase and tag churn races against producers too.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			end := tr.Phase("p")
+			tr.ConnPhase(uint64(i%producers+1), "p")
 			end()
 		}
 	}()
@@ -250,6 +264,7 @@ func TestExportRoundTrip(t *testing.T) {
 	conn := tr.ConnID()
 	tr.ConnOpen(conn, "round.trip")
 	end := tr.Phase("settings")
+	tr.ConnPhase(conn, "settings")
 	tr.Frame(conn, true, frame.Header{Type: frame.TypeSettings, Length: 12})
 	tr.Frame(conn, false, frame.Header{Type: frame.TypeSettings, Flags: frame.FlagAck})
 	end()
@@ -306,6 +321,7 @@ func TestRenderShowsPhasesAndStreams(t *testing.T) {
 	conn := tr.ConnID()
 	tr.ConnOpen(conn, "render.example")
 	end := tr.Phase("multiplexing")
+	tr.ConnPhase(conn, "multiplexing")
 	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndStream})
 	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 1, Length: 64, Flags: frame.FlagEndStream})
 	end()
@@ -355,6 +371,7 @@ func TestSummarizeCountsRequestStreams(t *testing.T) {
 	conn := tr.ConnID()
 	tr.ConnOpen(conn, "merge.example")
 	end := tr.Phase("settings")
+	tr.ConnPhase(conn, "settings")
 	tr.Frame(conn, true, frame.Header{Type: frame.TypeSettings})
 	tr.Frame(conn, false, frame.Header{Type: frame.TypeSettings, Length: 12})
 	tr.Frame(conn, true, frame.Header{Type: frame.TypeSettings, Flags: frame.FlagAck})
