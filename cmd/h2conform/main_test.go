@@ -12,8 +12,8 @@ func TestBuiltinProfilePassesEveryCheck(t *testing.T) {
 	if err := run([]string{"-profile", "apache"}, &out); err != nil {
 		t.Errorf("run(-profile apache) = %v, want nil", err)
 	}
-	if !strings.Contains(out.String(), "\n33/33 checks passed\n") {
-		t.Errorf("no 33/33 summary line:\n%s", out.String())
+	if !strings.Contains(out.String(), "\n34/34 checks passed\n") {
+		t.Errorf("no 34/34 summary line:\n%s", out.String())
 	}
 }
 

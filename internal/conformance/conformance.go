@@ -250,6 +250,12 @@ func Suite() []Check {
 			Run:         checkHeaderDecodeFailure,
 		},
 		{
+			ID:          "4.3/discarded-block-decoded",
+			Section:     "4.3",
+			Description: "a header block whose stream is refused still updates the decoder's table",
+			Run:         checkDiscardedBlockDecoded,
+		},
+		{
 			ID:          "6.2/headers-on-stream-zero",
 			Section:     "6.2",
 			Description: "HEADERS on stream 0 is a connection error",
@@ -555,6 +561,63 @@ func checkHeaderDecodeFailure(env *Env) (Verdict, string) {
 		// Indexed reference far beyond both tables.
 		return c.WriteHeadersRaw(c.NextStreamID(), []byte{0xff, 0x7f}, true, true)
 	})
+}
+
+// maxHeldStreams bounds how many streams checkDiscardedBlockDecoded holds
+// open to reach the advertised concurrency limit.
+const maxHeldStreams = 1024
+
+func checkDiscardedBlockDecoded(env *Env) (Verdict, string) {
+	c, err := env.connect(h2conn.DefaultOptions())
+	if err != nil {
+		return Skip, err.Error()
+	}
+	defer closeConn(c)
+	settings, err := c.WaitSettings(env.Timeout)
+	if err != nil {
+		return Skip, err.Error()
+	}
+	limit := -1
+	for _, s := range settings.Settings {
+		if s.ID == frame.SettingMaxConcurrentStreams {
+			limit = int(s.Val)
+		}
+	}
+	if limit < 1 || limit > maxHeldStreams {
+		return Skip, fmt.Sprintf("no SETTINGS_MAX_CONCURRENT_STREAMS in 1..%d to exceed", maxHeldStreams)
+	}
+	// Fill the limit with POSTs whose bodies never end, so no slot frees.
+	var holder uint32
+	for i := 0; i < limit; i++ {
+		if holder, err = c.OpenStreamBody(h2conn.Request{Method: "POST", Authority: env.Authority, Path: "/"}); err != nil {
+			return Skip, err.Error()
+		}
+	}
+	// The request past the limit is refused; its block entered smallPath
+	// into the client's table, and the next request refers to it by index.
+	req := h2conn.Request{Authority: env.Authority, Path: smallPath}
+	from := c.Mark()
+	id, err := c.OpenStream(req)
+	if err != nil {
+		return Skip, err.Error()
+	}
+	ev, err := c.Wait(from, env.Timeout, func(e h2conn.Event) bool {
+		return e.StreamID == id && e.Ends() || e.Type == frame.TypeGoAway
+	})
+	if err != nil || ev.Type != frame.TypeRSTStream {
+		return Skip, fmt.Sprintf("stream %d past a limit of %d was not reset (%v, %v)", id, limit, ev.Type, err)
+	}
+	if err := c.WriteRSTStream(holder, frame.ErrCodeCancel); err != nil {
+		return Skip, err.Error()
+	}
+	resp, err := c.FetchBody(req, env.Timeout)
+	if err != nil {
+		return Fail, "request after the refused block: " + err.Error()
+	}
+	if resp.Status() != "200" {
+		return Fail, fmt.Sprintf("request after the refused block drew status %q", resp.Status())
+	}
+	return Pass, ""
 }
 
 func checkHeadersOnStreamZero(env *Env) (Verdict, string) {

@@ -321,7 +321,7 @@ func newStreamOrder(ids []uint32) *streamOrder {
 }
 
 // add folds one event and reports whether every stream of the set has now
-// ended: by END_STREAM on DATA or HEADERS, or by RST_STREAM.
+// ended (Event.Ends).
 func (o *streamOrder) add(e h2conn.Event) bool {
 	for i := range o.spans {
 		sp := &o.spans[i]
@@ -334,9 +334,7 @@ func (o *streamOrder) add(e h2conn.Event) bool {
 			}
 			sp.last = e.Seq
 		}
-		ends := e.Type == frame.TypeRSTStream ||
-			(e.Type == frame.TypeData || e.Type == frame.TypeHeaders) && e.StreamEnded()
-		if ends && !sp.ended {
+		if e.Ends() && !sp.ended {
 			sp.ended = true
 			o.open--
 		}

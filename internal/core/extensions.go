@@ -102,9 +102,7 @@ func (p *Prober) probePingPriority(ctx context.Context, res *ExtensionsResult) e
 	if err != nil {
 		return err
 	}
-	lastData := func(e h2conn.Event) bool {
-		return e.Type == frame.TypeData && e.StreamID == id && e.StreamEnded()
-	}
+	ended := func(e h2conn.Event) bool { return e.StreamID == id && e.Ends() }
 	// Wait for the first DATA so the transfer is in flight (and stalled).
 	if _, err := c.Wait(0, p.cfg.Timeout, func(e h2conn.Event) bool {
 		return e.Type == frame.TypeData && e.StreamID == id
@@ -117,7 +115,7 @@ func (p *Prober) probePingPriority(ctx context.Context, res *ExtensionsResult) e
 	}
 	transferDone := false
 	if _, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
-		transferDone = transferDone || lastData(e)
+		transferDone = transferDone || ended(e)
 		return e.Type == frame.TypePing && e.IsAck() && e.PingData == data
 	}); err != nil {
 		return nil // no ACK while stalled: not prioritized
@@ -129,7 +127,7 @@ func (p *Prober) probePingPriority(ctx context.Context, res *ExtensionsResult) e
 	if err := c.WriteWindowUpdate(id, 1<<20); err != nil {
 		return err
 	}
-	_, _ = c.Wait(0, p.cfg.Timeout, lastData)
+	_, _ = c.Wait(0, p.cfg.Timeout, ended)
 	res.PingAckPrioritized = !transferDone
 	return nil
 }

@@ -98,7 +98,7 @@ func (p *Prober) ProbePriority(ctx context.Context) (*PriorityResult, error) {
 			// Depleted, or the stream ended early (small object or RST):
 			// move on.
 			return drained >= drainTarget ||
-				e.StreamID == id && (e.StreamEnded() || e.Type == frame.TypeRSTStream)
+				e.StreamID == id && e.Ends()
 		})
 	}
 	if drained < drainTarget {

@@ -67,8 +67,16 @@ type Event struct {
 	PromiseID uint32
 }
 
-// StreamEnded reports whether the frame carried END_STREAM.
-func (e Event) StreamEnded() bool { return e.Flags.Has(frame.FlagEndStream) }
+// StreamEnded reports whether a DATA or HEADERS event carried END_STREAM.
+// On other frame types the same bit means something else (ACK on SETTINGS
+// and PING) or nothing.
+func (e Event) StreamEnded() bool {
+	return (e.Type == frame.TypeData || e.Type == frame.TypeHeaders) && e.Flags.Has(frame.FlagEndStream)
+}
+
+// Ends reports whether the event ends its stream: END_STREAM on DATA or
+// HEADERS, or RST_STREAM.
+func (e Event) Ends() bool { return e.StreamEnded() || e.Type == frame.TypeRSTStream }
 
 // IsAck reports whether a SETTINGS or PING event is an acknowledgment.
 func (e Event) IsAck() bool { return e.Flags.Has(frame.FlagAck) }
@@ -821,9 +829,6 @@ func (r *Response) Add(e Event) {
 			r.Headers = e.Headers
 			r.HeaderBlockLen = e.HeaderBlockLen
 		}
-		if e.StreamEnded() {
-			r.EndStream = true
-		}
 	case frame.TypeData:
 		if r.FirstDataSeq < 0 {
 			r.FirstDataSeq = e.Seq
@@ -831,16 +836,14 @@ func (r *Response) Add(e Event) {
 		r.LastDataSeq = e.Seq
 		r.Body = append(r.Body, e.Data...)
 		r.DataFrameSizes = append(r.DataFrameSizes, len(e.Data))
-		if e.StreamEnded() {
-			r.EndStream = true
-		}
 	case frame.TypeRSTStream:
 		code := e.ErrCode
 		r.Reset = &code
 	}
+	r.EndStream = r.EndStream || e.StreamEnded()
 }
 
-// Done reports whether the stream has ended or been reset.
+// Done reports whether the stream has ended or been reset (Event.Ends).
 func (r *Response) Done() bool { return r.EndStream || r.Reset != nil }
 
 // FetchBody opens a stream for req and waits for the complete response; on

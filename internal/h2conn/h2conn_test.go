@@ -715,3 +715,35 @@ func TestLongLivedConnectionSurvivesManyRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyStreamFramesEnd pins the one "stream ended" rule: bit 0x1 is
+// END_STREAM on DATA and HEADERS only — on SETTINGS and PING it is ACK — and
+// RST_STREAM ends a stream whatever its flags.
+func TestOnlyStreamFramesEnd(t *testing.T) {
+	for _, tc := range []struct {
+		typ  frame.Type
+		ends bool
+	}{
+		{frame.TypeData, true},
+		{frame.TypeHeaders, true},
+		{frame.TypeSettings, false},
+		{frame.TypePing, false},
+		{frame.TypePushPromise, false},
+		{frame.TypeWindowUpdate, false},
+	} {
+		e := h2conn.Event{Type: tc.typ, Flags: 0x1, StreamID: 1}
+		if e.StreamEnded() != tc.ends || e.Ends() != tc.ends {
+			t.Errorf("%v with flag 0x1: StreamEnded %v, Ends %v; want %v", tc.typ, e.StreamEnded(), e.Ends(), tc.ends)
+		}
+	}
+	if rst := (h2conn.Event{Type: frame.TypeRSTStream, StreamID: 1}); rst.StreamEnded() || !rst.Ends() {
+		t.Error("RST_STREAM: want Ends and not StreamEnded")
+	}
+	// A PING ACK is not the end of the stream a fold is waiting on.
+	r := h2conn.NewResponse(0)
+	r.Add(h2conn.Event{Type: frame.TypePing, Flags: frame.FlagAck})
+	r.Add(h2conn.Event{Type: frame.TypeSettings, Flags: frame.FlagAck})
+	if r.Done() {
+		t.Error("a PING or SETTINGS ACK on stream 0 ended the stream-0 response view")
+	}
+}

@@ -179,7 +179,7 @@ func LoadWithStats(nc net.Conn, cfg Config, cached []string) (*Stats, error) {
 				}
 			}
 		}
-		if e.StreamEnded() || e.Type == frame.TypeRSTStream {
+		if e.Ends() {
 			delete(owed, e.StreamID)
 		}
 		return len(owed) == 0

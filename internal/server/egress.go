@@ -52,7 +52,7 @@ func (c *conn) flushHeaders() error {
 	// bodyless response ends its stream mid-loop.
 	c.orderScratch = append(c.orderScratch[:0], c.order...)
 	for _, st := range c.orderScratch {
-		if st.respHeaders == nil || st.headersWritten || !c.canSendHeaders(st) {
+		if st.state != stateQueued || !c.canSendHeaders(st) {
 			continue
 		}
 		c.encBuf = c.enc.AppendBlock(c.encBuf[:0], st.respHeaders)
@@ -84,7 +84,7 @@ func (c *conn) flushHeaders() error {
 				return err
 			}
 		}
-		st.headersWritten = true
+		st.state = stateHeadersSent
 		if endStream {
 			c.closeStream(st.id)
 		}
@@ -100,7 +100,7 @@ func (c *conn) ready(id uint32) bool {
 	if !ok {
 		return false
 	}
-	if !st.headersWritten || len(st.body) == 0 || st.window.Available() <= 0 {
+	if st.state < stateHeadersSent || st.window.Available() <= 0 {
 		return false
 	}
 	if c.srv.profile.TinyWindow == TinyWindowZeroData {
@@ -116,7 +116,7 @@ func (c *conn) ready(id uint32) bool {
 // its first DATA quantum — the SchedPriorityFirstOnly predicate.
 func (c *conn) readyFirst(id uint32) bool {
 	st, ok := c.streams[id]
-	return ok && !st.firstSent && c.ready(id)
+	return ok && st.state == stateHeadersSent && c.ready(id)
 }
 
 func (c *conn) flushData() error {
@@ -158,10 +158,9 @@ func (c *conn) pickStream(mode SchedulingMode) *stream {
 		}
 		return nil
 	case SchedPriorityLastOnly:
-		// One eager quantum per stream in arrival order first.
+		// Each stream's first quantum in arrival order, then the tree.
 		for _, st := range c.order {
-			if st.eager && c.ready(st.id) {
-				st.eager = false
+			if st.state == stateHeadersSent && c.ready(st.id) {
 				return st
 			}
 		}
@@ -181,7 +180,7 @@ func (c *conn) pickStream(mode SchedulingMode) *stream {
 		// window-blocked nothing else transmits (true head-of-line
 		// serialization, the anti-pattern multiplexing removes).
 		for _, st := range c.order {
-			if !st.headersWritten || len(st.body) == 0 {
+			if st.state < stateHeadersSent {
 				continue
 			}
 			if c.ready(st.id) {
@@ -234,7 +233,7 @@ func (c *conn) sendQuantum(st *stream) error {
 		return err
 	}
 	st.body = st.body[n:]
-	st.firstSent = true
+	st.state = stateDataSent
 	if end {
 		c.closeStream(st.id)
 	}
@@ -249,7 +248,7 @@ func (c *conn) maybeZeroData() error {
 		return nil
 	}
 	for _, st := range c.order {
-		if !st.headersWritten || len(st.body) == 0 || st.zeroDataSent {
+		if st.state < stateHeadersSent || st.zeroDataSent {
 			continue
 		}
 		avail := st.window.Available()

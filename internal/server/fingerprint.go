@@ -137,8 +137,5 @@ func (c *conn) respondFingerprint(st *stream) {
 		body = []byte("{}")
 	}
 	body = append(body, '\n')
-	st.respHeaders = buildResponseFields(c.srv.profile.Name, "200", "application/json", len(body), nil)
-	st.body = body
-	st.eager = true
-	c.noteQueued(st)
+	c.queue(st, buildResponseFields(c.srv.profile.Name, "200", "application/json", len(body), nil), body)
 }

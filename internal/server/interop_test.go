@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,13 +70,19 @@ func TestInteropNetHTTP(t *testing.T) {
 			client := &http.Client{Transport: tr, Timeout: 10 * time.Second}
 			base := "https://" + l.Addr().String()
 
-			// do sends one request and returns the response with its body read.
-			do := func(method, path string) (*http.Response, []byte, error) {
-				req, err := http.NewRequest(method, base+path, nil)
+			// do sends one request, with a body when reqBody is not empty, and
+			// returns the response with its body read.
+			do := func(method, path, reqBody string, trailer http.Header) (*http.Response, []byte, error) {
+				var rd io.Reader
+				if reqBody != "" {
+					rd = strings.NewReader(reqBody)
+				}
+				req, err := http.NewRequest(method, base+path, rd)
 				if err != nil {
 					return nil, nil, err
 				}
 				req.Host = domain
+				req.Trailer = trailer
 				resp, err := client.Do(req)
 				if err != nil {
 					return nil, nil, err
@@ -92,7 +99,7 @@ func TestInteropNetHTTP(t *testing.T) {
 				wg.Add(1)
 				go func(path string) {
 					defer wg.Done()
-					resp, body, err := do("GET", path)
+					resp, body, err := do("GET", path, "", nil)
 					if err != nil {
 						t.Errorf("GET %s: %v", path, err)
 						return
@@ -106,13 +113,13 @@ func TestInteropNetHTTP(t *testing.T) {
 			}
 			wg.Wait()
 
-			if resp, _, err := do("GET", "/no-such-object"); err != nil || resp.StatusCode != 404 {
+			if resp, _, err := do("GET", "/no-such-object", "", nil); err != nil || resp.StatusCode != 404 {
 				t.Errorf("GET of a missing object: %v, %v; want 404", resp, err)
 			}
 
 			// RFC 7540 section 8.1 with RFC 7231 section 4.3.2: the header
 			// block a GET would draw, content-length included, and no DATA.
-			resp, body, err := do("HEAD", "/large/1")
+			resp, body, err := do("HEAD", "/large/1", "", nil)
 			if err != nil {
 				t.Fatalf("HEAD: %v", err)
 			}
@@ -120,8 +127,20 @@ func TestInteropNetHTTP(t *testing.T) {
 				t.Errorf("HEAD /large/1: status %d, content-length %d, %d body bytes; want 200, 98304, 0",
 					resp.StatusCode, resp.ContentLength, len(body))
 			}
-			if resp, _, err := do("GET", "/about.html"); err != nil || resp.StatusCode != 200 {
+			if resp, _, err := do("GET", "/about.html", "", nil); err != nil || resp.StatusCode != 200 {
 				t.Errorf("GET after HEAD on the same connection: %v, %v", resp, err)
+			}
+
+			// A POST with a body, then one whose body is followed by a trailer
+			// block (RFC 7540 section 8.1): both are answered with the object
+			// the request named.
+			about, _ := site.Lookup("/about.html")
+			for _, trailer := range []http.Header{nil, {"X-Checksum": {"f00d"}}} {
+				resp, body, err := do("POST", "/about.html", "form=1", trailer)
+				if err != nil || resp.StatusCode != 200 || !bytes.Equal(body, about.Body) {
+					t.Errorf("POST /about.html with trailers %v: %v, %d body bytes; want 200 and the site's %d",
+						trailer, err, len(body), len(about.Body))
+				}
 			}
 
 			// Graceful shutdown with the connection idle: GOAWAY(NO_ERROR) is
@@ -136,7 +155,7 @@ func TestInteropNetHTTP(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("Shutdown did not return")
 			}
-			if resp, _, err := do("GET", "/about.html"); err == nil {
+			if resp, _, err := do("GET", "/about.html", "", nil); err == nil {
 				t.Errorf("GET after Shutdown: status %d, want a dial error", resp.StatusCode)
 			}
 			if out := logged.String(); out != "" {

@@ -117,34 +117,11 @@ func (c *conn) settleOnClose() {
 	for _, st := range c.streams {
 		m.activeStreams.Add(-1)
 		m.streamDuration.Observe(int64(time.Since(st.openedAt)))
-		if st.queued {
+		if st.state >= stateQueued {
 			m.egressQueue.Add(-1)
 		}
 	}
 	m.activeConns.Add(-1)
-}
-
-// noteQueued counts st into the egress queue-depth gauge on the transition
-// into having a queued response. Idempotent per stream life.
-func (c *conn) noteQueued(st *stream) {
-	if st.queued {
-		return
-	}
-	st.queued = true
-	if m := c.srv.Metrics; m != nil {
-		m.egressQueue.Add(1)
-	}
-}
-
-// noteDequeued settles st's queue-depth contribution at stream close.
-func (c *conn) noteDequeued(st *stream) {
-	if !st.queued {
-		return
-	}
-	st.queued = false
-	if m := c.srv.Metrics; m != nil {
-		m.egressQueue.Add(-1)
-	}
 }
 
 // noteEgressReady observes the size of the scheduler's eligible set for the
@@ -167,7 +144,7 @@ func (c *conn) noteEgressReady(picked bool) {
 // not yet transmitted — the precondition for a window stall to mean anything.
 func (c *conn) pendingBody() bool {
 	for _, st := range c.streams {
-		if st.headersWritten && len(st.body) > 0 {
+		if st.state >= stateHeadersSent {
 			return true
 		}
 	}
@@ -194,7 +171,7 @@ func (c *conn) noteStreamStalls() {
 		return
 	}
 	for _, st := range c.streams {
-		if st.stalled || !st.headersWritten || len(st.body) == 0 {
+		if st.stalled || st.state < stateHeadersSent {
 			continue
 		}
 		if st.window.Available() <= 0 {

@@ -61,7 +61,7 @@ const (
 	// tree with weighted fair sharing among siblings. H2O, nghttpd, and
 	// Apache behave this way ("pass").
 	SchedPriority
-	// SchedPriorityLastOnly emits one eager quantum per ready stream in
+	// SchedPriorityLastOnly emits each ready stream's first quantum in
 	// arrival order before switching to priority order. The *last* DATA
 	// frame of each stream obeys the tree but the *first* does not —
 	// the most common partially-compliant behavior in the wild (the

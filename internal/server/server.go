@@ -301,40 +301,44 @@ func (s *Server) ServeConn(nc net.Conn) error {
 	return c.serve()
 }
 
+// streamState is where a server stream is in its RFC 7540 section 5.1
+// life. Idle and closed streams are not in conn.streams at all; a stream
+// leaves it when END_STREAM is sent or RST_STREAM is sent or received. From
+// stateHeadersSent on a stream always has body left: flushHeaders and
+// sendQuantum close it the moment the last byte is out.
+type streamState uint8
+
+const (
+	// stateOpen: the request is decoded and its body has not ended.
+	stateOpen streamState = iota
+	// stateQueued: the response is built and its HEADERS is not on the wire
+	// (half-closed (remote), or reserved (local) for a push).
+	stateQueued
+	// stateHeadersSent: HEADERS is on the wire and no DATA has gone yet.
+	stateHeadersSent
+	// stateDataSent: at least one DATA quantum has gone.
+	stateDataSent
+)
+
 // stream is one server-side stream with a pending or in-flight response.
 // Streams are pooled per connection: closeStream recycles them onto the
 // conn's freelist and openStream reuses them, retaining the grown header
 // buffers, so the steady-state request/response cycle allocates nothing.
+// A stream with an even ID is a push.
 type stream struct {
-	id uint32
-	// pushed marks server-initiated (even-ID) streams.
-	pushed bool
+	id    uint32
+	state streamState
 	// window is the server's send window for this stream, embedded by value
 	// so pooled reuse re-arms it with Reset instead of reallocating.
 	window flowcontrol.Window
 	// reqHeaders is the decoded request header list, copied from the conn's
 	// decode scratch into stream-owned (pool-retained) backing.
 	reqHeaders []hpack.HeaderField
-	// reqDone is set once the client half-closed (END_STREAM seen).
-	reqDone bool
 	// respHeaders is the response header list. On the fast path it aliases
 	// the precomputed route table and must never be mutated.
 	respHeaders []hpack.HeaderField
 	// body is the unsent remainder of the response payload.
 	body []byte
-	// headersWritten is set once the response HEADERS frame went out.
-	headersWritten bool
-	// responded is set once a response has been generated for the request.
-	responded bool
-	// eager marks one pending arrival-order quantum for the
-	// SchedPriorityLastOnly mode.
-	eager bool
-	// firstSent is set once the first DATA quantum went out (the
-	// SchedPriorityFirstOnly predicate).
-	firstSent bool
-	// queued tracks the stream's contribution to the egress queue-depth
-	// gauge: set when a response is queued, settled at close.
-	queued bool
 	// zeroDataSent throttles the TinyWindowZeroData behavior to one empty
 	// frame per window state.
 	zeroDataSent bool
@@ -343,23 +347,8 @@ type stream struct {
 	stalled bool
 	// openedAt feeds the stream-duration histogram; zero without Metrics.
 	openedAt time.Time
-	// headerFragment accumulates CONTINUATION payloads for this stream.
-	headerFragment []byte
-	headerDone     bool
-	headerEnd      bool
 	// poolNext links the conn's stream freelist.
 	poolNext *stream
-}
-
-// reset clears st for pooled reuse, keeping the grown reqHeaders and
-// headerFragment backing arrays.
-func (st *stream) reset(id uint32, pushed bool) {
-	*st = stream{
-		id:             id,
-		pushed:         pushed,
-		reqHeaders:     st.reqHeaders[:0],
-		headerFragment: st.headerFragment[:0],
-	}
 }
 
 type conn struct {
@@ -421,9 +410,14 @@ type conn struct {
 	// connStalled marks a counted connection-window stall; re-armed by the
 	// WINDOW_UPDATE that unblocks it.
 	connStalled bool
-	// contStream, when nonzero, is the stream whose header block is being
-	// continued.
-	contStream uint32
+	// The one header block a connection may have open (RFC 7540 section
+	// 6.10): contStream, when nonzero, is its stream; contBuf accumulates
+	// its HEADERS+CONTINUATION fragments; contFlags and contPriority are
+	// what its HEADERS frame carried.
+	contStream   uint32
+	contBuf      []byte
+	contFlags    frame.Flags
+	contPriority frame.PriorityParam
 
 	// traceID is the connection's ID on the trace bus; zero without Trace.
 	traceID uint64
@@ -565,7 +559,7 @@ func (c *conn) step() (stop bool, _ error) {
 		}
 		var se frame.StreamError
 		if errors.As(err, &se) {
-			if c.fr.WriteRSTStream(se.StreamID, se.Code) == nil {
+			if c.resetStream(se.StreamID, se.Code) == nil {
 				_ = c.fr.Flush()
 			}
 			return false, nil
@@ -719,22 +713,65 @@ func (c *conn) handleSettings(f *frame.SettingsFrame) error {
 }
 
 func (c *conn) handleHeaders(f *frame.HeadersFrame) error {
-	id := f.Header().StreamID
-	if id%2 == 0 {
+	if f.Header().StreamID%2 == 0 {
 		return frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "client used even stream ID"}
 	}
-	p := c.srv.profile
-	if f.HasPriority() && f.Priority.StreamDep == id {
+	c.contStream = f.Header().StreamID
+	c.contFlags = f.Header().Flags
+	c.contPriority = f.Priority
+	c.contBuf = append(c.contBuf[:0], f.Fragment...)
+	return c.continueHeaderBlock(f.HeadersEnded())
+}
+
+func (c *conn) handleContinuation(f *frame.ContinuationFrame) error {
+	if c.contStream == 0 {
+		return frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "CONTINUATION without an open header block"}
+	}
+	c.contBuf = append(c.contBuf, f.Fragment...)
+	return c.continueHeaderBlock(f.HeadersEnded())
+}
+
+// continueHeaderBlock tears the connection down when the open header block
+// exceeds maxHeaderBlockBytes — the CONTINUATION-flood bound — and ends the
+// block at END_HEADERS.
+func (c *conn) continueHeaderBlock(ended bool) error {
+	if len(c.contBuf) > maxHeaderBlockBytes {
+		return frame.ConnError{
+			Code:   frame.ErrCodeEnhanceYourCalm,
+			Reason: fmt.Sprintf("header block exceeds %d bytes", maxHeaderBlockBytes),
+		}
+	}
+	if !ended {
+		return nil
+	}
+	return c.endHeaderBlock()
+}
+
+// endHeaderBlock decodes the completed header block first, whatever becomes
+// of its stream: every block moves the connection's HPACK table in step with
+// the client's encoder (RFC 7540 section 4.3). Only then is the block one of
+// four things — a self-dependency the profile reacts to, a refused stream,
+// trailers, or a new request. A block that opens no stream goes no further.
+func (c *conn) endHeaderBlock() error {
+	id, flags := c.contStream, c.contFlags
+	c.contStream = 0
+	fields, err := c.dec.DecodeAppend(c.decFields[:0], c.contBuf)
+	c.decFields = fields
+	if err != nil {
+		return frame.ConnError{Code: frame.ErrCodeCompression, Reason: err.Error()}
+	}
+	if flags.Has(frame.FlagPriority) && c.contPriority.StreamDep == id {
 		return c.reactSelfDependency(id)
 	}
-	if _, exists := c.streams[id]; !exists {
+	st, ok := c.streams[id]
+	if !ok {
 		// RFC 7540 section 5.1.1: the ID of a new stream is above every ID
 		// the client has used; anything else is not a second request.
 		if id <= c.maxSeenClient.Load() {
 			return frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "stream ID not above the highest one used"}
 		}
 		c.maxSeenClient.Store(id)
-		if p.AdvertiseMaxStreams && uint32(c.clientOpen) >= p.MaxConcurrentStreams {
+		if p := &c.srv.profile; p.AdvertiseMaxStreams && uint32(c.clientOpen) >= p.MaxConcurrentStreams {
 			return c.fr.WriteRSTStream(id, frame.ErrCodeRefusedStream)
 		}
 		// Detector stream-cap mitigation: a flagged connection gets a much
@@ -742,83 +779,36 @@ func (c *conn) handleHeaders(f *frame.HeadersFrame) error {
 		if capN := c.streamCap.Load(); capN > 0 && int64(c.clientOpen) >= capN {
 			return c.fr.WriteRSTStream(id, frame.ErrCodeRefusedStream)
 		}
+		st = c.openStream(id)
 	}
-	st := c.openStream(id, false)
-	if f.HasPriority() {
-		if err := c.tree.Update(id, priority.Param{
-			StreamDep: f.Priority.StreamDep,
-			Exclusive: f.Priority.Exclusive,
-			Weight:    f.Priority.Weight,
-		}); err != nil {
-			return c.reactSelfDependency(id)
+	if flags.Has(frame.FlagPriority) {
+		// Cannot fail: the stream is nonzero and not its own parent.
+		_ = c.tree.Update(id, priority.Param{
+			StreamDep: c.contPriority.StreamDep,
+			Exclusive: c.contPriority.Exclusive,
+			Weight:    c.contPriority.Weight,
+		})
+	}
+	if ok {
+		// Trailers (RFC 7540 section 8.1) end the request, which is answered
+		// from the block that opened the stream.
+		if st.state == stateOpen && flags.Has(frame.FlagEndStream) {
+			c.respond(st)
 		}
-	}
-	st.headerFragment = append(st.headerFragment, f.Fragment...)
-	if err := c.checkHeaderBlockBound(st); err != nil {
-		return err
-	}
-	st.headerEnd = f.StreamEnded()
-	if !f.HeadersEnded() {
-		c.contStream = id
 		return nil
-	}
-	return c.finishHeaderBlock(st)
-}
-
-func (c *conn) handleContinuation(f *frame.ContinuationFrame) error {
-	st, ok := c.streams[f.Header().StreamID]
-	if !ok {
-		return frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "CONTINUATION for unknown stream"}
-	}
-	st.headerFragment = append(st.headerFragment, f.Fragment...)
-	if err := c.checkHeaderBlockBound(st); err != nil {
-		return err
-	}
-	if !f.HeadersEnded() {
-		return nil
-	}
-	c.contStream = 0
-	return c.finishHeaderBlock(st)
-}
-
-// checkHeaderBlockBound tears the connection down when one header block's
-// accumulated HEADERS+CONTINUATION fragments exceed maxHeaderBlockBytes —
-// the CONTINUATION-flood bound.
-func (c *conn) checkHeaderBlockBound(st *stream) error {
-	if len(st.headerFragment) > maxHeaderBlockBytes {
-		return frame.ConnError{
-			Code:   frame.ErrCodeEnhanceYourCalm,
-			Reason: fmt.Sprintf("header block exceeds %d bytes", maxHeaderBlockBytes),
-		}
-	}
-	return nil
-}
-
-func (c *conn) finishHeaderBlock(st *stream) error {
-	fields, err := c.dec.DecodeAppend(c.decFields[:0], st.headerFragment)
-	c.decFields = fields
-	st.headerFragment = st.headerFragment[:0]
-	if err != nil {
-		return frame.ConnError{Code: frame.ErrCodeCompression, Reason: err.Error()}
 	}
 	// Copy the field list into stream-owned backing: the decode scratch is
 	// clobbered by the next header block on this connection, and a request
-	// may respond later (POST bodies, deferred dispatch).
+	// may respond later (POST bodies).
 	st.reqHeaders = append(st.reqHeaders[:0], fields...)
-	st.headerDone = true
-	if st.headerEnd {
-		st.reqDone = true
-	}
 	if err := c.fpOnHeaders(fields); err != nil {
 		return err
 	}
-	if st.reqDone || requestMethod(fields) == "GET" {
+	if flags.Has(frame.FlagEndStream) || requestMethod(fields) == "GET" {
 		c.respond(st)
 	}
 	if boost := c.srv.profile.StreamWindowBoost; boost > 0 {
-		if err := c.fr.WriteWindowUpdate(st.id, boost); err != nil {
-			return err
-		}
+		return c.fr.WriteWindowUpdate(id, boost)
 	}
 	return nil
 }
@@ -841,18 +831,15 @@ func requestPath(fields []hpack.HeaderField) string {
 	return "/"
 }
 
-// openStream returns the stream for id, creating (or recycling from the
-// conn's pool) it if new. New streams join the tail of the arrival order.
-func (c *conn) openStream(id uint32, pushed bool) *stream {
-	if st, ok := c.streams[id]; ok {
-		return st
-	}
+// openStream creates the stream for a new id, recycled from the conn's pool
+// when it can be, in stateOpen; it joins the tail of the arrival order.
+func (c *conn) openStream(id uint32) *stream {
 	st := c.streamPool
 	if st != nil {
 		c.streamPool = st.poolNext
-		st.reset(id, pushed)
+		*st = stream{id: id, reqHeaders: st.reqHeaders[:0]}
 	} else {
-		st = &stream{id: id, pushed: pushed}
+		st = &stream{id: id}
 	}
 	// New streams start at the client's advertised initial window size.
 	st.window.Reset(c.clientInitWin)
@@ -866,7 +853,7 @@ func (c *conn) openStream(id uint32, pushed bool) *stream {
 	if !c.tree.Contains(id) {
 		_ = c.tree.Add(id, priority.Param{Weight: priority.DefaultWeight})
 	}
-	if pushed {
+	if id%2 == 0 {
 		c.pushOpen++
 	} else {
 		c.clientOpen++
@@ -888,13 +875,15 @@ func (c *conn) closeStream(id uint32) {
 			break
 		}
 	}
-	c.noteDequeued(st)
 	if m := c.srv.Metrics; m != nil {
+		if st.state >= stateQueued {
+			m.egressQueue.Add(-1)
+		}
 		m.activeStreams.Add(-1)
 		m.streamDuration.Observe(int64(time.Since(st.openedAt)))
 	}
 	c.tree.Remove(id)
-	if st.pushed {
+	if id%2 == 0 {
 		c.pushOpen--
 	} else {
 		c.clientOpen--
@@ -907,14 +896,17 @@ func (c *conn) closeStream(id uint32) {
 	c.streamPool = st
 }
 
-// respond generates the response for a request stream and queues any pushes.
-// Everything but /fp comes from the compiled route table; a path absent from
-// it is a 404.
+// resetStream sends RST_STREAM, which closes the stream (RFC 7540 section
+// 5.1): nothing more is sent on it.
+func (c *conn) resetStream(id uint32, code frame.ErrCode) error {
+	c.closeStream(id)
+	return c.fr.WriteRSTStream(id, code)
+}
+
+// respond builds the response for an open request stream and queues any
+// pushes. Everything but /fp comes from the compiled route table; a path
+// absent from it is a 404.
 func (c *conn) respond(st *stream) {
-	if st.responded {
-		return
-	}
-	st.responded = true
 	path := requestPath(st.reqHeaders)
 	switch {
 	case c.dispatchRequest(st, path):
@@ -922,16 +914,23 @@ func (c *conn) respond(st *stream) {
 		c.respondFingerprint(st)
 	default:
 		e := &c.srv.routes.notFound
-		st.respHeaders = e.fields
-		st.body = e.res.Body
-		st.eager = true
-		c.noteQueued(st)
+		c.queue(st, e.fields, e.res.Body)
 	}
 	// A HEAD response is the header block the GET would draw, content-length
 	// included, and no DATA (RFC 7540 section 8.1, RFC 7231 section 4.3.2):
 	// with no body queued the HEADERS frame carries END_STREAM.
 	if requestMethod(st.reqHeaders) == "HEAD" {
 		st.body = nil
+	}
+}
+
+// queue is a stream's one way into stateQueued, from stateOpen for a request
+// and straight after openStream for a push; the queue-depth gauge counts it
+// here and closeStream takes it back.
+func (c *conn) queue(st *stream, fields []hpack.HeaderField, body []byte) {
+	st.respHeaders, st.body, st.state = fields, body, stateQueued
+	if m := c.srv.Metrics; m != nil {
+		m.egressQueue.Add(1)
 	}
 }
 
@@ -946,11 +945,8 @@ func (c *conn) dispatchRequest(st *stream, path string) bool {
 	if e == nil {
 		return false
 	}
-	st.respHeaders = e.fields
-	st.body = e.res.Body
-	st.eager = true
-	c.noteQueued(st)
-	if len(e.pushes) > 0 && c.srv.profile.EnablePush && c.pushEnabled && !st.pushed {
+	c.queue(st, e.fields, e.res.Body)
+	if len(e.pushes) > 0 && c.srv.profile.EnablePush && c.pushEnabled {
 		c.queuePushes(st, e)
 	}
 	return true
@@ -971,16 +967,12 @@ func (c *conn) queuePushes(parent *stream, e *routeEntry) {
 		if err := c.fr.WritePushPromise(parent.id, promiseID, true, c.encBuf); err != nil {
 			return
 		}
-		ps := c.openStream(promiseID, true)
+		ps := c.openStream(promiseID)
 		// Pushed streams depend on the associated request stream
 		// (RFC 7540 section 5.3.5 default prioritization).
 		_ = c.tree.Update(promiseID, priority.Param{StreamDep: parent.id, Weight: priority.DefaultWeight})
 		target := &rt.entries[pr.target]
-		ps.respHeaders = target.fields
-		ps.body = target.res.Body
-		ps.responded = true
-		ps.eager = true
-		c.noteQueued(ps)
+		c.queue(ps, target.fields, target.res.Body)
 	}
 }
 
@@ -989,15 +981,8 @@ func (c *conn) handleData(f *frame.DataFrame) error {
 	if err := c.recvWindow.Consume(n); err != nil {
 		return frame.ConnError{Code: frame.ErrCodeFlowControl, Reason: "connection flow-control window exceeded"}
 	}
-	st, ok := c.streams[f.Header().StreamID]
-	if !ok {
-		return nil
-	}
-	if f.StreamEnded() {
-		st.reqDone = true
-		if !st.responded && st.headerDone {
-			c.respond(st)
-		}
+	if st, ok := c.streams[f.Header().StreamID]; ok && st.state == stateOpen && f.StreamEnded() {
+		c.respond(st)
 	}
 	return nil
 }
@@ -1005,7 +990,7 @@ func (c *conn) handleData(f *frame.DataFrame) error {
 func (c *conn) reactSelfDependency(id uint32) error {
 	switch c.srv.profile.SelfDependency {
 	case ReactRSTStream:
-		return c.fr.WriteRSTStream(id, frame.ErrCodeProtocol)
+		return c.resetStream(id, frame.ErrCodeProtocol)
 	case ReactGoAway:
 		return c.goAway(frame.ErrCodeProtocol, "stream cannot depend on itself")
 	default:
@@ -1045,7 +1030,7 @@ func (c *conn) handleWindowUpdate(f *frame.WindowUpdateFrame) error {
 		}
 		switch p.ZeroWindowUpdateStream {
 		case ReactRSTStream:
-			return c.fr.WriteRSTStream(id, frame.ErrCodeProtocol)
+			return c.resetStream(id, frame.ErrCodeProtocol)
 		case ReactGoAway:
 			return c.goAway(frame.ErrCodeProtocol, "")
 		default:
@@ -1077,7 +1062,7 @@ func (c *conn) handleWindowUpdate(f *frame.WindowUpdateFrame) error {
 		if errors.Is(err, flowcontrol.ErrWindowOverflow) {
 			switch p.LargeWindowUpdateStream {
 			case ReactRSTStream:
-				return c.fr.WriteRSTStream(id, frame.ErrCodeFlowControl)
+				return c.resetStream(id, frame.ErrCodeFlowControl)
 			case ReactGoAway:
 				return c.goAway(frame.ErrCodeFlowControl, "")
 			default:
