@@ -116,6 +116,39 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
+	// One frame of every type, so each parser is on the gate, not just DATA's.
+	t.Run("ReadFrameEveryType", func(t *testing.T) {
+		var buf bytes.Buffer
+		w := NewFramer(&buf, nil)
+		block := []byte("header block fragment")
+		_ = w.WriteSettings(Setting{ID: SettingInitialWindowSize, Val: 1 << 20}, Setting{ID: SettingMaxFrameSize, Val: 1 << 15})
+		_ = w.WriteSettingsAck()
+		_ = w.WriteHeaders(HeadersParams{StreamID: 1, Fragment: block, Priority: PriorityParam{StreamDep: 3, Weight: 15}})
+		_ = w.WriteContinuation(1, true, block)
+		_ = w.WriteData(1, true, block)
+		_ = w.WritePriority(3, PriorityParam{Exclusive: true, Weight: 7})
+		_ = w.WriteRSTStream(3, ErrCodeCancel)
+		_ = w.WritePing(false, [8]byte{1, 2, 3})
+		_ = w.WriteWindowUpdate(0, 1<<16)
+		_ = w.WritePushPromise(1, 2, true, block)
+		_ = w.WriteGoAway(1, ErrCodeNo, []byte("debug"))
+		wire := buf.Bytes()
+		rd := bytes.NewReader(wire)
+		fr := NewFramer(nil, rd)
+		readAll := func() {
+			rd.Reset(wire)
+			for j := 0; j < 11; j++ {
+				if _, err := fr.ReadFrame(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		readAll()
+		if n := testing.AllocsPerRun(200, readAll); n != 0 {
+			t.Errorf("steady-state ReadFrame allocates %.1f times per 11 frames of every type, want 0", n)
+		}
+	})
+
 	t.Run("WriteData", func(t *testing.T) {
 		fr := NewFramer(io.Discard, nil)
 		payload := bytes.Repeat([]byte{'x'}, size)

@@ -257,7 +257,7 @@ func (fr *Framer) readPayloadBuf(n int) []byte {
 	if n > maxRetainedReadBuf {
 		return make([]byte, n)
 	}
-	//h2lint:ignore hotalloc amortized power-of-two growth; steady state reuses the retained buffer
+	// Amortized power-of-two growth; steady state reuses the retained buffer.
 	fr.readBuf = make([]byte, 1<<bits.Len(uint(n-1)))
 	return fr.readBuf[:n]
 }

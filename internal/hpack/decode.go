@@ -68,7 +68,7 @@ func (d *Decoder) intern(b []byte) string {
 	if s, ok := d.interns[string(b)]; ok {
 		return s
 	}
-	//h2lint:ignore hotalloc one-time copy on an intern miss; repeated field values hit the cache above
+	// One-time copy on an intern miss; repeated field values hit the cache above.
 	s := string(b)
 	if len(s) <= internMaxStringLen && d.internBytes+len(s) <= internBudget {
 		d.interns[s] = s

@@ -100,7 +100,8 @@ func (dt *dynamicTable) evictTo(limit uint32) {
 
 // grow doubles the ring, laying the entries out oldest-first from slot 0.
 func (dt *dynamicTable) grow() {
-	//h2lint:ignore hotalloc amortized doubling up to the most entries the table ever holds; steady-state churn reuses the ring
+	// Amortized doubling up to the most entries the table ever holds;
+	// steady-state churn reuses the ring.
 	ring := make([]HeaderField, max(8, 2*len(dt.ring)))
 	k := copy(ring, dt.ring[dt.head:])
 	copy(ring[k:], dt.ring[:dt.head])

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"sync"
@@ -63,19 +62,13 @@ func parseWants(t *testing.T, pkg *Package) []*wantAnn {
 	return wants
 }
 
-// runGolden runs one analyzer over fixture packages and checks its
-// diagnostics against the fixtures' want annotations, both ways: every
-// diagnostic must be expected, and every expectation must fire.
-func runGolden(t *testing.T, a *Analyzer, fixtures ...string) {
-	t.Helper()
-	var pkgs []*Package
-	var wants []*wantAnn
-	for _, rel := range fixtures {
-		pkg := loadFixture(t, rel)
-		pkgs = append(pkgs, pkg)
-		wants = append(wants, parseWants(t, pkg)...)
-	}
-	for _, d := range Run([]*Analyzer{a}, pkgs) {
+// TestUncheckedErrGolden checks UncheckedErr against the fixture's want
+// annotations both ways: every diagnostic must be expected, and every
+// expectation must fire.
+func TestUncheckedErrGolden(t *testing.T) {
+	pkg := loadFixture(t, "uncheckederr/a")
+	wants := parseWants(t, pkg)
+	for _, d := range UncheckedErr(pkg) {
 		found := false
 		for _, w := range wants {
 			if w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
@@ -95,43 +88,6 @@ func runGolden(t *testing.T, a *Analyzer, fixtures ...string) {
 	}
 }
 
-func TestUncheckedErrGolden(t *testing.T) {
-	runGolden(t, UncheckedErrAnalyzer, "uncheckederr/a")
-}
-
-func TestRetainGolden(t *testing.T) {
-	runGolden(t, RetainAnalyzer, "retain/a")
-}
-
-func TestHotAllocGolden(t *testing.T) {
-	runGolden(t, HotAllocAnalyzer, "hotalloc/internal/frame", "hotalloc/a")
-}
-
-// TestSuppression pins the //h2lint:ignore contract directly: a directive
-// without a reason does not suppress, one with a reason does, and "all"
-// matches every analyzer.
-func TestSuppression(t *testing.T) {
-	base := Diagnostic{Analyzer: "retain", Pos: token.Position{Filename: "x.go", Line: 10, Column: 3}}
-	cases := []struct {
-		name string
-		dir  ignoreDirective
-		want bool
-	}{
-		{"same line", ignoreDirective{analyzer: "retain", reason: "r", file: "x.go", line: 10}, true},
-		{"line above", ignoreDirective{analyzer: "retain", reason: "r", file: "x.go", line: 9}, true},
-		{"wildcard", ignoreDirective{analyzer: "all", reason: "r", file: "x.go", line: 10}, true},
-		{"no reason", ignoreDirective{analyzer: "retain", file: "x.go", line: 10}, false},
-		{"wrong analyzer", ignoreDirective{analyzer: "hotalloc", reason: "r", file: "x.go", line: 10}, false},
-		{"wrong file", ignoreDirective{analyzer: "retain", reason: "r", file: "y.go", line: 10}, false},
-		{"too far", ignoreDirective{analyzer: "retain", reason: "r", file: "x.go", line: 8}, false},
-	}
-	for _, tc := range cases {
-		if got := suppressed(base, []ignoreDirective{tc.dir}); got != tc.want {
-			t.Errorf("%s: suppressed = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // repoPackages loads every package of the real module.
 func repoPackages(t *testing.T) (*Loader, []*Package) {
 	t.Helper()
@@ -142,41 +98,24 @@ func repoPackages(t *testing.T) (*Loader, []*Package) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkgs, err := l.Load("./...")
+	pkgs, err := l.LoadModule()
 	if err != nil {
-		t.Fatalf("Load(./...): %v", err)
+		t.Fatalf("LoadModule: %v", err)
 	}
 	return l, pkgs
 }
 
-// TestRepoClean is the self-clean gate: every analyzer over every package
-// of the real module must produce zero diagnostics.
+// TestRepoClean is the self-clean gate: UncheckedErr over every package of
+// the real module must produce zero diagnostics.
 func TestRepoClean(t *testing.T) {
-	_, pkgs := repoPackages(t)
-	diags := Run(All(), pkgs)
-	for _, d := range diags {
-		t.Errorf("repo not lint-clean: %s", d)
+	l, pkgs := repoPackages(t)
+	for _, p := range pkgs {
+		for _, d := range UncheckedErr(p) {
+			d.Pos.Filename, _ = filepath.Rel(l.ModuleRoot, d.Pos.Filename)
+			t.Errorf("repo not lint-clean: %s", d)
+		}
 	}
-	if len(diags) == 0 && len(pkgs) < 10 {
+	if len(pkgs) < 10 {
 		t.Errorf("suspiciously few packages loaded: %d", len(pkgs))
-	}
-}
-
-// TestAnalyzerRegistry pins the catalog: three analyzers, each documented and
-// under a name of its own (the name selects the analyzer's h2lint flag).
-func TestAnalyzerRegistry(t *testing.T) {
-	all := All()
-	if len(all) != 3 {
-		t.Fatalf("All() returned %d analyzers, want 3", len(all))
-	}
-	names := make(map[string]bool)
-	for _, a := range all {
-		if a.Doc == "" {
-			t.Errorf("analyzer %s has no Doc", a.Name)
-		}
-		if names[a.Name] {
-			t.Errorf("two analyzers named %q", a.Name)
-		}
-		names[a.Name] = true
 	}
 }

@@ -19,8 +19,6 @@ import (
 type Package struct {
 	// Path is the package's import path within the module.
 	Path string
-	// Dir is the absolute directory the package was loaded from.
-	Dir string
 	// Fset is the loader-wide file set (shared across packages).
 	Fset *token.FileSet
 	// Files holds the parsed non-test sources, sorted by file name.
@@ -104,39 +102,14 @@ func findModule(dir string) (root, path string, err error) {
 	}
 }
 
-// Load expands the given patterns and returns the matched packages,
-// type-checked, in deterministic (import path) order. Supported patterns:
-// "./..." (every package under the module root), a directory path relative
-// to the module root or absolute, or an import path within the module.
-// Directories named "testdata", hidden directories, and directories without
-// non-test Go files are skipped during "./..." expansion.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	var dirs []string
-	seen := make(map[string]bool)
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			walked, err := l.walkModule()
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range walked {
-				add(d)
-			}
-		case strings.HasPrefix(pat, l.ModulePath+"/") || pat == l.ModulePath:
-			rel := strings.TrimPrefix(strings.TrimPrefix(pat, l.ModulePath), "/")
-			add(filepath.Join(l.ModuleRoot, rel))
-		case filepath.IsAbs(pat):
-			add(filepath.Clean(pat))
-		default:
-			add(filepath.Join(l.ModuleRoot, filepath.Clean(pat)))
-		}
+// LoadModule returns every package of the module, type-checked, in import
+// path order: every directory under the module root that holds a non-test Go
+// file, skipping testdata, hidden and underscore directories (the go tool's
+// "./..." convention).
+func (l *Loader) LoadModule() ([]*Package, error) {
+	dirs, err := l.walkModule()
+	if err != nil {
+		return nil, err
 	}
 	pkgs := make([]*Package, 0, len(dirs))
 	for _, dir := range dirs {
@@ -150,9 +123,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// walkModule returns every directory under the module root that holds at
-// least one non-test Go file, skipping testdata, hidden, and underscore
-// directories (the same convention the go tool applies to "./...").
+// walkModule returns the directories LoadModule loads.
 func (l *Loader) walkModule() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
@@ -281,7 +252,6 @@ func (l *Loader) loadPath(path, dir string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  path,
-		Dir:   dir,
 		Fset:  l.fset,
 		Files: asts,
 		Types: tpkg,

@@ -12,8 +12,7 @@ import (
 
 // unsetByPrograms lists the settable values no program sets and that stay
 // anyway, each with the test or benchmark that needs it: the seam it is there
-// for (DESIGN.md §8.6). Like //h2lint:ignore, an entry without its reason is
-// not accepted, and neither is one whose reason has since been deleted.
+// for (DESIGN.md §8.6). An entry without its reason is not accepted, and neither is one whose reason has since been deleted.
 var unsetByPrograms = map[string]string{
 	"internal/obs.FlightRecorderConfig.Clock":   "TestFlightRecorderRateLimitAndCap",
 	"internal/scan.Options.Backoff":             "TestRetryScheduleDeterministic",

@@ -8,7 +8,7 @@ import (
 
 // namedTypeIs reports whether t (after stripping pointers and aliases) is
 // the named type with the given package-path suffix and type name. Matching
-// by path suffix instead of exact path keeps analyzers testable: golden
+// by path suffix instead of exact path keeps the check testable: golden
 // fixtures live under testdata/src/... yet mimic real package layouts.
 func namedTypeIs(t types.Type, pathSuffix, name string) bool {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
@@ -158,33 +158,4 @@ func isDeadlineSetter(f *types.Func) bool {
 	}
 	return sig.Results().Len() == 1 &&
 		types.Identical(sig.Results().At(0).Type(), types.Universe.Lookup("error").Type())
-}
-
-// terminatesFlow reports whether stmt unconditionally ends the surrounding
-// flow of control: a return, a panic, or a call that never returns
-// (os.Exit, log.Fatal*, testing's Fatal*).
-func terminatesFlow(info *types.Info, stmt ast.Stmt) bool {
-	switch s := stmt.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the block; the conservative walker
-		// treats them as terminating the path it is tracking.
-		return true
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-			return true
-		}
-		if f := calleeFunc(info, call); f != nil {
-			switch f.Name() {
-			case "Exit", "Fatal", "Fatalf", "Fatalln", "Goexit":
-				return true
-			}
-		}
-	}
-	return false
 }

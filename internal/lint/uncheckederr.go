@@ -1,40 +1,60 @@
+// Package lint is the module's one static check and the loader the tests
+// that read the module's source share. It is built on the standard
+// library's go/parser, go/ast and go/types alone.
+//
+// UncheckedErr is here because a seeded defect of its kind — a silently
+// dropped Framer, deadline or store error — is reported by it and by no test
+// (DESIGN.md §8.5): a dropped Framer error turns "the server rejected our
+// provocation" into "the server ignored it", a corrupted measurement rather
+// than a crash. TestRepoClean runs it over every package of the module in
+// `go test ./...`; there is no separate driver.
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
-// UncheckedErrAnalyzer flags silently discarded error returns from the I/O
-// surfaces a probe's verdict depends on: frame.Framer read, write and flush
-// methods, h2conn.Conn frame senders, net.Conn deadline setters, and
-// http.ResponseWriter bodies (the metrics exposition endpoint). A dropped
-// Framer error turns "the server rejected our provocation" into "the server
-// ignored it" — a corrupted measurement, not a crash — and a dropped
-// ResponseWriter.Write error serves a truncated /metrics scrape as if it
-// were complete.
+// Diagnostic is one finding.
+type Diagnostic struct {
+	Pos     token.Position
+	Message string
+}
+
+// String renders the diagnostic vet-style.
+func (d Diagnostic) String() string {
+	return fmt.Sprintf("%s:%d:%d: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
+}
+
+// UncheckedErr reports, in source order, the silently discarded error
+// returns in pkg from the I/O surfaces a probe's verdict depends on:
+// frame.Framer read, write and flush methods, h2conn.Conn frame senders,
+// net.Conn deadline setters, and http.ResponseWriter bodies (the metrics
+// exposition endpoint, where a dropped error serves a truncated scrape as
+// if it were complete).
 //
 // The same treatment covers the results side of the measurement pipeline: a
 // dropped store.Writer.Append error loses a census record after the probe
-// already paid for it, a dropped metrics.DebugServer.Close error
-// hides a wedged observability endpoint, and a trace.Tracer.Subscribe whose
-// *Subscription result is discarded leaks a live bus subscription that can
-// never be closed.
+// already paid for it, a dropped metrics.DebugServer.Close error hides a
+// wedged observability endpoint, a dropped obs.FlightRecorder Dump or Close
+// error loses the evidence the recorder exists to keep, and a
+// trace.Tracer.Subscribe whose *Subscription result is discarded leaks a
+// live bus subscription that can never be closed.
 //
-// Only implicit discards are flagged (a call in statement position, or
+// Only implicit discards are reported (a call in statement position, or
 // under go/defer where the result is unrecoverable). An explicit `_ =`
 // assignment is an acknowledged discard and passes: the codebase uses it
 // where an error is genuinely uninteresting (best-effort ACKs, teardown).
-var UncheckedErrAnalyzer = &Analyzer{
-	Name: "uncheckederr",
-	Doc:  "flags ignored error returns from Framer read/write/flush, h2conn.Conn senders, deadline setters, store/metrics writers, and discarded trace subscriptions",
-	Run:  runUncheckedErr,
-}
-
-func runUncheckedErr(pass *Pass) {
-	info := pass.TypesInfo()
-	for _, file := range pass.Files() {
+func UncheckedErr(pkg *Package) []Diagnostic {
+	var diags []Diagnostic
+	report := func(pos token.Pos, format string, args ...any) {
+		diags = append(diags, Diagnostic{Pos: pkg.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
+	}
+	info := pkg.Info
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var call *ast.CallExpr
 			verb := ""
@@ -54,18 +74,19 @@ func runUncheckedErr(pass *Pass) {
 				return true
 			}
 			if isDiscardedSubscription(f) {
-				pass.Reportf(call.Pos(), "%s(*trace.Tracer).Subscribe: the returned Subscription is discarded and can never be closed — it leaks from the bus", verb)
+				report(call.Pos(), "%s(*trace.Tracer).Subscribe: the returned Subscription is discarded and can never be closed — it leaks from the bus", verb)
 				return true
 			}
 			if !returnsError(info, call) {
 				return true
 			}
 			if why := errCriticalCall(info, call, f); why != "" {
-				pass.Reportf(call.Pos(), "%s%s: error return is silently discarded (handle it or assign to _ explicitly)", verb, why)
+				report(call.Pos(), "%s%s: error return is silently discarded (handle it or assign to _ explicitly)", verb, why)
 			}
 			return true
 		})
 	}
+	return diags
 }
 
 // errCriticalCall classifies a call whose error must not be dropped,
@@ -118,7 +139,7 @@ func errCriticalCall(info *types.Info, call *ast.CallExpr, f *types.Func) string
 }
 
 // isDiscardedSubscription reports whether call is a Subscribe returning a
-// *trace.Subscription whose result is being thrown away (the analyzer only
+// *trace.Subscription whose result is being thrown away (UncheckedErr only
 // sees the call in statement/go/defer position, so reaching here means the
 // result is unrecoverable).
 func isDiscardedSubscription(f *types.Func) bool {

@@ -150,8 +150,6 @@ func (t *Tree) get(id uint32) *node {
 
 // Add inserts stream id with the given prioritization, as carried by a
 // HEADERS frame. Adding an existing stream reprioritizes it.
-//
-//h2:hotpath — every request stream passes through Add on HEADERS.
 func (t *Tree) Add(id uint32, p Param) error {
 	if id == 0 {
 		return fmt.Errorf("priority: cannot add stream 0")
@@ -197,8 +195,6 @@ func (t *Tree) reparent(n *node, p Param) {
 // Remove closes stream id. Its children are reassigned to its parent,
 // keeping their weights (a simplification of the proportional redistribution
 // RFC 7540 section 5.3.4 suggests; ordering-relevant structure is preserved).
-//
-//h2:hotpath — every request stream passes through Remove on close.
 func (t *Tree) Remove(id uint32) {
 	i, ok := t.search(id)
 	if !ok {
@@ -277,8 +273,6 @@ func (t *Tree) Eligible(ready func(uint32) bool) []uint32 {
 // AppendEligible is the allocation-free form of Eligible: it appends the
 // eligible set to dst (sorted ascending) and returns the extended slice.
 // Callers on the hot path pass a retained scratch slice truncated to zero.
-//
-//h2:hotpath
 func (t *Tree) AppendEligible(dst []uint32, ready func(uint32) bool) []uint32 {
 	for _, n := range t.byID {
 		if t.eligible(n, ready) {
@@ -362,8 +356,6 @@ func NewScheduler(tree *Tree) *Scheduler {
 // with the highest credit wins (ties break toward the lowest stream ID),
 // and the winner is charged the total weight of the round. A lone eligible
 // stream is charged what it just earned, so its credit does not move.
-//
-//h2:hotpath — runs once per egress quantum under load.
 func (s *Scheduler) Pick(ready func(uint32) bool) (uint32, bool) {
 	var (
 		best  *node

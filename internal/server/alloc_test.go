@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,12 +12,11 @@ import (
 	"h2scope/internal/metrics"
 )
 
-// This file is the dynamic half of the server's zero-alloc gate: the static
-// half is the hotalloc analyzer over the //h2:hotpath roots (dispatchRequest,
-// flushEgress, the route-table lookup). TestServerHotPathAllocs drives a full
-// request/response round — HEADERS in, route dispatch, HEADERS+DATA out,
-// stream close and recycle — through the real serve-step machinery and pins
-// it at 0 allocs/op steady state.
+// This file is the server's zero-alloc gate. TestServerHotPathAllocs drives
+// a full request/response round — HEADERS in, route dispatch, HEADERS (and
+// CONTINUATION) + DATA out, stream close and recycle — through the real
+// serve-step machinery in every scheduling mode and pins it at 0 allocs/op
+// steady state.
 
 // replayConn is a scripted net.Conn: Read serves the queued chunks one call
 // at a time (so the serve loop's buffered reader sees exactly one frame per
@@ -118,14 +118,16 @@ func stepOK(t testing.TB, c *conn) {
 	}
 }
 
-// TestServerHotPathAllocs pins the full server request path at 0 allocs/op:
-// HEADERS dispatch through the compiled route table, response HEADERS+DATA
-// egress through the priority scheduler, stream close into the pool, plus
-// the WINDOW_UPDATE replenishing the connection window. Instrumented
-// (Metrics attached) to prove the gauges and histograms are clean too.
-func TestServerHotPathAllocs(t *testing.T) {
+// serverRoundAllocs is one TestServerHotPathAllocs row over a scripted conn.
+func serverRoundAllocs(t *testing.T, mode SchedulingMode, tiny TinyWindowBehavior) {
 	site := DefaultSite("testbed.example")
-	srv := New(NghttpdProfile(), site)
+	// A 40,000-octet value Huffman-codes to 25,000 octets, past the 16,384-
+	// octet frame limit: every response on this route ends in CONTINUATION.
+	site.Add(&Resource{Path: "/split", ContentType: "text/plain", Body: []byte("split"),
+		ExtraHeaders: []hpack.HeaderField{{Name: "x-pad", Value: strings.Repeat("a", 40000)}}})
+	p := NghttpdProfile()
+	p.Scheduling, p.TinyWindow = mode, tiny
+	srv := New(p, site)
 	srv.Metrics = NewMetrics(metrics.NewRegistry())
 
 	nc := &replayConn{}
@@ -157,7 +159,7 @@ func TestServerHotPathAllocs(t *testing.T) {
 	if !ok {
 		t.Fatalf("missing %s", path)
 	}
-	bodyLen := uint32(len(res.Body))
+	bodyLen := uint32(len(res.Body) + len("split"))
 
 	enc := hpack.NewEncoder(hpack.PolicyNoDynamicInsert)
 	// Pregenerate all request frames: client-side encoding must not count
@@ -169,18 +171,20 @@ func TestServerHotPathAllocs(t *testing.T) {
 	var requests [][]byte
 	var updates [][]byte
 	for i := 0; i < warmup+runs+1; i++ {
-		requests = append(requests, encodeRequest(t, enc, streamID, path))
+		requests = append(requests, encodeRequest(t, enc, streamID, path), encodeRequest(t, enc, streamID+2, "/split"))
 		updates = append(updates, clientFrames(t, func(fr *frame.Framer) {
 			if err := fr.WriteWindowUpdate(0, bodyLen); err != nil {
 				t.Fatal(err)
 			}
 		}))
-		streamID += 2
+		streamID += 4
 	}
 
 	i := 0
 	round := func() {
-		nc.push(requests[i])
+		nc.push(requests[2*i])
+		stepOK(t, c)
+		nc.push(requests[2*i+1])
 		stepOK(t, c)
 		nc.push(updates[i])
 		stepOK(t, c)
@@ -191,6 +195,9 @@ func TestServerHotPathAllocs(t *testing.T) {
 	}
 	if len(c.streams) != 0 {
 		t.Fatalf("streams not drained after warmup: %d open", len(c.streams))
+	}
+	if len(c.encBuf) <= int(c.maxSendFrame) {
+		t.Fatalf("/split's header block is %d octets: it did not need CONTINUATION", len(c.encBuf))
 	}
 	written := nc.writtenBytes
 	if written == 0 {
@@ -204,11 +211,25 @@ func TestServerHotPathAllocs(t *testing.T) {
 	if nc.writtenBytes <= written {
 		t.Fatal("no response bytes written during measured runs")
 	}
+}
+
+// TestServerHotPathAllocs pins the full server request path at 0 allocs/op:
+// HEADERS dispatch through the compiled route table, response HEADERS+DATA
+// egress under each scheduling mode, stream close into the pool, plus the
+// WINDOW_UPDATE replenishing the connection window. Instrumented (Metrics
+// attached) to prove the gauges and histograms are clean too.
+func TestServerHotPathAllocs(t *testing.T) {
+	for _, mode := range []SchedulingMode{SchedRoundRobin, SchedPriority, SchedPriorityLastOnly, SchedPriorityFirstOnly, SchedSequential} {
+		for _, tiny := range []TinyWindowBehavior{TinyWindowComply, TinyWindowZeroData} {
+			t.Run(mode.String()+"/"+tinyWindowNames[tiny], func(t *testing.T) { serverRoundAllocs(t, mode, tiny) })
+		}
+	}
 
 	// The same gate on the framer's reference path, which only a real
 	// *net.TCPConn selects: one 96 KiB GET in, HEADERS + six 16 KiB DATA
 	// frames out in one vectored write.
 	t.Run("tcp", func(t *testing.T) {
+		const warmup, runs = 32, 400
 		rig := newEgressRig(t, 1, false)
 		for w := 0; w < warmup; w++ {
 			rig.round(t)

@@ -16,14 +16,11 @@ import (
 // reproduce the partially-compliant behaviors of the paper's Table III.
 //
 // Everything here is steady-state per-request work and allocation-free:
-// the //h2:hotpath roots below put the whole file under the hotalloc
-// analyzer, and TestHotPathAllocs pins the dynamic complement at
-// 0 allocs/op.
+// TestServerHotPathAllocs pins it at 0 allocs/op in every scheduling mode,
+// CONTINUATION split included.
 
 // flushEgress runs one egress scheduling pass: response headers first, then
 // DATA quanta until windows or readiness run out.
-//
-//h2:hotpath — the egress entry point, run once per handled input batch.
 func (c *conn) flushEgress() error {
 	if err := c.flushHeaders(); err != nil {
 		return err

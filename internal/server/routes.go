@@ -106,8 +106,6 @@ func (rt *routeTable) index(path string) int {
 }
 
 // lookup binary-searches the table by request path.
-//
-//h2:hotpath — the per-request route dispatch.
 func (rt *routeTable) lookup(path string) *routeEntry {
 	if i := rt.index(path); i >= 0 {
 		return &rt.entries[i]

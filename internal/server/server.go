@@ -938,8 +938,6 @@ func (c *conn) queue(st *stream, fields []hpack.HeaderField, body []byte) {
 // the prebuilt response, reporting false on a table miss. This is the
 // zero-alloc HEADERS→response dispatch: a binary search, slice aliasing,
 // and gauge arithmetic — no maps, no string churn.
-//
-//h2:hotpath — the per-request dispatch entry point.
 func (c *conn) dispatchRequest(st *stream, path string) bool {
 	e := c.srv.routes.lookup(path)
 	if e == nil {
