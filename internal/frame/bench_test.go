@@ -124,7 +124,7 @@ func TestHotPathAllocs(t *testing.T) {
 		_ = w.WriteSettings(Setting{ID: SettingInitialWindowSize, Val: 1 << 20}, Setting{ID: SettingMaxFrameSize, Val: 1 << 15})
 		_ = w.WriteSettingsAck()
 		_ = w.WriteHeaders(HeadersParams{StreamID: 1, Fragment: block, Priority: PriorityParam{StreamDep: 3, Weight: 15}})
-		_ = w.WriteContinuation(1, true, block)
+		_ = w.WriteRawFrame(TypeContinuation, FlagEndHeaders, 1, block)
 		_ = w.WriteData(1, true, block)
 		_ = w.WritePriority(3, PriorityParam{Exclusive: true, Weight: 7})
 		_ = w.WriteRSTStream(3, ErrCodeCancel)
@@ -146,6 +146,38 @@ func TestHotPathAllocs(t *testing.T) {
 		readAll()
 		if n := testing.AllocsPerRun(200, readAll); n != 0 {
 			t.Errorf("steady-state ReadFrame allocates %.1f times per 11 frames of every type, want 0", n)
+		}
+	})
+
+	// A block split across HEADERS and two CONTINUATIONs, read and assembled.
+	t.Run("AssembleSplitBlock", func(t *testing.T) {
+		var buf bytes.Buffer
+		w := NewFramer(&buf, nil)
+		block := bytes.Repeat([]byte{0x40}, 3*size)
+		_ = w.WriteHeaders(HeadersParams{StreamID: 1, Fragment: block, EndHeaders: true, MaxFrameSize: size})
+		wire := buf.Bytes()
+		rd := bytes.NewReader(wire)
+		fr := NewFramer(nil, rd)
+		var hb HeaderBlock
+		readAll := func() {
+			rd.Reset(wire)
+			var f Frame
+			for j := 0; j < 3; j++ {
+				r, err := fr.ReadFrame()
+				if err == nil {
+					f, err = hb.Add(r)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if h, ok := f.(*HeadersFrame); !ok || len(h.Fragment) != len(block) {
+				t.Fatalf("assembled %v, want one %d-octet HEADERS block", f, len(block))
+			}
+		}
+		readAll()
+		if n := testing.AllocsPerRun(200, readAll); n != 0 {
+			t.Errorf("steady-state read and assembly of a split block allocates %.1f times, want 0", n)
 		}
 	})
 

@@ -2,8 +2,9 @@
 // RFC 7540 sections 4 and 6.
 //
 // It provides typed representations of all ten frame types, a Framer for
-// reading and writing frames on a net.Conn (or any io.ReadWriter), and the
-// RFC 7540 error-code vocabulary. The package deliberately exposes enough
+// reading and writing frames on a net.Conn (or any io.ReadWriter), a
+// HeaderBlock that assembles header blocks across CONTINUATION frames, and
+// the RFC 7540 error-code vocabulary. The package deliberately exposes enough
 // rope to send frames a well-behaved client never would — zero-increment
 // WINDOW_UPDATEs, self-dependent PRIORITY frames, oversized windows —
 // because the H2Scope probing methodology requires injecting exactly those

@@ -322,8 +322,8 @@ func TestWindowUpdateRoundTripIncludingZero(t *testing.T) {
 func TestContinuationRoundTrip(t *testing.T) {
 	fr, _ := pipeFramer()
 	frag := []byte("rest of header block")
-	if err := fr.WriteContinuation(7, true, frag); err != nil {
-		t.Fatalf("WriteContinuation: %v", err)
+	if err := fr.WriteRawFrame(TypeContinuation, FlagEndHeaders, 7, frag); err != nil {
+		t.Fatalf("WriteRawFrame: %v", err)
 	}
 	f := readOne(t, fr).(*ContinuationFrame)
 	if !f.HeadersEnded() {
@@ -331,6 +331,73 @@ func TestContinuationRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(f.Fragment, frag) {
 		t.Errorf("Fragment = %q, want %q", f.Fragment, frag)
+	}
+}
+
+// TestSplitHeaderBlockIsOneWrite: WriteHeaders splits a block longer than the
+// peer's frame size across CONTINUATION frames under one hold of the write
+// lock, so a GOAWAY written from another goroutine never lands between
+// HEADERS and END_HEADERS; read back, the blocks assemble whole. Without a
+// GOAWAY, the bytes are what separate HEADERS and CONTINUATION writes give.
+func TestSplitHeaderBlockIsOneWrite(t *testing.T) {
+	block := bytes.Repeat([]byte{0x40}, 3*DefaultMaxFrameSize+100)
+	var want, got bytes.Buffer
+	wf := NewFramer(&want, nil)
+	_ = wf.WriteHeaders(HeadersParams{StreamID: 1, Fragment: block[:DefaultMaxFrameSize], EndStream: true})
+	rest := block[DefaultMaxFrameSize:]
+	for ; len(rest) > DefaultMaxFrameSize; rest = rest[DefaultMaxFrameSize:] {
+		_ = wf.WriteRawFrame(TypeContinuation, 0, 1, rest[:DefaultMaxFrameSize])
+	}
+	_ = wf.WriteRawFrame(TypeContinuation, FlagEndHeaders, 1, rest)
+	_ = NewFramer(&got, nil).WriteHeaders(HeadersParams{StreamID: 1, Fragment: block, EndStream: true, EndHeaders: true, MaxFrameSize: DefaultMaxFrameSize})
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("a split block's bytes differ from separate HEADERS and CONTINUATION writes")
+	}
+
+	const blocks, goAways = 50, 200
+	var wire bytes.Buffer
+	fr := NewFramer(&wire, nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < goAways; i++ {
+			_ = fr.WriteGoAway(1, ErrCodeNo, nil)
+		}
+	}()
+	prio := PriorityParam{StreamDep: 3, Weight: 7}
+	for i := 0; i < blocks; i++ {
+		_ = fr.WriteHeaders(HeadersParams{StreamID: 1, Fragment: block, EndHeaders: true, Priority: prio, MaxFrameSize: DefaultMaxFrameSize})
+	}
+	<-done
+	rd := NewFramer(nil, &wire)
+	var hb HeaderBlock
+	var nBlocks, nGoAways int
+	for {
+		f, err := rd.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			if f.Header().Length > DefaultMaxFrameSize {
+				t.Fatalf("%v exceeds the frame size", f.Header())
+			}
+			f, err = hb.Add(f)
+		}
+		if err != nil {
+			t.Fatalf("after %d blocks and %d GOAWAYs: %v", nBlocks, nGoAways, err)
+		}
+		switch f := f.(type) {
+		case *HeadersFrame:
+			if !bytes.Equal(f.Fragment, block) || f.Priority != prio {
+				t.Fatalf("block %d assembled to %d octets, priority %+v", nBlocks, len(f.Fragment), f.Priority)
+			}
+			nBlocks++
+		case *GoAwayFrame:
+			nGoAways++
+		}
+	}
+	if nBlocks != blocks || nGoAways != goAways {
+		t.Fatalf("read %d blocks and %d GOAWAYs, want %d and %d", nBlocks, nGoAways, blocks, goAways)
 	}
 }
 

@@ -647,25 +647,38 @@ type HeadersParams struct {
 	Fragment []byte
 	// EndStream sets END_STREAM.
 	EndStream bool
-	// EndHeaders sets END_HEADERS.
+	// EndHeaders sets END_HEADERS on the block's last frame.
 	EndHeaders bool
 	// Priority, when non-zero, is encoded with FlagPriority.
 	Priority PriorityParam
+	// MaxFrameSize, when nonzero, is the peer's SETTINGS_MAX_FRAME_SIZE: a
+	// Fragment that does not fit in one frame goes on in CONTINUATION frames.
+	MaxFrameSize uint32
 }
 
-// WriteHeaders writes a HEADERS frame.
+// WriteHeaders writes a HEADERS frame, and the CONTINUATION frames that carry
+// the rest of a fragment longer than p.MaxFrameSize. The whole block is
+// written under one hold of the write lock, so no frame written from another
+// goroutine — a GOAWAY from Shutdown — lands inside it (RFC 7540 section
+// 6.10).
 func (fr *Framer) WriteHeaders(p HeadersParams) error {
 	fr.wmu.Lock()
 	defer fr.wmu.Unlock()
+	frag, rest := p.Fragment, []byte(nil)
 	var flags Flags
 	if p.EndStream {
 		flags |= FlagEndStream
 	}
-	if p.EndHeaders {
-		flags |= FlagEndHeaders
-	}
+	first := int(p.MaxFrameSize)
 	if !p.Priority.IsZero() {
 		flags |= FlagPriority
+		first = max(first-5, 0) // the priority fields ride in the first frame
+	}
+	if p.MaxFrameSize > 0 && len(frag) > first {
+		frag, rest = frag[:first], frag[first:]
+	}
+	if p.EndHeaders && len(rest) == 0 {
+		flags |= FlagEndHeaders
 	}
 	fr.startWrite(TypeHeaders, flags, p.StreamID)
 	if !p.Priority.IsZero() {
@@ -676,8 +689,19 @@ func (fr *Framer) WriteHeaders(p HeadersParams) error {
 		fr.writeUint32(dep)
 		fr.wbuf = append(fr.wbuf, p.Priority.Weight)
 	}
-	fr.wbuf = append(fr.wbuf, p.Fragment...)
-	return fr.endWrite()
+	for {
+		fr.wbuf = append(fr.wbuf, frag...)
+		if err := fr.endWrite(); err != nil || len(rest) == 0 {
+			return err
+		}
+		frag = rest[:min(len(rest), int(p.MaxFrameSize))]
+		rest = rest[len(frag):]
+		flags = 0
+		if p.EndHeaders && len(rest) == 0 {
+			flags = FlagEndHeaders
+		}
+		fr.startWrite(TypeContinuation, flags, p.StreamID)
+	}
 }
 
 // WritePriority writes a PRIORITY frame. It happily encodes self-dependent
@@ -770,19 +794,6 @@ func (fr *Framer) WriteWindowUpdate(streamID, increment uint32) error {
 	defer fr.wmu.Unlock()
 	fr.startWrite(TypeWindowUpdate, 0, streamID)
 	fr.writeUint32(increment & MaxStreamID)
-	return fr.endWrite()
-}
-
-// WriteContinuation writes a CONTINUATION frame.
-func (fr *Framer) WriteContinuation(streamID uint32, endHeaders bool, fragment []byte) error {
-	fr.wmu.Lock()
-	defer fr.wmu.Unlock()
-	var flags Flags
-	if endHeaders {
-		flags |= FlagEndHeaders
-	}
-	fr.startWrite(TypeContinuation, flags, streamID)
-	fr.wbuf = append(fr.wbuf, fragment...)
 	return fr.endWrite()
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // fuzzSeeds returns one valid wire encoding of every frame type (plus an
-// unknown type), written by the package's own write path so the corpus stays
-// in sync with the encoder.
+// unknown type and a split header block), written by the package's own write
+// path so the corpus stays in sync with the encoder.
 func fuzzSeeds() [][]byte {
 	frames := []func(fr *Framer) error{
 		func(fr *Framer) error { return fr.WriteData(1, true, []byte("hello, world")) },
@@ -34,8 +34,12 @@ func fuzzSeeds() [][]byte {
 		func(fr *Framer) error { return fr.WritePing(false, [8]byte{1, 2, 3, 4, 5, 6, 7, 8}) },
 		func(fr *Framer) error { return fr.WriteGoAway(7, ErrCodeProtocol, []byte("bye")) },
 		func(fr *Framer) error { return fr.WriteWindowUpdate(0, 1<<16) },
-		func(fr *Framer) error { return fr.WriteContinuation(3, true, []byte{0x84}) },
+		func(fr *Framer) error { return fr.WriteRawFrame(TypeContinuation, FlagEndHeaders, 3, []byte{0x84}) },
 		func(fr *Framer) error { return fr.WriteRawFrame(Type(0xfa), 0x55, 9, []byte{0xde, 0xad}) },
+		// A block split across HEADERS and two CONTINUATIONs.
+		func(fr *Framer) error {
+			return fr.WriteHeaders(HeadersParams{StreamID: 5, Fragment: bytes.Repeat([]byte{0x82}, 40), EndHeaders: true, MaxFrameSize: 16})
+		},
 	}
 	seeds := make([][]byte, 0, len(frames)+1)
 	var all bytes.Buffer
@@ -54,7 +58,9 @@ func fuzzSeeds() [][]byte {
 // FuzzReadFrame feeds arbitrary bytes to the frame reader. ReadFrame must
 // never panic, and every frame it does accept must survive a semantic
 // decode -> encode -> decode round trip (the write path normalizes padding
-// away, so raw bytes are not compared).
+// away, so raw bytes are not compared). Every frame also goes through a
+// HeaderBlock, which must never hand out a CONTINUATION or a block without
+// END_HEADERS, nor keep more than maxHeaderBlockBytes.
 func FuzzReadFrame(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -66,8 +72,16 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFramer(io.Discard, bytes.NewReader(data))
 		fr.SetMaxReadFrameSize(DefaultMaxFrameSize) // bound per-frame allocation
+		var hb HeaderBlock
 		for {
 			frm, err := fr.ReadFrame()
+			if err == nil {
+				checkRoundTrip(t, frm)
+				frm, err = hb.Add(frm)
+			}
+			if len(hb.buf) > maxHeaderBlockBytes {
+				t.Fatalf("HeaderBlock keeps %d octets", len(hb.buf))
+			}
 			if err != nil {
 				// Protocol errors consume the whole frame, so the reader
 				// stays aligned and can continue; anything else ends the
@@ -79,7 +93,14 @@ func FuzzReadFrame(f *testing.F) {
 				}
 				return
 			}
-			checkRoundTrip(t, frm)
+			switch f := frm.(type) {
+			case *ContinuationFrame:
+				t.Fatalf("HeaderBlock handed out %v", f.Header())
+			case *HeadersFrame, *PushPromiseFrame:
+				if !f.Header().Flags.Has(FlagEndHeaders) {
+					t.Fatalf("HeaderBlock handed out %v without END_HEADERS", f.Header())
+				}
+			}
 		}
 	})
 }
@@ -122,7 +143,7 @@ func checkRoundTrip(t *testing.T, frm Frame) {
 	case *WindowUpdateFrame:
 		err = fw.WriteWindowUpdate(f.Header().StreamID, f.Increment)
 	case *ContinuationFrame:
-		err = fw.WriteContinuation(f.Header().StreamID, f.HeadersEnded(), f.Fragment)
+		err = fw.WriteRawFrame(TypeContinuation, f.Header().Flags&FlagEndHeaders, f.Header().StreamID, f.Fragment)
 	case *UnknownFrame:
 		err = fw.WriteRawFrame(f.Header().Type, f.Header().Flags, f.Header().StreamID, f.Payload)
 	default:

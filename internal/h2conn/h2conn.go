@@ -38,16 +38,16 @@ type Event struct {
 	Seq int
 	// At is the receive time.
 	At time.Time
-	// Type, Flags, StreamID and PayloadLen mirror the frame header.
-	Type       frame.Type
-	Flags      frame.Flags
-	StreamID   uint32
-	PayloadLen int
+	// Type, Flags and StreamID mirror the frame header; a header block's
+	// are its opening frame's, with END_HEADERS set.
+	Type     frame.Type
+	Flags    frame.Flags
+	StreamID uint32
 
 	// Data is the DATA payload (padding removed).
 	Data []byte
 	// Headers is the decoded header list of a HEADERS or PUSH_PROMISE
-	// block, set on the frame that carries END_HEADERS.
+	// block, logged once the block is whole.
 	Headers []hpack.HeaderField
 	// HeaderBlockLen is the total encoded size of the header block.
 	HeaderBlockLen int
@@ -176,14 +176,10 @@ type Conn struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// dec decodes response header blocks; touched only by the read loop.
+	// dec decodes response header blocks and hb assembles them; touched
+	// only by the read loop.
 	dec *hpack.Decoder
-	// contBuf accumulates header fragments across CONTINUATION frames.
-	contBuf      []byte
-	contStreamID uint32
-	contType     frame.Type
-	contPromise  uint32
-	contFlags    frame.Flags
+	hb  frame.HeaderBlock
 
 	// tracer and traceConn identify this connection on the shared trace
 	// bus; both are fixed at Dial time (tracer may be nil — all its
@@ -325,6 +321,9 @@ func (c *Conn) readLoop() {
 	defer close(c.readDone)
 	for {
 		f, err := c.fr.ReadFrame()
+		if err == nil {
+			f, err = c.hb.Add(f)
+		}
 		if err != nil {
 			c.mu.Lock()
 			if c.readErr == nil {
@@ -339,7 +338,9 @@ func (c *Conn) readLoop() {
 			}
 			return
 		}
-		c.dispatch(f)
+		if f != nil {
+			c.dispatch(f)
+		}
 	}
 }
 
@@ -348,40 +349,17 @@ func (c *Conn) readLoop() {
 func (c *Conn) dispatch(f frame.Frame) {
 	hdr := f.Header()
 	ev := Event{
-		At:         time.Now(),
-		Type:       hdr.Type,
-		Flags:      hdr.Flags,
-		StreamID:   hdr.StreamID,
-		PayloadLen: int(hdr.Length),
+		At:       time.Now(),
+		Type:     hdr.Type,
+		Flags:    hdr.Flags,
+		StreamID: hdr.StreamID,
 	}
-	emit := true
 	switch f := f.(type) {
 	case *frame.DataFrame:
 		ev.Data = append([]byte(nil), f.Data...)
 	case *frame.HeadersFrame:
-		if !f.HeadersEnded() {
-			c.contBuf = append(c.contBuf[:0], f.Fragment...)
-			c.contStreamID = hdr.StreamID
-			c.contType = frame.TypeHeaders
-			c.contFlags = hdr.Flags
-			emit = false
-			break
-		}
 		ev.Headers = c.decodeBlock(f.Fragment)
 		ev.HeaderBlockLen = len(f.Fragment)
-	case *frame.ContinuationFrame:
-		c.contBuf = append(c.contBuf, f.Fragment...)
-		if !f.HeadersEnded() {
-			emit = false
-			break
-		}
-		ev.Type = c.contType
-		ev.StreamID = c.contStreamID
-		ev.Flags = c.contFlags
-		ev.PromiseID = c.contPromise
-		ev.Headers = c.decodeBlock(c.contBuf)
-		ev.HeaderBlockLen = len(c.contBuf)
-		c.contBuf = nil
 	case *frame.SettingsFrame:
 		ev.Settings = append([]frame.Setting(nil), f.Settings...)
 		if !f.IsAck() && c.opts.AutoSettingsAck {
@@ -409,21 +387,9 @@ func (c *Conn) dispatch(f frame.Frame) {
 			_ = c.fr.Flush()
 		}
 	case *frame.PushPromiseFrame:
-		if !f.HeadersEnded() {
-			c.contBuf = append(c.contBuf[:0], f.Fragment...)
-			c.contStreamID = hdr.StreamID
-			c.contType = frame.TypePushPromise
-			c.contPromise = f.PromiseID
-			c.contFlags = hdr.Flags
-			emit = false
-			break
-		}
 		ev.PromiseID = f.PromiseID
 		ev.Headers = c.decodeBlock(f.Fragment)
 		ev.HeaderBlockLen = len(f.Fragment)
-	}
-	if !emit {
-		return
 	}
 	c.mu.Lock()
 	ev.Seq = c.nextSeq

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -236,7 +238,7 @@ func TestContinuationReassembly(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.fr.WriteContinuation(id, true, block[half:]); err != nil {
+	if err := fs.fr.WriteRawFrame(frame.TypeContinuation, frame.FlagEndHeaders, id, block[half:]); err != nil {
 		t.Fatal(err)
 	}
 	resp := h2conn.NewResponse(id)
@@ -251,6 +253,119 @@ func TestContinuationReassembly(t *testing.T) {
 	}
 	if resp.HeaderBlockLen != len(block) {
 		t.Errorf("HeaderBlockLen = %d, want %d", resp.HeaderBlockLen, len(block))
+	}
+}
+
+// TestHeaderBlockViolationsEndTheRead holds the probe client to RFC 7540
+// section 6.10 and to the header-block bound. The server side writes through
+// a synchronous pipe, so a frame the client stops reading is never sent: a
+// flood costs the client what it read before the error, nothing more.
+func TestHeaderBlockViolationsEndTheRead(t *testing.T) {
+	const bound = 256 << 10 // internal/frame's maxHeaderBlockBytes
+	filler := bytes.Repeat([]byte{0x40}, 16<<10)
+	enc := hpack.NewEncoder(hpack.PolicyNoDynamicInsert)
+	promise := enc.AppendBlock(nil, []hpack.HeaderField{{Name: ":method", Value: "GET"}, {Name: ":path", Value: "/pushed.css"}})
+	resp := enc.AppendBlock(nil, []hpack.HeaderField{{Name: ":status", Value: "200"}, {Name: "x-long", Value: "a-header-value-split-across-frames"}})
+	openBlock := func(fr *frame.Framer) error {
+		return fr.WriteHeaders(frame.HeadersParams{StreamID: 1, Fragment: resp[:4]})
+	}
+	flooded := 0 // CONTINUATION frames the client read from the flood
+	cases := []struct {
+		name string
+		send func(fr *frame.Framer) error
+		// code ends the read loop with no event logged; ErrCodeNo: the
+		// connection stays up and check reads the events.
+		code  frame.ErrCode
+		check func(t *testing.T, events []h2conn.Event)
+	}{
+		{name: "stray CONTINUATION", code: frame.ErrCodeProtocol, send: func(fr *frame.Framer) error {
+			return fr.WriteRawFrame(frame.TypeContinuation, frame.FlagEndHeaders, 1, resp)
+		}},
+		{name: "PING inside a block", code: frame.ErrCodeProtocol, send: func(fr *frame.Framer) error {
+			if err := openBlock(fr); err != nil {
+				return err
+			}
+			return fr.WritePing(false, [8]byte{1})
+		}},
+		{name: "CONTINUATION on another stream", code: frame.ErrCodeProtocol, send: func(fr *frame.Framer) error {
+			if err := openBlock(fr); err != nil {
+				return err
+			}
+			return fr.WriteRawFrame(frame.TypeContinuation, frame.FlagEndHeaders, 3, resp[4:])
+		}},
+		{name: "split PUSH_PROMISE then split HEADERS", send: func(fr *frame.Framer) error {
+			if err := fr.WritePushPromise(1, 2, false, promise[:2]); err != nil {
+				return err
+			}
+			if err := fr.WriteRawFrame(frame.TypeContinuation, frame.FlagEndHeaders, 1, promise[2:]); err != nil {
+				return err
+			}
+			if err := openBlock(fr); err != nil {
+				return err
+			}
+			return fr.WriteRawFrame(frame.TypeContinuation, frame.FlagEndHeaders, 1, resp[4:])
+		}, check: func(t *testing.T, events []h2conn.Event) {
+			if len(events) != 2 || events[0].PromiseID != 2 || events[1].Type != frame.TypeHeaders ||
+				events[1].PromiseID != 0 || len(events[1].Headers) != 2 {
+				t.Errorf("events = %+v, want PUSH_PROMISE promising 2, then HEADERS with PromiseID 0 and both fields", events)
+			}
+		}},
+		{name: "CONTINUATION flood", code: frame.ErrCodeEnhanceYourCalm, send: func(fr *frame.Framer) error {
+			if err := fr.WriteHeaders(frame.HeadersParams{StreamID: 1, Fragment: filler}); err != nil {
+				return err
+			}
+			for flooded = 0; flooded < 2047; flooded++ {
+				if err := fr.WriteRawFrame(frame.TypeContinuation, 0, 1, filler); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, check: func(t *testing.T, _ []h2conn.Event) {
+			if read := (1 + flooded) * len(filler); read > bound+len(filler) {
+				t.Errorf("client read %d octets of fragment, past the %d-octet bound and the frame that crossed it", read, bound)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			go func() { _, _ = io.Copy(io.Discard, srv) }()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			c, err := h2conn.Dial(cli, h2conn.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := make(chan error, 1)
+			go func() { sent <- tc.send(frame.NewFramer(srv, nil)) }()
+			var events []h2conn.Event
+			_, err = c.Wait(0, 5*time.Second, func(e h2conn.Event) bool {
+				events = append(events, e)
+				return tc.code == frame.ErrCodeNo && e.Type == frame.TypeHeaders
+			})
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 2<<20 {
+				t.Errorf("heap grew %d octets while the connection was up, want < 2 MiB", grown)
+			}
+			var ce frame.ConnError
+			if tc.code == frame.ErrCodeNo {
+				if err != nil {
+					t.Errorf("Wait: %v", err)
+				}
+			} else if !errors.Is(err, h2conn.ErrConnClosed) || !errors.As(c.ReadErr(), &ce) || ce.Code != tc.code {
+				t.Errorf("Wait: %v, ReadErr: %v; want the read to end with %v", err, c.ReadErr(), tc.code)
+			} else if len(events) > 0 {
+				t.Errorf("logged %+v, want no event", events)
+			}
+			_ = c.Close()
+			_ = srv.Close()
+			<-sent
+			if tc.check != nil {
+				tc.check(t, events)
+			}
+		})
 	}
 }
 
@@ -436,7 +551,7 @@ func TestPushPromiseWithContinuation(t *testing.T) {
 	if err := fs.fr.WritePushPromise(1, 2, false, block[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.fr.WriteContinuation(1, true, block[half:]); err != nil {
+	if err := fs.fr.WriteRawFrame(frame.TypeContinuation, frame.FlagEndHeaders, 1, block[half:]); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Wait(0, 2*time.Second, func(e h2conn.Event) bool {

@@ -53,33 +53,16 @@ func (c *conn) flushHeaders() error {
 			continue
 		}
 		c.encBuf = c.enc.AppendBlock(c.encBuf[:0], st.respHeaders)
-		block := c.encBuf
 		endStream := len(st.body) == 0
-		// Split across CONTINUATION frames if the block exceeds the
-		// client's maximum frame size.
-		first := block
-		var rest []byte
-		if uint32(len(block)) > c.maxSendFrame {
-			first, rest = block[:c.maxSendFrame], block[c.maxSendFrame:]
-		}
 		err := c.fr.WriteHeaders(frame.HeadersParams{
-			StreamID:   st.id,
-			Fragment:   first,
-			EndStream:  endStream,
-			EndHeaders: len(rest) == 0,
+			StreamID:     st.id,
+			Fragment:     c.encBuf,
+			EndStream:    endStream,
+			EndHeaders:   true,
+			MaxFrameSize: c.maxSendFrame,
 		})
 		if err != nil {
 			return err
-		}
-		for len(rest) > 0 {
-			chunk := rest
-			if uint32(len(chunk)) > c.maxSendFrame {
-				chunk = chunk[:c.maxSendFrame]
-			}
-			rest = rest[len(chunk):]
-			if err := c.fr.WriteContinuation(st.id, len(rest) == 0, chunk); err != nil {
-				return err
-			}
 		}
 		st.state = stateHeadersSent
 		if endStream {

@@ -165,7 +165,7 @@ func TestRequestHeadersAcrossContinuation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fr.WriteContinuation(1, true, block[half:]); err != nil {
+	if err := fr.WriteRawFrame(frame.TypeContinuation, frame.FlagEndHeaders, 1, block[half:]); err != nil {
 		t.Fatal(err)
 	}
 	hf := waitFrameType(t, fr, frame.TypeHeaders).(*frame.HeadersFrame)

@@ -26,13 +26,6 @@ const fixedDate = "Tue, 05 Jul 2016 10:00:00 GMT"
 // TinyWindowZeroData and TinyWindowSilent behaviors trigger.
 const tinyWindowThreshold = 64
 
-// maxHeaderBlockBytes bounds the accumulated HEADERS+CONTINUATION fragment
-// for one header block. Without it a peer can stream CONTINUATION frames
-// forever, growing the buffer unboundedly while the connection makes no
-// progress (the CONTINUATION-flood attack); past the bound the connection is
-// torn down with ENHANCE_YOUR_CALM.
-const maxHeaderBlockBytes = 256 << 10
-
 // defaultMaxHeaderListBytes caps the *decoded* size of one header block
 // when the profile does not advertise SETTINGS_MAX_HEADER_LIST_SIZE. A
 // few-KiB HPACK bomb expands thousandsfold through dynamic-table
@@ -410,14 +403,9 @@ type conn struct {
 	// connStalled marks a counted connection-window stall; re-armed by the
 	// WINDOW_UPDATE that unblocks it.
 	connStalled bool
-	// The one header block a connection may have open (RFC 7540 section
-	// 6.10): contStream, when nonzero, is its stream; contBuf accumulates
-	// its HEADERS+CONTINUATION fragments; contFlags and contPriority are
-	// what its HEADERS frame carried.
-	contStream   uint32
-	contBuf      []byte
-	contFlags    frame.Flags
-	contPriority frame.PriorityParam
+	// hb assembles the one header block a connection may have open (RFC
+	// 7540 section 6.10) from the frames step reads.
+	hb frame.HeaderBlock
 
 	// traceID is the connection's ID on the trace bus; zero without Trace.
 	traceID uint64
@@ -545,12 +533,19 @@ func (c *conn) serve() error {
 	}
 }
 
-// step reads and handles one frame. When the read buffer holds no further
-// complete frame, it also runs the egress scheduler and flushes the batch
-// to the wire — so a burst of pipelined input frames is answered with one
-// scheduling pass and one write.
+// step reads, assembles and handles one frame; a connection error from any
+// of the three draws GOAWAY. When the read buffer holds no further complete
+// frame, it also runs the egress scheduler and flushes the batch to the wire
+// — so a burst of pipelined input frames is answered with one scheduling pass
+// and one write.
 func (c *conn) step() (stop bool, _ error) {
 	f, err := c.fr.ReadFrame()
+	if err == nil {
+		f, err = c.hb.Add(f)
+	}
+	if err == nil {
+		err = c.handleFrame(f)
+	}
 	if err != nil {
 		var ce frame.ConnError
 		if errors.As(err, &ce) {
@@ -571,14 +566,6 @@ func (c *conn) step() (stop bool, _ error) {
 			return true, nil
 		}
 		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-			return true, nil
-		}
-		return true, err
-	}
-	if err := c.handleFrame(f); err != nil {
-		var ce frame.ConnError
-		if errors.As(err, &ce) {
-			_ = c.goAway(ce.Code, ce.Reason)
 			return true, nil
 		}
 		return true, err
@@ -642,19 +629,13 @@ func (c *conn) goAway(code frame.ErrCode, debug string) error {
 }
 
 func (c *conn) handleFrame(f frame.Frame) error {
-	if c.contStream != 0 {
-		cf, ok := f.(*frame.ContinuationFrame)
-		if !ok || cf.Header().StreamID != c.contStream {
-			return frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "expected CONTINUATION"}
-		}
-	}
 	switch f := f.(type) {
+	case nil:
+		return nil // a header block is open
 	case *frame.SettingsFrame:
 		return c.handleSettings(f)
 	case *frame.HeadersFrame:
-		return c.handleHeaders(f)
-	case *frame.ContinuationFrame:
-		return c.handleContinuation(f)
+		return c.endHeaderBlock(f)
 	case *frame.DataFrame:
 		return c.handleData(f)
 	case *frame.PriorityFrame:
@@ -712,55 +693,23 @@ func (c *conn) handleSettings(f *frame.SettingsFrame) error {
 	return c.fr.WriteSettingsAck()
 }
 
-func (c *conn) handleHeaders(f *frame.HeadersFrame) error {
-	if f.Header().StreamID%2 == 0 {
+// endHeaderBlock takes a whole header block from hb and decodes it first,
+// whatever becomes of its stream: every block moves the connection's HPACK
+// table in step with the client's encoder (RFC 7540 section 4.3). Only then is
+// the block one of four things — a self-dependency the profile reacts to, a
+// refused stream, trailers, or a new request. A block that opens no stream
+// goes no further.
+func (c *conn) endHeaderBlock(f *frame.HeadersFrame) error {
+	id, flags := f.Header().StreamID, f.Header().Flags
+	if id%2 == 0 {
 		return frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "client used even stream ID"}
 	}
-	c.contStream = f.Header().StreamID
-	c.contFlags = f.Header().Flags
-	c.contPriority = f.Priority
-	c.contBuf = append(c.contBuf[:0], f.Fragment...)
-	return c.continueHeaderBlock(f.HeadersEnded())
-}
-
-func (c *conn) handleContinuation(f *frame.ContinuationFrame) error {
-	if c.contStream == 0 {
-		return frame.ConnError{Code: frame.ErrCodeProtocol, Reason: "CONTINUATION without an open header block"}
-	}
-	c.contBuf = append(c.contBuf, f.Fragment...)
-	return c.continueHeaderBlock(f.HeadersEnded())
-}
-
-// continueHeaderBlock tears the connection down when the open header block
-// exceeds maxHeaderBlockBytes — the CONTINUATION-flood bound — and ends the
-// block at END_HEADERS.
-func (c *conn) continueHeaderBlock(ended bool) error {
-	if len(c.contBuf) > maxHeaderBlockBytes {
-		return frame.ConnError{
-			Code:   frame.ErrCodeEnhanceYourCalm,
-			Reason: fmt.Sprintf("header block exceeds %d bytes", maxHeaderBlockBytes),
-		}
-	}
-	if !ended {
-		return nil
-	}
-	return c.endHeaderBlock()
-}
-
-// endHeaderBlock decodes the completed header block first, whatever becomes
-// of its stream: every block moves the connection's HPACK table in step with
-// the client's encoder (RFC 7540 section 4.3). Only then is the block one of
-// four things — a self-dependency the profile reacts to, a refused stream,
-// trailers, or a new request. A block that opens no stream goes no further.
-func (c *conn) endHeaderBlock() error {
-	id, flags := c.contStream, c.contFlags
-	c.contStream = 0
-	fields, err := c.dec.DecodeAppend(c.decFields[:0], c.contBuf)
+	fields, err := c.dec.DecodeAppend(c.decFields[:0], f.Fragment)
 	c.decFields = fields
 	if err != nil {
 		return frame.ConnError{Code: frame.ErrCodeCompression, Reason: err.Error()}
 	}
-	if flags.Has(frame.FlagPriority) && c.contPriority.StreamDep == id {
+	if flags.Has(frame.FlagPriority) && f.Priority.StreamDep == id {
 		return c.reactSelfDependency(id)
 	}
 	st, ok := c.streams[id]
@@ -784,9 +733,9 @@ func (c *conn) endHeaderBlock() error {
 	if flags.Has(frame.FlagPriority) {
 		// Cannot fail: the stream is nonzero and not its own parent.
 		_ = c.tree.Update(id, priority.Param{
-			StreamDep: c.contPriority.StreamDep,
-			Exclusive: c.contPriority.Exclusive,
-			Weight:    c.contPriority.Weight,
+			StreamDep: f.Priority.StreamDep,
+			Exclusive: f.Priority.Exclusive,
+			Weight:    f.Priority.Weight,
 		})
 	}
 	if ok {
