@@ -9,7 +9,7 @@ import (
 // table and therefore belongs to exactly one HTTP/2 connection direction.
 // It is not safe for concurrent use.
 type Decoder struct {
-	dt *dynamicTable
+	dt dynamicTable
 
 	// allowedMaxSize caps dynamic-table size updates; it tracks the local
 	// SETTINGS_HEADER_TABLE_SIZE value.
@@ -26,14 +26,30 @@ type Decoder struct {
 	// across calls so steady-state decoding performs no per-string
 	// allocations.
 	huf []byte
-	// interns dedupes decoded strings: static-table names/values are seeded
-	// at construction and strings seen on this connection are added up to a
+	// interns dedupes the strings decoded on this connection, up to a
 	// budget, so repeated header fields (the paper's H-identical-requests
 	// compression probe) resolve to the same string without allocating.
-	// Lookup via interns[string(b)] does not allocate (the compiler elides
-	// the conversion for map access).
+	// Static-table names and values are in staticInterns instead; interns is
+	// nil until the first string that neither map holds. Lookup via
+	// interns[string(b)] does not allocate (the compiler elides the
+	// conversion for map access).
 	interns     map[string]string
 	internBytes int
+}
+
+// staticInterns maps every static-table name and value to itself. It is
+// built once and only read, so every decoder shares it.
+var staticInterns = buildStaticInterns()
+
+func buildStaticInterns() map[string]string {
+	m := make(map[string]string, 2*staticTableLen)
+	for _, hf := range staticTable {
+		m[hf.Name] = hf.Name
+		if hf.Value != "" {
+			m[hf.Value] = hf.Value
+		}
+	}
+	return m
 }
 
 // internMaxStringLen caps the length of a single interned string; longer
@@ -48,29 +64,27 @@ const internBudget = 64 << 10
 // NewDecoder returns a decoder whose dynamic table is capped at
 // maxDynamicTableSize (use DefaultDynamicTableSize for the RFC default).
 func NewDecoder(maxDynamicTableSize uint32) *Decoder {
-	interns := make(map[string]string, 2*len(staticTable))
-	for _, hf := range staticTable {
-		interns[hf.Name] = hf.Name
-		if hf.Value != "" {
-			interns[hf.Value] = hf.Value
-		}
-	}
 	return &Decoder{
-		dt:             newDynamicTable(maxDynamicTableSize),
+		dt:             dynamicTable{maxSize: maxDynamicTableSize},
 		allowedMaxSize: maxDynamicTableSize,
-		interns:        interns,
 	}
 }
 
 // intern returns b as a string, reusing a previously allocated copy when the
-// same bytes were seen before on this decoder.
+// same bytes are a static-table string or were seen before on this decoder.
 func (d *Decoder) intern(b []byte) string {
 	if s, ok := d.interns[string(b)]; ok {
+		return s
+	}
+	if s, ok := staticInterns[string(b)]; ok {
 		return s
 	}
 	// One-time copy on an intern miss; repeated field values hit the cache above.
 	s := string(b)
 	if len(s) <= internMaxStringLen && d.internBytes+len(s) <= internBudget {
+		if d.interns == nil {
+			d.interns = make(map[string]string)
+		}
 		d.interns[s] = s
 		d.internBytes += len(s)
 	}

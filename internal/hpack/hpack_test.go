@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustHex(t *testing.T, s string) []byte {
@@ -659,4 +661,70 @@ func TestDecoderMaxHeaderListSize(t *testing.T) {
 	if len(fields) != 1001 {
 		t.Fatalf("unguarded decoded %d fields, want 1001", len(fields))
 	}
+}
+
+var decoderSink *Decoder
+
+// TestNewDecoderAllocs pins a decoder's construction at one allocation: the
+// static-table interns are shared by every decoder, and a decoder's own
+// intern map waits for its first connection-local string.
+func TestNewDecoderAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		decoderSink = NewDecoder(DefaultDynamicTableSize)
+	})
+	if allocs > 1 {
+		t.Errorf("NewDecoder: %.1f allocs, want <= 1", allocs)
+	}
+}
+
+// TestInternBudgetPerDecoder checks that interning stays per connection:
+// filling one decoder's intern budget changes nothing about how another
+// decoder interns, and static-table strings resolve to the table's own
+// strings on every decoder.
+func TestInternBudgetPerDecoder(t *testing.T) {
+	decodeValue := func(d *Decoder, value string) string {
+		t.Helper()
+		block := appendString([]byte{0x00}, "x-probe") // literal, new name
+		fields, err := d.DecodeFull(appendString(block, value))
+		if err != nil || len(fields) != 1 || fields[0].Value != value {
+			t.Fatalf("decode %q: %v, %v", value, fields, err)
+		}
+		return fields[0].Value
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	var gzip string
+	for _, hf := range staticTable {
+		if hf.Value == "gzip, deflate" {
+			gzip = hf.Value
+		}
+	}
+	long := strings.Repeat("z", internMaxStringLen)
+
+	// interns reports how a fresh decoder treats a repeated local string, a
+	// longest internable string and a static-table value.
+	interns := func(label string) {
+		t.Helper()
+		d := NewDecoder(DefaultDynamicTableSize)
+		for _, v := range []string{"connection-local value", long} {
+			if !same(decodeValue(d, v), decodeValue(d, v)) {
+				t.Errorf("%s: repeated %d-byte value not interned", label, len(v))
+			}
+		}
+		if !same(decodeValue(d, "gzip, deflate"), gzip) {
+			t.Errorf("%s: static-table value not resolved to the table's string", label)
+		}
+		if want := len("x-probe") + len("connection-local value") + len(long); d.internBytes != want {
+			t.Errorf("%s: internBytes = %d, want %d", label, d.internBytes, want)
+		}
+	}
+
+	interns("before")
+	full := NewDecoder(DefaultDynamicTableSize)
+	for i := 0; full.internBytes+200 <= internBudget; i++ {
+		decodeValue(full, fmt.Sprintf("%0200d", i))
+	}
+	if same(decodeValue(full, long), decodeValue(full, long)) {
+		t.Fatalf("a decoder past its %d-byte budget still interns", internBudget)
+	}
+	interns("after another decoder filled its budget")
 }

@@ -12,6 +12,7 @@ package netsim
 import (
 	"errors"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -19,8 +20,49 @@ import (
 
 // chunk is one write's worth of bytes with its earliest delivery time.
 type chunk struct {
-	data    []byte
+	data []byte
+	// buf is the pooled array data lies in, nil when the write was too
+	// large (or empty) to pool; it goes back once the reader drains data.
+	buf     *[]byte
 	readyAt time.Time
+}
+
+// Chunk arrays are pooled in power-of-two size classes from 512 B to
+// 64 KiB; a larger write gets an array of its own.
+const (
+	minPooledShift = 9 // 512 B
+	maxPooledShift = 16
+	maxPooledChunk = 1 << maxPooledShift
+)
+
+var chunkPools [maxPooledShift - minPooledShift + 1]sync.Pool
+
+// chunkClass returns the pool index of the smallest class holding n > 0
+// bytes, n <= maxPooledChunk.
+func chunkClass(n int) int {
+	return max(bits.Len(uint(n-1))-minPooledShift, 0)
+}
+
+// newChunk copies p into a pooled array when one fits.
+func newChunk(p []byte, readyAt time.Time) chunk {
+	if len(p) == 0 || len(p) > maxPooledChunk {
+		return chunk{data: append([]byte(nil), p...), readyAt: readyAt}
+	}
+	c := chunkClass(len(p))
+	buf, _ := chunkPools[c].Get().(*[]byte)
+	if buf == nil {
+		b := make([]byte, 1<<(c+minPooledShift))
+		buf = &b
+	}
+	return chunk{data: (*buf)[:copy(*buf, p)], buf: buf, readyAt: readyAt}
+}
+
+// release hands a drained chunk's array back to its pool.
+func (c *chunk) release() {
+	if c.buf != nil {
+		chunkPools[chunkClass(len(*c.buf))].Put(c.buf)
+	}
+	*c = chunk{}
 }
 
 // dirBuf is one direction of a pipe: an unbounded FIFO of chunks.
@@ -48,10 +90,7 @@ func (b *dirBuf) write(p []byte) (int, error) {
 	if b.closed || b.rdClosed {
 		return 0, io.ErrClosedPipe
 	}
-	b.chunks = append(b.chunks, chunk{
-		data:    append([]byte(nil), p...),
-		readyAt: time.Now().Add(b.delay),
-	})
+	b.chunks = append(b.chunks, newChunk(p, time.Now().Add(b.delay)))
 	b.cond.Broadcast()
 	return len(p), nil
 }
@@ -73,7 +112,13 @@ func (b *dirBuf) read(p []byte) (int, error) {
 			n := copy(p, head.data)
 			head.data = head.data[n:]
 			if len(head.data) == 0 {
-				b.chunks = b.chunks[1:]
+				head.release()
+				if len(b.chunks) == 1 {
+					// Keep the FIFO's array: the queue is usually one deep.
+					b.chunks = b.chunks[:0]
+				} else {
+					b.chunks = b.chunks[1:]
+				}
 			}
 			return n, nil
 		}

@@ -3,10 +3,15 @@ package netsim
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
+
+// raceEnabled is set under -race, whose runtime drops a share of
+// sync.Pool puts on purpose.
+var raceEnabled bool
 
 func TestPipeRoundTrip(t *testing.T) {
 	a, b := Pipe()
@@ -266,6 +271,138 @@ func TestPathGroundTruthTracking(t *testing.T) {
 	for name, rtt := range map[string]time.Duration{"icmp": icmp, "tcp": tcp} {
 		if rtt < base || rtt > base+15*time.Millisecond {
 			t.Errorf("%s = %v, want %v..%v", name, rtt, base, base+15*time.Millisecond)
+		}
+	}
+}
+
+// poolPattern is byte i of the size-byte write a pipe sends in a round; it
+// differs between pipes, rounds and sizes so a chunk array handed to the
+// wrong pipe, or overwritten while still queued, shows up as a mismatch.
+func poolPattern(pipe, round, size, i int) byte {
+	return byte(pipe*31 + round*7 + size + i*13)
+}
+
+// TestPipePoolKeepsEachPipesBytes drives several pipes at once through the
+// pooled chunk arrays: writes below, inside and above the pooled size range,
+// each from a source slice the writer overwrites right after. Every reader
+// must get exactly its own pipe's bytes, in order.
+func TestPipePoolKeepsEachPipesBytes(t *testing.T) {
+	sizes := []int{1, 9, 16393, 70 << 10}
+	const (
+		pipes  = 4
+		rounds = 6
+		readSz = 3000 // not a divisor of any write: reads straddle chunks
+	)
+	for _, tc := range []struct {
+		name string
+		pipe func() (*Conn, *Conn)
+	}{
+		{"Pipe", Pipe},
+		{"LatencyPipe", func() (*Conn, *Conn) { return LatencyPipe(50*time.Microsecond, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for p := 0; p < pipes; p++ {
+				a, b := tc.pipe()
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					src := make([]byte, 70<<10)
+					for r := 0; r < rounds; r++ {
+						for _, size := range sizes {
+							for i := range src[:size] {
+								src[i] = poolPattern(p, r, size, i)
+							}
+							if _, err := a.Write(src[:size]); err != nil {
+								t.Errorf("pipe %d: write: %v", p, err)
+								return
+							}
+							clear(src) // the pipe must have copied
+						}
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					defer func() {
+						_ = a.Close()
+						_ = b.Close()
+					}()
+					buf := make([]byte, readSz)
+					for r := 0; r < rounds; r++ {
+						for _, size := range sizes {
+							for i := 0; i < size; {
+								n, err := b.Read(buf[:min(readSz, size-i)])
+								if err != nil {
+									t.Errorf("pipe %d: read: %v", p, err)
+									return
+								}
+								for k, v := range buf[:n] {
+									if want := poolPattern(p, r, size, i+k); v != want {
+										t.Errorf("pipe %d round %d: byte %d of the %d-byte write = %d, want %d",
+											p, r, i+k, size, v, want)
+										return
+									}
+								}
+								i += n
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestPipeChunkAllocs bounds what a write plus its read allocates once the
+// pipe has warmed up: chunk arrays are recycled, not allocated per write.
+func TestPipeChunkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops a share of sync.Pool puts on purpose")
+	}
+	a, b := Pipe()
+	defer func() {
+		_ = a.Close()
+		_ = b.Close()
+	}()
+	src, dst := make([]byte, 16<<10), make([]byte, 16<<10)
+	round := func() {
+		if _, err := a.Write(src); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(b, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	const rounds = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 1<<10 {
+		t.Errorf("a 16 KiB write plus read allocates %d B per round, want < 1 KiB", per)
+	}
+}
+
+// BenchmarkPipeWriteRead16K is one 16 KiB write and the read that drains it.
+func BenchmarkPipeWriteRead16K(b *testing.B) {
+	a, c := Pipe()
+	defer func() {
+		_ = a.Close()
+		_ = c.Close()
+	}()
+	src, dst := make([]byte, 16<<10), make([]byte, 16<<10)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := a.Write(src); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, dst); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"h2scope/internal/hpack"
 )
@@ -54,13 +55,34 @@ func (s *Site) AddPage(path, body string) *Site {
 }
 
 // AddObject registers an opaque object of the given size with a
-// deterministic, mildly compressible payload.
+// deterministic, mildly compressible payload: byte i is
+// 'a' + (i+len(path))%26. Bodies are read-only windows into one shared
+// alphabet run, so building a site copies no payload bytes.
 func (s *Site) AddObject(path string, size int) *Site {
-	body := make([]byte, size)
-	for i := range body {
-		body[i] = byte('a' + (i+len(path))%26)
+	return s.Add(&Resource{Path: path, ContentType: "application/octet-stream", Body: alphabetWindow(len(path)%26, size)})
+}
+
+// alphabet holds the run behind every AddObject body: run[j] is
+// 'a' + j%26. The run only grows into a fresh array, so a window already
+// handed out is never written again.
+var alphabet struct {
+	mu  sync.Mutex
+	run []byte
+}
+
+// alphabetWindow returns run[off : off+size] with its capacity capped, so
+// an append to a body copies instead of writing into the run.
+func alphabetWindow(off, size int) []byte {
+	alphabet.mu.Lock()
+	defer alphabet.mu.Unlock()
+	if need := off + size; need > len(alphabet.run) {
+		run := make([]byte, max(need, 2*len(alphabet.run)))
+		for j := range run {
+			run[j] = byte('a' + j%26)
+		}
+		alphabet.run = run
 	}
-	return s.Add(&Resource{Path: path, ContentType: "application/octet-stream", Body: body})
+	return alphabet.run[off : off+size : off+size]
 }
 
 // SetPush attaches a push manifest to the resource at path. It panics if

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -77,6 +78,55 @@ func TestDefaultSiteLayoutMatchesProbeConfig(t *testing.T) {
 	}
 	if len(index.Push) == 0 {
 		t.Error("default site front page has no push manifest")
+	}
+}
+
+// TestObjectBodiesSharedAndExact pins AddObject's shared bodies: every
+// object holds exactly 'a' + (i+len(path))%26 for its size, cannot be
+// appended into, and stays so when a larger object later grows the run the
+// bodies share.
+func TestObjectBodiesSharedAndExact(t *testing.T) {
+	s := server.DefaultSite("bodies.example").AddObject("/big/96k", 96<<10).AddObject("/empty", 0)
+	check := func() {
+		t.Helper()
+		for _, path := range s.Paths() {
+			r, _ := s.Lookup(path)
+			if r.ContentType != "application/octet-stream" {
+				continue
+			}
+			for i, c := range r.Body {
+				if c != byte('a'+(i+len(path))%26) {
+					t.Fatalf("%s: byte %d = %q, want %q", path, i, c, 'a'+(i+len(path))%26)
+				}
+			}
+			if cap(r.Body) != len(r.Body) {
+				t.Errorf("%s: cap(Body) = %d, len %d: an append could write into a shared body", path, cap(r.Body), len(r.Body))
+			}
+		}
+	}
+	check()
+	const big = "/big/300k-object-with-a-path-past-26-bytes" // len(path)%26 != len(path)
+	s.AddObject(big, 300<<10)                                // past everything handed out so far
+	check()
+	for path, size := range map[string]int{"/big/96k": 96 << 10, big: 300 << 10, "/drain/64k": 64 << 10} {
+		if r, _ := s.Lookup(path); len(r.Body) != size {
+			t.Errorf("%s is %d bytes, want %d", path, len(r.Body), size)
+		}
+	}
+}
+
+// TestDefaultSiteAllocates bounds what building the testbed site costs: its
+// 944 KiB of object bodies are shared, not filled per site.
+func TestDefaultSiteAllocates(t *testing.T) {
+	server.DefaultSite("warm.example") // the shared run may grow once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		server.DefaultSite("alloc.example")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 10*16<<10 {
+		t.Errorf("10 DefaultSite calls allocated %d B, want < %d", got, 10*16<<10)
 	}
 }
 
