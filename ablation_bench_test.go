@@ -209,7 +209,7 @@ func BenchmarkDoSTinyWindowPinning(b *testing.B) {
 			}
 		}
 		received := 0
-		c.WaitQuiet(0, 5*time.Millisecond, time.Second, func(e h2conn.Event) { received += len(e.Data) })
+		c.WaitQuiet(0, 5*time.Millisecond, time.Second, func(e h2conn.Event) { received += e.DataLen })
 		pinned += int64(streams*96*1024 - received)
 		_ = c.Close()
 	}

@@ -504,7 +504,7 @@ func checkDataRespectsWindow(env *Env) (Verdict, string) {
 	total := 0
 	_, _ = c.Wait(0, reactionWindow, func(e h2conn.Event) bool {
 		if e.Type == frame.TypeData && e.StreamID == id {
-			total += len(e.Data)
+			total += e.DataLen
 		}
 		return total > 100
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,10 @@ import (
 	"h2scope/internal/netsim"
 	"h2scope/internal/server"
 )
+
+// raceEnabled is set under -race, whose runtime drops a share of
+// sync.Pool puts: allocation gates skip then.
+var raceEnabled bool
 
 // peakDialer is the counting dialer that also remembers the most connections
 // it has had open at once.
@@ -148,5 +153,33 @@ func TestBatteryAgainstAPeerThatNeverAnswersPing(t *testing.T) {
 	}
 	if limit := 3*timeout + 4*window; wall >= limit {
 		t.Errorf("battery took %v, want under %v: the unanswered fences add to the battery instead of overlapping the ping probe", wall, limit)
+	}
+}
+
+// TestBatteryKeepsNoBodyBytes: no probe reads a DATA payload byte, so a
+// battery copies none. The multiplexing and priority probes alone download
+// over 1 MiB of object bodies; what a whole battery allocates, the server
+// side included, stays under that, and every Table III cell is the paper's.
+func TestBatteryKeepsNoBodyBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops a share of sync.Pool puts on purpose")
+	}
+	// One battery first, unmeasured: the process's first one also fills
+	// the pipe chunk pools and the package-level tables.
+	if _, err := newProber(t, server.H2OProfile()).Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, exp := range tableIII() {
+		t.Run(exp.profile.Family, func(t *testing.T) {
+			prober := newProber(t, exp.profile)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := prober.Run()
+			runtime.ReadMemStats(&after)
+			checkTableIII(t, exp, r, err)
+			if kib := (after.TotalAlloc - before.TotalAlloc) >> 10; kib >= 1<<10 {
+				t.Errorf("battery allocated %d KiB, want < 1 MiB", kib)
+			}
+		})
 	}
 }

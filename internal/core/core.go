@@ -155,9 +155,11 @@ func (p *Prober) phase(ctx context.Context, name string) (context.Context, func(
 
 // connect dials and establishes an HTTP/2 connection with the given client
 // options. The battery's tracer, when set, is attached to every connection
-// here — the single point all probes dial through. A deadline carried by
-// ctx is applied to the transport before the HTTP/2 handshake, so a probe
-// against a tarpit target fails instead of wedging its worker.
+// here — the single point all probes dial through — and every connection
+// discards DATA payloads: the probes count octets and never read one. A
+// deadline carried by ctx is applied to the transport before the HTTP/2
+// handshake, so a probe against a tarpit target fails instead of wedging its
+// worker.
 func (p *Prober) connect(ctx context.Context, opts h2conn.Options) (*h2conn.Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -168,6 +170,7 @@ func (p *Prober) connect(ctx context.Context, opts h2conn.Options) (*h2conn.Conn
 	if opts.Metrics == nil {
 		opts.Metrics = p.cfg.Metrics
 	}
+	opts.DiscardData = true
 	// Reserve the trace connection ID before dialing so the dial region
 	// (and any TLS-handshake region the dialer itself emits) is attributed
 	// to the connection the frames will belong to.

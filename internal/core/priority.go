@@ -93,7 +93,7 @@ func (p *Prober) ProbePriority(ctx context.Context) (*PriorityResult, error) {
 		_, _ = c.Wait(next, p.cfg.Timeout, func(e h2conn.Event) bool {
 			next = e.Seq + 1
 			if e.Type == frame.TypeData {
-				drained += len(e.Data)
+				drained += e.DataLen
 			}
 			// Depleted, or the stream ended early (small object or RST):
 			// move on.

@@ -201,12 +201,12 @@ func (p *Prober) ProbeFlowControlData(ctx context.Context, windowSize uint32) (*
 	switch {
 	case err != nil:
 		res.Class = TinyWindowNothing
-	case len(data.Data) == 0:
+	case data.DataLen == 0:
 		res.Class = TinyWindowZeroLen
 		res.FirstDataLen = 0
 	default:
 		res.Class = TinyWindowOneByte
-		res.FirstDataLen = len(data.Data)
+		res.FirstDataLen = data.DataLen
 	}
 	return res, nil
 }

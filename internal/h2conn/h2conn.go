@@ -9,6 +9,11 @@
 // is entirely about sending frame sequences a normal client never would and
 // classifying the server's frame-level reaction, so the event log is the
 // central artifact.
+//
+// The log records every DATA frame by its length (Event.DataLen). Its bytes
+// are kept too (Event.Data, Response.Body) unless Options.DiscardData is set,
+// as it is on the probe battery's connections: no probe verdict reads a
+// payload byte, only how many arrived.
 package h2conn
 
 import (
@@ -44,8 +49,12 @@ type Event struct {
 	Flags    frame.Flags
 	StreamID uint32
 
-	// Data is the DATA payload (padding removed).
+	// Data is the DATA payload (padding removed), the event's own copy; nil
+	// on a connection dialed with Options.DiscardData.
 	Data []byte
+	// DataLen is the DATA payload length (padding removed), set in both
+	// modes: what a caller that only counts octets reads.
+	DataLen int
 	// Headers is the decoded header list of a HEADERS or PUSH_PROMISE
 	// block, logged once the block is whole.
 	Headers []hpack.HeaderField
@@ -124,6 +133,11 @@ type Options struct {
 	// fingerprinting observer should classify the connection as that
 	// client (fingerprint.ClientProfile.ExpectedAkamai).
 	Impersonate *fingerprint.ClientProfile
+	// DiscardData logs DATA frames by length only: Event.Data stays nil and
+	// Response.Body empty, while Event.DataLen, Response.DataFrameSizes and
+	// the auto WINDOW_UPDATEs are as without it. A connection that never
+	// reads payload bytes skips copying every one of them.
+	DiscardData bool
 }
 
 // eventLogCap bounds the retained event log: once it grows past the cap the
@@ -348,6 +362,7 @@ func (c *Conn) readLoop() {
 // receive order so the dynamic table stays synchronized.
 func (c *Conn) dispatch(f frame.Frame) {
 	hdr := f.Header()
+	var consumed uint32 // DATA octets charged to the flow-control windows
 	ev := Event{
 		At:       time.Now(),
 		Type:     hdr.Type,
@@ -356,7 +371,12 @@ func (c *Conn) dispatch(f frame.Frame) {
 	}
 	switch f := f.(type) {
 	case *frame.DataFrame:
-		ev.Data = append([]byte(nil), f.Data...)
+		ev.DataLen = len(f.Data)
+		if !c.opts.DiscardData {
+			ev.Data = append([]byte(nil), f.Data...)
+		}
+		// Padding counts against the windows too (RFC 7540 section 6.9.1).
+		consumed = uint32(f.FlowControlLen())
 	case *frame.HeadersFrame:
 		ev.Headers = c.decodeBlock(f.Fragment)
 		ev.HeaderBlockLen = len(f.Fragment)
@@ -402,14 +422,14 @@ func (c *Conn) dispatch(f frame.Frame) {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
-	if ev.Type == frame.TypeData && len(ev.Data) > 0 {
-		// Replenish exactly what the frame consumed, so the peer's send
-		// windows hold steady at their initial sizes indefinitely. The
-		// stream and connection updates coalesce into one write at the
-		// trailing Flush.
+	if consumed > 0 {
+		// Replenish exactly what the frame consumed, padding included, so
+		// the peer's send windows hold steady at their initial sizes
+		// indefinitely. The stream and connection updates coalesce into one
+		// write at the trailing Flush.
 		wrote := false
 		if c.opts.AutoStreamWindow > 0 {
-			if c.fr.WriteWindowUpdate(ev.StreamID, uint32(len(ev.Data))) == nil {
+			if c.fr.WriteWindowUpdate(ev.StreamID, consumed) == nil {
 				wrote = true
 				if c.opts.Metrics != nil {
 					c.opts.Metrics.autoWindowStream.Inc()
@@ -417,7 +437,7 @@ func (c *Conn) dispatch(f frame.Frame) {
 			}
 		}
 		if c.opts.AutoConnWindow > 0 {
-			if c.fr.WriteWindowUpdate(0, uint32(len(ev.Data))) == nil {
+			if c.fr.WriteWindowUpdate(0, consumed) == nil {
 				wrote = true
 				if c.opts.Metrics != nil {
 					c.opts.Metrics.autoWindowConn.Inc()
@@ -740,7 +760,8 @@ type Response struct {
 	// HeaderBlockLen is the encoded size of that block — the S_header of
 	// the paper's compression-ratio formula.
 	HeaderBlockLen int
-	// Body is the concatenated DATA payload.
+	// Body is the concatenated DATA payload; empty on a connection dialed
+	// with Options.DiscardData, where DataFrameSizes still counts it.
 	Body []byte
 	// DataFrameSizes lists each DATA frame's payload length in order.
 	DataFrameSizes []int
@@ -801,7 +822,7 @@ func (r *Response) Add(e Event) {
 		}
 		r.LastDataSeq = e.Seq
 		r.Body = append(r.Body, e.Data...)
-		r.DataFrameSizes = append(r.DataFrameSizes, len(e.Data))
+		r.DataFrameSizes = append(r.DataFrameSizes, e.DataLen)
 	case frame.TypeRSTStream:
 		code := e.ErrCode
 		r.Reset = &code

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,10 @@ import (
 	"h2scope/internal/netsim"
 	"h2scope/internal/server"
 )
+
+// raceEnabled is set under -race, whose runtime allocates on its own
+// account: allocation gates skip then.
+var raceEnabled bool
 
 // fakeServer gives tests frame-level control over the server side of a
 // connection: it consumes the preface and exposes a framer plus the decoded
@@ -81,16 +86,16 @@ func dialServer(t *testing.T, site *server.Site, opts h2conn.Options) *h2conn.Co
 	return c
 }
 
-// expectFrame reads frames until one of the wanted type arrives. The frame
+// expectFrame reads frames until one of a wanted type arrives. The frame
 // is detached with CopyPayload so callers may keep it across further reads.
-func (fs *fakeServer) expectFrame(want frame.Type) frame.Frame {
+func (fs *fakeServer) expectFrame(want ...frame.Type) frame.Frame {
 	fs.t.Helper()
 	for i := 0; i < 32; i++ {
 		f, err := fs.fr.ReadFrame()
 		if err != nil {
 			fs.t.Fatalf("ReadFrame: %v", err)
 		}
-		if f.Header().Type == want {
+		if slices.Contains(want, f.Header().Type) {
 			return frame.CopyPayload(f)
 		}
 	}
@@ -490,8 +495,38 @@ func TestFetchBodyAcrossRecycledReads(t *testing.T) {
 	}
 }
 
+// paddedData is a PADDED DATA payload: the pad-length octet, n data octets,
+// then pad octets of padding.
+func paddedData(n, pad int) []byte {
+	p := append([]byte{byte(pad)}, bytes.Repeat([]byte{'x'}, n)...)
+	return append(p, make([]byte, pad)...)
+}
+
+// readWindowUpdates reads the client's frames up to the ACK of the PING the
+// caller sent after its DATA frames and returns each WINDOW_UPDATE's
+// increment per stream, in order: the client answers in receive order, so
+// every refill for that DATA comes before the ACK.
+func (fs *fakeServer) readWindowUpdates() map[uint32][]uint32 {
+	fs.t.Helper()
+	got := make(map[uint32][]uint32)
+	for {
+		switch f := fs.expectFrame(frame.TypeWindowUpdate, frame.TypePing).(type) {
+		case *frame.WindowUpdateFrame:
+			id := f.Header().StreamID
+			got[id] = append(got[id], f.Increment)
+		case *frame.PingFrame:
+			return got
+		}
+	}
+}
+
+// TestAutoWindowUpdateRefillsAfterData: auto flow control replenishes
+// exactly the octets each DATA frame consumed. Padding and the pad-length
+// octet count against both windows (RFC 7540 section 6.9.1), so a padded
+// frame's refill is data + pad + 1, also when it carries no data.
 func TestAutoWindowUpdateRefillsAfterData(t *testing.T) {
 	c, fs := dialFake(t, h2conn.Options{
+		AutoPingAck:      true,
 		AutoStreamWindow: 4096,
 		AutoConnWindow:   8192,
 	})
@@ -501,22 +536,128 @@ func TestAutoWindowUpdateRefillsAfterData(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.expectFrame(frame.TypeHeaders)
-	if err := fs.fr.WriteData(id, false, []byte("xxxx")); err != nil {
-		t.Fatal(err)
-	}
-	// Auto flow control replenishes exactly the consumed octets.
-	var gotStream, gotConn bool
-	for i := 0; i < 4 && !(gotStream && gotConn); i++ {
-		wu := fs.expectFrame(frame.TypeWindowUpdate).(*frame.WindowUpdateFrame)
-		switch wu.Header().StreamID {
-		case id:
-			gotStream = wu.Increment == 4
-		case 0:
-			gotConn = wu.Increment == 4
+	for _, tc := range []struct {
+		data, pad int // pad < 0: an unpadded frame
+		want      uint32
+	}{{4, -1, 4}, {4, 3, 8}, {0, 2, 3}} {
+		var err error
+		if tc.pad < 0 {
+			err = fs.fr.WriteData(id, false, bytes.Repeat([]byte{'x'}, tc.data))
+		} else {
+			err = fs.fr.WriteRawFrame(frame.TypeData, frame.FlagPadded, id, paddedData(tc.data, tc.pad))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.fr.WritePing(false, [8]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		want := []uint32{tc.want}
+		if got := fs.readWindowUpdates(); !slices.Equal(got[id], want) || !slices.Equal(got[0], want) {
+			t.Errorf("%d data octets, pad %d: stream increments %v, connection %v; want %v each",
+				tc.data, tc.pad, got[id], got[0], want)
 		}
 	}
-	if !gotStream || !gotConn {
-		t.Errorf("window updates: stream=%v conn=%v", gotStream, gotConn)
+}
+
+// TestDiscardDataKeepsLengthsOnly: a DiscardData connection logs every DATA
+// frame by its length and keeps none of its bytes, while FetchBody's frame
+// sizes and the auto WINDOW_UPDATEs are what a byte-keeping connection gets.
+func TestDiscardDataKeepsLengthsOnly(t *testing.T) {
+	opts := h2conn.DefaultOptions()
+	opts.DiscardData = true
+	c, fs := dialFake(t, opts)
+	fs.expectFrame(frame.TypeSettings)
+	fetched := make(chan *h2conn.Response, 1)
+	go func() {
+		resp, err := c.FetchBody(h2conn.Request{Authority: "a"}, 5*time.Second)
+		if err != nil {
+			t.Errorf("FetchBody: %v", err)
+		}
+		fetched <- resp
+	}()
+	id := fs.expectFrame(frame.TypeHeaders).Header().StreamID
+	block := fs.enc.AppendBlock(nil, []hpack.HeaderField{{Name: ":status", Value: "200"}})
+	if err := fs.fr.WriteHeaders(frame.HeadersParams{StreamID: id, Fragment: block, EndHeaders: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 16384} {
+		if err := fs.fr.WriteData(id, false, bytes.Repeat([]byte{'d'}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.fr.WriteRawFrame(frame.TypeData, frame.FlagPadded|frame.FlagEndStream, id, paddedData(5, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.fr.WritePing(false, [8]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	wantSizes := []int{1, 16384, 5}
+	wantIncrements := []uint32{1, 16384, 5 + 7 + 1}
+	if got := fs.readWindowUpdates(); !slices.Equal(got[id], wantIncrements) || !slices.Equal(got[0], wantIncrements) {
+		t.Errorf("stream increments %v, connection %v; want %v each", got[id], got[0], wantIncrements)
+	}
+	resp := <-fetched
+	if resp.Status() != "200" || !resp.EndStream || !slices.Equal(resp.DataFrameSizes, wantSizes) || len(resp.Body) != 0 {
+		t.Errorf("response: status %q, end %v, frame sizes %v, %d body octets; want 200, true, %v, 0",
+			resp.Status(), resp.EndStream, resp.DataFrameSizes, len(resp.Body), wantSizes)
+	}
+	var sizes []int
+	for _, e := range c.Events() {
+		if e.Type == frame.TypeData {
+			sizes = append(sizes, e.DataLen)
+			if e.Data != nil {
+				t.Errorf("DATA event %d keeps %d octets, want nil", e.Seq, len(e.Data))
+			}
+		}
+	}
+	if !slices.Equal(sizes, wantSizes) {
+		t.Errorf("DATA events by DataLen %v, want %v", sizes, wantSizes)
+	}
+}
+
+// TestDiscardDataAllocs gates what a DiscardData connection allocates per
+// received 16 KiB DATA frame: the payload copy it skips would alone be
+// 16 KiB. The peer writes over a net.Pipe, which allocates nothing per
+// write, so what is counted is the connection's own: the framer, the event
+// log and the window updates.
+func TestDiscardDataAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	cli, srv := net.Pipe()
+	go func() { _, _ = io.Copy(io.Discard, srv) }() // preface, SETTINGS, window updates
+	opts := h2conn.DefaultOptions()
+	opts.DiscardData = true
+	c, err := h2conn.Dial(cli, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = c.Close()
+		_ = srv.Close()
+	}()
+	fr := frame.NewFramer(srv, nil)
+	payload := make([]byte, 16<<10)
+	send := func(frames int) {
+		from := c.Mark()
+		for i := 0; i < frames; i++ {
+			if err := fr.WriteData(1, false, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Wait(from+frames-1, 10*time.Second, func(h2conn.Event) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(16)
+	const frames = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(frames)
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / frames; per >= 1<<10 {
+		t.Errorf("%d octets allocated per 16 KiB DATA frame, want < 1 KiB", per)
 	}
 }
 

@@ -171,11 +171,11 @@ func LoadWithStats(nc net.Conn, cfg Config, cached []string) (*Stats, error) {
 				}
 			}
 		case e.Type == frame.TypeData:
-			stats.BodyBytes += len(e.Data)
+			stats.BodyBytes += e.DataLen
 			if path, pushed := pushPath[e.StreamID]; pushed {
-				stats.PushedBytes += len(e.Data)
+				stats.PushedBytes += e.DataLen
 				if isCached[path] {
-					stats.WastedPushBytes += len(e.Data)
+					stats.WastedPushBytes += e.DataLen
 				}
 			}
 		}

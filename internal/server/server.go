@@ -425,9 +425,11 @@ type conn struct {
 	streamCap     atomic.Int64
 	maxSeenClient atomic.Uint32
 	killed        atomic.Bool
-	// prefaced is set once the server preface is on the wire: SETTINGS is
-	// the first frame a server sends (RFC 7540 section 3.5), so a GOAWAY
-	// from another goroutine has to know whether it would overtake it.
+	// prefaced is set once the server's SETTINGS is in the framer: SETTINGS
+	// is the first frame a server sends (RFC 7540 section 3.5), so a GOAWAY
+	// from another goroutine has to know whether it would overtake it. Set
+	// before the flush, not after: a peer that has read the SETTINGS must
+	// get the GOAWAY too, and the framer's write lock keeps it behind.
 	prefaced atomic.Bool
 
 	// Fingerprint plane (see fingerprint.go). fpa and helloFn are touched
@@ -508,6 +510,7 @@ func (c *conn) serve() error {
 	if err := c.fr.WriteSettings(c.srv.profile.settings()...); err != nil {
 		return err
 	}
+	c.prefaced.Store(true)
 	if boost := c.srv.profile.ConnWindowBoost; boost > 0 {
 		if err := c.fr.WriteWindowUpdate(0, boost); err != nil {
 			return err
@@ -520,7 +523,6 @@ func (c *conn) serve() error {
 	if err := c.fr.Flush(); err != nil {
 		return err
 	}
-	c.prefaced.Store(true)
 	for {
 		// Detector rate-limit mitigation: pace the read loop.
 		if d := c.readDelay.Load(); d > 0 {

@@ -198,8 +198,8 @@ func TestFlowControlOneByteWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("waiting for DATA: %v", err)
 	}
-	if len(data.Data) != 1 {
-		t.Fatalf("first DATA frame carries %d bytes, want 1", len(data.Data))
+	if data.DataLen != 1 {
+		t.Fatalf("first DATA frame carries %d bytes, want 1", data.DataLen)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestZeroInitialWindowHeadersBehavior(t *testing.T) {
 			if e.Type == frame.TypeHeaders && e.StreamID == id {
 				gotHeaders = true
 			}
-			if e.Type == frame.TypeData && e.StreamID == id && len(e.Data) > 0 {
+			if e.Type == frame.TypeData && e.StreamID == id && e.DataLen > 0 {
 				t.Error("server sent DATA despite zero window")
 			}
 		})
@@ -867,9 +867,9 @@ func TestWeightedFairShareBetweenSiblings(t *testing.T) {
 		}
 		switch e.StreamID {
 		case heavy:
-			heavyBytes += len(e.Data)
+			heavyBytes += e.DataLen
 		case light:
-			lightBytes += len(e.Data)
+			lightBytes += e.DataLen
 		}
 		return e.StreamID == heavy && e.StreamEnded()
 	}); err != nil {

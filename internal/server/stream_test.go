@@ -212,7 +212,7 @@ func TestResetStreamSendsNothingMore(t *testing.T) {
 			}
 			_, _ = c.Wait(from, 0, func(e h2conn.Event) bool {
 				if e.StreamID == id && e.Type == frame.TypeData {
-					t.Errorf("DATA (%d octets) on stream %d after the server reset it", len(e.Data), id)
+					t.Errorf("DATA (%d octets) on stream %d after the server reset it", e.DataLen, id)
 				}
 				return false
 			})
