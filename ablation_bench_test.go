@@ -209,7 +209,10 @@ func BenchmarkDoSTinyWindowPinning(b *testing.B) {
 			}
 		}
 		received := 0
-		c.WaitQuiet(0, 5*time.Millisecond, time.Second, func(e h2conn.Event) { received += e.DataLen })
+		_, _ = c.AwaitReaction(0, h2conn.ReactionFloor, time.Second, func(e h2conn.Event) bool {
+			received += e.DataLen
+			return false
+		})
 		pinned += int64(streams*96*1024 - received)
 		_ = c.Close()
 	}

@@ -51,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 		useTLS    = fs.Bool("tls", false, "connect with TLS and negotiate h2 via ALPN")
 		timeout   = fs.Duration("timeout", 5*time.Second, "per-probe timeout")
 		retries   = fs.Int("retries", 0, "retry the battery this many times on transient (dial/timeout) failures")
-		quiet     = fs.Duration("quiet", 40*time.Millisecond, "idle window before concluding a server ignored a probe")
+		quiet     = fs.Duration("quiet", 40*time.Millisecond, "raises the reaction floor, the least wait before a fence ACK concludes a server ignored a probe, to 5 x this")
 		drainPath = fs.String("drain", "/drain/64k", "object of >= 65,535 bytes for the priority probe's window drain")
 		largeList = fs.String("large", "/large/1,/large/2,/large/3,/large/4,/large/5,/large/6", "comma-separated large objects")
 		smallPath = fs.String("small", "/about.html", "small page for settings/HPACK/ping probes")

@@ -76,12 +76,11 @@ type Check struct {
 }
 
 // smallPath and largePath are resources every target is assumed to serve
-// (server.DefaultSite does); reactionWindow bounds ignore-detection: a
-// reaction that has not come by then counts as ignored.
+// (server.DefaultSite does). A check concludes a reaction did not come only
+// through h2conn.Conn.AwaitReaction, on h2conn.ReactionFloor and Timeout.
 const (
-	smallPath      = "/about.html"
-	largePath      = "/large/1"
-	reactionWindow = 150 * time.Millisecond
+	smallPath = "/about.html"
+	largePath = "/large/1"
 )
 
 // Env gives checks connection-level access to the target.
@@ -126,9 +125,9 @@ func (e *Env) fetchOK(c *h2conn.Conn) bool {
 }
 
 // waitGoAway reports whether a GOAWAY (optionally with a required error
-// code) arrives within the reaction window.
+// code) answers the provocation just sent.
 func (e *Env) waitGoAway(c *h2conn.Conn, code frame.ErrCode, any bool) (bool, frame.ErrCode) {
-	ev, err := c.Wait(0, reactionWindow, func(ev h2conn.Event) bool { return ev.Type == frame.TypeGoAway })
+	ev, err := c.AwaitReaction(0, h2conn.ReactionFloor, e.Timeout, func(ev h2conn.Event) bool { return ev.Type == frame.TypeGoAway })
 	if err != nil {
 		return false, 0
 	}
@@ -137,9 +136,8 @@ func (e *Env) waitGoAway(c *h2conn.Conn, code frame.ErrCode, any bool) (bool, fr
 
 // expectGoAway is the skeleton the negative checks share: connect with opts,
 // run the provocation (nil when the client SETTINGS are the provocation), and
-// wait one reaction window for GOAWAY(want). A connect or provocation error
-// is a Skip; a GOAWAY with another code fails naming both; no GOAWAY at all
-// fails with the tolerated message.
+// await GOAWAY(want). A connect or provocation error is a Skip; a GOAWAY with
+// another code fails naming both; no GOAWAY fails with the tolerated message.
 func (e *Env) expectGoAway(opts h2conn.Options, want frame.ErrCode, tolerated string, provoke func(*h2conn.Conn) error) (Verdict, string) {
 	c, err := e.connect(opts)
 	if err != nil {
@@ -464,12 +462,13 @@ func checkPingAckPayload(env *Env) (Verdict, string) {
 	}
 	defer closeConn(c)
 	payload := [8]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}
-	rtt, err := c.Ping(payload, reactionWindow)
-	if err != nil {
-		return Fail, "no matching PING ACK"
+	if err := c.WritePing(payload); err != nil {
+		return Skip, err.Error()
 	}
-	if rtt <= 0 {
-		return Fail, "non-positive RTT"
+	if _, err := c.AwaitReaction(0, h2conn.ReactionFloor, env.Timeout, func(e h2conn.Event) bool {
+		return e.Type == frame.TypePing && e.IsAck() && e.PingData == payload
+	}); err != nil {
+		return Fail, "no matching PING ACK"
 	}
 	return Pass, ""
 }
@@ -502,7 +501,7 @@ func checkDataRespectsWindow(env *Env) (Verdict, string) {
 		return Skip, err.Error()
 	}
 	total := 0
-	_, _ = c.Wait(0, reactionWindow, func(e h2conn.Event) bool {
+	_, _ = c.AwaitReaction(0, h2conn.ReactionFloor, env.Timeout, func(e h2conn.Event) bool {
 		if e.Type == frame.TypeData && e.StreamID == id {
 			total += e.DataLen
 		}

@@ -1,7 +1,12 @@
 package conformance_test
 
 import (
+	"io"
+	"log"
+	"net"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +16,9 @@ import (
 	"h2scope/internal/tlsutil"
 )
 
-func newEnv(t *testing.T, p server.Profile) *conformance.Env {
+// newEnv serves profile p in-process behind listeners whose connections add
+// owd of latency each way.
+func newEnv(t *testing.T, p server.Profile, owd time.Duration) *conformance.Env {
 	t.Helper()
 	srv := server.New(p, server.DefaultSite("conf.example"))
 	l := netsim.NewListener("conformance")
@@ -34,8 +41,8 @@ func newEnv(t *testing.T, p server.Profile) *conformance.Env {
 	// Every test that runs checks through here ends on the leak check: most
 	// of the suite provokes a GOAWAY and a server-side close, and those
 	// transports must be closed like any other.
-	dialer := &netsim.CountingDialer{DialFunc: l.Dial}
-	tlsDialer := &netsim.CountingDialer{DialFunc: tl.Dial}
+	dialer := &netsim.CountingDialer{DialFunc: func() (net.Conn, error) { return l.DialLatency(owd, owd) }}
+	tlsDialer := &netsim.CountingDialer{DialFunc: func() (net.Conn, error) { return tl.DialLatency(owd, owd) }}
 	t.Cleanup(func() {
 		for _, d := range []*netsim.CountingDialer{dialer, tlsDialer} {
 			if opened, closed := d.Counts(); opened != closed {
@@ -60,7 +67,7 @@ func TestSuiteAgainstCompliantProfiles(t *testing.T) {
 		p := p
 		t.Run(p.Family, func(t *testing.T) {
 			t.Parallel()
-			results := conformance.RunSuite(newEnv(t, p))
+			results := conformance.RunSuite(newEnv(t, p, 0))
 			if len(results) != len(conformance.Suite()) {
 				t.Fatalf("results = %d, want %d", len(results), len(conformance.Suite()))
 			}
@@ -83,7 +90,7 @@ func TestSuiteAgainstCompliantProfiles(t *testing.T) {
 // flag-validation checks: each must be in the suite, cover the expected RFC
 // section, and pass against a compliant testbed server.
 func TestFrameValidationChecks(t *testing.T) {
-	results := conformance.RunSuite(newEnv(t, server.ApacheProfile()))
+	results := conformance.RunSuite(newEnv(t, server.ApacheProfile(), 0))
 	byID := make(map[string]conformance.Result, len(results))
 	for _, r := range results {
 		byID[r.ID] = r
@@ -117,10 +124,111 @@ func TestFrameValidationChecks(t *testing.T) {
 	}
 }
 
+// verdicts runs the suite and maps each check to its verdict.
+func verdicts(env *conformance.Env) map[string]conformance.Verdict {
+	out := make(map[string]conformance.Verdict)
+	for _, r := range conformance.RunSuite(env) {
+		out[r.ID] = r.Verdict
+	}
+	return out
+}
+
+// TestSuiteOverASlowPath: over a 200 ms round trip every reaction comes back
+// after the reaction floor, and only the fence behind each provocation keeps
+// a late GOAWAY or PING ACK from reading as none. Every check's verdict must
+// be its zero-latency one, on all six profiles. The suites run at once on
+// goroutines of their own: they wait, and -parallel follows the core count.
+func TestSuiteOverASlowPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a suite per profile over a 200 ms round trip")
+	}
+	const owd = 100 * time.Millisecond
+	profiles := server.TestbedProfiles()
+	envs := make([]*conformance.Env, 0, 2*len(profiles))
+	for _, p := range profiles {
+		envs = append(envs, newEnv(t, p, 0), newEnv(t, p, owd))
+	}
+	got := make([]map[string]conformance.Verdict, len(envs))
+	var wg sync.WaitGroup
+	for i, env := range envs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = verdicts(env)
+		}()
+	}
+	wg.Wait()
+	for i, p := range profiles {
+		fast, slow := got[2*i], got[2*i+1]
+		for id, v := range fast {
+			if slow[id] != v {
+				t.Errorf("%s %s: %v over a %v one-way path, %v without latency", p.Family, id, slow[id], owd, v)
+			}
+		}
+	}
+}
+
+// TestSuiteAgainstNetHTTP runs the suite against Go's own HTTP/2 server over
+// TCP loopback: an independent implementation, and a peer that may ACK a
+// PING ahead of frames it has queued, which is what the reaction floor is
+// for. Every verdict is pinned; the exceptions are listed in DESIGN.md.
+func TestSuiteAgainstNetHTTP(t *testing.T) {
+	site := server.DefaultSite("conf.example")
+	var protocols http.Protocols
+	protocols.SetUnencryptedHTTP2(true)
+	srv := &http.Server{
+		Protocols: &protocols,
+		ErrorLog:  log.New(io.Discard, "", 0),
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// The whole request first, as our server does: a POST whose body
+			// never ends holds its stream open, which 4.3/discarded-block-decoded
+			// needs to reach the concurrency limit.
+			_, _ = io.Copy(io.Discard, r.Body)
+			res, ok := site.Lookup(r.URL.Path)
+			if !ok {
+				http.NotFound(w, r)
+				return
+			}
+			w.Header().Set("content-type", res.ContentType)
+			_, _ = w.Write(res.Body)
+		}),
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	dialer := &netsim.CountingDialer{DialFunc: func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }}
+	got := verdicts(&conformance.Env{Dialer: dialer, Authority: "conf.example", Timeout: 5 * time.Second})
+	if opened, closed := dialer.Counts(); opened != closed {
+		t.Errorf("checks opened %d connections and closed %d", opened, closed)
+	}
+	exceptions := map[string]conformance.Verdict{
+		// A 431 response instead of GOAWAY(COMPRESSION_ERROR), which RFC
+		// 7540 section 10.5.1 allows.
+		"attack/hpack-bomb": conformance.Fail,
+		// No TLS endpoint.
+		"9.2/grease-clienthello-alpn": conformance.Skip,
+	}
+	for _, ch := range conformance.Suite() {
+		want, ok := exceptions[ch.ID]
+		if !ok {
+			want = conformance.Pass
+		}
+		if got[ch.ID] != want {
+			t.Errorf("%s: %v, want %v", ch.ID, got[ch.ID], want)
+		}
+	}
+}
+
 func TestSuiteDetectsPingViolation(t *testing.T) {
 	p := server.NginxProfile()
 	p.AnswerPing = false
-	results := conformance.RunSuite(newEnv(t, p))
+	// Every wait for a PING ACK or behind a fence runs to Timeout here.
+	env := newEnv(t, p, 0)
+	env.Timeout = time.Second
+	results := conformance.RunSuite(env)
 	var found *conformance.Result
 	for i := range results {
 		if results[i].ID == "6.7/ping-ack-payload" {
@@ -139,7 +247,7 @@ func TestSuiteDetectsPingViolation(t *testing.T) {
 }
 
 func TestRenderAndSummary(t *testing.T) {
-	results := conformance.RunSuite(newEnv(t, server.H2OProfile()))
+	results := conformance.RunSuite(newEnv(t, server.H2OProfile(), 0))
 	out := conformance.Render(results)
 	if !strings.Contains(out, "PASS") || !strings.Contains(out, "6.9/window-overflow-conn") {
 		t.Errorf("render output:\n%s", out)
@@ -161,7 +269,7 @@ func TestVerdictString(t *testing.T) {
 // suite, covering their sections, and passing against a compliant engine
 // (whose protocol bounds are the defense under test — no detector attached).
 func TestAttackResilienceChecks(t *testing.T) {
-	results := conformance.RunSuite(newEnv(t, server.ApacheProfile()))
+	results := conformance.RunSuite(newEnv(t, server.ApacheProfile(), 0))
 	cases := []struct {
 		id      string
 		section string
@@ -196,7 +304,7 @@ func TestAttackResilienceChecks(t *testing.T) {
 // TestFingerprintChecks pins the fingerprinting pair: both checks are in
 // the suite and pass against a compliant testbed server.
 func TestFingerprintChecks(t *testing.T) {
-	results := conformance.RunSuite(newEnv(t, server.ApacheProfile()))
+	results := conformance.RunSuite(newEnv(t, server.ApacheProfile(), 0))
 	want := map[string]bool{
 		"9.2/grease-clienthello-alpn":        false,
 		"6.5/settings-fingerprint-stability": false,
@@ -220,7 +328,7 @@ func TestFingerprintChecks(t *testing.T) {
 // TestGREASECheckSkipsWithoutTLS pins the degraded mode: a cleartext-only
 // env skips (not fails) the record-layer check.
 func TestGREASECheckSkipsWithoutTLS(t *testing.T) {
-	env := newEnv(t, server.ApacheProfile())
+	env := newEnv(t, server.ApacheProfile(), 0)
 	env.TLSDialer = nil
 	for _, r := range conformance.RunSuite(env) {
 		if r.ID != "9.2/grease-clienthello-alpn" {
@@ -240,7 +348,7 @@ func TestGREASECheckSkipsWithoutTLS(t *testing.T) {
 func TestSettingsStabilityFlagsAdaptiveServer(t *testing.T) {
 	p := server.ApacheProfile()
 	p.FingerprintAdaptive = true
-	env := newEnv(t, p)
+	env := newEnv(t, p, 0)
 	find := func(results []conformance.Result) conformance.Result {
 		for _, r := range results {
 			if r.ID == "6.5/settings-fingerprint-stability" {
@@ -253,7 +361,7 @@ func TestSettingsStabilityFlagsAdaptiveServer(t *testing.T) {
 	if r := find(conformance.RunSuite(env)); r.Verdict != conformance.Fail {
 		t.Errorf("undeclared adaptive server: verdict = %v (%s), want Fail", r.Verdict, r.Detail)
 	}
-	env2 := newEnv(t, p)
+	env2 := newEnv(t, p, 0)
 	env2.FingerprintAdaptive = true
 	if r := find(conformance.RunSuite(env2)); r.Verdict != conformance.Pass {
 		t.Errorf("declared adaptive server: verdict = %v (%s), want Pass", r.Verdict, r.Detail)

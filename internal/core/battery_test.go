@@ -60,8 +60,8 @@ func battery(t *testing.T, p server.Profile, quiet, timeout time.Duration) (*cor
 
 // TestBatteryLastsAsLongAsItsSlowestProbe: Nginx ignores a zero
 // WINDOW_UPDATE at both levels, so each level waits out a whole reaction
-// window, and the push and priority probes each wait out a quiet window. Run
-// in turn that is more than two reaction windows; run at once it is one.
+// window. Run in turn that is more than two reaction windows; run at once it
+// is one.
 func TestBatteryLastsAsLongAsItsSlowestProbe(t *testing.T) {
 	const window = 500 * time.Millisecond
 	prober, d := battery(t, server.NginxProfile(), window/5, 5*time.Second)
@@ -80,8 +80,8 @@ func TestBatteryLastsAsLongAsItsSlowestProbe(t *testing.T) {
 	if wall >= 2*window {
 		t.Errorf("battery took %v: its probes waited in turn, not at once (reaction window %v)", wall, window)
 	}
-	// The settings probe alone runs first; the probes that wait a window or
-	// more — two window-update levels, push, priority — overlap.
+	// The settings probe alone runs first; the other ten dial at once, the
+	// two zero WINDOW_UPDATE levels, which wait a window, among them.
 	if d.peak < 4 {
 		t.Errorf("at most %d probe connection(s) were open at once, want >= 4", d.peak)
 	}

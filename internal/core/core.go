@@ -81,8 +81,8 @@ type Config struct {
 	Authority string
 	// Timeout bounds each wait inside a probe.
 	Timeout time.Duration
-	// QuietWindow is how long the event log must stay idle before a probe
-	// concludes a server will not react.
+	// QuietWindow raises the reaction floor, the least time a probe gives a
+	// server to react (h2conn.Conn.AwaitReaction), to five times its value.
 	QuietWindow time.Duration
 	// DrainPath is an object of at least 65,535 bytes used to deplete the
 	// connection-level flow-control window (Algorithm 1, lines 15-16).
@@ -210,55 +210,17 @@ func together(fns ...func()) {
 	wg.Wait()
 }
 
-// reactionWindow is how long a probe listens for an error frame after a
-// provocation before concluding the server ignored it.
-func (p *Prober) reactionWindow() time.Duration {
-	w := 5 * p.cfg.QuietWindow
-	if w < 100*time.Millisecond {
-		w = 100 * time.Millisecond
-	}
-	return w
-}
-
-// fencePing is the payload of the PING a probe writes behind a provocation.
-var fencePing = [8]byte{'f', 'e', 'n', 'c', 'e'}
-
-// awaitReaction waits for the first event match accepts after a provocation.
-// The reaction window is a floor, not the verdict: a PING written behind the
-// provocation comes back only once the peer has read it, so "no reaction" is
-// concluded when the window has passed and that fence is back. A peer too
-// loaded to have read the provocation within the window — a census host
-// running many batteries at once — is waited for, up to Timeout for one that
-// never answers PING; a peer that answers the fence ahead of a reaction it
-// queued (RFC 7540 §6.7 lets it) is covered by the window.
-func (p *Prober) awaitReaction(c *h2conn.Conn, match func(h2conn.Event) bool) (h2conn.Event, error) {
-	fenced := c.WritePing(fencePing) == nil
-	isAck := func(e h2conn.Event) bool {
-		return e.Type == frame.TypePing && e.IsAck() && e.PingData == fencePing
-	}
-	acked, next := false, 0
-	ev, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
-		acked, next = acked || isAck(e), e.Seq+1
-		return match(e)
-	})
-	if !errors.Is(err, h2conn.ErrTimeout) || !fenced || acked {
-		return ev, err
-	}
-	ev, err = c.Wait(next, p.cfg.Timeout, func(e h2conn.Event) bool {
-		acked = isAck(e)
-		return acked || match(e)
-	})
-	if acked {
-		return h2conn.Event{}, h2conn.ErrTimeout
-	}
-	return ev, err
+// reactionFloor is how long a probe gives a server to react to a provocation
+// before a fence ACK may conclude it did not (h2conn.Conn.AwaitReaction).
+func (p *Prober) reactionFloor() time.Duration {
+	return max(h2conn.ReactionFloor, 5*p.cfg.QuietWindow)
 }
 
 // classifyReaction waits for the first error frame after a provocation and
 // maps it to an Observation, returning the frame with it. streamID scopes
 // RST_STREAM matching; GOAWAY always counts.
 func (p *Prober) classifyReaction(c *h2conn.Conn, streamID uint32) (Observation, h2conn.Event) {
-	ev, err := p.awaitReaction(c, func(e h2conn.Event) bool {
+	ev, err := c.AwaitReaction(0, p.reactionFloor(), p.cfg.Timeout, func(e h2conn.Event) bool {
 		return e.Type == frame.TypeGoAway ||
 			e.Type == frame.TypeRSTStream && (streamID == 0 || e.StreamID == streamID)
 	})

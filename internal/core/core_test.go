@@ -43,24 +43,29 @@ func newProber(t *testing.T, p server.Profile) *core.Prober {
 
 // tableIIIExpectation is one column of the paper's Table III.
 type tableIIIExpectation struct {
-	profile           server.Profile
-	flowOnHeaders     bool
-	zeroWUStream      core.Observation
-	zeroWUConn        core.Observation
-	push              bool
-	priorityPass      bool
-	selfDep           core.Observation
-	headerCompression string
+	profile       server.Profile
+	flowOnHeaders bool
+	// headersWhileBlocked is Priority.HeadersWhileBlocked: HEADERS come
+	// back while the connection window is drained, unless the server flow
+	// controls them.
+	headersWhileBlocked bool
+	zeroWUStream        core.Observation
+	zeroWUConn          core.Observation
+	push                bool
+	priorityPass        bool
+	selfDep             core.Observation
+	headerCompression   string
 }
 
 func tableIII() []tableIIIExpectation {
 	return []tableIIIExpectation{
 		{
-			profile:           server.NginxProfile(),
-			zeroWUStream:      core.ObserveIgnore,
-			zeroWUConn:        core.ObserveIgnore,
-			selfDep:           core.ObserveRSTStream,
-			headerCompression: "support*",
+			profile:             server.NginxProfile(),
+			headersWhileBlocked: true,
+			zeroWUStream:        core.ObserveIgnore,
+			zeroWUConn:          core.ObserveIgnore,
+			selfDep:             core.ObserveRSTStream,
+			headerCompression:   "support*",
 		},
 		{
 			profile:           server.LiteSpeedProfile(),
@@ -71,38 +76,42 @@ func tableIII() []tableIIIExpectation {
 			headerCompression: "support",
 		},
 		{
-			profile:           server.H2OProfile(),
-			zeroWUStream:      core.ObserveRSTStream,
-			zeroWUConn:        core.ObserveGoAway,
-			push:              true,
-			priorityPass:      true,
-			selfDep:           core.ObserveGoAway,
-			headerCompression: "support",
+			profile:             server.H2OProfile(),
+			headersWhileBlocked: true,
+			zeroWUStream:        core.ObserveRSTStream,
+			zeroWUConn:          core.ObserveGoAway,
+			push:                true,
+			priorityPass:        true,
+			selfDep:             core.ObserveGoAway,
+			headerCompression:   "support",
 		},
 		{
-			profile:           server.NghttpdProfile(),
-			zeroWUStream:      core.ObserveGoAway,
-			zeroWUConn:        core.ObserveGoAway,
-			push:              true,
-			priorityPass:      true,
-			selfDep:           core.ObserveGoAway,
-			headerCompression: "support",
+			profile:             server.NghttpdProfile(),
+			headersWhileBlocked: true,
+			zeroWUStream:        core.ObserveGoAway,
+			zeroWUConn:          core.ObserveGoAway,
+			push:                true,
+			priorityPass:        true,
+			selfDep:             core.ObserveGoAway,
+			headerCompression:   "support",
 		},
 		{
-			profile:           server.TengineProfile(),
-			zeroWUStream:      core.ObserveIgnore,
-			zeroWUConn:        core.ObserveIgnore,
-			selfDep:           core.ObserveRSTStream,
-			headerCompression: "support*",
+			profile:             server.TengineProfile(),
+			headersWhileBlocked: true,
+			zeroWUStream:        core.ObserveIgnore,
+			zeroWUConn:          core.ObserveIgnore,
+			selfDep:             core.ObserveRSTStream,
+			headerCompression:   "support*",
 		},
 		{
-			profile:           server.ApacheProfile(),
-			zeroWUStream:      core.ObserveGoAway,
-			zeroWUConn:        core.ObserveGoAway,
-			push:              true,
-			priorityPass:      true,
-			selfDep:           core.ObserveGoAway,
-			headerCompression: "support",
+			profile:             server.ApacheProfile(),
+			headersWhileBlocked: true,
+			zeroWUStream:        core.ObserveGoAway,
+			zeroWUConn:          core.ObserveGoAway,
+			push:                true,
+			priorityPass:        true,
+			selfDep:             core.ObserveGoAway,
+			headerCompression:   "support",
 		},
 	}
 }
@@ -121,9 +130,10 @@ func TestTableIIIMatrix(t *testing.T) {
 }
 
 // TestTableIIIHoldsOverASlowPath re-measures Table III over a 150 ms round
-// trip, longer than the 100 ms reaction window: every reaction comes back
-// after the window, and only the PING fence behind each provocation keeps a
-// late RST_STREAM or GOAWAY — or a late HEADERS — from reading as ignored.
+// trip, longer than the 100 ms reaction floor: every reaction comes back
+// after the floor, and only the PING fence behind each provocation keeps a
+// late RST_STREAM or GOAWAY — or a late HEADERS, the priority probe's too —
+// from reading as ignored.
 func TestTableIIIHoldsOverASlowPath(t *testing.T) {
 	const owd = 75 * time.Millisecond
 	for _, exp := range tableIII() {
@@ -172,6 +182,9 @@ func checkTableIII(t *testing.T, exp tableIIIExpectation, r *core.Report, err er
 	}
 	if r.LargeWU.Stream != core.ObserveRSTStream {
 		t.Errorf("Large WU stream = %v, want RST_STREAM", r.LargeWU.Stream)
+	}
+	if got := r.Priority.HeadersWhileBlocked; got != exp.headersWhileBlocked {
+		t.Errorf("Priority HEADERS while blocked = %v, want %v", got, exp.headersWhileBlocked)
 	}
 	if got := r.Push.Supported; got != exp.push {
 		t.Errorf("Server Push = %v, want %v", got, exp.push)

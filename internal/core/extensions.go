@@ -62,7 +62,7 @@ func (p *Prober) probeSettingsAckAndUnknowns(ctx context.Context, res *Extension
 	// SETTINGS ACK for our (unknown-carrying) SETTINGS frame; a GOAWAY
 	// ahead of it means the unknown setting killed the connection, and both
 	// checks fail.
-	ev, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+	ev, err := c.AwaitReaction(0, p.reactionFloor(), p.cfg.Timeout, func(e h2conn.Event) bool {
 		return e.Type == frame.TypeGoAway || e.Type == frame.TypeSettings && e.IsAck()
 	})
 	if err == nil && ev.Type == frame.TypeGoAway {
@@ -113,12 +113,14 @@ func (p *Prober) probePingPriority(ctx context.Context, res *ExtensionsResult) e
 	if err := c.WritePing(data); err != nil {
 		return err
 	}
+	// The PING is its own fence: where its ACK falls against the transfer's
+	// end is the answer, so the wait is for the ACK, not a window.
 	transferDone := false
-	if _, err := c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+	if _, err := c.Wait(0, p.cfg.Timeout, func(e h2conn.Event) bool {
 		transferDone = transferDone || ended(e)
 		return e.Type == frame.TypePing && e.IsAck() && e.PingData == data
 	}); err != nil {
-		return nil // no ACK while stalled: not prioritized
+		return nil // no ACK at all: not prioritized
 	}
 	// Unblock and drain the rest of the transfer.
 	if err := c.WriteWindowUpdate(0, frame.MaxWindowSize); err != nil {

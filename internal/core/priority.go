@@ -151,11 +151,10 @@ func (p *Prober) ProbePriority(ctx context.Context) (*PriorityResult, error) {
 	for _, label := range streamLabels {
 		testIDs = append(testIDs, ids[label])
 	}
-	c.WaitQuiet(next, p.cfg.QuietWindow, p.reactionWindow(), func(e h2conn.Event) {
-		if e.Type == frame.TypeHeaders && slices.Contains(testIDs, e.StreamID) {
-			res.HeadersWhileBlocked = true
-		}
+	_, err = c.AwaitReaction(next, p.reactionFloor(), p.cfg.Timeout, func(e h2conn.Event) bool {
+		return e.Type == frame.TypeHeaders && slices.Contains(testIDs, e.StreamID)
 	})
+	res.HeadersWhileBlocked = err == nil
 
 	// --- Step 3: reopen the connection window and observe the order. ---
 	if err := c.WriteWindowUpdate(0, frame.MaxWindowSize); err != nil {

@@ -192,7 +192,7 @@ func (p *Prober) ProbeFlowControlData(ctx context.Context, windowSize uint32) (*
 		return nil, err
 	}
 	res := &FlowDataResult{WindowSize: windowSize, FirstDataLen: -1}
-	data, err := p.awaitReaction(c, func(e h2conn.Event) bool {
+	data, err := c.AwaitReaction(0, p.reactionFloor(), p.cfg.Timeout, func(e h2conn.Event) bool {
 		if e.StreamID == id && e.Type == frame.TypeHeaders {
 			res.GotHeaders = true
 		}
@@ -241,7 +241,7 @@ func (p *Prober) ProbeZeroWindowHeaders(ctx context.Context) (*ZeroWindowHeaders
 	if err != nil {
 		return nil, err
 	}
-	_, err = p.awaitReaction(c, func(e h2conn.Event) bool {
+	_, err = c.AwaitReaction(0, p.reactionFloor(), p.cfg.Timeout, func(e h2conn.Event) bool {
 		return e.StreamID == id && e.Type == frame.TypeHeaders
 	})
 	return &ZeroWindowHeadersResult{GotHeaders: err == nil}, nil
@@ -321,7 +321,7 @@ func (p *Prober) windowUpdateReaction(ctx context.Context, provoke func(*h2conn.
 	var target uint32
 	if onStream {
 		target = id
-		_, _ = c.Wait(0, p.reactionWindow(), func(e h2conn.Event) bool {
+		_, _ = c.AwaitReaction(0, p.reactionFloor(), p.cfg.Timeout, func(e h2conn.Event) bool {
 			return e.StreamID == id && (e.Type == frame.TypeHeaders || e.Type == frame.TypeData)
 		})
 	}
@@ -341,7 +341,8 @@ type PushResult struct {
 }
 
 // ProbeServerPush enables push, browses the configured pages, and records
-// PUSH_PROMISE frames.
+// PUSH_PROMISE frames. Each page's wait reads them: RFC 7540 section 8.2.1
+// puts every promise ahead of the END_STREAM of the page it rides on.
 func (p *Prober) ProbeServerPush(ctx context.Context) (*PushResult, error) {
 	ctx, end := p.phase(ctx, "server-push")
 	defer end()
@@ -356,22 +357,25 @@ func (p *Prober) ProbeServerPush(ctx context.Context) (*PushResult, error) {
 		return nil, err
 	}
 	res := &PushResult{}
+	next := c.Mark()
 	for _, page := range p.cfg.PagePaths {
-		if _, err := c.FetchBody(h2conn.Request{Authority: p.cfg.Authority, Path: page}, p.cfg.Timeout); err != nil {
+		id, err := c.OpenStream(h2conn.Request{Authority: p.cfg.Authority, Path: page})
+		if err != nil {
 			continue
 		}
-	}
-	c.WaitQuiet(0, p.cfg.QuietWindow, p.cfg.Timeout, func(e h2conn.Event) {
-		if e.Type != frame.TypePushPromise {
-			return
-		}
-		res.Supported = true
-		for _, hf := range e.Headers {
-			if hf.Name == ":path" {
-				res.PromisedPaths = append(res.PromisedPaths, hf.Value)
+		_, _ = c.Wait(next, p.cfg.Timeout, func(e h2conn.Event) bool {
+			next = e.Seq + 1
+			if e.Type == frame.TypePushPromise {
+				res.Supported = true
+				for _, hf := range e.Headers {
+					if hf.Name == ":path" {
+						res.PromisedPaths = append(res.PromisedPaths, hf.Value)
+					}
+				}
 			}
-		}
-	})
+			return e.StreamID == id && e.Ends()
+		})
+	}
 	return res, nil
 }
 

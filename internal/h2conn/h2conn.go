@@ -5,7 +5,8 @@
 // control — custom SETTINGS, zero or overflowing WINDOW_UPDATEs,
 // self-dependent PRIORITY frames — and records every received frame in an
 // ordered event log that probes read through Wait: a match function shown
-// each event once, in arrival order. The paper's methodology (Section III)
+// each event once, in arrival order, and AwaitReaction, the one place that
+// concludes a peer did not react. The paper's methodology (Section III)
 // is entirely about sending frame sequences a normal client never would and
 // classifying the server's frame-level reaction, so the event log is the
 // central artifact.
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"h2scope/internal/fingerprint"
@@ -184,6 +186,11 @@ type Conn struct {
 	// failed, or Close ran — and no further event can arrive.
 	readEnded    bool
 	nextStreamID uint32
+
+	// blockOpen is set while a header block written raw lacks END_HEADERS;
+	// fences numbers AwaitReaction's PINGs.
+	blockOpen atomic.Bool
+	fences    atomic.Uint32
 
 	// closeOnce closes the transport exactly once, whichever side hung up
 	// first; closeErr is what that close returned.
@@ -523,19 +530,40 @@ func (c *Conn) Wait(from int, timeout time.Duration, match func(Event) bool) (Ev
 	}
 }
 
-// WaitQuiet shows visit every event from position from on and returns once
-// no event has arrived for the idle window, the connection has ended, or
-// maxWait has elapsed. Probes use it to let a response ordering settle.
-func (c *Conn) WaitQuiet(from int, idle, maxWait time.Duration, visit func(Event)) {
-	deadline := time.Now().Add(maxWait)
-	for {
-		ev, err := c.Wait(from, min(idle, time.Until(deadline)), func(Event) bool { return true })
-		if err != nil {
-			return
-		}
-		visit(ev)
-		from = ev.Seq + 1
+// ReactionFloor is the least time AwaitReaction's callers give a peer to
+// react: RFC 7540 section 6.7 lets it ACK a PING ahead of frames it queued.
+const ReactionFloor = 100 * time.Millisecond
+
+// AwaitReaction is Wait after a provocation, and the one way this client
+// concludes that a peer did not react: a PING written behind the
+// provocation (the fence) comes back only once the peer has read it, so
+// ErrTimeout means floor has passed and the fence is back, or timeout has
+// since passed with no ACK. No fence is written inside the client's own open
+// header block (RFC 7540 section 6.10); without one the wait runs to timeout.
+func (c *Conn) AwaitReaction(from int, floor, timeout time.Duration, match func(Event) bool) (Event, error) {
+	// Each fence has its own payload: a late ACK of an earlier one proves nothing.
+	n := c.fences.Add(1)
+	fence := [8]byte{'f', 'e', 'n', 'c', 'e', byte(n >> 16), byte(n >> 8), byte(n)}
+	fenced := !c.blockOpen.Load() && c.WritePing(fence) == nil
+	isAck := func(e Event) bool {
+		return fenced && e.Type == frame.TypePing && e.IsAck() && e.PingData == fence
 	}
+	acked := false
+	ev, err := c.Wait(from, floor, func(e Event) bool {
+		acked, from = acked || isAck(e), e.Seq+1
+		return match(e)
+	})
+	if !errors.Is(err, ErrTimeout) || acked {
+		return ev, err
+	}
+	ev, err = c.Wait(from, timeout, func(e Event) bool {
+		acked = isAck(e)
+		return acked || match(e)
+	})
+	if acked {
+		return Event{}, ErrTimeout
+	}
+	return ev, err
 }
 
 // WaitSettings waits for the server's (non-ACK) SETTINGS frame.
@@ -708,12 +736,16 @@ func (c *Conn) WriteRSTStream(streamID uint32, code frame.ErrCode) error {
 // WriteRawFrame sends an arbitrary frame verbatim — the escape hatch for
 // conformance checks that need deliberately malformed frames.
 func (c *Conn) WriteRawFrame(t frame.Type, flags frame.Flags, streamID uint32, payload []byte) error {
+	if t == frame.TypeHeaders || t == frame.TypeContinuation {
+		c.blockOpen.Store(!flags.Has(frame.FlagEndHeaders))
+	}
 	return c.flushAfter(c.fr.WriteRawFrame(t, flags, streamID, payload))
 }
 
 // WriteHeadersRaw sends a HEADERS frame with a caller-supplied (possibly
 // invalid) header block fragment, bypassing the HPACK encoder.
 func (c *Conn) WriteHeadersRaw(streamID uint32, fragment []byte, endStream, endHeaders bool) error {
+	c.blockOpen.Store(!endHeaders)
 	return c.flushAfter(c.fr.WriteHeaders(frame.HeadersParams{
 		StreamID:   streamID,
 		Fragment:   fragment,

@@ -715,20 +715,118 @@ func TestPushPromiseWithContinuation(t *testing.T) {
 	}
 }
 
-func TestWaitQuietReturnsAfterIdle(t *testing.T) {
+// awaitResult is one AwaitReaction call's outcome and how long it took.
+type awaitResult struct {
+	ev   h2conn.Event
+	err  error
+	took time.Duration
+}
+
+// awaitReset runs AwaitReaction for an RST_STREAM from position from in the
+// background, so the test goroutine can play the server meanwhile.
+func awaitReset(c *h2conn.Conn, from int, floor, timeout time.Duration) <-chan awaitResult {
+	out := make(chan awaitResult, 1)
+	go func() {
+		start := time.Now()
+		ev, err := c.AwaitReaction(from, floor, timeout, func(e h2conn.Event) bool { return e.Type == frame.TypeRSTStream })
+		out <- awaitResult{ev, err, time.Since(start)}
+	}()
+	return out
+}
+
+// TestAwaitReaction: a reaction ends the wait whenever it comes, also behind
+// a fence ACK within the floor; silence is concluded once the floor has
+// passed and the fence is back, or at timeout from a peer that never ACKs;
+// a close ends the wait with ErrConnClosed.
+func TestAwaitReaction(t *testing.T) {
+	const floor = 60 * time.Millisecond
+	reset := func(fs *fakeServer, _ [8]byte) { _ = fs.fr.WriteRSTStream(1, frame.ErrCodeCancel) }
+	ack := func(fs *fakeServer, fence [8]byte) { _ = fs.fr.WritePing(true, fence) }
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		serve   []func(fs *fakeServer, fence [8]byte)
+		want    error
+		minTook time.Duration
+	}{
+		{"a reaction before the fence", 5 * time.Second, []func(*fakeServer, [8]byte){reset, ack}, nil, 0},
+		{"an ACK ahead of the reaction inside the floor", 5 * time.Second, []func(*fakeServer, [8]byte){
+			ack, func(*fakeServer, [8]byte) { time.Sleep(floor / 3) }, reset,
+		}, nil, floor / 3},
+		{"an ACK and no reaction", 5 * time.Second, []func(*fakeServer, [8]byte){ack}, h2conn.ErrTimeout, floor},
+		{"a peer that never ACKs", 200 * time.Millisecond, nil, h2conn.ErrTimeout, floor + 200*time.Millisecond},
+		{"a close", 5 * time.Second, []func(*fakeServer, [8]byte){func(fs *fakeServer, _ [8]byte) { _ = fs.nc.Close() }}, h2conn.ErrConnClosed, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, fs := dialFake(t, h2conn.Options{})
+			fs.expectFrame(frame.TypeSettings)
+			done := awaitReset(c, 0, floor, tc.timeout)
+			fence := fs.expectFrame(frame.TypePing).(*frame.PingFrame).Data
+			for _, step := range tc.serve {
+				step(fs, fence)
+			}
+			r := <-done
+			if !errors.Is(r.err, tc.want) || r.took < tc.minTook || r.took >= 5*time.Second {
+				t.Fatalf("AwaitReaction = %v after %v, want %v after at least %v", r.err, r.took, tc.want, tc.minTook)
+			}
+			if tc.want == nil && r.ev.Type != frame.TypeRSTStream {
+				t.Errorf("event = %v, want RST_STREAM", r.ev.Type)
+			}
+		})
+	}
+}
+
+// TestAwaitReactionIgnoresAnEarlierFence: each fence has its own payload, so
+// the late ACK of one a reaction made moot proves nothing for the next wait.
+func TestAwaitReactionIgnoresAnEarlierFence(t *testing.T) {
+	const timeout = 150 * time.Millisecond
 	c, fs := dialFake(t, h2conn.Options{})
 	fs.expectFrame(frame.TypeSettings)
-	go func() {
-		for i := 0; i < 3; i++ {
-			_ = fs.fr.WritePing(true, [8]byte{byte(i)})
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-	events := 0
-	c.WaitQuiet(0, 40*time.Millisecond, 2*time.Second, func(h2conn.Event) { events++ })
-	if events < 3 {
-		t.Errorf("events = %d, want >= 3", events)
+	first := awaitReset(c, 0, 10*time.Millisecond, timeout)
+	stale := fs.expectFrame(frame.TypePing).(*frame.PingFrame).Data
+	_ = fs.fr.WriteRSTStream(1, frame.ErrCodeCancel)
+	if r := <-first; r.err != nil {
+		t.Fatalf("first wait: %v", r.err)
 	}
+	second := awaitReset(c, c.Mark(), 10*time.Millisecond, timeout)
+	if fence := fs.expectFrame(frame.TypePing).(*frame.PingFrame).Data; fence == stale {
+		t.Fatalf("two fences share the payload %q", fence)
+	}
+	_ = fs.fr.WritePing(true, stale)
+	if r := <-second; !errors.Is(r.err, h2conn.ErrTimeout) || r.took < timeout {
+		t.Errorf("second wait = %v after %v, want ErrTimeout at %v: an earlier fence's ACK ended it", r.err, r.took, timeout)
+	}
+}
+
+// TestAwaitReactionWritesNoFenceInsideAnOpenHeaderBlock: RFC 7540 section
+// 6.10 allows only CONTINUATION frames of the stream until END_HEADERS, so
+// a wait behind the client's own open block writes no fence and, with
+// nothing to prove silence by, runs to timeout; once the block is closed
+// fences are written again.
+func TestAwaitReactionWritesNoFenceInsideAnOpenHeaderBlock(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	c, fs := dialFake(t, h2conn.Options{})
+	fs.expectFrame(frame.TypeSettings)
+	if err := c.WriteHeadersRaw(1, []byte{0x82}, true, false); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-awaitReset(c, 0, 10*time.Millisecond, timeout); !errors.Is(r.err, h2conn.ErrTimeout) || r.took < timeout {
+		t.Errorf("wait in an open block = %v after %v, want ErrTimeout at %v", r.err, r.took, timeout)
+	}
+	if err := c.WriteRawFrame(frame.TypeContinuation, frame.FlagEndHeaders, 1, []byte{0x84}); err != nil {
+		t.Fatal(err)
+	}
+	done := awaitReset(c, 0, 10*time.Millisecond, timeout)
+	for _, want := range []frame.Type{frame.TypeHeaders, frame.TypeContinuation, frame.TypePing} {
+		f, err := fs.fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Header().Type; got != want {
+			t.Fatalf("server read %v, want %v: a frame went out inside the open header block", got, want)
+		}
+	}
+	<-done
 }
 
 func TestCloseIsIdempotentAndUnblocksWaiters(t *testing.T) {

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"errors"
 	"strconv"
 	"testing"
 	"time"
@@ -220,16 +221,15 @@ func TestZeroInitialWindowHeadersBehavior(t *testing.T) {
 			t.Fatal(err)
 		}
 		gotHeaders := false
-		c.WaitQuiet(0, 50*time.Millisecond, time.Second, func(e h2conn.Event) {
-			if e.Type == frame.TypeHeaders && e.StreamID == id {
-				gotHeaders = true
-			}
-			if e.Type == frame.TypeData && e.StreamID == id && e.DataLen > 0 {
-				t.Error("server sent DATA despite zero window")
-			}
+		ev, err := c.AwaitReaction(0, h2conn.ReactionFloor, testTimeout, func(e h2conn.Event) bool {
+			gotHeaders = gotHeaders || e.Type == frame.TypeHeaders && e.StreamID == id
+			return e.Type == frame.TypeData && e.StreamID == id && e.DataLen > 0
 		})
-		if !gotHeaders {
-			t.Fatal("no HEADERS at zero window")
+		if err == nil {
+			t.Fatalf("server sent %d DATA octets despite zero window", ev.DataLen)
+		}
+		if !errors.Is(err, h2conn.ErrTimeout) || !gotHeaders {
+			t.Fatalf("no HEADERS at zero window (%v)", err)
 		}
 	})
 	t.Run("litespeed withholds headers", func(t *testing.T) {
@@ -241,11 +241,11 @@ func TestZeroInitialWindowHeadersBehavior(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.WaitQuiet(0, 50*time.Millisecond, time.Second, func(e h2conn.Event) {
-			if e.Type == frame.TypeHeaders && e.StreamID == id {
-				t.Error("LiteSpeed profile sent HEADERS under zero window")
-			}
-		})
+		if _, err := c.AwaitReaction(0, h2conn.ReactionFloor, testTimeout, func(e h2conn.Event) bool {
+			return e.Type == frame.TypeHeaders && e.StreamID == id
+		}); !errors.Is(err, h2conn.ErrTimeout) {
+			t.Errorf("LiteSpeed profile under zero window: %v, want no HEADERS", err)
+		}
 	})
 }
 
@@ -301,11 +301,12 @@ func TestZeroWindowUpdateReactions(t *testing.T) {
 func checkReaction(t *testing.T, c *h2conn.Conn, want frame.Type, streamID uint32) {
 	t.Helper()
 	if want == 0 {
-		c.WaitQuiet(0, 50*time.Millisecond, time.Second, func(e h2conn.Event) {
-			if e.Type == frame.TypeRSTStream || e.Type == frame.TypeGoAway {
-				t.Errorf("expected silence, saw %v", e.Type)
-			}
+		ev, err := c.AwaitReaction(0, h2conn.ReactionFloor, testTimeout, func(e h2conn.Event) bool {
+			return e.Type == frame.TypeRSTStream || e.Type == frame.TypeGoAway
 		})
+		if !errors.Is(err, h2conn.ErrTimeout) {
+			t.Errorf("expected silence, saw %v (%v)", ev.Type, err)
+		}
 		return
 	}
 	_, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
@@ -497,11 +498,11 @@ func TestServerPush(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !tt.wantPush {
-				c.WaitQuiet(0, 50*time.Millisecond, time.Second, func(e h2conn.Event) {
-					if e.Type == frame.TypePushPromise {
-						t.Error("non-push profile sent PUSH_PROMISE")
-					}
-				})
+				if _, err := c.AwaitReaction(0, h2conn.ReactionFloor, testTimeout, func(e h2conn.Event) bool {
+					return e.Type == frame.TypePushPromise
+				}); !errors.Is(err, h2conn.ErrTimeout) {
+					t.Errorf("non-push profile: %v, want no PUSH_PROMISE", err)
+				}
 				return
 			}
 			// Pushed responses arrive on the promised even streams, with
@@ -754,14 +755,17 @@ func TestPushedStreamsRespectFlowControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	var promised []*h2conn.Response
-	c.WaitQuiet(0, 50*time.Millisecond, 2*time.Second, func(e h2conn.Event) {
+	if _, err := c.AwaitReaction(0, h2conn.ReactionFloor, testTimeout, func(e h2conn.Event) bool {
 		if e.Type == frame.TypePushPromise {
 			promised = append(promised, h2conn.NewResponse(e.PromiseID))
 		}
 		for _, r := range promised {
 			r.Add(e)
 		}
-	})
+		return false
+	}); !errors.Is(err, h2conn.ErrTimeout) {
+		t.Fatalf("collecting the push: %v", err)
+	}
 	if len(promised) != 1 {
 		t.Fatalf("%d promises, want 1", len(promised))
 	}
