@@ -236,7 +236,7 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 		score.Survived, score.Total, score.Value)
 
 	if det != nil {
-		reportDetections(human, det, outs)
+		reportDetections(human, det.Detections(), outs)
 	}
 
 	if o.outPath == "" {
@@ -291,23 +291,27 @@ func renderOutcome(out *attack.Outcome) string {
 	return b.String()
 }
 
-// reportDetections summarizes what the armed detector flagged, scenario
-// kinds it caught, and any attacks that slipped through.
-func reportDetections(w io.Writer, det *server.Detector, outs []attack.Outcome) {
-	dets := det.Detections()
+// reportDetections summarizes what the armed detector flagged, per kind it
+// scores, and names each scenario of those kinds that ran and slipped
+// through. hpack-bomb and continuation-flood are no detector kind: the
+// server's structural bounds end them, and their scenario lines carry the
+// GOAWAY codes.
+func reportDetections(w io.Writer, dets []server.Detection, outs []attack.Outcome) {
 	fmt.Fprintf(w, "detector: %d detections\n", len(dets))
 	caught := make(map[server.AttackKind]int)
 	for _, d := range dets {
 		caught[d.Kind]++
 	}
-	for _, k := range server.AttackKinds() {
-		if caught[k] > 0 {
-			fmt.Fprintf(w, "  %s: %d (mitigated)\n", k, caught[k])
-		}
-	}
+	ran := make(map[server.AttackKind]bool)
 	for _, out := range outs {
-		if caught[server.AttackKind(out.Kind)] == 0 {
-			fmt.Fprintf(w, "  %s: NOT detected\n", out.Kind)
+		ran[server.AttackKind(out.Kind)] = true
+	}
+	for _, k := range server.AttackKinds() {
+		switch {
+		case caught[k] > 0:
+			fmt.Fprintf(w, "  %s: %d (mitigated)\n", k, caught[k])
+		case ran[k]:
+			fmt.Fprintf(w, "  %s: NOT detected\n", k)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"h2scope/internal/attack"
+	"h2scope/internal/server"
 )
 
 func TestParseFlagsValidation(t *testing.T) {
@@ -127,5 +128,26 @@ func TestRunFullBatteryMachineStdout(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "robustness:") {
 		t.Errorf("human output leaked onto machine stdout:\n%s", stdout.String())
+	}
+}
+
+// TestReportDetectionsNamesOnlyScoredKinds: a miss is reported only for a
+// scenario that ran and that the detector scores, never for the two the
+// server's structural bounds end.
+func TestReportDetectionsNamesOnlyScoredKinds(t *testing.T) {
+	var outs []attack.Outcome
+	for _, k := range attack.Kinds() {
+		if k != attack.KindSettingsFlood {
+			outs = append(outs, attack.Outcome{Kind: k})
+		}
+	}
+	var b strings.Builder
+	reportDetections(&b, []server.Detection{{Kind: server.AttackRapidReset}, {Kind: server.AttackRapidReset}}, outs)
+	want := "detector: 2 detections\n" +
+		"  rapid-reset: 2 (mitigated)\n" +
+		"  slow-drip: NOT detected\n" +
+		"  zero-window-starvation: NOT detected\n"
+	if b.String() != want {
+		t.Errorf("report:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

@@ -10,7 +10,6 @@
 //	h2census -epoch 2 -sample 200    # Jan 2017 epoch plus a 200-site measured scan
 //	h2census -scale 0.1              # a 10%-scale universe
 //	h2census -sample 500 -retries 3 -timeout 2s -progress 5s -out scan.jsonl
-//	h2census -sample 100 -robustness # score each sampled site's attack resilience
 //	h2census -sample 100 -fingerprint # re-dial each site as curl/Chrome/Firefox/Go and diff responses
 //	h2census -analyze scan.jsonl     # offline re-analysis of a records file
 package main
@@ -65,7 +64,6 @@ type options struct {
 	analyze     string
 	debugAddr   string
 	flightRec   string
-	robustness  bool
 	fingerprint bool
 
 	// debugStarted and onScanRecord are test seams: debugStarted receives
@@ -100,7 +98,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.StringVar(&o.analyze, "analyze", "", "skip generation: analyze a previously written records file and exit")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) while the census runs")
 	fs.StringVar(&o.flightRec, "flightrec", "", "directory for anomaly flight-recorder dumps (bounded JSONL forensics on p99 blowouts and error spikes); needs -sample > 0")
-	fs.BoolVar(&o.robustness, "robustness", false, "also run the short adversarial battery against each sampled site and score its resilience; needs -sample > 0")
 	fs.BoolVar(&o.fingerprint, "fingerprint", false, "also re-dial each sampled site impersonating the builtin client profiles and record whether responses differ; needs -sample > 0")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -153,9 +150,6 @@ func (o *options) validate() error {
 	}
 	if o.flightRec != "" && o.sample == 0 {
 		return fmt.Errorf("-flightrec needs a measured scan; set -sample > 0")
-	}
-	if o.robustness && o.sample == 0 {
-		return fmt.Errorf("-robustness needs a measured scan; set -sample > 0")
 	}
 	if o.fingerprint && o.sample == 0 {
 		return fmt.Errorf("-fingerprint needs a measured scan; set -sample > 0")
@@ -364,7 +358,6 @@ func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, e
 		Retries:     o.retries,
 		TraceDir:    o.traceDir,
 		Metrics:     reg,
-		Robustness:  o.robustness,
 		Fingerprint: o.fingerprint,
 		Observer:    monitor,
 		Context:     ctx,

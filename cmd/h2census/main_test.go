@@ -48,8 +48,6 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"out to stdout", []string{"-sample", "5", "-out", "-"}, ""},
 		{"trace with sample", []string{"-sample", "5", "-trace", "traces"}, ""},
 		{"trace without sample", []string{"-trace", "traces"}, "-trace needs a measured scan"},
-		{"robustness with sample", []string{"-sample", "5", "-robustness"}, ""},
-		{"robustness without sample", []string{"-robustness"}, "-robustness needs a measured scan"},
 		{"flightrec with sample", []string{"-sample", "5", "-flightrec", "dumps"}, ""},
 		{"flightrec without sample", []string{"-flightrec", "dumps"}, "-flightrec needs a measured scan"},
 		{"positional junk", []string{"extra"}, "unexpected positional arguments"},
@@ -451,66 +449,6 @@ func TestStatsTrailerEmbedsMetrics(t *testing.T) {
 		if !names[want] {
 			t.Errorf("trailer snapshot missing %s", want)
 		}
-	}
-}
-
-// TestRunRobustnessScan drives -robustness end to end: the scan runs the
-// adversarial battery per sampled site, the rendered summary reports the
-// scores, and persisted records carry them for offline re-analysis.
-func TestRunRobustnessScan(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "records.jsonl")
-	opts, err := parseFlags([]string{
-		"-epoch", "2", "-scale", "0.002", "-sample", "2", "-robustness",
-		"-out", path,
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr strings.Builder
-	if err := run(context.Background(), opts, &stdout, &stderr); err != nil {
-		t.Fatalf("run(-robustness): %v", err)
-	}
-	if !strings.Contains(stdout.String(), "robustness: 2 sites scored") {
-		t.Errorf("summary missing robustness line:\n%s", stdout.String())
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = f.Close()
-	}()
-	records := readRecords(t, f)
-	scored := 0
-	for _, rec := range records {
-		if rec.IsStatsTrailer() {
-			continue
-		}
-		if rec.Robustness == nil {
-			t.Errorf("%s: persisted record missing robustness score", rec.Domain)
-			continue
-		}
-		if rec.Robustness.Value < 0 || rec.Robustness.Value > 1 {
-			t.Errorf("%s: score %v outside [0,1]", rec.Domain, rec.Robustness.Value)
-		}
-		scored++
-	}
-	if scored != 2 {
-		t.Errorf("scored records = %d, want 2", scored)
-	}
-
-	// The offline analyzer must re-derive the robustness column.
-	opts, err = parseFlags([]string{"-analyze", path}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var analysis strings.Builder
-	if err := run(context.Background(), opts, &analysis, io.Discard); err != nil {
-		t.Fatalf("run(-analyze): %v", err)
-	}
-	if !strings.Contains(analysis.String(), "robustness: 2 sites scored") {
-		t.Errorf("offline analysis missing robustness line:\n%s", analysis.String())
 	}
 }
 

@@ -13,11 +13,15 @@
 // actively killed the attackers, the strongest defense — with GOAWAY
 // evidence collected from the attacking connections.
 //
-// The defense half lives in internal/server: a real-time event-sequence
-// detector (Server.StartDetector) consuming the trace bus, with per-profile
-// thresholds and mitigation actions. The two halves meet in this package's
-// tests, which assert every scenario is flagged and that replayed benign
-// traffic is not.
+// The defense half lives in internal/server. Two structural bounds end two
+// scenarios with no detector armed: the header-list guard answers an HPACK
+// bomb with GOAWAY(COMPRESSION_ERROR), and the header-block bound answers a
+// CONTINUATION flood with GOAWAY(ENHANCE_YOUR_CALM). A real-time
+// event-sequence detector (Server.StartDetector) consuming the trace bus,
+// with per-profile thresholds and mitigation actions, covers the other four.
+// The halves meet in this package's tests, which assert that the bounds end
+// their two scenarios on every testbed profile, that the detector flags its
+// four, and that replayed benign traffic is not flagged.
 package attack
 
 import (
@@ -32,8 +36,10 @@ import (
 	"h2scope/internal/h2conn"
 )
 
-// Kind names one adversarial scenario. The vocabulary matches the server
-// detector's AttackKind values so outcomes and detections line up.
+// Kind names one adversarial scenario. The server detector's AttackKind
+// values reuse the names of the four scenarios it scores, so outcomes and
+// detections line up; hpack-bomb and continuation-flood have no detector
+// kind, since the server's structural bounds end them.
 type Kind string
 
 // The scenario catalog.
@@ -428,25 +434,21 @@ func (p *pacer) wait(deadline time.Time) bool {
 	return true
 }
 
-// Score aggregates a battery into the census robustness column.
+// Score aggregates a battery into the one summary line h2attack prints.
 type Score struct {
-	// Verdicts maps each scenario run to its verdict.
-	Verdicts map[Kind]Verdict `json:"verdicts"`
 	// Survived counts scenarios the server weathered cleanly (survived or
 	// killed-attacker); Total is the battery size.
-	Survived int `json:"survived"`
-	Total    int `json:"total"`
+	Survived, Total int
 	// Value is the robustness score in [0,1]: full credit for clean
 	// survival, half for degraded, none for hung.
-	Value float64 `json:"value"`
+	Value float64
 }
 
 // ScoreOutcomes folds a battery's outcomes into a Score.
 func ScoreOutcomes(outs []Outcome) Score {
-	s := Score{Verdicts: make(map[Kind]Verdict, len(outs)), Total: len(outs)}
+	s := Score{Total: len(outs)}
 	credit := 0.0
 	for _, o := range outs {
-		s.Verdicts[o.Kind] = o.Verdict
 		switch o.Verdict {
 		case VerdictSurvived, VerdictKilledAttacker:
 			s.Survived++

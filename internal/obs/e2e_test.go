@@ -36,9 +36,7 @@ func TestDetectorTriggersFlightDump(t *testing.T) {
 	cfg := server.DetectorConfig{
 		Thresholds: server.Thresholds{
 			HeaderRate: 25, ResetRate: 10, MinResets: 5, ResetRatio: 0.3,
-			SettingsRate: 10, ContinuationRate: 5,
-			AsymmetryMinBytes: 8 << 10, AsymmetryFactor: 4,
-			TinyDataRate: 2.5, TinyDataBytes: 16,
+			SettingsRate: 10, TinyDataRate: 2.5, TinyDataBytes: 16,
 			StarvationTime: 250 * time.Millisecond,
 		},
 		OnDetect: func(det server.Detection) {

@@ -8,10 +8,11 @@ import (
 	"h2scope/internal/netsim"
 )
 
-// TestScanClosesEveryConnection scans ten census sites — probe battery,
-// adversarial battery and impersonation sweep — through counting dialers:
-// every transport the scan opened is closed when it returns, the ones the
-// site hung up on first (GOAWAY reactions, mitigated attackers) included.
+// TestScanClosesEveryConnection scans ten census sites — probe battery and
+// impersonation sweep — through counting dialers: every transport the scan
+// opened is closed when it returns, the ones the site hung up on first
+// (GOAWAY reactions) included. The attack battery's own accounting is
+// internal/attack's TestRunAllClosesEveryConnection.
 func TestScanClosesEveryConnection(t *testing.T) {
 	var (
 		mu      sync.Mutex
@@ -21,7 +22,6 @@ func TestScanClosesEveryConnection(t *testing.T) {
 		SampleSize:  10,
 		Parallelism: 4,
 		Seed:        7,
-		Robustness:  true,
 		Fingerprint: true,
 		wrapDial: func(dial func() (net.Conn, error)) func() (net.Conn, error) {
 			d := &netsim.CountingDialer{DialFunc: dial}

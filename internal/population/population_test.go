@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"h2scope/internal/attack"
 	"h2scope/internal/core"
 	"h2scope/internal/fingerprint"
 	"h2scope/internal/population"
@@ -602,69 +601,6 @@ func TestAgreementPerfectOnCleanScan(t *testing.T) {
 	}
 	if out := agr.String(); out == "" {
 		t.Error("empty rendering")
-	}
-}
-
-// TestScanRobustnessScoresSample exercises the census robustness column:
-// with ScanOptions.Robustness, every successfully probed site also runs the
-// short adversarial battery and carries a score, and the summary aggregates
-// fold every scenario verdict.
-func TestScanRobustnessScoresSample(t *testing.T) {
-	pop := population.Generate(population.EpochJan2017, 0.002, 17)
-	sum, sites := scanCollect(t, pop, population.ScanOptions{
-		SampleSize:  4,
-		Parallelism: 4,
-		Seed:        9,
-		Robustness:  true,
-	})
-	if sum.Scanned != 4 {
-		t.Fatalf("Scanned = %d, want 4", sum.Scanned)
-	}
-	for _, res := range sites {
-		if res.Report == nil {
-			t.Errorf("%s: no report", res.Spec.Domain)
-			continue
-		}
-		score := res.Robustness
-		if score == nil {
-			t.Errorf("%s: no robustness score despite Robustness option", res.Spec.Domain)
-			continue
-		}
-		if score.Total != len(attack.Kinds()) {
-			t.Errorf("%s: battery size %d, want %d", res.Spec.Domain, score.Total, len(attack.Kinds()))
-		}
-		if score.Value < 0 || score.Value > 1 {
-			t.Errorf("%s: score %v outside [0,1]", res.Spec.Domain, score.Value)
-		}
-		if len(score.Verdicts) != score.Total {
-			t.Errorf("%s: %d verdicts for %d scenarios", res.Spec.Domain, len(score.Verdicts), score.Total)
-		}
-	}
-	if sum.RobustnessSites != sum.Scanned || sum.RobustnessSum < 0 || sum.RobustnessSum > float64(sum.Scanned) {
-		t.Errorf("robustness scores add up to %v over %d sites, want %d sites scored in [0,1]", sum.RobustnessSum, sum.RobustnessSites, sum.Scanned)
-	}
-	verdictTotal := 0
-	for _, n := range sum.RobustnessVerdicts {
-		verdictTotal += n
-	}
-	if want := sum.Scanned * len(attack.Kinds()); verdictTotal != want {
-		t.Errorf("RobustnessVerdicts total %d, want %d", verdictTotal, want)
-	}
-}
-
-// TestScanWithoutRobustnessLeavesScoresNil pins the default: no battery, no
-// scores, empty aggregates.
-func TestScanWithoutRobustnessLeavesScoresNil(t *testing.T) {
-	pop := population.Generate(population.EpochJul2016, 0.002, 17)
-	sum, sites := scanCollect(t, pop, population.ScanOptions{SampleSize: 2, Parallelism: 2, Seed: 3})
-	for _, res := range sites {
-		if res.Robustness != nil {
-			t.Errorf("%s: unexpected robustness score without the option", res.Spec.Domain)
-		}
-	}
-	if sum.RobustnessSites != 0 || len(sum.RobustnessVerdicts) != 0 {
-		t.Errorf("robustness aggregates populated without the option: %d sites, %v",
-			sum.RobustnessSites, sum.RobustnessVerdicts)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"os"
 	"time"
 
-	"h2scope/internal/attack"
 	"h2scope/internal/core"
 	"h2scope/internal/fingerprint"
 	"h2scope/internal/h2conn"
@@ -108,12 +107,6 @@ type ScanOptions struct {
 	// h2_conn_*/h2_frames_* instruments, so a -debug-addr endpoint watches
 	// the run in flight. The summary's Stats stay exact regardless.
 	Metrics *metrics.Registry
-	// Robustness additionally runs the internal/attack scenario battery
-	// against each materialized site after its probe battery, folding each
-	// site's robustness score into the summary (and the records). Every
-	// scenario runs for robustnessDuration — short bursts sized for
-	// census-scale sweeps, not load tests.
-	Robustness bool
 	// Fingerprint additionally re-dials each site once per builtin client
 	// profile (curl, chrome, firefox, go), each connection wearing that
 	// client's HTTP/2 fingerprint, and records whether the site's
@@ -129,17 +122,13 @@ type ScanOptions struct {
 
 	// wrapDial, which only this package's tests can set, wraps the dial
 	// function every connection to a site goes through (probe battery,
-	// adversarial battery, impersonation sweep): the counting dialer's way in.
+	// impersonation sweep): the counting dialer's way in.
 	wrapDial func(dial func() (net.Conn, error)) func() (net.Conn, error)
 }
 
 // batteryProbes is how many connection-scoped probes one battery runs; the
-// per-host budget allows one full Timeout for each. robustnessDuration is how
-// long each adversarial scenario runs under ScanOptions.Robustness.
-const (
-	batteryProbes      = 12
-	robustnessDuration = 150 * time.Millisecond
-)
+// per-host budget allows one full Timeout for each.
+const batteryProbes = 12
 
 // Scan materializes a sample of the population as live servers, runs the
 // full H2Scope battery against each through the scan engine, and aggregates
@@ -155,11 +144,6 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 	}
 	// The hard per-attempt deadline for one site's whole battery.
 	hostBudget := batteryProbes * opts.Timeout
-	if opts.Robustness {
-		// The adversarial battery runs after the probe battery: six
-		// scenarios plus health probes, each bounded by Timeout.
-		hostBudget += 6*robustnessDuration + 2*opts.Timeout
-	}
 	if opts.Fingerprint {
 		// Four impersonated dials of two fetches each.
 		hostBudget += 2 * opts.Timeout
@@ -183,7 +167,7 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 	}
 	probe := func(ctx context.Context, t scan.Target) (any, error) {
 		v, err := probeSite(ctx, t.Meta.(*SiteSpec), &opts, connMetrics)
-		if v.report == nil && v.robust == nil && v.fp == nil {
+		if v.report == nil && v.fp == nil {
 			// A typed nil inside a non-nil any would defeat the engine's
 			// partial-value bookkeeping.
 			return nil, err
@@ -233,7 +217,7 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 			out.ErrorKind = rec.Kind.String()
 		}
 		if v, ok := rec.Value.(*siteValue); ok {
-			out.Report, out.Robustness, out.Fingerprint = v.report, v.robust, v.fp
+			out.Report, out.Fingerprint = v.report, v.fp
 		}
 		if out.Report != nil && out.Report.Settings != nil {
 			out.ServerName = out.Report.Settings.ServerHeader
@@ -267,17 +251,14 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 }
 
 // siteValue is what one site's probe hands the scan engine: the battery
-// report plus, under ScanOptions.Robustness, the adversarial-battery
-// score, plus, under ScanOptions.Fingerprint, the impersonation sweep.
+// report plus, under ScanOptions.Fingerprint, the impersonation sweep.
 type siteValue struct {
 	report *core.Report
-	robust *attack.Score
 	fp     *fingerprint.CensusResult
 }
 
 // probeSite materializes one site, runs the probe battery against it, and —
-// when the scan asks for them — follows with the adversarial battery and
-// the impersonation sweep.
+// when the scan asks for it — follows with the impersonation sweep.
 func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn.Metrics) (*siteValue, error) {
 	srv := spec.NewServer()
 	l := netsim.NewListener(spec.Domain)
@@ -305,17 +286,6 @@ func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn
 	prober := core.NewProber(&siteDialer{dial: dial, spec: spec}, cfg)
 	report, err := prober.RunContext(ctx)
 	v := &siteValue{report: report}
-	if opts.Robustness && ctx.Err() == nil {
-		runner := &attack.Runner{
-			Dial:         dial,
-			Authority:    spec.Domain,
-			ProbePath:    "/",
-			ProbeTimeout: opts.Timeout,
-		}
-		outs := runner.RunAll(attack.Params{Path: "/", Duration: robustnessDuration})
-		score := attack.ScoreOutcomes(outs)
-		v.robust = &score
-	}
 	if opts.Fingerprint && ctx.Err() == nil {
 		v.fp = fingerprintSweep(dial, spec.Domain, opts.Timeout)
 	}

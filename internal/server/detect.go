@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -16,15 +15,17 @@ import (
 // event-sequence analysis). The detector consumes the server's existing
 // trace bus through a bounded trace.Subscription — the same event stream
 // every other observer uses — and keeps a sliding window of sequence
-// statistics per connection: frame-type rates, the reset ratio, header/data
-// byte asymmetry, and window-update starvation time. Windows are scored
-// against per-profile thresholds (the Table III personalities tolerate
-// different client behavior), and a firing score triggers a mitigation:
-// rate-limiting the connection's read loop, capping its concurrent streams,
-// or GOAWAY(ENHANCE_YOUR_CALM) plus close.
+// statistics per connection: frame-type rates, the reset ratio, and
+// window-update starvation time. Windows are scored against per-profile
+// thresholds (the Table III personalities tolerate different client
+// behavior), and a firing score triggers a mitigation: rate-limiting the
+// connection's read loop, capping its concurrent streams, or
+// GOAWAY(ENHANCE_YOUR_CALM) plus close.
 
-// AttackKind names a detected attack pattern. The vocabulary matches the
-// scenario catalog in internal/attack.
+// AttackKind names a detected attack pattern. Each kind is named after the
+// internal/attack scenario it catches; the catalog's hpack-bomb and
+// continuation-flood have no kind, because the header-list guard and the
+// header-block bound end them first (DESIGN.md §8.14).
 type AttackKind string
 
 // Detected attack kinds.
@@ -38,17 +39,12 @@ const (
 	// AttackZeroWindowStarve is a receiver that requests data and never
 	// opens its flow-control windows.
 	AttackZeroWindowStarve AttackKind = "zero-window-starvation"
-	// AttackHPACKBomb is a header block that decompresses massively.
-	AttackHPACKBomb AttackKind = "hpack-bomb"
-	// AttackContinuationFlood is an unterminated CONTINUATION sequence.
-	AttackContinuationFlood AttackKind = "continuation-flood"
 )
 
 // AttackKinds lists every kind the detector can report, in catalog order.
 func AttackKinds() []AttackKind {
 	return []AttackKind{
-		AttackRapidReset, AttackSlowDrip, AttackSettingsFlood,
-		AttackZeroWindowStarve, AttackHPACKBomb, AttackContinuationFlood,
+		AttackRapidReset, AttackSlowDrip, AttackSettingsFlood, AttackZeroWindowStarve,
 	}
 }
 
@@ -83,15 +79,6 @@ type Thresholds struct {
 	ResetRatio float64
 	// SettingsRate is the non-ACK SETTINGS-received rate.
 	SettingsRate float64
-	// ContinuationRate is the CONTINUATION-received rate.
-	ContinuationRate float64
-	// AsymmetryMinBytes and AsymmetryFactor detect header/data byte
-	// asymmetry: the signal fires when at least AsymmetryMinBytes of
-	// header-block payload arrived in the window while the server sent
-	// less than received/AsymmetryFactor bytes of DATA back — the HPACK
-	// bomb and CONTINUATION spam shape. The ratio is bytes/minimum.
-	AsymmetryMinBytes int
-	AsymmetryFactor   float64
 	// TinyDataRate is the rate of sub-TinyDataBytes non-END_STREAM DATA
 	// frames — the slow-drip signature.
 	TinyDataRate  float64
@@ -108,17 +95,14 @@ type Thresholds struct {
 // that traffic yields no detections.
 func DefaultThresholds() Thresholds {
 	return Thresholds{
-		HeaderRate:        300,
-		ResetRate:         60,
-		MinResets:         20,
-		ResetRatio:        0.5,
-		SettingsRate:      40,
-		ContinuationRate:  30,
-		AsymmetryMinBytes: 8 << 10,
-		AsymmetryFactor:   4,
-		TinyDataRate:      10,
-		TinyDataBytes:     16,
-		StarvationTime:    2 * time.Second,
+		HeaderRate:     300,
+		ResetRate:      60,
+		MinResets:      20,
+		ResetRatio:     0.5,
+		SettingsRate:   40,
+		TinyDataRate:   10,
+		TinyDataBytes:  16,
+		StarvationTime: 2 * time.Second,
 	}
 }
 
@@ -174,12 +158,10 @@ type DetectorConfig struct {
 // rate-limited attacker is evidence; a closed one reconnects).
 func DefaultMitigations() map[AttackKind]MitigationAction {
 	return map[AttackKind]MitigationAction{
-		AttackRapidReset:        ActionGoAway,
-		AttackSlowDrip:          ActionStreamCap,
-		AttackSettingsFlood:     ActionRateLimit,
-		AttackZeroWindowStarve:  ActionGoAway,
-		AttackHPACKBomb:         ActionGoAway,
-		AttackContinuationFlood: ActionGoAway,
+		AttackRapidReset:       ActionGoAway,
+		AttackSlowDrip:         ActionStreamCap,
+		AttackSettingsFlood:    ActionRateLimit,
+		AttackZeroWindowStarve: ActionGoAway,
 	}
 }
 
@@ -345,10 +327,9 @@ func (d *Detector) observeLocked(ev *trace.Event) {
 	}
 	switch ev.Kind {
 	case trace.KindConnClose:
-		// Final score before the state is discarded: fast floods (an HPACK
-		// bomb, a CONTINUATION burst) often die against the engine's
-		// protocol bounds within one sweep interval, and the detection
-		// must still be recorded even though there is nothing to mitigate.
+		// Final score before the state is discarded: a fast flood can end
+		// within one sweep interval, and the detection must still be
+		// recorded even though there is nothing to mitigate.
 		if st, ok := d.states[ev.Conn]; ok {
 			d.scoreLocked(ev.Conn, st, ev.At)
 			delete(d.states, ev.Conn)
@@ -357,7 +338,7 @@ func (d *Detector) observeLocked(ev *trace.Event) {
 	case trace.KindConnOpen:
 		d.stateLocked(ev.Conn, ev.At)
 		return
-	case trace.KindFrameSent, trace.KindFrameRecv, trace.KindError:
+	case trace.KindFrameSent, trace.KindFrameRecv:
 		d.stateLocked(ev.Conn, ev.At).observe(ev)
 	}
 }
@@ -443,14 +424,10 @@ const maxTrackedStreams = 1024
 
 // statBucket is one granule of the sliding window.
 type statBucket struct {
-	headersRecv      int
-	rstRecv          int
-	settingsRecv     int
-	continuationRecv int
-	tinyDataRecv     int
-	headerBytesRecv  int
-	dataBytesSent    int
-	decodeErrors     int
+	headersRecv  int
+	rstRecv      int
+	settingsRecv int
+	tinyDataRecv int
 }
 
 func (b *statBucket) reset() { *b = statBucket{} }
@@ -528,7 +505,7 @@ func (s *connStats) bucketFor(idx int64) *statBucket {
 	return &s.buckets[idx%int64(len(s.buckets))]
 }
 
-// observe folds one frame or error event into the window.
+// observe folds one frame event into the window.
 func (s *connStats) observe(ev *trace.Event) {
 	idx := ev.At.UnixNano() / int64(s.granule)
 	b := s.bucketFor(idx)
@@ -536,21 +513,13 @@ func (s *connStats) observe(ev *trace.Event) {
 		return
 	}
 	switch ev.Kind {
-	case trace.KindError:
-		if strings.Contains(ev.Detail, "hpack") || strings.Contains(ev.Detail, "header list") {
-			b.decodeErrors++
-		}
 	case trace.KindFrameRecv:
 		switch ev.FrameType {
 		case frame.TypeHeaders:
 			// A complete one-frame request still counts as open server-side
 			// until the response ends; DATA-sent below closes it.
 			b.headersRecv++
-			b.headerBytesRecv += ev.Length
 			s.trackRequest(ev.StreamID)
-		case frame.TypeContinuation:
-			b.continuationRecv++
-			b.headerBytesRecv += ev.Length
 		case frame.TypeRSTStream:
 			b.rstRecv++
 			s.endRequest(ev.StreamID, ev.At)
@@ -569,7 +538,6 @@ func (s *connStats) observe(ev *trace.Event) {
 		switch ev.FrameType {
 		case frame.TypeData:
 			if ev.Length > 0 {
-				b.dataBytesSent += ev.Length
 				s.lastProgress = ev.At
 			}
 			if ev.Flags.Has(frame.FlagEndStream) {
@@ -614,11 +582,7 @@ func (s *connStats) totals(now time.Time) statBucket {
 		t.headersRecv += b.headersRecv
 		t.rstRecv += b.rstRecv
 		t.settingsRecv += b.settingsRecv
-		t.continuationRecv += b.continuationRecv
 		t.tinyDataRecv += b.tinyDataRecv
-		t.headerBytesRecv += b.headerBytesRecv
-		t.dataBytesSent += b.dataBytesSent
-		t.decodeErrors += b.decodeErrors
 	}
 	return t
 }
@@ -657,21 +621,6 @@ func (s *connStats) score(now time.Time, th *Thresholds) (float64, AttackKind) {
 	}
 	if th.SettingsRate > 0 {
 		bump(float64(t.settingsRecv)/secs/th.SettingsRate, AttackSettingsFlood)
-	}
-	if th.ContinuationRate > 0 {
-		bump(float64(t.continuationRecv)/secs/th.ContinuationRate, AttackContinuationFlood)
-	}
-	// Header/data byte asymmetry: lots of header-block bytes in, almost
-	// nothing out. A decode error in the window is corroborating evidence
-	// and halves the byte bar.
-	if th.AsymmetryMinBytes > 0 && th.AsymmetryFactor > 0 {
-		minBytes := th.AsymmetryMinBytes
-		if t.decodeErrors > 0 {
-			minBytes /= 2
-		}
-		if t.headerBytesRecv > 0 && float64(t.headerBytesRecv) > th.AsymmetryFactor*float64(t.dataBytesSent) {
-			bump(float64(t.headerBytesRecv)/float64(minBytes), AttackHPACKBomb)
-		}
 	}
 	if th.TinyDataRate > 0 {
 		bump(float64(t.tinyDataRecv)/secs/th.TinyDataRate, AttackSlowDrip)

@@ -410,7 +410,7 @@ type conn struct {
 	// traceID is the connection's ID on the trace bus; zero without Trace.
 	traceID uint64
 	// traceErr, when non-nil, records a connection error on the trace bus
-	// (the detector corroborates HPACK-bomb scoring with it).
+	// (the span builder counts it per connection; h2trace prints it).
 	traceErr func(detail string)
 
 	// Detector mitigation state, written by the detector goroutine and read

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"h2scope/internal/attack"
 	"h2scope/internal/core"
 	"h2scope/internal/fingerprint"
 	"h2scope/internal/metrics"
@@ -48,9 +47,6 @@ type Record struct {
 	// TraceFile points at the site's exported frame-level trace (JSONL,
 	// rendered by cmd/h2trace) when the scan ran with tracing enabled.
 	TraceFile string `json:"traceFile,omitempty"`
-	// Robustness is the site's adversarial-battery score when the scan ran
-	// the attack battery (see internal/attack).
-	Robustness *attack.Score `json:"robustness,omitempty"`
 	// Fingerprint is the site's impersonation-sweep verdict when the scan
 	// ran the fingerprint census (see internal/fingerprint).
 	Fingerprint *fingerprint.CensusResult `json:"fingerprint,omitempty"`

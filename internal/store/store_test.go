@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"h2scope/internal/attack"
 	"h2scope/internal/core"
 	"h2scope/internal/fingerprint"
 	"h2scope/internal/netsim"
@@ -165,8 +164,8 @@ func TestAnalyzeStoredScan(t *testing.T) {
 }
 
 // TestTallyFilesFamilylessRecordsUnderAll: files written before Record had a
-// family still produce one ratio series, and incomplete probes are counted
-// and named in the Coverage text.
+// family still produce one ratio series, and incomplete probes are counted and
+// named in the Coverage text.
 func TestTallyFilesFamilylessRecordsUnderAll(t *testing.T) {
 	report := liveReport(t, server.ApacheProfile())
 	tally := store.NewTally()
@@ -184,62 +183,28 @@ func TestTallyFilesFamilylessRecordsUnderAll(t *testing.T) {
 	}
 }
 
-// TestRobustnessRoundTripAndAnalyze pins the robustness column: a stored
-// Score survives the JSON round trip, the tally folds it, and the Coverage
-// text mentions it.
+// TestRobustnessRoundTripAndAnalyze pins what is left of the deleted
+// robustness column: a stored line that still carries a robustness object
+// reads, tallies and covers exactly as the same line without it, and writing
+// the record back drops the object.
 func TestRobustnessRoundTripAndAnalyze(t *testing.T) {
-	score := &attack.Score{
-		Verdicts: map[attack.Kind]attack.Verdict{
-			attack.KindRapidReset: attack.VerdictSurvived,
-			attack.KindHPACKBomb:  attack.VerdictDegraded,
-		},
-		Survived: 1,
-		Total:    2,
-		Value:    0.75,
+	const plain = `{"domain":"r","scannedAt":"2017-01-05T12:00:00Z","report":null,"outcome":"failed","errorKind":"timeout"}`
+	scored := strings.Replace(plain, `"report":null`, `"report":null,"robustness":{"verdicts":{"hpack-bomb":"killed-attacker","rapid-reset":"survived"},"survived":2,"total":2,"value":1}`, 1)
+	old, cur := tallyOf(readAll(t, strings.NewReader(scored+"\n"))), tallyOf(readAll(t, strings.NewReader(plain+"\n")))
+	if !reflect.DeepEqual(old, cur) || old.Failed != 1 {
+		t.Errorf("record with a robustness object tallies as\n%+v\nwithout it as\n%+v", old, cur)
 	}
+	if out := old.Coverage(); out != cur.Coverage() || strings.Contains(out, "robustness") {
+		t.Errorf("coverage of a record with a robustness object:\n%s", out)
+	}
+
+	rec := readAll(t, strings.NewReader(scored+"\n"))[0]
 	var buf bytes.Buffer
-	w := store.NewWriter(&buf)
-	recs := []*store.Record{
-		{Domain: "robust.example", ScannedAt: time.Unix(0, 0), Robustness: score},
-		{Domain: "plain.example", ScannedAt: time.Unix(0, 0)},
+	if err := store.NewWriter(&buf).Append(&rec); err != nil {
+		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !strings.Contains(buf.String(), `"robustness"`) {
-		t.Errorf("serialized record missing robustness field:\n%s", buf.String())
-	}
-	if strings.Count(buf.String(), `"robustness"`) != 1 {
-		t.Errorf("robustness field not omitted when nil:\n%s", buf.String())
-	}
-
-	records := readAll(t, &buf)
-	got := records[0].Robustness
-	if got == nil {
-		t.Fatal("robustness score lost in round trip")
-	}
-	if got.Value != 0.75 || got.Survived != 1 || got.Total != 2 {
-		t.Errorf("score = %+v, want value 0.75 survived 1 total 2", got)
-	}
-	if got.Verdicts[attack.KindHPACKBomb] != attack.VerdictDegraded {
-		t.Errorf("verdicts = %v", got.Verdicts)
-	}
-	if records[1].Robustness != nil {
-		t.Errorf("plain record gained a robustness score: %+v", records[1].Robustness)
-	}
-
-	a := tallyOf(records)
-	if a.RobustnessSites != 1 || a.RobustnessSum != 0.75 {
-		t.Errorf("robustness = %v over %d sites, want 0.75 over 1", a.RobustnessSum, a.RobustnessSites)
-	}
-	if a.RobustnessVerdicts["rapid-reset/survived"] != 1 ||
-		a.RobustnessVerdicts["hpack-bomb/degraded"] != 1 {
-		t.Errorf("RobustnessVerdicts = %v", a.RobustnessVerdicts)
-	}
-	if out := a.Coverage(); !strings.Contains(out, "robustness: 1 sites scored, mean 0.75\n  hpack-bomb/degraded: 1\n  rapid-reset/survived: 1\n") {
-		t.Errorf("coverage text missing robustness lines:\n%s", out)
+	if strings.Contains(buf.String(), "robustness") {
+		t.Errorf("rewritten record kept its robustness object:\n%s", buf.String())
 	}
 }
 

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -77,12 +76,6 @@ type Tally struct {
 	// are part of Scanned); FailureKinds histograms the failed by kind.
 	Failed, Canceled int
 	FailureKinds     map[string]int
-	// RobustnessSum adds up the adversarial-battery scores in [0,1] of the
-	// RobustnessSites sites that have one; RobustnessVerdicts histograms
-	// scenario outcomes ("<kind>/<verdict>").
-	RobustnessSum      float64
-	RobustnessSites    int
-	RobustnessVerdicts map[string]int
 	// FingerprintSites counts sites the impersonation sweep observed,
 	// FingerprintEcho those whose /fp endpoint answered, FingerprintDiffers
 	// those serving different responses to different clients.
@@ -93,21 +86,20 @@ type Tally struct {
 // produce reflect.DeepEqual-comparable values.
 func NewTally() *Tally {
 	return &Tally{
-		ServerNames:        make(map[string]int),
-		InitialWindow:      make(map[string]int),
-		MaxFrame:           make(map[string]int),
-		MaxHeaderList:      make(map[string]int),
-		MaxConcurrent:      make(map[float64]int),
-		TinyWindow:         make(map[core.TinyWindowClass]int),
-		ZeroWUStream:       make(map[core.Observation]int),
-		ZeroWUConn:         make(map[core.Observation]int),
-		LargeWUStream:      make(map[core.Observation]int),
-		LargeWUConn:        make(map[core.Observation]int),
-		SelfDep:            make(map[core.Observation]int),
-		HPACKRatios:        make(map[string]map[float64]int),
-		PingRTTsMillis:     make(map[float64]int),
-		FailureKinds:       make(map[string]int),
-		RobustnessVerdicts: make(map[string]int),
+		ServerNames:    make(map[string]int),
+		InitialWindow:  make(map[string]int),
+		MaxFrame:       make(map[string]int),
+		MaxHeaderList:  make(map[string]int),
+		MaxConcurrent:  make(map[float64]int),
+		TinyWindow:     make(map[core.TinyWindowClass]int),
+		ZeroWUStream:   make(map[core.Observation]int),
+		ZeroWUConn:     make(map[core.Observation]int),
+		LargeWUStream:  make(map[core.Observation]int),
+		LargeWUConn:    make(map[core.Observation]int),
+		SelfDep:        make(map[core.Observation]int),
+		HPACKRatios:    make(map[string]map[float64]int),
+		PingRTTsMillis: make(map[float64]int),
+		FailureKinds:   make(map[string]int),
 	}
 }
 
@@ -117,13 +109,6 @@ func (t *Tally) Add(rec *Record) {
 		return
 	}
 	t.Scanned++
-	if rec.Robustness != nil {
-		t.RobustnessSum += rec.Robustness.Value
-		t.RobustnessSites++
-		for kind, verdict := range rec.Robustness.Verdicts {
-			t.RobustnessVerdicts[fmt.Sprintf("%s/%s", kind, verdict)]++
-		}
-	}
 	if fp := rec.Fingerprint; fp != nil {
 		t.FingerprintSites++
 		if fp.EchoOK {
@@ -239,8 +224,7 @@ func (t *Tally) addSettings(set *core.SettingsResult) {
 }
 
 // Coverage renders what only a measured tally knows: probes that did not
-// complete, h2-PING round trips, and the optional robustness and fingerprint
-// columns. It is empty for a tally with none of these (the ground truth).
+// complete, h2-PING round trips, and the optional fingerprint column. It is empty for a tally with none of these (the ground truth).
 func (t *Tally) Coverage() string {
 	var b strings.Builder
 	if t.Failed > 0 || t.Canceled > 0 {
@@ -251,17 +235,6 @@ func (t *Tally) Coverage() string {
 		cdf := stats.NewCDFCounts(t.PingRTTsMillis)
 		fmt.Fprintf(&b, "h2 PING min RTT: %d sites, p50 %.3fms / p90 %.3fms\n",
 			cdf.Len(), cdf.Quantile(0.5), cdf.Quantile(0.9))
-	}
-	if n := t.RobustnessSites; n > 0 {
-		fmt.Fprintf(&b, "robustness: %d sites scored, mean %.2f\n", n, t.RobustnessSum/float64(n))
-		keys := make([]string, 0, len(t.RobustnessVerdicts))
-		for k := range t.RobustnessVerdicts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "  %s: %d\n", k, t.RobustnessVerdicts[k])
-		}
 	}
 	if t.FingerprintSites > 0 {
 		fmt.Fprintf(&b, "fingerprint sweep: %d sites / %d echoed /fp / %d served by client\n",
