@@ -10,7 +10,6 @@
 //	h2census -epoch 2 -sample 200    # Jan 2017 epoch plus a 200-site measured scan
 //	h2census -scale 0.1              # a 10%-scale universe
 //	h2census -sample 500 -retries 3 -timeout 2s -progress 5s -out scan.jsonl
-//	h2census -sample 100 -fingerprint # re-dial each site as curl/Chrome/Firefox/Go and diff responses
 //	h2census -analyze scan.jsonl     # offline re-analysis of a records file
 package main
 
@@ -22,6 +21,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -51,20 +51,19 @@ func main() {
 
 // options carries the parsed, validated command line.
 type options struct {
-	epoch       int
-	scale       float64
-	seed        int64
-	sample      int
-	parallel    int
-	retries     int
-	timeout     time.Duration
-	progress    time.Duration
-	outPath     string
-	traceDir    string
-	analyze     string
-	debugAddr   string
-	flightRec   string
-	fingerprint bool
+	epoch     int
+	scale     float64
+	seed      int64
+	sample    int
+	parallel  int
+	retries   int
+	timeout   time.Duration
+	progress  time.Duration
+	outPath   string
+	traceDir  string
+	analyze   string
+	debugAddr string
+	flightRec string
 
 	// debugStarted and onScanRecord are test seams: debugStarted receives
 	// the debug server's bound address once it is listening, onScanRecord
@@ -98,7 +97,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.StringVar(&o.analyze, "analyze", "", "skip generation: analyze a previously written records file and exit")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) while the census runs")
 	fs.StringVar(&o.flightRec, "flightrec", "", "directory for anomaly flight-recorder dumps (bounded JSONL forensics on p99 blowouts and error spikes); needs -sample > 0")
-	fs.BoolVar(&o.fingerprint, "fingerprint", false, "also re-dial each sampled site impersonating the builtin client profiles and record whether responses differ; needs -sample > 0")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -151,10 +149,19 @@ func (o *options) validate() error {
 	if o.flightRec != "" && o.sample == 0 {
 		return fmt.Errorf("-flightrec needs a measured scan; set -sample > 0")
 	}
-	if o.fingerprint && o.sample == 0 {
-		return fmt.Errorf("-fingerprint needs a measured scan; set -sample > 0")
-	}
 	return nil
+}
+
+// lockedWriter serializes writes from several goroutines to one writer.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // errInterrupted ends a census whose context was cancelled (SIGINT/SIGTERM).
@@ -166,6 +173,9 @@ var errInterrupted = errors.New("interrupted")
 // Cancelling ctx ends the scan in flight, which still reports and persists
 // what it measured, then returns errInterrupted past the deferred closes.
 func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) {
+	// The scan engine's progress goroutine and the anomaly notices printed as
+	// sites finalize both write stderr (human too, under -out -).
+	stderr = &lockedWriter{w: stderr}
 	human := stdout
 	if o.machineStdout() {
 		human = stderr
@@ -358,7 +368,6 @@ func runScan(ctx context.Context, o *options, stdout, human, stderr io.Writer, e
 		Retries:     o.retries,
 		TraceDir:    o.traceDir,
 		Metrics:     reg,
-		Fingerprint: o.fingerprint,
 		Observer:    monitor,
 		Context:     ctx,
 		Sink: func(rec *store.Record) {

@@ -51,6 +51,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"flightrec with sample", []string{"-sample", "5", "-flightrec", "dumps"}, ""},
 		{"flightrec without sample", []string{"-flightrec", "dumps"}, "-flightrec needs a measured scan"},
 		{"positional junk", []string{"extra"}, "unexpected positional arguments"},
+		{"removed fingerprint sweep", []string{"-sample", "5", "-fingerprint"}, "flag provided but not defined: -fingerprint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -49,13 +49,12 @@ func run(args []string, stdout io.Writer) error {
 		authority   = fs.String("authority", "testbed.example", ":authority for requests")
 		useTLS      = fs.Bool("tls", false, "connect with TLS and negotiate h2 via ALPN")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-check timeout")
-		adaptive    = fs.Bool("adaptive", false, "the target intentionally re-tunes SETTINGS per client fingerprint; exempt it from the stability check")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	env := &conformance.Env{Authority: *authority, Timeout: *timeout, FingerprintAdaptive: *adaptive}
+	env := &conformance.Env{Authority: *authority, Timeout: *timeout}
 	switch {
 	case *profileName != "":
 		profile, err := server.ProfileByName(*profileName)

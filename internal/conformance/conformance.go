@@ -97,10 +97,6 @@ type Env struct {
 	TLSDialer core.Dialer
 	// TLSServerName is the SNI offered on TLSDialer connections.
 	TLSServerName string
-	// FingerprintAdaptive declares that the target intentionally re-tunes
-	// SETTINGS per passive client fingerprint, exempting it from the
-	// fingerprint-stability requirement.
-	FingerprintAdaptive bool
 }
 
 // connect opens an HTTP/2 connection with opts.

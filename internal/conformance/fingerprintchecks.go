@@ -1,29 +1,22 @@
 package conformance
 
-// Fingerprinting checks: the h2 ecosystem's clients ship ClientHellos full
+// Fingerprinting check: the h2 ecosystem's clients ship ClientHellos full
 // of GREASE values (RFC 8701), and middleboxes that choke on them break
-// HTTP/2 adoption silently. The first check replays a GREASE-laden
-// TLS 1.2-style hello raw and reads the plaintext ServerHello back: the
-// server must still negotiate h2 via ALPN. The second guards the other
-// direction — a server must not re-tune its SETTINGS by passive client
-// fingerprint unless it declares that behavior (Env.FingerprintAdaptive),
-// since fingerprint-conditional protocol parameters are exactly what the
-// census's impersonation sweep exists to expose.
+// HTTP/2 adoption silently. The check replays a GREASE-laden TLS 1.2-style
+// hello raw and reads the plaintext ServerHello back: the server must still
+// negotiate h2 via ALPN.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"time"
 
 	"h2scope/internal/fingerprint"
-	"h2scope/internal/frame"
-	"h2scope/internal/h2conn"
 )
 
-// fingerprintChecks returns the fingerprinting checks appended to Suite.
+// fingerprintChecks returns the fingerprinting check appended to Suite.
 func fingerprintChecks() []Check {
 	return []Check{
 		{
@@ -31,12 +24,6 @@ func fingerprintChecks() []Check {
 			Section:     "9.2",
 			Description: "a GREASE-laden ClientHello (RFC 8701) still negotiates h2 via ALPN",
 			Run:         checkGREASEHelloNegotiatesH2,
-		},
-		{
-			ID:          "6.5/settings-fingerprint-stability",
-			Section:     "6.5",
-			Description: "server SETTINGS do not vary by passive client fingerprint unless declared",
-			Run:         checkSettingsFingerprintStability,
 		},
 	}
 }
@@ -191,7 +178,7 @@ func checkGREASEHelloNegotiatesH2(env *Env) (Verdict, string) {
 	}
 	hello := greaseClientHello(env.TLSServerName)
 	// The canned hello must itself survive the fingerprint parser: the
-	// same bytes the server sees are what /fp and the census fingerprint.
+	// same bytes the server sees are what /fp fingerprints.
 	if _, err := fingerprint.ParseClientHello(hello); err != nil {
 		return Skip, fmt.Sprintf("canned hello unparseable: %v", err)
 	}
@@ -232,52 +219,4 @@ func readServerHelloALPN(nc net.Conn, timeout time.Duration) (string, error) {
 	case <-time.After(timeout):
 		return "", fmt.Errorf("no ServerHello within %v", timeout)
 	}
-}
-
-func checkSettingsFingerprintStability(env *Env) (Verdict, string) {
-	rendered := make([]string, 0, 2)
-	worn := []*fingerprint.ClientProfile{fingerprint.CurlProfile(), fingerprint.ChromeProfile()}
-	for _, p := range worn {
-		opts := h2conn.DefaultOptions()
-		opts.Impersonate = p
-		c, err := env.connect(opts)
-		if err != nil {
-			return Skip, err.Error()
-		}
-		// The fetch forces any fingerprint-conditional re-tune: adaptive
-		// servers emit their extra SETTINGS before the first response.
-		if !env.fetchOK(c) {
-			closeConn(c)
-			return Skip, fmt.Sprintf("fetch as %s failed", p.Name)
-		}
-		rendered = append(rendered, renderServerSettingsFrames(c.Events()))
-		closeConn(c)
-	}
-	if rendered[0] != rendered[1] {
-		detail := fmt.Sprintf("SETTINGS vary by client fingerprint: %s saw %q, %s saw %q",
-			worn[0].Name, rendered[0], worn[1].Name, rendered[1])
-		if env.FingerprintAdaptive {
-			return Pass, "declared adaptive; " + detail
-		}
-		return Fail, detail
-	}
-	return Pass, ""
-}
-
-// renderServerSettingsFrames flattens the server's non-ACK SETTINGS frames
-// into a canonical comparison string: "id:val;id:val" per frame, frames
-// joined by "+".
-func renderServerSettingsFrames(events []h2conn.Event) string {
-	var frames []string
-	for _, e := range events {
-		if e.Type != frame.TypeSettings || e.IsAck() {
-			continue
-		}
-		pairs := make([]string, 0, len(e.Settings))
-		for _, s := range e.Settings {
-			pairs = append(pairs, fmt.Sprintf("%d:%d", uint16(s.ID), s.Val))
-		}
-		frames = append(frames, strings.Join(pairs, ";"))
-	}
-	return strings.Join(frames, "+")
 }

@@ -18,62 +18,3 @@ type Echo struct {
 	// H2Detail is the structured form of H2.
 	H2Detail *H2Fingerprint `json:"h2_detail,omitempty"`
 }
-
-// ClientObservation is one impersonated dial of a census target: which
-// profile was worn, what the server echoed back, and a digest of the
-// response body so observations can be compared across profiles.
-type ClientObservation struct {
-	// Profile is the impersonated client profile name.
-	Profile string `json:"profile"`
-	// OK reports the dial + fetch round trip succeeded.
-	OK bool `json:"ok"`
-	// Error classifies the failure when OK is false.
-	Error string `json:"error,omitempty"`
-	// H2 is the akamai fingerprint the server echoed via /fp ("" when
-	// the target serves no /fp endpoint).
-	H2 string `json:"h2,omitempty"`
-	// ExpectedH2 is the akamai string a faithful impersonation should
-	// have produced; H2 == ExpectedH2 means the server read us right.
-	ExpectedH2 string `json:"expected_h2,omitempty"`
-	// ServerSettings is the server's own SETTINGS (id:val;...) as seen
-	// by this client — the probe for fingerprint-conditional behavior.
-	ServerSettings string `json:"server_settings,omitempty"`
-	// BodyDigest summarizes the response to GET / (status, length, and
-	// a content hash), for cross-profile comparison.
-	BodyDigest string `json:"body_digest,omitempty"`
-}
-
-// CensusResult is the fingerprint sweep verdict for one census site:
-// did the server behave differently depending on which client it saw?
-type CensusResult struct {
-	// Clients holds one observation per impersonated profile.
-	Clients []ClientObservation `json:"clients"`
-	// EchoOK reports that at least one /fp echo parsed.
-	EchoOK bool `json:"echo_ok"`
-	// Differs reports that either the response digest or the server's
-	// SETTINGS varied across client profiles — the census headline bit.
-	Differs bool `json:"differs"`
-}
-
-// Observed recomputes EchoOK and Differs from Clients; call after
-// appending all observations.
-func (r *CensusResult) Observed() {
-	r.EchoOK, r.Differs = false, false
-	var digest, settings string
-	seen := false
-	for _, c := range r.Clients {
-		if c.H2 != "" {
-			r.EchoOK = true
-		}
-		if !c.OK {
-			continue
-		}
-		if !seen {
-			digest, settings, seen = c.BodyDigest, c.ServerSettings, true
-			continue
-		}
-		if c.BodyDigest != digest || c.ServerSettings != settings {
-			r.Differs = true
-		}
-	}
-}

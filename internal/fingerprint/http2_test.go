@@ -102,27 +102,3 @@ func TestProfileByName(t *testing.T) {
 		t.Error("ProfileByName(safari) succeeded, want error")
 	}
 }
-
-// TestCensusResultObserved checks the cross-profile differ logic.
-func TestCensusResultObserved(t *testing.T) {
-	r := CensusResult{Clients: []ClientObservation{
-		{Profile: "curl", OK: true, H2: "a|b", BodyDigest: "d1", ServerSettings: "s"},
-		{Profile: "chrome", OK: true, H2: "c|d", BodyDigest: "d1", ServerSettings: "s"},
-		{Profile: "go", OK: false, Error: "dial"},
-	}}
-	r.Observed()
-	if !r.EchoOK || r.Differs {
-		t.Errorf("EchoOK=%v Differs=%v, want true,false", r.EchoOK, r.Differs)
-	}
-	r.Clients[1].BodyDigest = "d2"
-	r.Observed()
-	if !r.Differs {
-		t.Error("Differs=false after digest change, want true")
-	}
-	r.Clients[1].BodyDigest = "d1"
-	r.Clients[1].ServerSettings = "s2"
-	r.Observed()
-	if !r.Differs {
-		t.Error("Differs=false after settings change, want true")
-	}
-}

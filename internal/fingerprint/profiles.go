@@ -149,19 +149,6 @@ func BuiltinProfiles() []*ClientProfile {
 	return []*ClientProfile{CurlProfile(), ChromeProfile(), FirefoxProfile(), GoNetHTTPProfile()}
 }
 
-// MatchProfile returns the name of the builtin profile whose expected
-// akamai fingerprint equals fp's rendering, or "" when no profile
-// matches — the passive classification a fingerprinting server applies.
-func MatchProfile(fp *H2Fingerprint) string {
-	got := fp.Akamai()
-	for _, p := range BuiltinProfiles() {
-		if got == p.ExpectedAkamai() {
-			return p.Name
-		}
-	}
-	return ""
-}
-
 // ProfileByName resolves a profile by its Name, case-insensitively.
 func ProfileByName(name string) (*ClientProfile, error) {
 	for _, p := range BuiltinProfiles() {

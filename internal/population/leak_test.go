@@ -8,10 +8,9 @@ import (
 	"h2scope/internal/netsim"
 )
 
-// TestScanClosesEveryConnection scans ten census sites — probe battery and
-// impersonation sweep — through counting dialers: every transport the scan
-// opened is closed when it returns, the ones the site hung up on first
-// (GOAWAY reactions) included. The attack battery's own accounting is
+// TestScanClosesEveryConnection scans ten census sites' probe batteries
+// through counting dialers: every transport the scan opened is closed when
+// it returns, the ones the site hung up on first (GOAWAY reactions) included. The attack battery's own accounting is
 // internal/attack's TestRunAllClosesEveryConnection.
 func TestScanClosesEveryConnection(t *testing.T) {
 	var (
@@ -22,7 +21,6 @@ func TestScanClosesEveryConnection(t *testing.T) {
 		SampleSize:  10,
 		Parallelism: 4,
 		Seed:        7,
-		Fingerprint: true,
 		wrapDial: func(dial func() (net.Conn, error)) func() (net.Conn, error) {
 			d := &netsim.CountingDialer{DialFunc: dial}
 			mu.Lock()

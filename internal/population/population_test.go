@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"h2scope/internal/core"
-	"h2scope/internal/fingerprint"
 	"h2scope/internal/population"
 	"h2scope/internal/server"
 	"h2scope/internal/stats"
@@ -601,81 +600,6 @@ func TestAgreementPerfectOnCleanScan(t *testing.T) {
 	}
 	if out := agr.String(); out == "" {
 		t.Error("empty rendering")
-	}
-}
-
-// TestScanFingerprintSweepsSample exercises the census fingerprint column:
-// with ScanOptions.Fingerprint, every successfully probed site is re-dialed
-// once per builtin client profile, the testbed's /fp endpoint echoes each
-// impersonated HTTP/2 fingerprint exactly, and — because the testbed serves
-// every client the same bytes — no site is flagged as fingerprint-serving.
-func TestScanFingerprintSweepsSample(t *testing.T) {
-	pop := population.Generate(population.EpochJan2017, 0.002, 17)
-	sum, sites := scanCollect(t, pop, population.ScanOptions{
-		SampleSize:  3,
-		Parallelism: 3,
-		Seed:        11,
-		Fingerprint: true,
-	})
-	if sum.Scanned != 3 {
-		t.Fatalf("Scanned = %d, want 3", sum.Scanned)
-	}
-	profiles := fingerprint.BuiltinProfiles()
-	for _, res := range sites {
-		fp := res.Fingerprint
-		if fp == nil {
-			t.Errorf("%s: no fingerprint sweep despite Fingerprint option", res.Spec.Domain)
-			continue
-		}
-		if len(fp.Clients) != len(profiles) {
-			t.Errorf("%s: %d client observations, want %d", res.Spec.Domain, len(fp.Clients), len(profiles))
-			continue
-		}
-		if !fp.EchoOK {
-			t.Errorf("%s: /fp echo missing: %+v", res.Spec.Domain, fp.Clients)
-		}
-		if fp.Differs {
-			t.Errorf("%s: flagged as serving by fingerprint; testbed is uniform: %+v",
-				res.Spec.Domain, fp.Clients)
-		}
-		for i, obs := range fp.Clients {
-			if obs.Profile != profiles[i].Name {
-				t.Errorf("%s: observation %d profile %q, want %q", res.Spec.Domain, i, obs.Profile, profiles[i].Name)
-			}
-			if !obs.OK {
-				t.Errorf("%s: %s sweep failed: %s", res.Spec.Domain, obs.Profile, obs.Error)
-				continue
-			}
-			if obs.H2 != obs.ExpectedH2 {
-				t.Errorf("%s: %s echoed %q, want %q", res.Spec.Domain, obs.Profile, obs.H2, obs.ExpectedH2)
-			}
-			if obs.BodyDigest == "" || obs.ServerSettings == "" {
-				t.Errorf("%s: %s missing digest/settings: %+v", res.Spec.Domain, obs.Profile, obs)
-			}
-		}
-	}
-	if sum.FingerprintSites != sum.Scanned || sum.FingerprintEcho != sum.Scanned {
-		t.Errorf("summary counters = %d swept / %d echoed, want %d / %d",
-			sum.FingerprintSites, sum.FingerprintEcho, sum.Scanned, sum.Scanned)
-	}
-	if sum.FingerprintDiffers != 0 {
-		t.Errorf("FingerprintDiffers = %d, want 0", sum.FingerprintDiffers)
-	}
-}
-
-// TestScanWithoutFingerprintLeavesSweepNil pins the default: no re-dials,
-// no census column.
-func TestScanWithoutFingerprintLeavesSweepNil(t *testing.T) {
-	pop := population.Generate(population.EpochJul2016, 0.002, 17)
-	sum, sites := scanCollect(t, pop, population.ScanOptions{SampleSize: 2, Parallelism: 2, Seed: 3})
-	for _, res := range sites {
-		if res.Fingerprint != nil {
-			t.Errorf("%s: unexpected fingerprint sweep without the option", res.Spec.Domain)
-		}
-	}
-	if sum.FingerprintSites != 0 || sum.FingerprintEcho != 0 || sum.FingerprintDiffers != 0 {
-		t.Errorf("fingerprint aggregates populated without the option: %d/%d/%d",
-			sum.FingerprintSites, sum.FingerprintEcho, sum.FingerprintDiffers)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"h2scope/internal/core"
-	"h2scope/internal/fingerprint"
 	"h2scope/internal/h2conn"
 	"h2scope/internal/metrics"
 	"h2scope/internal/netsim"
@@ -107,11 +106,6 @@ type ScanOptions struct {
 	// h2_conn_*/h2_frames_* instruments, so a -debug-addr endpoint watches
 	// the run in flight. The summary's Stats stay exact regardless.
 	Metrics *metrics.Registry
-	// Fingerprint additionally re-dials each site once per builtin client
-	// profile (curl, chrome, firefox, go), each connection wearing that
-	// client's HTTP/2 fingerprint, and records whether the site's
-	// responses differ by client — the impersonation census column.
-	Fingerprint bool
 	// Observer, when set, folds every scanned site's reconstructed phase
 	// spans (dial → preface → settle → first/last byte) into the
 	// observability monitor as the site finalizes, and feeds each site's
@@ -121,8 +115,8 @@ type ScanOptions struct {
 	Observer *obs.Monitor
 
 	// wrapDial, which only this package's tests can set, wraps the dial
-	// function every connection to a site goes through (probe battery,
-	// impersonation sweep): the counting dialer's way in.
+	// function every connection of a site's probe battery goes through: the
+	// counting dialer's way in.
 	wrapDial func(dial func() (net.Conn, error)) func() (net.Conn, error)
 }
 
@@ -144,10 +138,6 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 	}
 	// The hard per-attempt deadline for one site's whole battery.
 	hostBudget := batteryProbes * opts.Timeout
-	if opts.Fingerprint {
-		// Four impersonated dials of two fetches each.
-		hostBudget += 2 * opts.Timeout
-	}
 	idx := rand.New(rand.NewSource(opts.Seed)).Perm(len(pop.Sites))
 	if opts.SampleSize > 0 && opts.SampleSize < len(idx) {
 		idx = idx[:opts.SampleSize]
@@ -166,13 +156,13 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 		connMetrics = h2conn.NewMetrics(opts.Metrics)
 	}
 	probe := func(ctx context.Context, t scan.Target) (any, error) {
-		v, err := probeSite(ctx, t.Meta.(*SiteSpec), &opts, connMetrics)
-		if v.report == nil && v.fp == nil {
+		report, err := probeSite(ctx, t.Meta.(*SiteSpec), &opts, connMetrics)
+		if report == nil {
 			// A typed nil inside a non-nil any would defeat the engine's
 			// partial-value bookkeeping.
 			return nil, err
 		}
-		return v, err
+		return report, err
 	}
 	summary := &ScanSummary{Tally: *store.NewTally()}
 	scanOpts := scan.Options{
@@ -216,9 +206,7 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 		if rec.Outcome != scan.OutcomeSuccess {
 			out.ErrorKind = rec.Kind.String()
 		}
-		if v, ok := rec.Value.(*siteValue); ok {
-			out.Report, out.Fingerprint = v.report, v.fp
-		}
+		out.Report, _ = rec.Value.(*core.Report)
 		if out.Report != nil && out.Report.Settings != nil {
 			out.ServerName = out.Report.Settings.ServerHeader
 		}
@@ -250,16 +238,9 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 	return summary, nil
 }
 
-// siteValue is what one site's probe hands the scan engine: the battery
-// report plus, under ScanOptions.Fingerprint, the impersonation sweep.
-type siteValue struct {
-	report *core.Report
-	fp     *fingerprint.CensusResult
-}
-
-// probeSite materializes one site, runs the probe battery against it, and —
-// when the scan asks for it — follows with the impersonation sweep.
-func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn.Metrics) (*siteValue, error) {
+// probeSite materializes one site and runs the probe battery against it; the
+// report is what the site hands the scan engine.
+func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn.Metrics) (*core.Report, error) {
 	srv := spec.NewServer()
 	l := netsim.NewListener(spec.Domain)
 	go func() {
@@ -284,10 +265,5 @@ func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn
 		dial = opts.wrapDial(dial)
 	}
 	prober := core.NewProber(&siteDialer{dial: dial, spec: spec}, cfg)
-	report, err := prober.RunContext(ctx)
-	v := &siteValue{report: report}
-	if opts.Fingerprint && ctx.Err() == nil {
-		v.fp = fingerprintSweep(dial, spec.Domain, opts.Timeout)
-	}
-	return v, err
+	return prober.RunContext(ctx)
 }

@@ -66,12 +66,11 @@ func (c *conn) fpOnPriority(f *frame.PriorityFrame) {
 }
 
 // fpOnHeaders seals the behavioral fingerprint on the first request: the
-// akamai rendering is published for the detector goroutine, counted in
-// the metrics registry, and — for adaptive profiles — answered with a
-// client-class-dependent SETTINGS update.
-func (c *conn) fpOnHeaders(fields []hpack.HeaderField) error {
+// akamai rendering is published for the detector goroutine and counted in
+// the metrics registry. What the server sends never depends on it.
+func (c *conn) fpOnHeaders(fields []hpack.HeaderField) {
 	if c.fpa == nil || c.fpa.Complete() {
-		return nil
+		return
 	}
 	c.fpa.OnRequestHeaders(fields)
 	akamai := c.fpa.Fingerprint().Akamai()
@@ -83,29 +82,6 @@ func (c *conn) fpOnHeaders(fields []hpack.HeaderField) error {
 		}
 		m.fingerprintSeen(ja4, akamai)
 	}
-	return c.fpAdapt()
-}
-
-// fpAdapt implements Profile.FingerprintAdaptive: once the client's
-// behavioral fingerprint matches a known profile, the server re-tunes
-// SETTINGS_MAX_CONCURRENT_STREAMS by client class — browsers get a
-// roomier budget than automation tools. The point of the knob is to give
-// the census and the conformance suite a server whose observable
-// behavior genuinely depends on who is asking.
-func (c *conn) fpAdapt() error {
-	if !c.srv.profile.FingerprintAdaptive {
-		return nil
-	}
-	var limit uint32
-	switch fingerprint.MatchProfile(c.fpa.Fingerprint()) {
-	case "chrome", "firefox":
-		limit = 256
-	case "curl", "go":
-		limit = 64
-	default:
-		return nil
-	}
-	return c.fr.WriteSettings(frame.Setting{ID: frame.SettingMaxConcurrentStreams, Val: limit})
 }
 
 // fpEcho assembles the /fp response document for the requesting client.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"h2scope/internal/fingerprint"
-	"h2scope/internal/frame"
 	"h2scope/internal/h2conn"
 	"h2scope/internal/netsim"
 	"h2scope/internal/tlsutil"
@@ -67,9 +66,6 @@ func TestFingerprintEchoImpersonation(t *testing.T) {
 			if echo.JA3 != "" || echo.JA4 != "" {
 				t.Errorf("cleartext conn echoed TLS fingerprints: ja3=%q ja4=%q", echo.JA3, echo.JA4)
 			}
-			if got := fingerprint.MatchProfile(&fingerprint.H2Fingerprint{}); got != "" {
-				t.Errorf("empty fingerprint classified as %q", got)
-			}
 		})
 	}
 }
@@ -113,43 +109,6 @@ func TestFingerprintEchoTLS(t *testing.T) {
 	}
 	if echo.H2 == "" {
 		t.Error("TLS echo carries no h2 behavioral fingerprint")
-	}
-}
-
-// TestFingerprintAdaptiveSettings: an adaptive profile re-tunes
-// SETTINGS_MAX_CONCURRENT_STREAMS by client class once the fingerprint
-// seals — browsers high, tools low — and a plain profile never does.
-func TestFingerprintAdaptiveSettings(t *testing.T) {
-	adaptiveLimit := func(t *testing.T, adaptive bool, imp *fingerprint.ClientProfile) (uint32, bool) {
-		p := ApacheProfile()
-		p.FingerprintAdaptive = adaptive
-		_, c := startFPServer(t, p, imp)
-		if _, err := c.FetchBody(h2conn.Request{Authority: "fp.example", Path: "/about.html"}, 5*time.Second); err != nil {
-			t.Fatalf("fetch: %v", err)
-		}
-		var limit uint32
-		found := false
-		for _, e := range c.Events() {
-			if e.Type != frame.TypeSettings || e.IsAck() || e.Seq == 0 {
-				continue
-			}
-			for _, s := range e.Settings {
-				if s.ID == frame.SettingMaxConcurrentStreams {
-					limit, found = s.Val, true
-				}
-			}
-		}
-		return limit, found
-	}
-
-	if limit, ok := adaptiveLimit(t, true, fingerprint.ChromeProfile()); !ok || limit != 256 {
-		t.Errorf("chrome against adaptive server: limit=%d found=%v, want 256", limit, ok)
-	}
-	if limit, ok := adaptiveLimit(t, true, fingerprint.CurlProfile()); !ok || limit != 64 {
-		t.Errorf("curl against adaptive server: limit=%d found=%v, want 64", limit, ok)
-	}
-	if limit, ok := adaptiveLimit(t, false, fingerprint.ChromeProfile()); ok {
-		t.Errorf("non-adaptive server re-tuned SETTINGS to %d", limit)
 	}
 }
 

@@ -206,17 +206,6 @@ type Profile struct {
 
 	// AnswerPing controls PING ACK generation (all testbed servers comply).
 	AnswerPing bool
-
-	// --- Fingerprinting (beyond the paper: passive client census) ---
-
-	// FingerprintAdaptive makes the server's behavior depend on the
-	// client's HTTP/2 behavioral fingerprint: once the first request
-	// seals the fingerprint and it matches a known client profile, the
-	// server re-tunes SETTINGS_MAX_CONCURRENT_STREAMS by client class
-	// (browsers high, automation tools low). Off for all real-server
-	// profiles; the census and conformance suite use it as the positive
-	// control for fingerprint-conditional serving.
-	FingerprintAdaptive bool
 }
 
 // settings renders the profile's SETTINGS frame payload.

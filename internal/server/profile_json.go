@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"h2scope/internal/hpack"
@@ -113,6 +115,10 @@ func MarshalProfile(p Profile) ([]byte, error) {
 }
 
 // UnmarshalProfile decodes a profile written by MarshalProfile (or by hand).
+// Every key must be one MarshalProfile writes, spelt exactly: encoding/json on
+// its own drops keys it does not know and matches the rest whatever their
+// case, so a misspelt or removed field would leave its default in force
+// without a word.
 func UnmarshalProfile(data []byte) (Profile, error) {
 	var in profileJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -128,6 +134,22 @@ func UnmarshalProfile(data []byte) (Profile, error) {
 	}
 	if !found {
 		return Profile{}, fmt.Errorf("server: unknown HPACK policy %q", in.HPACKPolicy)
+	}
+	var keys, known map[string]json.RawMessage
+	canon, err := MarshalProfile(p)
+	if err == nil {
+		err = json.Unmarshal(canon, &known)
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &keys)
+	}
+	if err != nil {
+		return Profile{}, fmt.Errorf("server: decoding profile: %w", err)
+	}
+	for _, k := range slices.Sorted(maps.Keys(keys)) {
+		if _, ok := known[k]; !ok {
+			return Profile{}, fmt.Errorf("server: decoding profile: unknown field %q", k)
+		}
 	}
 	return p, nil
 }

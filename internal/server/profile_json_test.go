@@ -68,4 +68,15 @@ func TestProfileJSONRejectsGarbage(t *testing.T) {
 	if _, err := server.UnmarshalProfile([]byte(`not json`)); err == nil {
 		t.Error("non-JSON accepted")
 	}
+	data, err := server.MarshalProfile(server.NginxProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A misspelt key and a removed one: each would leave a default in force.
+	for _, key := range []string{`"AnswerPIng": false`, `"FingerprintAdaptive": true`} {
+		edited := strings.Replace(string(data), "{", "{\n  "+key+",", 1)
+		if _, err := server.UnmarshalProfile([]byte(edited)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("profile with %s: err = %v, want an unknown-field error", key, err)
+		}
+	}
 }

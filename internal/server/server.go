@@ -752,9 +752,7 @@ func (c *conn) endHeaderBlock(f *frame.HeadersFrame) error {
 	// clobbered by the next header block on this connection, and a request
 	// may respond later (POST bodies).
 	st.reqHeaders = append(st.reqHeaders[:0], fields...)
-	if err := c.fpOnHeaders(fields); err != nil {
-		return err
-	}
+	c.fpOnHeaders(fields)
 	if flags.Has(frame.FlagEndStream) || requestMethod(fields) == "GET" {
 		c.respond(st)
 	}

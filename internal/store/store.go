@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"h2scope/internal/core"
-	"h2scope/internal/fingerprint"
 	"h2scope/internal/metrics"
 	"h2scope/internal/scan"
 )
@@ -47,9 +46,6 @@ type Record struct {
 	// TraceFile points at the site's exported frame-level trace (JSONL,
 	// rendered by cmd/h2trace) when the scan ran with tracing enabled.
 	TraceFile string `json:"traceFile,omitempty"`
-	// Fingerprint is the site's impersonation-sweep verdict when the scan
-	// ran the fingerprint census (see internal/fingerprint).
-	Fingerprint *fingerprint.CensusResult `json:"fingerprint,omitempty"`
 	// Stats marks a scan-summary trailer record: one per scan run, holding
 	// the engine's final counter snapshot instead of a per-site report.
 	Stats *scan.Stats `json:"stats,omitempty"`

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"h2scope/internal/core"
-	"h2scope/internal/fingerprint"
 	"h2scope/internal/netsim"
 	"h2scope/internal/population"
 	"h2scope/internal/server"
@@ -188,79 +187,39 @@ func TestTallyFilesFamilylessRecordsUnderAll(t *testing.T) {
 // reads, tallies and covers exactly as the same line without it, and writing
 // the record back drops the object.
 func TestRobustnessRoundTripAndAnalyze(t *testing.T) {
+	checkDeletedColumn(t, "robustness", `{"verdicts":{"hpack-bomb":"killed-attacker","rapid-reset":"survived"},"survived":2,"total":2,"value":1}`)
+}
+
+// TestFingerprintRoundTripAndAnalyze pins what is left of the deleted
+// impersonation-sweep column the same way: a line that still carries a
+// fingerprint object reads, tallies and covers as the line without it, and
+// writing the record back drops the object.
+func TestFingerprintRoundTripAndAnalyze(t *testing.T) {
+	checkDeletedColumn(t, "fingerprint", `{"clients":[{"profile":"curl","ok":true,"h2":"3:100|0|0|m,p,s,a","server_settings":"3:100;4:65535","body_digest":"200:12:abcdef"}],"echo_ok":true,"differs":true}`)
+}
+
+// checkDeletedColumn reads a record line with and without a "key":object
+// member that Record no longer has, and requires the two to tally and cover
+// alike, with no line naming key, and the re-appended record to drop it.
+func checkDeletedColumn(t *testing.T, key, object string) {
+	t.Helper()
 	const plain = `{"domain":"r","scannedAt":"2017-01-05T12:00:00Z","report":null,"outcome":"failed","errorKind":"timeout"}`
-	scored := strings.Replace(plain, `"report":null`, `"report":null,"robustness":{"verdicts":{"hpack-bomb":"killed-attacker","rapid-reset":"survived"},"survived":2,"total":2,"value":1}`, 1)
-	old, cur := tallyOf(readAll(t, strings.NewReader(scored+"\n"))), tallyOf(readAll(t, strings.NewReader(plain+"\n")))
-	if !reflect.DeepEqual(old, cur) || old.Failed != 1 {
-		t.Errorf("record with a robustness object tallies as\n%+v\nwithout it as\n%+v", old, cur)
+	old := strings.Replace(plain, `"report":null`, `"report":null,"`+key+`":`+object, 1)
+	then, now := tallyOf(readAll(t, strings.NewReader(old+"\n"))), tallyOf(readAll(t, strings.NewReader(plain+"\n")))
+	if !reflect.DeepEqual(then, now) || then.Failed != 1 {
+		t.Errorf("record with a %s object tallies as\n%+v\nwithout it as\n%+v", key, then, now)
 	}
-	if out := old.Coverage(); out != cur.Coverage() || strings.Contains(out, "robustness") {
-		t.Errorf("coverage of a record with a robustness object:\n%s", out)
+	if out := then.Coverage(); out != now.Coverage() || strings.Contains(out, key) {
+		t.Errorf("coverage of a record with a %s object:\n%s", key, out)
 	}
 
-	rec := readAll(t, strings.NewReader(scored+"\n"))[0]
+	rec := readAll(t, strings.NewReader(old+"\n"))[0]
 	var buf bytes.Buffer
 	if err := store.NewWriter(&buf).Append(&rec); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "robustness") {
-		t.Errorf("rewritten record kept its robustness object:\n%s", buf.String())
-	}
-}
-
-// TestFingerprintRoundTripAndAnalyze pins the fingerprint column: a stored
-// impersonation sweep survives the JSON round trip, the tally folds it, and
-// the Coverage text mentions it.
-func TestFingerprintRoundTripAndAnalyze(t *testing.T) {
-	sweep := &fingerprint.CensusResult{
-		Clients: []fingerprint.ClientObservation{
-			{Profile: "curl", OK: true, H2: "3:100|0|0|m,p,s,a", ExpectedH2: "3:100|0|0|m,p,s,a",
-				ServerSettings: "3:100;4:65535", BodyDigest: "200:12:abcdef"},
-			{Profile: "chrome", OK: true, H2: "1:65536|0|0|m,a,s,p", ExpectedH2: "1:65536|0|0|m,a,s,p",
-				ServerSettings: "3:100;4:65535", BodyDigest: "200:99:123456"},
-		},
-	}
-	sweep.Observed()
-	if !sweep.EchoOK || !sweep.Differs {
-		t.Fatalf("fixture sweep = echo %v differs %v, want true/true", sweep.EchoOK, sweep.Differs)
-	}
-	var buf bytes.Buffer
-	w := store.NewWriter(&buf)
-	recs := []*store.Record{
-		{Domain: "fp.example", ScannedAt: time.Unix(0, 0), Fingerprint: sweep},
-		{Domain: "plain.example", ScannedAt: time.Unix(0, 0)},
-	}
-	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if strings.Count(buf.String(), `"fingerprint"`) != 1 {
-		t.Errorf("fingerprint field not serialized exactly once:\n%s", buf.String())
-	}
-
-	records := readAll(t, &buf)
-	got := records[0].Fingerprint
-	if got == nil {
-		t.Fatal("fingerprint sweep lost in round trip")
-	}
-	if !got.EchoOK || !got.Differs || len(got.Clients) != 2 {
-		t.Errorf("sweep = %+v, want 2 clients, echo, differs", got)
-	}
-	if got.Clients[1].H2 != "1:65536|0|0|m,a,s,p" || got.Clients[1].BodyDigest != "200:99:123456" {
-		t.Errorf("chrome observation mangled: %+v", got.Clients[1])
-	}
-	if records[1].Fingerprint != nil {
-		t.Errorf("plain record gained a sweep: %+v", records[1].Fingerprint)
-	}
-
-	a := tallyOf(records)
-	if a.FingerprintSites != 1 || a.FingerprintEcho != 1 || a.FingerprintDiffers != 1 {
-		t.Errorf("tally = %d/%d/%d, want 1/1/1",
-			a.FingerprintSites, a.FingerprintEcho, a.FingerprintDiffers)
-	}
-	if out := a.Coverage(); !strings.Contains(out, "fingerprint sweep: 1 sites / 1 echoed /fp / 1 served by client") {
-		t.Errorf("coverage text missing fingerprint line:\n%s", out)
+	if strings.Contains(buf.String(), key) {
+		t.Errorf("rewritten record kept its %s object:\n%s", key, buf.String())
 	}
 }
 

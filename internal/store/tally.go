@@ -76,10 +76,6 @@ type Tally struct {
 	// are part of Scanned); FailureKinds histograms the failed by kind.
 	Failed, Canceled int
 	FailureKinds     map[string]int
-	// FingerprintSites counts sites the impersonation sweep observed,
-	// FingerprintEcho those whose /fp endpoint answered, FingerprintDiffers
-	// those serving different responses to different clients.
-	FingerprintSites, FingerprintEcho, FingerprintDiffers int
 }
 
 // NewTally returns an empty tally with every map allocated, so all feeders
@@ -109,15 +105,6 @@ func (t *Tally) Add(rec *Record) {
 		return
 	}
 	t.Scanned++
-	if fp := rec.Fingerprint; fp != nil {
-		t.FingerprintSites++
-		if fp.EchoOK {
-			t.FingerprintEcho++
-		}
-		if fp.Differs {
-			t.FingerprintDiffers++
-		}
-	}
 	switch rec.Outcome {
 	case scan.OutcomeFailed.String():
 		t.Failed++
@@ -224,7 +211,8 @@ func (t *Tally) addSettings(set *core.SettingsResult) {
 }
 
 // Coverage renders what only a measured tally knows: probes that did not
-// complete, h2-PING round trips, and the optional fingerprint column. It is empty for a tally with none of these (the ground truth).
+// complete and h2-PING round trips. It is empty for a tally with neither (the
+// ground truth).
 func (t *Tally) Coverage() string {
 	var b strings.Builder
 	if t.Failed > 0 || t.Canceled > 0 {
@@ -235,10 +223,6 @@ func (t *Tally) Coverage() string {
 		cdf := stats.NewCDFCounts(t.PingRTTsMillis)
 		fmt.Fprintf(&b, "h2 PING min RTT: %d sites, p50 %.3fms / p90 %.3fms\n",
 			cdf.Len(), cdf.Quantile(0.5), cdf.Quantile(0.9))
-	}
-	if t.FingerprintSites > 0 {
-		fmt.Fprintf(&b, "fingerprint sweep: %d sites / %d echoed /fp / %d served by client\n",
-			t.FingerprintSites, t.FingerprintEcho, t.FingerprintDiffers)
 	}
 	return b.String()
 }
