@@ -1,18 +1,17 @@
 // Command h2attack drives the adversarial scenario battery from
 // internal/attack against an HTTP/2 server — the hostile-traffic complement
 // of the paper's well-formed probes — and reports each scenario's typed
-// outcome (survived / degraded / hung / killed-attacker, with latency and
-// GOAWAY evidence).
+// outcome (survived / degraded / hung / killed-attacker, with latency,
+// the collateral a benign victim saw during the attack, and GOAWAY
+// evidence).
 //
 // Targets are either a live host:port or a built-in Table III profile
-// emulated in-process; the in-process mode can additionally arm the
-// server-side real-time detector and report what it flagged and mitigated.
+// emulated in-process.
 //
 // Usage:
 //
 //	h2attack -profile nginx                          # whole catalog, in-process
 //	h2attack -profile apache -scenario rapid-reset -duration 5s -rate 4000 -conns 4
-//	h2attack -profile h2o -detector                  # also report detections
 //	h2attack -target 127.0.0.1:8443 -tls -authority example.org
 //	h2attack -profile nginx -out outcomes.jsonl      # JSONL outcome records
 package main
@@ -63,7 +62,6 @@ type options struct {
 	seed      int64
 	timeout   time.Duration
 	outPath   string
-	detector  bool
 	debugAddr string
 }
 
@@ -85,7 +83,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.Int64Var(&o.seed, "seed", 0, "jitter seed (0 derives one per scenario)")
 	fs.DurationVar(&o.timeout, "timeout", 2*time.Second, "health-probe timeout; a post-attack probe over it marks the server hung")
 	fs.StringVar(&o.outPath, "out", "", "append JSONL outcome records to this file; \"-\" streams them to stdout")
-	fs.BoolVar(&o.detector, "detector", false, "arm the server-side real-time detector and report detections; needs -profile")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /metrics.json, expvar, and pprof on this address (\":0\" picks a port) during the battery")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -135,9 +132,6 @@ func (o *options) validate() error {
 	if o.timeout <= 0 {
 		return fmt.Errorf("-timeout must be positive; got %v", o.timeout)
 	}
-	if o.detector && o.profile == "" {
-		return fmt.Errorf("-detector arms the in-process server; it needs -profile")
-	}
 	return nil
 }
 
@@ -154,12 +148,8 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 		human = stderr
 	}
 
-	var reg *metrics.Registry
-	if o.debugAddr != "" || o.detector {
-		reg = metrics.NewRegistry()
-	}
 	if o.debugAddr != "" {
-		ds, derr := metrics.StartDebug(o.debugAddr, reg)
+		ds, derr := metrics.StartDebug(o.debugAddr, metrics.NewRegistry())
 		if derr != nil {
 			return derr
 		}
@@ -169,10 +159,7 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(human, "debug endpoint: http://%s/metrics\n", ds.Addr())
 	}
 
-	var (
-		dial func() (net.Conn, error)
-		det  *server.Detector
-	)
+	var dial func() (net.Conn, error)
 	switch {
 	case o.profile != "":
 		profile, perr := server.ProfileByName(o.profile)
@@ -180,9 +167,6 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 			return perr
 		}
 		srv := server.New(profile, server.DefaultSite(o.authority))
-		if o.detector {
-			det = srv.StartDetector(server.DetectorConfig{}, reg)
-		}
 		l := netsim.NewListener("h2attack")
 		go func() {
 			_ = srv.Serve(l)
@@ -235,10 +219,6 @@ func run(o *options, stdout, stderr io.Writer) (err error) {
 	fmt.Fprintf(human, "robustness: %d/%d survived, score %.2f\n",
 		score.Survived, score.Total, score.Value)
 
-	if det != nil {
-		reportDetections(human, det.Detections(), outs)
-	}
-
 	if o.outPath == "" {
 		return nil
 	}
@@ -283,35 +263,11 @@ func renderOutcome(out *attack.Outcome) string {
 	if out.GoAways > 0 {
 		fmt.Fprintf(&b, ", goaways %d %v", out.GoAways, out.GoAwayCodes)
 	}
-	fmt.Fprintf(&b, ", probe %v (baseline %v)",
-		out.ProbeLatency.Round(time.Microsecond), out.BaselineLatency.Round(time.Microsecond))
+	fmt.Fprintf(&b, ", probe %v (baseline %v), collateral p99 %v (%d/%d failed)",
+		out.ProbeLatency.Round(time.Microsecond), out.BaselineLatency.Round(time.Microsecond),
+		out.CollateralP99.Round(time.Microsecond), out.CollateralFailed, out.CollateralProbes)
 	if out.Note != "" {
 		fmt.Fprintf(&b, " — %s", out.Note)
 	}
 	return b.String()
-}
-
-// reportDetections summarizes what the armed detector flagged, per kind it
-// scores, and names each scenario of those kinds that ran and slipped
-// through. hpack-bomb and continuation-flood are no detector kind: the
-// server's structural bounds end them, and their scenario lines carry the
-// GOAWAY codes.
-func reportDetections(w io.Writer, dets []server.Detection, outs []attack.Outcome) {
-	fmt.Fprintf(w, "detector: %d detections\n", len(dets))
-	caught := make(map[server.AttackKind]int)
-	for _, d := range dets {
-		caught[d.Kind]++
-	}
-	ran := make(map[server.AttackKind]bool)
-	for _, out := range outs {
-		ran[server.AttackKind(out.Kind)] = true
-	}
-	for _, k := range server.AttackKinds() {
-		switch {
-		case caught[k] > 0:
-			fmt.Fprintf(w, "  %s: %d (mitigated)\n", k, caught[k])
-		case ran[k]:
-			fmt.Fprintf(w, "  %s: NOT detected\n", k)
-		}
-	}
 }

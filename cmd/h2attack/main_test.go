@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"h2scope/internal/attack"
-	"h2scope/internal/server"
 )
 
 func TestParseFlagsValidation(t *testing.T) {
@@ -21,7 +20,6 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"profile battery", []string{"-profile", "nginx"}, ""},
 		{"target battery", []string{"-target", "127.0.0.1:8443"}, ""},
 		{"single scenario", []string{"-profile", "apache", "-scenario", "rapid-reset"}, ""},
-		{"detector in-process", []string{"-profile", "h2o", "-detector"}, ""},
 		{"out to stdout", []string{"-profile", "nginx", "-out", "-"}, ""},
 
 		{"no target", nil, "need -target or -profile"},
@@ -32,7 +30,6 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"negative conns", []string{"-profile", "nginx", "-conns", "-1"}, "-conns must be >= 0"},
 		{"jitter above one", []string{"-profile", "nginx", "-jitter", "1.5"}, "-jitter must be in [0,1]"},
 		{"zero timeout", []string{"-profile", "nginx", "-timeout", "0s"}, "-timeout must be positive"},
-		{"detector without profile", []string{"-target", "x:1", "-detector"}, "needs -profile"},
 		{"positional junk", []string{"-profile", "nginx", "extra"}, "unexpected positional arguments"},
 	}
 	for _, tc := range cases {
@@ -87,6 +84,19 @@ func TestRunSingleScenarioJSONL(t *testing.T) {
 	if out.Verdict == "" || out.Ops == 0 {
 		t.Errorf("record missing verdict or ops: %+v", out)
 	}
+	// The collateral columns round-trip under their own keys.
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"collateral_probes", "collateral_failed", "collateral_p99_ns"} {
+		if raw[key] == nil {
+			t.Errorf("record lacks %q:\n%s", key, data)
+		}
+	}
+	if out.CollateralProbes == 0 || out.CollateralP99 <= 0 {
+		t.Errorf("record carries no collateral measurement: %+v", out)
+	}
 }
 
 // TestRunFullBatteryMachineStdout covers -out -: the whole catalog runs,
@@ -94,7 +104,7 @@ func TestRunSingleScenarioJSONL(t *testing.T) {
 // lands on stderr.
 func TestRunFullBatteryMachineStdout(t *testing.T) {
 	opts, err := parseFlags([]string{
-		"-profile", "apache", "-duration", "120ms", "-out", "-", "-detector",
+		"-profile", "apache", "-duration", "120ms", "-out", "-",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -121,33 +131,12 @@ func TestRunFullBatteryMachineStdout(t *testing.T) {
 		}
 	}
 	errText := stderr.String()
-	for _, want := range []string{"robustness:", "detector:"} {
+	for _, want := range []string{"robustness:", "collateral p99"} {
 		if !strings.Contains(errText, want) {
 			t.Errorf("stderr missing human output %q:\n%s", want, errText)
 		}
 	}
 	if strings.Contains(stdout.String(), "robustness:") {
 		t.Errorf("human output leaked onto machine stdout:\n%s", stdout.String())
-	}
-}
-
-// TestReportDetectionsNamesOnlyScoredKinds: a miss is reported only for a
-// scenario that ran and that the detector scores, never for the two the
-// server's structural bounds end.
-func TestReportDetectionsNamesOnlyScoredKinds(t *testing.T) {
-	var outs []attack.Outcome
-	for _, k := range attack.Kinds() {
-		if k != attack.KindSettingsFlood {
-			outs = append(outs, attack.Outcome{Kind: k})
-		}
-	}
-	var b strings.Builder
-	reportDetections(&b, []server.Detection{{Kind: server.AttackRapidReset}, {Kind: server.AttackRapidReset}}, outs)
-	want := "detector: 2 detections\n" +
-		"  rapid-reset: 2 (mitigated)\n" +
-		"  slow-drip: NOT detected\n" +
-		"  zero-window-starvation: NOT detected\n"
-	if b.String() != want {
-		t.Errorf("report:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

@@ -60,8 +60,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		domain      = fs.String("domain", "testbed.example", "site domain (:authority)")
 		useTLS      = fs.Bool("tls", false, "serve HTTP/2 over TLS with a self-signed certificate and ALPN")
 		debugAddr   = fs.String("debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) alongside the server")
-		detector    = fs.Bool("detector", false, "arm the real-time attack detector with the profile's thresholds (detections surface on -debug-addr metrics)")
-		flightRec   = fs.String("flightrec", "", "directory for anomaly flight-recorder dumps (detector hits, p99 blowouts) with bounded JSONL forensics")
+		flightRec   = fs.String("flightrec", "", "directory for anomaly flight-recorder dumps (p99 blowouts) with bounded JSONL forensics")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,20 +88,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return nil
 	}
 	srv := server.New(profile, server.DefaultSite(*domain))
-	var reg *metrics.Registry
-	if *debugAddr != "" || *detector || *flightRec != "" {
-		reg = metrics.NewRegistry()
-	}
 	// The observability layer watches the server's trace bus live: a span
 	// monitor streams every connection into the per-phase histograms, and the
-	// flight recorder (when -flightrec is set) dumps bounded forensics on
-	// anomalies — its own p99 blowouts plus every detector hit below.
-	var monitor *obs.Monitor
-	var recorder *obs.FlightRecorder
+	// flight recorder (when -flightrec is set) dumps bounded forensics on the
+	// monitor's p99 blowouts.
+	var (
+		reg      *metrics.Registry
+		monitor  *obs.Monitor
+		recorder *obs.FlightRecorder
+	)
 	if *debugAddr != "" || *flightRec != "" {
-		if srv.Trace == nil {
-			srv.Trace = trace.New(0)
-		}
+		reg = metrics.NewRegistry()
+		srv.Trace = trace.New(0)
 		srv.Trace.ExportMetrics(reg)
 		mcfg := obs.MonitorConfig{Registry: reg}
 		if *flightRec != "" {
@@ -144,24 +141,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ds.Handle("/dashboard.json", dash)
 		fmt.Fprintf(stdout, "debug endpoint: http://%s/metrics (dashboard at /dashboard)\n", ds.Addr())
 	}
-	if *detector {
-		dcfg := server.DetectorConfig{}
-		if recorder != nil {
-			dcfg.OnDetect = func(det server.Detection) {
-				a := obs.Anomaly{Reason: "detector:" + string(det.Kind), Conn: det.Conn, At: det.At}
-				path, derr := recorder.Dump(a, srv.Trace.Snapshot())
-				switch {
-				case derr != nil:
-					fmt.Fprintln(os.Stderr, "h2server: flight dump failed:", derr)
-				case path != "":
-					fmt.Fprintf(stdout, "anomaly %q -> %s\n", a.Reason, path)
-				}
-			}
-		}
-		srv.StartDetector(dcfg, reg)
-		fmt.Fprintf(stdout, "attack detector armed (profile %s thresholds)\n", profile.Family)
-	}
-
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)

@@ -8,20 +8,18 @@
 // concurrency, duration, and jitter: Rapid-Reset stream churn
 // (CVE-2023-44487), slow-DATA body drips, SETTINGS floods, zero-window
 // starvation, HPACK bombs, and CONTINUATION floods. A Runner measures a
-// clean-request latency baseline before the attack and re-probes after it,
+// clean-request latency baseline before the attack, runs a benign victim
+// client during it (the collateral latency), and re-probes after it,
 // classifying the server as survived, degraded, or hung — or as having
 // actively killed the attackers, the strongest defense — with GOAWAY
 // evidence collected from the attacking connections.
 //
-// The defense half lives in internal/server. Two structural bounds end two
-// scenarios with no detector armed: the header-list guard answers an HPACK
-// bomb with GOAWAY(COMPRESSION_ERROR), and the header-block bound answers a
-// CONTINUATION flood with GOAWAY(ENHANCE_YOUR_CALM). A real-time
-// event-sequence detector (Server.StartDetector) consuming the trace bus,
-// with per-profile thresholds and mitigation actions, covers the other four.
-// The halves meet in this package's tests, which assert that the bounds end
-// their two scenarios on every testbed profile, that the detector flags its
-// four, and that replayed benign traffic is not flagged.
+// The defense is the server's structural bounds (internal/server): the
+// header-list guard answers an HPACK bomb with GOAWAY(COMPRESSION_ERROR),
+// and the header-block bound answers a CONTINUATION flood with
+// GOAWAY(ENHANCE_YOUR_CALM). This package's tests assert that both bounds
+// end their scenarios on every testbed profile, and that no scenario costs
+// the victim a failed fetch.
 package attack
 
 import (
@@ -36,10 +34,7 @@ import (
 	"h2scope/internal/h2conn"
 )
 
-// Kind names one adversarial scenario. The server detector's AttackKind
-// values reuse the names of the four scenarios it scores, so outcomes and
-// detections line up; hpack-bomb and continuation-flood have no detector
-// kind, since the server's structural bounds end them.
+// Kind names one adversarial scenario.
 type Kind string
 
 // The scenario catalog.
@@ -163,10 +158,11 @@ const (
 	// VerdictKilledAttacker: the server stayed healthy and terminated the
 	// attacking connections early (GOAWAY or close) — active defense.
 	VerdictKilledAttacker Verdict = "killed-attacker"
-	// VerdictSurvived: the post-attack probe matched the baseline.
+	// VerdictSurvived: the post-attack probe and the collateral stayed
+	// under the degradation bar, and no collateral probe failed.
 	VerdictSurvived Verdict = "survived"
-	// VerdictDegraded: the probe succeeded but latency blew past the
-	// degradation bar.
+	// VerdictDegraded: the probe succeeded, but it or the collateral p99
+	// blew past the degradation bar, or a collateral probe failed.
 	VerdictDegraded Verdict = "degraded"
 	// VerdictHung: the post-attack probe failed or timed out.
 	VerdictHung Verdict = "hung"
@@ -198,6 +194,13 @@ type Outcome struct {
 	BaselineLatency time.Duration `json:"baseline_latency_ns"`
 	ProbeLatency    time.Duration `json:"probe_latency_ns"`
 
+	// CollateralProbes counts the clean requests a benign victim made
+	// during the attack, CollateralFailed those that failed, and
+	// CollateralP99 is the p99 round trip of the rest.
+	CollateralProbes int           `json:"collateral_probes"`
+	CollateralFailed int           `json:"collateral_failed"`
+	CollateralP99    time.Duration `json:"collateral_p99_ns"`
+
 	Verdict Verdict `json:"verdict"`
 	// Note carries failure detail (probe errors and the like).
 	Note string `json:"note,omitempty"`
@@ -217,13 +220,17 @@ type Runner struct {
 	ProbeTimeout time.Duration
 }
 
-// The degradation bar: the post-attack probe may take up to
-// max(degradedFactor × baseline, degradedFloor) before the verdict drops to
-// degraded.
+// The degradation bar: the post-attack probe and the collateral p99 may
+// each take up to max(degradedFactor × baseline, degradedFloor) before the
+// verdict drops to degraded.
 const (
 	degradedFactor = 5
 	degradedFloor  = 250 * time.Millisecond
 )
+
+// collateralInterval paces the benign victim: one clean request, each on a
+// fresh connection, every interval for the length of the attack.
+const collateralInterval = 5 * time.Millisecond
 
 func (r *Runner) probeTimeout() time.Duration {
 	if r.ProbeTimeout > 0 {
@@ -279,6 +286,30 @@ func (r *Runner) baseline(authority string) (time.Duration, error) {
 	return samples[1], nil
 }
 
+// collateral is the benign victim: it probes the server every
+// collateralInterval until deadline and returns how many probes it made, how
+// many failed (with the first error) and the p99 of the ones that succeeded.
+func (r *Runner) collateral(authority string, deadline time.Time) (probes, failed int, p99 time.Duration, firstErr error) {
+	var lats []time.Duration
+	for time.Now().Before(deadline) {
+		probes++
+		if d, err := r.probe(authority); err != nil {
+			failed++
+			if firstErr == nil {
+				firstErr = err
+			}
+		} else {
+			lats = append(lats, d)
+		}
+		time.Sleep(collateralInterval)
+	}
+	if len(lats) > 0 {
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		p99 = lats[(99*len(lats)+99)/100-1]
+	}
+	return probes, failed, p99, firstErr
+}
+
 // Run executes one scenario and classifies the server's fate.
 func (r *Runner) Run(kind Kind, p Params) (Outcome, error) {
 	scn, ok := scenarios[kind]
@@ -301,6 +332,7 @@ func (r *Runner) Run(kind Kind, p Params) (Outcome, error) {
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
+		colErr  error
 		codes   = map[string]struct{}{}
 		collect = func(t *tally, evs []h2conn.Event, killedEarly bool) {
 			mu.Lock()
@@ -319,6 +351,14 @@ func (r *Runner) Run(kind Kind, p Params) (Outcome, error) {
 			}
 		}
 	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		probes, failed, p99, err := r.collateral(p.Authority, deadline)
+		mu.Lock()
+		out.CollateralProbes, out.CollateralFailed, out.CollateralP99, colErr = probes, failed, p99, err
+		mu.Unlock()
+	}()
 	for i := 0; i < p.Concurrency; i++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -356,28 +396,34 @@ func (r *Runner) Run(kind Kind, p Params) (Outcome, error) {
 	}
 	sort.Strings(out.GoAwayCodes)
 
-	out.Verdict, out.ProbeLatency, out.Note = r.verdict(p.Authority, base, out.Killed)
+	r.verdict(p.Authority, &out, colErr)
 	return out, nil
 }
 
-// verdict re-probes the server after the attack and classifies its fate.
-func (r *Runner) verdict(authority string, base time.Duration, killed int) (Verdict, time.Duration, string) {
+// verdict re-probes the server after the attack and classifies its fate
+// from that probe, the victim's collateral (colErr is its first failure)
+// and whether any attacker was killed.
+func (r *Runner) verdict(authority string, out *Outcome, colErr error) {
 	lat, err := r.probe(authority)
 	if err != nil {
-		// One retry: the probe may have raced the last mitigation close.
-		var retryErr error
-		if lat, retryErr = r.probe(authority); retryErr != nil {
-			return VerdictHung, 0, retryErr.Error()
-		}
+		out.Verdict, out.Note = VerdictHung, err.Error()
+		return
 	}
-	bar := max(degradedFactor*base, degradedFloor)
-	if lat > bar {
-		return VerdictDegraded, lat, fmt.Sprintf("probe %v over bar %v", lat, bar)
+	out.ProbeLatency = lat
+	bar := max(degradedFactor*out.BaselineLatency, degradedFloor)
+	switch {
+	case out.CollateralFailed > 0:
+		out.Verdict, out.Note = VerdictDegraded, fmt.Sprintf("%d of %d collateral probes failed: %v",
+			out.CollateralFailed, out.CollateralProbes, colErr)
+	case out.CollateralP99 > bar:
+		out.Verdict, out.Note = VerdictDegraded, fmt.Sprintf("collateral p99 %v over bar %v", out.CollateralP99, bar)
+	case lat > bar:
+		out.Verdict, out.Note = VerdictDegraded, fmt.Sprintf("probe %v over bar %v", lat, bar)
+	case out.Killed > 0:
+		out.Verdict = VerdictKilledAttacker
+	default:
+		out.Verdict = VerdictSurvived
 	}
-	if killed > 0 {
-		return VerdictKilledAttacker, lat, ""
-	}
-	return VerdictSurvived, lat, ""
 }
 
 // RunAll executes the whole catalog with shared params, in catalog order.

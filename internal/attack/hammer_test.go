@@ -7,19 +7,16 @@ import (
 
 	"h2scope/internal/attack"
 	"h2scope/internal/h2conn"
-	"h2scope/internal/metrics"
 	"h2scope/internal/server"
 )
 
-// TestDetectorHammer runs mixed attack scenarios concurrently against one
-// detector-armed server while benign traffic flows alongside. Under -race
-// this exercises every cross-goroutine seam at once: trace fan-out to the
-// subscription, detector sweeps, and mitigation writes (rate-limit atomics,
-// stream-cap atomics, cross-goroutine GOAWAY+close) racing the serve loops.
+// TestAttackHammer runs mixed attack scenarios concurrently against one
+// server while benign traffic flows alongside. Under -race this exercises
+// the server's cross-goroutine seams at once: many serve loops, the
+// attackers' re-dials and the connections the structural bounds kill.
 // Afterward the server must still answer a clean request.
-func TestDetectorHammer(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tg := startTarget(t, server.NginxProfile(), sensitiveConfig(nil), reg)
+func TestAttackHammer(t *testing.T) {
+	tg := startTarget(t, server.NginxProfile())
 
 	mixed := []attack.Kind{
 		attack.KindRapidReset,
@@ -66,11 +63,7 @@ func TestDetectorHammer(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// The server must have detected something under this barrage...
-	if dets := tg.det.Detections(); len(dets) == 0 {
-		t.Error("hammer produced no detections")
-	}
-	// ...and still serve a clean request afterward.
+	// The server must still serve a clean request afterward.
 	nc, err := tg.lis.Dial()
 	if err != nil {
 		t.Fatalf("post-hammer dial: %v", err)

@@ -17,7 +17,6 @@ var unsetByPrograms = map[string]string{
 	"internal/obs.FlightRecorderConfig.Clock":   "TestFlightRecorderRateLimitAndCap",
 	"internal/scan.Options.Backoff":             "TestRetryScheduleDeterministic",
 	"internal/scan.Options.Clock":               "TestRetryScheduleDeterministic",
-	"internal/server.DetectorConfig.Thresholds": "TestDetectorFlagsEveryScenario",
 	"internal/server.Server.DisableFingerprint": "BenchmarkFingerprintOverhead",
 }
 

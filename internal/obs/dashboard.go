@@ -91,8 +91,6 @@ type DashState struct {
 	SubPending       map[string]int64 `json:"subPending,omitempty"`
 	Conns            *ConnStat        `json:"conns,omitempty"`
 	Egress           *EgressStat      `json:"egress,omitempty"`
-	DetectorHits     map[string]int64 `json:"detectorHits,omitempty"`
-	Mitigations      map[string]int64 `json:"mitigations,omitempty"`
 	Anomalies        int64            `json:"anomalies"`
 	FlightDumps      int64            `json:"flightDumps"`
 	FlightSuppressed int64            `json:"flightSuppressed"`
@@ -141,8 +139,6 @@ func (d *Dashboard) state() *DashState {
 		FailureKinds: map[string]int64{},
 		SubDropped:   map[string]int64{},
 		SubPending:   map[string]int64{},
-		DetectorHits: map[string]int64{},
-		Mitigations:  map[string]int64{},
 	}
 	var snap []metrics.MetricSnapshot
 	for _, r := range d.regs {
@@ -189,10 +185,6 @@ func (d *Dashboard) state() *DashState {
 				st.SubDropped[v] += m.Value
 			} else if v, ok := labelValue(m.Name, "h2_trace_sub_pending", "sub"); ok {
 				st.SubPending[v] += m.Value
-			} else if v, ok := labelValue(m.Name, "h2_attacks_detected_total", "kind"); ok {
-				st.DetectorHits[v] += m.Value
-			} else if v, ok := labelValue(m.Name, "h2_mitigations_total", "action"); ok {
-				st.Mitigations[v] += m.Value
 			} else if v, ok := labelValue(m.Name, PhaseMetricName, "phase"); ok && m.Histogram != nil {
 				ps := PhaseStat{Phase: v, Count: m.Histogram.Count}
 				if ps.Count > 0 {
@@ -323,10 +315,6 @@ th { color: #9aa5b1; font-weight: normal; border-bottom: 1px solid #2a3138; }
 {{range $k, $v := .SubDropped}}<tr><td>sub {{$k}} dropped</td><td>{{$v}}</td></tr>{{end}}
 {{range $k, $v := .SubPending}}<tr><td>sub {{$k}} pending</td><td>{{$v}}</td></tr>{{end}}
 </table>
-{{if .DetectorHits}}<h2>detector hits</h2>
-<table>{{range $k, $v := .DetectorHits}}<tr><td>{{$k}}</td><td>{{$v}}</td></tr>{{end}}</table>{{end}}
-{{if .Mitigations}}<h2>mitigations</h2>
-<table>{{range $k, $v := .Mitigations}}<tr><td>{{$k}}</td><td>{{$v}}</td></tr>{{end}}</table>{{end}}
 {{if .Exemplars}}<h2>slow-sample exemplars</h2>
 <table><tr><th>phase</th><th>target</th><th>conn</th><th>duration</th><th>trace</th></tr>
 {{range .Exemplars}}<tr><td>{{.Phase}}</td><td>{{.Target}}</td><td>{{.Conn}}</td><td>{{dur .Duration.Nanoseconds}}</td><td>{{.TraceFile}}</td></tr>

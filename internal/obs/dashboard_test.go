@@ -46,8 +46,6 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	reg.Counter(metrics.Label("h2_scan_outcomes_total", "outcome", "success"), "").Add(40)
 	reg.Counter(metrics.Label("h2_scan_outcomes_total", "outcome", "failure"), "").Add(2)
 	reg.Counter(metrics.Label("h2_scan_failures_total", "kind", "tls"), "").Add(2)
-	reg.Counter(metrics.Label("h2_attacks_detected_total", "kind", "rapid-reset"), "").Add(3)
-	reg.Counter(metrics.Label("h2_mitigations_total", "action", "goaway"), "").Add(1)
 	reg.GaugeFunc(metrics.Label("h2_trace_sub_dropped_total", "sub", "obs"), "", func() int64 { return 7 })
 	reg.Gauge("h2_server_active_conns", "").Add(5)
 	reg.Counter("h2_server_conns_accepted_total", "").Add(8)
@@ -57,7 +55,7 @@ func TestDashboardStateAndJSON(t *testing.T) {
 		ready.Observe(4)
 	}
 	m.ObserveTarget("site-000001.example", "traces/a.jsonl", clientEvents())
-	if _, err := rec.Dump(Anomaly{Reason: "detector:rapid-reset"}, nil); err != nil {
+	if _, err := rec.Dump(Anomaly{Reason: "p99-blowout:dial"}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,9 +78,6 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	}
 	if st.FailureKinds["tls"] != 2 {
 		t.Errorf("failure kinds = %v", st.FailureKinds)
-	}
-	if st.DetectorHits["rapid-reset"] != 3 || st.Mitigations["goaway"] != 1 {
-		t.Errorf("detector/mitigations = %v / %v", st.DetectorHits, st.Mitigations)
 	}
 	if st.SubDropped["obs"] != 7 {
 		t.Errorf("sub dropped = %v", st.SubDropped)
@@ -128,7 +123,7 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	rr = httptest.NewRecorder()
 	d.ServeHTTP(rr, httptest.NewRequest("GET", "/dashboard", nil))
 	html := rr.Body.String()
-	for _, want := range []string{"test run", "phase latency", "rapid-reset", "flight dumps", "dial",
+	for _, want := range []string{"test run", "phase latency", "error classes", "flight dumps", "dial",
 		"connections", "<td>live</td><td>5</td><td>accepted</td><td>8</td>", "egress scheduler", "queued frames"} {
 		if !strings.Contains(html, want) {
 			t.Errorf("HTML missing %q", want)

@@ -136,16 +136,16 @@ func TestFlightRecorderRateLimitAndCap(t *testing.T) {
 func TestFlightRecorderCloseWritesManifest(t *testing.T) {
 	clk := &fakeClock{now: testBase}
 	r, dir := newTestRecorder(t, FlightRecorderConfig{Clock: clk.Now})
-	if _, err := r.Dump(Anomaly{Reason: "detector:rapid-reset", Target: "t1"}, clientEvents()); err != nil {
+	if _, err := r.Dump(Anomaly{Reason: "p99-blowout:dial", Target: "t1"}, clientEvents()); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * flightMinInterval)
-	if _, err := r.Dump(Anomaly{Reason: "detector:settings-flood", Target: "t2"}, nil); err != nil {
+	if _, err := r.Dump(Anomaly{Reason: "error-spike:tls", Target: "t2"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Third trigger comes too soon: counted as suppressed, shows up in the
 	// manifest below.
-	if path, err := r.Dump(Anomaly{Reason: "detector:ping-flood"}, nil); err != nil || path != "" {
+	if path, err := r.Dump(Anomaly{Reason: "p99-blowout:settle"}, nil); err != nil || path != "" {
 		t.Fatalf("rate-limited dump: path=%q err=%v", path, err)
 	}
 	if err := r.Close(); err != nil {

@@ -19,11 +19,11 @@ const PhaseMetricName = "h2_phase_duration_seconds"
 
 // Anomaly is one trigger-worthy observation the monitor surfaced: a phase
 // blowing past its own p99, or an error-class spike in the scan stream.
-// External triggers (detector hits, conformance failures) construct these
-// directly and hand them to a FlightRecorder.
+// The monitor is the only source: its OnAnomaly hook hands each one to a
+// FlightRecorder (h2server and h2census -flightrec).
 type Anomaly struct {
 	// Reason classifies the trigger ("p99-blowout:dial", "error-spike:tls",
-	// "detector:rapid-reset", ...).
+	// ...).
 	Reason string `json:"reason"`
 	// Target names the scanned unit, when known.
 	Target string `json:"target,omitempty"`
@@ -210,7 +210,7 @@ func (m *Monitor) ObserveTarget(target, traceFile string, events []trace.Event) 
 // RecordOutcome feeds one target's scan disposition into spike detection:
 // kind is the classified failure kind, empty for success. When one kind
 // fills errorSpikeThreshold slots of the window, an error-spike anomaly is
-// raised and the window resets (re-arming the detector).
+// raised and the window resets (re-arming spike detection).
 func (m *Monitor) RecordOutcome(target, kind string) {
 	var spike bool
 	m.mu.Lock()

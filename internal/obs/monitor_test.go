@@ -86,7 +86,7 @@ func TestMonitorErrorSpike(t *testing.T) {
 	if len(got) != 1 || got[0].Reason != "error-spike:tls" || got[0].Target != "d" {
 		t.Fatalf("spike anomaly = %+v", got)
 	}
-	// The window cleared: the detector re-arms from scratch.
+	// The window cleared: spike detection re-arms from scratch.
 	m.RecordOutcome("e", "tls")
 	m.RecordOutcome("f", "tls")
 	if len(got) != 1 {

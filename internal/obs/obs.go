@@ -10,7 +10,7 @@
 // counters cannot answer "for this slow target, was it the dial, the TLS
 // handshake, the SETTINGS settle, or server think-time?". The span builder
 // here answers exactly that, from the same event stream every other
-// consumer (JSONL export, the attack detector) reads. It is the only fold
+// consumer (JSONL export, the live Monitor.Watch) reads. It is the only fold
 // of that stream: h2trace, the flight recorder, the monitor and the
 // dashboard all read its records, so the CLI and live paths cannot drift.
 //

@@ -13,8 +13,8 @@ import (
 
 // This file is the server half of the passive fingerprinting plane: the
 // frame handlers feed an H2Assembler on the serve goroutine, the sealed
-// akamai string is published for the detector and the metrics registry,
-// and the /fp endpoint echoes everything back to the client.
+// akamai string is counted in the metrics registry, and the /fp endpoint
+// echoes everything back to the client.
 
 // fingerprintPath is the reserved echo endpoint: a GET here returns the
 // requesting client's own fingerprints as JSON instead of site content.
@@ -65,22 +65,20 @@ func (c *conn) fpOnPriority(f *frame.PriorityFrame) {
 	}
 }
 
-// fpOnHeaders seals the behavioral fingerprint on the first request: the
-// akamai rendering is published for the detector goroutine and counted in
-// the metrics registry. What the server sends never depends on it.
+// fpOnHeaders seals the behavioral fingerprint on the first request and,
+// with Metrics set, counts its akamai rendering in the registry. What the
+// server sends never depends on it.
 func (c *conn) fpOnHeaders(fields []hpack.HeaderField) {
 	if c.fpa == nil || c.fpa.Complete() {
 		return
 	}
 	c.fpa.OnRequestHeaders(fields)
-	akamai := c.fpa.Fingerprint().Akamai()
-	c.fpAkamai.Store(&akamai)
 	if m := c.srv.Metrics; m != nil {
 		ja4 := "none"
 		if h := c.clientHello(); h != nil {
 			ja4 = h.JA4()
 		}
-		m.fingerprintSeen(ja4, akamai)
+		m.fingerprintSeen(ja4, c.fpa.Fingerprint().Akamai())
 	}
 }
 

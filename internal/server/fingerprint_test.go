@@ -10,7 +10,6 @@ import (
 	"h2scope/internal/h2conn"
 	"h2scope/internal/netsim"
 	"h2scope/internal/tlsutil"
-	"h2scope/internal/trace"
 )
 
 // startFPServer serves profile p over a netsim listener and returns a
@@ -136,59 +135,6 @@ func TestFingerprintDisabled(t *testing.T) {
 	}
 	if echo.JA4H == "" {
 		t.Error("disabled plane dropped JA4H (request-derived, should survive)")
-	}
-}
-
-// TestDetectionCarriesFingerprint: a connection that completes a request
-// and then attacks gets its detection labeled with the sealed akamai
-// fingerprint.
-func TestDetectionCarriesFingerprint(t *testing.T) {
-	imp := fingerprint.CurlProfile()
-	srv := New(ApacheProfile(), DefaultSite("fp.example"))
-	srv.Trace = trace.New(1 << 12)
-	th := quietThresholds()
-	th.SettingsRate = 5
-	detCh := make(chan Detection, 1)
-	srv.StartDetector(DetectorConfig{
-		Thresholds: th,
-		OnDetect: func(d Detection) {
-			select {
-			case detCh <- d:
-			default:
-			}
-		},
-	}, nil)
-	l := netsim.NewListener("fp-detect")
-	go func() { _ = srv.Serve(l) }()
-	defer srv.Close()
-	nc, err := l.Dial()
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	opts := h2conn.DefaultOptions()
-	opts.Impersonate = imp
-	c, err := h2conn.Dial(nc, opts)
-	if err != nil {
-		t.Fatalf("h2 dial: %v", err)
-	}
-	defer c.Close()
-	if _, err := c.FetchBody(h2conn.Request{Authority: "fp.example", Path: "/about.html"}, 5*time.Second); err != nil {
-		t.Fatalf("fetch: %v", err)
-	}
-	// Settings flood: well past 5/s. A write that fails means the mitigation
-	// has already closed the connection; the detection below is the verdict.
-	for i := 0; i < 50; i++ {
-		if err := c.WriteSettings(); err != nil {
-			break
-		}
-	}
-	select {
-	case det := <-detCh:
-		if det.Fingerprint != imp.ExpectedAkamai() {
-			t.Errorf("detection fingerprint = %q, want %q", det.Fingerprint, imp.ExpectedAkamai())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("settings flood never detected")
 	}
 }
 

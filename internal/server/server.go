@@ -65,9 +65,6 @@ type Server struct {
 	conns  map[*conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-
-	// det is the attack detector, when StartDetector attached one.
-	det *Detector
 }
 
 // New returns a server for site with the given behavior profile. The site's
@@ -160,14 +157,6 @@ func (s *Server) untrack(c *conn) {
 func (s *Server) Close() {
 	s.stop()
 	s.wg.Wait()
-	s.detector().Stop()
-}
-
-// detector returns the attached attack detector, or nil.
-func (s *Server) detector() *Detector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.det
 }
 
 // Shutdown closes gracefully (RFC 7540 section 6.8): listeners stop
@@ -184,7 +173,7 @@ func (s *Server) Shutdown(grace time.Duration) {
 		announced.Add(1)
 		go func(c *conn) {
 			defer announced.Done()
-			c.announceGoAway(deadline, frame.ErrCodeNo, "server shutting down")
+			c.announceGoAway(deadline)
 		}(c)
 	}
 	done := make(chan struct{})
@@ -284,12 +273,6 @@ func (s *Server) ServeConn(nc net.Conn) error {
 	if s.Trace != nil {
 		s.Trace.ConnOpen(c.traceID, nc.RemoteAddr().String())
 		defer func() { s.Trace.ConnClose(c.traceID, "") }()
-		if d := s.detector(); d != nil {
-			// Register for mitigation under the same trace conn ID the
-			// detector sees in the event stream.
-			d.register(c.traceID, c)
-			defer d.unregister(c.traceID)
-		}
 	}
 	return c.serve()
 }
@@ -413,18 +396,11 @@ type conn struct {
 	// (the span builder counts it per connection; h2trace prints it).
 	traceErr func(detail string)
 
-	// Detector mitigation state, written by the detector goroutine and read
-	// by the serve goroutine, hence atomic. readDelay (ns) throttles the
-	// read loop between frames; streamCap, when nonzero, overrides the
-	// profile's concurrent-stream limit downward; maxSeenClient is the
-	// highest client stream ID acted on, the GOAWAY last-stream-id (RFC 7540
-	// section 6.8) for the serve, shutdown and detector goroutines alike
-	// (c.streams is the serve goroutine's alone); killed makes the
-	// GOAWAY+close mitigation idempotent.
-	readDelay     atomic.Int64
-	streamCap     atomic.Int64
+	// maxSeenClient is the highest client stream ID acted on, the GOAWAY
+	// last-stream-id (RFC 7540 section 6.8) for the serve and shutdown
+	// goroutines alike (c.streams is the serve goroutine's alone), hence
+	// atomic.
 	maxSeenClient atomic.Uint32
-	killed        atomic.Bool
 	// prefaced is set once the server's SETTINGS is in the framer: SETTINGS
 	// is the first frame a server sends (RFC 7540 section 3.5), so a GOAWAY
 	// from another goroutine has to know whether it would overtake it. Set
@@ -432,46 +408,21 @@ type conn struct {
 	// get the GOAWAY too, and the framer's write lock keeps it behind.
 	prefaced atomic.Bool
 
-	// Fingerprint plane (see fingerprint.go). fpa and helloFn are touched
-	// only by the serve goroutine; fpAkamai publishes the sealed akamai
-	// string for the detector goroutine to label detections with.
-	fpa      *fingerprint.H2Assembler
-	helloFn  func() *fingerprint.ClientHello
-	fpAkamai atomic.Pointer[string]
+	// Fingerprint plane (see fingerprint.go), touched only by the serve
+	// goroutine.
+	fpa     *fingerprint.H2Assembler
+	helloFn func() *fingerprint.ClientHello
 }
 
-// mitigateRateLimit throttles the connection's read loop: the serve
-// goroutine sleeps d between frames. Safe from any goroutine.
-func (c *conn) mitigateRateLimit(d time.Duration) { c.readDelay.Store(int64(d)) }
-
-// mitigateStreamCap refuses new streams beyond n (RST_STREAM with
-// REFUSED_STREAM), regardless of the profile's advertised limit. Safe from
-// any goroutine.
-func (c *conn) mitigateStreamCap(n int64) { c.streamCap.Store(n) }
-
-// mitigateWriteTimeout bounds the detector's GOAWAY on a connection whose
-// peer has stopped reading.
-const mitigateWriteTimeout = 500 * time.Millisecond
-
-// mitigateGoAway sends GOAWAY(ENHANCE_YOUR_CALM) and closes the socket,
-// which unblocks a serve loop parked in ReadFrame.
-func (c *conn) mitigateGoAway() {
-	if c.killed.Swap(true) {
-		return
-	}
-	c.announceGoAway(time.Now().Add(mitigateWriteTimeout), frame.ErrCodeEnhanceYourCalm, "attack mitigated")
-	_ = c.nc.Close()
-}
-
-// announceGoAway sends GOAWAY from a goroutine other than the connection's
-// own (Shutdown, the detector); the framer serializes writes, so that is
+// announceGoAway sends Shutdown's GOAWAY(NO_ERROR) from a goroutine other
+// than the connection's own; the framer serializes writes, so that is
 // safe alongside the serve loop, and the explicit Flush pushes the frame
 // past the coalescing buffer while the serve loop may be blocked in
 // ReadFrame. The serve goroutine may instead be parked in Write on a peer
 // that stopped reading, holding the framer's write lock: the write deadline,
 // set before the lock is asked for, fails that Write, which frees the lock,
 // and bounds this GOAWAY by the same clock.
-func (c *conn) announceGoAway(deadline time.Time, code frame.ErrCode, debug string) {
+func (c *conn) announceGoAway(deadline time.Time) {
 	if !c.prefaced.Load() {
 		// Still short of its SETTINGS, which no frame may precede, the
 		// connection has no stream to wind down: close it.
@@ -479,7 +430,7 @@ func (c *conn) announceGoAway(deadline time.Time, code frame.ErrCode, debug stri
 		return
 	}
 	_ = c.nc.SetWriteDeadline(deadline)
-	if c.fr.WriteGoAway(c.maxSeenClient.Load(), code, []byte(debug)) == nil {
+	if c.fr.WriteGoAway(c.maxSeenClient.Load(), frame.ErrCodeNo, []byte("server shutting down")) == nil {
 		_ = c.fr.Flush()
 	}
 }
@@ -524,10 +475,6 @@ func (c *conn) serve() error {
 		return err
 	}
 	for {
-		// Detector rate-limit mitigation: pace the read loop.
-		if d := c.readDelay.Load(); d > 0 {
-			time.Sleep(time.Duration(d))
-		}
 		stop, err := c.step()
 		if stop || err != nil {
 			return err
@@ -723,11 +670,6 @@ func (c *conn) endHeaderBlock(f *frame.HeadersFrame) error {
 		}
 		c.maxSeenClient.Store(id)
 		if p := &c.srv.profile; p.AdvertiseMaxStreams && uint32(c.clientOpen) >= p.MaxConcurrentStreams {
-			return c.fr.WriteRSTStream(id, frame.ErrCodeRefusedStream)
-		}
-		// Detector stream-cap mitigation: a flagged connection gets a much
-		// smaller concurrency budget than the profile advertises.
-		if capN := c.streamCap.Load(); capN > 0 && int64(c.clientOpen) >= capN {
 			return c.fr.WriteRSTStream(id, frame.ErrCodeRefusedStream)
 		}
 		st = c.openStream(id)

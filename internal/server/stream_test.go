@@ -14,9 +14,8 @@ import (
 const streamTestTimeout = 5 * time.Second
 
 // dialServed serves one in-memory connection through ServeConn and returns
-// the h2conn client on the other end, its SETTINGS already in, and the
-// server-side conn.
-func dialServed(t *testing.T, srv *Server, opts h2conn.Options) (*h2conn.Conn, *conn) {
+// the h2conn client on the other end, its SETTINGS already in.
+func dialServed(t *testing.T, srv *Server, opts h2conn.Options) *h2conn.Conn {
 	t.Helper()
 	clientNC, serverNC := netsim.Pipe()
 	go func() { _ = srv.ServeConn(serverNC) }()
@@ -29,13 +28,7 @@ func dialServed(t *testing.T, srv *Server, opts h2conn.Options) (*h2conn.Conn, *
 	if _, err := c.WaitSettings(streamTestTimeout); err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	for sc := range srv.conns {
-		return c, sc
-	}
-	t.Fatal("the served connection is not in the table")
-	return nil, nil
+	return c
 }
 
 // trailerBlock is "x-trailer: v" as a literal that is never indexed, so it
@@ -50,7 +43,7 @@ func TestTrailersDoNotReplaceTheRequest(t *testing.T) {
 	want, _ := site.Lookup("/about.html")
 	for _, p := range TestbedProfiles() {
 		t.Run(p.Family, func(t *testing.T) {
-			c, _ := dialServed(t, New(p, site), h2conn.DefaultOptions())
+			c := dialServed(t, New(p, site), h2conn.DefaultOptions())
 			from := c.Mark()
 			id, err := c.OpenStreamBody(h2conn.Request{Method: "POST", Authority: site.Domain, Path: "/about.html"})
 			if err != nil {
@@ -82,8 +75,8 @@ func TestTrailersDoNotReplaceTheRequest(t *testing.T) {
 }
 
 // TestDiscardedHeaderBlocksKeepHPACKInStep sends a header block whose stream
-// the server turns away — refused over SETTINGS_MAX_CONCURRENT_STREAMS,
-// refused by the detector's stream cap, or depending on itself — and then a
+// the server turns away — refused over SETTINGS_MAX_CONCURRENT_STREAMS or
+// depending on itself — and then a
 // request the client encodes against the table that block built. Every block
 // is decoded (RFC 7540 section 4.3), so the request is answered.
 func TestDiscardedHeaderBlocksKeepHPACKInStep(t *testing.T) {
@@ -137,19 +130,13 @@ func TestDiscardedHeaderBlocksKeepHPACKInStep(t *testing.T) {
 	t.Run("refused-over-max-concurrent-streams", func(t *testing.T) {
 		p := NginxProfile()
 		p.MaxConcurrentStreams = 1
-		c, _ := dialServed(t, New(p, site), h2conn.DefaultOptions())
-		refuseOne(t, c)
-		fetchAfter(t, c)
-	})
-	t.Run("refused-by-stream-cap", func(t *testing.T) {
-		c, sc := dialServed(t, New(ApacheProfile(), site), h2conn.DefaultOptions())
-		sc.mitigateStreamCap(1)
+		c := dialServed(t, New(p, site), h2conn.DefaultOptions())
 		refuseOne(t, c)
 		fetchAfter(t, c)
 	})
 	for _, p := range []Profile{NginxProfile(), LiteSpeedProfile()} {
 		t.Run("self-dependent-"+p.Family, func(t *testing.T) {
-			c, _ := dialServed(t, New(p, site), h2conn.DefaultOptions())
+			c := dialServed(t, New(p, site), h2conn.DefaultOptions())
 			id := c.NextStreamID()
 			req := probe
 			req.Priority = frame.PriorityParam{StreamDep: id, Weight: 15}
@@ -179,7 +166,7 @@ func TestResetStreamSendsNothingMore(t *testing.T) {
 		t.Run(tc.p.Family, func(t *testing.T) {
 			// No automatic window refills: the 65,535-octet windows stop the
 			// 96 KiB body part way.
-			c, _ := dialServed(t, New(tc.p, DefaultSite("reset.example")), h2conn.Options{AutoSettingsAck: true, AutoPingAck: true})
+			c := dialServed(t, New(tc.p, DefaultSite("reset.example")), h2conn.Options{AutoSettingsAck: true, AutoPingAck: true})
 			id, err := c.OpenStream(h2conn.Request{Authority: "reset.example", Path: "/large/1"})
 			if err != nil {
 				t.Fatal(err)

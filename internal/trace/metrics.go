@@ -36,7 +36,7 @@ func (t *Tracer) ExportMetrics(r *metrics.Registry) {
 //
 // Before this export, subscription overflows were visible only to callers
 // polling Dropped(); on a dashboard a climbing sub-drop gauge is the signal
-// that a consumer (detector, span monitor) cannot keep up with the bus.
+// that a consumer (the span monitor) cannot keep up with the bus.
 // Safe on a nil receiver: the gauges then read zero.
 func (s *Subscription) ExportMetrics(r *metrics.Registry, name string) {
 	r.GaugeFunc(metrics.Label("h2_trace_sub_dropped_total", "sub", name),

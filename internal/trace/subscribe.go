@@ -3,12 +3,16 @@ package trace
 import "sync"
 
 // DefaultSubscriptionBuffer is the per-subscriber queue size applied when
-// Subscribe is given a non-positive buffer: a couple of detector sweep
-// intervals' worth of frame events on a busy connection.
+// Subscribe is given a non-positive buffer. obs.Monitor.Watch drains on
+// every wakeup, so the queue has to hold only what is emitted while its
+// goroutine waits to run or folds the previous batch: 4096 events is the
+// frames of about a thousand small requests (HEADERS in, HEADERS and DATA
+// out).
 const DefaultSubscriptionBuffer = 4096
 
 // Subscription is a bounded, push-based view of a tracer's event stream for
-// long-lived consumers (the server's attack detector). It exists because the
+// long-lived consumers (obs.Monitor.Watch, the live span monitor behind
+// h2server's dashboard and flight recorder). It exists because the
 // ring alone cannot serve such consumers: a Snapshot re-copies the whole
 // ring on every poll and gives no way to tell which events are new, while a
 // consumer that falls behind must learn how much it missed.

@@ -526,7 +526,7 @@ func TestSubscriptionExportMetrics(t *testing.T) {
 	sub := tr.Subscribe(4)
 	defer sub.Close()
 	r := metrics.NewRegistry()
-	sub.ExportMetrics(r, "detector")
+	sub.ExportMetrics(r, "obs")
 
 	value := func(name string) int64 {
 		t.Helper()
@@ -539,8 +539,8 @@ func TestSubscriptionExportMetrics(t *testing.T) {
 		return 0
 	}
 
-	dropped := metrics.Label("h2_trace_sub_dropped_total", "sub", "detector")
-	pending := metrics.Label("h2_trace_sub_pending", "sub", "detector")
+	dropped := metrics.Label("h2_trace_sub_dropped_total", "sub", "obs")
+	pending := metrics.Label("h2_trace_sub_pending", "sub", "obs")
 	if got := value(dropped); got != 0 {
 		t.Fatalf("%s = %d before emits, want 0", dropped, got)
 	}
