@@ -22,14 +22,23 @@ var ErrFrameTooLarge = errors.New("frame: frame payload exceeds maximum read siz
 // live connection.
 const maxRetainedReadBuf = 64 << 10
 
-// DefaultWriteBufferSize is the coalescing threshold installed by
-// SetWriteBuffering(0): once at least this many pending copied octets
-// accumulate, endWrite flushes even without an explicit Flush call.
+// DefaultWriteBufferSize is the coalescing threshold SetWriteBuffering(0)
+// installs on a framer whose writer is not a *net.TCPConn: once at least this
+// many pending copied octets accumulate, endWrite flushes even without an
+// explicit Flush call.
 const DefaultWriteBufferSize = 16 << 10
+
+// vectoredWriteBufferSize replaces DefaultWriteBufferSize on a framer that
+// writes vectored to a *net.TCPConn, so that a whole scheduling pass of small
+// responses (32 of them come to some 35 KiB) leaves in one write. Framers on
+// pipes and TLS keep the smaller bound, which caps the buffer each of a
+// scan's many short connections grows.
+const vectoredWriteBufferSize = 64 << 10
 
 // refCutoff is the shortest DATA payload a coalescing framer on a
 // *net.TCPConn keeps by reference; anything shorter costs less as a memmove
-// than as an iovec. maxIovecs caps the vector one flush carries (about one
+// than as an iovec, so it is copied into the pending batch and counts toward
+// the flush bound. maxIovecs caps the vector one flush carries (about one
 // IOV_MAX batch), which bounds it against a peer advertising a 2 GiB window.
 const (
 	refCutoff = 8 << 10
@@ -57,10 +66,11 @@ const (
 // By default every frame write issues one Write on the underlying writer,
 // exactly as a naive framer would. SetWriteBuffering switches the framer to
 // coalesced mode: frame writes accumulate in an internal buffer and reach
-// the wire only on Flush (or when the pending bytes exceed the configured
-// threshold). In coalesced mode the caller owns the flush schedule and MUST
-// call Flush before blocking on a read, or the peer never sees the frames
-// it is expected to answer.
+// the wire only on Flush (or when the pending copied octets reach the
+// threshold: by default 64 KiB on a *net.TCPConn, written vectored, and
+// DefaultWriteBufferSize, 16 KiB, on every other writer). In coalesced mode
+// the caller owns the flush schedule and MUST call Flush before blocking on
+// a read, or the peer never sees the frames it is expected to answer.
 //
 // # Write payload ownership
 //
@@ -164,18 +174,24 @@ func (fr *Framer) SetTrace(fn func(sent bool, hdr Header)) {
 // single Write per Flush. threshold bounds the pending batch — once at
 // least that many copied octets are pending, endWrite flushes on its own
 // (payloads kept by reference, see "Write payload ownership", do not count);
-// threshold <= 0 applies DefaultWriteBufferSize. Callers own the flush
-// schedule: always Flush before blocking on a read. Call it before the
-// framer is in use, alongside SetTrace/SetMetrics.
+// threshold <= 0 applies 64 KiB when the writer is a *net.TCPConn and
+// DefaultWriteBufferSize otherwise. Callers own the flush schedule: always
+// Flush before blocking on a read. Call it before the framer is in use,
+// alongside SetTrace/SetMetrics.
 func (fr *Framer) SetWriteBuffering(threshold int) {
-	if threshold <= 0 {
-		threshold = DefaultWriteBufferSize
-	}
 	fr.wmu.Lock()
 	defer fr.wmu.Unlock()
 	fr.buffered = true
+	tc, vectored := fr.w.(*net.TCPConn)
+	switch {
+	case threshold > 0:
+	case vectored:
+		threshold = vectoredWriteBufferSize
+	default:
+		threshold = DefaultWriteBufferSize
+	}
 	fr.flushThreshold = threshold
-	if tc, ok := fr.w.(*net.TCPConn); ok {
+	if vectored {
 		fr.writev = func(v *net.Buffers) (int64, error) { return v.WriteTo(tc) }
 	}
 }

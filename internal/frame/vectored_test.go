@@ -362,3 +362,57 @@ func TestVectoredConcurrentFlush(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushBoundPerWriter pins SetWriteBuffering(0)'s bound per writer:
+// 20 KiB of small DATA frames reach a writer that is not a *net.TCPConn in
+// two Writes (one when the pending octets pass 16 KiB, one on Flush), while
+// over a TCP loopback pair the same frames are all still pending before
+// Flush and arrive whole after it.
+func TestFlushBoundPerWriter(t *testing.T) {
+	payload := bytes.Repeat([]byte{'s'}, 1<<10)
+	const frames = 20
+	burst := func(fr *Framer) {
+		t.Helper()
+		for i := 0; i < frames; i++ {
+			if err := fr.WriteData(uint32(2*i+1), true, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const total = frames * (HeaderLen + 1<<10)
+
+	var plain countingWriter
+	fr := NewFramer(&plain, nil)
+	fr.SetWriteBuffering(0)
+	burst(fr)
+	if plain.writes != 1 {
+		t.Errorf("%d Writes before Flush, want 1: the 16 KiB bound", plain.writes)
+	}
+	if err := fr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if plain.writes != 2 || plain.bytes != total {
+		t.Errorf("%d Writes of %d octets, want 2 of %d", plain.writes, plain.bytes, total)
+	}
+
+	client, server := tcpPair(t)
+	fr = NewFramer(server, nil)
+	fr.SetWriteBuffering(0)
+	burst(fr)
+	if len(fr.wbuf) != total {
+		t.Errorf("%d octets pending before Flush over TCP, want all %d", len(fr.wbuf), total)
+	}
+	if err := fr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, total)
+	if _, err := io.ReadFull(client, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		frame := got[i*(HeaderLen+1<<10):]
+		if hdr := parseHeader(frame); hdr.Type != TypeData || hdr.StreamID != uint32(2*i+1) || hdr.Length != 1<<10 {
+			t.Fatalf("frame %d arrived as %v", i, hdr)
+		}
+	}
+}

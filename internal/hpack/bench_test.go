@@ -1,6 +1,10 @@
 package hpack
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,6 +63,144 @@ func BenchmarkHpackDecode(b *testing.B) {
 	}
 	if len(fields) != len(benchFields) {
 		b.Fatalf("decoded %d fields, want %d", len(fields), len(benchFields))
+	}
+}
+
+// churnObjects is the size of the churn benchmarks' document tree, and
+// churnSeqLen the length of their pre-drawn request sequence.
+const (
+	churnObjects = 1024
+	churnSeqLen  = 1 << 14
+)
+
+// churnMix is small_get's header traffic on one connection: a Chrome-like
+// 9-field request list whose :path (field 3) is rewritten per request with a
+// Zipf(s=1) draw over churnObjects paths, and nghttpd's 9-field response
+// list, prebuilt once per object from shared strings, whose content-length
+// and etag differ from object to object.
+type churnMix struct {
+	req  []HeaderField
+	resp [][]HeaderField // by object
+	// paths names each object; seq is the drawn object sequence.
+	paths []string
+	seq   []int
+}
+
+func newChurnMix() *churnMix {
+	rng := rand.New(rand.NewSource(1))
+	cdf := make([]float64, churnObjects)
+	var sum float64
+	for k := range cdf {
+		sum += 1 / float64(k+1)
+		cdf[k] = sum
+	}
+	m := &churnMix{
+		req: []HeaderField{
+			{Name: ":method", Value: "GET"},
+			{Name: ":scheme", Value: "https"},
+			{Name: ":authority", Value: "bench.example"},
+			{Name: ":path", Value: "/"},
+			{Name: "user-agent", Value: "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/51.0.2704.103 Safari/537.36"},
+			{Name: "accept", Value: "text/html,application/xhtml+xml,application/xml;q=0.9,image/webp,*/*;q=0.8"},
+			{Name: "accept-encoding", Value: "gzip, deflate, sdch, br"},
+			{Name: "accept-language", Value: "en-US,en;q=0.8"},
+			{Name: "cache-control", Value: "max-age=0"},
+		},
+		seq: make([]int, churnSeqLen),
+	}
+	const (
+		server = "nghttpd nghttp2/1.12.0"
+		date   = "Tue, 05 Jul 2016 10:00:00 GMT"
+		ctype  = "application/octet-stream"
+	)
+	for i := 0; i < churnObjects; i++ {
+		m.paths = append(m.paths, fmt.Sprintf("/o/%08x", rng.Uint32()))
+		// Log-uniform sizes over [64 B, 4 KiB], as the benchmark's site.
+		size := int(math.Round(64 * math.Pow(64, rng.Float64())))
+		m.resp = append(m.resp, []HeaderField{
+			{Name: ":status", Value: "200"},
+			{Name: "server", Value: server},
+			{Name: "date", Value: date},
+			{Name: "content-type", Value: ctype},
+			{Name: "content-length", Value: strconv.Itoa(size)},
+			{Name: "last-modified", Value: date},
+			{Name: "etag", Value: strconv.Quote(strconv.FormatInt(int64(size)*2654435761, 36))},
+			{Name: "accept-ranges", Value: "bytes"},
+			{Name: "vary", Value: "accept-encoding"},
+		})
+	}
+	for i := range m.seq {
+		m.seq[i] = min(sort.SearchFloat64s(cdf, rng.Float64()*sum), churnObjects-1)
+	}
+	return m
+}
+
+// request returns the request list for the i-th request of the sequence.
+func (m *churnMix) request(i int) []HeaderField {
+	m.req[3].Value = m.paths[m.seq[i%churnSeqLen]]
+	return m.req
+}
+
+// response returns the response list for the i-th request of the sequence.
+func (m *churnMix) response(i int) []HeaderField { return m.resp[m.seq[i%churnSeqLen]] }
+
+// BenchmarkHpackEncodeChurn encodes one small_get request and its response
+// per op under PolicyIndexAll into 4 KiB tables: the request side repeats
+// all but :path, and every response inserts a content-length and an etag
+// into a full table, so the insert and evict path runs alongside the hits.
+func BenchmarkHpackEncodeChurn(b *testing.B) {
+	m := newChurnMix()
+	reqEnc, respEnc := NewEncoder(PolicyIndexAll), NewEncoder(PolicyIndexAll)
+	var buf []byte
+	for i := 0; i < churnSeqLen; i++ { // warm tables and scratch
+		buf = reqEnc.AppendBlock(buf[:0], m.request(i))
+		buf = respEnc.AppendBlock(buf[:0], m.response(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = reqEnc.AppendBlock(buf[:0], m.request(i))
+		buf = respEnc.AppendBlock(buf[:0], m.response(i))
+	}
+}
+
+// BenchmarkHpackDecodeChurn decodes what BenchmarkHpackEncodeChurn's
+// encoders emit, one request block and one response block per op. The
+// blocks are encoded up front from empty tables, so each pass over them
+// starts the decoders' tables empty as well (outside the timer).
+func BenchmarkHpackDecodeChurn(b *testing.B) {
+	m := newChurnMix()
+	reqEnc, respEnc := NewEncoder(PolicyIndexAll), NewEncoder(PolicyIndexAll)
+	reqBlocks, respBlocks := make([][]byte, churnSeqLen), make([][]byte, churnSeqLen)
+	for i := range reqBlocks {
+		reqBlocks[i] = reqEnc.AppendBlock(nil, m.request(i))
+		respBlocks[i] = respEnc.AppendBlock(nil, m.response(i))
+	}
+	reqDec, respDec := NewDecoder(DefaultDynamicTableSize), NewDecoder(DefaultDynamicTableSize)
+	var fields []HeaderField
+	var err error
+	decode := func(i int) {
+		if fields, err = reqDec.DecodeAppend(fields[:0], reqBlocks[i]); err != nil {
+			b.Fatal(err)
+		}
+		if fields, err = respDec.DecodeAppend(fields[:0], respBlocks[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range reqBlocks { // warm the intern caches and the rings
+		decode(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % churnSeqLen
+		if k == 0 {
+			b.StopTimer()
+			reqDec.dt.evictTo(0)
+			respDec.dt.evictTo(0)
+			b.StartTimer()
+		}
+		decode(k)
 	}
 }
 
@@ -222,6 +364,36 @@ func TestHotPathAllocs(t *testing.T) {
 		if n := enc.dt.n; n >= pool/2 || n != dec.dt.n {
 			t.Errorf("encoder table holds %d entries, decoder %d: want equal and full well below the %d-value cycle",
 				n, dec.dt.n, pool)
+		}
+	})
+
+	t.Run("small-get-mix", func(t *testing.T) {
+		// The churn benchmarks' traffic: memo hits on most fields, a
+		// :path that hits or misses, and inserts that evict on every
+		// response, all through both encoders and both decoders.
+		m := newChurnMix()
+		reqEnc, respEnc := NewEncoder(PolicyIndexAll), NewEncoder(PolicyIndexAll)
+		reqDec, respDec := NewDecoder(DefaultDynamicTableSize), NewDecoder(DefaultDynamicTableSize)
+		var block []byte
+		var fields []HeaderField
+		var err error
+		i := 0
+		round := func() {
+			block = reqEnc.AppendBlock(block[:0], m.request(i))
+			if fields, err = reqDec.DecodeAppend(fields[:0], block); err != nil {
+				t.Fatal(err)
+			}
+			block = respEnc.AppendBlock(block[:0], m.response(i))
+			if fields, err = respDec.DecodeAppend(fields[:0], block); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for i < churnSeqLen {
+			round()
+		}
+		if allocs := testing.AllocsPerRun(2000, round); allocs != 0 {
+			t.Errorf("small_get header mix: %.1f allocs/op, want 0", allocs)
 		}
 	})
 

@@ -129,6 +129,20 @@ func (d *Decoder) DecodeAppend(fields []HeaderField, block []byte) ([]HeaderFiel
 	)
 	for len(block) > 0 {
 		b := block[0]
+		// A one-octet index (1-126) to an entry that exists — most fields of
+		// a repeated header list — resolves inline; index 0, the two-octet
+		// form and every miss take readIndexed, which reports the error.
+		if b&0x80 != 0 && b != 0xff {
+			if hf, ok := d.dt.lookup(uint64(b & 0x7f)); ok {
+				if listSize += uint64(hf.Size()); d.overListSize(listSize) {
+					return fields, d.listSizeError(listSize)
+				}
+				fields = append(fields, hf)
+				seenField = true
+				block = block[1:]
+				continue
+			}
+		}
 		switch {
 		case b&0x80 != 0: // indexed field
 			hf, block, err = d.readIndexed(block)
@@ -157,17 +171,24 @@ func (d *Decoder) DecodeAppend(fields []HeaderField, block []byte) ([]HeaderFiel
 			return fields, DecodingError{errors.New("dynamic table size update after header fields")}
 		}
 		if emitted {
-			if d.maxHeaderListSize > 0 {
-				listSize += uint64(hf.Size())
-				if listSize > uint64(d.maxHeaderListSize) {
-					return fields, DecodingError{fmt.Errorf("%w: %d > %d octets", ErrHeaderListSize, listSize, d.maxHeaderListSize)}
-				}
+			if listSize += uint64(hf.Size()); d.overListSize(listSize) {
+				return fields, d.listSizeError(listSize)
 			}
 			fields = append(fields, hf)
 			seenField = true
 		}
 	}
 	return fields, nil
+}
+
+// overListSize reports whether listSize, the decoded size of a block so far,
+// is past SetMaxHeaderListSize's bound.
+func (d *Decoder) overListSize(listSize uint64) bool {
+	return d.maxHeaderListSize > 0 && listSize > uint64(d.maxHeaderListSize)
+}
+
+func (d *Decoder) listSizeError(listSize uint64) error {
+	return DecodingError{fmt.Errorf("%w: %d > %d octets", ErrHeaderListSize, listSize, d.maxHeaderListSize)}
 }
 
 func (d *Decoder) readIndexed(buf []byte) (HeaderField, []byte, error) {

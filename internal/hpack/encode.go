@@ -39,7 +39,15 @@ type Encoder struct {
 	// table size update at the start of the next header block.
 	tableSizeUpdate uint32
 	pendingUpdate   bool
+
+	// memo holds, for each of the first memoFields positions of the
+	// previous block, the table entry its field resolved to (see memoIndex).
+	// It grows to the longest block seen, up to memoFields.
+	memo []uint64
 }
+
+// memoFields bounds the block positions an Encoder remembers.
+const memoFields = 16
 
 // NewEncoder returns an encoder with the default 4,096-byte dynamic table.
 func NewEncoder(policy IndexingPolicy) *Encoder {
@@ -114,33 +122,84 @@ func (e *Encoder) AppendBlock(dst []byte, fields []HeaderField) []byte {
 		dst = appendVarInt(dst, 5, 0x20, uint64(e.tableSizeUpdate))
 		e.pendingUpdate = false
 	}
-	for _, hf := range fields {
-		dst = e.appendField(dst, hf)
+	if n := min(len(fields), memoFields); len(e.memo) < n {
+		e.memo = append(e.memo, make([]uint64, n-len(e.memo))...)
+	}
+	for i, hf := range fields {
+		if i < len(e.memo) && !hf.Sensitive {
+			if idx, ok := e.memoIndex(e.memo[i], hf); ok {
+				dst = appendVarInt(dst, 7, 0x80, idx)
+				continue
+			}
+		}
+		var ref uint64
+		dst, ref = e.appendField(dst, hf)
+		if i < len(e.memo) {
+			e.memo[i] = ref
+		}
 	}
 	return dst
 }
 
-func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
+// memoIndex tries a memo entry on the field at its position and returns the
+// wire index to send when the entry still holds that very field. A memo
+// entry (a ref) is a static index (1 to staticTableLen), or staticTableLen
+// plus the sequence number of a dynamic entry the field matched or was
+// inserted as; 0 means the field went out as a literal no table holds.
+//
+// A repeat of the same field at the same position is the common case — a
+// client's request lists and a server's prebuilt response lists differ from
+// block to block in a field or two — so the encoder asks the memo before any
+// lookup, and a repeat costs two string compares, O(1) when the strings are
+// the ones the entry was made from. A hit is exact: the entry is an exact
+// match, the static table holds no pair twice, and the encoder never inserts
+// a pair that a table holds (it sends the index instead), so a live dynamic
+// entry holding the field is the only match there is, the one search finds.
+func (e *Encoder) memoIndex(ref uint64, hf HeaderField) (uint64, bool) {
+	var ent *HeaderField
+	switch {
+	case ref == 0:
+		return 0, false
+	case ref <= uint64(staticTableLen):
+		ent = &staticTable[ref-1]
+	default:
+		// The entry's dynamic index; past the table once it is evicted.
+		dt := e.dt
+		i := dt.inserted - (ref - uint64(staticTableLen)) + 1
+		if i > uint64(dt.n) {
+			return 0, false
+		}
+		ent = &dt.ring[(dt.head+dt.n-int(i))&(len(dt.ring)-1)]
+		ref = uint64(staticTableLen) + i
+	}
+	return ref, ent.Value == hf.Value && ent.Name == hf.Name
+}
+
+// appendField encodes one field and returns, as a memo ref, the table entry
+// it resolved to.
+func (e *Encoder) appendField(dst []byte, hf HeaderField) ([]byte, uint64) {
 	// Exact match: indexed representation, static table first.
 	run, static := staticNames[hf.Name]
 	if static && !hf.Sensitive {
 		for idx := run.first; idx <= run.last; idx++ {
 			if staticTable[idx-1].Value == hf.Value {
-				return appendVarInt(dst, 7, 0x80, idx)
+				return appendVarInt(dst, 7, 0x80, idx), idx
 			}
 		}
 	}
 	// A static name index is preferred for stability, so the dynamic table
 	// is asked for a name-only match just when there is none.
-	dynIdx, nameOnly, dynFound := e.dt.search(hf, !static)
+	h := e.dt.pairHash(hf)
+	seq, nameOnly, dynFound := e.dt.search(hf, h, !static)
 	if dynFound && !nameOnly && !hf.Sensitive {
-		return appendVarInt(dst, 7, 0x80, dynIdx)
+		return appendVarInt(dst, 7, 0x80, e.dt.wireIndex(seq)), uint64(staticTableLen) + seq
 	}
 	nameIdx := run.first
 	if !static && dynFound {
-		nameIdx = dynIdx
+		nameIdx = e.dt.wireIndex(seq)
 	}
 
+	var ref uint64
 	switch {
 	case hf.Sensitive:
 		// Never-indexed literal (RFC 7541 section 6.2.3).
@@ -148,7 +207,8 @@ func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
 	case e.shouldIndex(hf) && hf.Size() <= e.dt.maxSize:
 		// Literal with incremental indexing (section 6.2.1).
 		dst = appendVarInt(dst, 6, 0x40, nameIdx)
-		e.dt.addIndexed(hf, !static)
+		e.dt.addIndexed(hf, h, !static)
+		ref = uint64(staticTableLen) + e.dt.inserted
 	default:
 		// Literal without indexing (section 6.2.2).
 		dst = appendVarInt(dst, 4, 0x00, nameIdx)
@@ -156,7 +216,7 @@ func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
 	if nameIdx == 0 {
 		dst = appendString(dst, hf.Name)
 	}
-	return appendString(dst, hf.Value)
+	return appendString(dst, hf.Value), ref
 }
 
 // appendString encodes a string literal, choosing Huffman coding whenever it

@@ -36,6 +36,14 @@ func FuzzDecode(f *testing.F) {
 	f.Add(fuzzSeed("0a6b 65 79"))                       // truncated literal
 	f.Add(fuzzSeed("418c f1e3 c2e5 f23a 6ba0 ab90 f4")) // truncated Huffman string
 	f.Add([]byte{})
+	// The edges of the inline path for one-octet indices, after three
+	// insertions (wire 62-64 live) and after seventy (62-131 live).
+	for _, i := range []uint64{0, 1, 61, 62, 64, 65, 126, 127} {
+		f.Add(append(insertBlock(3), indexedBlock(i)...))
+	}
+	for _, i := range []uint64{126, 127, 131, 132} {
+		f.Add(append(insertBlock(70), indexedBlock(i)...))
+	}
 
 	const tableSize = 4096
 	f.Fuzz(func(t *testing.T, data []byte) {

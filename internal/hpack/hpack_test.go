@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -387,6 +389,128 @@ func TestDecoderRejectsBadIndex(t *testing.T) {
 	}
 	if _, err := dec.DecodeFull([]byte{0x80}); err == nil {
 		t.Error("index 0 accepted")
+	}
+}
+
+// insertBlock is a header block of n literals with incremental indexing,
+// x-0: v to x-<n-1>: v, each under a new name: after it, dynamic index 1
+// (wire index 62) is x-<n-1> and dynamic index n is x-0.
+func insertBlock(n int) []byte {
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = appendString(append(b, 0x40), "x-"+strconv.Itoa(i))
+		b = appendString(b, "v")
+	}
+	return b
+}
+
+// indexedBlock is a block of one indexed field per index.
+func indexedBlock(indices ...uint64) []byte {
+	var b []byte
+	for _, i := range indices {
+		b = appendVarInt(b, 7, 0x80, i)
+	}
+	return b
+}
+
+// TestDecoderIndexedBoundaries walks the edges of the decoder's inline path
+// for one-octet indices (1-126): the ends of the static table, the newest
+// and oldest dynamic entries, the first index past them, and the first
+// two-octet index, each against what the table holds; and it checks that an
+// indexed-only block still trips the header list bound.
+func TestDecoderIndexedBoundaries(t *testing.T) {
+	dyn := func(i int) HeaderField { return HeaderField{Name: "x-" + strconv.Itoa(i), Value: "v"} }
+	for _, tc := range []struct {
+		name    string
+		entries int
+		index   uint64
+		want    HeaderField // zero: ErrInvalidIndex
+	}{
+		{"zero", 3, 0, HeaderField{}},
+		{"first-static", 3, 1, HeaderField{Name: ":authority"}},
+		{"last-static", 3, 61, HeaderField{Name: "www-authenticate"}},
+		{"newest-dynamic", 3, 62, dyn(2)},
+		{"oldest-dynamic", 3, 64, dyn(0)},
+		{"past-oldest", 3, 65, HeaderField{}},
+		{"past-empty-table", 0, 62, HeaderField{}},
+		{"last-one-octet", 70, 126, dyn(5)},
+		{"first-two-octet", 70, 127, dyn(4)},
+		{"oldest-two-octet", 70, 131, dyn(0)},
+		{"past-oldest-two-octet", 70, 132, HeaderField{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dec := NewDecoder(DefaultDynamicTableSize)
+			if _, err := dec.DecodeFull(insertBlock(tc.entries)); err != nil {
+				t.Fatal(err)
+			}
+			fields, err := dec.DecodeFull(indexedBlock(tc.index))
+			if tc.want == (HeaderField{}) {
+				if !errors.Is(err, ErrInvalidIndex) {
+					t.Fatalf("index %d: %v, %v; want ErrInvalidIndex", tc.index, fields, err)
+				}
+				return
+			}
+			if err != nil || len(fields) != 1 || fields[0] != tc.want {
+				t.Fatalf("index %d: %v, %v; want %v", tc.index, fields, err, tc.want)
+			}
+		})
+	}
+
+	t.Run("header-list-bound", func(t *testing.T) {
+		dec := NewDecoder(DefaultDynamicTableSize)
+		if _, err := dec.DecodeFull(insertBlock(3)); err != nil {
+			t.Fatal(err)
+		}
+		// :method GET is 42 octets and x-2: v 37 by RFC 7541's measure.
+		dec.SetMaxHeaderListSize(42 + 2*37)
+		if fields, err := dec.DecodeFull(indexedBlock(2, 62, 62)); err != nil || len(fields) != 3 {
+			t.Fatalf("block at the bound: %v, %v", fields, err)
+		}
+		for _, block := range [][]byte{indexedBlock(2, 62, 62, 62), indexedBlock(2, 2, 2)} {
+			if _, err := dec.DecodeFull(block); !errors.Is(err, ErrHeaderListSize) {
+				t.Errorf("% x past the bound: %v, want ErrHeaderListSize", block, err)
+			}
+		}
+	})
+}
+
+// TestIndexedPairSlotsKeepProbeRuns drives the encoder's pair slots with
+// hashes drawn from a handful of values, two of them at the end of the slot
+// array, so probe runs collide, merge and wrap around; after every insert
+// and remove each filed entry must still be reachable from its home slot
+// before an empty one.
+func TestIndexedPairSlotsKeepProbeRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	hashes := []uint64{0, 1, 2, 5, 14, 15, 31, 63}
+	ix := &reverseIndex{}
+	filed := map[uint64]uint64{} // seq → hash
+	var seq uint64
+	for step := 0; step < 20000; step++ {
+		if len(filed) > 0 && (rng.Intn(2) == 0 || len(filed) > 40) {
+			for s, h := range filed { // map order: a random filed entry
+				ix.remove(h, s)
+				delete(filed, s)
+				break
+			}
+		} else {
+			seq++
+			h := hashes[rng.Intn(len(hashes))]
+			ix.insert(h, seq)
+			filed[seq] = h
+		}
+		if ix.pairs != len(filed) {
+			t.Fatalf("step %d: %d pairs counted, %d filed", step, ix.pairs, len(filed))
+		}
+		mask := uint64(len(ix.slots) - 1)
+		for s, h := range filed {
+			i := h & mask
+			for ix.slots[i].seq != s {
+				if ix.slots[i].seq == 0 {
+					t.Fatalf("step %d: entry %d (hash %d) unreachable from its home slot", step, s, h)
+				}
+				i = (i + 1) & mask
+			}
+		}
 	}
 }
 

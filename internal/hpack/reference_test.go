@@ -73,6 +73,9 @@ func (dt *refTable) search(hf HeaderField) (index uint64, nameOnly, found bool) 
 	return 0, false, false
 }
 
+// pair keys the reference encoder's static exact-match map.
+type pair struct{ name, value string }
+
 var refStaticByPair, refStaticByName = func() (map[pair]uint64, map[string]uint64) {
 	byPair := make(map[pair]uint64, staticTableLen)
 	byName := make(map[string]uint64, staticTableLen)
@@ -176,9 +179,9 @@ func (p *encoderPair) encode(t *testing.T, fields []HeaderField) []byte {
 	if n := p.enc.dt.n; n != len(p.ref.dt.ents) || p.enc.dt.size != p.ref.dt.size {
 		t.Fatalf("table holds %d entries / %d octets, reference %d / %d", n, p.enc.dt.size, len(p.ref.dt.ents), p.ref.dt.size)
 	}
-	if len(p.enc.dt.byPair) > p.enc.dt.n || len(p.enc.dt.byName) > p.enc.dt.n {
+	if ix := p.enc.dt.idx; ix.pairs != p.enc.dt.n || len(ix.byName) > p.enc.dt.n {
 		t.Fatalf("index holds %d pairs and %d names for %d entries: an evicted entry kept its slot",
-			len(p.enc.dt.byPair), len(p.enc.dt.byName), p.enc.dt.n)
+			ix.pairs, len(ix.byName), p.enc.dt.n)
 	}
 	decoded, err := p.dec.DecodeFull(got)
 	if err != nil {
@@ -295,6 +298,122 @@ func TestEncoderMatchesReferenceRandom(t *testing.T) {
 					fields[i] = HeaderField{Name: names[rng.Intn(len(names))], Value: value(), Sensitive: rng.Intn(15) == 0}
 				}
 				p.encode(t, fields)
+			}
+		})
+	}
+}
+
+// TestEncoderMemoMatchesReference repeats header lists block after block, so
+// that most fields meet their own memo slot, and changes them the ways a memo
+// can go stale: its dynamic entry evicted by inserts or by a table cut to
+// zero and grown back, a Sensitive flag at the same position, fields trading
+// places, and equal content behind a different string.
+func TestEncoderMemoMatchesReference(t *testing.T) {
+	hf := func(name, value string) HeaderField { return HeaderField{Name: name, Value: value} }
+	for name, mk := range policyEncoders() {
+		t.Run(name, func(t *testing.T) {
+			p := newEncoderPair(mk())
+			list := []HeaderField{hf(":method", "GET"), hf("x-keep", "v"), hf("server", "h2"), hf("x-fill", "0")}
+			p.encode(t, list)
+			p.encode(t, list)
+
+			// Inserts evict x-keep and server while their memo slots still
+			// name them; each comes back as a literal, then hits again.
+			p.setMaxDynamicTableSize(3 * hf("x-fill", strings.Repeat("f", 20)).Size())
+			for i := 0; i < 6; i++ {
+				list[3] = hf("x-fill", strings.Repeat(fmt.Sprint(i), 20))
+				p.encode(t, list)
+				p.encode(t, list)
+			}
+
+			// A table cut to zero, then grown back.
+			p.setMaxDynamicTableSize(0)
+			p.encode(t, list)
+			p.encode(t, list)
+			p.setMaxDynamicTableSize(DefaultDynamicTableSize)
+			p.encode(t, list)
+			p.encode(t, list)
+
+			// Sensitive at a position whose memo says indexed, then not.
+			list[1].Sensitive = true
+			p.encode(t, list)
+			list[1].Sensitive = false
+			p.encode(t, list)
+
+			// Fields trade places, and one moves to where a static entry was.
+			list[0], list[2] = list[2], list[0]
+			p.encode(t, list)
+			list[3] = list[1]
+			p.encode(t, list)
+			p.encode(t, list)
+
+			// Equal content from new backing arrays.
+			for i := range list {
+				list[i] = HeaderField{Name: strings.Clone(list[i].Name), Value: strings.Clone(list[i].Value)}
+			}
+			p.encode(t, list)
+
+			// A longer list than any before, and a shorter one.
+			p.encode(t, append(list, hf("x-more", "1"), hf("x-keep", "v")))
+			p.encode(t, list[:2])
+			p.encode(t, append(list, hf("x-more", "1"), hf("x-keep", "v")))
+
+			// A memo entry evicted while blocks too short to reach its
+			// position go by, whose ring slot meanwhile holds the same pair
+			// again: in a table of four entries the ring stays eight long,
+			// so the pair inserted eight insertions later lands in the
+			// evicted entry's slot. Only liveness tells the two apart.
+			p = newEncoderPair(mk())
+			pr := hf("x-r", "p")
+			p.setMaxDynamicTableSize(4 * pr.Size())
+			static5 := []HeaderField{hf(":method", "GET"), hf(":scheme", "https"), hf(":path", "/"),
+				hf(":status", "200"), hf("accept-encoding", "gzip, deflate")}
+			p.encode(t, append(static5, pr))
+			for i := 0; i < 7; i++ {
+				p.encode(t, []HeaderField{hf("x-f", fmt.Sprint(i))})
+			}
+			p.encode(t, []HeaderField{pr})
+			p.encode(t, append(static5, pr))
+		})
+	}
+}
+
+// TestEncoderMemoMatchesReferenceRandom encodes a 20-field list over and
+// over, mutating a few positions between blocks — new values, a Sensitive
+// flag, a swap, and now and then a table size change — so the memo hits on
+// most fields and goes stale in every way a mutation allows.
+func TestEncoderMemoMatchesReferenceRandom(t *testing.T) {
+	names := []string{":path", ":status", "content-length", "etag", "server", "x-a", "x-b", "x-longer-custom-name"}
+	sizes := []uint32{0, 60, 200, 500, DefaultDynamicTableSize}
+	for name, mk := range policyEncoders() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(20170605))
+			field := func() HeaderField {
+				return HeaderField{Name: names[rng.Intn(len(names))], Value: fmt.Sprint(rng.Intn(6))}
+			}
+			list := make([]HeaderField, memoFields+4)
+			for i := range list {
+				list[i] = field()
+			}
+			p := newEncoderPair(mk())
+			for block := 0; block < 2000; block++ {
+				if rng.Intn(50) == 0 {
+					p.setMaxDynamicTableSize(sizes[rng.Intn(len(sizes))])
+				}
+				for k := rng.Intn(3); k > 0; k-- {
+					i, j := rng.Intn(len(list)), rng.Intn(len(list))
+					switch rng.Intn(4) {
+					case 0:
+						list[i] = field()
+					case 1:
+						list[i].Sensitive = !list[i].Sensitive
+					case 2:
+						list[i], list[j] = list[j], list[i]
+					default:
+						list[i].Value = strings.Clone(list[j].Value)
+					}
+				}
+				p.encode(t, list)
 			}
 		})
 	}

@@ -69,9 +69,6 @@ var staticTable = [...]HeaderField{
 // staticTableLen is the number of entries in the static table (61).
 const staticTableLen = len(staticTable)
 
-// pair keys the encoder's exact-match index.
-type pair struct{ name, value string }
-
 // staticRun is the span of 1-based static indices sharing one name; the
 // table keeps equal names adjacent, and first is the name's wire index.
 type staticRun struct{ first, last uint64 }

@@ -76,7 +76,7 @@ func (c *conn) flushHeaders() error {
 // Streams stalled by the TinyWindowZeroData behavior are not ready: they
 // emit empty DATA frames instead of real payload.
 func (c *conn) ready(id uint32) bool {
-	st, ok := c.streams[id]
+	st, ok := c.stream(id)
 	if !ok {
 		return false
 	}
@@ -95,7 +95,7 @@ func (c *conn) ready(id uint32) bool {
 // readyFirst additionally requires that the stream has not yet transmitted
 // its first DATA quantum — the SchedPriorityFirstOnly predicate.
 func (c *conn) readyFirst(id uint32) bool {
-	st, ok := c.streams[id]
+	st, ok := c.stream(id)
 	return ok && st.state == stateHeadersSent && c.ready(id)
 }
 
@@ -134,7 +134,8 @@ func (c *conn) pickStream(mode SchedulingMode) *stream {
 	switch mode {
 	case SchedPriority:
 		if id, ok := c.sched.Pick(c.readyFn); ok {
-			return c.streams[id]
+			st, _ := c.stream(id)
+			return st
 		}
 		return nil
 	case SchedPriorityLastOnly:
@@ -145,13 +146,15 @@ func (c *conn) pickStream(mode SchedulingMode) *stream {
 			}
 		}
 		if id, ok := c.sched.Pick(c.readyFn); ok {
-			return c.streams[id]
+			st, _ := c.stream(id)
+			return st
 		}
 		return nil
 	case SchedPriorityFirstOnly:
 		// First quanta in priority order, then round-robin.
 		if id, ok := c.sched.Pick(c.readyFirstFn); ok {
-			return c.streams[id]
+			st, _ := c.stream(id)
+			return st
 		}
 		return c.pickRoundRobin()
 	case SchedSequential:

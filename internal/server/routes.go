@@ -7,12 +7,12 @@ import (
 	"h2scope/internal/hpack"
 )
 
-// This file is the no-map/no-string-churn dispatch table behind the server's
+// This file is the no-string-churn dispatch table behind the server's
 // zero-alloc request path. At construction time every site resource is
 // compiled into a routeEntry carrying its fully-built response header list
 // (status, etag, content-length — everything responseHeaders would otherwise
 // format per request) and its resolved push manifest. The hot path then
-// binary-searches the sorted entry slice by :path and aliases the
+// finds the entry by :path in a map built alongside, and aliases the
 // precomputed slices into the stream, allocating nothing.
 
 // notFoundBody is the shared 404 payload.
@@ -21,8 +21,7 @@ var notFoundBody = []byte("<html><body><h1>404 Not Found</h1></body></html>")
 // routeEntry is one compiled route: the resource plus its prebuilt response
 // header list and resolved push targets.
 type routeEntry struct {
-	path string
-	res  *Resource
+	res *Resource
 	// fields is the complete response header list, built once. Hot-path
 	// streams alias it and must never mutate it.
 	fields []hpack.HeaderField
@@ -42,8 +41,9 @@ type pushRoute struct {
 
 // routeTable is the compiled dispatch table for one (profile, site) pair.
 type routeTable struct {
-	// entries is sorted ascending by path for binary search.
+	// entries holds the routes in the site's path order; byPath indexes it.
 	entries []routeEntry
+	byPath  map[string]int
 	// notFound is the prebuilt 404 response.
 	notFound routeEntry
 }
@@ -53,11 +53,11 @@ type routeTable struct {
 // complete: a path absent from it is a 404.
 func buildRoutes(p *Profile, site *Site) *routeTable {
 	paths := site.Paths()
-	rt := &routeTable{entries: make([]routeEntry, 0, len(paths))}
+	rt := &routeTable{entries: make([]routeEntry, 0, len(paths)), byPath: make(map[string]int, len(paths))}
 	for _, path := range paths {
+		rt.byPath[path] = len(rt.entries)
 		res, _ := site.Lookup(path)
 		rt.entries = append(rt.entries, routeEntry{
-			path:   path,
 			res:    res,
 			fields: buildResponseFields(p.Name, "200", res.ContentType, len(res.Body), res.ExtraHeaders),
 		})
@@ -90,22 +90,13 @@ func buildRoutes(p *Profile, site *Site) *routeTable {
 
 // index returns the entry index for path, or -1.
 func (rt *routeTable) index(path string) int {
-	lo, hi := 0, len(rt.entries)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if rt.entries[mid].path < path {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(rt.entries) && rt.entries[lo].path == path {
-		return lo
+	if i, ok := rt.byPath[path]; ok {
+		return i
 	}
 	return -1
 }
 
-// lookup binary-searches the table by request path.
+// lookup finds the entry for a request path.
 func (rt *routeTable) lookup(path string) *routeEntry {
 	if i := rt.index(path); i >= 0 {
 		return &rt.entries[i]

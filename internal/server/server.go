@@ -346,6 +346,12 @@ type conn struct {
 	decFields []hpack.HeaderField
 
 	streams map[uint32]*stream
+	// recent holds open streams by the low bits of their ID, ahead of the
+	// map: the scheduler asks about every open stream on every pick, and
+	// up to recentStreams consecutive client stream IDs never share a slot.
+	// It is nil until recentFrom streams are open at once; from then on
+	// openStream fills a slot and closeStream empties its own.
+	recent *[recentStreams]*stream
 	// order holds the open streams in arrival order — the maintained
 	// replacement for sorting streams per scheduling pass. openStream
 	// appends, closeStream removes in place.
@@ -661,7 +667,7 @@ func (c *conn) endHeaderBlock(f *frame.HeadersFrame) error {
 	if flags.Has(frame.FlagPriority) && f.Priority.StreamDep == id {
 		return c.reactSelfDependency(id)
 	}
-	st, ok := c.streams[id]
+	st, ok := c.stream(id)
 	if !ok {
 		// RFC 7540 section 5.1.1: the ID of a new stream is above every ID
 		// the client has used; anything else is not a second request.
@@ -741,6 +747,15 @@ func (c *conn) openStream(id uint32) *stream {
 	}
 	c.streams[id] = st
 	c.order = append(c.order, st)
+	if c.recent == nil && len(c.order) >= recentFrom {
+		c.recent = new([recentStreams]*stream)
+		for _, o := range c.order {
+			c.recent[recentSlot(o.id)] = o
+		}
+	}
+	if c.recent != nil {
+		c.recent[recentSlot(id)] = st
+	}
 	if !c.tree.Contains(id) {
 		_ = c.tree.Add(id, priority.Param{Weight: priority.DefaultWeight})
 	}
@@ -752,12 +767,38 @@ func (c *conn) openStream(id uint32) *stream {
 	return st
 }
 
-func (c *conn) closeStream(id uint32) {
+// stream returns the open stream id.
+func (c *conn) stream(id uint32) (*stream, bool) {
+	if c.recent != nil {
+		if st := c.recent[recentSlot(id)]; st != nil && st.id == id {
+			return st, true
+		}
+	}
 	st, ok := c.streams[id]
+	return st, ok
+}
+
+// recentStreams is the number of conn.recent slots, a power of two.
+// recentFrom is the number of open streams that has a connection allocate
+// them: below it a pick asks few enough to leave it to the map, and a
+// census connection, which seldom opens more than two, keeps the memory.
+const (
+	recentStreams = 64
+	recentFrom    = 8
+)
+
+// recentSlot is stream id's slot in conn.recent.
+func recentSlot(id uint32) uint32 { return id >> 1 & (recentStreams - 1) }
+
+func (c *conn) closeStream(id uint32) {
+	st, ok := c.stream(id)
 	if !ok {
 		return
 	}
 	delete(c.streams, id)
+	if c.recent != nil && c.recent[recentSlot(id)] == st {
+		c.recent[recentSlot(id)] = nil
+	}
 	for i, o := range c.order {
 		if o == st {
 			copy(c.order[i:], c.order[i+1:])
@@ -827,8 +868,8 @@ func (c *conn) queue(st *stream, fields []hpack.HeaderField, body []byte) {
 
 // dispatchRequest resolves path through the compiled route table and queues
 // the prebuilt response, reporting false on a table miss. This is the
-// zero-alloc HEADERS→response dispatch: a binary search, slice aliasing,
-// and gauge arithmetic — no maps, no string churn.
+// zero-alloc HEADERS→response dispatch: one map lookup, slice aliasing,
+// and gauge arithmetic — no string churn.
 func (c *conn) dispatchRequest(st *stream, path string) bool {
 	e := c.srv.routes.lookup(path)
 	if e == nil {
@@ -870,7 +911,7 @@ func (c *conn) handleData(f *frame.DataFrame) error {
 	if err := c.recvWindow.Consume(n); err != nil {
 		return frame.ConnError{Code: frame.ErrCodeFlowControl, Reason: "connection flow-control window exceeded"}
 	}
-	if st, ok := c.streams[f.Header().StreamID]; ok && st.state == stateOpen && f.StreamEnded() {
+	if st, ok := c.stream(f.Header().StreamID); ok && st.state == stateOpen && f.StreamEnded() {
 		c.respond(st)
 	}
 	return nil
@@ -943,7 +984,7 @@ func (c *conn) handleWindowUpdate(f *frame.WindowUpdateFrame) error {
 		c.connStalled = false
 		return nil
 	}
-	st, ok := c.streams[id]
+	st, ok := c.stream(id)
 	if !ok {
 		return nil // closed or idle stream: tolerate (RFC section 5.1)
 	}

@@ -220,3 +220,49 @@ func bodyLen(r *h2conn.Response) int {
 	}
 	return len(r.Body)
 }
+
+// TestStreamLookupSharesRecentSlots opens streams whose IDs share a slot of
+// conn.recent and checks that each is still found, through the slot or the
+// map, until it closes, and that a closed stream is found nowhere.
+func TestStreamLookupSharesRecentSlots(t *testing.T) {
+	c := newConn(New(NghttpdProfile(), DefaultSite("testbed.example")), &replayConn{})
+	// 1, 2*recentStreams+1 and the push stream 2*recentStreams share slot 0;
+	// the slots come into use with the recentFrom-th open stream.
+	ids := []uint32{1, 3, 5, 7, 9, 11, 2*recentStreams + 1, 2 * recentStreams}
+	for i, id := range ids {
+		if got, want := c.recent != nil, i >= recentFrom; got != want {
+			t.Fatalf("with %d streams open, slots in use: %v, want %v", i, got, want)
+		}
+		c.openStream(id)
+	}
+	if len(ids) < recentFrom || c.recent == nil {
+		t.Fatalf("slots not in use with %d streams open", len(ids))
+	}
+	find := func(open ...uint32) {
+		t.Helper()
+		for _, id := range ids {
+			st, ok := c.stream(id)
+			want := false
+			for _, o := range open {
+				want = want || o == id
+			}
+			if ok != want || ok && st.id != id {
+				t.Errorf("stream(%d) = %v, %v; want open %v", id, st, ok, want)
+			}
+		}
+	}
+	find(ids...)
+	c.closeStream(2 * recentStreams) // the slot's holder
+	find(1, 3, 5, 7, 9, 11, 2*recentStreams+1)
+	c.closeStream(1) // in the map only
+	find(3, 5, 7, 9, 11, 2*recentStreams+1)
+	for _, id := range ids[1:7] {
+		c.closeStream(id)
+	}
+	find()
+	for i, st := range c.recent {
+		if st != nil {
+			t.Errorf("recent[%d] holds stream %d after every stream closed", i, st.id)
+		}
+	}
+}
