@@ -11,6 +11,7 @@
 package main
 
 import (
+	"crypto/tls"
 	"errors"
 	"flag"
 	"fmt"
@@ -73,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		tl := netsim.NewListener("conform-tls")
 		go func() {
-			_ = srv.Serve(tlsutil.NewFingerprintListener(tl, tlsutil.ServerConfig(cert, true)))
+			_ = srv.Serve(tls.NewListener(tl, tlsutil.ServerConfig(cert, true)))
 		}()
 		defer srv.Close()
 		env.Dialer = core.DialerFunc(func() (net.Conn, error) { return l.Dial() })

@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"flag"
 	"fmt"
@@ -150,9 +151,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The fingerprinting listener peeks each ClientHello before the
-		// handshake, so /fp can echo JA3/JA4 alongside the h2 fingerprint.
-		l = tlsutil.NewFingerprintListener(l, tlsutil.ServerConfig(cert, profile.SupportsALPN))
+		l = tls.NewListener(l, tlsutil.ServerConfig(cert, profile.SupportsALPN))
 		fmt.Fprintf(stdout, "serving %s (profile %s) on https://%s (ALPN %v)\n",
 			*domain, profile.Family, l.Addr(), profile.SupportsALPN)
 	} else {

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"h2scope/internal/frame"
+	"h2scope/internal/h2conn"
+	"h2scope/internal/tlsutil"
 )
 
 // lockedBuffer is run's stdout: written by run's goroutines, polled by the
@@ -34,27 +36,18 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-var servingLine = regexp.MustCompile(`on h2c-prior-knowledge (\S+)`)
+var servingLine = regexp.MustCompile(`on (?:h2c-prior-knowledge |https://)(\S+)`)
 
-// TestStopSignalShutsDownGracefully is the SIGINT/SIGTERM path with the
-// signal replaced by the context main derives from it: a connected client
-// reads GOAWAY(NO_ERROR), run returns nil well inside the grace once the
-// client hangs up, and the deferred flight-recorder Close — the only writer
-// of manifest.json — has run.
-func TestStopSignalShutsDownGracefully(t *testing.T) {
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var out lockedBuffer
+// startRun runs main's run with args on a goroutine and returns the address
+// its serving line names, its stdout, and the channel run's result lands on.
+func startRun(t *testing.T, ctx context.Context, args ...string) (string, *lockedBuffer, <-chan error) {
+	t.Helper()
+	out := &lockedBuffer{}
 	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-profile", "nghttpd", "-addr", "127.0.0.1:0", "-flightrec", dir}, &out)
-	}()
-
-	var addr string
-	for deadline := time.Now().Add(5 * time.Second); addr == ""; time.Sleep(time.Millisecond) {
+	go func() { done <- run(ctx, args, out) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		if m := servingLine.FindStringSubmatch(out.String()); m != nil {
-			addr = m[1]
+			return m[1], out, done
 		}
 		select {
 		case err := <-done:
@@ -65,6 +58,18 @@ func TestStopSignalShutsDownGracefully(t *testing.T) {
 			t.Fatalf("no serving line on stdout:\n%s", out.String())
 		}
 	}
+}
+
+// TestStopSignalShutsDownGracefully is the SIGINT/SIGTERM path with the
+// signal replaced by the context main derives from it: a connected client
+// reads GOAWAY(NO_ERROR), run returns nil well inside the grace once the
+// client hangs up, and the deferred flight-recorder Close — the only writer
+// of manifest.json — has run.
+func TestStopSignalShutsDownGracefully(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, out, done := startRun(t, ctx, "-profile", "nghttpd", "-addr", "127.0.0.1:0", "-flightrec", dir)
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -122,6 +127,46 @@ func TestStopSignalShutsDownGracefully(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "shutting down") {
 		t.Errorf("stdout does not announce the shutdown:\n%s", out.String())
+	}
+}
+
+// TestServeTLS drives -tls end to end: a real TLS handshake over TCP that
+// selects h2 by ALPN, then a GET for / that the testbed site answers 200.
+func TestServeTLS(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, out, done := startRun(t, ctx, "-profile", "nghttpd", "-tls", "-addr", "127.0.0.1:0")
+
+	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	tc, err := tlsutil.UpgradeH2(nc, "testbed.example")
+	if err != nil {
+		t.Fatalf("TLS to %s: %v", addr, err)
+	}
+	c, err := h2conn.Dial(tc, h2conn.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.FetchBody(h2conn.Request{Authority: "testbed.example", Path: "/"}, 5*time.Second)
+	_ = c.Close()
+	if err != nil {
+		t.Fatalf("GET / over TLS: %v", err)
+	}
+	if resp.Status() != "200" {
+		t.Errorf("GET / over TLS: status %q, want 200", resp.Status())
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("run = %v after stop, want nil\n%s", err, out.String())
+		}
+	case <-time.After(shutdownGrace):
+		t.Fatal("run still serving a full grace after the client hung up")
 	}
 }
 

@@ -317,7 +317,7 @@ func Suite() []Check {
 		},
 	}
 	checks = append(checks, attackChecks()...)
-	checks = append(checks, fingerprintChecks()...)
+	checks = append(checks, greaseChecks()...)
 	sort.Slice(checks, func(i, j int) bool { return checks[i].ID < checks[j].ID })
 	return checks
 }

@@ -1,6 +1,7 @@
 package conformance_test
 
 import (
+	"crypto/tls"
 	"io"
 	"log"
 	"net"
@@ -33,7 +34,7 @@ func newEnv(t *testing.T, p server.Profile, owd time.Duration) *conformance.Env 
 	}
 	tl := netsim.NewListener("conformance-tls")
 	go func() {
-		_ = srv.Serve(tlsutil.NewFingerprintListener(tl, tlsutil.ServerConfig(cert, true)))
+		_ = srv.Serve(tls.NewListener(tl, tlsutil.ServerConfig(cert, true)))
 	}()
 	// Shutdown, not Close: Close waits for as long as a connection a check
 	// leaked stays open, and the leak check's message is lost to the timeout.
@@ -301,8 +302,8 @@ func TestAttackResilienceChecks(t *testing.T) {
 	}
 }
 
-// TestFingerprintChecks pins the fingerprinting check: the GREASE hello
-// check is in the suite and passes against a compliant testbed server.
+// TestFingerprintChecks pins the GREASE ClientHello check: it is in the
+// suite and passes against a compliant testbed server.
 func TestFingerprintChecks(t *testing.T) {
 	for _, r := range conformance.RunSuite(newEnv(t, server.ApacheProfile(), 0)) {
 		if r.ID != "9.2/grease-clienthello-alpn" {

@@ -1,6 +1,6 @@
 package conformance
 
-// Fingerprinting check: the h2 ecosystem's clients ship ClientHellos full
+// GREASE check: the h2 ecosystem's clients ship ClientHellos full
 // of GREASE values (RFC 8701), and middleboxes that choke on them break
 // HTTP/2 adoption silently. The check replays a GREASE-laden TLS 1.2-style
 // hello raw and reads the plaintext ServerHello back: the server must still
@@ -12,12 +12,10 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"h2scope/internal/fingerprint"
 )
 
-// fingerprintChecks returns the fingerprinting check appended to Suite.
-func fingerprintChecks() []Check {
+// greaseChecks returns the GREASE ClientHello check appended to Suite.
+func greaseChecks() []Check {
 	return []Check{
 		{
 			ID:          "9.2/grease-clienthello-alpn",
@@ -177,11 +175,6 @@ func checkGREASEHelloNegotiatesH2(env *Env) (Verdict, string) {
 		return Skip, "no TLS endpoint configured"
 	}
 	hello := greaseClientHello(env.TLSServerName)
-	// The canned hello must itself survive the fingerprint parser: the
-	// same bytes the server sees are what /fp fingerprints.
-	if _, err := fingerprint.ParseClientHello(hello); err != nil {
-		return Skip, fmt.Sprintf("canned hello unparseable: %v", err)
-	}
 	nc, err := env.TLSDialer.Dial()
 	if err != nil {
 		return Skip, err.Error()

@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"h2scope/internal/fingerprint"
 	"h2scope/internal/frame"
 	"h2scope/internal/hpack"
 	"h2scope/internal/trace"
@@ -127,14 +126,6 @@ type Options struct {
 	// byte. Build one per registry with NewMetrics and share it across
 	// connections.
 	Metrics *Metrics
-	// Impersonate, when non-nil, makes the connection wear a real
-	// client's HTTP/2 fingerprint: the profile's SETTINGS (unless
-	// Settings above is set explicitly), its connection WINDOW_UPDATE
-	// delta and PRIORITY frames in the preamble, and its pseudo-header
-	// order plus characteristic headers on every request. A passive
-	// fingerprinting observer should classify the connection as that
-	// client (fingerprint.ClientProfile.ExpectedAkamai).
-	Impersonate *fingerprint.ClientProfile
 	// DiscardData logs DATA frames by length only: Event.Data stays nil and
 	// Response.Body empty, while Event.DataLen, Response.DataFrameSizes and
 	// the auto WINDOW_UPDATEs are as without it. A connection that never
@@ -271,43 +262,17 @@ func Dial(nc net.Conn, opts Options) (*Conn, error) {
 		_ = c.Close()
 		return nil, fmt.Errorf("h2conn: writing preface: %w", err)
 	}
-	settings := opts.Settings
-	if opts.Impersonate != nil && settings == nil {
-		settings = opts.Impersonate.Settings
-	}
 	// Advertising SETTINGS_HEADER_TABLE_SIZE promises the peer it may grow
 	// its encoder table to that size; the local decoder must accept the
 	// matching size update or the first response block fails mid-decode.
-	for _, s := range settings {
+	for _, s := range opts.Settings {
 		if s.ID == frame.SettingHeaderTableSize {
 			c.dec.SetAllowedMaxDynamicTableSize(s.Val)
 		}
 	}
-	if err := c.fr.WriteSettings(settings...); err != nil {
+	if err := c.fr.WriteSettings(opts.Settings...); err != nil {
 		_ = c.Close()
 		return nil, fmt.Errorf("h2conn: writing settings: %w", err)
-	}
-	// Impersonation preamble: the profile's connection window bump and
-	// priority tree ride in the same coalesced write as SETTINGS, exactly
-	// as the real clients emit them.
-	if p := opts.Impersonate; p != nil {
-		if p.ConnWindowDelta > 0 {
-			if err := c.fr.WriteWindowUpdate(0, p.ConnWindowDelta); err != nil {
-				_ = c.Close()
-				return nil, fmt.Errorf("h2conn: writing impersonation window update: %w", err)
-			}
-		}
-		for _, pr := range p.Priorities {
-			err := c.fr.WritePriority(pr.StreamID, frame.PriorityParam{
-				StreamDep: pr.DepStream,
-				Exclusive: pr.Exclusive,
-				Weight:    pr.Weight,
-			})
-			if err != nil {
-				_ = c.Close()
-				return nil, fmt.Errorf("h2conn: writing impersonation priority: %w", err)
-			}
-		}
 	}
 	if err := c.fr.Flush(); err != nil {
 		_ = c.Close()
@@ -596,11 +561,9 @@ type Request struct {
 	Priority frame.PriorityParam
 }
 
-// fields renders the request header list. A nil profile gives the
-// connection's native :method,:scheme,:authority,:path order; a profile
-// imposes its pseudo-header order and appends its characteristic plain
-// headers before the request's own extras.
-func (r Request) fields(p *fingerprint.ClientProfile) []hpack.HeaderField {
+// fields renders the request header list: the four pseudo-headers in
+// :method,:scheme,:authority,:path order, then the request's extras.
+func (r Request) fields() []hpack.HeaderField {
 	method := r.Method
 	if method == "" {
 		method = "GET"
@@ -613,23 +576,13 @@ func (r Request) fields(p *fingerprint.ClientProfile) []hpack.HeaderField {
 	if path == "" {
 		path = "/"
 	}
-	pseudo := map[string]string{
-		":method":    method,
-		":scheme":    scheme,
-		":authority": r.Authority,
-		":path":      path,
-	}
-	order := []string{":method", ":scheme", ":authority", ":path"}
-	if p != nil && len(p.PseudoOrder) == len(order) {
-		order = p.PseudoOrder
-	}
-	fields := make([]hpack.HeaderField, 0, len(order)+len(r.Extra))
-	for _, name := range order {
-		fields = append(fields, hpack.HeaderField{Name: name, Value: pseudo[name]})
-	}
-	if p != nil {
-		fields = append(fields, p.Headers...)
-	}
+	fields := make([]hpack.HeaderField, 0, 4+len(r.Extra))
+	fields = append(fields,
+		hpack.HeaderField{Name: ":method", Value: method},
+		hpack.HeaderField{Name: ":scheme", Value: scheme},
+		hpack.HeaderField{Name: ":authority", Value: r.Authority},
+		hpack.HeaderField{Name: ":path", Value: path},
+	)
 	return append(fields, r.Extra...)
 }
 
@@ -682,7 +635,7 @@ func (c *Conn) WriteData(streamID uint32, endStream bool, data []byte) error {
 // writeRequestLocked encodes and writes one request HEADERS frame; the
 // caller holds encMu and flushes afterwards.
 func (c *Conn) writeRequestLocked(id uint32, req Request, endStream bool) error {
-	c.encBuf = c.enc.AppendBlock(c.encBuf[:0], req.fields(c.opts.Impersonate))
+	c.encBuf = c.enc.AppendBlock(c.encBuf[:0], req.fields())
 	err := c.fr.WriteHeaders(frame.HeadersParams{
 		StreamID:   id,
 		Fragment:   c.encBuf,

@@ -14,10 +14,9 @@ import (
 // anyway, each with the test or benchmark that needs it: the seam it is there
 // for (DESIGN.md §8.6). An entry without its reason is not accepted, and neither is one whose reason has since been deleted.
 var unsetByPrograms = map[string]string{
-	"internal/obs.FlightRecorderConfig.Clock":   "TestFlightRecorderRateLimitAndCap",
-	"internal/scan.Options.Backoff":             "TestRetryScheduleDeterministic",
-	"internal/scan.Options.Clock":               "TestRetryScheduleDeterministic",
-	"internal/server.Server.DisableFingerprint": "BenchmarkFingerprintOverhead",
+	"internal/obs.FlightRecorderConfig.Clock": "TestFlightRecorderRateLimitAndCap",
+	"internal/scan.Options.Backoff":           "TestRetryScheduleDeterministic",
+	"internal/scan.Options.Clock":             "TestRetryScheduleDeterministic",
 }
 
 // TestSurfaceFollowsUse holds the option surface to its use: every exported

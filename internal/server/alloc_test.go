@@ -133,7 +133,6 @@ func serverRoundAllocs(t *testing.T, mode SchedulingMode, tiny TinyWindowBehavio
 	nc := &replayConn{}
 	c := newConn(srv, nc)
 	c.fr.SetMetrics(srv.Metrics.framer)
-	c.fpInit(nc)
 	c.dec.SetMaxHeaderListSize(defaultMaxHeaderListBytes)
 
 	// Handshake: preface + client SETTINGS, server SETTINGS + ack.
@@ -249,7 +248,6 @@ func TestServeStepCoalescesBatchedInput(t *testing.T) {
 
 	nc := &replayConn{}
 	c := newConn(srv, nc)
-	c.fpInit(nc)
 
 	nc.push([]byte(frame.ClientPreface))
 	if err := c.readPreface(); err != nil {

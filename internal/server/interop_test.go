@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"crypto/tls"
 	"io"
 	"log"
 	"net"
@@ -59,7 +60,7 @@ func TestInteropNetHTTP(t *testing.T) {
 				t.Fatal(err)
 			}
 			go func() {
-				_ = srv.Serve(tlsutil.NewFingerprintListener(l, tlsutil.ServerConfig(cert, p.SupportsALPN)))
+				_ = srv.Serve(tls.NewListener(l, tlsutil.ServerConfig(cert, p.SupportsALPN)))
 			}()
 			t.Cleanup(srv.Close)
 			tr := &http.Transport{

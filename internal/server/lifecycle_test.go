@@ -297,9 +297,10 @@ func TestShutdownDrainsActiveConns(t *testing.T) {
 // TestShutdownForcesServeConnConnection pins the fix for connections handed
 // to ServeConn (the h2c upgrade and internal/rtt path): they hold a
 // waitgroup slot like accepted ones, so a peer that ignores GOAWAY is
-// waited for through the whole grace and then closed, and ServeConn has
-// returned by the time Shutdown does. Before, Shutdown returned at once and
-// the connection was served on.
+// waited for through the whole grace and then closed, and the connection is
+// out of the table by the time Shutdown returns. Before, Shutdown returned at
+// once and the connection was served on. ServeConn itself returns just after
+// the table slot is released, so the test waits for it with a bound.
 func TestShutdownForcesServeConnConnection(t *testing.T) {
 	srv := New(NghttpdProfile(), DefaultSite("handed.example"))
 	cl, served := serveConnClient(t, srv)
@@ -327,10 +328,13 @@ func TestShutdownForcesServeConnConnection(t *testing.T) {
 	if took := time.Since(start); took < grace {
 		t.Errorf("Shutdown returned after %v with the connection still open, want the full %v grace", took, grace)
 	}
+	if n := tableSize(srv); n != 0 {
+		t.Errorf("%d connection(s) still tracked after Shutdown returned", n)
+	}
 	select {
 	case <-served:
-	default:
-		t.Error("ServeConn still running after Shutdown returned")
+	case <-time.After(time.Second):
+		t.Error("ServeConn still running 1s after Shutdown returned")
 	}
 	if err := <-gotGoAway; err != nil {
 		t.Errorf("no GOAWAY(NO_ERROR) before the close: %v", err)

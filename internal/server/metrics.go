@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"h2scope/internal/frame"
@@ -26,20 +25,7 @@ type Metrics struct {
 
 	egressQueue *metrics.Gauge
 	egressReady *metrics.Histogram
-
-	// reg backs the dynamically labeled fingerprint counters; fpSeen
-	// caches them per label pair so the hot path registers each
-	// fingerprint once. The cache (and so the registry) is bounded:
-	// past maxFingerprintSeries new pairs collapse into an overflow
-	// series, keeping a hostile client from minting unbounded metrics.
-	reg    *metrics.Registry
-	fpMu   sync.Mutex
-	fpSeen map[string]*metrics.Counter
 }
-
-// maxFingerprintSeries bounds distinct h2_client_fingerprints_total label
-// pairs; a census hits a handful, a label-minting attacker hits the wall.
-const maxFingerprintSeries = 256
 
 // NewMetrics registers the server instrument set in r:
 //
@@ -49,7 +35,6 @@ const maxFingerprintSeries = 256
 //	h2_server_active_streams             streams currently open
 //	h2_server_stream_duration_ns         stream open-to-close wall time
 //	h2_window_stalls_total{scope=...}    transitions into a window-blocked state
-//	h2_client_fingerprints_total{ja4=...,h2fp=...}  connections per client fingerprint
 //
 // plus the shared framer set (h2_frames_*, h2_frame_bytes_*).
 //
@@ -60,8 +45,6 @@ const maxFingerprintSeries = 256
 // it, so a long stall counts once, not once per flush pass.
 func NewMetrics(r *metrics.Registry) *Metrics {
 	return &Metrics{
-		reg:    r,
-		fpSeen: make(map[string]*metrics.Counter),
 		framer: frame.NewMetrics(r),
 		connsAccepted: r.Counter("h2_server_conns_accepted_total",
 			"HTTP/2 connections accepted by the server"),
@@ -82,27 +65,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		egressReady: r.Histogram("h2_egress_ready_streams",
 			"eligible ready streams per egress scheduling pass", 1, metrics.DefaultBuckets),
 	}
-}
-
-// fingerprintSeen counts one sealed client fingerprint under its JA4 and
-// akamai-format h2 labels, minting the labeled counter on first sight.
-func (m *Metrics) fingerprintSeen(ja4, akamai string) {
-	key := ja4 + "\x00" + akamai
-	m.fpMu.Lock()
-	ctr, ok := m.fpSeen[key]
-	if !ok {
-		if len(m.fpSeen) >= maxFingerprintSeries {
-			ja4, akamai = "overflow", "overflow"
-			key = ja4 + "\x00" + akamai
-		}
-		if ctr, ok = m.fpSeen[key]; !ok {
-			name := metrics.Label(metrics.Label("h2_client_fingerprints_total", "ja4", ja4), "h2fp", akamai)
-			ctr = m.reg.Counter(name, "connections observed per client fingerprint")
-			m.fpSeen[key] = ctr
-		}
-	}
-	m.fpMu.Unlock()
-	ctr.Inc()
 }
 
 // settleOnClose runs at connection teardown. Streams abandoned by a dying

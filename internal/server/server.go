@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"h2scope/internal/fingerprint"
 	"h2scope/internal/flowcontrol"
 	"h2scope/internal/frame"
 	"h2scope/internal/hpack"
@@ -48,12 +47,6 @@ type Server struct {
 	// connection the server handles (see NewMetrics for the catalog). Set
 	// it before serving; like Trace it is not guarded by a lock.
 	Metrics *Metrics
-
-	// DisableFingerprint turns off the passive client-fingerprinting
-	// plane: no behavioral assembly, no metrics, and an empty /fp echo. No
-	// program sets it; it is the off side of BenchmarkFingerprintOverhead,
-	// the measurement that justifies leaving the plane always on.
-	DisableFingerprint bool
 
 	// mu guards the connection lifecycle: the listeners, the table of live
 	// connections and the closed flag. A connection's waitgroup slot is
@@ -220,7 +213,6 @@ func newConn(s *Server, nc net.Conn) *conn {
 	// path cannot afford.
 	c.readyFn = c.ready
 	c.readyFirstFn = c.readyFirst
-	c.fpInit(nc)
 	// Bound decoded header blocks (the HPACK-bomb guard): the advertised
 	// SETTINGS_MAX_HEADER_LIST_SIZE when the profile has one, a defensive
 	// default otherwise.
@@ -413,11 +405,6 @@ type conn struct {
 	// before the flush, not after: a peer that has read the SETTINGS must
 	// get the GOAWAY too, and the framer's write lock keeps it behind.
 	prefaced atomic.Bool
-
-	// Fingerprint plane (see fingerprint.go), touched only by the serve
-	// goroutine.
-	fpa     *fingerprint.H2Assembler
-	helloFn func() *fingerprint.ClientHello
 }
 
 // announceGoAway sends Shutdown's GOAWAY(NO_ERROR) from a goroutine other
@@ -617,7 +604,6 @@ func (c *conn) handleSettings(f *frame.SettingsFrame) error {
 	if f.IsAck() {
 		return nil
 	}
-	c.fpOnSettings(f.Settings)
 	for _, s := range f.Settings {
 		if err := s.Valid(); err != nil {
 			return err
@@ -700,7 +686,6 @@ func (c *conn) endHeaderBlock(f *frame.HeadersFrame) error {
 	// clobbered by the next header block on this connection, and a request
 	// may respond later (POST bodies).
 	st.reqHeaders = append(st.reqHeaders[:0], fields...)
-	c.fpOnHeaders(fields)
 	if flags.Has(frame.FlagEndStream) || requestMethod(fields) == "GET" {
 		c.respond(st)
 	}
@@ -836,15 +821,10 @@ func (c *conn) resetStream(id uint32, code frame.ErrCode) error {
 }
 
 // respond builds the response for an open request stream and queues any
-// pushes. Everything but /fp comes from the compiled route table; a path
-// absent from it is a 404.
+// pushes. Every response comes from the compiled route table; a path absent
+// from it is a 404.
 func (c *conn) respond(st *stream) {
-	path := requestPath(st.reqHeaders)
-	switch {
-	case c.dispatchRequest(st, path):
-	case path == fingerprintPath:
-		c.respondFingerprint(st)
-	default:
+	if !c.dispatchRequest(st, requestPath(st.reqHeaders)) {
 		e := &c.srv.routes.notFound
 		c.queue(st, e.fields, e.res.Body)
 	}
@@ -929,7 +909,6 @@ func (c *conn) reactSelfDependency(id uint32) error {
 }
 
 func (c *conn) handlePriority(f *frame.PriorityFrame) error {
-	c.fpOnPriority(f)
 	id := f.Header().StreamID
 	if f.Priority.StreamDep == id {
 		return c.reactSelfDependency(id)
@@ -943,7 +922,6 @@ func (c *conn) handlePriority(f *frame.PriorityFrame) error {
 
 func (c *conn) handleWindowUpdate(f *frame.WindowUpdateFrame) error {
 	id := f.Header().StreamID
-	c.fpOnWindowUpdate(id, f.Increment)
 	p := c.srv.profile
 	if f.Increment == 0 {
 		if id == 0 {

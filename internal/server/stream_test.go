@@ -266,3 +266,30 @@ func TestStreamLookupSharesRecentSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestFpIsAnOrdinaryPath: /fp is routed like any other path. A site's own
+// object there is served byte for byte, and a site without one answers /fp
+// with the same 404 as any unknown path.
+func TestFpIsAnOrdinaryPath(t *testing.T) {
+	site := NewSite("fp.example").AddObject("/fp", 300)
+	want, _ := site.Lookup("/fp")
+	c := dialServed(t, New(NghttpdProfile(), site), h2conn.DefaultOptions())
+	resp, err := c.FetchBody(h2conn.Request{Authority: "fp.example", Path: "/fp"}, streamTestTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status() != "200" || !bytes.Equal(resp.Body, want.Body) {
+		t.Errorf("site object /fp: status %q, %d octets; want 200 and its %d octets", resp.Status(), len(resp.Body), len(want.Body))
+	}
+
+	c = dialServed(t, New(NghttpdProfile(), DefaultSite("fp.example")), h2conn.DefaultOptions())
+	var got [2]*h2conn.Response
+	for i, path := range []string{"/fp", "/no-such-object"} {
+		if got[i], err = c.FetchBody(h2conn.Request{Authority: "fp.example", Path: path}, streamTestTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0].Status() != "404" || !bytes.Equal(got[0].Body, got[1].Body) {
+		t.Errorf("DefaultSite /fp: status %q, body %q; want the unknown path's 404, body %q", got[0].Status(), got[0].Body, got[1].Body)
+	}
+}
