@@ -63,7 +63,6 @@ type options struct {
 	traceDir  string
 	analyze   string
 	debugAddr string
-	flightRec string
 
 	// debugStarted and onScanRecord are test seams: debugStarted receives
 	// the debug server's bound address once it is listening, onScanRecord
@@ -96,7 +95,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.StringVar(&o.traceDir, "trace", "", "directory to write per-site frame-level traces (JSONL, view with h2trace); needs -sample > 0")
 	fs.StringVar(&o.analyze, "analyze", "", "skip generation: analyze a previously written records file and exit")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) while the census runs")
-	fs.StringVar(&o.flightRec, "flightrec", "", "directory for anomaly flight-recorder dumps (bounded JSONL forensics on p99 blowouts and error spikes); needs -sample > 0")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -146,9 +144,6 @@ func (o *options) validate() error {
 	if o.traceDir != "" && o.sample == 0 {
 		return fmt.Errorf("-trace needs a measured scan; set -sample > 0")
 	}
-	if o.flightRec != "" && o.sample == 0 {
-		return fmt.Errorf("-flightrec needs a measured scan; set -sample > 0")
-	}
 	return nil
 }
 
@@ -172,9 +167,9 @@ var errInterrupted = errors.New("interrupted")
 // (all tables and notices shift to stderr so piped output stays parseable).
 // Cancelling ctx ends the scan in flight, which still reports and persists
 // what it measured, then returns errInterrupted past the deferred closes.
-func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) {
-	// The scan engine's progress goroutine and the anomaly notices printed as
-	// sites finalize both write stderr (human too, under -out -).
+func run(ctx context.Context, o *options, stdout, stderr io.Writer) error {
+	// The scan engine's progress goroutine and the trace-export notices
+	// printed as sites finalize both write stderr (human too, under -out -).
 	stderr = &lockedWriter{w: stderr}
 	human := stdout
 	if o.machineStdout() {
@@ -188,34 +183,11 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 		reg = metrics.NewRegistry()
 	}
 	// The observability layer rides every measured scan: the monitor folds
-	// causal spans out of each target's trace and feeds the phase histograms;
-	// the flight recorder (opt-in via -flightrec) dumps bounded forensics
-	// when the monitor raises an anomaly.
+	// causal spans out of each target's trace and feeds the phase histograms
+	// the dashboard and the phase-latency table show.
 	var monitor *obs.Monitor
-	var recorder *obs.FlightRecorder
 	if o.sample > 0 {
-		mcfg := obs.MonitorConfig{Registry: reg}
-		if o.flightRec != "" {
-			recorder, err = obs.NewFlightRecorder(obs.FlightRecorderConfig{Dir: o.flightRec, Registry: reg})
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if cerr := recorder.Close(); err == nil {
-					err = cerr
-				}
-			}()
-			mcfg.OnAnomaly = func(a obs.Anomaly) {
-				path, derr := recorder.Dump(a, a.Events)
-				switch {
-				case derr != nil:
-					fmt.Fprintf(human, "h2census: flight dump failed: %v\n", derr)
-				case path != "":
-					fmt.Fprintf(human, "anomaly %q -> %s\n", a.Reason, path)
-				}
-			}
-		}
-		monitor = obs.NewMonitor(mcfg)
+		monitor = obs.NewMonitor(reg)
 	}
 	if o.debugAddr != "" {
 		ds, err := metrics.StartDebug(o.debugAddr, reg)
@@ -226,7 +198,7 @@ func run(ctx context.Context, o *options, stdout, stderr io.Writer) (err error) 
 			_ = ds.Close()
 		}()
 		if monitor != nil {
-			dash := obs.NewDashboard("h2census", monitor, recorder, reg)
+			dash := obs.NewDashboard("h2census", monitor, reg)
 			ds.Handle("/dashboard", dash)
 			ds.Handle("/dashboard.json", dash)
 			fmt.Fprintf(human, "dashboard: http://%s/dashboard\n", ds.Addr())

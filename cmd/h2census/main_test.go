@@ -48,8 +48,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"out to stdout", []string{"-sample", "5", "-out", "-"}, ""},
 		{"trace with sample", []string{"-sample", "5", "-trace", "traces"}, ""},
 		{"trace without sample", []string{"-trace", "traces"}, "-trace needs a measured scan"},
-		{"flightrec with sample", []string{"-sample", "5", "-flightrec", "dumps"}, ""},
-		{"flightrec without sample", []string{"-flightrec", "dumps"}, "-flightrec needs a measured scan"},
+		{"flightrec with sample", []string{"-sample", "5", "-flightrec", "dumps"}, "flag provided but not defined: -flightrec"},
 		{"positional junk", []string{"extra"}, "unexpected positional arguments"},
 		{"removed fingerprint sweep", []string{"-sample", "5", "-fingerprint"}, "flag provided but not defined: -fingerprint"},
 	}
@@ -383,14 +382,14 @@ func TestDashboardLiveDuringScan(t *testing.T) {
 }
 
 // TestMachineCleanStdoutWithObservability re-pins the -out - contract with
-// the observability layer active: a flight recorder plus progress columns
+// the observability layer active: per-site traces plus progress columns
 // must leave stdout a pure record stream (all notices on stderr), and the
-// recorder must seal a manifest on exit.
+// traces land in the -trace directory.
 func TestMachineCleanStdoutWithObservability(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "dumps")
+	dir := filepath.Join(t.TempDir(), "traces")
 	opts, err := parseFlags([]string{
 		"-epoch", "1", "-scale", "0.002", "-sample", "4",
-		"-progress", "1ms", "-flightrec", dir, "-out", "-",
+		"-progress", "1ms", "-trace", dir, "-out", "-",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -415,9 +414,8 @@ func TestMachineCleanStdoutWithObservability(t *testing.T) {
 	if !strings.Contains(stderr.String(), "-- Phase latency (p50/p99) --") {
 		t.Error("stderr missing phase latency table")
 	}
-	// The recorder sealed its manifest even with zero dumps.
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-		t.Errorf("flight recorder manifest: %v", err)
+	if traces, err := filepath.Glob(filepath.Join(dir, "*.jsonl")); err != nil || len(traces) != 4 {
+		t.Errorf("-trace dir holds %d traces (%v), want one per site (4)", len(traces), err)
 	}
 }
 
@@ -456,13 +454,13 @@ func TestStatsTrailerEmbedsMetrics(t *testing.T) {
 // TestInterruptedCensusKeepsWhatItMeasured cancels the census the way
 // SIGINT does, from inside the scan after the third site: the run still
 // prints the measured block, writes every record it has plus a stats trailer
-// that counts the canceled sites, closes the flight recorder, and reports the
-// interruption as an error. -analyze of the partial file reprints the block.
+// that counts the canceled sites, and reports the interruption as an error.
+// -analyze of the partial file reprints the block.
 func TestInterruptedCensusKeepsWhatItMeasured(t *testing.T) {
 	dir := t.TempDir()
-	path, frDir := filepath.Join(dir, "records.jsonl"), filepath.Join(dir, "fr")
+	path := filepath.Join(dir, "records.jsonl")
 	opts, err := parseFlags([]string{"-scale", "0.01", "-seed", "7", "-sample", "40", "-parallel", "2",
-		"-flightrec", frDir, "-out", path}, io.Discard)
+		"-out", path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,9 +499,6 @@ func TestInterruptedCensusKeepsWhatItMeasured(t *testing.T) {
 	}
 	if sites != 40 || trailers != 1 {
 		t.Errorf("file holds %d site records and %d trailers, want 40 and 1", sites, trailers)
-	}
-	if _, err := os.Stat(filepath.Join(frDir, "manifest.json")); err != nil {
-		t.Errorf("flight recorder not closed: %v", err)
 	}
 
 	aopts, err := parseFlags([]string{"-analyze", path}, io.Discard)

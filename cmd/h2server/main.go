@@ -7,9 +7,16 @@
 //	h2server -profile nginx -addr 127.0.0.1:8443 -tls
 //	h2server -profile apache -addr 127.0.0.1:8080
 //
+// With -debug-addr the server also serves /metrics, the live dashboard and
+// GET /trace.jsonl, its trace ring (the last trace.DefaultCapacity events)
+// in the format h2trace reads:
+//
+//	h2server -profile apache -addr 127.0.0.1:8099 -debug-addr 127.0.0.1:8081
+//	curl -s http://127.0.0.1:8081/trace.jsonl | h2trace /dev/stdin
+//
 // SIGINT or SIGTERM shuts the server down gracefully: every connection is
 // sent GOAWAY(NO_ERROR), stragglers are closed after shutdownGrace, and the
-// flight recorder's manifest is written before the process exits.
+// debug endpoint is closed before the process exits.
 package main
 
 import (
@@ -20,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -50,7 +58,7 @@ func main() {
 }
 
 // run serves until ctx is cancelled, then shuts down gracefully and returns
-// nil so the deferred closes (flight recorder manifest, debug endpoint) run.
+// nil so the deferred closes (span monitor, debug endpoint) run.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("h2server", flag.ContinueOnError)
 	var (
@@ -60,8 +68,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		addr        = fs.String("addr", "127.0.0.1:8443", "listen address")
 		domain      = fs.String("domain", "testbed.example", "site domain (:authority)")
 		useTLS      = fs.Bool("tls", false, "serve HTTP/2 over TLS with a self-signed certificate and ALPN")
-		debugAddr   = fs.String("debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) alongside the server")
-		flightRec   = fs.String("flightrec", "", "directory for anomaly flight-recorder dumps (p99 blowouts) with bounded JSONL forensics")
+		debugAddr   = fs.String("debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, /trace.jsonl, expvar, and pprof on this address (\":0\" picks a port) alongside the server")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,47 +96,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return nil
 	}
 	srv := server.New(profile, server.DefaultSite(*domain))
-	// The observability layer watches the server's trace bus live: a span
-	// monitor streams every connection into the per-phase histograms, and the
-	// flight recorder (when -flightrec is set) dumps bounded forensics on the
-	// monitor's p99 blowouts.
-	var (
-		reg      *metrics.Registry
-		monitor  *obs.Monitor
-		recorder *obs.FlightRecorder
-	)
-	if *debugAddr != "" || *flightRec != "" {
-		reg = metrics.NewRegistry()
+	if *debugAddr != "" {
+		// The observability layer watches the server's trace bus live: a span
+		// monitor streams every connection into the per-phase histograms the
+		// dashboard shows, and /trace.jsonl exports the ring itself.
+		reg := metrics.NewRegistry()
 		srv.Trace = trace.New(0)
 		srv.Trace.ExportMetrics(reg)
-		mcfg := obs.MonitorConfig{Registry: reg}
-		if *flightRec != "" {
-			recorder, err = obs.NewFlightRecorder(obs.FlightRecorderConfig{Dir: *flightRec, Registry: reg})
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if cerr := recorder.Close(); cerr != nil {
-					fmt.Fprintln(os.Stderr, "h2server: flightrec close:", cerr)
-				}
-			}()
-			mcfg.OnAnomaly = func(a obs.Anomaly) {
-				path, derr := recorder.Dump(a, srv.Trace.Snapshot())
-				switch {
-				case derr != nil:
-					fmt.Fprintln(os.Stderr, "h2server: flight dump failed:", derr)
-				case path != "":
-					fmt.Fprintf(stdout, "anomaly %q -> %s\n", a.Reason, path)
-				}
-			}
-			fmt.Fprintf(stdout, "flight recorder armed: %s\n", *flightRec)
-		}
-		monitor = obs.NewMonitor(mcfg)
+		srv.Metrics = server.NewMetrics(reg)
+		monitor := obs.NewMonitor(reg)
 		stopWatch := monitor.Watch(srv.Trace, *domain, 0)
 		defer stopWatch()
-	}
-	if *debugAddr != "" {
-		srv.Metrics = server.NewMetrics(reg)
 		ds, err := metrics.StartDebug(*debugAddr, reg)
 		if err != nil {
 			return err
@@ -137,10 +114,15 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		defer func() {
 			_ = ds.Close()
 		}()
-		dash := obs.NewDashboard("h2server "+profile.Family, monitor, recorder, reg)
+		dash := obs.NewDashboard("h2server "+profile.Family, monitor, reg)
 		ds.Handle("/dashboard", dash)
 		ds.Handle("/dashboard.json", dash)
-		fmt.Fprintf(stdout, "debug endpoint: http://%s/metrics (dashboard at /dashboard)\n", ds.Addr())
+		ds.Handle("/trace.jsonl", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			// An error here is the client going away mid-body: nothing to do.
+			_ = trace.Write(w, *domain, srv.Trace)
+		}))
+		fmt.Fprintf(stdout, "debug endpoint: http://%s/metrics (dashboard at /dashboard, trace at /trace.jsonl)\n", ds.Addr())
 	}
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
-	"os"
-	"path/filepath"
+	"net/http"
 	"regexp"
 	"strings"
 	"sync"
@@ -14,7 +13,9 @@ import (
 
 	"h2scope/internal/frame"
 	"h2scope/internal/h2conn"
+	"h2scope/internal/obs"
 	"h2scope/internal/tlsutil"
+	"h2scope/internal/trace"
 )
 
 // lockedBuffer is run's stdout: written by run's goroutines, polled by the
@@ -36,7 +37,10 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-var servingLine = regexp.MustCompile(`on (?:h2c-prior-knowledge |https://)(\S+)`)
+var (
+	servingLine = regexp.MustCompile(`on (?:h2c-prior-knowledge |https://)(\S+)`)
+	debugLine   = regexp.MustCompile(`debug endpoint: http://(\S+)/metrics`)
+)
 
 // startRun runs main's run with args on a goroutine and returns the address
 // its serving line names, its stdout, and the channel run's result lands on.
@@ -60,16 +64,26 @@ func startRun(t *testing.T, ctx context.Context, args ...string) (string, *locke
 	}
 }
 
+// debugAddr returns the debug endpoint's address from run's stdout.
+func debugAddr(t *testing.T, out *lockedBuffer) string {
+	t.Helper()
+	m := debugLine.FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no debug endpoint line on stdout:\n%s", out.String())
+	}
+	return m[1]
+}
+
 // TestStopSignalShutsDownGracefully is the SIGINT/SIGTERM path with the
 // signal replaced by the context main derives from it: a connected client
 // reads GOAWAY(NO_ERROR), run returns nil well inside the grace once the
-// client hangs up, and the deferred flight-recorder Close — the only writer
-// of manifest.json — has run.
+// client hangs up, and the deferred closes have run — the debug endpoint no
+// longer accepts connections.
 func TestStopSignalShutsDownGracefully(t *testing.T) {
-	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	addr, out, done := startRun(t, ctx, "-profile", "nghttpd", "-addr", "127.0.0.1:0", "-flightrec", dir)
+	addr, out, done := startRun(t, ctx, "-profile", "nghttpd", "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0")
+	dbg := debugAddr(t, out)
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -122,8 +136,9 @@ func TestStopSignalShutsDownGracefully(t *testing.T) {
 	if took := time.Since(stopped); took >= shutdownGrace {
 		t.Errorf("stop took %v, want well under the %v grace", took, shutdownGrace)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-		t.Errorf("flight-recorder manifest not written on stop: %v", err)
+	if dc, err := net.DialTimeout("tcp", dbg, time.Second); err == nil {
+		_ = dc.Close()
+		t.Errorf("debug endpoint %s still accepts connections after run returned", dbg)
 	}
 	if !strings.Contains(out.String(), "shutting down") {
 		t.Errorf("stdout does not announce the shutdown:\n%s", out.String())
@@ -157,6 +172,71 @@ func TestServeTLS(t *testing.T) {
 	}
 	if resp.Status() != "200" {
 		t.Errorf("GET / over TLS: status %q, want 200", resp.Status())
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("run = %v after stop, want nil\n%s", err, out.String())
+		}
+	case <-time.After(shutdownGrace):
+		t.Fatal("run still serving a full grace after the client hung up")
+	}
+}
+
+// TestServeTraceEndpoint drives -debug-addr's /trace.jsonl end to end: one
+// GET over TCP, then the server's trace ring fetched over HTTP parses with
+// trace.Read, and the span builder finds that connection (by the client's
+// address, which the server's ConnOpen records) with a first-byte span.
+func TestServeTraceEndpoint(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, out, done := startRun(t, ctx, "-profile", "nghttpd", "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0")
+	dbg := debugAddr(t, out)
+
+	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	client := nc.LocalAddr().String()
+	c, err := h2conn.Dial(nc, h2conn.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.FetchBody(h2conn.Request{Authority: "testbed.example", Path: "/"}, 5*time.Second)
+	_ = c.Close()
+	if err != nil || resp.Status() != "200" {
+		t.Fatalf("GET /: %v (status %q)", err, resp.Status())
+	}
+
+	hc := &http.Client{Timeout: 5 * time.Second}
+	hr, err := hc.Get("http://" + dbg + "/trace.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.Read(hr.Body)
+	_ = hr.Body.Close()
+	if err != nil {
+		t.Fatalf("trace.Read(/trace.jsonl): %v", err)
+	}
+	if d.Target != "testbed.example" || len(d.Events) == 0 {
+		t.Fatalf("trace target %q with %d events, want testbed.example and some events", d.Target, len(d.Events))
+	}
+	var found bool
+	for _, cp := range obs.BuildConns(d.Events) {
+		if cp.Detail != client {
+			continue
+		}
+		found = true
+		// The request is stream 1; nghttpd's pushes ride on even streams.
+		if len(cp.Streams) == 0 || cp.Streams[0].StreamID != 1 || cp.Streams[0].FirstByte <= 0 {
+			t.Errorf("conn %d from %s: streams %+v, want stream 1 with a first-byte span", cp.Conn, client, cp.Streams)
+		}
+	}
+	if !found {
+		t.Errorf("no conn from %s in /trace.jsonl (%d events)", client, len(d.Events))
 	}
 
 	cancel()

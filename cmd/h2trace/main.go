@@ -1,14 +1,16 @@
 // Command h2trace renders exported frame-level traces (the JSONL files a
-// scan writes with -trace) as human-readable per-connection breakdowns.
+// scan writes with -trace, or h2server's live ring from -debug-addr's
+// /trace.jsonl) as human-readable per-connection breakdowns.
 //
 // Single-file mode renders one trace in full: a header line, then for each
 // connection its totals, its dial → TLS → preface → settle → close phase
 // chain, and one line per stream with its probe-phase annotation, frame and
-// byte tallies and first/last-byte latencies (the same fold the census
-// monitor and flight recorder use), and (with -events) the raw event log.
+// byte tallies and first/last-byte latencies (the same fold the span
+// monitor behind the dashboard uses), and (with -events) the raw event log.
 //
 //	h2trace traces/site-000001.example.jsonl
 //	h2trace -events traces/site-000001.example.jsonl
+//	curl -s http://127.0.0.1:8081/trace.jsonl | h2trace /dev/stdin
 //
 // -merge summarizes many traces (files and/or directories of *.jsonl) as
 // one table, one row per trace:

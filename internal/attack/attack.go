@@ -92,9 +92,9 @@ type Params struct {
 	// Concurrency is the number of attacker connections (default 1).
 	// Connections the server kills are re-dialed until Duration elapses.
 	Concurrency int
-	// Jitter randomizes each inter-operation delay by up to this fraction
-	// (0..1) of the nominal interval, so paced frames do not arrive in
-	// lockstep across connections.
+	// Jitter shifts each operation's due time within a window this fraction
+	// (0..1) of the nominal interval wide, centred on the schedule, so paced
+	// frames do not arrive in lockstep across connections.
 	Jitter float64
 	// Seed makes the jitter sequence reproducible; 0 derives one from the
 	// scenario kind.
@@ -449,34 +449,45 @@ type tally struct {
 	errors int64
 }
 
-// pacer spaces scenario operations at the configured rate with jitter.
+// pacer schedules scenario operations at the configured rate: operation n
+// is due at start + n·interval, and jitter shifts that instant rather than
+// each gap, so neither an operation's own cost nor timer overshoot adds up
+// and the connection keeps its rate.
 type pacer struct {
+	start    time.Time
 	interval time.Duration
 	jitter   float64
 	rng      *rand.Rand
+	n        int64 // operations scheduled so far
 }
 
 func newPacer(p Params, rng *rand.Rand) *pacer {
 	return &pacer{
+		start:    time.Now(),
 		interval: time.Duration(float64(time.Second) / p.Rate),
 		jitter:   p.Jitter,
 		rng:      rng,
 	}
 }
 
-// wait sleeps one jittered interval, reporting false once past deadline.
+// wait sleeps until the next operation is due (not at all if it is already
+// overdue), reporting false once past deadline.
 func (p *pacer) wait(deadline time.Time) bool {
-	d := p.interval
+	p.n++
+	due := p.start.Add(time.Duration(p.n) * p.interval)
 	if p.jitter > 0 {
-		d = time.Duration(float64(d) * (1 + p.jitter*(p.rng.Float64()-0.5)))
+		due = due.Add(time.Duration(float64(p.interval) * p.jitter * (p.rng.Float64() - 0.5)))
 	}
-	if remaining := time.Until(deadline); remaining <= 0 {
+	remaining := time.Until(deadline)
+	if remaining <= 0 {
 		return false
-	} else if d > remaining {
+	}
+	if d := time.Until(due); d > remaining {
 		time.Sleep(remaining)
 		return false
+	} else if d > 0 {
+		time.Sleep(d)
 	}
-	time.Sleep(d)
 	return true
 }
 

@@ -14,9 +14,8 @@ import (
 // anyway, each with the test or benchmark that needs it: the seam it is there
 // for (DESIGN.md §8.6). An entry without its reason is not accepted, and neither is one whose reason has since been deleted.
 var unsetByPrograms = map[string]string{
-	"internal/obs.FlightRecorderConfig.Clock": "TestFlightRecorderRateLimitAndCap",
-	"internal/scan.Options.Backoff":           "TestRetryScheduleDeterministic",
-	"internal/scan.Options.Clock":             "TestRetryScheduleDeterministic",
+	"internal/scan.Options.Backoff": "TestRetryScheduleDeterministic",
+	"internal/scan.Options.Clock":   "TestRetryScheduleDeterministic",
 }
 
 // TestSurfaceFollowsUse holds the option surface to its use: every exported

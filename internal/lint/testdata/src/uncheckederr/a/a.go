@@ -12,7 +12,6 @@ import (
 	"h2scope/internal/lint/testdata/src/uncheckederr/internal/frame"
 	"h2scope/internal/lint/testdata/src/uncheckederr/internal/h2conn"
 	"h2scope/internal/lint/testdata/src/uncheckederr/internal/metrics"
-	"h2scope/internal/lint/testdata/src/uncheckederr/internal/obs"
 	"h2scope/internal/lint/testdata/src/uncheckederr/internal/store"
 	"h2scope/internal/lint/testdata/src/uncheckederr/internal/trace"
 )
@@ -63,22 +62,6 @@ func badPipeline(sw *store.Writer, ds *metrics.DebugServer, tr *trace.Tracer, re
 	ds.Close()           // want `\(\*metrics\.DebugServer\)\.Close: error return is silently discarded`
 	tr.Subscribe(16)     // want `\(\*trace\.Tracer\)\.Subscribe: the returned Subscription is discarded`
 	go tr.Subscribe(16)  // want `go \(\*trace\.Tracer\)\.Subscribe: the returned Subscription is discarded`
-}
-
-func badFlightRec(fr *obs.FlightRecorder, a obs.Anomaly, evs []obs.Event) {
-	fr.Dump(a, evs)    // want `\(\*obs\.FlightRecorder\)\.Dump: error return is silently discarded`
-	fr.Close()         // want `\(\*obs\.FlightRecorder\)\.Close: error return is silently discarded`
-	defer fr.Close()   // want `defer \(\*obs\.FlightRecorder\)\.Close: error return is silently discarded`
-	go fr.Dump(a, evs) // want `go \(\*obs\.FlightRecorder\)\.Dump: error return is silently discarded`
-}
-
-func goodFlightRec(fr *obs.FlightRecorder, a obs.Anomaly, evs []obs.Event) error {
-	if _, err := fr.Dump(a, evs); err != nil {
-		return err
-	}
-	_, _ = fr.Dump(a, evs) // explicit discard is acknowledged
-	_ = fr.Dumps()         // not on the critical surface
-	return fr.Close()
 }
 
 func goodPipeline(sw *store.Writer, ds *metrics.DebugServer, tr *trace.Tracer, rec *store.Record) error {

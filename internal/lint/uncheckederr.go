@@ -39,10 +39,9 @@ func (d Diagnostic) String() string {
 // The same treatment covers the results side of the measurement pipeline: a
 // dropped store.Writer.Append error loses a census record after the probe
 // already paid for it, a dropped metrics.DebugServer.Close error hides a
-// wedged observability endpoint, a dropped obs.FlightRecorder Dump or Close
-// error loses the evidence the recorder exists to keep, and a
-// trace.Tracer.Subscribe whose *Subscription result is discarded leaks a
-// live bus subscription that can never be closed.
+// wedged observability endpoint, and a trace.Tracer.Subscribe whose
+// *Subscription result is discarded leaks a live bus subscription that can
+// never be closed.
 //
 // Only implicit discards are reported (a call in statement position, or
 // under go/defer where the result is unrecoverable). An explicit `_ =`
@@ -127,12 +126,6 @@ func errCriticalCall(info *types.Info, call *ast.CallExpr, f *types.Func) string
 	case namedTypeIs(recv, "internal/metrics", "DebugServer"):
 		if f.Name() == "Close" {
 			return "(*metrics.DebugServer)." + f.Name()
-		}
-	case namedTypeIs(recv, "internal/obs", "FlightRecorder"):
-		// A dropped Dump error loses the forensic evidence the recorder
-		// exists to capture; a dropped Close error loses the manifest.
-		if f.Name() == "Dump" || f.Name() == "Close" {
-			return "(*obs.FlightRecorder)." + f.Name()
 		}
 	}
 	return ""

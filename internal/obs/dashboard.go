@@ -17,14 +17,13 @@ import (
 // handler answering both server-rendered HTML (auto-refreshing) and a JSON
 // API (path ending in .json or ?format=json). It carves its state out of
 // the same registry snapshots /metrics serves, plus the monitor's
-// exemplars and the flight recorder's dump counters, so the dashboard can
-// never disagree with the exposition endpoint.
+// exemplars, so the dashboard can never disagree with the exposition
+// endpoint.
 type Dashboard struct {
-	title    string
-	monitor  *Monitor
-	recorder *FlightRecorder
-	regs     []*metrics.Registry
-	start    time.Time
+	title   string
+	monitor *Monitor
+	regs    []*metrics.Registry
+	start   time.Time
 
 	// Rate state: targets/sec is computed from successive snapshot deltas,
 	// cached so rapid scrapes don't divide by near-zero intervals.
@@ -34,15 +33,14 @@ type Dashboard struct {
 	lastRate    float64
 }
 
-// NewDashboard builds a dashboard over the given registries. monitor and
-// recorder may be nil — their sections render empty.
-func NewDashboard(title string, monitor *Monitor, recorder *FlightRecorder, regs ...*metrics.Registry) *Dashboard {
+// NewDashboard builds a dashboard over the given registries. monitor may be
+// nil — its sections render empty.
+func NewDashboard(title string, monitor *Monitor, regs ...*metrics.Registry) *Dashboard {
 	return &Dashboard{
-		title:    title,
-		monitor:  monitor,
-		recorder: recorder,
-		regs:     regs,
-		start:    time.Now(),
+		title:   title,
+		monitor: monitor,
+		regs:    regs,
+		start:   time.Now(),
 	}
 }
 
@@ -77,24 +75,21 @@ type EgressStat struct {
 // DashState is the dashboard's JSON payload — everything the HTML view
 // renders, machine-readable.
 type DashState struct {
-	Title            string           `json:"title"`
-	GeneratedAt      time.Time        `json:"generatedAt"`
-	UptimeSec        float64          `json:"uptimeSec"`
-	Targets          int64            `json:"targets"`
-	TargetsPerSec    float64          `json:"targetsPerSec"`
-	Outcomes         map[string]int64 `json:"outcomes,omitempty"`
-	FailureKinds     map[string]int64 `json:"failureKinds,omitempty"`
-	Phases           []PhaseStat      `json:"phases,omitempty"`
-	RingEmitted      int64            `json:"ringEmitted"`
-	RingDropped      int64            `json:"ringDropped"`
-	SubDropped       map[string]int64 `json:"subDropped,omitempty"`
-	SubPending       map[string]int64 `json:"subPending,omitempty"`
-	Conns            *ConnStat        `json:"conns,omitempty"`
-	Egress           *EgressStat      `json:"egress,omitempty"`
-	Anomalies        int64            `json:"anomalies"`
-	FlightDumps      int64            `json:"flightDumps"`
-	FlightSuppressed int64            `json:"flightSuppressed"`
-	Exemplars        []Exemplar       `json:"exemplars,omitempty"`
+	Title         string           `json:"title"`
+	GeneratedAt   time.Time        `json:"generatedAt"`
+	UptimeSec     float64          `json:"uptimeSec"`
+	Targets       int64            `json:"targets"`
+	TargetsPerSec float64          `json:"targetsPerSec"`
+	Outcomes      map[string]int64 `json:"outcomes,omitempty"`
+	FailureKinds  map[string]int64 `json:"failureKinds,omitempty"`
+	Phases        []PhaseStat      `json:"phases,omitempty"`
+	RingEmitted   int64            `json:"ringEmitted"`
+	RingDropped   int64            `json:"ringDropped"`
+	SubDropped    map[string]int64 `json:"subDropped,omitempty"`
+	SubPending    map[string]int64 `json:"subPending,omitempty"`
+	Conns         *ConnStat        `json:"conns,omitempty"`
+	Egress        *EgressStat      `json:"egress,omitempty"`
+	Exemplars     []Exemplar       `json:"exemplars,omitempty"`
 }
 
 // labelValue extracts one label's value from a registered metric name:
@@ -213,15 +208,10 @@ func (d *Dashboard) state() *DashState {
 	})
 
 	if d.monitor != nil {
-		st.Anomalies = d.monitor.Anomalies()
 		st.Exemplars = d.monitor.Exemplars()
 		if st.Targets == 0 {
 			st.Targets = d.monitor.Targets()
 		}
-	}
-	if d.recorder != nil {
-		st.FlightDumps = d.recorder.Dumps()
-		st.FlightSuppressed = d.recorder.Suppressed()
 	}
 
 	// Targets/sec over the window since the previous scrape (rate cached
@@ -287,9 +277,6 @@ th { color: #9aa5b1; font-weight: normal; border-bottom: 1px solid #2a3138; }
 <div>
 <span class="kpi"><b>{{.Targets}}</b>targets</span>
 <span class="kpi"><b>{{rate .TargetsPerSec}}/s</b>rate</span>
-<span class="kpi"><b>{{.Anomalies}}</b>anomalies</span>
-<span class="kpi"><b>{{.FlightDumps}}</b>flight dumps</span>
-<span class="kpi"><b>{{.FlightSuppressed}}</b>suppressed</span>
 </div>
 {{if .Phases}}<h2>phase latency</h2>
 <table><tr><th>phase</th><th>count</th><th>p50</th><th>p99</th></tr>

@@ -35,11 +35,7 @@ func TestLabelValue(t *testing.T) {
 
 func TestDashboardStateAndJSON(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m := NewMonitor(MonitorConfig{Registry: reg})
-	rec, err := NewFlightRecorder(FlightRecorderConfig{Dir: t.TempDir(), Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMonitor(reg)
 
 	// Populate the registry the way a census run does.
 	reg.Counter("h2_scan_targets_total", "").Add(42)
@@ -55,11 +51,8 @@ func TestDashboardStateAndJSON(t *testing.T) {
 		ready.Observe(4)
 	}
 	m.ObserveTarget("site-000001.example", "traces/a.jsonl", clientEvents())
-	if _, err := rec.Dump(Anomaly{Reason: "p99-blowout:dial"}, nil); err != nil {
-		t.Fatal(err)
-	}
 
-	d := NewDashboard("test run", m, rec, reg)
+	d := NewDashboard("test run", m, reg)
 	rr := httptest.NewRecorder()
 	d.ServeHTTP(rr, httptest.NewRequest("GET", "/dashboard.json", nil))
 	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
@@ -81,9 +74,6 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	}
 	if st.SubDropped["obs"] != 7 {
 		t.Errorf("sub dropped = %v", st.SubDropped)
-	}
-	if st.FlightDumps != 1 {
-		t.Errorf("flight dumps = %d", st.FlightDumps)
 	}
 	if len(st.Phases) == 0 {
 		t.Fatal("no phase rows")
@@ -123,7 +113,7 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	rr = httptest.NewRecorder()
 	d.ServeHTTP(rr, httptest.NewRequest("GET", "/dashboard", nil))
 	html := rr.Body.String()
-	for _, want := range []string{"test run", "phase latency", "error classes", "flight dumps", "dial",
+	for _, want := range []string{"test run", "phase latency", "error classes", "dial",
 		"connections", "<td>live</td><td>5</td><td>accepted</td><td>8</td>", "egress scheduler", "queued frames"} {
 		if !strings.Contains(html, want) {
 			t.Errorf("HTML missing %q", want)
@@ -134,15 +124,15 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	}
 }
 
-func TestDashboardNilMonitorAndRecorder(t *testing.T) {
-	d := NewDashboard("bare", nil, nil, metrics.NewRegistry())
+func TestDashboardNilMonitor(t *testing.T) {
+	d := NewDashboard("bare", nil, metrics.NewRegistry())
 	rr := httptest.NewRecorder()
 	d.ServeHTTP(rr, httptest.NewRequest("GET", "/dashboard?format=json", nil))
 	var st DashState
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if st.Title != "bare" || st.Targets != 0 || st.FlightDumps != 0 {
+	if st.Title != "bare" || st.Targets != 0 || len(st.Exemplars) != 0 {
 		t.Errorf("state = %+v", st)
 	}
 }

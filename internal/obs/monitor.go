@@ -17,32 +17,6 @@ import (
 // scan engine's latency histogram accounting.
 const PhaseMetricName = "h2_phase_duration_seconds"
 
-// Anomaly is one trigger-worthy observation the monitor surfaced: a phase
-// blowing past its own p99, or an error-class spike in the scan stream.
-// The monitor is the only source: its OnAnomaly hook hands each one to a
-// FlightRecorder (h2server and h2census -flightrec).
-type Anomaly struct {
-	// Reason classifies the trigger ("p99-blowout:dial", "error-spike:tls",
-	// ...).
-	Reason string `json:"reason"`
-	// Target names the scanned unit, when known.
-	Target string `json:"target,omitempty"`
-	// Conn is the trace connection ID behind the trigger (0 if none).
-	Conn uint64 `json:"conn,omitempty"`
-	// Phase is the phase that blew out (empty for non-phase triggers).
-	Phase string `json:"phase,omitempty"`
-	// Duration is the observed value behind a blowout trigger.
-	Duration time.Duration `json:"durationNs,omitempty"`
-	// At is when the anomaly was noticed.
-	At time.Time `json:"at"`
-	// Events carries the raw trace events behind the trigger, when the
-	// raising path had them in hand (the census per-target path does; live
-	// watchers snapshot their own tracer instead). They ride along so an
-	// OnAnomaly hook can hand them straight to FlightRecorder.Dump, and are
-	// excluded from the anomaly's own JSON form.
-	Events []trace.Event `json:"-"`
-}
-
 // Exemplar references the concrete target behind a slow histogram sample,
 // so a dashboard p99 is one click away from its forensic trace.
 type Exemplar struct {
@@ -60,98 +34,51 @@ type Exemplar struct {
 	At time.Time `json:"at"`
 }
 
-// Anomaly triggers and exemplar retention. A phase observation above
-// blowoutFactor × that phase's running p99 is a blowout, once the phase has
-// blowoutMinSamples observations; one failure kind filling errorSpikeThreshold
-// of the last errorSpikeWindow target outcomes is a spike; each phase keeps
-// references to its exemplarsPerPhase slowest samples.
-const (
-	blowoutFactor       = 8
-	blowoutMinSamples   = 32
-	errorSpikeWindow    = 64
-	errorSpikeThreshold = 8
-	exemplarsPerPhase   = 4
-)
-
-// MonitorConfig configures a Monitor. The zero value works: histograms stay
-// unregistered and anomalies go nowhere.
-type MonitorConfig struct {
-	// Registry, when set, registers the phase histograms
-	// (h2_phase_duration_seconds{phase=...}) and the monitor's counters
-	// (h2_obs_targets_total, h2_obs_anomalies_total) there.
-	Registry *metrics.Registry
-	// OnAnomaly, when set, receives each anomaly synchronously — the
-	// flight-recorder wiring point. It must not call back into the Monitor.
-	OnAnomaly func(Anomaly)
-}
+// exemplarsPerPhase is how many of its slowest samples each phase keeps
+// references to.
+const exemplarsPerPhase = 4
 
 // Monitor consumes reconstructed spans, feeds the per-phase latency
-// histograms, keeps slow-sample exemplars, and raises anomalies (p99
-// blowouts, error-class spikes). All methods are safe for concurrent use.
+// histograms and keeps slow-sample exemplars. All methods are safe for
+// concurrent use.
 type Monitor struct {
-	cfg   MonitorConfig
+	reg   *metrics.Registry
 	hists map[string]*metrics.Histogram
 
-	targets   *metrics.Counter
-	anomalies *metrics.Counter
+	targets *metrics.Counter
 
 	mu        sync.Mutex
 	exemplars map[string][]Exemplar
-	outcomes  []string // sliding window of failure kinds ("" = success)
-	outNext   int
-	outCount  int
 }
 
-// NewMonitor builds a monitor, registering its instruments into
-// cfg.Registry when one is given.
-func NewMonitor(cfg MonitorConfig) *Monitor {
+// NewMonitor builds a monitor, registering the phase histograms
+// (h2_phase_duration_seconds{phase=...}) and h2_obs_targets_total into reg
+// when it is non-nil.
+func NewMonitor(reg *metrics.Registry) *Monitor {
 	m := &Monitor{
-		cfg:       cfg,
+		reg:       reg,
 		hists:     make(map[string]*metrics.Histogram, len(Phases())),
 		exemplars: make(map[string][]Exemplar),
-		outcomes:  make([]string, errorSpikeWindow),
 	}
 	for _, p := range Phases() {
-		m.hists[p] = cfg.Registry.Histogram(
+		m.hists[p] = reg.Histogram(
 			metrics.Label(PhaseMetricName, "phase", p),
 			"per-phase causal span latency (nanosecond values bucketed per millisecond)",
 			int64(time.Millisecond), 0)
 	}
-	m.targets = cfg.Registry.Counter("h2_obs_targets_total",
+	m.targets = reg.Counter("h2_obs_targets_total",
 		"targets whose spans the observability monitor folded in")
-	m.anomalies = cfg.Registry.Counter("h2_obs_anomalies_total",
-		"anomalies the observability monitor raised (blowouts and error spikes)")
 	return m
 }
 
-// raise counts and delivers one anomaly.
-func (m *Monitor) raise(a Anomaly) {
-	m.anomalies.Inc()
-	reason, _, _ := strings.Cut(a.Reason, ":")
-	m.cfg.Registry.Counter(metrics.Label("h2_obs_anomaly_reasons_total", "reason", reason),
-		"anomalies by trigger class").Inc()
-	if m.cfg.OnAnomaly != nil {
-		m.cfg.OnAnomaly(a)
-	}
-}
-
-// observePhase records one phase latency, maintaining exemplars and
-// blowout detection. events, when non-nil, rides along on any anomaly
-// raised so the flight recorder can dump the triggering stream.
-func (m *Monitor) observePhase(phase, target, traceFile string, conn uint64, d time.Duration, at time.Time, events []trace.Event) {
+// observePhase records one phase latency, maintaining exemplars.
+func (m *Monitor) observePhase(phase, target, traceFile string, conn uint64, d time.Duration, at time.Time) {
 	if d <= 0 {
 		return
 	}
 	h := m.hists[phase]
 	if h == nil {
 		return
-	}
-	// Blowout check against the histogram state *before* this observation,
-	// so one catastrophic sample cannot hide itself by dragging p99 up.
-	var blowout bool
-	if snap := h.Snapshot(); snap.Count >= blowoutMinSamples {
-		p99 := snap.Quantile(0.99)
-		blowout = p99 > 0 && d.Nanoseconds() > blowoutFactor*p99
 	}
 	h.Observe(d.Nanoseconds())
 
@@ -166,85 +93,32 @@ func (m *Monitor) observePhase(phase, target, traceFile string, conn uint64, d t
 		m.exemplars[phase] = exs
 	}
 	m.mu.Unlock()
-
-	if blowout {
-		m.raise(Anomaly{
-			Reason:   "p99-blowout:" + phase,
-			Target:   target,
-			Conn:     conn,
-			Phase:    phase,
-			Duration: d,
-			At:       at,
-			Events:   events,
-		})
-	}
 }
 
 // ObserveConn folds one reconstructed connection span into the histograms.
 func (m *Monitor) ObserveConn(target, traceFile string, c ConnPhases) {
-	m.observeConn(target, traceFile, c, nil)
-}
-
-func (m *Monitor) observeConn(target, traceFile string, c ConnPhases, events []trace.Event) {
 	at := c.Last
 	for _, p := range []string{PhaseDial, PhaseTLS, PhasePreface, PhaseSettle, PhaseClose} {
-		m.observePhase(p, target, traceFile, c.Conn, c.Phase(p), at, events)
+		m.observePhase(p, target, traceFile, c.Conn, c.Phase(p), at)
 	}
 	for _, s := range c.Streams {
-		m.observePhase(PhaseFirstByte, target, traceFile, c.Conn, s.FirstByte, at, events)
-		m.observePhase(PhaseLastByte, target, traceFile, c.Conn, s.LastByte, at, events)
+		m.observePhase(PhaseFirstByte, target, traceFile, c.Conn, s.FirstByte, at)
+		m.observePhase(PhaseLastByte, target, traceFile, c.Conn, s.LastByte, at)
 	}
 }
 
 // ObserveTarget reconstructs spans from one target's full event stream (the
 // census path: called from the scan engine's per-target trace flush) and
-// folds them in. Anomalies raised here carry events so the flight recorder
-// can dump the triggering stream verbatim.
+// folds them in.
 func (m *Monitor) ObserveTarget(target, traceFile string, events []trace.Event) {
 	m.targets.Inc()
 	for _, c := range BuildConns(events) {
-		m.observeConn(target, traceFile, c, events)
-	}
-}
-
-// RecordOutcome feeds one target's scan disposition into spike detection:
-// kind is the classified failure kind, empty for success. When one kind
-// fills errorSpikeThreshold slots of the window, an error-spike anomaly is
-// raised and the window resets (re-arming spike detection).
-func (m *Monitor) RecordOutcome(target, kind string) {
-	var spike bool
-	m.mu.Lock()
-	m.outcomes[m.outNext] = kind
-	m.outNext = (m.outNext + 1) % len(m.outcomes)
-	if m.outCount < len(m.outcomes) {
-		m.outCount++
-	}
-	if kind != "" {
-		n := 0
-		for i := 0; i < m.outCount; i++ {
-			if m.outcomes[i] == kind {
-				n++
-			}
-		}
-		if n >= errorSpikeThreshold {
-			spike = true
-			for i := range m.outcomes {
-				m.outcomes[i] = ""
-			}
-			m.outNext, m.outCount = 0, 0
-		}
-	}
-	m.mu.Unlock()
-	if spike {
-		m.raise(Anomaly{Reason: "error-spike:" + kind, Target: target, At: time.Now()})
+		m.ObserveConn(target, traceFile, c)
 	}
 }
 
 // Targets returns how many targets were folded in via ObserveTarget.
 func (m *Monitor) Targets() int64 { return m.targets.Value() }
-
-// Anomalies returns how many anomalies the monitor raised.
-func (m *Monitor) Anomalies() int64 { return m.anomalies.Value() }
 
 // PhaseSnapshot returns the named phase histogram's current state (nil for
 // unknown phases).
@@ -315,7 +189,7 @@ func (m *Monitor) Watch(tr *trace.Tracer, target string, buffer int) (stop func(
 	if sub == nil {
 		return func() {}
 	}
-	sub.ExportMetrics(m.cfg.Registry, "obs")
+	sub.ExportMetrics(m.reg, "obs")
 	b := NewBuilder()
 	b.OnConn = func(c ConnPhases) { m.ObserveConn(target, "", c) }
 

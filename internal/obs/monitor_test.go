@@ -13,7 +13,7 @@ import (
 
 func TestMonitorObserveTargetFeedsHistograms(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m := NewMonitor(MonitorConfig{Registry: reg})
+	m := NewMonitor(reg)
 	m.ObserveTarget("site-000001.example", "traces/site-000001.jsonl", clientEvents())
 
 	if m.Targets() != 1 {
@@ -48,54 +48,8 @@ func TestMonitorObserveTargetFeedsHistograms(t *testing.T) {
 	}
 }
 
-func TestMonitorBlowoutAnomaly(t *testing.T) {
-	var got []Anomaly
-	m := NewMonitor(MonitorConfig{OnAnomaly: func(a Anomaly) { got = append(got, a) }})
-	normal := ConnPhases{Conn: 1, Dial: time.Millisecond, Last: testBase}
-	for i := 0; i < blowoutMinSamples; i++ {
-		m.ObserveConn("steady.example", "", normal)
-	}
-	if len(got) != 0 {
-		t.Fatalf("anomaly before blowout: %+v", got)
-	}
-	m.observeConn("slow.example", "", ConnPhases{Conn: 9, Dial: time.Second, Last: testBase}, clientEvents())
-	if len(got) != 1 {
-		t.Fatalf("anomalies = %d, want 1", len(got))
-	}
-	a := got[0]
-	if a.Reason != "p99-blowout:dial" || a.Target != "slow.example" || a.Phase != PhaseDial ||
-		a.Conn != 9 || a.Duration != time.Second || len(a.Events) == 0 {
-		t.Errorf("anomaly = %+v", a)
-	}
-	if m.Anomalies() != 1 {
-		t.Errorf("Anomalies = %d", m.Anomalies())
-	}
-}
-
-func TestMonitorErrorSpike(t *testing.T) {
-	var got []Anomaly
-	m := NewMonitor(MonitorConfig{OnAnomaly: func(a Anomaly) { got = append(got, a) }})
-	for i := 1; i < errorSpikeThreshold; i++ {
-		m.RecordOutcome("a", "tls")
-		m.RecordOutcome("b", "")
-	}
-	if len(got) != 0 {
-		t.Fatalf("premature spike: %+v", got)
-	}
-	m.RecordOutcome("d", "tls")
-	if len(got) != 1 || got[0].Reason != "error-spike:tls" || got[0].Target != "d" {
-		t.Fatalf("spike anomaly = %+v", got)
-	}
-	// The window cleared: spike detection re-arms from scratch.
-	m.RecordOutcome("e", "tls")
-	m.RecordOutcome("f", "tls")
-	if len(got) != 1 {
-		t.Errorf("spike re-fired before threshold: %d anomalies", len(got))
-	}
-}
-
 func TestMonitorProgressColumns(t *testing.T) {
-	m := NewMonitor(MonitorConfig{})
+	m := NewMonitor(nil)
 	if got := m.ProgressColumns(); got != "dial=- tls=- settle=-" {
 		t.Errorf("empty columns = %q", got)
 	}
@@ -109,7 +63,7 @@ func TestMonitorProgressColumns(t *testing.T) {
 
 func TestMonitorWatchStreamsSpans(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m := NewMonitor(MonitorConfig{Registry: reg})
+	m := NewMonitor(reg)
 	tr := trace.New(0)
 	stop := m.Watch(tr, "testbed.example", 0)
 
@@ -147,28 +101,16 @@ func TestMonitorWatchStreamsSpans(t *testing.T) {
 }
 
 func TestMonitorWatchNilTracer(t *testing.T) {
-	m := NewMonitor(MonitorConfig{})
+	m := NewMonitor(nil)
 	stop := m.Watch(nil, "x", 0)
 	stop() // must not panic
 }
 
-// TestMonitorConcurrentHammer drives every monitor entry point, a live
-// Watch, and flight-recorder dumps from concurrent goroutines; run under
-// -race this is the span layer's thread-safety proof.
+// TestMonitorConcurrentHammer drives every monitor entry point and a live
+// Watch from concurrent goroutines; run under -race this is the span
+// layer's thread-safety proof.
 func TestMonitorConcurrentHammer(t *testing.T) {
-	reg := metrics.NewRegistry()
-	rec, err := NewFlightRecorder(FlightRecorderConfig{Dir: t.TempDir(), Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMonitor(MonitorConfig{
-		Registry: reg,
-		OnAnomaly: func(a Anomaly) {
-			if _, err := rec.Dump(a, a.Events); err != nil {
-				t.Errorf("dump: %v", err)
-			}
-		},
-	})
+	m := NewMonitor(metrics.NewRegistry())
 	tr := trace.New(0)
 	stop := m.Watch(tr, "hammer", 0)
 
@@ -179,7 +121,6 @@ func TestMonitorConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				m.ObserveTarget("target", "", clientEvents())
-				m.RecordOutcome("target", []string{"", "tls", "dial"}[i%3])
 				_ = m.ProgressColumns()
 				_ = m.Exemplars()
 				id := tr.ConnID()
@@ -192,9 +133,6 @@ func TestMonitorConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 	stop()
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if m.Targets() != 200 {
 		t.Errorf("Targets = %d, want 200", m.Targets())
 	}

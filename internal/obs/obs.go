@@ -11,13 +11,13 @@
 // handshake, the SETTINGS settle, or server think-time?". The span builder
 // here answers exactly that, from the same event stream every other
 // consumer (JSONL export, the live Monitor.Watch) reads. It is the only fold
-// of that stream: h2trace, the flight recorder, the monitor and the
-// dashboard all read its records, so the CLI and live paths cannot drift.
+// of that stream: h2trace, the monitor and the dashboard all read its
+// records, so the CLI and live paths cannot drift.
 //
-// Three artifacts ride on the builder: per-phase latency histograms with
-// slow-sample exemplars (monitor.go), a bounded anomaly flight recorder
-// that turns triggers into JSONL forensic dumps (flightrec.go), and a live
-// run dashboard served from the -debug-addr mux (dashboard.go).
+// Two artifacts ride on the builder: per-phase latency histograms with
+// slow-sample exemplars (monitor.go) and a live run dashboard served from
+// the -debug-addr mux (dashboard.go). An exemplar's Conn is the connection
+// ID h2trace prints for the same trace.
 package obs
 
 import (

@@ -234,7 +234,7 @@ func TestBuilderSkipsStreamsWithoutRequestLandmark(t *testing.T) {
 		t.Errorf("render output missing %q:\n%s", want, sb.String())
 	}
 
-	m := NewMonitor(MonitorConfig{})
+	m := NewMonitor(nil)
 	m.ObserveTarget("ring-wrapped.example", "", events)
 	for _, p := range []string{PhaseFirstByte, PhaseLastByte} {
 		if _, _, n := m.PhaseQuantiles(p); n != 0 {

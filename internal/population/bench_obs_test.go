@@ -20,7 +20,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opts := population.ScanOptions{SampleSize: 8, Parallelism: 4, Seed: 2}
 			if observed {
-				opts.Observer = obs.NewMonitor(obs.MonitorConfig{Registry: metrics.NewRegistry()})
+				opts.Observer = obs.NewMonitor(metrics.NewRegistry())
 			}
 			if _, err := population.Scan(pop, opts); err != nil {
 				b.Fatalf("Scan: %v", err)

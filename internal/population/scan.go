@@ -108,8 +108,7 @@ type ScanOptions struct {
 	Metrics *metrics.Registry
 	// Observer, when set, folds every scanned site's reconstructed phase
 	// spans (dial → preface → settle → first/last byte) into the
-	// observability monitor as the site finalizes, and feeds each site's
-	// outcome into its error-spike detection. Tracing is enabled for every
+	// observability monitor as the site finalizes. Tracing is enabled for every
 	// site even without TraceDir (the tracer then lives only long enough to
 	// build spans); with TraceDir, exemplars reference the exported file.
 	Observer *obs.Monitor
@@ -218,12 +217,9 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 				fmt.Fprintf(opts.Progress, "trace export %s: %v\n", spec.Domain, err)
 			}
 		}
-		if opts.Observer != nil {
+		if opts.Observer != nil && rec.Trace != nil {
 			// Exemplars reference the exported file, when there is one.
-			opts.Observer.RecordOutcome(spec.Domain, out.ErrorKind)
-			if rec.Trace != nil {
-				opts.Observer.ObserveTarget(spec.Domain, out.TraceFile, rec.Trace.Snapshot())
-			}
+			opts.Observer.ObserveTarget(spec.Domain, out.TraceFile, rec.Trace.Snapshot())
 		}
 		summary.Add(out)
 		summary.agreement.add(spec, out.Report)

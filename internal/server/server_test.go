@@ -844,7 +844,16 @@ func TestWeightedFairShareBetweenSiblings(t *testing.T) {
 	// RFC 7540 §5.3.2: siblings share capacity proportionally to weight.
 	// Two 96 KiB downloads with effective weights 128 and 32 should see
 	// DATA delivered roughly 4:1 while both are active.
-	c := start(t, server.H2OProfile())(h2conn.DefaultOptions())
+	//
+	// Both streams must be open before either can receive DATA: the two
+	// HEADERS are separate writes, and a server that reads the first and
+	// sends its DATA before the second arrives (a loaded box does) gives the
+	// heavy stream the link to itself. So the connection starts with a zero
+	// stream window, both responses' HEADERS are awaited, and one SETTINGS
+	// then opens both windows at once (RFC 7540 §6.9.2).
+	opts := h2conn.DefaultOptions()
+	opts.Settings = []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}}
+	c := start(t, server.H2OProfile())(opts)
 	if _, err := c.WaitSettings(testTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -860,6 +869,16 @@ func TestWeightedFairShareBetweenSiblings(t *testing.T) {
 		Authority: "test.example", Path: "/large/2",
 		Priority: frame.PriorityParam{StreamDep: 0, Weight: 31}, // effective 32
 	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint32{heavy, light} {
+		if _, err := c.Wait(0, testTimeout, func(e h2conn.Event) bool {
+			return e.Type == frame.TypeHeaders && e.StreamID == id
+		}); err != nil {
+			t.Fatalf("response HEADERS on stream %d: %v", id, err)
+		}
+	}
+	if err := c.WriteSettings(frame.Setting{ID: frame.SettingInitialWindowSize, Val: frame.DefaultInitialWindowSize}); err != nil {
 		t.Fatal(err)
 	}
 	// Count bytes delivered to each stream until the heavy one finishes

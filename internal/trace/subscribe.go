@@ -12,7 +12,7 @@ const DefaultSubscriptionBuffer = 4096
 
 // Subscription is a bounded, push-based view of a tracer's event stream for
 // long-lived consumers (obs.Monitor.Watch, the live span monitor behind
-// h2server's dashboard and flight recorder). It exists because the
+// h2server's dashboard). It exists because the
 // ring alone cannot serve such consumers: a Snapshot re-copies the whole
 // ring on every poll and gives no way to tell which events are new, while a
 // consumer that falls behind must learn how much it missed.
