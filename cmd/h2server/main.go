@@ -105,7 +105,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		srv.Trace.ExportMetrics(reg)
 		srv.Metrics = server.NewMetrics(reg)
 		monitor := obs.NewMonitor(reg)
-		stopWatch := monitor.Watch(srv.Trace, *domain, 0)
+		stopWatch := monitor.Watch(srv.Trace, *domain)
 		defer stopWatch()
 		ds, err := metrics.StartDebug(*debugAddr, reg)
 		if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"regexp"
@@ -239,6 +240,21 @@ func TestServeTraceEndpoint(t *testing.T) {
 		t.Errorf("no conn from %s in /trace.jsonl (%d events)", client, len(d.Events))
 	}
 
+	// The live monitor reads the same ring: once it has folded the closed
+	// connection's one request, it has missed no event on the way.
+	var page string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		page = getBody(t, hc, "http://"+dbg+"/metrics")
+		if strings.Contains(page, "\n"+`h2_phase_duration_seconds_count{phase="first-byte"} 1`+"\n") || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, want := range []string{`h2_phase_duration_seconds_count{phase="first-byte"} 1`, "h2_obs_events_missed_total 0"} {
+		if !strings.Contains(page, "\n"+want+"\n") {
+			t.Errorf("/metrics lacks %q within 2s:\n%s", want, page)
+		}
+	}
+
 	cancel()
 	select {
 	case err := <-done:
@@ -248,6 +264,21 @@ func TestServeTraceEndpoint(t *testing.T) {
 	case <-time.After(shutdownGrace):
 		t.Fatal("run still serving a full grace after the client hung up")
 	}
+}
+
+// getBody GETs url and returns its body.
+func getBody(t *testing.T, hc *http.Client, url string) string {
+	t.Helper()
+	resp, err := hc.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // TestShardsFlagIsGone pins the removed surface: the flag is an error, not

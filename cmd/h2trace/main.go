@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "h2trace: %v\n", err)
 				return 1
 			}
-			rows = append(rows, trace.Summarize(filepath.Base(path), d))
+			rows = append(rows, summarize(filepath.Base(path), d))
 		}
 		fmt.Fprint(stdout, trace.RenderMerge(rows))
 		return 0
@@ -87,6 +87,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\n%s", trace.RenderEvents(d))
 	}
 	return 0
+}
+
+// summarize folds one trace into its -merge row through obs.BuildConns, the
+// same fold the single-trace view prints.
+func summarize(name string, d *trace.Data) trace.MergeRow {
+	conns := obs.BuildConns(d.Events)
+	row := trace.MergeRow{Name: name, Events: len(d.Events), Dropped: d.Dropped, Conns: len(conns)}
+	for _, c := range conns {
+		row.Streams += len(c.Streams)
+		row.FramesSent += c.FramesSent
+		row.FramesRecv += c.FramesRecv
+		row.BytesRecv += c.BytesRecv
+	}
+	return row
 }
 
 // expandArgs resolves each argument to trace files: files pass through,

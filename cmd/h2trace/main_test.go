@@ -152,6 +152,34 @@ func TestMergeDirectory(t *testing.T) {
 	}
 }
 
+// TestSummarizeCountsRequestStreams pins the -merge row, folded by
+// obs.BuildConns, for one connection that exchanges SETTINGS and serves one
+// request: the connection control stream carries frames but is not a stream.
+func TestSummarizeCountsRequestStreams(t *testing.T) {
+	tr := trace.New(64)
+	conn := tr.ConnID()
+	tr.ConnOpen(conn, "merge.example")
+	end := tr.Phase("settings")
+	tr.ConnPhase(conn, "settings")
+	tr.Frame(conn, true, frame.Header{Type: frame.TypeSettings})
+	tr.Frame(conn, false, frame.Header{Type: frame.TypeSettings, Length: 12})
+	tr.Frame(conn, true, frame.Header{Type: frame.TypeSettings, Flags: frame.FlagAck})
+	tr.Frame(conn, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndStream | frame.FlagEndHeaders})
+	tr.Frame(conn, false, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndHeaders, Length: 20})
+	tr.Frame(conn, false, frame.Header{Type: frame.TypeData, StreamID: 1, Length: 64, Flags: frame.FlagEndStream})
+	end()
+	tr.ConnClose(conn, "")
+
+	row := summarize("merge.example.jsonl", &trace.Data{Target: "merge.example", Events: tr.Snapshot()})
+	if row.Conns != 1 || row.Streams != 1 {
+		t.Errorf("conns %d, streams %d; want 1 and 1", row.Conns, row.Streams)
+	}
+	if row.FramesSent != 3 || row.FramesRecv != 3 || row.BytesRecv != 64 {
+		t.Errorf("frames %d sent / %d recv, %dB recv; want 3/3 and 64 (stream 0 frames counted)",
+			row.FramesSent, row.FramesRecv, row.BytesRecv)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(nil, &stdout, &stderr); code != 2 {

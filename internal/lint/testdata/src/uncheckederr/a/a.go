@@ -13,7 +13,6 @@ import (
 	"h2scope/internal/lint/testdata/src/uncheckederr/internal/h2conn"
 	"h2scope/internal/lint/testdata/src/uncheckederr/internal/metrics"
 	"h2scope/internal/lint/testdata/src/uncheckederr/internal/store"
-	"h2scope/internal/lint/testdata/src/uncheckederr/internal/trace"
 )
 
 func bad(nc net.Conn, fr *frame.Framer, hc *h2conn.Conn) {
@@ -56,21 +55,17 @@ func goodHTTP(w http.ResponseWriter, body []byte) error {
 	return nil
 }
 
-func badPipeline(sw *store.Writer, ds *metrics.DebugServer, tr *trace.Tracer, rec *store.Record) {
+func badPipeline(sw *store.Writer, ds *metrics.DebugServer, rec *store.Record) {
 	sw.Append(rec)       // want `\(\*store\.Writer\)\.Append: error return is silently discarded`
 	defer sw.Append(rec) // want `defer \(\*store\.Writer\)\.Append: error return is silently discarded`
 	ds.Close()           // want `\(\*metrics\.DebugServer\)\.Close: error return is silently discarded`
-	tr.Subscribe(16)     // want `\(\*trace\.Tracer\)\.Subscribe: the returned Subscription is discarded`
-	go tr.Subscribe(16)  // want `go \(\*trace\.Tracer\)\.Subscribe: the returned Subscription is discarded`
 }
 
-func goodPipeline(sw *store.Writer, ds *metrics.DebugServer, tr *trace.Tracer, rec *store.Record) error {
+func goodPipeline(sw *store.Writer, ds *metrics.DebugServer, rec *store.Record) error {
 	if err := sw.Append(rec); err != nil {
 		return err
 	}
 	_ = sw.Append(rec) // explicit discard is acknowledged
-	sub := tr.Subscribe(16)
-	defer sub.Close() // Subscription.Close returns no error: nothing to drop
-	_ = ds.Addr()     // not on the critical surface
+	_ = ds.Addr()      // not on the critical surface
 	return ds.Close()
 }

@@ -38,10 +38,8 @@ func (d Diagnostic) String() string {
 //
 // The same treatment covers the results side of the measurement pipeline: a
 // dropped store.Writer.Append error loses a census record after the probe
-// already paid for it, a dropped metrics.DebugServer.Close error hides a
-// wedged observability endpoint, and a trace.Tracer.Subscribe whose
-// *Subscription result is discarded leaks a live bus subscription that can
-// never be closed.
+// already paid for it, and a dropped metrics.DebugServer.Close error hides a
+// wedged observability endpoint.
 //
 // Only implicit discards are reported (a call in statement position, or
 // under go/defer where the result is unrecoverable). An explicit `_ =`
@@ -70,10 +68,6 @@ func UncheckedErr(pkg *Package) []Diagnostic {
 			}
 			f := calleeFunc(info, call)
 			if f == nil {
-				return true
-			}
-			if isDiscardedSubscription(f) {
-				report(call.Pos(), "%s(*trace.Tracer).Subscribe: the returned Subscription is discarded and can never be closed — it leaks from the bus", verb)
 				return true
 			}
 			if !returnsError(info, call) {
@@ -129,23 +123,4 @@ func errCriticalCall(info *types.Info, call *ast.CallExpr, f *types.Func) string
 		}
 	}
 	return ""
-}
-
-// isDiscardedSubscription reports whether call is a Subscribe returning a
-// *trace.Subscription whose result is being thrown away (UncheckedErr only
-// sees the call in statement/go/defer position, so reaching here means the
-// result is unrecoverable).
-func isDiscardedSubscription(f *types.Func) bool {
-	if f.Name() != "Subscribe" {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != 1 {
-		return false
-	}
-	ptr, ok := sig.Results().At(0).Type().Underlying().(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return namedTypeIs(ptr.Elem(), "internal/trace", "Subscription")
 }

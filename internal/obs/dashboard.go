@@ -85,8 +85,7 @@ type DashState struct {
 	Phases        []PhaseStat      `json:"phases,omitempty"`
 	RingEmitted   int64            `json:"ringEmitted"`
 	RingDropped   int64            `json:"ringDropped"`
-	SubDropped    map[string]int64 `json:"subDropped,omitempty"`
-	SubPending    map[string]int64 `json:"subPending,omitempty"`
+	EventsMissed  int64            `json:"eventsMissed"`
 	Conns         *ConnStat        `json:"conns,omitempty"`
 	Egress        *EgressStat      `json:"egress,omitempty"`
 	Exemplars     []Exemplar       `json:"exemplars,omitempty"`
@@ -132,8 +131,6 @@ func (d *Dashboard) state() *DashState {
 		UptimeSec:    now.Sub(d.start).Seconds(),
 		Outcomes:     map[string]int64{},
 		FailureKinds: map[string]int64{},
-		SubDropped:   map[string]int64{},
-		SubPending:   map[string]int64{},
 	}
 	var snap []metrics.MetricSnapshot
 	for _, r := range d.regs {
@@ -147,6 +144,8 @@ func (d *Dashboard) state() *DashState {
 			st.RingEmitted += m.Value
 		case m.Name == "h2_trace_dropped_total":
 			st.RingDropped += m.Value
+		case m.Name == "h2_obs_events_missed_total":
+			st.EventsMissed += m.Value
 		case m.Name == "h2_server_active_conns":
 			if st.Conns == nil {
 				st.Conns = &ConnStat{}
@@ -176,10 +175,6 @@ func (d *Dashboard) state() *DashState {
 				st.Outcomes[v] += m.Value
 			} else if v, ok := labelValue(m.Name, "h2_scan_failures_total", "kind"); ok {
 				st.FailureKinds[v] += m.Value
-			} else if v, ok := labelValue(m.Name, "h2_trace_sub_dropped_total", "sub"); ok {
-				st.SubDropped[v] += m.Value
-			} else if v, ok := labelValue(m.Name, "h2_trace_sub_pending", "sub"); ok {
-				st.SubPending[v] += m.Value
 			} else if v, ok := labelValue(m.Name, PhaseMetricName, "phase"); ok && m.Histogram != nil {
 				ps := PhaseStat{Phase: v, Count: m.Histogram.Count}
 				if ps.Count > 0 {
@@ -277,6 +272,7 @@ th { color: #9aa5b1; font-weight: normal; border-bottom: 1px solid #2a3138; }
 <div>
 <span class="kpi"><b>{{.Targets}}</b>targets</span>
 <span class="kpi"><b>{{rate .TargetsPerSec}}/s</b>rate</span>
+<span class="kpi"><b>{{.EventsMissed}}</b>trace events missed</span>
 </div>
 {{if .Phases}}<h2>phase latency</h2>
 <table><tr><th>phase</th><th>count</th><th>p50</th><th>p99</th></tr>
@@ -299,8 +295,6 @@ th { color: #9aa5b1; font-weight: normal; border-bottom: 1px solid #2a3138; }
 <table>
 <tr><td>ring emitted</td><td>{{.RingEmitted}}</td></tr>
 <tr><td>ring dropped</td><td>{{.RingDropped}}</td></tr>
-{{range $k, $v := .SubDropped}}<tr><td>sub {{$k}} dropped</td><td>{{$v}}</td></tr>{{end}}
-{{range $k, $v := .SubPending}}<tr><td>sub {{$k}} pending</td><td>{{$v}}</td></tr>{{end}}
 </table>
 {{if .Exemplars}}<h2>slow-sample exemplars</h2>
 <table><tr><th>phase</th><th>target</th><th>conn</th><th>duration</th><th>trace</th></tr>

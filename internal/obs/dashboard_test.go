@@ -42,7 +42,7 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	reg.Counter(metrics.Label("h2_scan_outcomes_total", "outcome", "success"), "").Add(40)
 	reg.Counter(metrics.Label("h2_scan_outcomes_total", "outcome", "failure"), "").Add(2)
 	reg.Counter(metrics.Label("h2_scan_failures_total", "kind", "tls"), "").Add(2)
-	reg.GaugeFunc(metrics.Label("h2_trace_sub_dropped_total", "sub", "obs"), "", func() int64 { return 7 })
+	reg.Counter("h2_obs_events_missed_total", "").Add(7)
 	reg.Gauge("h2_server_active_conns", "").Add(5)
 	reg.Counter("h2_server_conns_accepted_total", "").Add(8)
 	reg.Gauge("h2_egress_queue_depth", "").Add(9)
@@ -72,8 +72,8 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	if st.FailureKinds["tls"] != 2 {
 		t.Errorf("failure kinds = %v", st.FailureKinds)
 	}
-	if st.SubDropped["obs"] != 7 {
-		t.Errorf("sub dropped = %v", st.SubDropped)
+	if st.EventsMissed != 7 {
+		t.Errorf("events missed = %d, want 7", st.EventsMissed)
 	}
 	if len(st.Phases) == 0 {
 		t.Fatal("no phase rows")
@@ -114,7 +114,8 @@ func TestDashboardStateAndJSON(t *testing.T) {
 	d.ServeHTTP(rr, httptest.NewRequest("GET", "/dashboard", nil))
 	html := rr.Body.String()
 	for _, want := range []string{"test run", "phase latency", "error classes", "dial",
-		"connections", "<td>live</td><td>5</td><td>accepted</td><td>8</td>", "egress scheduler", "queued frames"} {
+		"connections", "<td>live</td><td>5</td><td>accepted</td><td>8</td>", "egress scheduler", "queued frames",
+		"<b>7</b>trace events missed"} {
 		if !strings.Contains(html, want) {
 			t.Errorf("HTML missing %q", want)
 		}

@@ -177,37 +177,50 @@ func (m *Monitor) ProgressColumns() string {
 	return b.String()
 }
 
+// watchInterval is how often Watch reads the tracer's ring. At 10 ms the
+// default 8,192-slot ring holds about 819k events/s before an unread one is
+// overwritten; h2server under h2c load from 8-256 workers over TCP loopback
+// emits about 110-120k/s on 2 vCPU.
+const watchInterval = 10 * time.Millisecond
+
 // Watch attaches the monitor to a live tracer (the testbed server's bus): a
-// subscription is drained in a background goroutine through a streaming
-// span builder, and each connection's span is folded in as its ConnClose
-// streams through. The subscription's queue health is exported as
-// h2_trace_sub_*{sub="obs"} gauges when the monitor has a registry. The
-// returned stop function drains what remains, folds in still-open
-// connections, and detaches; it is idempotent.
-func (m *Monitor) Watch(tr *trace.Tracer, target string, buffer int) (stop func()) {
-	sub := tr.Subscribe(buffer)
-	if sub == nil {
+// background goroutine reads the ring from a Seq cursor every watchInterval
+// into a streaming span builder, and each connection's span is folded in as
+// its ConnClose streams through. Events the ring overwrote before a read
+// reached them are counted in h2_obs_events_missed_total. The returned stop
+// function reads what remains, folds in still-open connections, and
+// detaches; it is idempotent.
+func (m *Monitor) Watch(tr *trace.Tracer, target string) (stop func()) {
+	if tr == nil {
 		return func() {}
 	}
-	sub.ExportMetrics(m.reg, "obs")
+	missed := m.reg.Counter("h2_obs_events_missed_total",
+		"trace events the live span monitor never read: the ring overwrote them first")
 	b := NewBuilder()
 	b.OnConn = func(c ConnPhases) { m.ObserveConn(target, "", c) }
+	var (
+		buf  []trace.Event
+		next uint64
+	)
+	read := func() {
+		from := next
+		buf, next = tr.Read(from, buf[:0])
+		missed.Add(int64(next - from - uint64(len(buf))))
+		for _, ev := range buf {
+			b.Feed(ev)
+		}
+	}
 
-	var mu sync.Mutex // serializes builder access between loop and stop
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		var buf []trace.Event
+		tick := time.NewTicker(watchInterval)
+		defer tick.Stop()
 		for {
 			select {
-			case <-sub.C():
-				buf = sub.Drain(buf[:0])
-				mu.Lock()
-				for _, ev := range buf {
-					b.Feed(ev)
-				}
-				mu.Unlock()
+			case <-tick.C:
+				read()
 			case <-done:
 				return
 			}
@@ -219,17 +232,12 @@ func (m *Monitor) Watch(tr *trace.Tracer, target string, buffer int) (stop func(
 		once.Do(func() {
 			close(done)
 			<-finished
-			mu.Lock()
-			for _, ev := range sub.Drain(nil) {
-				b.Feed(ev)
-			}
+			read()
 			// Connections that never closed still carry measured dial/TLS/
 			// preface/settle phases; fold them in rather than losing them.
 			for _, c := range b.Finish() {
 				m.ObserveConn(target, "", c)
 			}
-			mu.Unlock()
-			sub.Close()
 		})
 	}
 }

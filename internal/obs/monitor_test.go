@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -65,7 +66,7 @@ func TestMonitorWatchStreamsSpans(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := NewMonitor(reg)
 	tr := trace.New(0)
-	stop := m.Watch(tr, "testbed.example", 0)
+	stop := m.Watch(tr, "testbed.example")
 
 	id := tr.ConnID()
 	tr.ConnOpen(id, "client")
@@ -88,21 +89,24 @@ func TestMonitorWatchStreamsSpans(t *testing.T) {
 	if _, _, n := m.PhaseQuantiles(PhaseSettle); n != 2 {
 		t.Errorf("settle count = %d, want 2 (one per connection)", n)
 	}
-	// Subscription health gauges registered under sub="obs".
+	// The ring held every event, so the monitor missed none.
 	var found bool
 	for _, s := range reg.Snapshot() {
-		if s.Name == metrics.Label("h2_trace_sub_dropped_total", "sub", "obs") {
+		if s.Name == "h2_obs_events_missed_total" {
 			found = true
+			if s.Value != 0 {
+				t.Errorf("h2_obs_events_missed_total = %d, want 0", s.Value)
+			}
 		}
 	}
 	if !found {
-		t.Error("registry missing h2_trace_sub_dropped_total{sub=\"obs\"}")
+		t.Error("registry missing h2_obs_events_missed_total")
 	}
 }
 
 func TestMonitorWatchNilTracer(t *testing.T) {
 	m := NewMonitor(nil)
-	stop := m.Watch(nil, "x", 0)
+	stop := m.Watch(nil, "x")
 	stop() // must not panic
 }
 
@@ -112,7 +116,7 @@ func TestMonitorWatchNilTracer(t *testing.T) {
 func TestMonitorConcurrentHammer(t *testing.T) {
 	m := NewMonitor(metrics.NewRegistry())
 	tr := trace.New(0)
-	stop := m.Watch(tr, "hammer", 0)
+	stop := m.Watch(tr, "hammer")
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -135,5 +139,72 @@ func TestMonitorConcurrentHammer(t *testing.T) {
 	stop()
 	if m.Targets() != 200 {
 		t.Errorf("Targets = %d, want 200", m.Targets())
+	}
+}
+
+// TestWatchMatchesBuildConns: the live cursor folds a tracer's events into
+// the same spans as one BuildConns over the whole trace, though its reads
+// cut connections mid-stream and connections close between them.
+func TestWatchMatchesBuildConns(t *testing.T) {
+	tr := trace.New(0)
+	live := NewMonitor(metrics.NewRegistry())
+	stop := live.Watch(tr, "testbed.example")
+
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				id := tr.ConnID()
+				tr.ConnOpen(id, "client")
+				tr.Frame(id, false, frame.Header{Type: frame.TypeSettings})
+				tr.Frame(id, true, frame.Header{Type: frame.TypeSettings})
+				tr.Frame(id, false, frame.Header{Type: frame.TypeHeaders, StreamID: 1, Flags: frame.FlagEndStream})
+				time.Sleep(2 * time.Millisecond) // reads land mid-connection
+				tr.Frame(id, true, frame.Header{Type: frame.TypeHeaders, StreamID: 1})
+				tr.Frame(id, true, frame.Header{Type: frame.TypeData, StreamID: 1, Length: 64, Flags: frame.FlagEndStream})
+				if i == 9 {
+					continue // left open: folded in by stop
+				}
+				tr.Frame(id, true, frame.Header{Type: frame.TypeGoAway})
+				tr.ConnClose(id, "eof")
+			}
+		}()
+	}
+	wg.Wait()
+	stop()
+
+	batch := NewMonitor(nil)
+	for _, c := range BuildConns(tr.Snapshot()) {
+		batch.ObserveConn("testbed.example", "", c)
+	}
+	for _, p := range Phases() {
+		got, want := live.PhaseSnapshot(p), batch.PhaseSnapshot(p)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("phase %s: Watch folded %+v, BuildConns %+v", p, *got, *want)
+		}
+	}
+	if _, _, n := live.PhaseQuantiles(PhaseFirstByte); n != 30 {
+		t.Errorf("first-byte samples = %d, want one per connection (30)", n)
+	}
+}
+
+// TestWatchCountsMissedEvents: events the ring overwrote before the monitor
+// read them are counted, not silently lost.
+func TestWatchCountsMissedEvents(t *testing.T) {
+	reg := metrics.NewRegistry()
+	m := NewMonitor(reg)
+	tr := trace.New(8)
+	stop := m.Watch(tr, "x")
+	id := tr.ConnID()
+	for i := 0; i < 100; i++ {
+		tr.Frame(id, true, frame.Header{Type: frame.TypePing})
+	}
+	stop()
+	// The last read alone gets the 8 the ring holds; a read mid-burst can
+	// only lower the count.
+	if got := reg.Counter("h2_obs_events_missed_total", "").Value(); got <= 0 || got > 100-8 {
+		t.Errorf("h2_obs_events_missed_total = %d, want 1..92 of 100 events through an 8-slot ring", got)
 	}
 }

@@ -193,12 +193,11 @@ type streamState struct {
 }
 
 // Builder folds a trace event stream into ConnPhases incrementally. Feed
-// events in emit order (Snapshot and Subscription both deliver that); call
+// events in Seq order (Tracer.Read delivers that, Snapshot included); call
 // Finish for the remaining connections. Builder is not safe for concurrent
 // use — each consumer owns one.
 type Builder struct {
 	conns map[uint64]*connState
-	order []uint64
 
 	// pendingStart holds conn-0 pre-connection region starts; pendingDur
 	// holds completed conn-0 regions awaiting the next ConnOpen, which they
@@ -233,7 +232,6 @@ func (b *Builder) conn(id uint64, at time.Time) *connState {
 			streams: make(map[uint32]*streamState),
 		}
 		b.conns[id] = cs
-		b.order = append(b.order, id)
 	}
 	if at.Before(cs.c.First) {
 		cs.c.First = at
@@ -297,12 +295,6 @@ func (b *Builder) Feed(ev trace.Event) {
 		if b.OnConn != nil {
 			b.OnConn(b.finalize(cs))
 			delete(b.conns, ev.Conn)
-			for i, id := range b.order {
-				if id == ev.Conn {
-					b.order = append(b.order[:i], b.order[i+1:]...)
-					break
-				}
-			}
 		}
 
 	case trace.KindError:
@@ -444,21 +436,21 @@ func (b *Builder) finalize(cs *connState) ConnPhases {
 // unset), ordered by connection ID. The builder is reusable afterwards for
 // a fresh event stream.
 func (b *Builder) Finish() []ConnPhases {
-	out := make([]ConnPhases, 0, len(b.order))
-	for _, id := range b.order {
-		out = append(out, b.finalize(b.conns[id]))
+	out := make([]ConnPhases, 0, len(b.conns))
+	for _, cs := range b.conns {
+		out = append(out, b.finalize(cs))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Conn < out[j].Conn })
 	b.conns = make(map[uint64]*connState)
-	b.order = nil
 	b.pendingStart = make(map[string]time.Time)
 	b.pendingDur = make(map[string]time.Duration)
 	return out
 }
 
-// BuildConns folds a complete event stream (a Snapshot, or trace.Read
-// output) into per-connection phase spans — the batch entry point shared by
-// h2trace, the flight recorder's dump summaries, and the census monitor.
+// BuildConns folds a complete event stream (a Snapshot, or a trace file read
+// back with trace.Read) into per-connection phase spans — the batch entry
+// point shared by h2trace's single-trace and -merge views and the census
+// monitor.
 func BuildConns(events []trace.Event) []ConnPhases {
 	b := NewBuilder()
 	for _, ev := range events {

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"h2scope/internal/frame"
 )
 
 // RenderHeader formats a trace's one-line summary: target, event count,
@@ -65,10 +63,11 @@ func phaseSuffix(phase string) string {
 	return "[" + phase + "]"
 }
 
-// MergeRow is one trace's aggregate line in a RenderMerge summary.
+// MergeRow is one trace's aggregate line in a RenderMerge summary. Streams
+// counts request streams (non-zero IDs); the frame and byte totals include
+// the connection control stream.
 type MergeRow struct {
 	Name       string
-	Target     string
 	Events     int
 	Dropped    uint64
 	Conns      int
@@ -76,47 +75,6 @@ type MergeRow struct {
 	FramesSent int
 	FramesRecv int
 	BytesRecv  int64
-	Phases     []string
-}
-
-// Summarize folds one trace into a MergeRow. name labels the row (typically
-// the source file name); the trace's own target is kept alongside. Streams
-// counts distinct non-zero stream IDs per connection: frames on the
-// connection control stream count toward the frame totals only.
-func Summarize(name string, d *Data) MergeRow {
-	row := MergeRow{Name: name, Target: d.Target, Events: len(d.Events), Dropped: d.Dropped}
-	phases := map[string]bool{}
-	conns := map[uint64]bool{}
-	streams := map[[2]uint64]bool{}
-	for _, ev := range d.Events {
-		switch ev.Kind {
-		case KindPhaseStart:
-			if !phases[ev.Phase] {
-				phases[ev.Phase] = true
-				row.Phases = append(row.Phases, ev.Phase)
-			}
-		case KindConnOpen, KindConnClose, KindError:
-			if ev.Conn != 0 {
-				conns[ev.Conn] = true
-			}
-		case KindFrameSent, KindFrameRecv:
-			conns[ev.Conn] = true
-			if ev.StreamID != 0 {
-				streams[[2]uint64{ev.Conn, uint64(ev.StreamID)}] = true
-			}
-			if ev.Kind == KindFrameSent {
-				row.FramesSent++
-			} else {
-				row.FramesRecv++
-				if ev.FrameType == frame.TypeData {
-					row.BytesRecv += int64(ev.Length)
-				}
-			}
-		}
-	}
-	row.Conns = len(conns)
-	row.Streams = len(streams)
-	return row
 }
 
 // RenderMerge formats many trace summaries as one table, sorted by name —

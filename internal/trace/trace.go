@@ -13,15 +13,19 @@
 // across slots, and never waits behind a whole-ring reader; when the ring
 // wraps, the overwritten events are counted, not silently lost.
 //
-// JSONL export (export.go), live subscriptions (subscribe.go), the raw event
-// and -merge renderers behind the h2trace CLI (render.go) and the one fold
-// into per-connection and per-stream spans (internal/obs) all consume the
-// same event stream, so there is one event path from the wire to every
-// consumer.
+// The ring is read one way: Read walks it by Seq from a cursor, delivering
+// each retained event once, in order, and telling the caller how many it
+// missed. Snapshot is Read from the start; the live span monitor
+// (obs.Monitor.Watch) resumes Read from where it left off. JSONL export
+// (export.go), the raw event and -merge renderers behind the h2trace CLI
+// (render.go) and the one fold into per-connection and per-stream spans
+// (internal/obs) all consume what Read returns, so there is one event path
+// from the wire to every consumer.
 package trace
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,15 +124,22 @@ func (e Event) StreamEnded() bool {
 // order of magnitude of headroom.
 const DefaultCapacity = 8192
 
-// ring is a bounded, overwrite-oldest event buffer. Producers claim a slot
-// index with one atomic add, then store the event by value under that slot's
-// own mutex; overwriting a not-yet-snapshotted event counts it as dropped.
-// Storing values instead of pointers keeps the emit path allocation-free,
-// which matters: a pointer-per-event design triples the allocation rate of a
-// traced connection and the extra GC cycles cost far more than the emit
-// itself. Per-slot locks mean producers only ever contend with a reader
-// visiting that one slot (a 100-byte copy), never with each other on
-// distinct slots and never for the duration of a whole-ring snapshot.
+// ring is a bounded, overwrite-oldest event buffer. Producers claim a Seq
+// with one atomic add, then store the event by value in slot Seq mod
+// capacity under that slot's own mutex; overwriting an event counts it as
+// dropped. Storing values instead of pointers keeps the emit path
+// allocation-free, which matters: a pointer-per-event design triples the
+// allocation rate of a traced connection and the extra GC cycles cost far
+// more than the emit itself. Per-slot locks mean producers only ever contend
+// with a reader visiting that one slot (a 100-byte copy), never with each
+// other on distinct slots and never for the duration of a whole-ring read.
+//
+// A slot's Seq only grows. A producer that claimed its Seq a lap or more
+// before the event now in its slot (it was descheduled between the add and
+// the store) drops its own event rather than overwrite the newer one. That
+// is what lets read tell an overwritten event (the slot holds a later Seq)
+// from one that is claimed but not stored yet (the slot holds an earlier
+// Seq, or nothing).
 type ring struct {
 	slots   []slot
 	mask    uint64
@@ -157,37 +168,48 @@ func newRing(capacity int) *ring {
 
 func (r *ring) emit(ev *Event) {
 	ev.Seq = r.next.Add(1) - 1
+	r.store(ev)
+}
+
+// store puts ev, whose Seq is claimed, in its slot unless a newer event
+// holds the slot already. Either way a full slot loses one event.
+func (r *ring) store(ev *Event) {
 	s := &r.slots[ev.Seq&r.mask]
 	s.mu.Lock()
 	if s.full {
 		r.dropped.Add(1)
 	}
-	s.ev = *ev
-	s.full = true
+	if !s.full || s.ev.Seq < ev.Seq {
+		s.ev = *ev
+		s.full = true
+	}
 	s.mu.Unlock()
 }
 
-// snapshot returns the retained events ordered by Seq. Concurrent emits may
-// or may not be included; each included event is internally consistent.
-func (r *ring) snapshot() []Event {
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
+// read appends the events with Seq in [from, next) to dst in Seq order,
+// skipping overwritten ones, up to the first Seq claimed but not stored.
+func (r *ring) read(from uint64, dst []Event) ([]Event, uint64) {
+	end := r.next.Load()
+	if n := uint64(len(r.slots)); end > n && from < end-n {
+		from = end - n // a lap behind: overwritten, or being overwritten
+	}
+	if from >= end {
+		return dst, from
+	}
+	dst = slices.Grow(dst, int(end-from))
+	for ; from < end; from++ {
+		s := &r.slots[from&r.mask]
 		s.mu.Lock()
-		if s.full {
-			out = append(out, s.ev)
+		full, seq := s.full, s.ev.Seq
+		if full && seq == from {
+			dst = append(dst, s.ev)
 		}
 		s.mu.Unlock()
-	}
-	// Slots are scanned in index order, not emit order; restore Seq order.
-	// Insertion sort: the slice is nearly sorted already (at most one wrap
-	// point), so this is O(n) in practice.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Seq < out[j-1].Seq; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		if !full || seq < from {
+			break // claimed, not stored yet: resume here next time
 		}
 	}
-	return out
+	return dst, from
 }
 
 // Tracer is the event bus one traced unit (a probed target, a testbed
@@ -201,12 +223,6 @@ type Tracer struct {
 	// phases maps a connection ID to the probe phase that opened it
 	// (ConnPhase): written once per connection, read on each of its events.
 	phases sync.Map
-
-	// subs is the copy-on-write subscriber list; emit reads it with one
-	// atomic load, so a tracer with no subscribers pays a single pointer
-	// check per event. subMu serializes Subscribe/unsubscribe rewrites.
-	subMu sync.Mutex
-	subs  atomic.Pointer[[]*Subscription]
 }
 
 // New returns a tracer retaining up to capacity events (DefaultCapacity
@@ -241,8 +257,9 @@ func (t *Tracer) Emitted() uint64 {
 	return t.ring.next.Load()
 }
 
-// Dropped returns how many events the ring overwrote before they could be
-// snapshotted — the tracer's honesty counter.
+// Dropped returns how many events the ring lost: each one overwritten by an
+// event a lap newer, or refused because a newer event held its slot first —
+// the tracer's honesty counter.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -262,11 +279,6 @@ func (t *Tracer) emit(ev Event) {
 		}
 	}
 	t.ring.emit(&ev)
-	if subs := t.subs.Load(); subs != nil {
-		for _, s := range *subs {
-			s.push(ev)
-		}
-	}
 }
 
 // ConnID reserves the next connection index for Frame/ConnOpen/ConnClose
@@ -348,13 +360,26 @@ func (t *Tracer) Region(conn uint64, name string) func() {
 	}
 }
 
-// Snapshot returns the retained events in Seq order. Safe to call while
-// emits are in flight; the snapshot is a best-effort consistent cut.
-func (t *Tracer) Snapshot() []Event {
+// Read appends to dst the retained events with Seq >= from, in Seq order,
+// and returns the extended slice and the cursor to pass as from next time.
+// Events the ring overwrote before Read reached them are skipped, so
+// next - from - (events appended) counts what the caller missed. Read stops
+// at the first Seq that is claimed but whose event is not stored yet, so
+// resumed reads deliver each retained event exactly once. Passing a retained
+// dst[:0] makes steady-state polling allocation-free. A nil tracer returns
+// dst, from.
+func (t *Tracer) Read(from uint64, dst []Event) (events []Event, next uint64) {
 	if t == nil {
-		return nil
+		return dst, from
 	}
-	return t.ring.snapshot()
+	return t.ring.read(from, dst)
+}
+
+// Snapshot returns the retained events in Seq order: Read(0, nil). Safe to
+// call while emits are in flight; it ends at the first event not yet stored.
+func (t *Tracer) Snapshot() []Event {
+	events, _ := t.Read(0, nil)
+	return events
 }
 
 // --- context plumbing ---
