@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"sync"
 	"testing"
 
 	"h2scope/internal/frame"
@@ -22,35 +23,122 @@ func seqs(events []Event) []uint64 {
 	return out
 }
 
-// TestReadResumesOnceInSeqOrder: a cursor resumed across reads sees every
-// event exactly once, in Seq order, and reusing dst does not allocate.
-func TestReadResumesOnceInSeqOrder(t *testing.T) {
+// A subscription is a consumer that follows the ring with a Read cursor, as
+// obs.Monitor.Watch does: each read resumes from the next it was handed.
+
+// TestSubscriptionDeliversInEmitOrder: a cursor resumed across reads sees
+// every event exactly once, in Seq order, which is emit order.
+func TestSubscriptionDeliversInEmitOrder(t *testing.T) {
 	tr := New(64)
 	conn := tr.ConnID()
 	var (
-		got  []uint64
-		buf  []Event
+		got  []Event
 		next uint64
 	)
 	for _, n := range []int{10, 0, 5, 30} {
 		emitN(tr, conn, n)
 		from := next
-		buf, next = tr.Read(from, buf[:0])
-		if len(buf) != n || next != from+uint64(n) {
-			t.Fatalf("Read(%d) = %d events, next %d; want %d, %d", from, len(buf), next, n, from+uint64(n))
+		var events []Event
+		events, next = tr.Read(from, nil)
+		if len(events) != n || next != from+uint64(n) {
+			t.Fatalf("Read(%d) = %d events, next %d; want %d, %d", from, len(events), next, n, from+uint64(n))
 		}
-		got = append(got, seqs(buf)...)
+		got = append(got, events...)
 	}
-	for i, s := range got {
-		if s != uint64(i) {
-			t.Fatalf("delivered Seqs %v, want 0..%d once each", got, len(got)-1)
+	emitted := 0
+	for _, n := range []int{10, 0, 5, 30} {
+		for i := 0; i < n; i++ {
+			ev := got[emitted]
+			if ev.Seq != uint64(emitted) || ev.Length != i {
+				t.Fatalf("event %d has Seq %d, Length %d; want Seq %d, Length %d (once each, in emit order)",
+					emitted, ev.Seq, ev.Length, emitted, i)
+			}
+			emitted++
 		}
+	}
+}
+
+// TestSubscriptionDrainReusesBuffer: reading into a retained dst fills it
+// from the start with only the new events, without allocating.
+func TestSubscriptionDrainReusesBuffer(t *testing.T) {
+	tr := New(64)
+	conn := tr.ConnID()
+	emitN(tr, conn, 5)
+	buf, next := tr.Read(0, nil)
+	if len(buf) != 5 || next != 5 {
+		t.Fatalf("first read = %d events, next %d; want 5, 5", len(buf), next)
+	}
+	first := &buf[0]
+	emitN(tr, conn, 3)
+	buf, next = tr.Read(next, buf[:0])
+	if len(buf) != 3 || next != 8 || buf[0].Seq != 5 || &buf[0] != first {
+		t.Fatalf("second read = Seqs %v, next %d; want 5 6 7 in the same array, 8", seqs(buf), next)
 	}
 	emitN(tr, conn, 8)
 	if allocs := testing.AllocsPerRun(10, func() {
 		buf, _ = tr.Read(next, buf[:0])
 	}); allocs != 0 {
 		t.Errorf("Read into a retained dst allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestSubscriptionConcurrentEmitDrain: a cursor reading on while producers
+// emit gets each event at most once, in Seq order, and what it reads plus
+// what it skipped is everything emitted.
+func TestSubscriptionConcurrentEmitDrain(t *testing.T) {
+	tr := New(256)
+	const producers = 8
+	const perProducer = 500
+
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			conn := tr.ConnID()
+			for i := 0; i < perProducer; i++ {
+				tr.Frame(conn, i%2 == 0, frame.Header{
+					Type: frame.TypeData, StreamID: uint32(2*p + 1), Length: uint32(i),
+				})
+			}
+		}(p)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	var read, missed, next uint64
+	var buf []Event
+	drain := func() bool {
+		from := next
+		buf, next = tr.Read(from, buf[:0])
+		for i, ev := range buf {
+			if ev.Seq < from || (i > 0 && ev.Seq <= buf[i-1].Seq) {
+				t.Errorf("cursor read from %d delivered Seq %d out of order", from, ev.Seq)
+				return false
+			}
+		}
+		read += uint64(len(buf))
+		missed += next - from - uint64(len(buf))
+		return true
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if !drain() {
+			<-done
+			return
+		}
+	}
+	drain() // everything is stored once the producers are done
+	if read == 0 {
+		t.Fatal("the cursor read nothing")
+	}
+	if total := read + missed; total != tr.Emitted() || tr.Emitted() != producers*perProducer {
+		t.Fatalf("cursor read %d, missed %d: %d events; want all %d emitted (Emitted %d)",
+			read, missed, total, producers*perProducer, tr.Emitted())
 	}
 }
 

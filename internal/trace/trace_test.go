@@ -181,10 +181,10 @@ func TestRegionEmitsConnScopedMarkers(t *testing.T) {
 }
 
 // TestConcurrentEmitSnapshot exercises the ring under the race detector:
-// many producers emitting while a reader snapshots, a cursor reads on, and
-// watchers check that each slot's Seq only grows. A producer descheduled
-// between claiming its Seq and storing its event comes back a lap late a few
-// times in a few thousand emits; without the guard in ring.store it
+// many producers emitting while a reader snapshots and watchers check that
+// each slot's Seq only grows. A producer descheduled between claiming its Seq
+// and storing its event comes back a lap late a few times in a few thousand
+// emits; without the guard in ring.store it
 // overwrites the newer event and a watcher sees the slot go back. Rounds
 // repeat the race so it is caught.
 func TestConcurrentEmitSnapshot(t *testing.T) {
@@ -218,31 +218,6 @@ func concurrentEmitSnapshotRound(t *testing.T) {
 					return
 				}
 			}
-		}
-	}()
-	// A resumed cursor gets each event at most once, in Seq order, and what
-	// it reads plus what it skipped is everything emitted.
-	var cursorRead, cursorMissed, cursorNext uint64
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var buf []Event
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			from := cursorNext
-			buf, cursorNext = tr.Read(from, buf[:0])
-			for i, ev := range buf {
-				if ev.Seq < from || (i > 0 && ev.Seq <= buf[i-1].Seq) {
-					t.Errorf("cursor read from %d delivered Seq %d out of order", from, ev.Seq)
-					return
-				}
-			}
-			cursorRead += uint64(len(buf))
-			cursorMissed += cursorNext - from - uint64(len(buf))
 		}
 	}()
 	// A slot's Seq only grows, or Read takes a slot a late producer set back
@@ -316,12 +291,6 @@ func concurrentEmitSnapshotRound(t *testing.T) {
 
 	if got := tr.Emitted(); got < producers*perProducer {
 		t.Fatalf("Emitted = %d, want >= %d", got, producers*perProducer)
-	}
-	events, next := tr.Read(cursorNext, nil)
-	cursorMissed += next - cursorNext - uint64(len(events))
-	if total := cursorRead + uint64(len(events)) + cursorMissed; total != tr.Emitted() {
-		t.Fatalf("cursor read %d + %d, missed %d: %d events, want all %d emitted",
-			cursorRead, len(events), cursorMissed, total, tr.Emitted())
 	}
 	if events, next := tr.Read(0, nil); len(events) != 256 || next != tr.Emitted() {
 		t.Fatalf("final read has %d events up to Seq %d, want the full ring of 256 up to %d", len(events), next, tr.Emitted())
