@@ -193,9 +193,8 @@ func BenchmarkDoSTinyWindowPinning(b *testing.B) {
 			b.Fatal(err)
 		}
 		opts := h2conn.Options{
-			Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 1}},
-			AutoSettingsAck: true,
-			AutoPingAck:     true,
+			Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 1}},
+			AutoAck:  true,
 		}
 		c, err := h2conn.Dial(nc, opts)
 		if err != nil {
@@ -284,8 +283,8 @@ func BenchmarkAblationFlowControlHeaders(b *testing.B) {
 					b.Fatal(err)
 				}
 				opts := h2conn.Options{
-					Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
-					AutoSettingsAck: true,
+					Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
+					AutoAck:  true,
 				}
 				c, err := h2conn.Dial(nc, opts)
 				if err != nil {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"h2scope/internal/attack"
 )
@@ -138,5 +142,56 @@ func TestRunFullBatteryMachineStdout(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "robustness:") {
 		t.Errorf("human output leaked onto machine stdout:\n%s", stdout.String())
+	}
+}
+
+// TestDebugAddrExportsAttackedServer: with -profile, -debug-addr serves the
+// attacked in-process server's own counters while the battery runs, not only
+// the runtime gauges.
+func TestDebugAddrExportsAttackedServer(t *testing.T) {
+	opts, err := parseFlags([]string{
+		"-profile", "nginx", "-scenario", "rapid-reset", "-duration", "1s", "-debug-addr", "127.0.0.1:0",
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(opts, pw, io.Discard)
+		_ = pw.Close()
+	}()
+	lines := bufio.NewScanner(pr)
+	if !lines.Scan() || !strings.HasPrefix(lines.Text(), "debug endpoint: ") {
+		t.Fatalf("first line %q, want the debug endpoint", lines.Text())
+	}
+	url := strings.TrimPrefix(lines.Text(), "debug endpoint: ")
+	go func() { _, _ = io.Copy(io.Discard, pr) }()
+
+	// accepted scrapes the counter; -1 when it is not exported.
+	accepted := func() int64 {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("scrape: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "h2_server_conns_accepted_total "); ok {
+				n, _ := strconv.ParseInt(v, 10, 64)
+				return n
+			}
+		}
+		return -1
+	}
+	n := accepted()
+	for deadline := time.Now().Add(500 * time.Millisecond); n <= 0 && time.Now().Before(deadline); n = accepted() {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n <= 0 {
+		t.Errorf("h2_server_conns_accepted_total = %d during the attack, want > 0", n)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }

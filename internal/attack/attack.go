@@ -24,6 +24,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sort"
@@ -334,11 +335,13 @@ func (r *Runner) Run(kind Kind, p Params) (Outcome, error) {
 		mu      sync.Mutex
 		colErr  error
 		codes   = map[string]struct{}{}
-		collect = func(t *tally, evs []h2conn.Event, killedEarly bool) {
+		collect = func(ops int64, failed bool, evs []h2conn.Event, killedEarly bool) {
 			mu.Lock()
 			defer mu.Unlock()
-			out.Ops += t.ops
-			out.Errors += t.errors
+			out.Ops += ops
+			if failed {
+				out.Errors++
+			}
 			out.Conns++
 			if killedEarly {
 				out.Killed++
@@ -373,7 +376,7 @@ func (r *Runner) Run(kind Kind, p Params) (Outcome, error) {
 					time.Sleep(10 * time.Millisecond)
 					continue
 				}
-				c, err := h2conn.Dial(nc, scn.options(p))
+				c, err := h2conn.Dial(nc, scn.options())
 				if err != nil {
 					_ = nc.Close()
 					mu.Lock()
@@ -382,10 +385,17 @@ func (r *Runner) Run(kind Kind, p Params) (Outcome, error) {
 					time.Sleep(10 * time.Millisecond)
 					continue
 				}
-				t := &tally{}
-				runErr := scn.run(c, p, deadline, newPacer(p, rng), t)
-				killedEarly := runErr != nil && time.Until(deadline) > 50*time.Millisecond
-				collect(t, c.Events(), killedEarly)
+				var ops int64
+				if scn.hold {
+					ops, err = scn.send(c, p, max(int64(p.Rate), 1), nil, deadline)
+				} else {
+					ops, err = scn.send(c, p, math.MaxInt64, newPacer(p, rng), deadline)
+				}
+				failed := err != nil
+				if !failed && scn.hold {
+					err = holdOpen(c, deadline)
+				}
+				collect(ops, failed, c.Events(), err != nil && time.Until(deadline) > 50*time.Millisecond)
 				_ = c.Close()
 			}
 		}(i)
@@ -443,10 +453,16 @@ func (r *Runner) RunAll(p Params) []Outcome {
 	return outs
 }
 
-// tally accumulates one connection's scenario counters.
-type tally struct {
-	ops    int64
-	errors int64
+// holdOpen keeps c open until deadline, sending nothing, and returns the
+// error that ended the connection first, if one did.
+func holdOpen(c *h2conn.Conn, deadline time.Time) error {
+	for time.Now().Before(deadline) {
+		if err := c.ReadErr(); err != nil {
+			return err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return nil
 }
 
 // pacer schedules scenario operations at the configured rate: operation n

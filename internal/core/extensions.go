@@ -47,9 +47,8 @@ func (p *Prober) ProbeExtensions(ctx context.Context) (*ExtensionsResult, error)
 func (p *Prober) probeSettingsAckAndUnknowns(ctx context.Context, res *ExtensionsResult) error {
 	opts := h2conn.Options{
 		// An unknown SETTINGS identifier rides along with the handshake.
-		Settings:        []frame.Setting{{ID: frame.SettingID(0xF0F0), Val: 1}},
-		AutoSettingsAck: true,
-		AutoPingAck:     true,
+		Settings: []frame.Setting{{ID: frame.SettingID(0xF0F0), Val: 1}},
+		AutoAck:  true,
 	}
 	c, err := p.connect(ctx, opts)
 	if err != nil {
@@ -73,7 +72,7 @@ func (p *Prober) probeSettingsAckAndUnknowns(ctx context.Context, res *Extension
 
 	// An unknown frame type must be ignored; the connection must still
 	// answer a request afterwards.
-	if err := c.WriteUnknownFrame(0xBE, 0x7, []byte{0xde, 0xad}); err != nil {
+	if err := c.WriteRawFrame(0xBE, 0x7, 0, []byte{0xde, 0xad}); err != nil {
 		return err
 	}
 	resp, err := c.FetchBody(h2conn.Request{Authority: p.cfg.Authority, Path: p.cfg.SmallPath}, p.cfg.Timeout)
@@ -89,7 +88,7 @@ func (p *Prober) probePingPriority(ctx context.Context, res *ExtensionsResult) e
 	// arrive before the transfer's final DATA frame (which we only unblock
 	// afterwards with WINDOW_UPDATE). A server that queues the PING behind
 	// the pending response bytes fails.
-	opts := h2conn.Options{AutoSettingsAck: true, AutoPingAck: true}
+	opts := h2conn.Options{AutoAck: true}
 	c, err := p.connect(ctx, opts)
 	if err != nil {
 		return err

@@ -52,8 +52,7 @@ func (p *Prober) ProbePriority(ctx context.Context) (*PriorityResult, error) {
 		Settings: []frame.Setting{
 			{ID: frame.SettingInitialWindowSize, Val: frame.MaxWindowSize},
 		},
-		AutoSettingsAck: true,
-		AutoPingAck:     true,
+		AutoAck: true,
 	}
 	c, err := p.connect(ctx, opts)
 	if err != nil {

@@ -175,9 +175,8 @@ func (p *Prober) ProbeFlowControlData(ctx context.Context, windowSize uint32) (*
 	ctx, end := p.phase(ctx, "flow-data")
 	defer end()
 	opts := h2conn.Options{
-		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: windowSize}},
-		AutoSettingsAck: true,
-		AutoPingAck:     true,
+		Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: windowSize}},
+		AutoAck:  true,
 	}
 	c, err := p.connect(ctx, opts)
 	if err != nil {
@@ -225,9 +224,8 @@ func (p *Prober) ProbeZeroWindowHeaders(ctx context.Context) (*ZeroWindowHeaders
 	ctx, end := p.phase(ctx, "zero-window-headers")
 	defer end()
 	opts := h2conn.Options{
-		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
-		AutoSettingsAck: true,
-		AutoPingAck:     true,
+		Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
+		AutoAck:  true,
 	}
 	c, err := p.connect(ctx, opts)
 	if err != nil {
@@ -306,7 +304,7 @@ func (p *Prober) probeWindowUpdate(ctx context.Context, provoke func(*h2conn.Con
 // classifies the reaction. At the stream level the stream must be open and
 // flow-blocked, so the provocation waits for the response to start.
 func (p *Prober) windowUpdateReaction(ctx context.Context, provoke func(*h2conn.Conn, uint32) error, onStream bool) (Observation, h2conn.Event, error) {
-	c, err := p.connect(ctx, h2conn.Options{AutoSettingsAck: true, AutoPingAck: true})
+	c, err := p.connect(ctx, h2conn.Options{AutoAck: true})
 	if err != nil {
 		return 0, h2conn.Event{}, err
 	}

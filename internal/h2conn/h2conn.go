@@ -96,20 +96,16 @@ type Options struct {
 	// Settings is the client SETTINGS frame payload. Nil sends an empty
 	// SETTINGS frame (still required by RFC 7540 section 3.5).
 	Settings []frame.Setting
-	// AutoPingAck answers server PINGs. The zero value leaves them to the
-	// caller (probes that time or withhold the ACK); DefaultOptions turns
-	// it on, as any long-lived connection should.
-	AutoPingAck bool
-	// AutoSettingsAck acknowledges server SETTINGS frames.
-	AutoSettingsAck bool
-	// AutoStreamWindow, when nonzero, enables automatic stream-level flow
-	// control: after each DATA frame the consumed octets are replenished
-	// with a WINDOW_UPDATE, keeping the window at its initial size (a
-	// blind fixed-size refill would eventually overflow the peer's 2^31-1
-	// accounting). Probes leave it zero for manual control.
-	AutoStreamWindow uint32
-	// AutoConnWindow is the connection-level analogue of AutoStreamWindow.
-	AutoConnWindow uint32
+	// AutoAck acknowledges server SETTINGS and answers server PINGs. The
+	// zero value leaves both to the caller (probes that time or withhold an
+	// ACK); DefaultOptions turns it on, as any long-lived connection should.
+	AutoAck bool
+	// AutoWindow enables automatic flow control: after each DATA frame the
+	// consumed octets are replenished with a stream and a connection
+	// WINDOW_UPDATE, keeping both windows at their initial sizes (a blind
+	// fixed-size refill would eventually overflow the peer's 2^31-1
+	// accounting). Probes leave it off for manual control.
+	AutoWindow bool
 	// Tracer, when non-nil, receives frame-level trace events for this
 	// connection (both directions) plus its open/close lifecycle. The
 	// decoded Event log above is unaffected; the tracer is the cross-layer
@@ -146,12 +142,7 @@ const eventLogCap = 32768
 // transfer, page loads) advertise a larger SETTINGS_INITIAL_WINDOW_SIZE on
 // top, as pageload does.
 func DefaultOptions() Options {
-	return Options{
-		AutoPingAck:      true,
-		AutoSettingsAck:  true,
-		AutoStreamWindow: 1 << 20,
-		AutoConnWindow:   1 << 20,
-	}
+	return Options{AutoAck: true, AutoWindow: true}
 }
 
 // Conn is a client-side HTTP/2 connection.
@@ -354,7 +345,7 @@ func (c *Conn) dispatch(f frame.Frame) {
 		ev.HeaderBlockLen = len(f.Fragment)
 	case *frame.SettingsFrame:
 		ev.Settings = append([]frame.Setting(nil), f.Settings...)
-		if !f.IsAck() && c.opts.AutoSettingsAck {
+		if !f.IsAck() && c.opts.AutoAck {
 			_ = c.fr.WriteSettingsAck()
 			_ = c.fr.Flush()
 		}
@@ -374,7 +365,7 @@ func (c *Conn) dispatch(f frame.Frame) {
 		ev.Increment = f.Increment
 	case *frame.PingFrame:
 		ev.PingData = f.Data
-		if !f.IsAck() && c.opts.AutoPingAck {
+		if !f.IsAck() && c.opts.AutoAck {
 			_ = c.fr.WritePing(true, f.Data)
 			_ = c.fr.Flush()
 		}
@@ -394,26 +385,22 @@ func (c *Conn) dispatch(f frame.Frame) {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
-	if consumed > 0 {
+	if consumed > 0 && c.opts.AutoWindow {
 		// Replenish exactly what the frame consumed, padding included, so
 		// the peer's send windows hold steady at their initial sizes
 		// indefinitely. The stream and connection updates coalesce into one
 		// write at the trailing Flush.
 		wrote := false
-		if c.opts.AutoStreamWindow > 0 {
-			if c.fr.WriteWindowUpdate(ev.StreamID, consumed) == nil {
-				wrote = true
-				if c.opts.Metrics != nil {
-					c.opts.Metrics.autoWindowStream.Inc()
-				}
+		if c.fr.WriteWindowUpdate(ev.StreamID, consumed) == nil {
+			wrote = true
+			if c.opts.Metrics != nil {
+				c.opts.Metrics.autoWindowStream.Inc()
 			}
 		}
-		if c.opts.AutoConnWindow > 0 {
-			if c.fr.WriteWindowUpdate(0, consumed) == nil {
-				wrote = true
-				if c.opts.Metrics != nil {
-					c.opts.Metrics.autoWindowConn.Inc()
-				}
+		if c.fr.WriteWindowUpdate(0, consumed) == nil {
+			wrote = true
+			if c.opts.Metrics != nil {
+				c.opts.Metrics.autoWindowConn.Inc()
 			}
 		}
 		if wrote {
@@ -687,7 +674,9 @@ func (c *Conn) WriteRSTStream(streamID uint32, code frame.ErrCode) error {
 }
 
 // WriteRawFrame sends an arbitrary frame verbatim — the escape hatch for
-// conformance checks that need deliberately malformed frames.
+// conformance checks that need deliberately malformed frames, or frames of a
+// type the peer does not know (RFC 7540 section 4.1 requires it to ignore
+// those).
 func (c *Conn) WriteRawFrame(t frame.Type, flags frame.Flags, streamID uint32, payload []byte) error {
 	if t == frame.TypeHeaders || t == frame.TypeContinuation {
 		c.blockOpen.Store(!flags.Has(frame.FlagEndHeaders))
@@ -710,13 +699,6 @@ func (c *Conn) WriteHeadersRaw(streamID uint32, fragment []byte, endStream, endH
 // WritePing sends a PING without waiting for the acknowledgment.
 func (c *Conn) WritePing(data [8]byte) error {
 	return c.flushAfter(c.fr.WritePing(false, data))
-}
-
-// WriteUnknownFrame sends a frame of an arbitrary (possibly unknown) type
-// on stream 0; RFC 7540 section 4.1 requires peers to ignore types they do
-// not understand.
-func (c *Conn) WriteUnknownFrame(t frame.Type, flags frame.Flags, payload []byte) error {
-	return c.flushAfter(c.fr.WriteRawFrame(t, flags, 0, payload))
 }
 
 // Ping sends a PING and waits for the matching ACK, returning the RTT.

@@ -117,7 +117,7 @@ func TestDialSendsPrefaceAndSettings(t *testing.T) {
 }
 
 func TestAutoSettingsAck(t *testing.T) {
-	_, fs := dialFake(t, h2conn.Options{AutoSettingsAck: true})
+	_, fs := dialFake(t, h2conn.Options{AutoAck: true})
 	fs.expectFrame(frame.TypeSettings) // client settings
 	if err := fs.fr.WriteSettings(); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestAutoSettingsAck(t *testing.T) {
 }
 
 func TestAutoPingAck(t *testing.T) {
-	_, fs := dialFake(t, h2conn.Options{AutoPingAck: true})
+	_, fs := dialFake(t, h2conn.Options{AutoAck: true})
 	fs.expectFrame(frame.TypeSettings)
 	data := [8]byte{9, 8, 7, 6, 5, 4, 3, 2}
 	if err := fs.fr.WritePing(false, data); err != nil {
@@ -526,9 +526,8 @@ func (fs *fakeServer) readWindowUpdates() map[uint32][]uint32 {
 // frame's refill is data + pad + 1, also when it carries no data.
 func TestAutoWindowUpdateRefillsAfterData(t *testing.T) {
 	c, fs := dialFake(t, h2conn.Options{
-		AutoPingAck:      true,
-		AutoStreamWindow: 4096,
-		AutoConnWindow:   8192,
+		AutoAck:    true,
+		AutoWindow: true,
 	})
 	fs.expectFrame(frame.TypeSettings)
 	id, err := c.OpenStream(h2conn.Request{Authority: "a"})

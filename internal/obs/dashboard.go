@@ -84,7 +84,6 @@ type DashState struct {
 	FailureKinds  map[string]int64 `json:"failureKinds,omitempty"`
 	Phases        []PhaseStat      `json:"phases,omitempty"`
 	RingEmitted   int64            `json:"ringEmitted"`
-	RingDropped   int64            `json:"ringDropped"`
 	EventsMissed  int64            `json:"eventsMissed"`
 	Conns         *ConnStat        `json:"conns,omitempty"`
 	Egress        *EgressStat      `json:"egress,omitempty"`
@@ -142,8 +141,6 @@ func (d *Dashboard) state() *DashState {
 			st.Targets += m.Value
 		case m.Name == "h2_trace_events_total":
 			st.RingEmitted += m.Value
-		case m.Name == "h2_trace_dropped_total":
-			st.RingDropped += m.Value
 		case m.Name == "h2_obs_events_missed_total":
 			st.EventsMissed += m.Value
 		case m.Name == "h2_server_active_conns":
@@ -294,7 +291,6 @@ th { color: #9aa5b1; font-weight: normal; border-bottom: 1px solid #2a3138; }
 <h2>trace bus</h2>
 <table>
 <tr><td>ring emitted</td><td>{{.RingEmitted}}</td></tr>
-<tr><td>ring dropped</td><td>{{.RingDropped}}</td></tr>
 </table>
 {{if .Exemplars}}<h2>slow-sample exemplars</h2>
 <table><tr><th>phase</th><th>target</th><th>conn</th><th>duration</th><th>trace</th></tr>

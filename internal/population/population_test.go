@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"h2scope/internal/core"
+	"h2scope/internal/metrics"
+	"h2scope/internal/obs"
 	"h2scope/internal/population"
+	"h2scope/internal/scan"
 	"h2scope/internal/server"
 	"h2scope/internal/stats"
 	"h2scope/internal/store"
@@ -759,5 +762,26 @@ func TestTraceIsOnDiskBeforeItsRecord(t *testing.T) {
 	}
 	if seen != 3 || sum.Stats.TraceEvents == 0 {
 		t.Errorf("sink saw %d records, stats count %d trace events, want 3 and some", seen, sum.Stats.TraceEvents)
+	}
+}
+
+// TestSiteTracesDropNothing: with an Observer every scanned site gets its own
+// trace ring, sized for one battery; across 100 sites of each epoch no ring
+// overwrote an event the spans are built from.
+func TestSiteTracesDropNothing(t *testing.T) {
+	for _, e := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
+		var most uint64
+		sum, err := population.Scan(population.Generate(e, 0.01, 3), population.ScanOptions{
+			SampleSize: 100, Parallelism: 16, Seed: 3,
+			Observer: obs.NewMonitor(metrics.NewRegistry()),
+			OnRecord: func(rec scan.Record) { most = max(most, rec.Trace.Emitted()) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%v: %d trace events over %d sites, at most %d on one", e, sum.Stats.TraceEvents, sum.Scanned, most)
+		if sum.Scanned != 100 || sum.Stats.TraceEvents == 0 || sum.Stats.TraceDropped != 0 {
+			t.Errorf("%v: %d sites scanned, %d trace events, %d dropped; want 100, some, 0", e, sum.Scanned, sum.Stats.TraceEvents, sum.Stats.TraceDropped)
+		}
 	}
 }

@@ -123,6 +123,13 @@ type ScanOptions struct {
 // per-host budget allows one full Timeout for each.
 const batteryProbes = 12
 
+// siteTraceCapacity is the ring each scanned site's tracer gets. A battery
+// emits about 400 events (at most 451 on one site, over 100 sites of each
+// epoch at scale 0.01), so 1,024 slots hold a whole site with room to spare,
+// at an eighth of trace.DefaultCapacity's allocation;
+// TestSiteTracesDropNothing holds it to that.
+const siteTraceCapacity = 1024
+
 // Scan materializes a sample of the population as live servers, runs the
 // full H2Scope battery against each through the scan engine, and aggregates
 // the measured results as the sites finalize. Failed sites are counted in the
@@ -179,7 +186,7 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 		}
 	}
 	if opts.TraceDir != "" || opts.Observer != nil {
-		scanOpts.NewTracer = func(scan.Target) *trace.Tracer { return trace.New(0) }
+		scanOpts.NewTracer = func(scan.Target) *trace.Tracer { return trace.New(siteTraceCapacity) }
 	}
 	if opts.Observer != nil {
 		// The -progress line grows live phase-latency columns.

@@ -92,7 +92,7 @@ func runStreamModel(t testing.TB, p Profile, seed int64, ops int) []byte {
 		defer close(served)
 		_ = srv.ServeConn(serverNC)
 	}()
-	c, err := h2conn.Dial(rec, h2conn.Options{AutoSettingsAck: true, AutoPingAck: true})
+	c, err := h2conn.Dial(rec, h2conn.Options{AutoAck: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,9 +181,8 @@ func TestFlowControlOneByteWindow(t *testing.T) {
 	// Section III-B.1: with SETTINGS_INITIAL_WINDOW_SIZE=1 the first DATA
 	// frame must carry exactly one byte.
 	opts := h2conn.Options{
-		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 1}},
-		AutoSettingsAck: true,
-		AutoPingAck:     true,
+		Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 1}},
+		AutoAck:  true,
 	}
 	c := start(t, server.ApacheProfile())(opts)
 	if _, err := c.WaitSettings(testTimeout); err != nil {
@@ -208,8 +207,8 @@ func TestZeroInitialWindowHeadersBehavior(t *testing.T) {
 	// Section III-B.2: at SETTINGS_INITIAL_WINDOW_SIZE=0 a compliant server
 	// returns HEADERS without DATA; LiteSpeed withholds even HEADERS.
 	opts := h2conn.Options{
-		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
-		AutoSettingsAck: true,
+		Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 0}},
+		AutoAck:  true,
 	}
 	t.Run("compliant", func(t *testing.T) {
 		c := start(t, server.NginxProfile())(opts)
@@ -348,7 +347,7 @@ func TestLargeWindowUpdateReactions(t *testing.T) {
 			t.Parallel()
 			// No automatic window refills: the stream must stay open and
 			// flow-blocked while the oversized updates arrive.
-			c := start(t, p)(h2conn.Options{AutoSettingsAck: true, AutoPingAck: true})
+			c := start(t, p)(h2conn.Options{AutoAck: true})
 			if _, err := c.WaitSettings(testTimeout); err != nil {
 				t.Fatal(err)
 			}
@@ -429,7 +428,7 @@ func TestMaxConcurrentStreamsEnforcement(t *testing.T) {
 		// initial window, so the first stream is still open however late the
 		// second request arrives.
 		opts := h2conn.DefaultOptions()
-		opts.AutoStreamWindow, opts.AutoConnWindow = 0, 0
+		opts.AutoWindow = false
 		c := start(t, p1)(opts)
 		if _, err := c.WaitSettings(testTimeout); err != nil {
 			t.Fatal(err)
@@ -739,9 +738,8 @@ func TestPushedStreamsRespectFlowControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := h2conn.Options{
-		Settings:        []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 16}},
-		AutoSettingsAck: true,
-		AutoPingAck:     true,
+		Settings: []frame.Setting{{ID: frame.SettingInitialWindowSize, Val: 16}},
+		AutoAck:  true,
 	}
 	c, err := h2conn.Dial(nc, opts)
 	if err != nil {

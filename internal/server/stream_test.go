@@ -166,7 +166,7 @@ func TestResetStreamSendsNothingMore(t *testing.T) {
 		t.Run(tc.p.Family, func(t *testing.T) {
 			// No automatic window refills: the 65,535-octet windows stop the
 			// 96 KiB body part way.
-			c := dialServed(t, New(tc.p, DefaultSite("reset.example")), h2conn.Options{AutoSettingsAck: true, AutoPingAck: true})
+			c := dialServed(t, New(tc.p, DefaultSite("reset.example")), h2conn.Options{AutoAck: true})
 			id, err := c.OpenStream(h2conn.Request{Authority: "reset.example", Path: "/large/1"})
 			if err != nil {
 				t.Fatal(err)

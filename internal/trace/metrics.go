@@ -8,8 +8,10 @@ import (
 // gauges, so the -debug-addr endpoint shows whether traces are complete:
 //
 //	h2_trace_events_total   events emitted over the tracer's lifetime
-//	h2_trace_dropped_total  events the ring overwrote before snapshotting
 //	h2_trace_ring_capacity  ring size in slots
+//
+// No gauge counts overwrites: a live ring overwrites every lap, read or not.
+// What a live reader missed is h2_obs_events_missed_total (obs.Monitor.Watch).
 //
 // GaugeFunc re-registration replaces the reader, so a caller that swaps
 // tracers (the scan engine creates one per target) re-points the gauges at
@@ -19,9 +21,6 @@ func (t *Tracer) ExportMetrics(r *metrics.Registry) {
 	r.GaugeFunc("h2_trace_events_total",
 		"trace events emitted over the tracer's lifetime (overwritten ones included)",
 		func() int64 { return int64(t.Emitted()) })
-	r.GaugeFunc("h2_trace_dropped_total",
-		"trace events overwritten in the ring before they could be snapshotted",
-		func() int64 { return int64(t.Dropped()) })
 	r.GaugeFunc("h2_trace_ring_capacity",
 		"trace ring capacity in event slots",
 		func() int64 { return int64(t.Capacity()) })
