@@ -83,7 +83,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.Int64Var(&o.seed, "seed", 0, "jitter seed (0 derives one per scenario)")
 	fs.DurationVar(&o.timeout, "timeout", 2*time.Second, "health-probe timeout; a post-attack probe over it marks the server hung")
 	fs.StringVar(&o.outPath, "out", "", "append JSONL outcome records to this file; \"-\" streams them to stdout")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics (with -profile, the attacked server's h2_server_* counters too), /metrics.json, expvar, and pprof on this address (\":0\" picks a port) during the battery")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics (with -profile, the attacked server's h2_server_* counters too) and pprof on this address (\":0\" picks a port) during the battery")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.StringVar(&o.outPath, "out", "", "append per-site scan records (JSON lines) to this file, each written as its site finishes (completion order; a killed census leaves a file -analyze reads); \"-\" streams records to stdout and moves tables to stderr")
 	fs.StringVar(&o.traceDir, "trace", "", "directory to write per-site frame-level traces (JSONL, view with h2trace); needs -sample > 0")
 	fs.StringVar(&o.analyze, "analyze", "", "skip generation: analyze a previously written records file and exit")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, expvar, and pprof on this address (\":0\" picks a port) while the census runs")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve live /metrics, /dashboard and pprof on this address (\":0\" picks a port) while the census runs")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"h2scope/internal/metrics"
 	"h2scope/internal/population"
 	"h2scope/internal/store"
 )
@@ -220,8 +219,8 @@ func TestMachineCleanStdout(t *testing.T) {
 
 // TestDebugEndpointsLiveDuringScan covers the -debug-addr contract end to
 // end: while a netsim census scan is in flight, one HTTP GET against each of
-// the four endpoint kinds (Prometheus text, JSON snapshot, expvar, pprof)
-// must succeed and show the scan's own instruments.
+// the two endpoint kinds (Prometheus text, pprof) must succeed and show the
+// scan's own instruments.
 func TestDebugEndpointsLiveDuringScan(t *testing.T) {
 	opts, err := parseFlags([]string{
 		"-epoch", "1", "-scale", "0.002", "-sample", "4", "-debug-addr", "127.0.0.1:0",
@@ -240,7 +239,7 @@ func TestDebugEndpointsLiveDuringScan(t *testing.T) {
 		// are still being probed: the endpoint answers mid-scan.
 		once.Do(func() {
 			client := &http.Client{Timeout: 5 * time.Second}
-			for _, p := range []string{"/metrics", "/metrics.json", "/debug/vars", "/debug/pprof/cmdline"} {
+			for _, p := range []string{"/metrics", "/debug/pprof/cmdline"} {
 				resp, err := client.Get("http://" + addr + p)
 				if err != nil {
 					fetchErr = fmt.Errorf("GET %s: %w", p, err)
@@ -268,27 +267,14 @@ func TestDebugEndpointsLiveDuringScan(t *testing.T) {
 	if fetchErr != nil {
 		t.Fatal(fetchErr)
 	}
-	if len(fetched) != 4 {
-		t.Fatalf("fetched %d endpoints, want 4 (no scan record fired?)", len(fetched))
+	if len(fetched) != 2 {
+		t.Fatalf("fetched %d endpoints, want 2 (no scan record fired?)", len(fetched))
 	}
 	if !strings.Contains(fetched["/metrics"], "h2_scan_targets_total") {
 		t.Errorf("/metrics missing h2_scan_targets_total:\n%.400s", fetched["/metrics"])
 	}
 	if !strings.Contains(fetched["/metrics"], "# TYPE h2_scan_target_latency_ns histogram") {
 		t.Errorf("/metrics missing histogram TYPE line:\n%.400s", fetched["/metrics"])
-	}
-	var snapDoc struct {
-		Metrics []metrics.MetricSnapshot `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(fetched["/metrics.json"]), &snapDoc); err != nil {
-		t.Fatalf("/metrics.json is not a snapshot document: %v", err)
-	}
-	if len(snapDoc.Metrics) == 0 {
-		t.Error("/metrics.json snapshot is empty")
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(fetched["/debug/vars"]), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
 	}
 	if fetched["/debug/pprof/cmdline"] == "" {
 		t.Error("/debug/pprof/cmdline returned an empty body")

@@ -57,7 +57,6 @@ func run(args []string, stdout io.Writer) error {
 		smallPath = fs.String("small", "/about.html", "small page for settings/HPACK/ping probes")
 		asJSON    = fs.Bool("json", false, "emit the report as JSON")
 		traceDir  = fs.String("trace", "", "directory to write a frame-level trace (JSONL, view with h2trace)")
-		exts      = fs.Bool("extensions", false, "also run the beyond-paper extension probes")
 		h2c       = fs.Bool("h2c-upgrade", false, "probe the cleartext Upgrade: h2c path (plain TCP targets only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -146,26 +145,18 @@ func run(args []string, stdout io.Writer) error {
 			rec.Outcome, rec.Attempts, rec.Kind, rec.Err)
 	}
 	report := rec.Value.(*core.Report)
-	prober := core.NewProber(dialer, cfg)
-	var extResult *core.ExtensionsResult
-	if *exts {
-		if extResult, err = prober.ProbeExtensions(context.Background()); err != nil {
-			fmt.Fprintln(os.Stderr, "h2scope: extensions:", err)
-		}
-	}
 	var h2cResult *core.H2CResult
 	if *h2c && !*useTLS {
-		if h2cResult, err = prober.ProbeH2CUpgrade(context.Background()); err != nil {
+		if h2cResult, err = core.NewProber(dialer, cfg).ProbeH2CUpgrade(context.Background()); err != nil {
 			fmt.Fprintln(os.Stderr, "h2scope: h2c:", err)
 		}
 	}
 
 	if *asJSON {
 		out := struct {
-			Report     *core.Report           `json:"report"`
-			Extensions *core.ExtensionsResult `json:"extensions,omitempty"`
-			H2C        *core.H2CResult        `json:"h2cUpgrade,omitempty"`
-		}{report, extResult, h2cResult}
+			Report *core.Report    `json:"report"`
+			H2C    *core.H2CResult `json:"h2cUpgrade,omitempty"`
+		}{report, h2cResult}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
@@ -200,11 +191,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	for _, e := range report.Errors {
 		fmt.Fprintf(stdout, "  probe error: %s\n", e)
-	}
-	if extResult != nil {
-		fmt.Fprintf(stdout, "  extensions: settings-ack=%v unknown-frame-ignored=%v unknown-setting-ignored=%v ping-prioritized=%v\n",
-			extResult.SettingsAcked, extResult.UnknownFrameIgnored,
-			extResult.UnknownSettingIgnored, extResult.PingAckPrioritized)
 	}
 	if h2cResult != nil {
 		fmt.Fprintf(stdout, "  h2c upgrade: accepted=%v h2-works=%v\n", h2cResult.UpgradeAccepted, h2cResult.H2Works)

@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		addr        = fs.String("addr", "127.0.0.1:8443", "listen address")
 		domain      = fs.String("domain", "testbed.example", "site domain (:authority)")
 		useTLS      = fs.Bool("tls", false, "serve HTTP/2 over TLS with a self-signed certificate and ALPN")
-		debugAddr   = fs.String("debug-addr", "", "serve live /metrics, /metrics.json, /dashboard, /trace.jsonl, expvar, and pprof on this address (\":0\" picks a port) alongside the server")
+		debugAddr   = fs.String("debug-addr", "", "serve live /metrics, /dashboard, /trace.jsonl and pprof on this address (\":0\" picks a port) alongside the server")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -230,17 +230,21 @@ func TestSuiteDetectsPingViolation(t *testing.T) {
 	env := newEnv(t, p, 0)
 	env.Timeout = time.Second
 	results := conformance.RunSuite(env)
-	var found *conformance.Result
-	for i := range results {
-		if results[i].ID == "6.7/ping-ack-payload" {
-			found = &results[i]
+	// The PING must be answered on an idle connection (6.7) and while the
+	// server may send no DATA, every response pinned by a zero stream window.
+	for _, id := range []string{"6.7/ping-ack-payload", "attack/zero-window"} {
+		var found *conformance.Result
+		for i := range results {
+			if results[i].ID == id {
+				found = &results[i]
+			}
 		}
-	}
-	if found == nil {
-		t.Fatal("ping check missing from suite")
-	}
-	if found.Verdict != conformance.Fail {
-		t.Errorf("ping check = %v, want FAIL for a non-acking server", found.Verdict)
+		if found == nil {
+			t.Fatalf("%s missing from suite", id)
+		}
+		if found.Verdict != conformance.Fail {
+			t.Errorf("%s = %v, want FAIL for a non-acking server", id, found.Verdict)
+		}
 	}
 	if len(conformance.Failures(results)) == 0 {
 		t.Error("Failures empty despite a violation")

@@ -362,39 +362,6 @@ func TestSchedulingModePartialCompliance(t *testing.T) {
 	}
 }
 
-func TestProbeExtensionsCompliantServer(t *testing.T) {
-	prober := newProber(t, server.ApacheProfile())
-	res, err := prober.ProbeExtensions(context.Background())
-	if err != nil {
-		t.Fatalf("ProbeExtensions: %v", err)
-	}
-	if !res.SettingsAcked {
-		t.Error("SettingsAcked = false")
-	}
-	if !res.UnknownSettingIgnored {
-		t.Error("UnknownSettingIgnored = false")
-	}
-	if !res.UnknownFrameIgnored {
-		t.Error("UnknownFrameIgnored = false")
-	}
-	if !res.PingAckPrioritized {
-		t.Error("PingAckPrioritized = false")
-	}
-}
-
-func TestProbeExtensionsPingDisabled(t *testing.T) {
-	p := server.NginxProfile()
-	p.AnswerPing = false
-	prober := newProber(t, p)
-	res, err := prober.ProbeExtensions(context.Background())
-	if err != nil {
-		t.Fatalf("ProbeExtensions: %v", err)
-	}
-	if res.PingAckPrioritized {
-		t.Error("PingAckPrioritized = true for a server that never ACKs PING")
-	}
-}
-
 func TestProbeH2CUpgrade(t *testing.T) {
 	// An HTTP/1.1 front end with h2c support accepts the upgrade and
 	// serves HTTP/2 on the same connection; one without it refuses.

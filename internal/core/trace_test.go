@@ -87,9 +87,8 @@ func TestMultiplexingProbeTrace(t *testing.T) {
 // without the trailing () fails here.
 func TestBatteryTraceBalanced(t *testing.T) {
 	p, tr := newTracedProber(t, server.H2OProfile())
-	_, err := p.RunContext(context.Background())
-	if _, xerr := p.ProbeExtensions(context.Background()); err != nil || xerr != nil {
-		t.Fatalf("battery: %v, extensions: %v", err, xerr)
+	if _, err := p.RunContext(context.Background()); err != nil {
+		t.Fatalf("battery: %v", err)
 	}
 	open := map[string]int{} // phase or region name -> starts minus ends so far
 	for _, ev := range tr.Snapshot() {

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,9 +11,8 @@ import (
 	"time"
 )
 
-// Handler serves registry snapshots over HTTP in two formats: Prometheus
-// text exposition (the default) and a JSON snapshot (path ending in .json
-// or ?format=json). One handler can expose several registries — the debug
+// Handler serves registry snapshots over HTTP in the Prometheus text
+// exposition format. One handler can expose several registries — the debug
 // endpoint merges the process-wide registry with per-subsystem ones.
 type Handler struct {
 	regs []*Registry
@@ -37,23 +34,10 @@ func (h *Handler) snapshot() []MetricSnapshot {
 }
 
 // ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	snap := h.snapshot()
+func (h *Handler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	var buf bytes.Buffer
-	if strings.HasSuffix(r.URL.Path, ".json") || r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
-			Metrics []MetricSnapshot `json:"metrics"`
-		}{snap}); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	} else {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(&buf, snap)
-	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	WritePrometheus(&buf, h.snapshot())
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		// The scrape client went away mid-response; there is no one left to
 		// tell, but the discard stays deliberate (and lint-visible).
@@ -125,16 +109,12 @@ func labelBlock(labels string) string {
 	return "{" + labels + "}"
 }
 
-// NewDebugMux builds the full debug surface: /metrics (Prometheus text),
-// /metrics.json (JSON snapshot), /debug/vars (expvar), and /debug/pprof/*
-// (the standard profiling endpoints), all on a private mux so mounting
-// never touches http.DefaultServeMux.
+// NewDebugMux builds the full debug surface: /metrics (Prometheus text) and
+// /debug/pprof/* (the standard profiling endpoints), on a private mux so
+// mounting never touches http.DefaultServeMux.
 func NewDebugMux(regs ...*Registry) *http.ServeMux {
 	mux := http.NewServeMux()
-	h := NewHandler(regs...)
-	mux.Handle("/metrics", h)
-	mux.Handle("/metrics.json", h)
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.Handle("/metrics", NewHandler(regs...))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,33 +70,6 @@ func TestHandlerLabeledHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHandlerJSON(t *testing.T) {
-	for _, target := range []string{"/metrics.json", "/metrics?format=json"} {
-		rec := httptest.NewRecorder()
-		NewHandler(testRegistry()).ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
-		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-			t.Fatalf("%s: Content-Type = %q, want application/json", target, ct)
-		}
-		var out struct {
-			Metrics []MetricSnapshot `json:"metrics"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatalf("%s: bad JSON: %v", target, err)
-		}
-		byName := make(map[string]MetricSnapshot)
-		for _, m := range out.Metrics {
-			byName[m.Name] = m
-		}
-		if byName["h2_test_total"].Value != 7 {
-			t.Errorf("%s: h2_test_total = %+v, want value 7", target, byName["h2_test_total"])
-		}
-		hist := byName["h2_test_latency_ns"].Histogram
-		if hist == nil || hist.Count != 2 {
-			t.Errorf("%s: histogram snapshot missing or wrong: %+v", target, hist)
-		}
-	}
-}
-
 func TestHandlerMergesRegistries(t *testing.T) {
 	r1, r2 := NewRegistry(), NewRegistry()
 	r1.Counter("from_one", "").Inc()
@@ -146,12 +118,6 @@ func TestDebugServerEndpoints(t *testing.T) {
 	// The runtime sampler seeded go_* gauges into the same registry.
 	if body := get("/metrics"); !strings.Contains(body, "go_goroutines") {
 		t.Errorf("/metrics missing runtime gauges:\n%s", body)
-	}
-	if body := get("/metrics.json"); !strings.Contains(body, `"h2_test_total"`) {
-		t.Errorf("/metrics.json missing counter:\n%s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "memstats") {
-		t.Errorf("/debug/vars not expvar output:\n%.200s", body)
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ index unexpected:\n%.200s", body)

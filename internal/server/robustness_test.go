@@ -642,6 +642,31 @@ func TestConnWindowStallExactAccounting(t *testing.T) {
 		t.Fatalf("stream stalls = %d, want 0 (the stream window never binds)", got)
 	}
 
+	// A PING is answered while the connection window holds back the rest of
+	// the response (RFC 7540 section 6.7: PING has no flow control).
+	mark := [8]byte{'c', 'o', 'n', 'n', 's', 't', 'a', 'l'}
+	if err := fr.WritePing(false, mark); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.After(2 * time.Second); ; {
+		var f frame.Frame
+		select {
+		case next, ok := <-ch:
+			if !ok {
+				t.Fatal("connection closed while waiting for the PING ACK")
+			}
+			f = next
+		case <-deadline:
+			t.Fatal("no PING ACK while the connection window is exhausted")
+		}
+		if df, ok := f.(*frame.DataFrame); ok {
+			t.Fatalf("server sent %d octets past an exhausted connection window", df.FlowControlLen())
+		}
+		if pf, ok := f.(*frame.PingFrame); ok && pf.IsAck() && pf.Data == mark {
+			break
+		}
+	}
+
 	if err := fr.WriteWindowUpdate(0, 1024); err != nil {
 		t.Fatal(err)
 	}

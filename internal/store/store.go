@@ -50,8 +50,8 @@ type Record struct {
 	// the engine's final counter snapshot instead of a per-site report.
 	Stats *scan.Stats `json:"stats,omitempty"`
 	// Metrics, set only on stats trailers, embeds the run's final metrics
-	// registry snapshot (the same shape the live /metrics.json endpoint
-	// serves), so offline analysis sees the process-level instruments too.
+	// registry snapshot (the instruments the live /metrics endpoint
+	// exposes), so offline analysis sees the process-level instruments too.
 	Metrics []metrics.MetricSnapshot `json:"metrics,omitempty"`
 }
 
