@@ -90,27 +90,29 @@ func survivesOrRefuses(env *Env, c *h2conn.Conn, _ int64, _ error, fail string) 
 	return Fail, fail
 }
 
-// mustRefuse: the server ends the burst — its writes fail, it sends GOAWAY,
-// or it closes the connection. The writes-refused detail counts one KiB per
+// mustRefuse: the server ends the burst — it sends GOAWAY, its writes fail,
+// or it closes the connection. A GOAWAY is named even when writes failed
+// after it: which of the two the client meets first is a race, and the
+// detail must not follow it. The writes-refused detail counts one KiB per
 // operation, the CONTINUATION flood's fragment size.
 func mustRefuse(env *Env, c *h2conn.Conn, sent int64, err error, fail string) (Verdict, string) {
-	switch {
-	case err != nil && sent == 0:
+	if err != nil && sent == 0 {
 		return Skip, err.Error()
-	case err != nil:
-		return Pass, fmt.Sprintf("writes refused after %d KiB", sent)
 	}
 	if ok, code := env.waitGoAway(c, 0, true); ok {
 		return Pass, fmt.Sprintf("refused with GOAWAY(%v)", code)
 	}
-	if err := c.ReadErr(); err != nil {
+	switch {
+	case err != nil:
+		return Pass, fmt.Sprintf("writes refused after %d KiB", sent)
+	case c.ReadErr() != nil:
 		return Pass, "connection closed"
 	}
 	return Fail, fail
 }
 
 // refusesWith: the server answers the burst with GOAWAY(want), the verdict
-// expectGoAway gives a provocation.
+// goAway gives a provocation.
 func refusesWith(want frame.ErrCode) judgement {
 	return func(env *Env, c *h2conn.Conn, _ int64, err error, fail string) (Verdict, string) {
 		if err != nil {

@@ -5,9 +5,12 @@
 // future-work direction — as named, independently runnable checks with a
 // uniform verdict vocabulary.
 //
-// Each check opens its own connection, performs one provocation, and
-// classifies the outcome as Pass, Fail, or Skip, citing the RFC section it
-// covers.
+// A check is one row of a table: its ID, the RFC section it covers, the
+// requirement, and how it runs. Each opens its own connection, performs one
+// provocation, and classifies the outcome as Pass, Fail, or Skip. Most rows
+// apply one of two judgements to a provocation (goAway: the server must end
+// the connection with a given error code; usable: it must go on serving);
+// the rest name a function of their own.
 package conformance
 
 import (
@@ -130,22 +133,79 @@ func (e *Env) waitGoAway(c *h2conn.Conn, code frame.ErrCode, any bool) (bool, fr
 	return any || ev.ErrCode == code, ev.ErrCode
 }
 
-// expectGoAway is the skeleton the negative checks share: connect with opts,
-// run the provocation (nil when the client SETTINGS are the provocation), and
-// await GOAWAY(want) through goAwayVerdict. A connect or provocation error is
-// a Skip.
-func (e *Env) expectGoAway(opts h2conn.Options, want frame.ErrCode, tolerated string, provoke func(*h2conn.Conn) error) (Verdict, string) {
-	c, err := e.connect(opts)
-	if err != nil {
-		return Skip, err.Error()
+// provocation is what a check sends on a fresh connection to draw the
+// server's reaction.
+type provocation func(*Env, *h2conn.Conn) error
+
+// raw writes one frame verbatim, stream ID included.
+func raw(t frame.Type, flags frame.Flags, stream uint32, payload []byte) provocation {
+	return func(_ *Env, c *h2conn.Conn) error { return c.WriteRawFrame(t, flags, stream, payload) }
+}
+
+// onStream writes one frame verbatim on a fresh request stream, so the
+// check exercises the frame's own rules rather than the idle-stream ones.
+func onStream(t frame.Type, flags frame.Flags, payload []byte) provocation {
+	return func(env *Env, c *h2conn.Conn) error {
+		id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: smallPath})
+		if err != nil {
+			return err
+		}
+		return c.WriteRawFrame(t, flags, id, payload)
 	}
-	defer closeConn(c)
-	if provoke != nil {
-		if err := provoke(c); err != nil {
+}
+
+// provoked connects with settings as the client's SETTINGS and runs provoke
+// on the new connection (nil when the settings are the provocation).
+func (e *Env) provoked(settings []frame.Setting, provoke provocation) (*h2conn.Conn, error) {
+	opts := h2conn.DefaultOptions()
+	opts.Settings = settings
+	c, err := e.connect(opts)
+	if err != nil || provoke == nil {
+		return c, err
+	}
+	if err := provoke(e, c); err != nil {
+		closeConn(c)
+		return nil, err
+	}
+	return c, nil
+}
+
+// goAway is the skeleton the negative checks share: connect with settings,
+// run the provocation, and await GOAWAY(want) through goAwayVerdict;
+// tolerated is the detail of a Fail when no GOAWAY comes. A connect or
+// provocation error is a Skip.
+func goAway(want frame.ErrCode, tolerated string, settings []frame.Setting, provoke provocation) func(*Env) (Verdict, string) {
+	return func(env *Env) (Verdict, string) {
+		c, err := env.provoked(settings, provoke)
+		if err != nil {
 			return Skip, err.Error()
 		}
+		defer closeConn(c)
+		return env.goAwayVerdict(c, want, tolerated)
 	}
-	return e.goAwayVerdict(c, want, tolerated)
+}
+
+// usable judges a provocation the server must ignore: a request on the
+// provoked connection still draws a 200, and when pinged (the provocation is
+// a PING) the PING is acknowledged first. what names the provocation in a
+// Fail's detail.
+func usable(settings []frame.Setting, provoke provocation, pinged bool, what string) func(*Env) (Verdict, string) {
+	return func(env *Env) (Verdict, string) {
+		c, err := env.provoked(settings, provoke)
+		if err != nil {
+			return Skip, err.Error()
+		}
+		defer closeConn(c)
+		if pinged {
+			if _, err := c.Wait(0, env.Timeout, func(e h2conn.Event) bool { return e.Type == frame.TypePing && e.IsAck() }); err != nil {
+				return Fail, "no PING ACK after " + what
+			}
+		}
+		if !env.fetchOK(c) {
+			return Fail, "connection unusable after " + what
+		}
+		return Pass, ""
+	}
 }
 
 // goAwayVerdict awaits GOAWAY(want) on c: a GOAWAY with another code fails
@@ -162,168 +222,92 @@ func (e *Env) goAwayVerdict(c *h2conn.Conn, want frame.ErrCode, tolerated string
 	}
 }
 
-// Suite returns the built-in checks, ordered by RFC section.
+// rfcChecks holds one row per RFC check; attackChecks adds the burst rows.
+var rfcChecks = []Check{
+	{"3.5/settings-first", "3.5", "server sends SETTINGS as its connection preface", checkSettingsFirst},
+	// A PING whose header sets the reserved bit over stream 0. The framer
+	// writes the stream-ID field verbatim, so the bit reaches the wire; a
+	// compliant receiver masks it off and answers the PING normally.
+	{"4.1/reserved-bit-ignored", "4.1", "the reserved bit of the frame header is ignored on receipt",
+		usable(nil, raw(frame.TypePing, 0, 1<<31, []byte{1, 2, 3, 4, 5, 6, 7, 8}), true, "a reserved-bit frame")},
+	// Every flag bit except ACK (0x1) is undefined for PING; all of them
+	// set at once must be ignored and the PING answered as usual.
+	{"4.1/undefined-flags-ignored", "4.1", "flags with no defined semantics for a frame type are ignored",
+		usable(nil, raw(frame.TypePing, 0xFE, 0, []byte{8, 7, 6, 5, 4, 3, 2, 1}), true, "undefined flag bits")},
+	{"4.1/unknown-frame-type", "4.1", "frames of unknown type are ignored and discarded",
+		usable(nil, raw(0xEE, 0x3, 0, []byte{1, 2, 3, 4}), false, "unknown frame")},
+	{"4.2/data-frame-size-limit", "4.2", "DATA frames never exceed the advertised SETTINGS_MAX_FRAME_SIZE", checkDataFrameSizeLimit},
+	{"4.3/discarded-block-decoded", "4.3", "a header block whose stream is refused still updates the decoder's table", checkDiscardedBlockDecoded},
+	// An indexed reference far beyond both tables.
+	{"4.3/header-decode-failure", "4.3", "an undecodable header block is a COMPRESSION_ERROR connection error",
+		goAway(frame.ErrCodeCompression, "undecodable header block tolerated", nil, func(_ *Env, c *h2conn.Conn) error {
+			return c.WriteHeadersRaw(c.NextStreamID(), []byte{0xff, 0x7f}, true, true)
+		})},
+	{"5.1.1/even-stream-id", "5.1.1", "client use of even stream IDs is a connection error",
+		goAway(frame.ErrCodeProtocol, "even client stream ID accepted", nil, func(env *Env, c *h2conn.Conn) error {
+			return c.OpenStreamID(2, h2conn.Request{Authority: env.Authority, Path: smallPath})
+		})},
+	{"5.1.1/stream-id-not-increasing", "5.1.1", "a new stream whose ID is not above every ID already used is a connection error",
+		goAway(frame.ErrCodeProtocol, "request on a stream ID below one already used accepted", nil, func(env *Env, c *h2conn.Conn) error {
+			req := h2conn.Request{Authority: env.Authority, Path: smallPath}
+			if err := c.OpenStreamID(5, req); err != nil {
+				return err
+			}
+			return c.OpenStreamID(3, req)
+		})},
+	{"5.1/ping-on-stream", "6.7", "PING on a nonzero stream is a connection error",
+		goAway(frame.ErrCodeProtocol, "no GOAWAY", nil, raw(frame.TypePing, 0, 3, make([]byte, 8)))},
+	// Pad Length 5 with a single octet of remaining payload.
+	{"6.1/data-padding-exceeds-payload", "6.1", "DATA padding as long as or longer than the payload is PROTOCOL_ERROR",
+		goAway(frame.ErrCodeProtocol, "oversized DATA padding tolerated", nil, onStream(frame.TypeData, frame.FlagPadded, []byte{5, 'x'}))},
+	// A HEADERS frame without END_HEADERS, then a PING.
+	{"6.10/interleaved-continuation", "6.10", "a non-CONTINUATION frame inside a header block is a connection error",
+		goAway(frame.ErrCodeProtocol, "interleaved frame tolerated mid header block", nil, func(_ *Env, c *h2conn.Conn) error {
+			if err := c.WriteHeadersRaw(c.NextStreamID(), []byte{0x82}, true, false); err != nil {
+				return err
+			}
+			return c.WritePing([8]byte{9})
+		})},
+	{"6.2/headers-on-stream-zero", "6.2", "HEADERS on stream 0 is a connection error",
+		goAway(frame.ErrCodeProtocol, "HEADERS on stream 0 tolerated", nil, raw(frame.TypeHeaders, frame.FlagEndHeaders|frame.FlagEndStream, 0, []byte{0x82}))},
+	// On a stream the server has seen: on stream 0 the stream-0 protocol
+	// check would fire instead of the length check.
+	{"6.4/rst-stream-bad-length", "6.4", "an RST_STREAM payload other than 4 octets is FRAME_SIZE_ERROR",
+		goAway(frame.ErrCodeFrameSize, "3-byte RST_STREAM tolerated", nil, onStream(frame.TypeRSTStream, 0, []byte{0, 0, 0}))},
+	{"6.5/enable-push-invalid", "6.5.2", "SETTINGS_ENABLE_PUSH outside {0,1} is a protocol error",
+		goAway(frame.ErrCodeProtocol, "invalid ENABLE_PUSH accepted", []frame.Setting{{ID: frame.SettingEnablePush, Val: 7}}, nil)},
+	{"6.5/max-frame-size-invalid", "6.5.2", "SETTINGS_MAX_FRAME_SIZE below 2^14 is a protocol error", checkMaxFrameSizeInvalid},
+	{"6.5/settings-ack", "6.5.3", "client SETTINGS are acknowledged", checkSettingsAcked},
+	{"6.5/settings-ack-with-payload", "6.5.3", "a SETTINGS ACK carrying a payload is FRAME_SIZE_ERROR",
+		goAway(frame.ErrCodeFrameSize, "SETTINGS ACK with payload tolerated", nil, raw(frame.TypeSettings, frame.FlagAck, 0, []byte{0, 0, 0, 0, 0, 0}))},
+	// Four bytes: not a multiple of six.
+	{"6.5/settings-bad-length", "6.5", "a SETTINGS payload not a multiple of 6 octets is FRAME_SIZE_ERROR",
+		goAway(frame.ErrCodeFrameSize, "truncated SETTINGS tolerated", nil, raw(frame.TypeSettings, 0, 0, []byte{0, 3, 0, 0}))},
+	{"6.5/unknown-setting", "6.5.2", "unknown SETTINGS identifiers are ignored",
+		usable([]frame.Setting{{ID: frame.SettingID(0xABCD), Val: 42}}, nil, false, "unknown setting")},
+	{"6.7/ping-ack-payload", "6.7", "PING is acknowledged with an identical 8-byte payload", checkPingAckPayload},
+	{"6.7/ping-bad-length", "6.7", "a PING payload other than 8 octets is FRAME_SIZE_ERROR",
+		goAway(frame.ErrCodeFrameSize, "3-byte PING tolerated", nil, raw(frame.TypePing, 0, 0, []byte{1, 2, 3}))},
+	{"6.9/data-respects-window", "6.9.1", "DATA frames never exceed the advertised stream window", checkDataRespectsWindow},
+	{"6.9/window-overflow-conn", "6.9.1", "connection window above 2^31-1 draws GOAWAY(FLOW_CONTROL_ERROR)",
+		goAway(frame.ErrCodeFlowControl, "window overflow accepted", nil, func(env *Env, c *h2conn.Conn) error {
+			if _, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: smallPath}); err != nil {
+				return err
+			}
+			if err := c.WriteWindowUpdate(0, frame.MaxWindowSize); err != nil {
+				return err
+			}
+			return c.WriteWindowUpdate(0, frame.MaxWindowSize)
+		})},
+	{"6.9/window-update-bad-length", "6.9", "a WINDOW_UPDATE payload other than 4 octets is FRAME_SIZE_ERROR",
+		goAway(frame.ErrCodeFrameSize, "3-byte WINDOW_UPDATE tolerated", nil, raw(frame.TypeWindowUpdate, 0, 0, []byte{0, 0, 1}))},
+	{"8.1/head-no-body", "8.1", "a HEAD response is a header block with END_STREAM and no DATA", checkHeadNoBody},
+	{"9.2/grease-clienthello-alpn", "9.2", "a GREASE-laden ClientHello (RFC 8701) still negotiates h2 via ALPN", checkGREASEHelloNegotiatesH2},
+}
+
+// Suite returns the built-in checks, ordered by ID.
 func Suite() []Check {
-	checks := []Check{
-		{
-			ID:          "3.5/settings-first",
-			Section:     "3.5",
-			Description: "server sends SETTINGS as its connection preface",
-			Run:         checkSettingsFirst,
-		},
-		{
-			ID:          "4.1/unknown-frame-type",
-			Section:     "4.1",
-			Description: "frames of unknown type are ignored and discarded",
-			Run:         checkUnknownFrameIgnored,
-		},
-		{
-			ID:          "5.1/ping-on-stream",
-			Section:     "6.7",
-			Description: "PING on a nonzero stream is a connection error",
-			Run:         checkPingOnStream,
-		},
-		{
-			ID:          "6.5/settings-ack",
-			Section:     "6.5.3",
-			Description: "client SETTINGS are acknowledged",
-			Run:         checkSettingsAcked,
-		},
-		{
-			ID:          "6.5/unknown-setting",
-			Section:     "6.5.2",
-			Description: "unknown SETTINGS identifiers are ignored",
-			Run:         checkUnknownSettingIgnored,
-		},
-		{
-			ID:          "6.5/enable-push-invalid",
-			Section:     "6.5.2",
-			Description: "SETTINGS_ENABLE_PUSH outside {0,1} is a protocol error",
-			Run:         checkEnablePushInvalid,
-		},
-		{
-			ID:          "6.7/ping-ack-payload",
-			Section:     "6.7",
-			Description: "PING is acknowledged with an identical 8-byte payload",
-			Run:         checkPingAckPayload,
-		},
-		{
-			ID:          "6.9/window-overflow-conn",
-			Section:     "6.9.1",
-			Description: "connection window above 2^31-1 draws GOAWAY(FLOW_CONTROL_ERROR)",
-			Run:         checkWindowOverflowConn,
-		},
-		{
-			ID:          "6.9/data-respects-window",
-			Section:     "6.9.1",
-			Description: "DATA frames never exceed the advertised stream window",
-			Run:         checkDataRespectsWindow,
-		},
-		{
-			ID:          "6.10/interleaved-continuation",
-			Section:     "6.10",
-			Description: "a non-CONTINUATION frame inside a header block is a connection error",
-			Run:         checkInterleavedContinuation,
-		},
-		{
-			ID:          "5.1.1/even-stream-id",
-			Section:     "5.1.1",
-			Description: "client use of even stream IDs is a connection error",
-			Run:         checkEvenStreamID,
-		},
-		{
-			ID:          "5.1.1/stream-id-not-increasing",
-			Section:     "5.1.1",
-			Description: "a new stream whose ID is not above every ID already used is a connection error",
-			Run:         checkStreamIDNotIncreasing,
-		},
-		{
-			ID:          "8.1/head-no-body",
-			Section:     "8.1",
-			Description: "a HEAD response is a header block with END_STREAM and no DATA",
-			Run:         checkHeadNoBody,
-		},
-		{
-			ID:          "4.3/header-decode-failure",
-			Section:     "4.3",
-			Description: "an undecodable header block is a COMPRESSION_ERROR connection error",
-			Run:         checkHeaderDecodeFailure,
-		},
-		{
-			ID:          "4.3/discarded-block-decoded",
-			Section:     "4.3",
-			Description: "a header block whose stream is refused still updates the decoder's table",
-			Run:         checkDiscardedBlockDecoded,
-		},
-		{
-			ID:          "6.2/headers-on-stream-zero",
-			Section:     "6.2",
-			Description: "HEADERS on stream 0 is a connection error",
-			Run:         checkHeadersOnStreamZero,
-		},
-		{
-			ID:          "6.5/settings-bad-length",
-			Section:     "6.5",
-			Description: "a SETTINGS payload not a multiple of 6 octets is FRAME_SIZE_ERROR",
-			Run:         checkSettingsBadLength,
-		},
-		{
-			ID:          "6.7/ping-bad-length",
-			Section:     "6.7",
-			Description: "a PING payload other than 8 octets is FRAME_SIZE_ERROR",
-			Run:         checkPingBadLength,
-		},
-		{
-			ID:          "6.5/max-frame-size-invalid",
-			Section:     "6.5.2",
-			Description: "SETTINGS_MAX_FRAME_SIZE below 2^14 is a protocol error",
-			Run:         checkMaxFrameSizeInvalid,
-		},
-		{
-			ID:          "4.2/data-frame-size-limit",
-			Section:     "4.2",
-			Description: "DATA frames never exceed the advertised SETTINGS_MAX_FRAME_SIZE",
-			Run:         checkDataFrameSizeLimit,
-		},
-		{
-			ID:          "4.1/reserved-bit-ignored",
-			Section:     "4.1",
-			Description: "the reserved bit of the frame header is ignored on receipt",
-			Run:         checkReservedBitIgnored,
-		},
-		{
-			ID:          "4.1/undefined-flags-ignored",
-			Section:     "4.1",
-			Description: "flags with no defined semantics for a frame type are ignored",
-			Run:         checkUndefinedFlagsIgnored,
-		},
-		{
-			ID:          "6.1/data-padding-exceeds-payload",
-			Section:     "6.1",
-			Description: "DATA padding as long as or longer than the payload is PROTOCOL_ERROR",
-			Run:         checkDataPaddingExceedsPayload,
-		},
-		{
-			ID:          "6.4/rst-stream-bad-length",
-			Section:     "6.4",
-			Description: "an RST_STREAM payload other than 4 octets is FRAME_SIZE_ERROR",
-			Run:         checkRSTStreamBadLength,
-		},
-		{
-			ID:          "6.5/settings-ack-with-payload",
-			Section:     "6.5.3",
-			Description: "a SETTINGS ACK carrying a payload is FRAME_SIZE_ERROR",
-			Run:         checkSettingsAckWithPayload,
-		},
-		{
-			ID:          "6.9/window-update-bad-length",
-			Section:     "6.9",
-			Description: "a WINDOW_UPDATE payload other than 4 octets is FRAME_SIZE_ERROR",
-			Run:         checkWindowUpdateBadLength,
-		},
-	}
-	checks = append(checks, attackChecks()...)
-	checks = append(checks, greaseChecks()...)
+	checks := append(append([]Check(nil), rfcChecks...), attackChecks()...)
 	sort.Slice(checks, func(i, j int) bool { return checks[i].ID < checks[j].ID })
 	return checks
 }
@@ -401,28 +385,6 @@ func checkSettingsFirst(env *Env) (Verdict, string) {
 	return Pass, ""
 }
 
-func checkUnknownFrameIgnored(env *Env) (Verdict, string) {
-	c, err := env.connect(h2conn.DefaultOptions())
-	if err != nil {
-		return Skip, err.Error()
-	}
-	defer closeConn(c)
-	if err := c.WriteRawFrame(0xEE, 0x3, 0, []byte{1, 2, 3, 4}); err != nil {
-		return Skip, err.Error()
-	}
-	if !env.fetchOK(c) {
-		return Fail, "connection unusable after unknown frame"
-	}
-	return Pass, ""
-}
-
-func checkPingOnStream(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "no GOAWAY", func(c *h2conn.Conn) error {
-		// A PING frame carrying a nonzero stream ID (stream 3).
-		return c.WriteRawFrame(frame.TypePing, 0, 3, make([]byte, 8))
-	})
-}
-
 func checkSettingsAcked(env *Env) (Verdict, string) {
 	c, err := env.connect(h2conn.DefaultOptions())
 	if err != nil {
@@ -435,26 +397,6 @@ func checkSettingsAcked(env *Env) (Verdict, string) {
 		return Fail, "no SETTINGS ACK"
 	}
 	return Pass, ""
-}
-
-func checkUnknownSettingIgnored(env *Env) (Verdict, string) {
-	opts := h2conn.DefaultOptions()
-	opts.Settings = []frame.Setting{{ID: frame.SettingID(0xABCD), Val: 42}}
-	c, err := env.connect(opts)
-	if err != nil {
-		return Skip, err.Error()
-	}
-	defer closeConn(c)
-	if !env.fetchOK(c) {
-		return Fail, "connection unusable after unknown setting"
-	}
-	return Pass, ""
-}
-
-func checkEnablePushInvalid(env *Env) (Verdict, string) {
-	opts := h2conn.DefaultOptions()
-	opts.Settings = []frame.Setting{{ID: frame.SettingEnablePush, Val: 7}}
-	return env.expectGoAway(opts, frame.ErrCodeProtocol, "invalid ENABLE_PUSH accepted", nil)
 }
 
 func checkPingAckPayload(env *Env) (Verdict, string) {
@@ -473,18 +415,6 @@ func checkPingAckPayload(env *Env) (Verdict, string) {
 		return Fail, "no matching PING ACK"
 	}
 	return Pass, ""
-}
-
-func checkWindowOverflowConn(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeFlowControl, "window overflow accepted", func(c *h2conn.Conn) error {
-		if _, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: smallPath}); err != nil {
-			return err
-		}
-		if err := c.WriteWindowUpdate(0, frame.MaxWindowSize); err != nil {
-			return err
-		}
-		return c.WriteWindowUpdate(0, frame.MaxWindowSize)
-	})
 }
 
 func checkDataRespectsWindow(env *Env) (Verdict, string) {
@@ -514,32 +444,6 @@ func checkDataRespectsWindow(env *Env) (Verdict, string) {
 	return Pass, ""
 }
 
-func checkInterleavedContinuation(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "interleaved frame tolerated mid header block", func(c *h2conn.Conn) error {
-		// A HEADERS frame without END_HEADERS followed by a PING.
-		if err := c.WriteHeadersRaw(c.NextStreamID(), []byte{0x82}, true, false); err != nil {
-			return err
-		}
-		return c.WritePing([8]byte{9})
-	})
-}
-
-func checkEvenStreamID(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "even client stream ID accepted", func(c *h2conn.Conn) error {
-		return c.OpenStreamID(2, h2conn.Request{Authority: env.Authority, Path: smallPath})
-	})
-}
-
-func checkStreamIDNotIncreasing(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "request on a stream ID below one already used accepted", func(c *h2conn.Conn) error {
-		req := h2conn.Request{Authority: env.Authority, Path: smallPath}
-		if err := c.OpenStreamID(5, req); err != nil {
-			return err
-		}
-		return c.OpenStreamID(3, req)
-	})
-}
-
 func checkHeadNoBody(env *Env) (Verdict, string) {
 	c, err := env.connect(h2conn.DefaultOptions())
 	if err != nil {
@@ -554,13 +458,6 @@ func checkHeadNoBody(env *Env) (Verdict, string) {
 		return Fail, fmt.Sprintf("HEAD drew status %q and %d DATA frames", resp.Status(), len(resp.DataFrameSizes))
 	}
 	return Pass, ""
-}
-
-func checkHeaderDecodeFailure(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeCompression, "undecodable header block tolerated", func(c *h2conn.Conn) error {
-		// Indexed reference far beyond both tables.
-		return c.WriteHeadersRaw(c.NextStreamID(), []byte{0xff, 0x7f}, true, true)
-	})
 }
 
 // maxHeldStreams bounds how many streams checkDiscardedBlockDecoded holds
@@ -620,29 +517,8 @@ func checkDiscardedBlockDecoded(env *Env) (Verdict, string) {
 	return Pass, ""
 }
 
-func checkHeadersOnStreamZero(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "HEADERS on stream 0 tolerated", func(c *h2conn.Conn) error {
-		return c.WriteRawFrame(frame.TypeHeaders, frame.FlagEndHeaders|frame.FlagEndStream, 0, []byte{0x82})
-	})
-}
-
-func checkSettingsBadLength(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeFrameSize, "truncated SETTINGS tolerated", func(c *h2conn.Conn) error {
-		// Four bytes: not a multiple of six.
-		return c.WriteRawFrame(frame.TypeSettings, 0, 0, []byte{0, 3, 0, 0})
-	})
-}
-
-func checkPingBadLength(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeFrameSize, "3-byte PING tolerated", func(c *h2conn.Conn) error {
-		return c.WriteRawFrame(frame.TypePing, 0, 0, []byte{1, 2, 3})
-	})
-}
-
 func checkMaxFrameSizeInvalid(env *Env) (Verdict, string) {
-	opts := h2conn.DefaultOptions()
-	opts.Settings = []frame.Setting{{ID: frame.SettingMaxFrameSize, Val: 1024}}
-	c, err := env.connect(opts)
+	c, err := env.provoked([]frame.Setting{{ID: frame.SettingMaxFrameSize, Val: 1024}}, nil)
 	if err != nil {
 		return Skip, err.Error()
 	}
@@ -671,88 +547,6 @@ func checkDataFrameSizeLimit(env *Env) (Verdict, string) {
 		}
 	}
 	return Pass, ""
-}
-
-// awaitPingAck reports whether a PING ACK arrives within the timeout.
-func awaitPingAck(env *Env, c *h2conn.Conn) bool {
-	_, err := c.Wait(0, env.Timeout, func(e h2conn.Event) bool { return e.Type == frame.TypePing && e.IsAck() })
-	return err == nil
-}
-
-func checkReservedBitIgnored(env *Env) (Verdict, string) {
-	c, err := env.connect(h2conn.DefaultOptions())
-	if err != nil {
-		return Skip, err.Error()
-	}
-	defer closeConn(c)
-	// A PING whose header sets the reserved bit over stream 0. The framer
-	// writes the stream-ID field verbatim, so the bit reaches the wire; a
-	// compliant receiver masks it off and answers the PING normally.
-	if err := c.WriteRawFrame(frame.TypePing, 0, 1<<31, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-		return Skip, err.Error()
-	}
-	if !awaitPingAck(env, c) {
-		return Fail, "no PING ACK after a reserved-bit frame"
-	}
-	if !env.fetchOK(c) {
-		return Fail, "connection unusable after a reserved-bit frame"
-	}
-	return Pass, ""
-}
-
-func checkUndefinedFlagsIgnored(env *Env) (Verdict, string) {
-	c, err := env.connect(h2conn.DefaultOptions())
-	if err != nil {
-		return Skip, err.Error()
-	}
-	defer closeConn(c)
-	// Every flag bit except ACK (0x1) is undefined for PING; all of them
-	// set at once must be ignored and the PING answered as usual.
-	if err := c.WriteRawFrame(frame.TypePing, 0xFE, 0, []byte{8, 7, 6, 5, 4, 3, 2, 1}); err != nil {
-		return Skip, err.Error()
-	}
-	if !awaitPingAck(env, c) {
-		return Fail, "no PING ACK after undefined flag bits"
-	}
-	if !env.fetchOK(c) {
-		return Fail, "connection unusable after undefined flag bits"
-	}
-	return Pass, ""
-}
-
-func checkDataPaddingExceedsPayload(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeProtocol, "oversized DATA padding tolerated", func(c *h2conn.Conn) error {
-		id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: smallPath})
-		if err != nil {
-			return err
-		}
-		// Pad Length 5 with a single octet of remaining payload.
-		return c.WriteRawFrame(frame.TypeData, frame.FlagPadded, id, []byte{5, 'x'})
-	})
-}
-
-func checkRSTStreamBadLength(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeFrameSize, "3-byte RST_STREAM tolerated", func(c *h2conn.Conn) error {
-		// The stream must be nonzero or the stream-0 protocol check fires
-		// instead of the length check; use a stream the server has seen.
-		id, err := c.OpenStream(h2conn.Request{Authority: env.Authority, Path: smallPath})
-		if err != nil {
-			return err
-		}
-		return c.WriteRawFrame(frame.TypeRSTStream, 0, id, []byte{0, 0, 0})
-	})
-}
-
-func checkSettingsAckWithPayload(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeFrameSize, "SETTINGS ACK with payload tolerated", func(c *h2conn.Conn) error {
-		return c.WriteRawFrame(frame.TypeSettings, frame.FlagAck, 0, []byte{0, 0, 0, 0, 0, 0})
-	})
-}
-
-func checkWindowUpdateBadLength(env *Env) (Verdict, string) {
-	return env.expectGoAway(h2conn.DefaultOptions(), frame.ErrCodeFrameSize, "3-byte WINDOW_UPDATE tolerated", func(c *h2conn.Conn) error {
-		return c.WriteRawFrame(frame.TypeWindowUpdate, 0, 0, []byte{0, 0, 1})
-	})
 }
 
 func closeConn(c *h2conn.Conn) {

@@ -14,18 +14,6 @@ import (
 	"time"
 )
 
-// greaseChecks returns the GREASE ClientHello check appended to Suite.
-func greaseChecks() []Check {
-	return []Check{
-		{
-			ID:          "9.2/grease-clienthello-alpn",
-			Section:     "9.2",
-			Description: "a GREASE-laden ClientHello (RFC 8701) still negotiates h2 via ALPN",
-			Run:         checkGREASEHelloNegotiatesH2,
-		},
-	}
-}
-
 // greaseClientHello builds a TLS 1.2-style ClientHello with GREASE values
 // injected into the cipher list, the extension list, and the named groups,
 // offering ALPN h2. Staying at TLS 1.2 (no supported_versions extension)
