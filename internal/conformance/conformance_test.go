@@ -256,16 +256,99 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-// runCheck runs the suite's check id, and only that check, against env.
-func runCheck(t *testing.T, env *conformance.Env, id string) (conformance.Verdict, string) {
+// findCheck returns the suite's check id.
+func findCheck(t *testing.T, id string) conformance.Check {
 	t.Helper()
 	for _, ch := range conformance.Suite() {
 		if ch.ID == id {
-			return ch.Run(env)
+			return ch
 		}
 	}
-	t.Fatalf("%s missing from suite", id)
-	return 0, ""
+	t.Fatalf("check %s missing from suite", id)
+	return conformance.Check{}
+}
+
+// runCheck runs the suite's check id, and only that check, against env.
+func runCheck(t *testing.T, env *conformance.Env, id string) (conformance.Verdict, string) {
+	t.Helper()
+	return findCheck(t, id).Run(env)
+}
+
+// TestFrameValidationChecks pins the frame-size, reserved-bit and
+// flag-validation checks apart from the golden file, which -update rewrites:
+// each is in the suite, covers its RFC section and passes against a
+// compliant testbed server.
+func TestFrameValidationChecks(t *testing.T) {
+	env := newEnv(t, server.ApacheProfile(), 0)
+	cases := []struct {
+		id      string
+		section string
+	}{
+		{"4.1/reserved-bit-ignored", "4.1"},
+		{"4.1/undefined-flags-ignored", "4.1"},
+		{"6.1/data-padding-exceeds-payload", "6.1"},
+		{"6.4/rst-stream-bad-length", "6.4"},
+		{"6.5/settings-ack-with-payload", "6.5.3"},
+		{"6.5/settings-bad-length", "6.5"},
+		{"6.7/ping-bad-length", "6.7"},
+		{"6.9/window-update-bad-length", "6.9"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.id, func(t *testing.T) {
+			ch := findCheck(t, tc.id)
+			if ch.Section != tc.section {
+				t.Errorf("section = %q, want %q", ch.Section, tc.section)
+			}
+			if v, detail := ch.Run(env); v != conformance.Pass {
+				t.Errorf("verdict = %v (%s), want PASS", v, detail)
+			}
+		})
+	}
+}
+
+// TestAttackResilienceChecks pins the attack-battery checks apart from the
+// golden file: present in the suite, covering their sections, and passing on
+// every testbed profile (whose protocol bounds are the defense under test —
+// no detector attached).
+func TestAttackResilienceChecks(t *testing.T) {
+	cases := []struct {
+		id      string
+		section string
+	}{
+		{"attack/rapid-reset", "5.1"},
+		{"attack/hpack-bomb", "4.3"},
+		{"attack/continuation-bound", "6.10"},
+		{"attack/settings-flood", "6.5"},
+		{"attack/slow-drip", "6.1"},
+		{"attack/zero-window", "6.9"},
+	}
+	n := 0
+	for _, ch := range conformance.Suite() {
+		if strings.HasPrefix(ch.ID, "attack/") {
+			n++
+		}
+	}
+	if n != len(cases) {
+		t.Errorf("%d attack checks in the suite, want %d", n, len(cases))
+	}
+	profiles := server.TestbedProfiles()
+	envs := make([]*conformance.Env, len(profiles))
+	for i, p := range profiles {
+		envs[i] = newEnv(t, p, 0)
+	}
+	for _, tc := range cases {
+		t.Run(tc.id, func(t *testing.T) {
+			ch := findCheck(t, tc.id)
+			if ch.Section != tc.section {
+				t.Errorf("section = %q, want %q", ch.Section, tc.section)
+			}
+			for i, p := range profiles {
+				if v, detail := ch.Run(envs[i]); v != conformance.Pass {
+					t.Errorf("%s: verdict = %v (%s), want PASS", p.Family, v, detail)
+				}
+			}
+		})
+	}
 }
 
 // TestSlowDripHoldsOneBody: the slow-drip check drips one request body, so
@@ -277,6 +360,14 @@ func TestSlowDripHoldsOneBody(t *testing.T) {
 	p.MaxConcurrentStreams = 2
 	if v, detail := runCheck(t, newEnv(t, p, 0), "attack/slow-drip"); v != conformance.Pass {
 		t.Errorf("attack/slow-drip at MAX_CONCURRENT_STREAMS 2: %v (%s), want PASS", v, detail)
+	}
+}
+
+// TestFingerprintChecks pins the GREASE ClientHello check: it is in the
+// suite and passes against a compliant testbed server.
+func TestFingerprintChecks(t *testing.T) {
+	if v, detail := runCheck(t, newEnv(t, server.ApacheProfile(), 0), "9.2/grease-clienthello-alpn"); v != conformance.Pass {
+		t.Errorf("verdict = %v (%s), want PASS", v, detail)
 	}
 }
 
