@@ -100,7 +100,7 @@ func BenchmarkAblationHPACKPolicies(b *testing.B) {
 			// Borrow a mid-ratio site's profile for a calibrated partial policy.
 			for i := range pop.Sites {
 				if r := pop.Sites[i].HPACKRatio; r > 0.4 && r < 0.7 {
-					return pop.Sites[i].Profile()
+					return pop.Sites[i].Profile
 				}
 			}
 			return p

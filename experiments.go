@@ -97,9 +97,8 @@ func RunTestbed() (*TestbedResult, error) {
 	return res, nil
 }
 
-// probeProfile runs the battery against one profile served in-process. The
-// testbed knows the profile's negotiation support directly, standing in for
-// the TLS ALPN/NPN handshakes of Section IV-A.
+// probeProfile runs the battery against one profile served in-process,
+// negotiating from the profile's metadata as a census site does.
 func probeProfile(ctx context.Context, p server.Profile) (*core.Report, error) {
 	srv := server.New(p, server.DefaultSite("testbed.example"))
 	l := netsim.NewListener(p.Family)
@@ -109,36 +108,7 @@ func probeProfile(ctx context.Context, p server.Profile) (*core.Report, error) {
 	defer srv.Close()
 	cfg := core.DefaultConfig("testbed.example")
 	cfg.QuietWindow = 20 * time.Millisecond
-	return core.NewProber(&testbedDialer{l: l, p: p}, cfg).RunContext(ctx)
-}
-
-type testbedDialer struct {
-	l *netsim.Listener
-	p server.Profile
-}
-
-var (
-	_ core.Dialer     = (*testbedDialer)(nil)
-	_ core.Negotiator = (*testbedDialer)(nil)
-)
-
-// Dial implements core.Dialer.
-func (d *testbedDialer) Dial() (net.Conn, error) { return d.l.Dial() }
-
-// NegotiateALPN implements core.Negotiator from the profile's metadata.
-func (d *testbedDialer) NegotiateALPN([]string) (string, error) {
-	if !d.p.SupportsALPN {
-		return "", fmt.Errorf("h2scope: %s does not negotiate ALPN", d.p.Family)
-	}
-	return "h2", nil
-}
-
-// NegotiateNPN implements core.Negotiator from the profile's metadata.
-func (d *testbedDialer) NegotiateNPN() ([]string, error) {
-	if !d.p.SupportsNPN {
-		return nil, fmt.Errorf("h2scope: %s does not negotiate NPN", d.p.Family)
-	}
-	return []string{"h2", "http/1.1"}, nil
+	return core.NewProber(&population.ProfileDialer{Connect: l.Dial, Profile: &p}, cfg).RunContext(ctx)
 }
 
 // String renders the matrix the way the paper's Table III does.
@@ -392,21 +362,22 @@ func RunPushPageLoad(epoch population.Epoch, visits int, timeScale float64, seed
 	}
 	pop := population.Generate(epoch, 1.0, seed)
 	res := &PushPLTResult{Visits: visits}
-	resources := []string{"/static/style.css", "/static/app.js", "/static/logo.png", "/static/hero.jpg"}
 	for i := range pop.Sites {
 		spec := &pop.Sites[i]
-		if !spec.Push {
+		if !spec.EnablePush {
 			continue
 		}
 		domain := spec.Domain
-		srv := spec.NewServer()
+		site := spec.NewSite()
+		page, _ := site.Lookup("/")
+		srv := server.New(spec.Profile, site)
 		l := netsim.NewListener(domain)
 		go func() {
 			_ = srv.Serve(l)
 		}()
 		owd := time.Duration(float64(spec.BaseRTT) * timeScale / 2)
 		dial := func() (net.Conn, error) { return l.DialLatency(owd, owd) }
-		series, err := pageload.Measure(dial, domain, "/", resources, visits, 30*time.Second)
+		series, err := pageload.Measure(dial, domain, "/", page.Push, visits, 30*time.Second)
 		srv.Close()
 		if err != nil {
 			return nil, fmt.Errorf("h2scope: push PLT for %s: %w", domain, err)
@@ -453,7 +424,7 @@ func RunRTTComparison(epoch population.Epoch, perFamily, samples int, timeScale 
 				BaseRTT:           s.BaseRTT,
 				Jitter:            s.BaseRTT / 20,
 				H1ProcessingDelay: time.Duration(5+rng.Intn(35)) * time.Millisecond,
-				Profile:           s.Profile(),
+				Profile:           s.Profile,
 				Seed:              int64(s.Rank),
 			})
 		}

@@ -10,6 +10,7 @@ import (
 
 	"h2scope/internal/attack"
 	"h2scope/internal/netsim"
+	"h2scope/internal/population"
 	"h2scope/internal/server"
 )
 
@@ -55,14 +56,15 @@ func smokeDuration(t *testing.T) time.Duration {
 }
 
 // TestAttackBatterySmoke runs the full catalog against every testbed
-// profile: every scenario must execute real operations, the benign victim
-// running alongside must see no failed request, and the server must come
-// out healthy. The engine's protocol bounds (the CONTINUATION cap, the
+// profile and against three census sites whose behaviour none of them has
+// (censusProfiles): every scenario must execute real operations, the benign
+// victim running alongside must see no failed request, and the server must
+// come out healthy. The engine's protocol bounds (the CONTINUATION cap, the
 // HPACK list-size limit) are its only defense.
 func TestAttackBatterySmoke(t *testing.T) {
 	dur := smokeDuration(t)
-	for _, p := range server.TestbedProfiles() {
-		t.Run(p.Family, func(t *testing.T) {
+	smoke := func(name string, p server.Profile) {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			outs := startTarget(t, p).runner().RunAll(attack.Params{Path: "/large/1", Duration: dur, Concurrency: 2})
 			if len(outs) != len(attack.Kinds()) {
@@ -87,6 +89,35 @@ func TestAttackBatterySmoke(t *testing.T) {
 			}
 		})
 	}
+	for _, p := range server.TestbedProfiles() {
+		smoke(p.Family, p)
+	}
+	for _, s := range censusProfiles() {
+		smoke(s.Domain, s.Profile)
+	}
+}
+
+// censusProfiles are the census sites of the seed-23 Jan 2017 population at
+// scale 0.01 that first show a behaviour no testbed profile has: silence
+// under a 1-byte window (with HEADERS withheld under a zero one), an empty
+// SETTINGS frame, and SETTINGS_MAX_CONCURRENT_STREAMS = 1. A site's server
+// runs its spec's Profile as it is.
+func censusProfiles() []population.SiteSpec {
+	sites := population.Generate(population.EpochJan2017, 0.01, 23).Sites
+	var out []population.SiteSpec
+	for _, first := range []func(s *population.SiteSpec) bool{
+		func(s *population.SiteSpec) bool { return s.TinyWindow == server.TinyWindowSilent },
+		func(s *population.SiteSpec) bool { return s.OmitSettings },
+		func(s *population.SiteSpec) bool { return s.AdvertiseMaxStreams && s.MaxConcurrentStreams == 1 },
+	} {
+		for i := range sites {
+			if first(&sites[i]) {
+				out = append(out, sites[i])
+				break
+			}
+		}
+	}
+	return out
 }
 
 // TestBoundsEndHeaderFloods pins the two structural bounds that end these

@@ -56,7 +56,7 @@ func (agr *Agreement) add(spec *SiteSpec, r *core.Report) {
 		}
 	}
 	agr.Sites++
-	record("server-name", r.Settings.ServerHeader == spec.ServerName)
+	record("server-name", r.Settings.ServerHeader == spec.Name)
 	if r.FlowData != nil {
 		record("tiny-window", tinyClassOf(spec.TinyWindow) == r.FlowData.Class)
 	}
@@ -65,18 +65,18 @@ func (agr *Agreement) add(spec *SiteSpec, r *core.Report) {
 			r.ZeroWindowHeaders.GotHeaders == !spec.FlowControlHeaders)
 	}
 	if r.ZeroWU != nil {
-		record("zero-wu-stream", observationOf(spec.ZeroWUStream) == r.ZeroWU.Stream)
-		record("zero-wu-conn", observationOf(spec.ZeroWUConn) == r.ZeroWU.Conn)
+		record("zero-wu-stream", observationOf(spec.ZeroWindowUpdateStream) == r.ZeroWU.Stream)
+		record("zero-wu-conn", observationOf(spec.ZeroWindowUpdateConn) == r.ZeroWU.Conn)
 	}
 	if r.LargeWU != nil {
-		record("large-wu-stream", observationOf(spec.LargeWUStream) == r.LargeWU.Stream)
-		record("large-wu-conn", observationOf(spec.LargeWUConn) == r.LargeWU.Conn)
+		record("large-wu-stream", observationOf(spec.LargeWindowUpdateStream) == r.LargeWU.Stream)
+		record("large-wu-conn", observationOf(spec.LargeWindowUpdateConn) == r.LargeWU.Conn)
 	}
 	if r.SelfDep != nil {
-		record("self-dependency", observationOf(spec.SelfDep) == r.SelfDep.Reaction)
+		record("self-dependency", observationOf(spec.SelfDependency) == r.SelfDep.Reaction)
 	}
 	if r.Push != nil {
-		record("server-push", r.Push.Supported == spec.Push)
+		record("server-push", r.Push.Supported == spec.EnablePush)
 	}
 	if r.Priority != nil {
 		wantLast := spec.Scheduling == server.SchedPriority || spec.Scheduling == server.SchedPriorityLastOnly

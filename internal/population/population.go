@@ -11,131 +11,36 @@ import (
 	"h2scope/internal/server"
 )
 
-// SiteSpec is one synthesized HTTP/2 web site: everything the scans can
-// observe about it, plus the ground-truth behavior knobs that produce those
-// observations when the spec is materialized as a live server.
+// SiteSpec is one synthesized HTTP/2 web site: its place in the top list,
+// the server profile its server runs — every behaviour the scans observe, in
+// the profile's own names (OmitSettings marks the NULL rows of Tables V-VII,
+// MaxHeaderListSize 0 an unlimited list) — and the two targets only the
+// experiments read.
 type SiteSpec struct {
 	// Rank is the site's position in the synthetic top list (1-based).
 	Rank int
 	// Domain is the site's authority.
 	Domain string
 
-	// NPN and ALPN are the TLS negotiation mechanisms the site speaks.
-	NPN, ALPN bool
-
-	// ServerName is the "server" response header (Table IV); Family groups
-	// variants for per-family figures.
-	ServerName string
-	Family     string
-
-	// OmitSettings marks the NULL rows of Tables V-VII: the site sends an
-	// empty SETTINGS frame.
-	OmitSettings bool
-	// MaxConcurrent, InitialWindow, MaxFrame and MaxHeaderList are the
-	// advertised SETTINGS values (MaxHeaderList 0 = unlimited/omitted).
-	MaxConcurrent uint32
-	InitialWindow uint32
-	MaxFrame      uint32
-	MaxHeaderList uint32
-
-	// TinyWindow is the behavior under a 1-byte client window (V-D.1).
-	TinyWindow server.TinyWindowBehavior
-	// FlowControlHeaders marks sites that withhold HEADERS under a zero
-	// window (V-D.2).
-	FlowControlHeaders bool
-	// Reactions to zero and overflowing WINDOW_UPDATE frames (V-D.3/4).
-	ZeroWUStream  server.Reaction
-	ZeroWUConn    server.Reaction
-	ZeroWUDebug   bool
-	LargeWUStream server.Reaction
-	LargeWUConn   server.Reaction
-
-	// Scheduling is the DATA-ordering behavior (V-E.1).
-	Scheduling server.SchedulingMode
-	// SelfDep is the reaction to self-dependent PRIORITY frames (V-E.2).
-	SelfDep server.Reaction
-
-	// Push marks the handful of sites that send PUSH_PROMISE (V-F).
-	Push bool
+	server.Profile
 
 	// HPACKRatio is the site's target header-compression ratio (Figs 4-5);
-	// the materialized server's encoder policy is derived from it.
+	// the profile's encoder policy is derived from it.
 	HPACKRatio float64
 
 	// BaseRTT is the site's network round-trip time in the RTT experiments.
 	BaseRTT time.Duration
 }
 
-// Profile materializes the spec's behavior as a server profile.
-func (s *SiteSpec) Profile() server.Profile {
-	p := server.Profile{
-		Name:                    s.ServerName,
-		Family:                  s.Family,
-		SupportsALPN:            s.ALPN,
-		SupportsNPN:             s.NPN,
-		HeaderTableSize:         frame.DefaultHeaderTableSize, // "all servers use the default" (V-C)
-		MaxConcurrentStreams:    s.MaxConcurrent,
-		AdvertiseMaxStreams:     !s.OmitSettings,
-		InitialWindowSize:       s.InitialWindow,
-		MaxFrameSize:            s.MaxFrame,
-		MaxHeaderListSize:       s.MaxHeaderList,
-		OmitSettings:            s.OmitSettings,
-		FlowControlHeaders:      s.FlowControlHeaders,
-		TinyWindow:              s.TinyWindow,
-		ZeroWindowUpdateStream:  s.ZeroWUStream,
-		ZeroWindowUpdateConn:    s.ZeroWUConn,
-		ZeroWindowDebugData:     s.ZeroWUDebug,
-		LargeWindowUpdateStream: s.LargeWUStream,
-		LargeWindowUpdateConn:   s.LargeWUConn,
-		Scheduling:              s.Scheduling,
-		SelfDependency:          s.SelfDep,
-		EnablePush:              s.Push,
-		AnswerPing:              true,
-	}
-	if s.OmitSettings {
-		p.MaxFrameSize = frame.DefaultMaxFrameSize
-		p.InitialWindowSize = frame.DefaultInitialWindowSize
-	}
-	if !s.OmitSettings && s.InitialWindow == 0 {
-		// The Nginx pattern of Table V: advertise 0, then immediately
-		// reopen with WINDOW_UPDATE frames.
-		p.ConnWindowBoost = frame.MaxWindowSize - frame.DefaultInitialWindowSize
-		p.StreamWindowBoost = frame.MaxWindowSize - frame.DefaultInitialWindowSize
-	}
-	switch {
-	case s.HPACKRatio >= 0.97:
-		p.HPACKPolicy = hpack.PolicyNoDynamicInsert
-	case s.HPACKRatio <= 0.20:
-		p.HPACKPolicy = hpack.PolicyIndexAll
-	default:
-		p.HPACKPolicy = hpack.PolicyIndexPartial
-		p.HPACKPartialFraction = partialFractionFor(s.HPACKRatio)
-		p.HPACKPartialSalt = uint32(s.Rank)*2654435761 + 17
-	}
-	return p
-}
-
-// partialFractionFor inverts the approximate ratio model of an H-request
-// probe (H=8): ratio ≈ 1/H + (H-1)/H × (1 − 0.93·fraction).
-func partialFractionFor(ratio float64) float64 {
-	f := (1 - (ratio-0.125)/0.875) / 0.93
-	return math.Max(0, math.Min(1, f))
-}
-
 // NewSite materializes the spec's document tree.
 func (s *SiteSpec) NewSite() *server.Site {
 	site := server.DefaultSite(s.Domain)
-	if s.Push {
+	if s.EnablePush {
 		site.SetPush("/", "/static/style.css", "/static/app.js", "/static/logo.png", "/static/hero.jpg")
 	} else {
 		site.SetPush("/") // clear the default manifest: nothing to push
 	}
 	return site
-}
-
-// NewServer materializes the spec as a live HTTP/2 server.
-func (s *SiteSpec) NewServer() *server.Server {
-	return server.New(s.Profile(), s.NewSite())
 }
 
 // Population is one epoch's synthesized universe.
@@ -178,11 +83,25 @@ func Generate(epoch Epoch, scale float64, seed int64) *Population {
 		Sites:         make([]SiteSpec, w),
 	}
 
+	// Every site starts from what an empty SETTINGS frame leaves in force,
+	// sending DATA under a 1-byte window, ignoring each provocation and
+	// scheduling round robin; the assigners deal the published values and
+	// exceptions.
+	base := server.Profile{
+		HeaderTableSize:         frame.DefaultHeaderTableSize, // "all servers use the default" (V-C)
+		InitialWindowSize:       frame.DefaultInitialWindowSize,
+		MaxFrameSize:            frame.DefaultMaxFrameSize,
+		TinyWindow:              server.TinyWindowComply,
+		ZeroWindowUpdateStream:  server.ReactIgnore,
+		ZeroWindowUpdateConn:    server.ReactIgnore,
+		LargeWindowUpdateStream: server.ReactIgnore,
+		LargeWindowUpdateConn:   server.ReactIgnore,
+		Scheduling:              server.SchedRoundRobin,
+		SelfDependency:          server.ReactIgnore,
+		AnswerPing:              true,
+	}
 	for i := range pop.Sites {
-		pop.Sites[i] = SiteSpec{
-			Rank:   i + 1,
-			Domain: fmt.Sprintf("site-%06d.example", i+1),
-		}
+		pop.Sites[i] = SiteSpec{Rank: i + 1, Domain: fmt.Sprintf("site-%06d.example", i+1), Profile: base}
 	}
 
 	assignNegotiation(pop.Sites, d, dimRNG(seed, 1))
@@ -239,7 +158,7 @@ func assignNegotiation(sites []SiteSpec, d *epochData, rng *rand.Rand) {
 	take := func(n int, npn, alpn bool) {
 		for i := 0; i < n && idx < len(perm); i++ {
 			s := &sites[perm[idx]]
-			s.NPN, s.ALPN = npn, alpn
+			s.SupportsNPN, s.SupportsALPN = npn, alpn
 			idx++
 		}
 	}
@@ -247,7 +166,7 @@ func assignNegotiation(sites []SiteSpec, d *epochData, rng *rand.Rand) {
 	take(buckets[1], true, false)
 	take(buckets[2], false, true)
 	for ; idx < len(perm); idx++ {
-		sites[perm[idx]].NPN, sites[perm[idx]].ALPN = true, true
+		sites[perm[idx]].SupportsNPN, sites[perm[idx]].SupportsALPN = true, true
 	}
 }
 
@@ -280,7 +199,7 @@ func assignServerNames(sites []SiteSpec, d *epochData, scale float64, rng *rand.
 	}
 	perm := rng.Perm(len(sites))
 	for i, pi := range perm {
-		sites[pi].ServerName = slots[i].name
+		sites[pi].Name = slots[i].name
 		sites[pi].Family = slots[i].family
 	}
 }
@@ -325,30 +244,33 @@ func assignSettings(sites []SiteSpec, d *epochData, scale float64, rng *rand.Ran
 	eligible := make([]int, 0, len(sites)-nulls)
 	for i := range sites {
 		if !sites[i].OmitSettings {
+			sites[i].AdvertiseMaxStreams = true
 			eligible = append(eligible, i)
 		}
 	}
 	assignValues(sites, d.initialWindow, eligible, rng, func(s *SiteSpec, v int64) {
-		s.InitialWindow = uint32(v)
+		s.InitialWindowSize = uint32(v)
+		if v == 0 {
+			// The Nginx pattern of Table V: advertise 0, then immediately
+			// reopen with WINDOW_UPDATE frames.
+			s.ConnWindowBoost = frame.MaxWindowSize - frame.DefaultInitialWindowSize
+			s.StreamWindowBoost = s.ConnWindowBoost
+		}
 	})
 	assignValues(sites, d.maxFrame, eligible, rng, func(s *SiteSpec, v int64) {
-		s.MaxFrame = uint32(v)
+		s.MaxFrameSize = uint32(v)
 	})
 	assignValues(sites, d.maxHeaderList, eligible, rng, func(s *SiteSpec, v int64) {
-		s.MaxHeaderList = uint32(v)
+		s.MaxHeaderListSize = uint32(v)
 	})
 	assignValues(sites, d.maxConcurrent, eligible, rng, func(s *SiteSpec, v int64) {
-		s.MaxConcurrent = uint32(v)
+		s.MaxConcurrentStreams = uint32(v)
 	})
 }
 
 func assignTinyWindow(sites []SiteSpec, d *epochData, scale float64, rng *rand.Rand) {
 	silent := int(math.Round(float64(d.tinySilent) * scale))
 	zeroLen := int(math.Round(float64(d.tinyZeroLen) * scale))
-
-	for i := range sites {
-		sites[i].TinyWindow = server.TinyWindowComply
-	}
 	// The paper attributes most silent sites to LiteSpeed (10,472 of
 	// 12,039 in exp. 2): fill the silent bucket from LiteSpeed first.
 	wantLiteSpeed := int(float64(silent) * d.tinySilentLiteSpeedShare)
@@ -421,50 +343,27 @@ func assignWindowUpdateReactions(sites []SiteSpec, d *epochData, scale float64, 
 	rst := sc(d.zeroWUStream.rst)
 	goaway := sc(d.zeroWUStream.goAway)
 	debug := sc(d.zeroWUStream.debug)
-	perm := rng.Perm(w)
-	for i, pi := range perm {
+	for i, pi := range rng.Perm(w) {
 		s := &sites[pi]
 		switch {
 		case i < rst:
-			s.ZeroWUStream = server.ReactRSTStream
+			s.ZeroWindowUpdateStream = server.ReactRSTStream
 		case i < rst+goaway:
-			s.ZeroWUStream = server.ReactGoAway
-			if i-rst < debug {
-				s.ZeroWUDebug = true
-			}
-		default:
-			s.ZeroWUStream = server.ReactIgnore
+			s.ZeroWindowUpdateStream = server.ReactGoAway
+			s.ZeroWindowDebugData = i-rst < debug
 		}
 	}
 	// Zero WINDOW_UPDATE, connection level: "nearly all return connection
 	// error".
-	connGoAway := sc(d.zeroWUConn.goAway)
-	perm = rng.Perm(w)
-	for i, pi := range perm {
-		if i < connGoAway {
-			sites[pi].ZeroWUConn = server.ReactGoAway
-		} else {
-			sites[pi].ZeroWUConn = server.ReactIgnore
-		}
+	for _, pi := range rng.Perm(w)[:sc(d.zeroWUConn.goAway)] {
+		sites[pi].ZeroWindowUpdateConn = server.ReactGoAway
 	}
 	// Large WINDOW_UPDATE.
-	streamRST := sc(d.largeWUStreamRST)
-	perm = rng.Perm(w)
-	for i, pi := range perm {
-		if i < streamRST {
-			sites[pi].LargeWUStream = server.ReactRSTStream
-		} else {
-			sites[pi].LargeWUStream = server.ReactIgnore
-		}
+	for _, pi := range rng.Perm(w)[:sc(d.largeWUStreamRST)] {
+		sites[pi].LargeWindowUpdateStream = server.ReactRSTStream
 	}
-	connGoAway = sc(d.largeWUConnGoAway)
-	perm = rng.Perm(w)
-	for i, pi := range perm {
-		if i < connGoAway {
-			sites[pi].LargeWUConn = server.ReactGoAway
-		} else {
-			sites[pi].LargeWUConn = server.ReactIgnore
-		}
+	for _, pi := range rng.Perm(w)[:sc(d.largeWUConnGoAway)] {
+		sites[pi].LargeWindowUpdateConn = server.ReactGoAway
 	}
 }
 
@@ -482,7 +381,7 @@ func assignScheduling(sites []SiteSpec, d *epochData, scale float64, rng *rand.R
 	// sites first. The counts per mode do not change.
 	var perm, refusing []int
 	for _, i := range rng.Perm(len(sites)) {
-		if s := &sites[i]; s.OmitSettings || s.MaxConcurrent >= algorithm1Streams {
+		if s := &sites[i]; s.OmitSettings || s.MaxConcurrentStreams >= algorithm1Streams {
 			perm = append(perm, i)
 		} else {
 			refusing = append(refusing, i)
@@ -498,8 +397,6 @@ func assignScheduling(sites []SiteSpec, d *epochData, scale float64, rng *rand.R
 			s.Scheduling = server.SchedPriorityLastOnly
 		case i < both+lastOnly+firstOnly:
 			s.Scheduling = server.SchedPriorityFirstOnly
-		default:
-			s.Scheduling = server.SchedRoundRobin
 		}
 	}
 }
@@ -511,11 +408,9 @@ func assignSelfDep(sites []SiteSpec, d *epochData, scale float64, rng *rand.Rand
 		s := &sites[pi]
 		switch {
 		case i < rst:
-			s.SelfDep = server.ReactRSTStream
+			s.SelfDependency = server.ReactRSTStream
 		case rng.Float64() < d.selfDepGoAwayShare:
-			s.SelfDep = server.ReactGoAway
-		default:
-			s.SelfDep = server.ReactIgnore
+			s.SelfDependency = server.ReactGoAway
 		}
 	}
 }
@@ -535,18 +430,38 @@ func assignPush(sites []SiteSpec, d *epochData, scale float64) {
 	// sit at deterministic spots so both epochs keep the same six.
 	for i := 0; i < n; i++ {
 		idx := (i * 7919) % len(sites)
-		for sites[idx].Push {
+		for sites[idx].EnablePush {
 			idx = (idx + 1) % len(sites)
 		}
-		sites[idx].Push = true
+		sites[idx].EnablePush = true
 		sites[idx].Domain = d.pushDomains[i]
 	}
 }
 
+// assignHPACK samples each site's target ratio and derives the encoder
+// policy that approximates it.
 func assignHPACK(sites []SiteSpec, epoch Epoch, rng *rand.Rand) {
 	for i := range sites {
-		sites[i].HPACKRatio = familyRatio(epoch, sites[i].Family, rng)
+		s := &sites[i]
+		s.HPACKRatio = familyRatio(epoch, s.Family, rng)
+		switch {
+		case s.HPACKRatio >= 0.97:
+			s.HPACKPolicy = hpack.PolicyNoDynamicInsert
+		case s.HPACKRatio <= 0.20:
+			s.HPACKPolicy = hpack.PolicyIndexAll
+		default:
+			s.HPACKPolicy = hpack.PolicyIndexPartial
+			s.HPACKPartialFraction = partialFractionFor(s.HPACKRatio)
+			s.HPACKPartialSalt = uint32(s.Rank)*2654435761 + 17
+		}
 	}
+}
+
+// partialFractionFor inverts the approximate ratio model of an H-request
+// probe (H=8): ratio ≈ 1/H + (H-1)/H × (1 − 0.93·fraction).
+func partialFractionFor(ratio float64) float64 {
+	f := (1 - (ratio-0.125)/0.875) / 0.93
+	return math.Max(0, math.Min(1, f))
 }
 
 // familyRatio samples a target HPACK compression ratio matching the

@@ -1,6 +1,9 @@
 package population_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +14,8 @@ import (
 	"time"
 
 	"h2scope/internal/core"
+	"h2scope/internal/frame"
+	"h2scope/internal/hpack"
 	"h2scope/internal/metrics"
 	"h2scope/internal/obs"
 	"h2scope/internal/population"
@@ -210,7 +215,7 @@ func TestSectionVDCounts(t *testing.T) {
 		if pop.Sites[i].TinyWindow == server.TinyWindowSilent && pop.Sites[i].Family == "litespeed" {
 			litespeedSilent++
 		}
-		if pop.Sites[i].ZeroWUStream == server.ReactGoAway && pop.Sites[i].ZeroWUDebug {
+		if pop.Sites[i].ZeroWindowUpdateStream == server.ReactGoAway && pop.Sites[i].ZeroWindowDebugData {
 			streamDebug++
 		}
 	}
@@ -334,6 +339,40 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// generatedSitesDigest is the SHA-256 TestGeneratedSitesPinned reads. To
+// recompute it, run the test: a mismatch prints the digest the tree produces.
+// Adding a field to server.Profile changes MarshalProfile's output and so this
+// digest even when no site's behaviour moved; rewrite it then, and say so in
+// CHANGES.md.
+const generatedSitesDigest = "446c50015132647ee324d65ed57c63ca877bfce4a7ad666690722f1c6f0925d0"
+
+// TestGeneratedSitesPinned pins every site the generator writes — rank,
+// domain, HPACK target, RTT and the whole server profile — for both epochs at
+// full scale (seed 42) and at scale 0.05 (seed 7), so a refactor of the
+// generator that moves a single knob of a single site fails here.
+func TestGeneratedSitesPinned(t *testing.T) {
+	h := sha256.New()
+	for _, run := range []struct {
+		scale float64
+		seed  int64
+	}{{1, 42}, {0.05, 7}} {
+		for _, e := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
+			pop := population.Generate(e, run.scale, run.seed)
+			for i := range pop.Sites {
+				s := &pop.Sites[i]
+				p, err := server.MarshalProfile(s.Profile)
+				if err != nil {
+					t.Fatalf("%s: %v", s.Domain, err)
+				}
+				fmt.Fprintf(h, "%d %s %v %d\n%s\n", s.Rank, s.Domain, s.HPACKRatio, s.BaseRTT, p)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != generatedSitesDigest {
+		t.Errorf("generated sites digest = %s, want %s", got, generatedSitesDigest)
+	}
+}
+
 func TestScaledGeneration(t *testing.T) {
 	pop := population.Generate(population.EpochJul2016, 0.1, 3)
 	if got, want := len(pop.Sites), 4_439; got != want {
@@ -345,6 +384,45 @@ func TestScaledGeneration(t *testing.T) {
 	}
 	if silent < 400 || silent > 500 {
 		t.Errorf("scaled silent = %d, want ~443", silent)
+	}
+}
+
+// settingsView is the SETTINGS frame of Tables V-VII and Fig. 2 as a site
+// advertises it: Empty for the NULL rows, and a parameter left out of a
+// non-empty frame at its RFC 7540 default, except MaxHeaderList, where 0
+// means absent (unlimited).
+type settingsView struct {
+	Empty                                  bool
+	MaxConcurrent                          uint32
+	HasMaxConcurrent                       bool
+	InitialWindow, MaxFrame, MaxHeaderList uint32
+}
+
+// advertised reads the frame a scan observed.
+func advertised(set *core.SettingsResult) settingsView {
+	if len(set.Settings) == 0 {
+		return settingsView{Empty: true}
+	}
+	v := settingsView{InitialWindow: frame.DefaultInitialWindowSize, MaxFrame: frame.DefaultMaxFrameSize}
+	v.MaxConcurrent, v.HasMaxConcurrent = set.Value(frame.SettingMaxConcurrentStreams)
+	if w, ok := set.Value(frame.SettingInitialWindowSize); ok {
+		v.InitialWindow = w
+	}
+	if f, ok := set.Value(frame.SettingMaxFrameSize); ok {
+		v.MaxFrame = f
+	}
+	v.MaxHeaderList, _ = set.Value(frame.SettingMaxHeaderListSize)
+	return v
+}
+
+// advertisedBy is the frame a site's profile says it sends.
+func advertisedBy(p *server.Profile) settingsView {
+	if p.OmitSettings {
+		return settingsView{Empty: true}
+	}
+	return settingsView{
+		MaxConcurrent: p.MaxConcurrentStreams, HasMaxConcurrent: p.AdvertiseMaxStreams,
+		InitialWindow: p.InitialWindowSize, MaxFrame: p.MaxFrameSize, MaxHeaderList: p.MaxHeaderListSize,
 	}
 }
 
@@ -379,8 +457,11 @@ func TestScanMeasurementsMatchGroundTruth(t *testing.T) {
 			t.Errorf("%s: no report", spec.Domain)
 			continue
 		}
-		if r.Settings.ServerHeader != spec.ServerName {
-			t.Errorf("%s: server header %q, want %q", spec.Domain, r.Settings.ServerHeader, spec.ServerName)
+		if r.Settings.ServerHeader != spec.Name {
+			t.Errorf("%s: server header %q, want %q", spec.Domain, r.Settings.ServerHeader, spec.Name)
+		}
+		if got, want := advertised(r.Settings), advertisedBy(&spec.Profile); got != want {
+			t.Errorf("%s: SETTINGS = %+v, want %+v", spec.Domain, got, want)
 		}
 		wantClass := map[server.TinyWindowBehavior]core.TinyWindowClass{
 			server.TinyWindowComply:   core.TinyWindowOneByte,
@@ -393,22 +474,31 @@ func TestScanMeasurementsMatchGroundTruth(t *testing.T) {
 		if r.ZeroWindowHeaders == nil || r.ZeroWindowHeaders.GotHeaders == spec.FlowControlHeaders {
 			t.Errorf("%s: zero-window headers = %+v, spec FCH=%v", spec.Domain, r.ZeroWindowHeaders, spec.FlowControlHeaders)
 		}
-		if r.ZeroWU == nil || r.ZeroWU.Stream != obsOfReaction(spec.ZeroWUStream) {
-			t.Errorf("%s: zero WU stream = %v, want %v", spec.Domain, r.ZeroWU.Stream, obsOfReaction(spec.ZeroWUStream))
+		if r.ZeroWU == nil || r.ZeroWU.Stream != obsOfReaction(spec.ZeroWindowUpdateStream) {
+			t.Errorf("%s: zero WU stream = %v, want %v", spec.Domain, r.ZeroWU.Stream, obsOfReaction(spec.ZeroWindowUpdateStream))
 		}
-		if r.ZeroWU.Conn != obsOfReaction(spec.ZeroWUConn) {
-			t.Errorf("%s: zero WU conn = %v, want %v", spec.Domain, r.ZeroWU.Conn, obsOfReaction(spec.ZeroWUConn))
+		if r.ZeroWU.Conn != obsOfReaction(spec.ZeroWindowUpdateConn) {
+			t.Errorf("%s: zero WU conn = %v, want %v", spec.Domain, r.ZeroWU.Conn, obsOfReaction(spec.ZeroWindowUpdateConn))
 		}
-		if r.SelfDep == nil || r.SelfDep.Reaction != obsOfReaction(spec.SelfDep) {
-			t.Errorf("%s: self-dep = %v, want %v", spec.Domain, r.SelfDep.Reaction, obsOfReaction(spec.SelfDep))
+		if r.SelfDep == nil || r.SelfDep.Reaction != obsOfReaction(spec.SelfDependency) {
+			t.Errorf("%s: self-dep = %v, want %v", spec.Domain, r.SelfDep.Reaction, obsOfReaction(spec.SelfDependency))
 		}
-		if r.Push == nil || r.Push.Supported != spec.Push {
-			t.Errorf("%s: push = %v, want %v", spec.Domain, r.Push.Supported, spec.Push)
+		if r.Push == nil || r.Push.Supported != spec.EnablePush {
+			t.Errorf("%s: push = %v, want %v", spec.Domain, r.Push.Supported, spec.EnablePush)
+		}
+		if r.Priority == nil {
+			t.Errorf("%s: no priority verdict (mode %v)", spec.Domain, spec.Scheduling)
+			continue
 		}
 		wantLast := spec.Scheduling == server.SchedPriority || spec.Scheduling == server.SchedPriorityLastOnly
-		if r.Priority == nil || r.Priority.LastRuleOK != wantLast {
+		if r.Priority.LastRuleOK != wantLast {
 			t.Errorf("%s: priority last rule = %v, want %v (mode %v)",
 				spec.Domain, r.Priority.LastRuleOK, wantLast, spec.Scheduling)
+		}
+		wantFirst := spec.Scheduling == server.SchedPriority || spec.Scheduling == server.SchedPriorityFirstOnly
+		if r.Priority.FirstRuleOK != wantFirst {
+			t.Errorf("%s: priority first rule = %v, want %v (mode %v)",
+				spec.Domain, r.Priority.FirstRuleOK, wantFirst, spec.Scheduling)
 		}
 	}
 
@@ -428,10 +518,10 @@ func TestScanMeasurementsMatchGroundTruth(t *testing.T) {
 	npn, alpn := 0, 0
 	for _, res := range sites {
 		sampled.Sites = append(sampled.Sites, *res.Spec)
-		if res.Spec.NPN {
+		if res.Spec.SupportsNPN {
 			npn++
 		}
-		if res.Spec.ALPN {
+		if res.Spec.SupportsALPN {
 			alpn++
 		}
 	}
@@ -520,37 +610,57 @@ func TestDomainsUniqueAndRTTsPlausible(t *testing.T) {
 		if s.BaseRTT < 2*time.Millisecond || s.BaseRTT > 350*time.Millisecond {
 			t.Errorf("%s: BaseRTT %v out of range", s.Domain, s.BaseRTT)
 		}
-		if s.ServerName == "" || s.Family == "" {
+		if s.Name == "" || s.Family == "" {
 			t.Errorf("%s: missing identity", s.Domain)
 		}
 	}
 }
 
+// TestProfileMappingConsistency checks the rules the generator derives a
+// site's profile by, on top of the published distributions: a WINDOW_UPDATE
+// boost exactly where the advertised initial window is 0, RFC 7540 defaults
+// on the sites sending an empty SETTINGS frame, and the HPACK policy by the
+// ratio thresholds.
 func TestProfileMappingConsistency(t *testing.T) {
-	pop := population.Generate(population.EpochJul2016, 0.01, 23)
-	for i := range pop.Sites {
-		s := &pop.Sites[i]
-		p := s.Profile()
-		if p.Name != s.ServerName || p.Family != s.Family {
-			t.Fatalf("%s: identity mismatch", s.Domain)
-		}
-		if s.OmitSettings {
-			if p.AdvertiseMaxStreams {
-				t.Errorf("%s: NULL-settings site advertises max streams", s.Domain)
+	const boost = frame.MaxWindowSize - frame.DefaultInitialWindowSize
+	for _, e := range []population.Epoch{population.EpochJul2016, population.EpochJan2017} {
+		pop := population.Generate(e, 0.01, 23)
+		for i := range pop.Sites {
+			s := &pop.Sites[i]
+			if s.HeaderTableSize != frame.DefaultHeaderTableSize || !s.AnswerPing {
+				t.Errorf("%s: header table %d, answers PING %v", s.Domain, s.HeaderTableSize, s.AnswerPing)
 			}
-			if len := p.MaxFrameSize; len != 16_384 {
-				t.Errorf("%s: NULL-settings site frame size %d", s.Domain, len)
+			if s.OmitSettings {
+				if s.AdvertiseMaxStreams || s.InitialWindowSize != frame.DefaultInitialWindowSize ||
+					s.MaxFrameSize != frame.DefaultMaxFrameSize || s.MaxHeaderListSize != 0 {
+					t.Errorf("%s: empty-SETTINGS site advertises max streams %v, window %d, frame %d, header list %d",
+						s.Domain, s.AdvertiseMaxStreams, s.InitialWindowSize, s.MaxFrameSize, s.MaxHeaderListSize)
+				}
+			} else if !s.AdvertiseMaxStreams {
+				t.Errorf("%s: sends SETTINGS without SETTINGS_MAX_CONCURRENT_STREAMS", s.Domain)
 			}
-		} else if s.InitialWindow == 0 && p.ConnWindowBoost == 0 {
-			t.Errorf("%s: zero-window site without boost", s.Domain)
-		}
-		if s.Push {
-			if !p.EnablePush {
-				t.Errorf("%s: push site profile has push disabled", s.Domain)
+			var want uint32
+			if !s.OmitSettings && s.InitialWindowSize == 0 {
+				want = boost
 			}
-			site := s.NewSite()
-			if r, ok := site.Lookup("/"); !ok || len(r.Push) == 0 {
-				t.Errorf("%s: push site has no manifest", s.Domain)
+			if s.ConnWindowBoost != want || s.StreamWindowBoost != want {
+				t.Errorf("%s: window %d, boosts conn %d stream %d, want %d", s.Domain,
+					s.InitialWindowSize, s.ConnWindowBoost, s.StreamWindowBoost, want)
+			}
+			wantPolicy := hpack.PolicyIndexPartial
+			if s.HPACKRatio >= 0.97 {
+				wantPolicy = hpack.PolicyNoDynamicInsert
+			} else if s.HPACKRatio <= 0.20 {
+				wantPolicy = hpack.PolicyIndexAll
+			}
+			if s.HPACKPolicy != wantPolicy || (s.HPACKPartialFraction > 0) != (wantPolicy == hpack.PolicyIndexPartial) {
+				t.Errorf("%s: ratio %.3f, policy %v (fraction %.3f, salt %d), want %v", s.Domain,
+					s.HPACKRatio, s.HPACKPolicy, s.HPACKPartialFraction, s.HPACKPartialSalt, wantPolicy)
+			}
+			if s.EnablePush {
+				if r, ok := s.NewSite().Lookup("/"); !ok || len(r.Push) == 0 {
+					t.Errorf("%s: push site has no manifest", s.Domain)
+				}
 			}
 		}
 	}
@@ -617,8 +727,8 @@ func TestPriorityModesOnlyWhereAlgorithm1CanRun(t *testing.T) {
 		for seed := int64(1); seed <= 50; seed++ {
 			pop := population.Generate(epoch, scale, seed)
 			for _, s := range pop.Sites {
-				if !s.OmitSettings && s.MaxConcurrent < 6 && s.Scheduling != server.SchedRoundRobin {
-					t.Errorf("%v seed %d: %s allows %d streams and schedules %v", epoch, seed, s.Domain, s.MaxConcurrent, s.Scheduling)
+				if !s.OmitSettings && s.MaxConcurrentStreams < 6 && s.Scheduling != server.SchedRoundRobin {
+					t.Errorf("%v seed %d: %s allows %d streams and schedules %v", epoch, seed, s.Domain, s.MaxConcurrentStreams, s.Scheduling)
 				}
 			}
 			got := pop.Tally()
@@ -651,7 +761,7 @@ func TestSitesRefusingSixStreamsScanClean(t *testing.T) {
 	var sites []population.SiteSpec
 	for _, seed := range []int64{23, 36, 39, 44, 49} {
 		for _, s := range population.Generate(population.EpochJan2017, 0.01, seed).Sites {
-			if !s.OmitSettings && s.MaxConcurrent < 6 {
+			if !s.OmitSettings && s.MaxConcurrentStreams < 6 {
 				sites = append(sites, s)
 			}
 		}
@@ -666,7 +776,7 @@ func TestSitesRefusingSixStreamsScanClean(t *testing.T) {
 	for _, res := range scanned {
 		if res.Report.Multiplex != nil || res.Report.Priority != nil {
 			t.Errorf("%s (limit %d): multiplexing %+v, priority %+v, want no verdict",
-				res.Spec.Domain, res.Spec.MaxConcurrent, res.Report.Multiplex, res.Report.Priority)
+				res.Spec.Domain, res.Spec.MaxConcurrentStreams, res.Report.Multiplex, res.Report.Priority)
 		}
 	}
 }
@@ -679,7 +789,7 @@ func TestSitesRefusingSixStreamsScanClean(t *testing.T) {
 // measured.
 func TestPriorityNotMeasurableBelowSixStreams(t *testing.T) {
 	site := population.Generate(population.EpochJan2017, 0.001, 1).Sites[0]
-	site.OmitSettings, site.MaxConcurrent, site.Scheduling = false, 1, server.SchedPriority
+	site.OmitSettings, site.AdvertiseMaxStreams, site.MaxConcurrentStreams, site.Scheduling = false, true, 1, server.SchedPriority
 	sum, scanned := scanSites(t, []population.SiteSpec{site})
 	r := scanned[0].Report
 	if r.Multiplex != nil || r.Priority != nil {

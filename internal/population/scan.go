@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	"h2scope/internal/core"
@@ -15,43 +16,45 @@ import (
 	"h2scope/internal/netsim"
 	"h2scope/internal/obs"
 	"h2scope/internal/scan"
+	"h2scope/internal/server"
 	"h2scope/internal/store"
 	"h2scope/internal/trace"
 )
 
-// siteDialer connects H2Scope to one materialized site and answers the
-// negotiation queries (Section IV-A) from the site's metadata — the
-// stand-in for the TLS ALPN/NPN exchange against live Internet hosts.
-type siteDialer struct {
-	dial func() (net.Conn, error)
-	spec *SiteSpec
+// ProfileDialer connects H2Scope to a server running Profile and answers the
+// negotiation queries (Section IV-A) from the profile's SupportsALPN and
+// SupportsNPN: the stand-in for the TLS ALPN/NPN exchange, for a census site
+// and a testbed server alike.
+type ProfileDialer struct {
+	// Connect opens one connection to the server.
+	Connect func() (net.Conn, error)
+	// Profile is what the server runs.
+	Profile *server.Profile
 }
 
 var (
-	_ core.Dialer     = (*siteDialer)(nil)
-	_ core.Negotiator = (*siteDialer)(nil)
+	_ core.Dialer     = (*ProfileDialer)(nil)
+	_ core.Negotiator = (*ProfileDialer)(nil)
 )
 
 // Dial implements core.Dialer.
-func (d *siteDialer) Dial() (net.Conn, error) { return d.dial() }
+func (d *ProfileDialer) Dial() (net.Conn, error) { return d.Connect() }
 
 // NegotiateALPN implements core.Negotiator.
-func (d *siteDialer) NegotiateALPN(protos []string) (string, error) {
-	if !d.spec.ALPN {
-		return "", fmt.Errorf("population: %s does not negotiate ALPN", d.spec.Domain)
+func (d *ProfileDialer) NegotiateALPN(protos []string) (string, error) {
+	if !d.Profile.SupportsALPN {
+		return "", fmt.Errorf("population: %s does not negotiate ALPN", d.Profile.Name)
 	}
-	for _, p := range protos {
-		if p == "h2" {
-			return "h2", nil
-		}
+	if slices.Contains(protos, "h2") {
+		return "h2", nil
 	}
 	return "http/1.1", nil
 }
 
 // NegotiateNPN implements core.Negotiator.
-func (d *siteDialer) NegotiateNPN() ([]string, error) {
-	if !d.spec.NPN {
-		return nil, fmt.Errorf("population: %s does not negotiate NPN", d.spec.Domain)
+func (d *ProfileDialer) NegotiateNPN() ([]string, error) {
+	if !d.Profile.SupportsNPN {
+		return nil, fmt.Errorf("population: %s does not negotiate NPN", d.Profile.Name)
 	}
 	return []string{"h2", "spdy/3.1", "http/1.1"}, nil
 }
@@ -244,7 +247,7 @@ func Scan(pop *Population, opts ScanOptions) (*ScanSummary, error) {
 // probeSite materializes one site and runs the probe battery against it; the
 // report is what the site hands the scan engine.
 func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn.Metrics) (*core.Report, error) {
-	srv := spec.NewServer()
+	srv := server.New(spec.Profile, spec.NewSite())
 	l := netsim.NewListener(spec.Domain)
 	go func() {
 		_ = srv.Serve(l)
@@ -267,6 +270,6 @@ func probeSite(ctx context.Context, spec *SiteSpec, opts *ScanOptions, m *h2conn
 	if opts.wrapDial != nil {
 		dial = opts.wrapDial(dial)
 	}
-	prober := core.NewProber(&siteDialer{dial: dial, spec: spec}, cfg)
+	prober := core.NewProber(&ProfileDialer{Connect: dial, Profile: &spec.Profile}, cfg)
 	return prober.RunContext(ctx)
 }

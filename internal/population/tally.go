@@ -20,32 +20,32 @@ func (p *Population) Tally() *store.Tally {
 		s := &p.Sites[i]
 		t.Scanned++
 		t.GotHeaders++
-		t.ServerNames[s.ServerName]++
+		t.ServerNames[s.Name]++
 		if s.OmitSettings {
 			t.InitialWindow[store.LabelNull]++
 			t.MaxFrame[store.LabelNull]++
 			t.MaxHeaderList[store.LabelNull]++
 		} else {
-			t.MaxConcurrent[float64(s.MaxConcurrent)]++
-			t.InitialWindow[dec(s.InitialWindow)]++
-			t.MaxFrame[dec(s.MaxFrame)]++
-			if s.MaxHeaderList == 0 {
+			t.MaxConcurrent[float64(s.MaxConcurrentStreams)]++
+			t.InitialWindow[dec(s.InitialWindowSize)]++
+			t.MaxFrame[dec(s.MaxFrameSize)]++
+			if s.MaxHeaderListSize == 0 {
 				t.MaxHeaderList[store.LabelUnlimited]++
 			} else {
-				t.MaxHeaderList[dec(s.MaxHeaderList)]++
+				t.MaxHeaderList[dec(s.MaxHeaderListSize)]++
 			}
 		}
 		t.TinyWindow[tinyClassOf(s.TinyWindow)]++
 		if !s.FlowControlHeaders {
 			t.ZeroWindowHeadersOK++
 		}
-		t.ZeroWUStream[observationOf(s.ZeroWUStream)]++
-		t.ZeroWUConn[observationOf(s.ZeroWUConn)]++
-		if s.ZeroWUConn == server.ReactGoAway && s.ZeroWUDebug {
+		t.ZeroWUStream[observationOf(s.ZeroWindowUpdateStream)]++
+		t.ZeroWUConn[observationOf(s.ZeroWindowUpdateConn)]++
+		if s.ZeroWindowUpdateConn == server.ReactGoAway && s.ZeroWindowDebugData {
 			t.ZeroWUConnDebug++
 		}
-		t.LargeWUStream[observationOf(s.LargeWUStream)]++
-		t.LargeWUConn[observationOf(s.LargeWUConn)]++
+		t.LargeWUStream[observationOf(s.LargeWindowUpdateStream)]++
+		t.LargeWUConn[observationOf(s.LargeWindowUpdateConn)]++
 		switch s.Scheduling {
 		case server.SchedPriority:
 			t.PriorityLast++
@@ -56,8 +56,8 @@ func (p *Population) Tally() *store.Tally {
 		case server.SchedPriorityFirstOnly:
 			t.PriorityFirst++
 		}
-		t.SelfDep[observationOf(s.SelfDep)]++
-		if s.Push {
+		t.SelfDep[observationOf(s.SelfDependency)]++
+		if s.EnablePush {
 			t.PushDomains = append(t.PushDomains, s.Domain)
 		}
 		t.AddHPACKRatio(s.Family, s.HPACKRatio)
